@@ -258,7 +258,6 @@ mod tests {
         let cluster = Cluster::with_config(dtask::ClusterConfig {
             n_workers: 2,
             optimize: dtask::OptimizeConfig::enabled(),
-            ingest: dtask::IngestMode::Batched { max_burst: 64 },
             ..Default::default()
         });
         darray::register_array_ops(cluster.registry());

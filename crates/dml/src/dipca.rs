@@ -518,7 +518,6 @@ mod tests {
         let c = dtask::Cluster::with_config(dtask::ClusterConfig {
             n_workers: 3,
             optimize: dtask::OptimizeConfig::enabled(),
-            ingest: dtask::IngestMode::Batched { max_burst: 64 },
             ..Default::default()
         });
         register_array_ops(c.registry());

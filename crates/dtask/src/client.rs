@@ -9,12 +9,12 @@ use crate::stats::{MsgClass, SchedulerStats};
 use crate::store::StoreConfig;
 use crate::trace::{EventKind, TraceHandle};
 use crate::transport::{DataReply, Endpoint};
+use crate::worker::Pinger;
 use crossbeam::channel::Receiver;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A connected client. Owns its notification inbox, so use one `Client` per
@@ -40,11 +40,11 @@ pub struct Client {
     /// Lifecycle event recorder (empty handle when tracing is off). Bridges
     /// relabel their trace row via [`TraceHandle::set_label`].
     pub(crate) tracer: TraceHandle,
-    /// This client's heartbeat pinger (stop flag + thread), when one is
-    /// running. The client owns and joins it: drop stops the thread and
-    /// waits for it *before* sending the disconnect, so no ping can trail
-    /// the goodbye and re-arm liveness tracking for a gone client.
-    pub(crate) heartbeat: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
+    /// This client's heartbeat pinger, when one is running. The client owns
+    /// and joins it: drop stops the thread and waits for it *before* sending
+    /// the disconnect, so no ping can trail the goodbye and re-arm liveness
+    /// tracking for a gone client.
+    pub(crate) heartbeat: Option<Pinger>,
     /// Out-of-band data plane config (the cluster's [`StoreConfig`]). With
     /// `proxies` on, large array values bound for the control path
     /// (variables, queue items) are published to a worker store instead and
@@ -647,9 +647,8 @@ impl Drop for Client {
         // Stop and *join* the pinger first: once drop returns, no thread is
         // left pinging on behalf of a client that said goodbye (a trailing
         // ping would re-arm liveness tracking until the timeout fired).
-        if let Some((stop, thread)) = self.heartbeat.take() {
-            stop.store(true, Ordering::SeqCst);
-            let _ = thread.join();
+        if let Some(pinger) = self.heartbeat.take() {
+            pinger.stop();
         }
         if !self.dead.get() {
             self.send_sched(SchedMsg::ClientDisconnect { client: self.id });

@@ -2,17 +2,17 @@
 
 use crate::client::Client;
 use crate::key::{SessionId, DEFAULT_SESSION};
-use crate::msg::{ClientMsg, DataMsg, ExecMsg, SchedMsg, WorkerId};
+use crate::msg::{ClientMsg, DataMsg, SchedMsg, WorkerId};
 use crate::optimize::OptimizeConfig;
 use crate::policy::PolicyConfig;
-use crate::scheduler::{IngestMode, LivenessConfig, Scheduler};
+use crate::scheduler::{LivenessConfig, Scheduler};
 use crate::spec::OpRegistry;
 use crate::stats::SchedulerStats;
-use crate::store::{ObjectStore, StoreConfig};
+use crate::store::StoreConfig;
 use crate::telemetry::{self, TelemetryConfig, TelemetryHub};
 use crate::trace::{TraceActor, TraceConfig, TraceRecorder};
 use crate::transport::{Addr, ClusterChannels, DataReply, FaultPlan, Router, TransportConfig};
-use crate::worker::{run_data_server, Executor, GatherMode, WorkerStore};
+use crate::worker::{Pinger, WorkerRuntime, WorkerSpec};
 use crossbeam::channel::unbounded;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -20,8 +20,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A periodic background thread (heartbeat pinger) plus the flag that stops
-/// its loop before the join.
+/// A periodic background thread (telemetry sampler, exporter) plus the flag
+/// that stops its loop before the join.
 type StoppableThread = (Arc<AtomicBool>, JoinHandle<()>);
 
 /// How often a client pings the scheduler.
@@ -141,9 +141,6 @@ pub struct ClusterConfig {
     /// share one inbox, so a task blocked in a dependency gather or a
     /// long-running op does not stall the tasks queued behind it.
     pub slots_per_worker: usize,
-    /// How executors resolve missing dependencies (default: concurrent
-    /// fan-out to all holders at once).
-    pub gather_mode: GatherMode,
     /// Heartbeat interval applied to clients created with
     /// [`Cluster::client`] (override per client with
     /// [`Cluster::client_with_heartbeat`]).
@@ -154,10 +151,6 @@ pub struct ClusterConfig {
     /// outputs. Enable with [`OptimizeConfig::enabled`] for whole-graph
     /// workloads.
     pub optimize: OptimizeConfig,
-    /// Scheduler inbox drain strategy (default: bursts of up to 64 with
-    /// per-worker assignment batching; [`IngestMode::PerMessage`] restores
-    /// the classic loop for A/B comparison).
-    pub ingest: IngestMode,
     /// Task-lifecycle tracing (default: off — disabled handles never touch
     /// the clock or allocate). Enable with [`TraceConfig::enabled`] and read
     /// the log back via [`Cluster::tracer`].
@@ -197,10 +190,8 @@ impl Default for ClusterConfig {
         ClusterConfig {
             n_workers: 2,
             slots_per_worker: 0,
-            gather_mode: GatherMode::Concurrent,
             default_heartbeat: HeartbeatInterval::Infinite,
             optimize: OptimizeConfig::default(),
-            ingest: IngestMode::default(),
             trace: TraceConfig::default(),
             transport: TransportConfig::default(),
             fault: FaultConfig::default(),
@@ -261,17 +252,12 @@ pub struct Cluster {
     optimize: OptimizeConfig,
     store_config: StoreConfig,
     slots_per_worker: usize,
-    // Thread handles are kept per role so shutdown can retire them in
-    // dependency order: worker pingers first (they write into the
-    // scheduler), then executors (they write into scheduler + data
-    // servers), then data servers, then the scheduler itself. Client
-    // heartbeat pingers are owned by their Client handles. Worker threads are stored per
-    // worker (behind a mutex) so `kill_worker` can retire one worker's
-    // threads while the rest keep running.
     sched_thread: Option<JoinHandle<()>>,
-    data_threads: parking_lot::Mutex<Vec<Option<JoinHandle<()>>>>,
-    exec_threads: parking_lot::Mutex<Vec<Vec<JoinHandle<()>>>>,
-    worker_pingers: parking_lot::Mutex<Vec<Option<StoppableThread>>>,
+    /// Local worker runtimes, one per worker id; all `None` on a deployment
+    /// hub, `None` for a killed worker. Behind a mutex so `kill_worker`
+    /// can retire one worker while the rest keep running. Client heartbeat
+    /// pingers are owned by their `Client` handles.
+    workers: parking_lot::Mutex<Vec<Option<WorkerRuntime>>>,
     /// Telemetry hub (gauges, flight ring, straggler baselines, alerts);
     /// `None` unless the cluster was built with [`TelemetryConfig::enabled`].
     telemetry: Option<Arc<TelemetryHub>>,
@@ -314,64 +300,75 @@ impl Cluster {
     /// already-spawned actor is torn down in shutdown dependency order
     /// before the error is returned, so a failed startup leaks nothing.
     pub fn try_with_config(config: ClusterConfig) -> std::io::Result<Self> {
+        Cluster::build(config, None)
+    }
+
+    /// The one cluster shell: shared state, router, telemetry threads and
+    /// the scheduler, then either local worker runtimes (`deploy: None`) or
+    /// a hub plane that remote workers attach to.
+    fn build(config: ClusterConfig, deploy: Option<DeployConfig>) -> std::io::Result<Self> {
         assert!(config.n_workers > 0, "cluster needs at least one worker");
         let slots = config.resolved_slots();
-        let registry = OpRegistry::with_std_ops();
         let stats = Arc::new(SchedulerStats::new());
         let tracer = Arc::new(TraceRecorder::new(config.trace));
         let hub = config
             .telemetry
             .enabled
             .then(|| Arc::new(TelemetryHub::new(config.telemetry, Arc::clone(&stats))));
-        let (sched_tx, sched_rx) = unbounded();
-
-        let mut worker_data = Vec::with_capacity(config.n_workers);
-        let mut worker_exec = Vec::with_capacity(config.n_workers);
-        let mut worker_steal = Vec::with_capacity(config.n_workers);
-        let mut stores: Vec<WorkerStore> = Vec::with_capacity(config.n_workers);
-        let mut data_rxs = Vec::with_capacity(config.n_workers);
-        let mut exec_rxs = Vec::with_capacity(config.n_workers);
-        let mut steal_rxs = Vec::with_capacity(config.n_workers);
-        for id in 0..config.n_workers {
-            let (dtx, drx) = unbounded();
-            let (etx, erx) = unbounded();
-            let (stx, srx) = unbounded();
-            worker_data.push(dtx);
-            worker_exec.push(etx);
-            worker_steal.push(stx);
-            data_rxs.push(drx);
-            exec_rxs.push(erx);
-            steal_rxs.push(srx);
-            stores.push(Arc::new(ObjectStore::new(
-                config.store.clone(),
-                id,
-                Arc::clone(&stats),
-                tracer.register(TraceActor::Store { worker: id }),
-            )));
-        }
+        let heartbeat = match config.fault.worker_heartbeat {
+            HeartbeatInterval::Every(period) => Some(period),
+            HeartbeatInterval::Infinite => None,
+        };
 
         // One router fronts every inter-actor channel; actors only ever see
-        // `Endpoint`s derived from it.
-        let router = Router::new(
-            &config.transport,
-            config.n_workers,
-            ClusterChannels {
-                sched_tx,
-                data_txs: worker_data,
-                exec_txs: worker_exec.clone(),
-                steal_txs: worker_steal,
-            },
-            Arc::clone(&stats),
-            tracer.register(TraceActor::Transport),
-            config.fault.plan.clone(),
-        );
+        // `Endpoint`s derived from it. A hub runs no local worker thread, so
+        // its worker inboxes drop right here: every worker-bound message
+        // routes over the plane.
+        let (channels, sched_rx, mut inboxes) = ClusterChannels::new(config.n_workers);
+        let transport_trace = tracer.register(TraceActor::Transport);
+        let router = match &deploy {
+            None => Router::new(
+                &config.transport,
+                config.n_workers,
+                channels,
+                Arc::clone(&stats),
+                transport_trace,
+                config.fault.plan.clone(),
+            )?,
+            Some(deploy) => {
+                inboxes.clear();
+                let as_ms = |d: Option<Duration>| d.map_or(0, |d| d.as_millis().max(1) as u64);
+                let params = crate::net::HubParams {
+                    n_workers: config.n_workers,
+                    default_slots: slots,
+                    heartbeat_ms: as_ms(heartbeat),
+                    steal_poll_ms: as_ms(config.policy.steal_poll),
+                    mem_budget: config.store.mem_budget,
+                    handshake_timeout: deploy.handshake_timeout,
+                };
+                let register_tx = channels.sched_tx.clone();
+                let register = Box::new(move |worker, slots| {
+                    let _ = register_tx.send(SchedMsg::RegisterWorker { worker, slots });
+                });
+                Router::new_socket(
+                    |callbacks| {
+                        crate::net::SocketPlane::hub(&deploy.bind, params, callbacks, register)
+                    },
+                    config.n_workers,
+                    channels,
+                    Arc::clone(&stats),
+                    transport_trace,
+                    config.fault.plan.clone(),
+                )?
+            }
+        };
 
-        // Build the (thread-less) cluster first: a spawn failure below can
-        // then reuse `shutdown_inner`, which retires exactly the threads
-        // recorded so far in dependency order.
+        // Build the (thread-less) cluster first: an early return below
+        // drops it, and the drop retires exactly the threads recorded so
+        // far in dependency order.
         let mut cluster = Cluster {
             router,
-            registry,
+            registry: OpRegistry::with_std_ops(),
             stats,
             tracer,
             next_client: AtomicUsize::new(0),
@@ -380,34 +377,27 @@ impl Cluster {
             store_config: config.store.clone(),
             slots_per_worker: slots,
             sched_thread: None,
-            data_threads: parking_lot::Mutex::new((0..config.n_workers).map(|_| None).collect()),
-            exec_threads: parking_lot::Mutex::new(
-                (0..config.n_workers).map(|_| Vec::new()).collect(),
-            ),
-            worker_pingers: parking_lot::Mutex::new((0..config.n_workers).map(|_| None).collect()),
+            workers: parking_lot::Mutex::new((0..config.n_workers).map(|_| None).collect()),
             telemetry: hub,
             telemetry_threads: parking_lot::Mutex::new(Vec::new()),
             telemetry_addr: None,
             kill_at: parking_lot::Mutex::new(config.fault.plan.kill_worker),
             tenancy: config.tenancy.clone(),
-            deploy: false,
+            deploy: deploy.is_some(),
             down: false,
         };
 
         // Telemetry plane: flight-recorder sampler and (optionally) the HTTP
         // exporter. Spawned before the actors so the first samples cover the
         // whole run; both threads only *read* shared state.
-        if let Err(e) = cluster.spawn_telemetry_threads() {
-            cluster.shutdown_inner();
-            return Err(e);
-        }
+        cluster.spawn_telemetry_threads()?;
 
-        // Scheduler thread.
-        let sched = Scheduler::new(
+        // Scheduler thread. On a hub every worker slot starts offline until
+        // its process attaches and registers.
+        let mut sched = Scheduler::new(
             sched_rx,
             cluster.router.endpoint(Addr::Scheduler),
             slots,
-            config.ingest,
             config.fault.liveness(),
             config.policy.clone(),
             Arc::clone(&cluster.stats),
@@ -419,96 +409,29 @@ impl Cluster {
                 .then_some(cluster.tenancy.max_inflight_tasks)
                 .flatten(),
         );
-        match std::thread::Builder::new()
-            .name("dtask-scheduler".into())
-            .spawn(move || sched.run())
-        {
-            Ok(handle) => cluster.sched_thread = Some(handle),
-            Err(e) => {
-                cluster.shutdown_inner();
-                return Err(e);
-            }
+        if cluster.deploy {
+            sched = sched.with_offline_workers();
         }
-        // Worker threads: one data server + `slots` executor slots each, the
-        // slots draining one shared (cloned) inbox.
-        for (id, ((data_rx, exec_rx), steal_rx)) in data_rxs
-            .into_iter()
-            .zip(exec_rxs)
-            .zip(steal_rxs)
-            .enumerate()
-        {
-            let store = Arc::clone(&stores[id]);
-            let data_endpoint = cluster.router.endpoint(Addr::WorkerData(id));
-            match std::thread::Builder::new()
-                .name(format!("dtask-worker-{id}-data"))
-                .spawn(move || run_data_server(store, data_rx, data_endpoint))
-            {
-                Ok(handle) => cluster.data_threads.get_mut()[id] = Some(handle),
-                Err(e) => {
-                    cluster.shutdown_inner();
-                    return Err(e);
-                }
-            }
-            for slot in 0..slots {
-                let exec = Executor {
-                    id,
-                    store: Arc::clone(&stores[id]),
-                    rx: exec_rx.clone(),
-                    exec_tx: worker_exec[id].clone(),
-                    endpoint: cluster.router.endpoint(Addr::WorkerExec(id)),
-                    registry: cluster.registry.clone(),
-                    stats: Arc::clone(&cluster.stats),
-                    gather_mode: config.gather_mode,
-                    steal_poll: config.policy.steal_poll,
-                    steal_rx: steal_rx.clone(),
-                    tracer: cluster
-                        .tracer
-                        .register(TraceActor::WorkerSlot { worker: id, slot }),
-                    telemetry: cluster.telemetry.clone(),
-                };
-                match std::thread::Builder::new()
-                    .name(format!("dtask-worker-{id}-exec-{slot}"))
-                    .spawn(move || exec.run())
-                {
-                    Ok(handle) => cluster.exec_threads.get_mut()[id].push(handle),
-                    Err(e) => {
-                        cluster.shutdown_inner();
-                        return Err(e);
-                    }
-                }
-            }
-            if let HeartbeatInterval::Every(period) = config.fault.worker_heartbeat {
-                let stop = Arc::new(AtomicBool::new(false));
-                let stop2 = Arc::clone(&stop);
-                let hb_endpoint = cluster.router.endpoint(Addr::WorkerExec(id));
-                match std::thread::Builder::new()
-                    .name(format!("dtask-worker-{id}-ping"))
-                    .spawn(move || {
-                        // First ping immediately: liveness tracks this worker
-                        // from startup, so a kill before the first interval
-                        // is still detected.
-                        hb_endpoint.send_sched(SchedMsg::WorkerHeartbeat { worker: id });
-                        while !stop2.load(Ordering::SeqCst) {
-                            // Sleep in small slices so stop is prompt.
-                            let mut remaining = period;
-                            while remaining > Duration::ZERO && !stop2.load(Ordering::SeqCst) {
-                                let nap = remaining.min(Duration::from_millis(20));
-                                std::thread::sleep(nap);
-                                remaining = remaining.saturating_sub(nap);
-                            }
-                            if stop2.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            hb_endpoint.send_sched(SchedMsg::WorkerHeartbeat { worker: id });
-                        }
-                    }) {
-                    Ok(handle) => cluster.worker_pingers.get_mut()[id] = Some((stop, handle)),
-                    Err(e) => {
-                        cluster.shutdown_inner();
-                        return Err(e);
-                    }
-                }
-            }
+        cluster.sched_thread = Some(
+            std::thread::Builder::new()
+                .name("dtask-scheduler".into())
+                .spawn(move || sched.run())?,
+        );
+        for (id, inbox) in inboxes.into_iter().enumerate() {
+            let runtime = WorkerRuntime::spawn(WorkerSpec {
+                id,
+                slots,
+                store: config.store.clone(),
+                inbox,
+                router: &cluster.router,
+                registry: &cluster.registry,
+                stats: &cluster.stats,
+                steal_poll: config.policy.steal_poll,
+                heartbeat,
+                tracer: &cluster.tracer,
+                telemetry: cluster.telemetry.as_ref(),
+            })?;
+            cluster.workers.get_mut()[id] = Some(runtime);
         }
         Ok(cluster)
     }
@@ -558,151 +481,32 @@ impl Cluster {
     /// the full cluster. Everything else — clients, stats, tracing,
     /// telemetry — works exactly as in-process.
     pub fn listen(config: ClusterConfig, deploy: DeployConfig) -> std::io::Result<Self> {
-        assert!(config.n_workers > 0, "cluster needs at least one worker");
-        let slots = config.resolved_slots();
-        let registry = OpRegistry::with_std_ops();
-        let stats = Arc::new(SchedulerStats::new());
-        let tracer = Arc::new(TraceRecorder::new(config.trace));
-        let hub = config
-            .telemetry
-            .enabled
-            .then(|| Arc::new(TelemetryHub::new(config.telemetry, Arc::clone(&stats))));
-        let (sched_tx, sched_rx) = unbounded();
-        let register_tx = sched_tx.clone();
+        Cluster::build(config, Some(deploy))
+    }
 
-        // Local worker channel ends exist only to satisfy the router's
-        // channel set; in hub mode every worker-bound message routes over
-        // the plane, so the receiving halves drop right here.
-        let mut worker_data = Vec::with_capacity(config.n_workers);
-        let mut worker_exec = Vec::with_capacity(config.n_workers);
-        let mut worker_steal = Vec::with_capacity(config.n_workers);
-        for _ in 0..config.n_workers {
-            worker_data.push(unbounded::<DataMsg>().0);
-            worker_exec.push(unbounded::<ExecMsg>().0);
-            worker_steal.push(unbounded::<ExecMsg>().0);
-        }
-
-        let heartbeat_ms = match config.fault.worker_heartbeat {
-            HeartbeatInterval::Every(period) => period.as_millis().max(1) as u64,
-            HeartbeatInterval::Infinite => 0,
-        };
-        let plane = crate::net::SocketPlane::hub(
-            &deploy.bind,
-            crate::net::HubParams {
-                n_workers: config.n_workers,
-                default_slots: slots,
-                heartbeat_ms,
-                mem_budget: config.store.mem_budget,
-                handshake_timeout: deploy.handshake_timeout,
-            },
-        )?;
-        let shared = plane.shared();
-        let router = Router::new_socket(
-            plane,
-            config.n_workers,
-            ClusterChannels {
-                sched_tx,
-                data_txs: worker_data,
-                exec_txs: worker_exec,
-                steal_txs: worker_steal,
-            },
-            Arc::clone(&stats),
-            tracer.register(TraceActor::Transport),
-            config.fault.plan.clone(),
-        );
-        // Registration rides the scheduler's raw inbox, and the attach flag
-        // flips only after this send — so once `await_workers` returns, the
-        // registration already precedes anything a client submits next.
-        shared.install_register(Box::new(move |worker, slots| {
-            let _ = register_tx.send(SchedMsg::RegisterWorker { worker, slots });
-        }));
-
-        let mut cluster = Cluster {
-            router,
-            registry,
-            stats,
-            tracer,
-            next_client: AtomicUsize::new(0),
-            default_heartbeat: config.default_heartbeat,
-            optimize: config.optimize,
-            store_config: config.store.clone(),
-            slots_per_worker: slots,
-            sched_thread: None,
-            data_threads: parking_lot::Mutex::new((0..config.n_workers).map(|_| None).collect()),
-            exec_threads: parking_lot::Mutex::new(
-                (0..config.n_workers).map(|_| Vec::new()).collect(),
-            ),
-            worker_pingers: parking_lot::Mutex::new((0..config.n_workers).map(|_| None).collect()),
-            telemetry: hub,
-            telemetry_threads: parking_lot::Mutex::new(Vec::new()),
-            telemetry_addr: None,
-            kill_at: parking_lot::Mutex::new(config.fault.plan.kill_worker),
-            tenancy: config.tenancy.clone(),
-            deploy: true,
-            down: false,
-        };
-        if let Err(e) = cluster.spawn_telemetry_threads() {
-            cluster.shutdown_inner();
-            return Err(e);
-        }
-        // Scheduler thread, every worker slot offline until its process
-        // attaches and registers.
-        let sched = Scheduler::new(
-            sched_rx,
-            cluster.router.endpoint(Addr::Scheduler),
-            slots,
-            config.ingest,
-            config.fault.liveness(),
-            config.policy.clone(),
-            Arc::clone(&cluster.stats),
-            cluster.tracer.register(TraceActor::Scheduler),
-            cluster.telemetry.clone(),
-            cluster
-                .tenancy
-                .enabled
-                .then_some(cluster.tenancy.max_inflight_tasks)
-                .flatten(),
-        )
-        .with_offline_workers();
-        match std::thread::Builder::new()
-            .name("dtask-scheduler".into())
-            .spawn(move || sched.run())
-        {
-            Ok(handle) => cluster.sched_thread = Some(handle),
-            Err(e) => {
-                cluster.shutdown_inner();
-                return Err(e);
-            }
-        }
-        Ok(cluster)
+    /// The hub plane workers attach to; `None` unless the cluster was built
+    /// with [`Cluster::listen`].
+    fn hub(&self) -> Option<Arc<crate::net::PlaneShared>> {
+        self.router.plane().filter(|_| self.deploy)
     }
 
     /// Where the deployment hub accepts worker processes; `None` unless the
     /// cluster was built with [`Cluster::listen`].
     pub fn deploy_addr(&self) -> Option<SocketAddr> {
-        if self.deploy {
-            self.router.plane().and_then(|p| p.local_addr())
-        } else {
-            None
-        }
+        self.hub().and_then(|plane| plane.local_addr())
     }
 
     /// Deployment hub: block until every worker slot has a registered
     /// process, or `timeout`. Returns whether the cluster is fully staffed.
     /// In-process clusters are always fully staffed.
     pub fn await_workers(&self, timeout: Duration) -> bool {
-        match self.router.plane() {
-            Some(plane) if self.deploy => plane.await_workers(timeout),
-            _ => true,
-        }
+        self.hub().is_none_or(|plane| plane.await_workers(timeout))
     }
 
     /// Deployment hub: how many worker processes are currently attached.
     pub fn attached_workers(&self) -> usize {
-        match self.router.plane() {
-            Some(plane) if self.deploy => plane.attached_workers(),
-            _ => self.n_workers(),
-        }
+        self.hub()
+            .map_or(self.n_workers(), |plane| plane.attached_workers())
     }
 
     /// Worker ids currently reachable. On a deployment hub this is the set
@@ -710,10 +514,8 @@ impl Cluster {
     /// out the moment its connection dies, so producers can steer external
     /// data at survivors. In-process clusters report every worker.
     pub fn live_workers(&self) -> Vec<usize> {
-        match self.router.plane() {
-            Some(plane) if self.deploy => plane.live_workers(),
-            _ => (0..self.n_workers()).collect(),
-        }
+        self.hub()
+            .map_or_else(|| (0..self.n_workers()).collect(), |p| p.live_workers())
     }
 
     /// The shared op registry; register application ops here before
@@ -782,25 +584,15 @@ impl Cluster {
     /// primitive; it does not tell the scheduler anything.
     pub fn kill_worker(&self, worker: WorkerId) {
         assert!(worker < self.n_workers(), "no such worker");
-        if let Some((stop, thread)) = self.worker_pingers.lock()[worker].take() {
-            stop.store(true, Ordering::SeqCst);
-            let _ = thread.join();
-        }
-        let endpoint = self.router.endpoint(Addr::Control);
-        // Data plane first: once the data server is down, every result this
-        // worker holds (including those its exec slots finish below, straight
-        // into the shared store) is unreachable — the death is observable to
-        // any peer immediately, not only after the exec slots drain.
-        if let Some(t) = self.data_threads.lock()[worker].take() {
-            endpoint.send_data(worker, DataMsg::Shutdown);
-            let _ = t.join();
-        }
-        let exec_threads = std::mem::take(&mut self.exec_threads.lock()[worker]);
-        for _ in 0..exec_threads.len() {
-            endpoint.send_exec(worker, ExecMsg::Shutdown);
-        }
-        for t in exec_threads {
-            let _ = t.join();
+        let runtime = self.workers.lock()[worker].take();
+        if let Some(mut runtime) = runtime {
+            // Data plane first: once the data server is down, every result
+            // this worker holds (including those its exec slots finish
+            // below, straight into the shared store) is unreachable — the
+            // death is observable to any peer immediately, not only after
+            // the exec slots drain.
+            runtime.stop_data();
+            runtime.stop_slots();
         }
         self.stats.record_injected_kill();
     }
@@ -854,37 +646,18 @@ impl Cluster {
         }
         let heartbeat = match heartbeat {
             HeartbeatInterval::Infinite => None,
+            // The client owns (and joins) its pinger, so dropping the
+            // client retires the thread *before* its disconnect goes out —
+            // no ping can ever trail the goodbye and re-arm liveness
+            // tracking. Sends after cluster shutdown land on a closed
+            // channel and are dropped by the transport.
             HeartbeatInterval::Every(period) => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let stop2 = Arc::clone(&stop);
                 let hb_endpoint = endpoint.clone();
-                let thread = std::thread::Builder::new()
-                    .name(format!("dtask-heartbeat-{id}"))
-                    .spawn(move || {
-                        // Sleep in small slices so stop is prompt, but only
-                        // ping at the configured period.
-                        while !stop2.load(Ordering::SeqCst) {
-                            std::thread::sleep(period.min(Duration::from_millis(20)));
-                            if stop2.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            hb_endpoint.send_sched(SchedMsg::Heartbeat { client: id });
-                            // For periods longer than the slice, sleep out the rest.
-                            let mut remaining = period.saturating_sub(Duration::from_millis(20));
-                            while remaining > Duration::ZERO && !stop2.load(Ordering::SeqCst) {
-                                let nap = remaining.min(Duration::from_millis(20));
-                                std::thread::sleep(nap);
-                                remaining = remaining.saturating_sub(nap);
-                            }
-                        }
-                    })
-                    .expect("spawn heartbeat");
-                // The client owns (and joins) its pinger, so dropping the
-                // client retires the thread *before* its disconnect goes
-                // out — no ping can ever trail the goodbye and re-arm
-                // liveness tracking. Sends after cluster shutdown land on
-                // a closed channel and are dropped by the transport.
-                Some((stop, thread))
+                let ping = move || hb_endpoint.send_sched(SchedMsg::Heartbeat { client: id });
+                Some(
+                    Pinger::spawn(format!("dtask-heartbeat-{id}"), period, ping)
+                        .expect("spawn heartbeat"),
+                )
             }
         };
         Client {
@@ -915,73 +688,45 @@ impl Cluster {
     /// Retire threads in dependency order, so nothing ever writes into an
     /// actor that is already gone:
     ///
-    /// 1. heartbeat pingers (they write into the scheduler),
-    /// 2. executor slots (they write into the scheduler and data servers),
-    /// 3. data servers (executors are gone, no more peer fetches),
-    /// 4. the scheduler itself.
+    /// 0. telemetry sampler and exporter (they only read, so they go before
+    ///    any of the state they read starts tearing down; the sampler takes
+    ///    one final sample on stop),
+    /// 1. every worker's pinger and executor slots (they write into the
+    ///    scheduler and the data servers),
+    /// 2. data servers (executors are gone, no more peer fetches),
+    /// 3. the scheduler itself.
     ///
-    /// The old ordering shut the scheduler down first, racing in-flight
-    /// heartbeats and task reports against a closing inbox.
+    /// Killed (or never-spawned) workers have nothing left to retire. Client
+    /// heartbeat pingers are joined by their `Client` handles; a still-live
+    /// client's pings after this point land on a closed scheduler channel
+    /// and are dropped by the transport.
     fn shutdown_inner(&mut self) {
         if self.down {
             return;
         }
         self.down = true;
-        let endpoint = self.router.endpoint(Addr::Control);
-        // Telemetry first (step 0): the sampler and exporter only read, so
-        // they must go before any of the state they read starts tearing down;
-        // the sampler takes one final sample on stop.
         for (stop, thread) in self.telemetry_threads.lock().drain(..) {
             stop.store(true, Ordering::SeqCst);
             let _ = thread.join();
-        }
-        // Client heartbeat pingers are owned (and joined) by their Client
-        // handles; a still-live client's pings after this point land on a
-        // closed scheduler channel and are dropped by the transport.
-        for pinger in self.worker_pingers.lock().iter_mut() {
-            if let Some((stop, thread)) = pinger.take() {
-                stop.store(true, Ordering::SeqCst);
-                let _ = thread.join();
-            }
         }
         // Deployment hub: tell every attached worker process to leave. A
         // node that already exited (or was SIGKILLed) has a dead writer —
         // the send is logged and skipped, never a panic or a stall, so the
         // join sequence below always completes.
-        if self.deploy {
-            if let Some(plane) = self.router.plane() {
-                plane.goodbye_all("cluster shutdown");
-            }
+        if let Some(plane) = self.hub() {
+            plane.goodbye_all("cluster shutdown");
         }
-        // Per-worker storage: killed (or never-spawned) workers simply have
-        // nothing left to retire here.
-        let mut exec_threads = self.exec_threads.lock();
-        for (w, threads) in exec_threads.iter().enumerate() {
-            // One shutdown message per spawned slot: each slot thread
-            // consumes exactly one and exits.
-            for _ in 0..threads.len() {
-                endpoint.send_exec(w, ExecMsg::Shutdown);
-            }
+        let mut workers = self.workers.lock();
+        for runtime in workers.iter_mut().flatten() {
+            runtime.stop_slots();
         }
-        for threads in exec_threads.iter_mut() {
-            for t in threads.drain(..) {
-                let _ = t.join();
-            }
+        for runtime in workers.iter_mut().flatten() {
+            runtime.stop_data();
         }
-        drop(exec_threads);
-        let mut data_threads = self.data_threads.lock();
-        for (w, slot) in data_threads.iter().enumerate() {
-            if slot.is_some() {
-                endpoint.send_data(w, DataMsg::Shutdown);
-            }
-        }
-        for slot in data_threads.iter_mut() {
-            if let Some(t) = slot.take() {
-                let _ = t.join();
-            }
-        }
-        drop(data_threads);
-        endpoint.send_sched(SchedMsg::Shutdown);
+        drop(workers);
+        self.router
+            .endpoint(Addr::Control)
+            .send_sched(SchedMsg::Shutdown);
         if let Some(t) = self.sched_thread.take() {
             let _ = t.join();
         }
@@ -1130,6 +875,8 @@ mod tests {
         )]);
         assert_eq!(client.future("c").result().unwrap().as_f64(), Some(3.0));
         assert!(cluster.stats().count(crate::stats::MsgClass::PeerFetch) >= 1);
+        assert!(cluster.stats().gather_batches() >= 1);
+        assert!(cluster.stats().gather_wait_ns() > 0);
     }
 
     #[test]
@@ -1320,7 +1067,6 @@ mod tests {
         let cluster = Cluster::with_config(ClusterConfig {
             n_workers: 2,
             slots_per_worker: 1,
-            gather_mode: crate::worker::GatherMode::Concurrent,
             ..ClusterConfig::default()
         });
         register_slow_sum(&cluster);
@@ -1505,28 +1251,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_gather_mode_still_resolves_remote_deps() {
-        let cluster = Cluster::with_config(ClusterConfig {
-            n_workers: 2,
-            slots_per_worker: 1,
-            gather_mode: crate::worker::GatherMode::Serial,
-            ..ClusterConfig::default()
-        });
-        let client = cluster.client();
-        client.scatter(vec![(Key::new("a"), Datum::F64(1.0))], Some(0));
-        client.scatter(vec![(Key::new("b"), Datum::F64(2.0))], Some(1));
-        client.submit(vec![TaskSpec::new(
-            "c",
-            "sum_scalars",
-            Datum::Null,
-            vec!["a".into(), "b".into()],
-        )]);
-        assert_eq!(client.future("c").result().unwrap().as_f64(), Some(3.0));
-        assert!(cluster.stats().gather_batches() >= 1);
-        assert!(cluster.stats().gather_wait_ns() > 0);
-    }
-
-    #[test]
     fn auto_slot_resolution_has_floor_of_two() {
         let config = ClusterConfig {
             n_workers: 64, // more workers than any test box has cores
@@ -1534,24 +1258,6 @@ mod tests {
         };
         let cluster = Cluster::with_config(config);
         assert!(cluster.slots_per_worker() >= 2);
-    }
-
-    #[test]
-    fn per_message_ingest_still_works() {
-        let cluster = Cluster::with_config(ClusterConfig {
-            n_workers: 2,
-            ingest: IngestMode::PerMessage,
-            ..ClusterConfig::default()
-        });
-        let client = cluster.client();
-        client.submit(vec![
-            TaskSpec::new("a", "const", Datum::F64(2.0), vec![]),
-            TaskSpec::new("b", "identity", Datum::Null, vec!["a".into()]),
-        ]);
-        assert_eq!(client.future("b").result().unwrap().as_f64(), Some(2.0));
-        // Per-message mode: one assignment message per task.
-        assert_eq!(cluster.stats().assign_tasks(), 2);
-        assert_eq!(cluster.stats().assign_messages(), 2);
     }
 
     #[test]

@@ -70,13 +70,11 @@ pub use datum::{Datum, DatumRef};
 pub use json::Json;
 pub use key::{Key, SessionId, DEFAULT_SESSION};
 pub use msg::{ErrorCause, TaskError};
-pub use net::{
-    Frame, FrameReader, NodeWelcome, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, PREAMBLE_BYTES,
-};
+pub use net::{Frame, FrameReader, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, PREAMBLE_BYTES};
 pub use node::{run_node, NodeConfig, NodeReport};
 pub use optimize::{optimize, OptimizeConfig, OptimizeReport};
 pub use policy::{PolicyConfig, PolicyKind, SchedulingPolicy, WorkerState};
-pub use scheduler::{IngestMode, LivenessConfig};
+pub use scheduler::LivenessConfig;
 pub use snapshot::{HistSnapshot, StatsSnapshot, WireLaneSnapshot};
 pub use spec::{OpRegistry, TaskSpec};
 pub use stats::{LatencyHist, MsgClass, SchedulerStats, WireLane};
@@ -89,5 +87,4 @@ pub use trace::{
 pub use transport::{
     Addr, DataReply, Endpoint, FaultPlan, LaneDrop, ReplyRx, ReplyTo, SimNetConfig, TransportConfig,
 };
-pub use wire::{NodeMsg, WireError, WIRE_VERSION};
-pub use worker::GatherMode;
+pub use wire::{NodeMsg, NodeWelcome, WireError, WIRE_VERSION};

@@ -389,6 +389,21 @@ pub enum DataMsg {
     Shutdown,
 }
 
+impl DataMsg {
+    /// The reply slot riding this message, if it is a request. Whoever
+    /// finds the destination gone cancels it, so the requester observes
+    /// "worker hung up" instead of waiting forever.
+    pub fn reply_to(&self) -> Option<ReplyTo> {
+        match self {
+            DataMsg::Put { ack: r, .. }
+            | DataMsg::Get { reply: r, .. }
+            | DataMsg::Fetch { reply: r, .. }
+            | DataMsg::Stats { reply: r } => Some(*r),
+            DataMsg::Delete { .. } | DataMsg::Sweep { .. } | DataMsg::Shutdown => None,
+        }
+    }
+}
+
 /// Notifications back to a client.
 #[derive(Debug, Clone)]
 pub enum ClientMsg {

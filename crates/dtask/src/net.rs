@@ -34,14 +34,14 @@
 
 use crate::stats::WireLane;
 use crate::transport::Addr;
-use crate::wire::{self, NodeMsg, WireError, HEADER_BYTES, NODE_KIND, WIRE_VERSION};
+use crate::wire::{self, NodeMsg, NodeWelcome, WireError, HEADER_BYTES, NODE_KIND, WIRE_VERSION};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -227,23 +227,32 @@ fn peek_reply_corr(envelope: &[u8]) -> Option<u64> {
 /// request carrying a reply slot. Needs a full decode (the `ReplyTo`
 /// position varies per variant).
 fn data_request_corr(envelope: &[u8]) -> Option<u64> {
-    use crate::msg::DataMsg;
     match wire::decode(envelope) {
-        Ok(crate::transport::Payload::Data(
-            DataMsg::Put { ack: r, .. }
-            | DataMsg::Get { reply: r, .. }
-            | DataMsg::Fetch { reply: r, .. }
-            | DataMsg::Stats { reply: r },
-        )) => Some(r.corr),
+        Ok(crate::transport::Payload::Data(msg)) => msg.reply_to().map(|r| r.corr),
         _ => None,
     }
 }
 
 // ---- plane ------------------------------------------------------------------
 
-/// Envelope delivery callback installed by the router: decode and hand the
-/// frame to the in-process fabric at the given address.
+/// Envelope delivery hook: decode and hand the frame to the in-process
+/// fabric at the given address (the fabric is transport-private).
 type DeliverFn = Box<dyn Fn(Addr, &[u8]) + Send + Sync>;
+
+/// The router-side hooks a plane is built with. The router's delivery fabric
+/// exists before any plane does, so every socket thread sees them from its
+/// first frame.
+pub(crate) struct PlaneCallbacks {
+    pub deliver: DeliverFn,
+    /// Cancel a local reply slot by correlation id.
+    pub cancel: Box<dyn Fn(u64) + Send + Sync>,
+    /// Per-lane accounting for frames received by hub readers.
+    pub account: Box<dyn Fn(WireLane, u64) + Send + Sync>,
+}
+
+/// Hub hook delivering a [`crate::msg::SchedMsg::RegisterWorker`]
+/// `(worker, slots)` into the scheduler's inbox.
+pub(crate) type RegisterFn = Box<dyn Fn(usize, usize) + Send + Sync>;
 
 /// Dispatch-side metadata the router attaches to a routed envelope so the
 /// plane can track cross-process reply lifetimes without re-decoding.
@@ -281,14 +290,7 @@ enum FrameAction {
 
 /// Hub-side deployment state.
 struct HubState {
-    n_workers: usize,
-    /// Slot count imposed on nodes that announce `0`.
-    default_slots: usize,
-    /// Worker heartbeat interval pushed to nodes (`0` = off).
-    heartbeat_ms: u64,
-    /// Store budget pushed to nodes (`None` = keep node-local setting).
-    mem_budget: Option<u64>,
-    handshake_timeout: Duration,
+    params: HubParams,
     /// Per-worker-id slot claims; an id is assigned once and never reused
     /// (a dead worker's recovery story is resubmission, not resurrection).
     /// Claimed at Hello, released only by pre-registration casualties.
@@ -297,9 +299,8 @@ struct HubState {
     /// registration is enqueued — `await_workers` returning must imply the
     /// scheduler's inbox already carries every `RegisterWorker`.
     attached: Mutex<Vec<bool>>,
-    /// Delivers a [`crate::msg::SchedMsg::RegisterWorker`] into the
-    /// scheduler; installed by the cluster right after router construction.
-    register: OnceLock<Box<dyn Fn(usize, usize) + Send + Sync>>,
+    /// Enqueues the attach's `RegisterWorker` on the scheduler's raw inbox.
+    register: RegisterFn,
     /// Outstanding cross-process data requests: `(origin node, corr)` →
     /// target node. Entries die with the reply that resolves them or with
     /// either endpoint's process.
@@ -327,60 +328,20 @@ pub struct PlaneShared {
     writers: Mutex<HashMap<u64, Sender<Vec<u8>>>>,
     /// Where the plane's listener is bound (loopback and hub modes).
     listen_addr: Option<SocketAddr>,
-    /// Decode an envelope and hand it to the local delivery fabric.
-    /// Installed by the router (the fabric is transport-private).
-    deliver: OnceLock<DeliverFn>,
-    /// Cancel a local reply slot by correlation id.
-    cancel: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
-    /// Per-lane accounting for frames received by hub readers.
-    account: OnceLock<Box<dyn Fn(WireLane, u64) + Send + Sync>>,
+    callbacks: PlaneCallbacks,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl PlaneShared {
-    fn new(mode: Mode, listen_addr: Option<SocketAddr>) -> Arc<Self> {
+    fn new(mode: Mode, listen_addr: Option<SocketAddr>, callbacks: PlaneCallbacks) -> Arc<Self> {
         Arc::new(PlaneShared {
             mode,
             stop: AtomicBool::new(false),
             writers: Mutex::new(HashMap::new()),
             listen_addr,
-            deliver: OnceLock::new(),
-            cancel: OnceLock::new(),
-            account: OnceLock::new(),
+            callbacks,
             threads: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Install the router-side callbacks. Called exactly once, before any
-    /// traffic is dispatched; reader threads wait for it.
-    pub(crate) fn install(
-        &self,
-        deliver: DeliverFn,
-        cancel: Box<dyn Fn(u64) + Send + Sync>,
-        account: Box<dyn Fn(WireLane, u64) + Send + Sync>,
-    ) {
-        let _ = self.deliver.set(deliver);
-        let _ = self.cancel.set(cancel);
-        let _ = self.account.set(account);
-    }
-
-    /// Hub only: install the scheduler-registration hook.
-    pub(crate) fn install_register(&self, register: Box<dyn Fn(usize, usize) + Send + Sync>) {
-        if let Mode::Hub(hub) = &self.mode {
-            let _ = hub.register.set(register);
-        }
-    }
-
-    /// Wait until the router installed its callbacks (or the plane is
-    /// stopping). Readers call this once before touching any frame.
-    fn wait_ready(&self) -> bool {
-        while self.deliver.get().is_none() {
-            if self.stop.load(Ordering::SeqCst) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        true
     }
 
     fn stopping(&self) -> bool {
@@ -491,20 +452,8 @@ impl PlaneShared {
                         // pending, but keep the invariant tidy.
                         hub.pending.lock().remove(&(0, corr));
                     }
-                    return RouteOutcome::Local;
-                }
-                if let RouteMeta::Reply { corr } = &meta {
-                    hub.pending.lock().remove(&(dest, *corr));
-                }
-                let tx = self.writers.lock().get(&dest).cloned();
-                let sent = match tx {
-                    Some(tx) => tx.send(frame(to, envelope)).is_ok(),
-                    None => false,
-                };
-                if sent {
-                    if let RouteMeta::Request { corr } = meta {
-                        hub.pending.lock().insert((0, corr), dest);
-                    }
+                    RouteOutcome::Local
+                } else if self.hub_forward(hub, 0, to, envelope, &meta) {
                     RouteOutcome::Sent
                 } else {
                     // Unattached or dead worker process: same contract as a
@@ -525,6 +474,30 @@ impl PlaneShared {
                 }
             }
         }
+    }
+
+    /// Hub: queue one frame from node `origin` onto the connection of `to`'s
+    /// worker process, keeping the pending-request map in step — a reply
+    /// retires its entry, a request that got queued opens one. `false` when
+    /// that process is unattached or gone.
+    fn hub_forward(
+        &self,
+        hub: &HubState,
+        origin: u64,
+        to: Addr,
+        envelope: &[u8],
+        meta: &RouteMeta,
+    ) -> bool {
+        let dest = to_node(to);
+        if let RouteMeta::Reply { corr } = meta {
+            hub.pending.lock().remove(&(dest, *corr));
+        }
+        let tx = self.writers.lock().get(&dest).cloned();
+        let sent = tx.is_some_and(|tx| tx.send(frame(to, envelope)).is_ok());
+        if let (true, RouteMeta::Request { corr }) = (sent, meta) {
+            hub.pending.lock().insert((origin, *corr), dest);
+        }
+        sent
     }
 
     /// Loopback: connection to destination node `dest`, dialing it (and
@@ -557,9 +530,7 @@ impl PlaneShared {
         let kind = f.envelope[3];
         match &self.mode {
             Mode::Loopback => {
-                if let Some(deliver) = self.deliver.get() {
-                    deliver(f.to, &f.envelope);
-                }
+                (self.callbacks.deliver)(f.to, &f.envelope);
                 FrameAction::Continue
             }
             Mode::Hub(hub) => {
@@ -576,8 +547,8 @@ impl PlaneShared {
                         }
                     };
                 }
-                if let (Some(account), Some(lane)) = (self.account.get(), lane_of(kind)) {
-                    account(lane, f.envelope.len() as u64);
+                if let Some(lane) = lane_of(kind) {
+                    (self.callbacks.account)(lane, f.envelope.len() as u64);
                 }
                 let dest = to_node(f.to);
                 if dest == 0 {
@@ -586,31 +557,19 @@ impl PlaneShared {
                             hub.pending.lock().remove(&(0, corr));
                         }
                     }
-                    if let Some(deliver) = self.deliver.get() {
-                        deliver(f.to, &f.envelope);
-                    }
+                    (self.callbacks.deliver)(f.to, &f.envelope);
                     return FrameAction::Continue;
                 }
                 // Star forwarding: node → node via this hub.
-                if kind == 4 {
-                    if let Some(corr) = peek_reply_corr(&f.envelope) {
-                        hub.pending.lock().remove(&(dest, corr));
-                    }
+                let meta = match kind {
+                    4 => peek_reply_corr(&f.envelope).map(|corr| RouteMeta::Reply { corr }),
+                    2 => data_request_corr(&f.envelope).map(|corr| RouteMeta::Request { corr }),
+                    _ => None,
                 }
-                let tx = self.writers.lock().get(&dest).cloned();
-                let sent = match tx {
-                    Some(tx) => tx.send(frame(f.to, &f.envelope)).is_ok(),
-                    None => false,
-                };
-                if sent {
-                    if kind == 2 {
-                        if let Some(corr) = data_request_corr(&f.envelope) {
-                            hub.pending.lock().insert((peer.unwrap_or(0), corr), dest);
-                        }
-                    }
-                } else if kind == 2 {
+                .unwrap_or(RouteMeta::Plain);
+                if !self.hub_forward(hub, peer.unwrap_or(0), f.to, &f.envelope, &meta) {
                     // Request against a dead process: cancel at the origin.
-                    if let Some(corr) = data_request_corr(&f.envelope) {
+                    if let RouteMeta::Request { corr } = meta {
                         self.cancel_at(peer, corr);
                     }
                 }
@@ -620,9 +579,7 @@ impl PlaneShared {
                 if kind == NODE_KIND {
                     return match wire::decode_node(&f.envelope) {
                         Ok(NodeMsg::Cancel { corr }) => {
-                            if let Some(cancel) = self.cancel.get() {
-                                cancel(corr);
-                            }
+                            (self.callbacks.cancel)(corr);
                             FrameAction::Continue
                         }
                         Ok(NodeMsg::Goodbye { reason }) => {
@@ -640,9 +597,7 @@ impl PlaneShared {
                         }
                     };
                 }
-                if let Some(deliver) = self.deliver.get() {
-                    deliver(f.to, &f.envelope);
-                }
+                (self.callbacks.deliver)(f.to, &f.envelope);
                 FrameAction::Continue
             }
         }
@@ -652,11 +607,7 @@ impl PlaneShared {
     /// the requester is hub-side, with a control frame when it is a node.
     fn cancel_at(&self, origin: Option<u64>, corr: u64) {
         match origin {
-            None | Some(0) => {
-                if let Some(cancel) = self.cancel.get() {
-                    cancel(corr);
-                }
-            }
+            None | Some(0) => (self.callbacks.cancel)(corr),
             Some(o) => {
                 let env = wire::encode_node(&NodeMsg::Cancel { corr });
                 let tx = self.writers.lock().get(&o).cloned();
@@ -694,9 +645,7 @@ impl PlaneShared {
             }
         });
         for corr in local {
-            if let Some(cancel) = self.cancel.get() {
-                cancel(corr);
-            }
+            (self.callbacks.cancel)(corr);
         }
         for (origin, corr) in remote {
             self.cancel_at(Some(origin), corr);
@@ -735,46 +684,44 @@ fn reader_loop(
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut chunk = vec![0u8; 64 * 1024];
     let mut graceful = false;
-    if shared.wait_ready() {
-        'outer: loop {
-            if shared.stopping() {
-                graceful = true;
+    'outer: loop {
+        if shared.stopping() {
+            graceful = true;
+            break;
+        }
+        // Parse before reading: a handshake may hand over a reader that
+        // already buffers frames the peer sent right behind its `Welcome`.
+        loop {
+            match fr.next_frame() {
+                Ok(Some(f)) => {
+                    if matches!(shared.handle_frame(peer, f), FrameAction::Close) {
+                        graceful = true;
+                        break 'outer;
+                    }
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    eprintln!("dtask-net: {label}: malformed frame: {e}");
+                    break 'outer;
+                }
+            }
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => {
+                if let Err(e) = fr.at_eof() {
+                    eprintln!("dtask-net: {label}: stream ended mid-frame: {e}");
+                }
                 break;
             }
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    if let Err(e) = fr.at_eof() {
-                        eprintln!("dtask-net: {label}: stream ended mid-frame: {e}");
-                    }
-                    break;
+            Ok(n) => fr.push(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                continue;
+            }
+            Err(e) => {
+                if !shared.stopping() {
+                    eprintln!("dtask-net: {label}: read failed: {e}");
                 }
-                Ok(n) => {
-                    fr.push(&chunk[..n]);
-                    loop {
-                        match fr.next_frame() {
-                            Ok(Some(f)) => {
-                                if matches!(shared.handle_frame(peer, f), FrameAction::Close) {
-                                    graceful = true;
-                                    break 'outer;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                eprintln!("dtask-net: {label}: malformed frame: {e}");
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    continue;
-                }
-                Err(e) => {
-                    if !shared.stopping() {
-                        eprintln!("dtask-net: {label}: read failed: {e}");
-                    }
-                    break;
-                }
+                break;
             }
         }
     }
@@ -835,7 +782,7 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
     };
     let _ = stream.set_nodelay(true);
     let mut fr = FrameReader::new();
-    let first = match read_one_frame(&mut stream, &mut fr, hub.handshake_timeout) {
+    let first = match read_one_frame(&mut stream, &mut fr, hub.params.handshake_timeout) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("dtask-net: handshake with {peer_sock} failed: {e}");
@@ -877,7 +824,7 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
     let slots = if slots_announced > 0 {
         slots_announced
     } else {
-        hub.default_slots
+        hub.params.default_slots
     };
     // Writer first, then the scheduler registration, then the Welcome and
     // the attach flag — so `await_workers` returning implies the
@@ -908,25 +855,15 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
         }
     }
     shared.writers.lock().insert(node, tx.clone());
-    // The registration hook is installed by the cluster moments after the
-    // plane starts listening; wait it out rather than dropping an attach.
-    let register = loop {
-        if let Some(r) = hub.register.get() {
-            break r;
-        }
-        if shared.stopping() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    register(worker, slots);
-    let env = wire::encode_node(&NodeMsg::Welcome {
+    (hub.register)(worker, slots);
+    let env = wire::encode_node(&NodeMsg::Welcome(NodeWelcome {
         worker,
-        n_workers: hub.n_workers,
+        n_workers: hub.params.n_workers,
         slots,
-        heartbeat_ms: hub.heartbeat_ms,
-        mem_budget: hub.mem_budget,
-    });
+        heartbeat_ms: hub.params.heartbeat_ms,
+        mem_budget: hub.params.mem_budget,
+        steal_poll_ms: hub.params.steal_poll_ms,
+    }));
     let _ = tx.send(frame(Addr::Control, &env));
     hub.attached.lock()[worker] = true;
     if capabilities.is_empty() {
@@ -976,88 +913,93 @@ fn accept_loop(shared: Arc<PlaneShared>, listener: TcpListener) {
 /// Owning handle of one socket plane: shared state plus its threads.
 /// Dropping it stops and joins everything.
 pub struct SocketPlane {
-    shared: Arc<PlaneShared>,
+    /// Routing and deploy bookkeeping, shared with every socket thread.
+    pub(crate) shared: Arc<PlaneShared>,
 }
 
-/// Hub construction parameters (see [`crate::Cluster::listen`]).
+/// Hub construction parameters (see [`crate::Cluster::listen`]): the cluster
+/// config pushed to every node in its `Welcome`, plus handshake patience.
 pub(crate) struct HubParams {
     pub n_workers: usize,
+    /// Slot count imposed on nodes that announce `0`.
     pub default_slots: usize,
+    /// Worker heartbeat interval (`0` = off).
     pub heartbeat_ms: u64,
+    /// Executor steal-poll interval (`0` = off).
+    pub steal_poll_ms: u64,
+    /// Store budget (`None` = keep node-local setting).
     pub mem_budget: Option<u64>,
     pub handshake_timeout: Duration,
 }
 
-/// The cluster config a node receives in its `Welcome`.
-#[derive(Debug, Clone)]
-pub struct NodeWelcome {
-    /// Assigned worker id.
-    pub worker: usize,
-    /// Cluster-wide worker count.
-    pub n_workers: usize,
-    /// Executor slots this node must run.
-    pub slots: usize,
-    /// Worker heartbeat interval in ms (`0` = off).
-    pub heartbeat_ms: u64,
-    /// Store budget pushed by the hub (`None` = node-local default).
-    pub mem_budget: Option<u64>,
-}
-
 impl SocketPlane {
+    /// Bind `bind` and serve it with an accept loop in the given mode
+    /// (loopback and hub planes).
+    fn listen(
+        bind: impl std::net::ToSocketAddrs,
+        mode: Mode,
+        callbacks: PlaneCallbacks,
+    ) -> std::io::Result<SocketPlane> {
+        let listener = TcpListener::bind(bind)?;
+        listener.set_nonblocking(true)?;
+        let shared = PlaneShared::new(mode, Some(listener.local_addr()?), callbacks);
+        let accept_shared = Arc::clone(&shared);
+        let handle = std::thread::Builder::new()
+            .name("dtask-net-accept".into())
+            .spawn(move || accept_loop(accept_shared, listener))?;
+        shared.threads.lock().push(handle);
+        Ok(SocketPlane { shared })
+    }
+
     /// In-process loopback plane for `TransportConfig::Tcp`: everything a
     /// router dispatches crosses a real 127.0.0.1 socket and is delivered
     /// back into the local fabric by an accept-side reader.
-    pub(crate) fn loopback() -> std::io::Result<SocketPlane> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shared = PlaneShared::new(Mode::Loopback, Some(addr));
-        let accept_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("dtask-net-accept".into())
-            .spawn(move || accept_loop(accept_shared, listener))?;
-        shared.threads.lock().push(handle);
-        Ok(SocketPlane { shared })
+    pub(crate) fn loopback(callbacks: PlaneCallbacks) -> std::io::Result<SocketPlane> {
+        SocketPlane::listen(("127.0.0.1", 0), Mode::Loopback, callbacks)
     }
 
     /// Deployment hub plane: listen for `dtask-node` worker processes.
-    pub(crate) fn hub(bind: &str, params: HubParams) -> std::io::Result<SocketPlane> {
-        let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shared = PlaneShared::new(
-            Mode::Hub(HubState {
-                n_workers: params.n_workers,
-                default_slots: params.default_slots,
-                heartbeat_ms: params.heartbeat_ms,
-                mem_budget: params.mem_budget,
-                handshake_timeout: params.handshake_timeout,
-                claimed: Mutex::new(vec![false; params.n_workers]),
-                attached: Mutex::new(vec![false; params.n_workers]),
-                register: OnceLock::new(),
-                pending: Mutex::new(HashMap::new()),
-            }),
-            Some(addr),
-        );
-        let accept_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("dtask-net-accept".into())
-            .spawn(move || accept_loop(accept_shared, listener))?;
-        shared.threads.lock().push(handle);
-        Ok(SocketPlane { shared })
+    /// `register` rides the scheduler's raw inbox, and the attach flag flips
+    /// only after it ran — so once `await_workers` returns, the registration
+    /// already precedes anything a client submits next.
+    pub(crate) fn hub(
+        bind: &str,
+        params: HubParams,
+        callbacks: PlaneCallbacks,
+        register: RegisterFn,
+    ) -> std::io::Result<SocketPlane> {
+        let hub = HubState {
+            claimed: Mutex::new(vec![false; params.n_workers]),
+            attached: Mutex::new(vec![false; params.n_workers]),
+            params,
+            register,
+            pending: Mutex::new(HashMap::new()),
+        };
+        SocketPlane::listen(bind, Mode::Hub(hub), callbacks)
     }
+}
 
-    /// Node plane: dial the hub (retrying while it comes up), run the
-    /// registration handshake, and return the plane plus the assigned
-    /// cluster config and the teardown signal channel.
-    pub(crate) fn connect_node(
+/// A node's completed registration handshake: the hub connection, whatever
+/// the hub sent right behind its `Welcome`, and the cluster config the node
+/// sizes its router with before [`NodeHandshake::start`] brings the plane up.
+pub(crate) struct NodeHandshake {
+    stream: TcpStream,
+    reader: FrameReader,
+    /// The cluster config the hub assigned.
+    pub welcome: NodeWelcome,
+}
+
+impl NodeHandshake {
+    /// Dial the hub (retrying while it comes up) and run the registration
+    /// handshake. No thread is spawned yet.
+    pub(crate) fn dial(
         connect: &str,
         slots: usize,
         mem_budget: Option<u64>,
         capabilities: Vec<String>,
         connect_timeout: Duration,
         handshake_timeout: Duration,
-    ) -> Result<(SocketPlane, NodeWelcome, Receiver<String>), String> {
+    ) -> Result<NodeHandshake, String> {
         let deadline = Instant::now() + connect_timeout;
         let mut stream = loop {
             match TcpStream::connect(connect) {
@@ -1079,36 +1021,41 @@ impl SocketPlane {
         stream
             .write_all(&frame(Addr::Control, &hello))
             .map_err(|e| format!("hello write failed: {e}"))?;
-        let mut fr = FrameReader::new();
-        let first = read_one_frame(&mut stream, &mut fr, handshake_timeout)?;
+        let mut reader = FrameReader::new();
+        let first = read_one_frame(&mut stream, &mut reader, handshake_timeout)?;
         let welcome = match wire::decode_node(&first.envelope) {
-            Ok(NodeMsg::Welcome {
-                worker,
-                n_workers,
-                slots,
-                heartbeat_ms,
-                mem_budget,
-            }) => NodeWelcome {
-                worker,
-                n_workers,
-                slots,
-                heartbeat_ms,
-                mem_budget,
-            },
+            Ok(NodeMsg::Welcome(welcome)) => welcome,
             Ok(NodeMsg::Goodbye { reason }) => {
                 return Err(format!("hub rejected registration: {reason}"))
             }
             Ok(other) => return Err(format!("expected Welcome, got {other:?}")),
             Err(e) => return Err(format!("bad Welcome frame: {e}")),
         };
-        let (goodbye_tx, goodbye_rx) = unbounded();
-        let shared = PlaneShared::new(
-            Mode::Node {
-                self_node: 1 + welcome.worker as u64,
-                goodbye_tx,
-            },
-            None,
-        );
+        Ok(NodeHandshake {
+            stream,
+            reader,
+            welcome,
+        })
+    }
+
+    /// Bring the node plane up on the handshaken connection: one writer and
+    /// one reader thread. `goodbye_tx` carries the teardown signal into
+    /// [`crate::node::run_node`].
+    pub(crate) fn start(
+        self,
+        callbacks: PlaneCallbacks,
+        goodbye_tx: Sender<String>,
+    ) -> Result<SocketPlane, String> {
+        let NodeHandshake {
+            stream,
+            reader,
+            welcome,
+        } = self;
+        let mode = Mode::Node {
+            self_node: 1 + welcome.worker as u64,
+            goodbye_tx,
+        };
+        let shared = PlaneShared::new(mode, None, callbacks);
         let write_stream = stream
             .try_clone()
             .map_err(|e| format!("socket clone failed: {e}"))?;
@@ -1119,18 +1066,14 @@ impl SocketPlane {
             .spawn(move || writer_loop(write_stream, rx, "hub".into()))
             .map_err(|e| format!("writer spawn failed: {e}"))?;
         shared.threads.lock().push(wh);
-        let reader_shared = Arc::clone(&shared);
+        let plane = SocketPlane { shared };
+        let reader_shared = Arc::clone(&plane.shared);
         let rh = std::thread::Builder::new()
             .name("dtask-net-rhub".into())
-            .spawn(move || reader_loop(reader_shared, stream, Some(0), fr, "hub".into()))
+            .spawn(move || reader_loop(reader_shared, stream, Some(0), reader, "hub".into()))
             .map_err(|e| format!("reader spawn failed: {e}"))?;
-        shared.threads.lock().push(rh);
-        Ok((SocketPlane { shared }, welcome, goodbye_rx))
-    }
-
-    /// The plane's shared state (routing, deploy bookkeeping).
-    pub(crate) fn shared(&self) -> Arc<PlaneShared> {
-        Arc::clone(&self.shared)
+        plane.shared.threads.lock().push(rh);
+        Ok(plane)
     }
 }
 

@@ -16,16 +16,14 @@
 //! down in the same dependency order the in-process cluster uses and
 //! reports why it exited.
 
-use crate::msg::{DataMsg, ExecMsg, SchedMsg};
-use crate::net::SocketPlane;
+use crate::net::NodeHandshake;
 use crate::spec::OpRegistry;
 use crate::stats::SchedulerStats;
-use crate::store::{ObjectStore, StoreConfig};
-use crate::trace::TraceHandle;
-use crate::transport::{Addr, ClusterChannels, FaultPlan, Router};
-use crate::worker::{run_data_server, Executor, GatherMode};
+use crate::store::StoreConfig;
+use crate::trace::{TraceHandle, TraceRecorder};
+use crate::transport::{ClusterChannels, FaultPlan, Router};
+use crate::worker::{WorkerRuntime, WorkerSpec};
 use crossbeam::channel::unbounded;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,7 +77,7 @@ pub struct NodeReport {
 /// node's whole lifetime; returns how it ended, or an error if the
 /// handshake never completed.
 pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, String> {
-    let (plane, welcome, goodbye_rx) = SocketPlane::connect_node(
+    let handshake = NodeHandshake::dial(
         &config.connect,
         config.slots,
         config.mem_budget,
@@ -87,141 +85,58 @@ pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, 
         config.connect_timeout,
         config.handshake_timeout,
     )?;
+    let welcome = handshake.welcome.clone();
     let w = welcome.worker;
     let stats = Arc::new(SchedulerStats::new());
 
     // The router wants the full worker-count channel layout; only this
-    // worker's receivers stay alive, every other slot is a dead end the
-    // plane never delivers into (their traffic routes to the hub).
-    let (sched_tx, _sched_rx) = unbounded::<SchedMsg>();
-    let mut data_txs = Vec::with_capacity(welcome.n_workers);
-    let mut exec_txs = Vec::with_capacity(welcome.n_workers);
-    let mut steal_txs = Vec::with_capacity(welcome.n_workers);
-    let mut my_rxs = None;
-    for id in 0..welcome.n_workers {
-        let (dtx, drx) = unbounded::<DataMsg>();
-        let (etx, erx) = unbounded::<ExecMsg>();
-        let (stx, srx) = unbounded::<ExecMsg>();
-        data_txs.push(dtx);
-        exec_txs.push(etx);
-        steal_txs.push(stx);
-        if id == w {
-            my_rxs = Some((drx, erx, srx));
-        }
-    }
-    let (data_rx, exec_rx, steal_rx) = my_rxs.ok_or("assigned worker id out of range")?;
-    let exec_tx = exec_txs[w].clone();
-
-    let store_cfg = StoreConfig {
-        mem_budget: welcome.mem_budget.or(config.mem_budget),
-        ..StoreConfig::default()
-    };
-    let store = Arc::new(ObjectStore::new(
-        store_cfg,
-        w,
-        Arc::clone(&stats),
-        TraceHandle::disabled(),
-    ));
-
+    // worker's inbox stays alive, every other one is a dead end the plane
+    // never delivers into (their traffic routes to the hub).
+    let (channels, _sched_rx, inboxes) = ClusterChannels::new(welcome.n_workers);
+    let inbox = inboxes
+        .into_iter()
+        .nth(w)
+        .ok_or("assigned worker id out of range")?;
+    let (goodbye_tx, goodbye_rx) = unbounded();
     let router = Router::new_socket(
-        plane,
+        |callbacks| handshake.start(callbacks, goodbye_tx),
         welcome.n_workers,
-        ClusterChannels {
-            sched_tx,
-            data_txs,
-            exec_txs,
-            steal_txs,
-        },
+        channels,
         Arc::clone(&stats),
         TraceHandle::disabled(),
         FaultPlan::default(),
-    );
+    )?;
 
-    let data_endpoint = router.endpoint(Addr::WorkerData(w));
-    let data_store = Arc::clone(&store);
-    let data_thread = std::thread::Builder::new()
-        .name(format!("dtask-node-{w}-data"))
-        .spawn(move || run_data_server(data_store, data_rx, data_endpoint))
-        .map_err(|e| format!("data server spawn failed: {e}"))?;
-
-    let mut exec_threads = Vec::with_capacity(welcome.slots);
-    for slot in 0..welcome.slots {
-        let exec = Executor {
-            id: w,
-            store: Arc::clone(&store),
-            rx: exec_rx.clone(),
-            exec_tx: exec_tx.clone(),
-            endpoint: router.endpoint(Addr::WorkerExec(w)),
-            registry: registry.clone(),
-            stats: Arc::clone(&stats),
-            gather_mode: GatherMode::Concurrent,
-            steal_poll: None,
-            steal_rx: steal_rx.clone(),
-            tracer: TraceHandle::disabled(),
-            telemetry: None,
-        };
-        let handle = std::thread::Builder::new()
-            .name(format!("dtask-node-{w}-exec-{slot}"))
-            .spawn(move || exec.run())
-            .map_err(|e| format!("executor spawn failed: {e}"))?;
-        exec_threads.push(handle);
-    }
-
-    // Heartbeat pinger, if the hub's fault config asks for one. First ping
-    // immediately: the scheduler starts tracking this worker's liveness at
-    // its first heartbeat, so a node killed right after attach is still
-    // detectable.
-    let pinger = if welcome.heartbeat_ms > 0 {
-        let period = Duration::from_millis(welcome.heartbeat_ms);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let hb_endpoint = router.endpoint(Addr::WorkerExec(w));
-        let handle = std::thread::Builder::new()
-            .name(format!("dtask-node-{w}-ping"))
-            .spawn(move || {
-                hb_endpoint.send_sched(SchedMsg::WorkerHeartbeat { worker: w });
-                while !stop2.load(Ordering::SeqCst) {
-                    // Sleep in small slices so stop is prompt.
-                    let mut remaining = period;
-                    while remaining > Duration::ZERO && !stop2.load(Ordering::SeqCst) {
-                        let nap = remaining.min(Duration::from_millis(20));
-                        std::thread::sleep(nap);
-                        remaining = remaining.saturating_sub(nap);
-                    }
-                    if stop2.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    hb_endpoint.send_sched(SchedMsg::WorkerHeartbeat { worker: w });
-                }
-            })
-            .map_err(|e| format!("pinger spawn failed: {e}"))?;
-        Some((stop, handle))
-    } else {
-        None
-    };
+    let millis = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
+    let mut runtime = WorkerRuntime::spawn(WorkerSpec {
+        id: w,
+        slots: welcome.slots,
+        store: StoreConfig {
+            mem_budget: welcome.mem_budget.or(config.mem_budget),
+            ..StoreConfig::default()
+        },
+        inbox,
+        router: &router,
+        registry: &registry,
+        stats: &stats,
+        steal_poll: millis(welcome.steal_poll_ms),
+        heartbeat: millis(welcome.heartbeat_ms),
+        tracer: &TraceRecorder::disabled(),
+        telemetry: None,
+    })
+    .map_err(|e| format!("worker thread spawn failed: {e}"))?;
 
     // Serve until dismissed (or orphaned).
     let reason = goodbye_rx
         .recv()
         .unwrap_or_else(|_| "plane closed".to_string());
 
-    // Teardown, in the in-process dependency order. The hub link is gone,
-    // so first unblock anything waiting on a cross-process reply — every
-    // further outbound request fails fast as PeerGone.
+    // The hub link is gone, so first unblock anything waiting on a
+    // cross-process reply — every further outbound request fails fast as
+    // PeerGone — then retire the worker in the orderly order.
     router.cancel_all_replies();
-    if let Some((stop, handle)) = pinger {
-        stop.store(true, Ordering::SeqCst);
-        let _ = handle.join();
-    }
-    let control = router.endpoint(Addr::Control);
-    for _ in 0..exec_threads.len() {
-        control.send_exec(w, ExecMsg::Shutdown);
-    }
-    for t in exec_threads {
-        let _ = t.join();
-    }
-    control.send_data(w, DataMsg::Shutdown);
-    let _ = data_thread.join();
+    runtime.stop_slots();
+    runtime.stop_data();
     Ok(NodeReport {
         worker: w,
         slots: welcome.slots,

@@ -31,27 +31,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How the scheduler loop drains its inbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestMode {
-    /// One message per iteration, `assign_ready` after each — the classic
-    /// Dask-style loop (and the A/B baseline).
-    PerMessage,
-    /// Drain up to `max_burst` queued messages per iteration (`recv` then
-    /// bounded `try_recv`), coalesce `AddReplica`/heartbeat bookkeeping
-    /// within the burst, run `assign_ready` once at the end, and send each
-    /// worker one `ExecMsg::ExecuteBatch` instead of one message per task.
-    Batched {
-        /// Upper bound on messages absorbed per burst (≥ 1).
-        max_burst: usize,
-    },
-}
-
-impl Default for IngestMode {
-    fn default() -> Self {
-        IngestMode::Batched { max_burst: 64 }
-    }
-}
+/// Upper bound on messages absorbed per ingest burst. The cap keeps a steady
+/// inbound stream from starving the placement pass that follows each burst;
+/// 64 is the value the batched-ingest A/B was settled at (EXPERIMENTS.md,
+/// "Settled A/Bs") and the only one any workload, test or bench ever ran.
+const MAX_BURST: usize = 64;
 
 /// Failure-detection and recovery parameters for the scheduler loop.
 ///
@@ -201,8 +185,6 @@ pub struct Scheduler {
     stats: Arc<SchedulerStats>,
     /// Lifecycle event recorder (empty handle when tracing is off).
     tracer: TraceHandle,
-    /// Inbox drain strategy.
-    ingest: IngestMode,
     /// Set by handlers that may have produced ready tasks; the run loop
     /// drains the ready queue once per burst instead of once per message.
     pending_schedule: bool,
@@ -235,7 +217,6 @@ impl Scheduler {
         rx: Receiver<SchedMsg>,
         endpoint: Endpoint,
         slots_per_worker: usize,
-        ingest: IngestMode,
         liveness: LivenessConfig,
         policy: PolicyConfig,
         stats: Arc<SchedulerStats>,
@@ -269,7 +250,6 @@ impl Scheduler {
             admission_cap,
             stats,
             tracer,
-            ingest,
             pending_schedule: false,
             liveness,
             default_slots: slots,
@@ -294,19 +274,13 @@ impl Scheduler {
 
     /// Run until `Shutdown`.
     ///
-    /// Each iteration blocks for one message, then (in batched mode) drains
-    /// up to `max_burst - 1` more without blocking. Within a burst,
-    /// `AddReplica` entries are merged per worker and heartbeats are counted
-    /// inline without a full handler pass; everything else is handled in
-    /// arrival order. The ready
-    /// queue is drained **once** per burst, so a burst carrying `k` task
-    /// completions pays one placement pass instead of `k`.
+    /// Each iteration blocks for one message, then drains up to
+    /// `MAX_BURST - 1` more without blocking. Within a burst, `AddReplica`
+    /// entries are merged per worker; everything else is handled in arrival
+    /// order. The ready queue is drained **once** per burst, so a burst
+    /// carrying `k` task completions pays one placement pass instead of `k`.
     pub fn run(mut self) {
-        let max_burst = match self.ingest {
-            IngestMode::PerMessage => 1,
-            IngestMode::Batched { max_burst } => max_burst.max(1),
-        };
-        let mut burst: Vec<SchedMsg> = Vec::with_capacity(max_burst);
+        let mut burst: Vec<SchedMsg> = Vec::with_capacity(MAX_BURST);
         loop {
             // With liveness off and no parked retries this is a plain
             // blocking `recv` — the fast path pays nothing for the fault
@@ -329,7 +303,7 @@ impl Scheduler {
             let mut shutdown = false;
             if let Some(first) = first {
                 burst.push(first);
-                while burst.len() < max_burst {
+                while burst.len() < MAX_BURST {
                     match self.rx.try_recv() {
                         Ok(msg) => burst.push(msg),
                         Err(_) => break,
@@ -341,22 +315,12 @@ impl Scheduler {
                 let mut replicas: HashMap<WorkerId, Vec<(Key, u64)>> = HashMap::new();
                 for msg in burst.drain(..) {
                     match msg {
-                        SchedMsg::AddReplica { worker, entries } if max_burst > 1 => {
+                        SchedMsg::AddReplica { worker, entries } => {
                             // Coalesce: one map update pass per worker per burst.
                             // Replicas only ever *add* placement options, so
                             // applying them at burst end is order-safe.
                             self.stats.record(MsgClass::AddReplica, 0);
                             replicas.entry(worker).or_default().extend(entries);
-                        }
-                        SchedMsg::Heartbeat { client } if max_burst > 1 => {
-                            // Counted here, not deferred to burst end: a
-                            // synchronous reply handled later in this same
-                            // burst (e.g. a variable get) must not let the
-                            // client observe a stale heartbeat count. This
-                            // arm is the only counter in batched mode — the
-                            // per-message handler never sees these.
-                            self.stats.record(MsgClass::Heartbeat, 0);
-                            self.note_client_heartbeat(client);
                         }
                         msg => {
                             if !self.handle(msg) {
@@ -613,7 +577,8 @@ impl Scheduler {
                 self.pending_schedule = true;
             }
             SchedMsg::AddReplica { worker, entries } => {
-                // Per-message path (batched bursts intercept this upstream).
+                // Only a `Scoped`-wrapped report lands here; the run loop
+                // coalesces bare ones per burst.
                 self.stats.record(MsgClass::AddReplica, 0);
                 if self.worker_alive(worker) {
                     self.apply_replicas(worker, entries);
@@ -1195,8 +1160,7 @@ impl Scheduler {
         self.workers.get(worker).is_some_and(|w| w.alive)
     }
 
-    /// Liveness bookkeeping for a client ping (both ingest paths call this,
-    /// so `last_seen` is identical under `PerMessage` and `Batched`).
+    /// Liveness bookkeeping for a client ping.
     fn note_client_heartbeat(&mut self, client: ClientId) {
         // A ping from an already-departed client (its pinger racing the
         // disconnect) must not resurrect liveness tracking — a stale
@@ -1555,13 +1519,11 @@ impl Scheduler {
         }
     }
 
-    /// Drain the ready queue, assigning tasks to workers. In batched ingest
-    /// mode, assignments are coalesced into one `ExecMsg::ExecuteBatch` per
-    /// worker (the receiving slot fans the tail back out to its siblings);
-    /// per-message mode keeps the classic one-`Execute`-per-task protocol.
-    /// Returns the number of tasks assigned this pass.
+    /// Drain the ready queue, assigning tasks to workers. Assignments are
+    /// coalesced into one `ExecMsg::ExecuteBatch` per worker (the receiving
+    /// slot fans the tail back out to its siblings). Returns the number of
+    /// tasks assigned this pass.
     fn schedule(&mut self) -> u64 {
-        let batch_assign = !matches!(self.ingest, IngestMode::PerMessage);
         let mut per_worker: Vec<Vec<crate::msg::Assignment>> =
             (0..self.workers.len()).map(|_| Vec::new()).collect();
         let mut n_assigned = 0u64;
@@ -1643,34 +1605,25 @@ impl Scheduler {
                 dep_locations,
                 assigned_at,
             };
-            if batch_assign {
-                per_worker[worker].push(assignment);
-            } else {
-                self.endpoint
-                    .send_exec(worker, crate::msg::ExecMsg::Execute(assignment));
-            }
+            per_worker[worker].push(assignment);
         }
-        if batch_assign {
-            let mut n_messages = 0u64;
-            for (worker, mut tasks) in per_worker.into_iter().enumerate() {
-                match tasks.len() {
-                    0 => continue,
-                    1 => {
-                        let assignment = tasks.pop().expect("len checked");
-                        self.endpoint
-                            .send_exec(worker, crate::msg::ExecMsg::Execute(assignment));
-                    }
-                    _ => {
-                        self.endpoint
-                            .send_exec(worker, crate::msg::ExecMsg::ExecuteBatch { tasks });
-                    }
+        let mut n_messages = 0u64;
+        for (worker, mut tasks) in per_worker.into_iter().enumerate() {
+            match tasks.len() {
+                0 => continue,
+                1 => {
+                    let assignment = tasks.pop().expect("len checked");
+                    self.endpoint
+                        .send_exec(worker, crate::msg::ExecMsg::Execute(assignment));
                 }
-                n_messages += 1;
+                _ => {
+                    self.endpoint
+                        .send_exec(worker, crate::msg::ExecMsg::ExecuteBatch { tasks });
+                }
             }
-            self.stats.record_assign(n_assigned, n_messages);
-        } else {
-            self.stats.record_assign(n_assigned, n_assigned);
+            n_messages += 1;
         }
+        self.stats.record_assign(n_assigned, n_messages);
         n_assigned
     }
 }

@@ -269,12 +269,52 @@ pub(crate) struct ClusterChannels {
     pub(crate) steal_txs: Vec<Sender<ExecMsg>>,
 }
 
+/// The receiving halves of one worker's channels, plus the loopback sender
+/// its executor slots requeue batch tails with.
+pub(crate) struct WorkerInbox {
+    pub(crate) data_rx: Receiver<DataMsg>,
+    pub(crate) exec_rx: Receiver<ExecMsg>,
+    pub(crate) steal_rx: Receiver<ExecMsg>,
+    pub(crate) exec_tx: Sender<ExecMsg>,
+}
+
+impl ClusterChannels {
+    /// A fresh channel set for `n_workers`: the sending halves (for the
+    /// router), the scheduler's inbox, and each worker's inbox. A caller
+    /// that runs no local thread for an actor drops that actor's inbox —
+    /// sends to it then fail like sends to any dead actor, and a socket
+    /// plane never delivers there anyway.
+    pub(crate) fn new(n_workers: usize) -> (ClusterChannels, Receiver<SchedMsg>, Vec<WorkerInbox>) {
+        let (sched_tx, sched_rx) = unbounded();
+        let mut channels = ClusterChannels {
+            sched_tx,
+            data_txs: Vec::with_capacity(n_workers),
+            exec_txs: Vec::with_capacity(n_workers),
+            steal_txs: Vec::with_capacity(n_workers),
+        };
+        let inboxes = (0..n_workers)
+            .map(|_| {
+                let (data_tx, data_rx) = unbounded();
+                let (exec_tx, exec_rx) = unbounded();
+                let (steal_tx, steal_rx) = unbounded();
+                channels.data_txs.push(data_tx);
+                channels.exec_txs.push(exec_tx.clone());
+                channels.steal_txs.push(steal_tx);
+                WorkerInbox {
+                    data_rx,
+                    exec_rx,
+                    steal_rx,
+                    exec_tx,
+                }
+            })
+            .collect();
+        (channels, sched_rx, inboxes)
+    }
+}
+
 /// The raw channel ends every backend ultimately delivers into.
 struct Fabric {
-    sched_tx: Sender<SchedMsg>,
-    data_txs: Vec<Sender<DataMsg>>,
-    exec_txs: Vec<Sender<ExecMsg>>,
-    steal_txs: Vec<Sender<ExecMsg>>,
+    channels: ClusterChannels,
     clients: Mutex<HashMap<ClientId, Sender<ClientMsg>>>,
     replies: Mutex<HashMap<u64, Sender<DataReply>>>,
 }
@@ -287,34 +327,28 @@ impl Fabric {
     fn deliver(&self, to: Addr, payload: Payload) {
         match payload {
             Payload::Sched(m) => {
-                let _ = self.sched_tx.send(m);
+                let _ = self.channels.sched_tx.send(m);
             }
             Payload::Exec(m) => {
                 // Steal probes ride the urgent lane: a victim answers after
                 // its current task, not after its whole queued backlog.
                 let txs = if matches!(m, ExecMsg::Steal { .. }) {
-                    &self.steal_txs
+                    &self.channels.steal_txs
                 } else {
-                    &self.exec_txs
+                    &self.channels.exec_txs
                 };
                 if let Some(tx) = worker_tx(txs, to_worker(to)) {
                     let _ = tx.send(m);
                 }
             }
             Payload::Data(m) => {
-                let cancel = match worker_tx(&self.data_txs, to_worker(to)) {
+                let cancel = match worker_tx(&self.channels.data_txs, to_worker(to)) {
                     Some(tx) => tx.send(m).err().map(|e| e.0),
                     None => Some(m),
                 };
                 // Dead data server: drop the waiting reply slot so the
                 // requester sees "worker hung up", not a hang.
-                if let Some(
-                    DataMsg::Put { ack: r, .. }
-                    | DataMsg::Get { reply: r, .. }
-                    | DataMsg::Fetch { reply: r, .. }
-                    | DataMsg::Stats { reply: r },
-                ) = cancel
-                {
+                if let Some(r) = cancel.and_then(|m| m.reply_to()) {
                     self.replies.lock().remove(&r.corr);
                 }
             }
@@ -441,48 +475,23 @@ fn pump_loop(rx: Receiver<PumpJob>, fabric: Arc<Fabric>) {
 
 // ---- router ----------------------------------------------------------------
 
-/// Socket backend: the shared routing state plus the owning handle whose
-/// drop stops and joins the plane's threads alongside the router.
-struct TcpBackend {
-    shared: Arc<crate::net::PlaneShared>,
-    _plane: crate::net::SocketPlane,
+/// How an encoded frame travels once [`Router::dispatch`] has encoded and
+/// accounted it.
+enum Carrier {
+    /// Nowhere: decoded and delivered on the spot (`Framed`).
+    Direct,
+    /// Through the fat-tree delay model and the delivery pump (`SimNet`).
+    SimNet(SimNetState),
+    /// Over a socket plane (`Tcp`, deployment hub, worker node). Owning it
+    /// here stops and joins the plane's threads when the router drops.
+    Socket(crate::net::SocketPlane),
 }
 
 enum Backend {
+    /// Plain channels: nothing is encoded, nothing is accounted.
     InProc,
-    Framed,
-    SimNet(SimNetState),
-    Tcp(TcpBackend),
-}
-
-/// Wire the router-side callbacks into a socket plane: decode-and-deliver
-/// into the fabric, reply-slot cancellation, and per-lane accounting for
-/// hub-received frames.
-fn install_socket_callbacks(
-    shared: &crate::net::PlaneShared,
-    fabric: &Arc<Fabric>,
-    stats: &Arc<SchedulerStats>,
-    trace: &TraceHandle,
-) {
-    let deliver_fabric = Arc::clone(fabric);
-    let cancel_fabric = Arc::clone(fabric);
-    let stats = Arc::clone(stats);
-    let trace = trace.clone();
-    shared.install(
-        Box::new(move |to, envelope| match wire::decode(envelope) {
-            Ok(payload) => deliver_fabric.deliver(to, payload),
-            // A frame that framed/validated correctly but fails payload
-            // decode is a codec bug on the sending side; drop it loudly.
-            Err(e) => eprintln!("dtask-net: dropping undecodable envelope for {to:?}: {e}"),
-        }),
-        Box::new(move |corr| {
-            cancel_fabric.replies.lock().remove(&corr);
-        }),
-        Box::new(move |lane, bytes| {
-            stats.record_wire(lane, bytes);
-            trace.instant(EventKind::WireSend, None, bytes);
-        }),
-    );
+    /// Every message goes through the wire codec, then a [`Carrier`].
+    Coded(Carrier),
 }
 
 /// Shared message router for one cluster: owns the backend, the delivery
@@ -501,63 +510,44 @@ pub struct Router {
 }
 
 impl Router {
-    /// Build the router for a cluster's channel set. For SimNet this also
-    /// spawns the delivery pump (a daemon thread that drains once the
-    /// router is dropped).
-    pub(crate) fn new(
-        config: &TransportConfig,
+    /// The one constructor: build the delivery fabric from `channels`, then
+    /// let `backend` build the backend over it. `backend` also gets the
+    /// hooks a socket plane is built with (decode-and-deliver into the
+    /// fabric, reply-slot cancellation, per-lane accounting of hub-received
+    /// frames), so a plane's threads never run without them.
+    fn build<E>(
         n_workers: usize,
         channels: ClusterChannels,
         stats: Arc<SchedulerStats>,
         trace: TraceHandle,
         faults: FaultPlan,
-    ) -> Arc<Router> {
+        backend: impl FnOnce(&Arc<Fabric>, crate::net::PlaneCallbacks) -> Result<Backend, E>,
+    ) -> Result<Arc<Router>, E> {
         let fabric = Arc::new(Fabric {
-            sched_tx: channels.sched_tx,
-            data_txs: channels.data_txs,
-            exec_txs: channels.exec_txs,
-            steal_txs: channels.steal_txs,
+            channels,
             clients: Mutex::new(HashMap::new()),
             replies: Mutex::new(HashMap::new()),
         });
-        let backend = match config {
-            TransportConfig::InProc => Backend::InProc,
-            TransportConfig::Framed => Backend::Framed,
-            TransportConfig::SimNet(sim) => {
-                let mut net_cfg = sim.network.clone();
-                let min_nodes = 1 + n_workers + SIMNET_CLIENT_NODES;
-                if net_cfg.nodes < min_nodes {
-                    net_cfg.nodes = min_nodes;
-                }
-                let client_nodes = (net_cfg.nodes - 1 - n_workers).max(1);
-                let (pump_tx, pump_rx) = unbounded();
-                let pump_fabric = Arc::clone(&fabric);
-                std::thread::Builder::new()
-                    .name("dtask-simnet-pump".into())
-                    .spawn(move || pump_loop(pump_rx, pump_fabric))
-                    .expect("spawn simnet pump");
-                Backend::SimNet(SimNetState {
-                    net: Mutex::new(netsim::Network::new(net_cfg)),
-                    epoch: Instant::now(),
-                    time_scale: sim.time_scale,
-                    n_workers: n_workers.max(1),
-                    client_nodes,
-                    seq: AtomicU64::new(0),
-                    pump_tx,
-                })
-            }
-            TransportConfig::Tcp => {
-                let plane =
-                    crate::net::SocketPlane::loopback().expect("bind tcp loopback transport");
-                let shared = plane.shared();
-                install_socket_callbacks(&shared, &fabric, &stats, &trace);
-                Backend::Tcp(TcpBackend {
-                    shared,
-                    _plane: plane,
-                })
-            }
+        let deliver_fabric = Arc::clone(&fabric);
+        let cancel_fabric = Arc::clone(&fabric);
+        let (account_stats, account_trace) = (Arc::clone(&stats), trace.clone());
+        let callbacks = crate::net::PlaneCallbacks {
+            deliver: Box::new(move |to, envelope| match wire::decode(envelope) {
+                Ok(payload) => deliver_fabric.deliver(to, payload),
+                // A frame that framed/validated correctly but fails payload
+                // decode is a codec bug on the sending side; drop it loudly.
+                Err(e) => eprintln!("dtask-net: dropping undecodable envelope for {to:?}: {e}"),
+            }),
+            cancel: Box::new(move |corr| {
+                cancel_fabric.replies.lock().remove(&corr);
+            }),
+            account: Box::new(move |lane, bytes| {
+                account_stats.record_wire(lane, bytes);
+                account_trace.instant(EventKind::WireSend, None, bytes);
+            }),
         };
-        Arc::new(Router {
+        let backend = backend(&fabric, callbacks)?;
+        Ok(Arc::new(Router {
             fabric,
             backend,
             stats,
@@ -565,43 +555,75 @@ impl Router {
             next_corr: AtomicU64::new(1),
             n_workers,
             faults: (!faults.is_inert()).then(|| FaultState::new(faults)),
-        })
+        }))
     }
 
-    /// Build a router on an already-constructed socket plane (deployment
-    /// hub or attached worker node — see [`crate::Cluster::listen`] and
-    /// [`crate::node`]). Same delivery fabric as [`Router::new`], but the
-    /// backend routes over the plane's live connections instead of a
-    /// private loopback listener.
-    pub(crate) fn new_socket(
-        plane: crate::net::SocketPlane,
+    /// Build the router for a cluster's channel set. SimNet also spawns the
+    /// delivery pump (a daemon thread that drains once the router is
+    /// dropped); Tcp binds a private loopback plane and fails if it cannot.
+    pub(crate) fn new(
+        config: &TransportConfig,
         n_workers: usize,
         channels: ClusterChannels,
         stats: Arc<SchedulerStats>,
         trace: TraceHandle,
         faults: FaultPlan,
-    ) -> Arc<Router> {
-        let fabric = Arc::new(Fabric {
-            sched_tx: channels.sched_tx,
-            data_txs: channels.data_txs,
-            exec_txs: channels.exec_txs,
-            steal_txs: channels.steal_txs,
-            clients: Mutex::new(HashMap::new()),
-            replies: Mutex::new(HashMap::new()),
-        });
-        let shared = plane.shared();
-        install_socket_callbacks(&shared, &fabric, &stats, &trace);
-        Arc::new(Router {
-            fabric,
-            backend: Backend::Tcp(TcpBackend {
-                shared,
-                _plane: plane,
-            }),
+    ) -> std::io::Result<Arc<Router>> {
+        Router::build(
+            n_workers,
+            channels,
             stats,
             trace,
-            next_corr: AtomicU64::new(1),
-            n_workers,
-            faults: (!faults.is_inert()).then(|| FaultState::new(faults)),
+            faults,
+            |fabric, callbacks| {
+                Ok(match config {
+                    TransportConfig::InProc => Backend::InProc,
+                    TransportConfig::Framed => Backend::Coded(Carrier::Direct),
+                    TransportConfig::SimNet(sim) => {
+                        let mut net_cfg = sim.network.clone();
+                        let min_nodes = 1 + n_workers + SIMNET_CLIENT_NODES;
+                        if net_cfg.nodes < min_nodes {
+                            net_cfg.nodes = min_nodes;
+                        }
+                        let client_nodes = (net_cfg.nodes - 1 - n_workers).max(1);
+                        let (pump_tx, pump_rx) = unbounded();
+                        let pump_fabric = Arc::clone(fabric);
+                        std::thread::Builder::new()
+                            .name("dtask-simnet-pump".into())
+                            .spawn(move || pump_loop(pump_rx, pump_fabric))?;
+                        Backend::Coded(Carrier::SimNet(SimNetState {
+                            net: Mutex::new(netsim::Network::new(net_cfg)),
+                            epoch: Instant::now(),
+                            time_scale: sim.time_scale,
+                            n_workers: n_workers.max(1),
+                            client_nodes,
+                            seq: AtomicU64::new(0),
+                            pump_tx,
+                        }))
+                    }
+                    TransportConfig::Tcp => Backend::Coded(Carrier::Socket(
+                        crate::net::SocketPlane::loopback(callbacks)?,
+                    )),
+                })
+            },
+        )
+    }
+
+    /// Build a router whose backend is the socket plane `start` brings up
+    /// (deployment hub or attached worker node — see
+    /// [`crate::Cluster::listen`] and [`crate::node`]). Same delivery fabric
+    /// as [`Router::new`], but frames route over the plane's live
+    /// connections instead of a private loopback listener.
+    pub(crate) fn new_socket<E>(
+        start: impl FnOnce(crate::net::PlaneCallbacks) -> Result<crate::net::SocketPlane, E>,
+        n_workers: usize,
+        channels: ClusterChannels,
+        stats: Arc<SchedulerStats>,
+        trace: TraceHandle,
+        faults: FaultPlan,
+    ) -> Result<Arc<Router>, E> {
+        Router::build(n_workers, channels, stats, trace, faults, |_, callbacks| {
+            Ok(Backend::Coded(Carrier::Socket(start(callbacks)?)))
         })
     }
 
@@ -610,7 +632,7 @@ impl Router {
     /// in-process backends.
     pub(crate) fn plane(&self) -> Option<Arc<crate::net::PlaneShared>> {
         match &self.backend {
-            Backend::Tcp(tcp) => Some(Arc::clone(&tcp.shared)),
+            Backend::Coded(Carrier::Socket(plane)) => Some(Arc::clone(&plane.shared)),
             _ => None,
         }
     }
@@ -655,65 +677,52 @@ impl Router {
                 return;
             }
         }
-        match &self.backend {
-            Backend::InProc => self.fabric.deliver(to, payload),
-            Backend::Framed => {
-                let bytes = wire::encode(&payload);
-                self.account(payload.lane(), bytes.len() as u64);
-                // Deliver the *decoded* frame: every Framed message proves
-                // round-trip fidelity, and any codec drift fails loudly.
-                let decoded = wire::decode(&bytes)
-                    .unwrap_or_else(|e| panic!("framed transport: wire round-trip failed: {e}"));
-                self.fabric.deliver(to, decoded);
-            }
-            Backend::SimNet(sim) => {
-                let bytes = wire::encode(&payload);
-                self.account(payload.lane(), bytes.len() as u64);
-                let decoded = wire::decode(&bytes)
-                    .unwrap_or_else(|e| panic!("simnet transport: wire round-trip failed: {e}"));
+        let carrier = match &self.backend {
+            Backend::InProc => return self.fabric.deliver(to, payload),
+            Backend::Coded(carrier) => carrier,
+        };
+        let bytes = wire::encode(&payload);
+        self.account(payload.lane(), bytes.len() as u64);
+        // What gets delivered is the *decoded* frame: every coded message
+        // proves round-trip fidelity, and any codec drift fails loudly.
+        let decoded = || {
+            wire::decode(&bytes)
+                .unwrap_or_else(|e| panic!("coded transport: wire round-trip failed: {e}"))
+        };
+        match carrier {
+            Carrier::Direct => self.fabric.deliver(to, decoded()),
+            Carrier::SimNet(sim) => {
                 let (mut due, seq) = sim.arrival(from, to, bytes.len() as u64);
                 if let Some(f) = &self.faults {
-                    due += f.extra_delay(&decoded);
+                    due += f.extra_delay(&payload);
                 }
                 let _ = sim.pump_tx.send(PumpJob {
                     due,
                     seq,
                     to,
-                    payload: decoded,
+                    payload: decoded(),
                 });
             }
-            Backend::Tcp(tcp) => {
-                let bytes = wire::encode(&payload);
-                self.account(payload.lane(), bytes.len() as u64);
-                let meta = match &payload {
-                    Payload::Data(
-                        DataMsg::Put { ack: r, .. }
-                        | DataMsg::Get { reply: r, .. }
-                        | DataMsg::Fetch { reply: r, .. }
-                        | DataMsg::Stats { reply: r },
-                    ) => crate::net::RouteMeta::Request { corr: r.corr },
-                    Payload::Reply { corr, .. } => crate::net::RouteMeta::Reply { corr: *corr },
+            Carrier::Socket(plane) => {
+                let reply_slot = match &payload {
+                    Payload::Data(msg) => msg.reply_to(),
+                    _ => None,
+                };
+                let meta = match (&payload, reply_slot) {
+                    (Payload::Reply { corr, .. }, _) => {
+                        crate::net::RouteMeta::Reply { corr: *corr }
+                    }
+                    (_, Some(r)) => crate::net::RouteMeta::Request { corr: r.corr },
                     _ => crate::net::RouteMeta::Plain,
                 };
-                match tcp.shared.route(to, &bytes, meta) {
+                match plane.shared.route(to, &bytes, meta) {
                     crate::net::RouteOutcome::Sent => {}
-                    crate::net::RouteOutcome::Local => {
-                        let decoded = wire::decode(&bytes).unwrap_or_else(|e| {
-                            panic!("tcp transport: wire round-trip failed: {e}")
-                        });
-                        self.fabric.deliver(to, decoded);
-                    }
+                    crate::net::RouteOutcome::Local => self.fabric.deliver(to, decoded()),
                     crate::net::RouteOutcome::PeerGone => {
                         // The destination's process is gone: cancel any
                         // reply slot riding the request, exactly like the
                         // fabric does for a dead in-process data server.
-                        if let Payload::Data(
-                            DataMsg::Put { ack: r, .. }
-                            | DataMsg::Get { reply: r, .. }
-                            | DataMsg::Fetch { reply: r, .. }
-                            | DataMsg::Stats { reply: r },
-                        ) = &payload
-                        {
+                        if let Some(r) = reply_slot {
                             self.fabric.replies.lock().remove(&r.corr);
                         }
                     }
@@ -867,7 +876,8 @@ mod tests {
             Arc::new(SchedulerStats::default()),
             TraceHandle::disabled(),
             faults,
-        );
+        )
+        .expect("test router");
         (router, sched_rx)
     }
 

@@ -1164,22 +1164,9 @@ pub enum NodeMsg {
         /// currently records but does not interpret them).
         capabilities: Vec<String>,
     },
-    /// Hub → node: registration accepted; cluster config the node needs to
-    /// size its local runtime.
-    Welcome {
-        /// Assigned worker id.
-        worker: usize,
-        /// Total worker count in the cluster (sizes peer routing tables).
-        n_workers: usize,
-        /// Executor slots the node must run (hub may clamp the announced
-        /// value).
-        slots: usize,
-        /// Worker heartbeat interval in milliseconds; `0` disables pinging.
-        heartbeat_ms: u64,
-        /// Store memory budget the hub wants applied (`None` = keep the
-        /// node's own setting).
-        mem_budget: Option<u64>,
-    },
+    /// Hub → node: registration accepted, with the cluster config the node
+    /// needs to size its local runtime.
+    Welcome(NodeWelcome),
     /// Either side announces orderly teardown (hub → node at cluster
     /// shutdown; hub → node at handshake rejection).
     Goodbye {
@@ -1193,6 +1180,27 @@ pub enum NodeMsg {
         /// Correlation id in the *receiving node's* reply space.
         corr: u64,
     },
+}
+
+/// The cluster config a node receives in [`NodeMsg::Welcome`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeWelcome {
+    /// Assigned worker id.
+    pub worker: usize,
+    /// Total worker count in the cluster (sizes peer routing tables).
+    pub n_workers: usize,
+    /// Executor slots the node must run (hub may clamp the announced
+    /// value).
+    pub slots: usize,
+    /// Worker heartbeat interval in milliseconds; `0` disables pinging.
+    pub heartbeat_ms: u64,
+    /// Store memory budget the hub wants applied (`None` = keep the
+    /// node's own setting).
+    pub mem_budget: Option<u64>,
+    /// Executor steal-poll interval in milliseconds, mirroring the hub's
+    /// `PolicyConfig::steal_poll`; `0` disables stealing. Appended after
+    /// the original fields: a `Welcome` that ends before it decodes as `0`.
+    pub steal_poll_ms: u64,
 }
 
 /// Serialize one [`NodeMsg`] into a framed kind-5 envelope.
@@ -1218,25 +1226,20 @@ pub fn encode_node(m: &NodeMsg) -> Vec<u8> {
                 body.str(c);
             }
         }
-        NodeMsg::Welcome {
-            worker,
-            n_workers,
-            slots,
-            heartbeat_ms,
-            mem_budget,
-        } => {
+        NodeMsg::Welcome(w) => {
             body.u8(1);
-            body.usize(*worker);
-            body.usize(*n_workers);
-            body.usize(*slots);
-            body.u64(*heartbeat_ms);
-            match mem_budget {
+            body.usize(w.worker);
+            body.usize(w.n_workers);
+            body.usize(w.slots);
+            body.u64(w.heartbeat_ms);
+            match w.mem_budget {
                 None => body.u8(0),
                 Some(b) => {
                     body.u8(1);
-                    body.u64(*b);
+                    body.u64(b);
                 }
             }
+            body.u64(w.steal_poll_ms);
         }
         NodeMsg::Goodbye { reason } => {
             body.u8(2);
@@ -1317,13 +1320,15 @@ pub fn decode_node(bytes: &[u8]) -> Result<NodeMsg, WireError> {
                     })
                 }
             };
-            NodeMsg::Welcome {
+            let steal_poll_ms = if d.done() { 0 } else { d.u64()? };
+            NodeMsg::Welcome(NodeWelcome {
                 worker,
                 n_workers,
                 slots,
                 heartbeat_ms,
                 mem_budget,
-            }
+                steal_poll_ms,
+            })
         }
         2 => NodeMsg::Goodbye { reason: d.str()? },
         3 => NodeMsg::Cancel { corr: d.u64()? },
@@ -1558,13 +1563,14 @@ mod tests {
                 mem_budget: Some(1 << 20),
                 capabilities: vec!["darray".into(), "h5".into()],
             },
-            NodeMsg::Welcome {
+            NodeMsg::Welcome(NodeWelcome {
                 worker: 1,
                 n_workers: 3,
                 slots: 2,
                 heartbeat_ms: 50,
                 mem_budget: None,
-            },
+                steal_poll_ms: 2,
+            }),
             NodeMsg::Goodbye {
                 reason: "cluster shutdown".into(),
             },
@@ -1583,6 +1589,27 @@ mod tests {
                     tag: NODE_KIND,
                 })
             );
+        }
+    }
+
+    #[test]
+    fn welcome_without_appended_steal_poll_decodes_as_off() {
+        // What a hub from before the field sends: the same body, 8 bytes
+        // shorter.
+        let mut bytes = encode_node(&NodeMsg::Welcome(NodeWelcome {
+            worker: 1,
+            n_workers: 3,
+            slots: 2,
+            heartbeat_ms: 50,
+            mem_budget: None,
+            steal_poll_ms: 7,
+        }));
+        bytes.truncate(bytes.len() - 8);
+        let body_len = (bytes.len() - HEADER_BYTES) as u32;
+        bytes[4..8].copy_from_slice(&body_len.to_le_bytes());
+        match decode_node(&bytes).unwrap() {
+            NodeMsg::Welcome(w) => assert_eq!(w.steal_poll_ms, 0),
+            other => panic!("wrong message: {other:?}"),
         }
     }
 

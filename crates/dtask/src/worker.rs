@@ -10,7 +10,7 @@
 //! 1. **Concurrent dependency gather** — all missing dependencies of a task
 //!    are requested from peers *at once* (one reply channel each) and then
 //!    collected, so the gather latency is the slowest single fetch instead of
-//!    the sum of all fetches ([`GatherMode::Concurrent`]).
+//!    the sum of all fetches.
 //! 2. **Executor slots** — a worker runs a pool of executor threads draining
 //!    one shared inbox, so a task blocked in a gather (or in a blocking op)
 //!    does not stall the tasks queued behind it.
@@ -24,26 +24,185 @@ use crate::msg::ErrorCause;
 use crate::msg::{Assignment, DataMsg, ExecMsg, SchedMsg, TaskError, WorkerId};
 use crate::spec::{FusedInput, OpRegistry, TaskSpec, Value};
 use crate::stats::{MsgClass, SchedulerStats};
-use crate::store::ObjectStore;
+use crate::store::{ObjectStore, StoreConfig};
 use crate::telemetry::TelemetryHub;
-use crate::trace::{EventKind, TraceHandle};
-use crate::transport::{DataReply, Endpoint, ReplyRx};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crate::trace::{EventKind, TraceActor, TraceHandle, TraceRecorder};
+use crate::transport::{Addr, DataReply, Endpoint, ReplyRx, Router, WorkerInbox};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Shared object store of one worker (data server + every executor slot).
 pub type WorkerStore = Arc<ObjectStore>;
 
-/// How an executor resolves a task's missing dependencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GatherMode {
-    /// One peer request at a time; wait for each reply before the next.
-    Serial,
-    /// Fan out every request up front, then collect the replies.
-    #[default]
-    Concurrent,
+/// A heartbeat thread: pings once at start, then once per `period`, until
+/// stopped. It blocks on its stop channel between pings, so stopping wakes
+/// it at once instead of waiting out a sleep.
+pub(crate) struct Pinger {
+    stop: Sender<()>,
+    thread: JoinHandle<()>,
+}
+
+impl Pinger {
+    /// Spawn the thread; `ping` sends one heartbeat.
+    pub(crate) fn spawn(
+        name: String,
+        period: Duration,
+        ping: impl Fn() + Send + 'static,
+    ) -> std::io::Result<Pinger> {
+        let (stop, stop_rx) = unbounded::<()>();
+        let thread = std::thread::Builder::new().name(name).spawn(move || {
+            ping();
+            // Nothing is ever sent: the wait ends early only when `stop`
+            // drops the sender.
+            while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(period) {
+                ping();
+            }
+        })?;
+        Ok(Pinger { stop, thread })
+    }
+
+    /// Wake the thread and join it: once this returns no further ping goes
+    /// out.
+    pub(crate) fn stop(self) {
+        drop(self.stop);
+        let _ = self.thread.join();
+    }
+}
+
+/// Everything one worker needs to come up, wherever it runs: an in-process
+/// [`crate::Cluster`] builds one per worker, a `dtask-node` process builds
+/// its own from the hub's `Welcome`.
+pub(crate) struct WorkerSpec<'a> {
+    pub id: WorkerId,
+    /// Executor slots (threads) draining the shared inbox.
+    pub slots: usize,
+    pub store: StoreConfig,
+    pub inbox: WorkerInbox,
+    pub router: &'a Arc<Router>,
+    pub registry: &'a OpRegistry,
+    pub stats: &'a Arc<SchedulerStats>,
+    /// See [`Executor::steal_poll`].
+    pub steal_poll: Option<Duration>,
+    /// Ping the scheduler this often (`None`: never).
+    pub heartbeat: Option<Duration>,
+    pub tracer: &'a TraceRecorder,
+    pub telemetry: Option<&'a Arc<TelemetryHub>>,
+}
+
+/// One running worker: the data-server thread, the executor-slot threads and
+/// the heartbeat pinger, with the two teardown steps every owner composes.
+/// Orderly shutdown and node exit retire slots, then data (nothing may write
+/// into a data server that is gone); a fault-injection kill retires data
+/// first (see [`crate::Cluster::kill_worker`]). Both steps stop the pinger
+/// before anything else, and dropping the runtime runs the orderly order.
+pub(crate) struct WorkerRuntime {
+    id: WorkerId,
+    /// Routes the `Shutdown` messages of the teardown steps.
+    control: Endpoint,
+    pinger: Option<Pinger>,
+    slots: Vec<JoinHandle<()>>,
+    data: Option<JoinHandle<()>>,
+}
+
+impl WorkerRuntime {
+    /// Spawn the worker's threads. On a spawn failure the threads already
+    /// running are retired before the error is returned.
+    pub(crate) fn spawn(spec: WorkerSpec<'_>) -> std::io::Result<WorkerRuntime> {
+        let WorkerSpec { id, router, .. } = spec;
+        let store: WorkerStore = Arc::new(ObjectStore::new(
+            spec.store,
+            id,
+            Arc::clone(spec.stats),
+            spec.tracer.register(TraceActor::Store { worker: id }),
+        ));
+        // From here on an early `?` drops `rt`, which retires what it holds.
+        let mut rt = WorkerRuntime {
+            id,
+            control: router.endpoint(Addr::Control),
+            pinger: None,
+            slots: Vec::with_capacity(spec.slots),
+            data: None,
+        };
+        let data_store = Arc::clone(&store);
+        let data_endpoint = router.endpoint(Addr::WorkerData(id));
+        let data_rx = spec.inbox.data_rx;
+        rt.data = Some(
+            std::thread::Builder::new()
+                .name(format!("dtask-worker-{id}-data"))
+                .spawn(move || run_data_server(data_store, data_rx, data_endpoint))?,
+        );
+        for slot in 0..spec.slots {
+            let exec = Executor {
+                id,
+                store: Arc::clone(&store),
+                rx: spec.inbox.exec_rx.clone(),
+                exec_tx: spec.inbox.exec_tx.clone(),
+                endpoint: router.endpoint(Addr::WorkerExec(id)),
+                registry: spec.registry.clone(),
+                stats: Arc::clone(spec.stats),
+                steal_poll: spec.steal_poll,
+                steal_rx: spec.inbox.steal_rx.clone(),
+                tracer: spec
+                    .tracer
+                    .register(TraceActor::WorkerSlot { worker: id, slot }),
+                telemetry: spec.telemetry.cloned(),
+            };
+            rt.slots.push(
+                std::thread::Builder::new()
+                    .name(format!("dtask-worker-{id}-exec-{slot}"))
+                    .spawn(move || exec.run())?,
+            );
+        }
+        if let Some(period) = spec.heartbeat {
+            // The pinger's immediate first ping starts liveness tracking at
+            // startup, so a worker killed before its first interval is still
+            // detected.
+            let endpoint = router.endpoint(Addr::WorkerExec(id));
+            rt.pinger = Some(Pinger::spawn(
+                format!("dtask-worker-{id}-ping"),
+                period,
+                move || endpoint.send_sched(SchedMsg::WorkerHeartbeat { worker: id }),
+            )?);
+        }
+        Ok(rt)
+    }
+
+    fn stop_pinger(&mut self) {
+        if let Some(pinger) = self.pinger.take() {
+            pinger.stop();
+        }
+    }
+
+    /// Teardown step: retire the executor slots. One `Shutdown` per slot —
+    /// each slot thread consumes exactly one and exits.
+    pub(crate) fn stop_slots(&mut self) {
+        self.stop_pinger();
+        for _ in 0..self.slots.len() {
+            self.control.send_exec(self.id, ExecMsg::Shutdown);
+        }
+        for thread in self.slots.drain(..) {
+            let _ = thread.join();
+        }
+    }
+
+    /// Teardown step: retire the data server.
+    pub(crate) fn stop_data(&mut self) {
+        self.stop_pinger();
+        if let Some(thread) = self.data.take() {
+            self.control.send_data(self.id, DataMsg::Shutdown);
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for WorkerRuntime {
+    fn drop(&mut self) {
+        self.stop_slots();
+        self.stop_data();
+    }
 }
 
 /// The data-server half: serves `Put`/`Get`/`Delete` until shutdown.
@@ -161,8 +320,6 @@ pub struct Executor {
     pub registry: OpRegistry,
     /// Shared counters.
     pub stats: Arc<SchedulerStats>,
-    /// Dependency gather strategy.
-    pub gather_mode: GatherMode,
     /// Work-stealing idle poll: with `Some(poll)`, a slot that waits `poll`
     /// without receiving work sends a [`SchedMsg::StealRequest`] and keeps
     /// waiting. `None` (the default) keeps the loop on a plain blocking
@@ -372,8 +529,8 @@ impl Executor {
     }
 
     /// Resolve one dependency serially: local store first, then each peer in
-    /// turn. Used by [`GatherMode::Serial`] and as the fallback when a
-    /// concurrent fetch's first candidate fails.
+    /// turn. The fallback when a concurrent fetch's first candidate fails
+    /// (or a dependency has no candidate at all).
     fn fetch_dep_serial(
         &self,
         key: &Key,
@@ -423,7 +580,7 @@ impl Executor {
     }
 
     /// Resolve every dependency of `spec`. Local blocks come straight from
-    /// the store; the rest are gathered from peers per [`GatherMode`]. On
+    /// the store; the rest are requested from their holders all at once. On
     /// success the inputs are ordered like `spec.deps`.
     fn gather_deps(
         &self,
@@ -450,80 +607,69 @@ impl Executor {
                     .map(|(_, locs)| locs.iter().copied().filter(|&w| w != self.id).collect())
                     .unwrap_or_default()
             };
-            match self.gather_mode {
-                GatherMode::Serial => {
-                    for (slot, key) in missing {
-                        inputs[slot] =
-                            Some(self.fetch_dep_serial(key, &candidates_of(key), 0, replicas)?);
+            // Phase 1: fan out one request per missing dep to its
+            // first candidate holder.
+            let mut pending: Vec<PendingFetch> = Vec::with_capacity(missing.len());
+            for (slot, key) in missing {
+                let candidates = candidates_of(key);
+                let trace_t0 = self.tracer.start();
+                match candidates.first() {
+                    // A dead first candidate answers with a recv
+                    // error on the slot (the transport cancels it),
+                    // which phase 2's fallback handles like a miss.
+                    Some(&peer) => {
+                        let reply_rx = self.request_from_peer(peer, key);
+                        pending.push(PendingFetch {
+                            slot,
+                            key,
+                            candidates,
+                            asked: 0,
+                            reply_rx,
+                            trace_t0,
+                        });
+                    }
+                    // No candidate at all: the serial path below
+                    // re-checks the local store (a scatter may have
+                    // landed meanwhile) before giving up.
+                    None => {
+                        inputs[slot] = Some(self.fetch_dep_serial(key, &candidates, 0, replicas)?)
                     }
                 }
-                GatherMode::Concurrent => {
-                    // Phase 1: fan out one request per missing dep to its
-                    // first candidate holder.
-                    let mut pending: Vec<PendingFetch> = Vec::with_capacity(missing.len());
-                    for (slot, key) in missing {
-                        let candidates = candidates_of(key);
-                        let trace_t0 = self.tracer.start();
-                        match candidates.first() {
-                            // A dead first candidate answers with a recv
-                            // error on the slot (the transport cancels it),
-                            // which phase 2's fallback handles like a miss.
-                            Some(&peer) => {
-                                let reply_rx = self.request_from_peer(peer, key);
-                                pending.push(PendingFetch {
-                                    slot,
-                                    key,
-                                    candidates,
-                                    asked: 0,
-                                    reply_rx,
-                                    trace_t0,
-                                });
-                            }
-                            // No candidate at all: the serial path below
-                            // re-checks the local store (a scatter may have
-                            // landed meanwhile) before giving up.
-                            None => {
-                                inputs[slot] =
-                                    Some(self.fetch_dep_serial(key, &candidates, 0, replicas)?)
-                            }
-                        }
+            }
+            // Phase 2: collect replies; a failed fetch falls back to
+            // the remaining candidates serially.
+            for fetch in pending {
+                match fetch.reply_rx.recv().map(DataReply::into_value) {
+                    Ok(Ok(value)) => {
+                        self.tracer.span(
+                            EventKind::GatherDep,
+                            fetch.trace_t0,
+                            Some(fetch.key),
+                            fetch.candidates[fetch.asked] as u64,
+                        );
+                        self.cache_replica(fetch.key, &value, replicas);
+                        inputs[fetch.slot] = Some(value);
                     }
-                    // Phase 2: collect replies; a failed fetch falls back to
-                    // the remaining candidates serially.
-                    for fetch in pending {
-                        match fetch.reply_rx.recv().map(DataReply::into_value) {
-                            Ok(Ok(value)) => {
-                                self.tracer.span(
-                                    EventKind::GatherDep,
-                                    fetch.trace_t0,
-                                    Some(fetch.key),
-                                    fetch.candidates[fetch.asked] as u64,
-                                );
-                                self.cache_replica(fetch.key, &value, replicas);
-                                inputs[fetch.slot] = Some(value);
-                            }
-                            outcome => {
-                                // A recv error (vs. a "don't have it" reply)
-                                // means the asked peer hung up — keep that
-                                // attribution even if the serial fallback
-                                // fails for a different reason.
-                                let hung = outcome.is_err().then(|| fetch.candidates[fetch.asked]);
-                                inputs[fetch.slot] = Some(
-                                    self.fetch_dep_serial(
-                                        fetch.key,
-                                        &fetch.candidates,
-                                        fetch.asked + 1,
-                                        replicas,
-                                    )
-                                    .map_err(|mut e| {
-                                        if e.hung_peer.is_none() {
-                                            e.hung_peer = hung;
-                                        }
-                                        e
-                                    })?,
-                                );
-                            }
-                        }
+                    outcome => {
+                        // A recv error (vs. a "don't have it" reply)
+                        // means the asked peer hung up — keep that
+                        // attribution even if the serial fallback
+                        // fails for a different reason.
+                        let hung = outcome.is_err().then(|| fetch.candidates[fetch.asked]);
+                        inputs[fetch.slot] = Some(
+                            self.fetch_dep_serial(
+                                fetch.key,
+                                &fetch.candidates,
+                                fetch.asked + 1,
+                                replicas,
+                            )
+                            .map_err(|mut e| {
+                                if e.hung_peer.is_none() {
+                                    e.hung_peer = hung;
+                                }
+                                e
+                            })?,
+                        );
                     }
                 }
             }

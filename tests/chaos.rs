@@ -16,6 +16,7 @@
 use deisa_repro::dtask::{
     Cluster, ClusterConfig, Datum, ErrorCause, EventKind, FaultConfig, FaultPlan,
     HeartbeatInterval, Key, StatsSnapshot, TaskError, TaskSpec, TenancyConfig, TraceConfig,
+    TransportConfig,
 };
 use deisa_repro::linalg::NDArray;
 use std::time::Duration;
@@ -352,4 +353,34 @@ fn fault_plan_schedules_a_kill_at_a_step() {
         assert_eq!(r.as_f64(), Some(step as f64));
     }
     assert_eq!(cluster.stats().injected_kills(), 1);
+}
+
+/// Lifecycle: a cluster that lost a worker to `kill_worker` still shuts
+/// down — `shutdown()` returns, having joined every remaining thread (the
+/// killed worker's were joined by the kill), on channels and on sockets.
+#[test]
+fn shutdown_after_kill_joins_every_thread() {
+    for transport in [TransportConfig::InProc, TransportConfig::Tcp] {
+        let cluster = Cluster::with_config(ClusterConfig {
+            n_workers: 3,
+            transport,
+            fault: chaos_fault(),
+            ..ClusterConfig::default()
+        });
+        let client = cluster.client();
+        client.scatter_external(vec![(Key::new("x"), Datum::F64(4.0))], Some(0));
+        cluster.kill_worker(1);
+        client.submit(vec![TaskSpec::new(
+            "y",
+            "identity",
+            Datum::Null,
+            vec!["x".into()],
+        )]);
+        let y = client.future("y").result_timeout(Duration::from_secs(30));
+        assert_eq!(y.unwrap().as_f64(), Some(4.0));
+        let stats = std::sync::Arc::clone(cluster.stats());
+        drop(client);
+        cluster.shutdown();
+        assert_eq!(stats.injected_kills(), 1);
+    }
 }

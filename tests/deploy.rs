@@ -11,6 +11,7 @@
 use deisa_repro::darray::{self, ChunkGrid, DArray, Graph};
 use deisa_repro::dtask::{
     run_node, Cluster, ClusterConfig, Datum, DeployConfig, Key, NodeConfig, OpRegistry,
+    PolicyConfig, PolicyKind, TaskSpec,
 };
 use deisa_repro::linalg::NDArray;
 use std::io::Write;
@@ -51,21 +52,36 @@ fn run_workload(cluster: &Cluster, n_workers: usize) -> f64 {
         .unwrap()
 }
 
+/// A sleepy reduction op so queues actually build up behind busy slots
+/// (the `slow_sum` of `tests/policy.rs`).
+fn register_slow_sum(registry: &OpRegistry) {
+    registry.register("slow_sum", |params, inputs| {
+        let ms = params.as_i64().unwrap_or(0) as u64;
+        std::thread::sleep(Duration::from_millis(ms));
+        let mut total = 0.0;
+        for d in inputs {
+            total += d.as_f64().ok_or_else(|| "non-scalar input".to_string())?;
+        }
+        Ok(Datum::F64(total))
+    });
+}
+
 fn node_registry() -> OpRegistry {
     let registry = OpRegistry::with_std_ops();
     darray::register_array_ops(&registry);
+    register_slow_sum(&registry);
     registry
 }
 
 fn listen_cluster(n_workers: usize) -> Cluster {
-    Cluster::listen(
-        ClusterConfig {
-            n_workers,
-            ..ClusterConfig::default()
-        },
-        DeployConfig::default(),
-    )
-    .unwrap()
+    listen_with(ClusterConfig {
+        n_workers,
+        ..ClusterConfig::default()
+    })
+}
+
+fn listen_with(config: ClusterConfig) -> Cluster {
+    Cluster::listen(config, DeployConfig::default()).unwrap()
 }
 
 fn spawn_node(
@@ -120,6 +136,91 @@ fn deployed_cluster_matches_in_process_results() {
     }
     workers.sort_unstable();
     assert_eq!(workers, vec![0, 1], "hub must assign distinct worker ids");
+}
+
+// ---- stealing across processes ----------------------------------------------
+
+/// The `skewed_cluster` set-up of `tests/policy.rs`: locality placement with
+/// stealing switched on, two single-slot workers, so every task gravitates
+/// to the worker holding the hot block and the idle peer MUST pull work over.
+fn skewed_config() -> ClusterConfig {
+    ClusterConfig {
+        n_workers: 2,
+        slots_per_worker: 1,
+        policy: PolicyConfig {
+            kind: PolicyKind::Locality,
+            steal_poll: Some(Duration::from_millis(2)),
+            ..PolicyConfig::default()
+        },
+        ..ClusterConfig::default()
+    }
+}
+
+/// Eight 40 ms tasks over one hot block pinned on worker 0.
+fn run_skewed(cluster: &Cluster) -> Vec<f64> {
+    const SKEW_TASKS: usize = 8;
+    let client = cluster.client();
+    client.scatter_external(vec![(Key::new("hot"), Datum::F64(2.5))], Some(0));
+    client.submit(
+        (0..SKEW_TASKS)
+            .map(|i| {
+                TaskSpec::new(
+                    format!("t{i}"),
+                    "slow_sum",
+                    Datum::I64(40),
+                    vec!["hot".into()],
+                )
+            })
+            .collect(),
+    );
+    (0..SKEW_TASKS)
+        .map(|i| {
+            client
+                .future(format!("t{i}"))
+                .result_timeout(Duration::from_secs(30))
+                .unwrap()
+                .as_f64()
+                .unwrap()
+        })
+        .collect()
+}
+
+/// A worker process must steal exactly like a worker thread: the hub's
+/// `PolicyConfig::steal_poll` reaches the node in its `Welcome`, the idle
+/// node's slot sends `StealRequest`s over the socket, and the victim
+/// forwards queued assignments to it through the hub.
+#[test]
+fn deployed_workers_steal_from_skewed_queue() {
+    let local = {
+        let cluster = Cluster::with_config(skewed_config());
+        register_slow_sum(cluster.registry());
+        run_skewed(&cluster)
+    };
+
+    let cluster = listen_with(skewed_config());
+    let addr = cluster.deploy_addr().unwrap().to_string();
+    let nodes: Vec<_> = (0..2).map(|_| spawn_node(addr.clone())).collect();
+    assert!(
+        cluster.await_workers(Duration::from_secs(10)),
+        "both nodes must attach"
+    );
+    let deployed = run_skewed(&cluster);
+    assert_eq!(deployed, local);
+    let stats = cluster.stats();
+    assert!(
+        stats.steal_requests() >= 1,
+        "an idle worker process must ask to steal"
+    );
+    assert!(
+        stats.tasks_stolen() >= 1,
+        "an idle worker process next to a 7-deep queue must steal, stole {}",
+        stats.tasks_stolen()
+    );
+
+    drop(cluster);
+    for node in nodes {
+        node.join().unwrap().expect("node must exit cleanly");
+    }
 }
 
 // ---- handshake robustness against a live hub --------------------------------

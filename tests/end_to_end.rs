@@ -58,7 +58,9 @@ fn reference_model() -> IncrementalPca {
     // Write post hoc with a single rank world == global field per step.
     let dir = std::env::temp_dir().join(format!("e2e-ref-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("ref.h5l");
+    // One file per calling test: the tests of this binary run on parallel
+    // threads, and two of them build the reference at the same time.
+    let path = dir.join(format!("ref-{:?}.h5l", std::thread::current().id()));
     let writer = SharedWriter::new(H5Writer::create(&path).unwrap());
     World::run(cfg.n_ranks(), |comm| {
         let mut pdi = Pdi::new(Yaml::Null);

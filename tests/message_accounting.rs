@@ -5,8 +5,8 @@ use deisa_repro::darray::{self, Graph};
 use deisa_repro::deisa::deisa1::{Adaptor1, Bridge1};
 use deisa_repro::deisa::{Adaptor, Bridge, DeisaVersion, Selection, VirtualArray};
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, HeartbeatInterval, IngestMode, MsgClass, OptimizeConfig,
-    StoreConfig, TransportConfig, WireLane,
+    Cluster, ClusterConfig, Datum, HeartbeatInterval, MsgClass, OptimizeConfig, StoreConfig,
+    TransportConfig, WireLane,
 };
 use deisa_repro::linalg::NDArray;
 use deisa_repro::netsim::sizing::f64_block_bytes;
@@ -31,7 +31,6 @@ fn run_version_optimized(version: DeisaVersion) -> Cluster {
         Cluster::with_config(ClusterConfig {
             n_workers: 2,
             optimize: OptimizeConfig::enabled(),
-            ingest: IngestMode::Batched { max_burst: 64 },
             ..ClusterConfig::default()
         }),
     )
@@ -397,17 +396,13 @@ fn deisa3_window_has_zero_heartbeats() {
 
 // ---- exactly-once heartbeat accounting --------------------------------------
 //
-// The batched scheduler drains heartbeats with a dedicated burst counter
-// while single messages go through the per-message handler. Both paths must
-// count each `MsgClass::Heartbeat` exactly once (and track the client's
-// `last_seen` in both), or the §2.1 `2·T·R + heartbeats` budget drifts.
+// The scheduler drains its inbox in bursts. Each `MsgClass::Heartbeat` in a
+// burst must be counted exactly once (and track the client's `last_seen`),
+// or the §2.1 `2·T·R + heartbeats` budget drifts.
 
-fn heartbeats_counted_exactly_once(ingest: IngestMode) {
-    let cluster = Cluster::with_config(ClusterConfig {
-        n_workers: 1,
-        ingest,
-        ..ClusterConfig::default()
-    });
+#[test]
+fn heartbeats_counted_exactly_once_batched() {
+    let cluster = Cluster::new(1);
     let client = cluster.client();
     const N: usize = 25;
     for _ in 0..N {
@@ -424,19 +419,9 @@ fn heartbeats_counted_exactly_once(ingest: IngestMode) {
         "each heartbeat must be counted exactly once"
     );
     // Liveness bookkeeping saw the same stream: the pinging client is
-    // tracked (once), regardless of which ingest path drained it.
+    // tracked (once).
     assert_eq!(stats.peers_tracked(), 1);
     assert_eq!(stats.peers_lost(), 0);
-}
-
-#[test]
-fn heartbeats_counted_exactly_once_per_message() {
-    heartbeats_counted_exactly_once(IngestMode::PerMessage);
-}
-
-#[test]
-fn heartbeats_counted_exactly_once_batched() {
-    heartbeats_counted_exactly_once(IngestMode::Batched { max_burst: 64 });
 }
 
 // ---- out-of-band data plane: scheduler-lane bytes under growing blocks ----

@@ -125,13 +125,16 @@ fn run_deisa1_on(cluster: &Cluster) -> f64 {
 
 // ---- backend equivalence ---------------------------------------------------
 
-#[test]
-fn framed_cluster_matches_inproc_results_and_accounts_bytes() {
+/// The DEISA3 workflow on `coded` computes what it computes on InProc, every
+/// lane carried real serialized bytes (sched commands, executor assignments,
+/// data-server puts/gets, client notifications, and correlated replies), and
+/// the §2.1 protocol counts — `MsgClass`-level accounting — match the InProc
+/// run exactly.
+fn assert_deisa3_matches_inproc(coded: TransportConfig) {
     let inproc = cluster_with(TransportConfig::InProc);
-    let framed = cluster_with(TransportConfig::Framed);
+    let coded = cluster_with(coded);
     let a = run_deisa3_on(&inproc);
-    let b = run_deisa3_on(&framed);
-    // Same workflow, same answer: every message survived the wire format.
+    let b = run_deisa3_on(&coded);
     assert_eq!(a, b);
     assert_eq!(a, (STEPS * RANKS * 4) as f64);
 
@@ -140,66 +143,94 @@ fn framed_cluster_matches_inproc_results_and_accounts_bytes() {
     assert_eq!(pi.wire_total_messages(), 0);
     assert_eq!(pi.wire_total_bytes(), 0);
 
-    // Framed pushed everything through the codec: every lane carried real
-    // serialized bytes (sched commands, executor assignments, data-server
-    // puts/gets, client notifications, and correlated replies).
-    let pf = framed.stats();
+    let pc = coded.stats();
     for lane in WireLane::ALL {
         assert!(
-            pf.wire_messages(lane) > 0,
+            pc.wire_messages(lane) > 0,
             "lane {} saw no traffic",
             lane.name()
         );
         assert!(
-            pf.wire_bytes(lane) > pf.wire_messages(lane),
+            pc.wire_bytes(lane) > pc.wire_messages(lane),
             "lane {} bytes must exceed one byte per message",
             lane.name()
         );
     }
-    // MsgClass-level accounting is transport-independent: the §2.1 protocol
-    // counts match the InProc run exactly.
-    assert_eq!(pf.count(MsgClass::Variable), pi.count(MsgClass::Variable));
+    assert_eq!(pc.count(MsgClass::Variable), pi.count(MsgClass::Variable));
     assert_eq!(
-        pf.count(MsgClass::UpdateDataExternal),
+        pc.count(MsgClass::UpdateDataExternal),
         pi.count(MsgClass::UpdateDataExternal)
     );
-    assert_eq!(pf.count(MsgClass::GraphSubmit), 1);
+    assert_eq!(pc.count(MsgClass::GraphSubmit), 1);
+}
+
+/// A graph whose message sequence is fixed: one client, every step waited
+/// for before the next is sent, so no race decides how assignments batch or
+/// which replica a gather asks. Returns the values and the per-lane
+/// `(messages, bytes)` totals of the run.
+fn run_fixed_graph_on(transport: TransportConfig) -> (Vec<f64>, Vec<(u64, u64)>) {
+    let cluster = cluster_with(transport);
+    let client = cluster.client();
+    let get = |key: &str| client.future(key).result().unwrap().as_f64().unwrap();
+    client.scatter(vec![(Key::new("a"), Datum::F64(1.5))], Some(0));
+    client.scatter(vec![(Key::new("b"), Datum::F64(2.0))], Some(1));
+    client.submit(vec![TaskSpec::new(
+        "c",
+        "sum_scalars",
+        Datum::Null,
+        vec!["a".into(), "b".into()],
+    )]);
+    let mut values = vec![get("c")];
+    client.submit(vec![
+        TaskSpec::new("d", "identity", Datum::Null, vec!["c".into()]),
+        TaskSpec::new(
+            "e",
+            "sum_scalars",
+            Datum::Null,
+            vec!["c".into(), "a".into()],
+        ),
+    ]);
+    values.extend([get("d"), get("e")]);
+    let stats = cluster.stats();
+    let lanes = WireLane::ALL
+        .iter()
+        .map(|&lane| (stats.wire_messages(lane), stats.wire_bytes(lane)))
+        .collect();
+    (values, lanes)
+}
+
+#[test]
+fn framed_cluster_matches_inproc_results_and_accounts_bytes() {
+    assert_deisa3_matches_inproc(TransportConfig::Framed);
+
+    // All three coded backends share one encode-and-account step, so a
+    // fixed message sequence must cost each of them the same frames and the
+    // same bytes, lane by lane — and compute what InProc computes.
+    let (expect, inproc_lanes) = run_fixed_graph_on(TransportConfig::InProc);
+    assert_eq!(expect, vec![3.5, 3.5, 5.0]);
+    assert!(inproc_lanes.iter().all(|&lane| lane == (0, 0)));
+    let (framed, framed_lanes) = run_fixed_graph_on(TransportConfig::Framed);
+    assert_eq!(framed, expect);
+    assert!(framed_lanes.iter().all(|&(msgs, bytes)| bytes > msgs));
+    for (name, transport) in [
+        ("simnet", TransportConfig::SimNet(SimNetConfig::default())),
+        ("tcp", TransportConfig::Tcp),
+    ] {
+        let (values, lanes) = run_fixed_graph_on(transport);
+        assert_eq!(values, expect, "{name} changed the computed values");
+        assert_eq!(
+            lanes, framed_lanes,
+            "{name} per-lane totals differ from framed"
+        );
+    }
 }
 
 #[test]
 fn tcp_cluster_matches_inproc_results_and_accounts_bytes() {
-    let inproc = cluster_with(TransportConfig::InProc);
-    let tcp = cluster_with(TransportConfig::Tcp);
-    let a = run_deisa3_on(&inproc);
-    let b = run_deisa3_on(&tcp);
-    // Same workflow, same answer: every message survived real sockets —
-    // framing, partial-read reassembly, and the writer threads included.
-    assert_eq!(a, b);
-    assert_eq!(a, (STEPS * RANKS * 4) as f64);
-
-    // Every lane carried real serialized bytes over TCP, with the same
+    // Every message survived real sockets — framing, partial-read
+    // reassembly, and the writer threads included — with the same
     // envelope-only accounting shape Framed uses.
-    let pt = tcp.stats();
-    for lane in WireLane::ALL {
-        assert!(
-            pt.wire_messages(lane) > 0,
-            "lane {} saw no traffic",
-            lane.name()
-        );
-        assert!(
-            pt.wire_bytes(lane) > pt.wire_messages(lane),
-            "lane {} bytes must exceed one byte per message",
-            lane.name()
-        );
-    }
-    // Protocol-level accounting is transport-independent.
-    let pi = inproc.stats();
-    assert_eq!(pt.count(MsgClass::Variable), pi.count(MsgClass::Variable));
-    assert_eq!(
-        pt.count(MsgClass::UpdateDataExternal),
-        pi.count(MsgClass::UpdateDataExternal)
-    );
-    assert_eq!(pt.count(MsgClass::GraphSubmit), 1);
+    assert_deisa3_matches_inproc(TransportConfig::Tcp);
 }
 
 // ---- error causes over the wire -------------------------------------------
