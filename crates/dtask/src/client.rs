@@ -347,7 +347,13 @@ impl Client {
 
     /// Release keys cluster-wide (scheduler state + worker memory).
     pub fn release(&self, keys: Vec<Key>) {
-        let keys = keys.into_iter().map(|k| self.scope(k)).collect();
+        let keys: Vec<Key> = keys.into_iter().map(|k| self.scope(k)).collect();
+        {
+            let mut external = self.external_keys.borrow_mut();
+            for key in &keys {
+                external.remove(key);
+            }
+        }
         self.send_sched(SchedMsg::ReleaseKeys { keys });
     }
 

@@ -1351,6 +1351,89 @@ mod tests {
     }
 
     #[test]
+    fn release_prunes_external_keys_and_unreleased_ones_stay_protected() {
+        let cluster = Cluster::new(1);
+        let client = cluster.client();
+        client.register_external(vec![Key::new("pinned")]);
+        for round in 0..40 {
+            let keys: Vec<Key> = (0..8)
+                .map(|c| Key::new(format!("ext-{round}-{c}")))
+                .collect();
+            client.register_external(keys.clone());
+            let blocks = keys.iter().map(|k| (k.clone(), Datum::F64(1.0)));
+            client.scatter_external(blocks.collect(), None);
+            client.release(keys);
+        }
+        // A long-lived client's protected set holds live registrations only.
+        assert_eq!(client.external_keys(), vec![Key::new("pinned")]);
+        // Dead branches keyed by a live and by a released registration: the
+        // optimizer culls only the released one.
+        let dead = |key: &str| TaskSpec::new(key, "identity", Datum::Null, vec!["src".into()]);
+        let specs = vec![
+            TaskSpec::new("src", "const", Datum::F64(1.0), vec![]),
+            dead("want"),
+            dead("pinned"),
+            dead("ext-0-0"),
+        ];
+        let (kept, report) = crate::optimize::optimize(
+            specs,
+            &[Key::new("want")],
+            &client.external_keys.borrow(),
+            &OptimizeConfig::enabled(),
+        );
+        assert_eq!(report.culled, 1);
+        assert!(kept.iter().any(|s| s.key.as_str() == "pinned"));
+        assert!(!kept.iter().any(|s| s.key.as_str() == "ext-0-0"));
+    }
+
+    #[test]
+    fn lost_spill_file_surfaces_as_an_unavailable_dependency() {
+        let dir = std::env::temp_dir().join(format!("dtask-lost-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cluster = Cluster::with_config(ClusterConfig {
+            n_workers: 1,
+            store: StoreConfig {
+                mem_budget: Some(0),
+                spill_dir: Some(dir.clone()),
+                ..StoreConfig::default()
+            },
+            ..ClusterConfig::default()
+        });
+        let client = cluster.client();
+        let block = |fill| Datum::from(linalg::NDArray::full(&[16], fill));
+        client.scatter(vec![(Key::new("a"), block(1.0))], None);
+        client.scatter(vec![(Key::new("b"), block(2.0))], None); // spills `a`
+        assert_eq!(cluster.stats().store_spills(), 1);
+        for file in std::fs::read_dir(&dir).unwrap() {
+            std::fs::remove_file(file.unwrap().path()).unwrap();
+        }
+        client.submit(vec![TaskSpec::new(
+            "use-a",
+            "identity",
+            Datum::Null,
+            vec!["a".into()],
+        )]);
+        // The slot survives: an attributed error, and the worker still runs.
+        let err = client.future("use-a").result().unwrap_err();
+        assert!(
+            err.message.contains("dependency a unavailable"),
+            "{}",
+            err.message
+        );
+        client.submit(vec![TaskSpec::new(
+            "use-b",
+            "identity",
+            Datum::Null,
+            vec!["b".into()],
+        )]);
+        let b = client.future("use-b").result().unwrap();
+        assert_eq!(b.as_array().unwrap().get(&[0]), 2.0);
+        drop(client);
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn submit_with_outputs_culls_dead_branches() {
         let cluster = Cluster::with_config(ClusterConfig {
             n_workers: 1,

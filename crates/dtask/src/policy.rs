@@ -461,18 +461,18 @@ impl SchedulingPolicy for BLevelPolicy {
 
 /// xorshift64* — tiny deterministic RNG; the fixed seed makes random
 /// placement reproducible run-to-run (the policy identity tests rely on it).
-struct XorShift64 {
+pub(crate) struct XorShift64 {
     state: u64,
 }
 
 impl XorShift64 {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         XorShift64 {
             state: seed | 1, // never zero
         }
     }
 
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x >> 12;
         x ^= x << 25;

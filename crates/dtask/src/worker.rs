@@ -588,14 +588,14 @@ impl Executor {
         dep_locations: &[(Key, Vec<WorkerId>)],
         replicas: &mut Vec<(Key, u64)>,
     ) -> Result<Vec<Datum>, GatherError> {
-        let mut inputs: Vec<Option<Datum>> = vec![None; spec.deps.len()];
-        let mut missing: Vec<(usize, &Key)> = Vec::new();
-        for (i, dep) in spec.deps.iter().enumerate() {
-            match self.store.get(dep) {
-                Some(v) => inputs[i] = Some(v),
-                None => missing.push((i, dep)),
-            }
-        }
+        // Every local dependency resolves under one store lock.
+        let mut inputs = self.store.get_many(&spec.deps);
+        let missing: Vec<(usize, &Key)> = spec
+            .deps
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| inputs[*i].is_none())
+            .collect();
         if !missing.is_empty() {
             let gather_from = Instant::now();
             let batch_t0 = self.tracer.start();
