@@ -5,7 +5,7 @@ use crate::key::{Key, SessionId, DEFAULT_SESSION};
 use crate::msg::{ClientId, ClientMsg, DataMsg, SchedMsg, TaskError, WorkerId};
 use crate::optimize::{optimize, OptimizeConfig};
 use crate::spec::TaskSpec;
-use crate::stats::{MsgClass, SchedulerStats};
+use crate::stats::{Metric, MsgClass, SchedulerStats};
 use crate::store::StoreConfig;
 use crate::trace::{EventKind, TraceHandle};
 use crate::transport::{DataReply, Endpoint};
@@ -464,7 +464,8 @@ impl Client {
         // Wait for the store to own the payload before the handle travels the
         // control path: a consumer must never resolve a handle into a miss.
         let _ = ack_rx.recv();
-        self.stats.record_proxy_put(nbytes);
+        self.stats.inc(Metric::ProxyPuts);
+        self.stats.add(Metric::ProxyPutBytes, nbytes);
         Datum::Ref(DatumRef {
             key,
             shape,
@@ -492,7 +493,8 @@ impl Client {
                 );
                 match reply_rx.recv().map(DataReply::into_value) {
                     Ok(Ok(payload)) => {
-                        self.stats.record_proxy_fetch(payload.nbytes());
+                        self.stats.inc(Metric::ProxyFetches);
+                        self.stats.add(Metric::ProxyFetchBytes, payload.nbytes());
                         self.tracer.span(
                             EventKind::ProxyFetch,
                             t0,

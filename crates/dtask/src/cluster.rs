@@ -7,7 +7,7 @@ use crate::optimize::OptimizeConfig;
 use crate::policy::PolicyConfig;
 use crate::scheduler::{LivenessConfig, Scheduler};
 use crate::spec::OpRegistry;
-use crate::stats::SchedulerStats;
+use crate::stats::{Metric, SchedulerStats};
 use crate::store::StoreConfig;
 use crate::telemetry::{self, TelemetryConfig, TelemetryHub};
 use crate::trace::{TraceActor, TraceConfig, TraceRecorder};
@@ -594,7 +594,7 @@ impl Cluster {
             runtime.stop_data();
             runtime.stop_slots();
         }
-        self.stats.record_injected_kill();
+        self.stats.inc(Metric::InjectedKills);
     }
 
     /// Consume the scheduled kill from [`FaultPlan::kill_worker`] if its

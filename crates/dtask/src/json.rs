@@ -35,10 +35,35 @@ impl Json {
 
     /// Insert/append a field (builder style; does not deduplicate keys).
     pub fn set(mut self, key: &str, value: impl Into<Json>) -> Json {
-        if let Json::Obj(fields) = &mut self {
+        self.put(key, value);
+        self
+    }
+
+    /// Append a field in place (the `&mut` form of [`Json::set`]).
+    pub fn put(&mut self, key: &str, value: impl Into<Json>) {
+        if let Json::Obj(fields) = self {
             fields.push((key.to_string(), value.into()));
         }
-        self
+    }
+
+    /// The field `key` of an object, appended as an empty object if absent.
+    /// Lets a document be filled in any order while its key order is fixed by
+    /// first touch.
+    ///
+    /// # Panics
+    /// If `self` is not an object.
+    pub fn entry(&mut self, key: &str) -> &mut Json {
+        let Json::Obj(fields) = self else {
+            panic!("Json::entry on a non-object");
+        };
+        let at = fields
+            .iter()
+            .position(|(k, _)| k == key)
+            .unwrap_or_else(|| {
+                fields.push((key.to_string(), Json::obj()));
+                fields.len() - 1
+            });
+        &mut fields[at].1
     }
 
     /// Look up a field of an object.

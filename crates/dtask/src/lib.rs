@@ -75,9 +75,11 @@ pub use node::{run_node, NodeConfig, NodeReport};
 pub use optimize::{optimize, OptimizeConfig, OptimizeReport};
 pub use policy::{PolicyConfig, PolicyKind, SchedulingPolicy, WorkerState};
 pub use scheduler::LivenessConfig;
-pub use snapshot::{HistSnapshot, StatsSnapshot, WireLaneSnapshot};
+pub use snapshot::{HistSnapshot, StatsSnapshot};
 pub use spec::{OpRegistry, TaskSpec};
-pub use stats::{LatencyHist, MsgClass, SchedulerStats, WireLane};
+pub use stats::{
+    Hist, LatencyHist, Metric, MetricDef, MsgClass, SchedulerStats, WireLane, METRICS,
+};
 pub use store::{ObjectStore, StoreConfig};
 pub use telemetry::{Alert, AlertKind, FlightSample, TelemetryConfig, TelemetryHub};
 pub use trace::{

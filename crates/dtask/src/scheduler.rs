@@ -22,7 +22,7 @@ use crate::key::{Key, SessionId, DEFAULT_SESSION};
 use crate::msg::{ClientId, ClientMsg, DataMsg, ErrorCause, SchedMsg, TaskError, WorkerId};
 use crate::policy::{PolicyConfig, SchedulingPolicy, WorkerState};
 use crate::spec::TaskSpec;
-use crate::stats::{MsgClass, SchedulerStats};
+use crate::stats::{Metric, MsgClass, SchedulerStats};
 use crate::telemetry::TelemetryHub;
 use crate::trace::{EventKind, TraceHandle};
 use crate::transport::Endpoint;
@@ -427,7 +427,7 @@ impl Scheduler {
             // A silently vanished notification is indistinguishable from
             // a hung client; count it so operators can tell the two
             // apart from `/metrics`.
-            self.stats.record_notify_dropped();
+            self.stats.inc(Metric::NotifiesDropped);
         }
     }
 
@@ -486,7 +486,9 @@ impl Scheduler {
                         if inflight + specs.len() > cap {
                             // Backpressure, not silent queuing: the graph
                             // is dropped whole and the client told so.
-                            self.stats.record_admission_rejection(session);
+                            self.stats.inc(Metric::AdmissionRejections);
+                            self.stats
+                                .with_tenant(session, |t| t.admission_rejections += 1);
                             self.notify(
                                 client,
                                 ClientMsg::SubmitOutcome {
@@ -504,8 +506,10 @@ impl Scheduler {
                         st.inflight.insert(spec.key.clone());
                     }
                     let depth = st.inflight.len() as u64;
-                    self.stats.record_tenant_tasks(session, specs.len() as u64);
-                    self.stats.set_tenant_queue_depth(session, depth);
+                    self.stats.with_tenant(session, |t| {
+                        t.tasks += specs.len() as u64;
+                        t.queue_depth = depth;
+                    });
                     if let Some(cap) = self.admission_cap {
                         self.notify(
                             client,
@@ -883,7 +887,7 @@ impl Scheduler {
         // (their entries are gone), but dropping them keeps the backoff
         // list from waking the loop for a dead tenant.
         self.backoff.retain(|(_, key)| key.session() != session);
-        self.stats.set_tenant_queue_depth(session, 0);
+        self.stats.with_tenant(session, |t| t.queue_depth = 0);
         // Belt and braces on the data plane: the Delete fan-out above
         // only reaches payloads the scheduler knew about; a sweep per
         // worker also catches session-scoped strays (proxy payloads
@@ -1012,7 +1016,7 @@ impl Scheduler {
             if has_live_replica {
                 return;
             }
-            self.stats.record_external_block_lost();
+            self.stats.inc(Metric::ExternalBlocksLost);
             self.mark_erred(
                 key.clone(),
                 TaskError::new(key, format!("data landed on dead worker {worker}"))
@@ -1080,12 +1084,14 @@ impl Scheduler {
         let waiters = std::mem::take(&mut entry.waiters);
         let dependents = entry.dependents.clone();
         if key.session() != DEFAULT_SESSION {
-            if let Some(st) = self.sessions.get_mut(&key.session()) {
+            let depth = self.sessions.get_mut(&key.session()).map(|st| {
                 st.inflight.remove(&key);
-                self.stats
-                    .set_tenant_queue_depth(key.session(), st.inflight.len() as u64);
-            }
-            self.stats.record_tenant_bytes(key.session(), nbytes);
+                st.inflight.len() as u64
+            });
+            self.stats.with_tenant(key.session(), |t| {
+                t.bytes += nbytes;
+                t.queue_depth = depth.unwrap_or(t.queue_depth);
+            });
         }
         for client in waiters {
             self.notify(
@@ -1135,8 +1141,9 @@ impl Scheduler {
             if key.session() != DEFAULT_SESSION {
                 if let Some(st) = self.sessions.get_mut(&key.session()) {
                     st.inflight.remove(&key);
+                    let depth = st.inflight.len() as u64;
                     self.stats
-                        .set_tenant_queue_depth(key.session(), st.inflight.len() as u64);
+                        .with_tenant(key.session(), |t| t.queue_depth = depth);
                 }
             }
             for client in waiters {
@@ -1173,7 +1180,7 @@ impl Scheduler {
             .insert(client, Instant::now())
             .is_none()
         {
-            self.stats.record_peer_tracked();
+            self.stats.inc(Metric::PeersTracked);
         }
     }
 
@@ -1188,7 +1195,7 @@ impl Scheduler {
             return;
         }
         if entry.last_seen.is_none() {
-            self.stats.record_peer_tracked();
+            self.stats.inc(Metric::PeersTracked);
         }
         entry.last_seen = Some(Instant::now());
     }
@@ -1238,7 +1245,7 @@ impl Scheduler {
             if entry.state != TaskState::Ready {
                 continue;
             }
-            self.stats.record_task_resubmitted();
+            self.stats.inc(Metric::TasksResubmitted);
             self.tracer
                 .instant(EventKind::Resubmit, Some(&key), entry.retries as u64);
             // Through the policy queue, not a raw FIFO append: a priority
@@ -1271,7 +1278,7 @@ impl Scheduler {
             .collect();
         for client in lost_clients {
             if self.clients.contains(&client) {
-                self.stats.record_peer_lost();
+                self.stats.inc(Metric::PeersLost);
                 // Client ids share the worker arg space in trace events;
                 // they live at the top of the u64 range to stay distinct.
                 self.tracer
@@ -1291,7 +1298,7 @@ impl Scheduler {
     fn on_worker_lost(&mut self, worker: WorkerId) {
         self.workers[worker].alive = false;
         self.workers[worker].processing = 0;
-        self.stats.record_peer_lost();
+        self.stats.inc(Metric::PeersLost);
         self.tracer
             .instant(EventKind::PeerLost, None, worker as u64);
         let mut lost_inflight = Vec::new();
@@ -1327,7 +1334,7 @@ impl Scheduler {
         entry.assigned_to = None;
         let retries = entry.retries;
         if retries > self.liveness.max_retries {
-            self.stats.record_retries_exhausted();
+            self.stats.inc(Metric::RetriesExhausted);
             let error = TaskError::new(
                 key.clone(),
                 format!(
@@ -1376,7 +1383,7 @@ impl Scheduler {
         if entry.spec.is_none() {
             // External (or scattered) block: the environment produced it,
             // only the dead worker held it. Unrecoverable by design.
-            self.stats.record_external_block_lost();
+            self.stats.inc(Metric::ExternalBlocksLost);
             self.mark_erred(
                 key.clone(),
                 TaskError::new(
@@ -1387,7 +1394,7 @@ impl Scheduler {
             );
             return;
         }
-        self.stats.record_recompute();
+        self.stats.inc(Metric::Recomputes);
         // Dependents that already consumed this result must wait for the
         // recompute (only those not yet running; in-flight ones that trip
         // on the missing input come back through the retry path).
@@ -1460,7 +1467,7 @@ impl Scheduler {
     /// it via [`crate::msg::ExecMsg::Steal`]. The victim answers with
     /// `Stolen`; no peer with surplus is an immediate miss.
     fn handle_steal_request(&mut self, thief: WorkerId) {
-        self.stats.record_steal_request();
+        self.stats.inc(Metric::StealRequests);
         if !self.worker_alive(thief) {
             return;
         }
@@ -1469,7 +1476,7 @@ impl Scheduler {
             .filter(|&w| self.workers[w].processing > self.workers[w].slots)
             .max_by(|&a, &b| WorkerState::load_cmp(&self.workers[a], &self.workers[b]));
         let Some(victim) = victim else {
-            self.stats.record_steal_miss();
+            self.stats.inc(Metric::StealMisses);
             return;
         };
         // Take half the surplus: enough to matter, and the victim keeps its
@@ -1491,7 +1498,7 @@ impl Scheduler {
         }
         self.steal_inflight[victim] = false;
         if keys.is_empty() {
-            self.stats.record_steal_miss();
+            self.stats.inc(Metric::StealMisses);
             return;
         }
         let thief_alive = self.worker_alive(thief);
@@ -1513,7 +1520,7 @@ impl Scheduler {
             }
             entry.assigned_to = Some(thief);
             self.workers[thief].processing += 1;
-            self.stats.record_task_stolen();
+            self.stats.inc(Metric::TasksStolen);
             self.tracer
                 .instant(EventKind::Steal, Some(&key), thief as u64);
         }
@@ -1561,7 +1568,7 @@ impl Scheduler {
             };
             let Some(worker) = worker else {
                 // Every worker is gone: nothing can ever run this.
-                self.stats.record_retries_exhausted();
+                self.stats.inc(Metric::RetriesExhausted);
                 self.mark_erred(
                     key.clone(),
                     TaskError::new(key, "no live workers remain").with_cause(ErrorCause::PeerLost),
@@ -1623,7 +1630,8 @@ impl Scheduler {
             }
             n_messages += 1;
         }
-        self.stats.record_assign(n_assigned, n_messages);
+        self.stats.add(Metric::AssignTasks, n_assigned);
+        self.stats.add(Metric::AssignMessages, n_messages);
         n_assigned
     }
 }

@@ -3,16 +3,19 @@
 //! [`StatsSnapshot::capture`] freezes every counter and latency histogram
 //! into plain data, serializable to JSON (via [`crate::json`], the
 //! workspace's serde stand-in) and to a Prometheus-style text exposition.
+//! Both renderers walk [`METRICS`], the registry in [`crate::stats`], so a
+//! metric's JSON path, family name and HELP text are written exactly once.
 //! The benches, the examples, and runtime snapshots all serialize through
-//! this one type, so `results/BENCH_*.json` and live metrics share a schema.
+//! this one type, so `results/*.json` and live metrics share a schema.
 
 use crate::json::Json;
 use crate::key::SessionId;
 use crate::stats::{
-    LatencyHist, MsgClass, SchedulerStats, TenantCounters, WireLane, N_LAT_BUCKETS, N_SIZE_BUCKETS,
-    SIZE_BUCKET_LABELS,
+    ratio, Counters, Hist, LatencyHist, Metric, MsgClass, SchedulerStats, Section, Source,
+    TenantCounters, Unit, WireLane, METRICS, N_LAT_BUCKETS, SIZE_BUCKET_LABELS,
 };
 use crate::trace::TraceRecorder;
+use std::fmt::Write as _;
 
 /// Frozen view of one [`LatencyHist`].
 #[derive(Debug, Clone)]
@@ -34,13 +37,28 @@ pub struct HistSnapshot {
 impl HistSnapshot {
     /// Freeze one histogram.
     pub fn capture(hist: &LatencyHist) -> Self {
+        let buckets = hist.buckets();
+        let (count, sum_ns) = (hist.count(), hist.sum_ns());
+        // Approximate quantile: upper bound of the bucket holding the q-th
+        // sample; `0` for an empty histogram.
+        let quantile = |q: f64| {
+            let rank = ((q * count as f64).ceil() as u64).max(1);
+            let mut seen = 0u64;
+            let holder = buckets.iter().position(|&b| {
+                seen += b;
+                count > 0 && seen >= rank
+            });
+            holder.map_or(if count == 0 { 0 } else { 1 << N_LAT_BUCKETS }, |i| {
+                1u64 << (i + 1)
+            })
+        };
         HistSnapshot {
-            count: hist.count(),
-            sum_ns: hist.sum_ns(),
-            mean_ns: hist.mean_ns(),
-            p50_ns: hist.quantile_ns(0.5),
-            p99_ns: hist.quantile_ns(0.99),
-            buckets: hist.buckets(),
+            count,
+            sum_ns,
+            mean_ns: ratio(sum_ns, count),
+            p50_ns: quantile(0.5),
+            p99_ns: quantile(0.99),
+            buckets,
         }
     }
 
@@ -52,246 +70,49 @@ impl HistSnapshot {
             .iter()
             .rposition(|&b| b > 0)
             .map_or(0, |i| i + 1);
+        let buckets = self.buckets[..last].iter().map(|&b| Json::from(b));
         Json::obj()
             .set("count", self.count)
             .set("sum_ns", self.sum_ns)
             .set("mean_ns", self.mean_ns)
             .set("p50_ns", self.p50_ns)
             .set("p99_ns", self.p99_ns)
-            .set(
-                "buckets",
-                Json::Arr(
-                    self.buckets[..last]
-                        .iter()
-                        .map(|&b| Json::from(b))
-                        .collect(),
-                ),
-            )
+            .set("buckets", Json::Arr(buckets.collect()))
     }
-}
-
-/// Per-[`MsgClass`] count and byte volume.
-#[derive(Debug, Clone)]
-pub struct ClassSnapshot {
-    /// Stable snake_case class name.
-    pub name: &'static str,
-    /// Messages recorded.
-    pub count: u64,
-    /// Payload bytes recorded.
-    pub bytes: u64,
-}
-
-/// Per-[`WireLane`] transport traffic (real serialized sizes; all zero under
-/// the InProc backend).
-#[derive(Debug, Clone)]
-pub struct WireLaneSnapshot {
-    /// Stable snake_case lane name.
-    pub name: &'static str,
-    /// Messages encoded onto this lane.
-    pub messages: u64,
-    /// Serialized bytes-on-the-wire for this lane.
-    pub bytes: u64,
 }
 
 /// Point-in-time copy of every scheduler counter plus the four latency
 /// histograms. Plain data — safe to hold across cluster shutdown, compare
-/// between runs, and serialize.
+/// between runs, and serialize. Reads like the live stats: it derefs to the
+/// same [`Counters`] getters (`snap.tasks_stolen()`, `snap.get(metric)`,
+/// `snap.count(class)`).
 #[derive(Debug, Clone)]
 pub struct StatsSnapshot {
-    /// Per-message-class counts/bytes, in [`MsgClass::ALL`] order.
-    pub classes: Vec<ClassSnapshot>,
-    /// Control-plane messages that hit the scheduler (the paper's metric).
-    pub scheduler_control_messages: u64,
-    /// Bridge/client metadata messages per the paper's §2.1 accounting.
-    pub bridge_metadata_messages: u64,
-    /// Gather pipeline: batches that needed ≥1 remote fetch.
-    pub gather_batches: u64,
-    /// Remote dependencies fetched across all gathers.
-    pub gather_deps: u64,
-    /// Total wall time waiting on gathers (ns).
-    pub gather_wait_ns: u64,
-    /// Total executor busy time (ns).
-    pub exec_busy_ns: u64,
-    /// Total executor idle time (ns).
-    pub exec_idle_ns: u64,
-    /// Busy / (busy + idle); `0.0` on an idle cluster.
-    pub executor_utilization: f64,
-    /// Optimizer: tasks in submitted graphs before optimization.
-    pub optimize_tasks_in: u64,
-    /// Optimizer: specs sent to the scheduler after cull + fuse.
-    pub optimize_tasks_out: u64,
-    /// Optimizer: tasks dropped by the cull pass.
-    pub optimize_culled: u64,
-    /// Optimizer: fused chains produced.
-    pub fused_chains: u64,
-    /// Optimizer: original tasks absorbed into fused chains.
-    pub fused_stages: u64,
-    /// Fused-chain length histogram ([`SIZE_BUCKET_LABELS`] buckets).
-    pub fused_chain_hist: [u64; N_SIZE_BUCKETS],
-    /// Scheduler inbox bursts drained.
-    pub ingest_bursts: u64,
-    /// Messages absorbed across all bursts.
-    pub ingest_msgs: u64,
-    /// Mean messages per burst; `0.0` before any burst.
-    pub avg_msgs_per_burst: f64,
-    /// Burst-size histogram ([`SIZE_BUCKET_LABELS`] buckets).
-    pub burst_hist: [u64; N_SIZE_BUCKETS],
-    /// Placement passes run.
-    pub assign_passes: u64,
-    /// Total time inside placement passes (ns).
-    pub assign_pass_ns: u64,
-    /// Tasks assigned to workers.
-    pub assign_tasks: u64,
-    /// `Execute`/`ExecuteBatch` messages sent to workers.
-    pub assign_messages: u64,
-    /// Mean tasks per scheduler→worker message; `0.0` when idle.
-    pub avg_tasks_per_assign_message: f64,
-    /// Per-lane transport traffic, in [`WireLane::ALL`] order (all zero
-    /// under the InProc backend).
-    pub wire_lanes: Vec<WireLaneSnapshot>,
-    /// Messages encoded by the Framed/SimNet transport, all lanes.
-    pub wire_total_messages: u64,
-    /// Serialized bytes-on-the-wire, all lanes.
-    pub wire_total_bytes: u64,
-    /// Fault tolerance: peers declared dead by the liveness sweep.
-    pub peers_lost: u64,
-    /// Fault tolerance: distinct peers whose heartbeats were tracked.
-    pub peers_tracked: u64,
-    /// Fault tolerance: tasks re-queued after a peer loss.
-    pub tasks_resubmitted: u64,
-    /// Fault tolerance: tasks failed after exhausting their retry budget.
-    pub retries_exhausted: u64,
-    /// Fault tolerance: external blocks lost beyond recovery.
-    pub external_blocks_lost: u64,
-    /// Fault tolerance: lost results re-queued for recompute.
-    pub recomputes: u64,
-    /// Fault injection: messages dropped by the active `FaultPlan`.
-    pub injected_drops: u64,
-    /// Fault injection: workers killed.
-    pub injected_kills: u64,
-    /// Work stealing: `StealRequest` messages from idle workers.
-    pub steal_requests: u64,
-    /// Work stealing: steal attempts that found nothing to take.
-    pub steal_misses: u64,
-    /// Work stealing: assignments re-pointed from a victim to a thief.
-    pub tasks_stolen: u64,
-    /// Object store: lookups answered from memory (or after a restore).
-    pub store_hits: u64,
-    /// Object store: lookups that found nothing.
-    pub store_misses: u64,
-    /// Object store: entries spilled to disk under memory pressure.
-    pub store_spills: u64,
-    /// Object store: spilled entries restored on access.
-    pub store_restores: u64,
-    /// Object store: payload bytes written by spills.
-    pub store_spill_bytes: u64,
-    /// Proxy plane: payloads published out-of-band behind handles.
-    pub proxy_puts: u64,
-    /// Proxy plane: payload bytes published out-of-band.
-    pub proxy_put_bytes: u64,
-    /// Proxy plane: handles resolved by fetching from a holder.
-    pub proxy_fetches: u64,
-    /// Proxy plane: payload bytes moved by handle resolution.
-    pub proxy_fetch_bytes: u64,
-    /// Trace events lost to full rings (`0` from plain [`StatsSnapshot::capture`];
-    /// populated by [`StatsSnapshot::capture_with_tracer`]).
-    pub trace_dropped: u64,
-    /// Telemetry: task executions flagged as stragglers.
-    pub stragglers_flagged: u64,
-    /// Multi-tenant serving: client notifications dropped because the
-    /// client's channel was gone or full.
-    pub notifies_dropped: u64,
-    /// Multi-tenant serving: graphs rejected by per-session admission
-    /// control, all tenants.
-    pub admission_rejections: u64,
+    counters: Counters<u64>,
+    /// Indexed by [`Hist`].
+    hists: [HistSnapshot; 4],
     /// Per-tenant counters, sorted by session id. Empty on single-tenant
     /// clusters (the implicit session records nothing here).
     pub tenants: Vec<(SessionId, TenantCounters)>,
-    /// Gather-wait latency histogram.
-    pub gather_wait_hist: HistSnapshot,
-    /// Task-execution latency histogram.
-    pub exec_hist: HistSnapshot,
-    /// Queue-delay (assign → dequeue) latency histogram.
-    pub queue_delay_hist: HistSnapshot,
-    /// Placement-pass latency histogram.
-    pub assign_pass_hist: HistSnapshot,
+}
+
+impl std::ops::Deref for StatsSnapshot {
+    type Target = Counters<u64>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.counters
+    }
 }
 
 impl StatsSnapshot {
     /// Freeze the live counters. Safe on a completely idle cluster: every
-    /// derived ratio is `0.0`, never NaN.
+    /// derived ratio is `0.0`, never NaN. `trace.dropped` stays `0`; use
+    /// [`StatsSnapshot::capture_with_tracer`] to fill it.
     pub fn capture(stats: &SchedulerStats) -> Self {
         StatsSnapshot {
-            classes: MsgClass::ALL
-                .iter()
-                .map(|&c| ClassSnapshot {
-                    name: c.name(),
-                    count: stats.count(c),
-                    bytes: stats.bytes(c),
-                })
-                .collect(),
-            scheduler_control_messages: stats.scheduler_control_messages(),
-            bridge_metadata_messages: stats.bridge_metadata_messages(),
-            gather_batches: stats.gather_batches(),
-            gather_deps: stats.gather_deps(),
-            gather_wait_ns: stats.gather_wait_ns(),
-            exec_busy_ns: stats.exec_busy_ns(),
-            exec_idle_ns: stats.exec_idle_ns(),
-            executor_utilization: stats.executor_utilization(),
-            optimize_tasks_in: stats.optimize_tasks_in(),
-            optimize_tasks_out: stats.optimize_tasks_out(),
-            optimize_culled: stats.optimize_culled(),
-            fused_chains: stats.fused_chains(),
-            fused_stages: stats.fused_stages(),
-            fused_chain_hist: stats.fused_chain_hist(),
-            ingest_bursts: stats.ingest_bursts(),
-            ingest_msgs: stats.ingest_msgs(),
-            avg_msgs_per_burst: stats.avg_msgs_per_burst(),
-            burst_hist: stats.burst_hist(),
-            assign_passes: stats.assign_passes(),
-            assign_pass_ns: stats.assign_pass_ns(),
-            assign_tasks: stats.assign_tasks(),
-            assign_messages: stats.assign_messages(),
-            avg_tasks_per_assign_message: stats.avg_tasks_per_assign_message(),
-            wire_lanes: WireLane::ALL
-                .iter()
-                .map(|&lane| WireLaneSnapshot {
-                    name: lane.name(),
-                    messages: stats.wire_messages(lane),
-                    bytes: stats.wire_bytes(lane),
-                })
-                .collect(),
-            wire_total_messages: stats.wire_total_messages(),
-            wire_total_bytes: stats.wire_total_bytes(),
-            peers_lost: stats.peers_lost(),
-            peers_tracked: stats.peers_tracked(),
-            tasks_resubmitted: stats.tasks_resubmitted(),
-            retries_exhausted: stats.retries_exhausted(),
-            external_blocks_lost: stats.external_blocks_lost(),
-            recomputes: stats.recomputes(),
-            injected_drops: stats.injected_drops(),
-            injected_kills: stats.injected_kills(),
-            steal_requests: stats.steal_requests(),
-            steal_misses: stats.steal_misses(),
-            tasks_stolen: stats.tasks_stolen(),
-            store_hits: stats.store_hits(),
-            store_misses: stats.store_misses(),
-            store_spills: stats.store_spills(),
-            store_restores: stats.store_restores(),
-            store_spill_bytes: stats.store_spill_bytes(),
-            proxy_puts: stats.proxy_puts(),
-            proxy_put_bytes: stats.proxy_put_bytes(),
-            proxy_fetches: stats.proxy_fetches(),
-            proxy_fetch_bytes: stats.proxy_fetch_bytes(),
-            trace_dropped: 0,
-            stragglers_flagged: stats.stragglers_flagged(),
-            notifies_dropped: stats.notifies_dropped(),
-            admission_rejections: stats.admission_rejections(),
-            tenants: stats.tenant_snapshot(),
-            gather_wait_hist: HistSnapshot::capture(stats.gather_wait_hist()),
-            exec_hist: HistSnapshot::capture(stats.exec_hist()),
-            queue_delay_hist: HistSnapshot::capture(stats.queue_delay_hist()),
-            assign_pass_hist: HistSnapshot::capture(stats.assign_pass_hist()),
+            counters: stats.capture(),
+            hists: stats.hists().each_ref().map(HistSnapshot::capture),
+            tenants: stats.tenants(),
         }
     }
 
@@ -300,151 +121,58 @@ impl StatsSnapshot {
     /// the rings keep their events.
     pub fn capture_with_tracer(stats: &SchedulerStats, tracer: &TraceRecorder) -> Self {
         let mut snap = StatsSnapshot::capture(stats);
-        snap.trace_dropped = tracer.dropped_total();
+        snap.counters
+            .set(Metric::TraceDropped, tracer.dropped_total());
         snap
     }
 
-    /// Serialize to the shared JSON schema.
+    /// Frozen view of one latency histogram.
+    pub fn hist(&self, hist: Hist) -> &HistSnapshot {
+        &self.hists[hist as usize]
+    }
+
+    /// Serialize to the shared JSON schema: sections in [`Section`] order,
+    /// keys within a section in registry order.
     pub fn to_json(&self) -> Json {
-        let mut classes = Json::obj();
-        for c in &self.classes {
-            classes = classes.set(
-                c.name,
-                Json::obj().set("count", c.count).set("bytes", c.bytes),
-            );
+        let mut doc = Json::obj();
+        for section in Section::ALL {
+            doc.entry(section.name());
         }
-        let size_hist = |hist: &[u64; N_SIZE_BUCKETS]| {
-            let mut obj = Json::obj();
-            for (label, &n) in SIZE_BUCKET_LABELS.iter().zip(hist.iter()) {
-                obj = obj.set(label, n);
+        for def in METRICS {
+            let section = doc.entry(def.section.name());
+            match def.source {
+                Source::Scalar(metric) => section.put(def.key, self.get(metric)),
+                Source::Sum(read) => section.put(def.key, read(self)),
+                Source::Ratio(read) => section.put(def.key, read(self)),
+                Source::PerClass(read) => {
+                    for class in MsgClass::ALL {
+                        section.entry(class.name()).put(def.key, read(self, class));
+                    }
+                }
+                Source::PerLane(read) => {
+                    let lanes = section.entry("lanes");
+                    for lane in WireLane::ALL {
+                        lanes.entry(lane.name()).put(def.key, read(self, lane));
+                    }
+                }
+                Source::PerTenant(read) => {
+                    let sessions = section.entry("sessions");
+                    for (session, tenant) in &self.tenants {
+                        sessions
+                            .entry(&session.to_string())
+                            .put(def.key, read(tenant));
+                    }
+                }
+                Source::Latency(hist) => section.put(def.key, self.hist(hist).to_json()),
+                Source::Sizes(hist) => {
+                    let sizes = section.entry(def.key);
+                    for (label, n) in SIZE_BUCKET_LABELS.iter().zip(self.size_hist(hist)) {
+                        sizes.put(label, n);
+                    }
+                }
             }
-            obj
-        };
-        Json::obj()
-            .set("messages", classes)
-            .set(
-                "paper_metrics",
-                Json::obj()
-                    .set(
-                        "scheduler_control_messages",
-                        self.scheduler_control_messages,
-                    )
-                    .set("bridge_metadata_messages", self.bridge_metadata_messages),
-            )
-            .set(
-                "gather",
-                Json::obj()
-                    .set("batches", self.gather_batches)
-                    .set("remote_deps", self.gather_deps)
-                    .set("wait_ns", self.gather_wait_ns)
-                    .set("wait_hist", self.gather_wait_hist.to_json()),
-            )
-            .set(
-                "executors",
-                Json::obj()
-                    .set("busy_ns", self.exec_busy_ns)
-                    .set("idle_ns", self.exec_idle_ns)
-                    .set("utilization", self.executor_utilization)
-                    .set("exec_hist", self.exec_hist.to_json())
-                    .set("queue_delay_hist", self.queue_delay_hist.to_json()),
-            )
-            .set(
-                "optimizer",
-                Json::obj()
-                    .set("tasks_in", self.optimize_tasks_in)
-                    .set("tasks_out", self.optimize_tasks_out)
-                    .set("culled", self.optimize_culled)
-                    .set("fused_chains", self.fused_chains)
-                    .set("fused_stages", self.fused_stages)
-                    .set("chain_hist", size_hist(&self.fused_chain_hist)),
-            )
-            .set(
-                "ingest",
-                Json::obj()
-                    .set("bursts", self.ingest_bursts)
-                    .set("messages", self.ingest_msgs)
-                    .set("avg_msgs_per_burst", self.avg_msgs_per_burst)
-                    .set("burst_hist", size_hist(&self.burst_hist)),
-            )
-            .set(
-                "assign",
-                Json::obj()
-                    .set("passes", self.assign_passes)
-                    .set("pass_ns", self.assign_pass_ns)
-                    .set("tasks", self.assign_tasks)
-                    .set("messages", self.assign_messages)
-                    .set("avg_tasks_per_message", self.avg_tasks_per_assign_message)
-                    .set("pass_hist", self.assign_pass_hist.to_json()),
-            )
-            .set("wire", {
-                let mut lanes = Json::obj();
-                for lane in &self.wire_lanes {
-                    lanes = lanes.set(
-                        lane.name,
-                        Json::obj()
-                            .set("messages", lane.messages)
-                            .set("bytes", lane.bytes),
-                    );
-                }
-                Json::obj()
-                    .set("lanes", lanes)
-                    .set("total_messages", self.wire_total_messages)
-                    .set("total_bytes", self.wire_total_bytes)
-            })
-            .set(
-                "fault",
-                Json::obj()
-                    .set("peers_lost", self.peers_lost)
-                    .set("peers_tracked", self.peers_tracked)
-                    .set("tasks_resubmitted", self.tasks_resubmitted)
-                    .set("retries_exhausted", self.retries_exhausted)
-                    .set("external_blocks_lost", self.external_blocks_lost)
-                    .set("recomputes", self.recomputes)
-                    .set("injected_drops", self.injected_drops)
-                    .set("injected_kills", self.injected_kills),
-            )
-            .set(
-                "steal",
-                Json::obj()
-                    .set("requests", self.steal_requests)
-                    .set("misses", self.steal_misses)
-                    .set("tasks_stolen", self.tasks_stolen),
-            )
-            .set(
-                "store",
-                Json::obj()
-                    .set("hits", self.store_hits)
-                    .set("misses", self.store_misses)
-                    .set("spills", self.store_spills)
-                    .set("restores", self.store_restores)
-                    .set("spill_bytes", self.store_spill_bytes)
-                    .set("proxy_puts", self.proxy_puts)
-                    .set("proxy_put_bytes", self.proxy_put_bytes)
-                    .set("proxy_fetches", self.proxy_fetches)
-                    .set("proxy_fetch_bytes", self.proxy_fetch_bytes),
-            )
-            .set("trace", Json::obj().set("dropped", self.trace_dropped))
-            .set(
-                "telemetry",
-                Json::obj().set("stragglers_flagged", self.stragglers_flagged),
-            )
-            .set("tenancy", {
-                let mut sessions = Json::obj();
-                for (session, t) in &self.tenants {
-                    sessions = sessions.set(
-                        &session.to_string(),
-                        Json::obj()
-                            .set("tasks", t.tasks)
-                            .set("bytes", t.bytes)
-                            .set("queue_depth", t.queue_depth)
-                            .set("admission_rejections", t.admission_rejections),
-                    );
-                }
-                Json::obj()
-                    .set("notifies_dropped", self.notifies_dropped)
-                    .set("admission_rejections", self.admission_rejections)
-                    .set("sessions", sessions)
-            })
+        }
+        doc
     }
 
     /// Pretty JSON document (what the benches write under `results/`).
@@ -452,339 +180,65 @@ impl StatsSnapshot {
         self.to_json().to_string_pretty()
     }
 
-    /// Prometheus text exposition (format 0.0.4): every metric family gets a
-    /// `# HELP` and `# TYPE` header, counters end in `_total`, histograms
-    /// emit `_bucket`/`_sum`/`_count` triples with cumulative `le` labels in
-    /// seconds, and the document ends with a newline.
+    /// Prometheus text exposition (format 0.0.4) of every registry row that
+    /// names a family: each gets a `# HELP` and `# TYPE` header, counters
+    /// end in `_total`, histograms emit `_bucket`/`_sum`/`_count` triples
+    /// with cumulative `le` labels in seconds, and the document ends with a
+    /// newline.
     pub fn to_prometheus(&self) -> String {
-        fn family(out: &mut String, name: &str, help: &str, kind: &str) {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        }
         let mut out = String::new();
-        family(
-            &mut out,
-            "dtask_messages_total",
-            "Messages recorded at the scheduler by class.",
-            "counter",
-        );
-        for c in &self.classes {
-            out.push_str(&format!(
-                "dtask_messages_total{{class=\"{}\"}} {}\n",
-                c.name, c.count
-            ));
-        }
-        family(
-            &mut out,
-            "dtask_message_bytes_total",
-            "Payload bytes recorded at the scheduler by class.",
-            "counter",
-        );
-        for c in &self.classes {
-            out.push_str(&format!(
-                "dtask_message_bytes_total{{class=\"{}\"}} {}\n",
-                c.name, c.bytes
-            ));
-        }
-        family(
-            &mut out,
-            "dtask_scheduler_control_messages_total",
-            "Control-plane messages that hit the scheduler (the paper's bottleneck metric).",
-            "counter",
-        );
-        out.push_str(&format!(
-            "dtask_scheduler_control_messages_total {}\n",
-            self.scheduler_control_messages
-        ));
-        family(
-            &mut out,
-            "dtask_bridge_metadata_messages_total",
-            "Bridge/client metadata messages per the paper's section 2.1 accounting.",
-            "counter",
-        );
-        out.push_str(&format!(
-            "dtask_bridge_metadata_messages_total {}\n",
-            self.bridge_metadata_messages
-        ));
-        family(
-            &mut out,
-            "dtask_wire_messages_total",
-            "Framed transport messages encoded, by destination lane.",
-            "counter",
-        );
-        for lane in &self.wire_lanes {
-            out.push_str(&format!(
-                "dtask_wire_messages_total{{lane=\"{}\"}} {}\n",
-                lane.name, lane.messages
-            ));
-        }
-        family(
-            &mut out,
-            "dtask_wire_bytes_total",
-            "Serialized bytes-on-the-wire, by destination lane.",
-            "counter",
-        );
-        for lane in &self.wire_lanes {
-            out.push_str(&format!(
-                "dtask_wire_bytes_total{{lane=\"{}\"}} {}\n",
-                lane.name, lane.bytes
-            ));
-        }
-        family(
-            &mut out,
-            "dtask_executor_utilization",
-            "Executor busy time over busy plus idle time.",
-            "gauge",
-        );
-        out.push_str(&format!(
-            "dtask_executor_utilization {}\n",
-            self.executor_utilization
-        ));
-        for (name, help, count) in [
-            (
-                "dtask_gather_batches_total",
-                "Dependency gathers that needed at least one remote fetch.",
-                self.gather_batches,
-            ),
-            (
-                "dtask_gather_remote_deps_total",
-                "Remote dependencies fetched across all gathers.",
-                self.gather_deps,
-            ),
-            (
-                "dtask_ingest_bursts_total",
-                "Scheduler inbox bursts drained.",
-                self.ingest_bursts,
-            ),
-            (
-                "dtask_ingest_messages_total",
-                "Messages absorbed across all inbox bursts.",
-                self.ingest_msgs,
-            ),
-            (
-                "dtask_assign_passes_total",
-                "Scheduler placement passes run.",
-                self.assign_passes,
-            ),
-            (
-                "dtask_assign_tasks_total",
-                "Tasks assigned to workers.",
-                self.assign_tasks,
-            ),
-            (
-                "dtask_assign_messages_total",
-                "Execute/ExecuteBatch messages sent to workers.",
-                self.assign_messages,
-            ),
-            (
-                "dtask_optimize_tasks_in_total",
-                "Tasks in submitted graphs before optimization.",
-                self.optimize_tasks_in,
-            ),
-            (
-                "dtask_optimize_tasks_out_total",
-                "Specs sent to the scheduler after cull and fuse.",
-                self.optimize_tasks_out,
-            ),
-            (
-                "dtask_optimize_culled_total",
-                "Tasks dropped by the optimizer cull pass.",
-                self.optimize_culled,
-            ),
-            (
-                "dtask_fault_peers_lost_total",
-                "Peers declared dead by the liveness sweep.",
-                self.peers_lost,
-            ),
-            (
-                "dtask_fault_peers_tracked_total",
-                "Distinct peers whose heartbeats were tracked.",
-                self.peers_tracked,
-            ),
-            (
-                "dtask_fault_tasks_resubmitted_total",
-                "Tasks re-queued after a peer loss.",
-                self.tasks_resubmitted,
-            ),
-            (
-                "dtask_fault_retries_exhausted_total",
-                "Tasks failed after exhausting their retry budget.",
-                self.retries_exhausted,
-            ),
-            (
-                "dtask_fault_external_blocks_lost_total",
-                "External blocks lost beyond recovery.",
-                self.external_blocks_lost,
-            ),
-            (
-                "dtask_fault_recomputes_total",
-                "Lost results re-queued for recompute.",
-                self.recomputes,
-            ),
-            (
-                "dtask_fault_injected_drops_total",
-                "Messages dropped by the active fault-injection plan.",
-                self.injected_drops,
-            ),
-            (
-                "dtask_fault_injected_kills_total",
-                "Workers killed by fault injection.",
-                self.injected_kills,
-            ),
-            (
-                "dtask_steal_requests_total",
-                "StealRequest messages from idle workers.",
-                self.steal_requests,
-            ),
-            (
-                "dtask_steal_misses_total",
-                "Steal attempts that found nothing to take.",
-                self.steal_misses,
-            ),
-            (
-                "dtask_steal_tasks_stolen_total",
-                "Assignments re-pointed from a victim to a thief.",
-                self.tasks_stolen,
-            ),
-            (
-                "dtask_store_hits_total",
-                "Object-store lookups answered from memory.",
-                self.store_hits,
-            ),
-            (
-                "dtask_store_misses_total",
-                "Object-store lookups that found nothing.",
-                self.store_misses,
-            ),
-            (
-                "dtask_store_spills_total",
-                "Store entries spilled to disk under memory pressure.",
-                self.store_spills,
-            ),
-            (
-                "dtask_store_restores_total",
-                "Spilled store entries restored on access.",
-                self.store_restores,
-            ),
-            (
-                "dtask_store_spill_bytes_total",
-                "Payload bytes written by store spills.",
-                self.store_spill_bytes,
-            ),
-            (
-                "dtask_proxy_puts_total",
-                "Payloads published out-of-band behind proxy handles.",
-                self.proxy_puts,
-            ),
-            (
-                "dtask_proxy_put_bytes_total",
-                "Payload bytes published out-of-band.",
-                self.proxy_put_bytes,
-            ),
-            (
-                "dtask_proxy_fetches_total",
-                "Proxy handles resolved by fetching from a holder.",
-                self.proxy_fetches,
-            ),
-            (
-                "dtask_proxy_fetch_bytes_total",
-                "Payload bytes moved by proxy-handle resolution.",
-                self.proxy_fetch_bytes,
-            ),
-            (
-                "dtask_trace_dropped_total",
-                "Trace events lost to full per-actor rings.",
-                self.trace_dropped,
-            ),
-            (
-                "dtask_stragglers_flagged_total",
-                "Task executions flagged as stragglers by the online detector.",
-                self.stragglers_flagged,
-            ),
-            (
-                "dtask_sched_notifies_dropped_total",
-                "Client notifications dropped because the client channel was gone.",
-                self.notifies_dropped,
-            ),
-            (
-                "dtask_admission_rejections_total",
-                "Graphs rejected by per-session admission control, all tenants.",
-                self.admission_rejections,
-            ),
-        ] {
-            family(&mut out, name, help, "counter");
-            out.push_str(&format!("{name} {count}\n"));
-        }
-        if !self.tenants.is_empty() {
-            for (name, help, kind, read) in [
-                (
-                    "dtask_tenant_tasks_total",
-                    "Tasks admitted per session.",
-                    "counter",
-                    (|t: &TenantCounters| t.tasks) as fn(&TenantCounters) -> u64,
-                ),
-                (
-                    "dtask_tenant_bytes_total",
-                    "Result payload bytes reported per session.",
-                    "counter",
-                    |t: &TenantCounters| t.bytes,
-                ),
-                (
-                    "dtask_tenant_queue_depth",
-                    "In-flight tasks per session.",
-                    "gauge",
-                    |t: &TenantCounters| t.queue_depth,
-                ),
-                (
-                    "dtask_tenant_admission_rejections_total",
-                    "Graphs rejected by admission control per session.",
-                    "counter",
-                    |t: &TenantCounters| t.admission_rejections,
-                ),
-            ] {
-                family(&mut out, name, help, kind);
-                for (session, t) in &self.tenants {
-                    out.push_str(&format!("{name}{{session=\"{session}\"}} {}\n", read(t)));
-                }
+        for def in METRICS {
+            let Some(name) = def.family else { continue };
+            if matches!(def.source, Source::PerTenant(_)) && self.tenants.is_empty() {
+                continue;
             }
-        }
-        for (name, help, hist) in [
-            (
-                "dtask_gather_wait_seconds",
-                "Wall time spent waiting on dependency gathers.",
-                &self.gather_wait_hist,
-            ),
-            (
-                "dtask_exec_seconds",
-                "Task op or fused-chain execution time.",
-                &self.exec_hist,
-            ),
-            (
-                "dtask_queue_delay_seconds",
-                "Delay between scheduler assignment and slot dequeue.",
-                &self.queue_delay_hist,
-            ),
-            (
-                "dtask_assign_pass_seconds",
-                "Wall time of one scheduler placement pass.",
-                &self.assign_pass_hist,
-            ),
-        ] {
-            family(&mut out, name, help, "histogram");
-            let mut cumulative = 0u64;
-            for (i, &b) in hist.buckets.iter().enumerate() {
-                cumulative += b;
-                if b == 0 {
-                    continue; // sparse exposition: only non-empty buckets
+            let kind = def.kind.name();
+            let _ = writeln!(out, "# HELP {name} {}\n# TYPE {name} {kind}", def.help);
+            // Prometheus base units: nanosecond rows are exposed in seconds.
+            let show = |value: u64| match def.unit {
+                Unit::Nanos => (value as f64 / 1e9).to_string(),
+                _ => value.to_string(),
+            };
+            let _ = match def.source {
+                Source::Scalar(metric) => writeln!(out, "{name} {}", show(self.get(metric))),
+                Source::Sum(read) => writeln!(out, "{name} {}", show(read(self))),
+                Source::Ratio(read) => writeln!(out, "{name} {}", read(self)),
+                Source::PerClass(read) => MsgClass::ALL.iter().try_for_each(|&class| {
+                    let value = show(read(self, class));
+                    writeln!(out, "{name}{{class=\"{}\"}} {value}", class.name())
+                }),
+                Source::PerLane(read) => WireLane::ALL.iter().try_for_each(|&lane| {
+                    let value = show(read(self, lane));
+                    writeln!(out, "{name}{{lane=\"{}\"}} {value}", lane.name())
+                }),
+                Source::PerTenant(read) => self.tenants.iter().try_for_each(|(session, tenant)| {
+                    writeln!(
+                        out,
+                        "{name}{{session=\"{session}\"}} {}",
+                        show(read(tenant))
+                    )
+                }),
+                Source::Latency(hist) => {
+                    let hist = self.hist(hist);
+                    let mut cumulative = 0u64;
+                    for (i, &b) in hist.buckets.iter().enumerate() {
+                        cumulative += b;
+                        if b > 0 {
+                            // Sparse exposition: only non-empty buckets.
+                            let le = show(1u64 << (i + 1));
+                            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+                        }
+                    }
+                    writeln!(
+                        out,
+                        "{name}_bucket{{le=\"+Inf\"}} {}\n{name}_sum {}\n{name}_count {}",
+                        hist.count,
+                        show(hist.sum_ns),
+                        hist.count
+                    )
                 }
-                let le = (1u64 << (i + 1)) as f64 / 1e9;
-                out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!(
-                "{name}_bucket{{le=\"+Inf\"}} {}\n{name}_sum {}\n{name}_count {}\n",
-                hist.count,
-                hist.sum_ns as f64 / 1e9,
-                hist.count
-            ));
+                Source::Sizes(_) => Ok(()),
+            };
         }
         out
     }
@@ -793,21 +247,22 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{Kind, MetricDef, SizeHist};
 
     #[test]
     fn idle_cluster_snapshot_is_all_zero_and_finite() {
-        // Satellite (b): snapshot on a cluster that never did any work must
-        // produce defined values everywhere — 0 / 0.0, never NaN.
+        // Snapshot on a cluster that never did any work must produce defined
+        // values everywhere — 0 / 0.0, never NaN.
         let stats = SchedulerStats::new();
         let snap = StatsSnapshot::capture(&stats);
-        assert_eq!(snap.classes.len(), MsgClass::ALL.len());
-        assert!(snap.classes.iter().all(|c| c.count == 0 && c.bytes == 0));
-        assert_eq!(snap.executor_utilization, 0.0);
-        assert_eq!(snap.avg_msgs_per_burst, 0.0);
-        assert_eq!(snap.avg_tasks_per_assign_message, 0.0);
-        assert_eq!(snap.exec_hist.count, 0);
-        assert_eq!(snap.exec_hist.mean_ns, 0.0);
-        assert_eq!(snap.exec_hist.p99_ns, 0);
+        assert!(MsgClass::ALL
+            .iter()
+            .all(|&c| snap.count(c) == 0 && snap.bytes(c) == 0));
+        assert_eq!(snap.executor_utilization(), 0.0);
+        assert_eq!(snap.avg_msgs_per_burst(), 0.0);
+        assert_eq!(snap.avg_tasks_per_assign_message(), 0.0);
+        let exec = snap.hist(Hist::Exec);
+        assert_eq!((exec.count, exec.mean_ns, exec.p99_ns), (0, 0.0, 0));
         let text = snap.to_json_string_pretty();
         assert!(!text.contains("NaN"), "JSON must stay parseable");
         let prom = snap.to_prometheus();
@@ -815,139 +270,159 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reflects_recorded_activity() {
-        let stats = SchedulerStats::new();
-        stats.record(MsgClass::Heartbeat, 8);
-        stats.record_n(MsgClass::UpdateData, 4, 400);
-        stats.record_gather(3, 9_000);
-        stats.record_exec_busy(20_000);
-        stats.record_exec_idle(20_000);
-        stats.record_queue_delay(1_500);
-        stats.record_assign_pass(800);
-        stats.record_burst(6);
-        stats.record_assign(6, 2);
-        let snap = StatsSnapshot::capture(&stats);
-        let hb = snap.classes.iter().find(|c| c.name == "heartbeat").unwrap();
-        assert_eq!(hb.count, 1);
-        assert_eq!(snap.gather_batches, 1);
-        assert_eq!(snap.gather_deps, 3);
-        assert!((snap.executor_utilization - 0.5).abs() < 1e-12);
-        assert_eq!(snap.avg_msgs_per_burst, 6.0);
-        assert_eq!(snap.avg_tasks_per_assign_message, 3.0);
-        assert_eq!(snap.queue_delay_hist.count, 1);
-        assert_eq!(snap.queue_delay_hist.sum_ns, 1_500);
+    fn latency_hist_buckets_and_quantiles() {
+        let h = LatencyHist::default();
+        h.record(0);
+        h.record(1);
+        h.record(1_000); // bucket 9 ([512, 1024))
+        h.record(1_000_000);
+        let snap = HistSnapshot::capture(&h);
+        assert_eq!((snap.count, snap.sum_ns), (4, 1_001_001));
+        assert!((snap.mean_ns - 250_250.25).abs() < 1e-6);
+        // Rank 2 of 4 is still in bucket 0 (upper bound 2 ns); the 99th
+        // percentile is the 1 ms sample, reported as its bucket's upper bound.
+        assert_eq!(snap.p50_ns, 2);
+        assert_eq!(snap.p99_ns, 1 << 20);
+        assert_eq!(snap.buckets[0], 2, "0 and 1 ns share bucket 0");
+        assert_eq!(snap.buckets[9], 1);
     }
 
-    #[test]
-    fn json_document_has_the_shared_schema_sections() {
+    /// One populated `SchedulerStats`: every scalar row, class, lane, tenant
+    /// field and histogram holds a value no other holds.
+    fn populated() -> StatsSnapshot {
         let stats = SchedulerStats::new();
-        stats.record(MsgClass::GraphSubmit, 64);
-        let doc = StatsSnapshot::capture(&stats).to_json();
-        for section in [
-            "messages",
-            "paper_metrics",
-            "gather",
-            "executors",
-            "optimizer",
-            "ingest",
-            "assign",
-            "wire",
-            "fault",
-            "steal",
-            "store",
-            "trace",
-            "telemetry",
-        ] {
-            assert!(doc.get(section).is_some(), "missing section {section}");
+        for (i, def) in METRICS.iter().enumerate() {
+            if let Source::Scalar(metric) = def.source {
+                stats.add(metric, 1_000 + i as u64);
+            }
         }
-        assert_eq!(
-            doc.get("messages")
-                .and_then(|m| m.get("graph_submit"))
-                .and_then(|g| g.get("count"))
-                .and_then(Json::as_f64),
-            Some(1.0)
-        );
+        for (i, &class) in MsgClass::ALL.iter().enumerate() {
+            stats.record_n(class, 2_000 + i as u64, 3_000 + i as u64);
+        }
+        for (i, &lane) in WireLane::ALL.iter().enumerate() {
+            (0..=i).for_each(|_| stats.record_wire(lane, 4_000 + i as u64));
+        }
+        for (i, hist) in stats.hists().iter().enumerate() {
+            (0..=i).for_each(|_| hist.record(5_000 << i));
+        }
+        (0..3).for_each(|_| stats.record_burst(2));
+        stats.record_optimize(&crate::optimize::OptimizeReport {
+            fused_chain_lengths: vec![20; 4],
+            ..Default::default()
+        });
+        for session in [1, 2] {
+            stats.with_tenant(session, |t| {
+                t.tasks = 6_000 + u64::from(session);
+                t.bytes = 6_100 + u64::from(session);
+                t.queue_depth = 6_200 + u64::from(session);
+                t.admission_rejections = 6_300 + u64::from(session);
+            });
+        }
+        StatsSnapshot::capture(&stats)
     }
 
+    /// The table-walking test: whatever the registry declares shows up at the
+    /// row's JSON path and under the row's family, with the row's value.
     #[test]
-    fn fault_section_reflects_recovery_counters() {
-        let stats = SchedulerStats::new();
-        stats.record_peer_lost();
-        stats.record_task_resubmitted();
-        stats.record_task_resubmitted();
-        stats.record_external_block_lost();
-        let snap = StatsSnapshot::capture(&stats);
-        assert_eq!(snap.peers_lost, 1);
-        assert_eq!(snap.tasks_resubmitted, 2);
-        assert_eq!(snap.external_blocks_lost, 1);
+    fn every_registry_row_renders_at_its_json_path_and_under_its_family() {
+        let snap = populated();
         let doc = snap.to_json();
-        assert_eq!(
-            doc.get("fault")
-                .and_then(|f| f.get("peers_lost"))
-                .and_then(Json::as_f64),
-            Some(1.0)
-        );
         let prom = snap.to_prometheus();
-        assert!(prom.contains("dtask_fault_peers_lost_total 1"));
-        assert!(prom.contains("dtask_fault_tasks_resubmitted_total 2"));
+        let num = |node: &Json, path: &[&str]| -> f64 {
+            path.iter()
+                .try_fold(node, |n, key| n.get(key))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("no number at {path:?}"))
+        };
+        // A sample line `<family><labels> <value>` is present.
+        let sample = |def: &MetricDef, labels: &str, value: u64| {
+            let Some(family) = def.family else { return };
+            let line = match def.unit {
+                Unit::Nanos => format!("{family}{labels} {}\n", value as f64 / 1e9),
+                _ => format!("{family}{labels} {value}\n"),
+            };
+            assert!(prom.contains(&line), "{}: no sample {line:?}", def.id);
+        };
+        for def in METRICS {
+            let section = def.section.name();
+            if let Some(family) = def.family {
+                let header = format!(
+                    "# HELP {family} {}\n# TYPE {family} {}\n",
+                    def.help,
+                    def.kind.name()
+                );
+                assert!(prom.contains(&header), "{}: no header", def.id);
+            }
+            match def.source {
+                Source::Scalar(metric) => {
+                    let value = snap.get(metric);
+                    assert!(value >= 1_000, "{} was populated", def.id);
+                    assert_eq!(num(&doc, &[section, def.key]), value as f64);
+                    sample(def, "", value);
+                }
+                Source::Sum(read) => {
+                    assert_eq!(num(&doc, &[section, def.key]), read(&snap) as f64);
+                    sample(def, "", read(&snap));
+                }
+                Source::Ratio(read) => {
+                    assert_eq!(num(&doc, &[section, def.key]), read(&snap));
+                    if let Some(family) = def.family {
+                        assert!(prom.contains(&format!("{family} {}\n", read(&snap))));
+                    }
+                }
+                Source::PerClass(read) => {
+                    for class in MsgClass::ALL {
+                        let value = read(&snap, class);
+                        assert_eq!(num(&doc, &[section, class.name(), def.key]), value as f64);
+                        sample(def, &format!("{{class=\"{}\"}}", class.name()), value);
+                    }
+                }
+                Source::PerLane(read) => {
+                    for lane in WireLane::ALL {
+                        let value = read(&snap, lane);
+                        let path = [section, "lanes", lane.name(), def.key];
+                        assert_eq!(num(&doc, &path), value as f64);
+                        sample(def, &format!("{{lane=\"{}\"}}", lane.name()), value);
+                    }
+                }
+                Source::PerTenant(read) => {
+                    for (session, tenant) in &snap.tenants {
+                        let id = session.to_string();
+                        let path = [section, "sessions", id.as_str(), def.key];
+                        assert_eq!(num(&doc, &path), read(tenant) as f64);
+                        sample(def, &format!("{{session=\"{id}\"}}"), read(tenant));
+                    }
+                }
+                Source::Latency(hist) => {
+                    let hist = snap.hist(hist);
+                    assert!(hist.count >= 1, "{} was populated", def.id);
+                    assert_eq!(num(&doc, &[section, def.key, "count"]), hist.count as f64);
+                    assert_eq!(num(&doc, &[section, def.key, "sum_ns"]), hist.sum_ns as f64);
+                    sample(def, "_sum", hist.sum_ns);
+                    let family = def.family.expect("latency rows are exposed");
+                    assert!(prom.contains(&format!("{family}_count {}\n", hist.count)));
+                }
+                Source::Sizes(hist) => {
+                    let sizes = snap.size_hist(hist);
+                    assert!(sizes.iter().sum::<u64>() >= 1, "{} was populated", def.id);
+                    for (label, n) in SIZE_BUCKET_LABELS.iter().zip(sizes) {
+                        assert_eq!(num(&doc, &[section, def.key, label]), n as f64);
+                    }
+                }
+            }
+        }
+        // Nothing but the registry decides the top level of the document.
+        let Json::Obj(sections) = &doc else {
+            panic!("snapshot is an object")
+        };
+        let names: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, Section::ALL.map(Section::name));
+        assert_eq!(snap.size_hist(SizeHist::Burst)[1], 3);
+        assert!(METRICS.iter().any(|d| d.kind == Kind::Gauge));
     }
 
     #[test]
-    fn steal_section_reflects_stealing_counters() {
-        let stats = SchedulerStats::new();
-        stats.record_steal_request();
-        stats.record_steal_miss();
-        stats.record_task_stolen();
-        stats.record_task_stolen();
-        let snap = StatsSnapshot::capture(&stats);
-        assert_eq!(snap.steal_requests, 1);
-        assert_eq!(snap.steal_misses, 1);
-        assert_eq!(snap.tasks_stolen, 2);
-        let doc = snap.to_json();
-        assert_eq!(
-            doc.get("steal")
-                .and_then(|s| s.get("tasks_stolen"))
-                .and_then(Json::as_f64),
-            Some(2.0)
-        );
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("dtask_steal_requests_total 1"));
-        assert!(prom.contains("dtask_steal_tasks_stolen_total 2"));
-    }
-
-    #[test]
-    fn store_section_reflects_data_plane_counters() {
-        let stats = SchedulerStats::new();
-        stats.record_store_hit();
-        stats.record_store_spill(4096);
-        stats.record_proxy_put(8192);
-        stats.record_proxy_fetch(8192);
-        let snap = StatsSnapshot::capture(&stats);
-        assert_eq!(snap.store_hits, 1);
-        assert_eq!(snap.store_spills, 1);
-        assert_eq!(snap.store_spill_bytes, 4096);
-        assert_eq!(snap.proxy_put_bytes, 8192);
-        assert_eq!(snap.proxy_fetches, 1);
-        let doc = snap.to_json();
-        assert_eq!(
-            doc.get("store")
-                .and_then(|s| s.get("spills"))
-                .and_then(Json::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            doc.get("store")
-                .and_then(|s| s.get("proxy_fetch_bytes"))
-                .and_then(Json::as_f64),
-            Some(8192.0)
-        );
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("dtask_store_spills_total 1"));
-        assert!(prom.contains("dtask_proxy_fetch_bytes_total 8192"));
-    }
-
-    #[test]
-    fn trace_section_reflects_ring_drops() {
+    fn trace_drops_come_from_the_recorder_only_when_asked() {
         use crate::trace::{EventKind, TraceActor, TraceConfig};
         let stats = SchedulerStats::new();
         let tracer = TraceRecorder::new(TraceConfig {
@@ -959,108 +434,30 @@ mod tests {
             h.instant(EventKind::Submit, None, i);
         }
         let snap = StatsSnapshot::capture_with_tracer(&stats, &tracer);
-        assert_eq!(snap.trace_dropped, 4);
-        let doc = snap.to_json();
-        assert_eq!(
-            doc.get("trace")
-                .and_then(|t| t.get("dropped"))
-                .and_then(Json::as_f64),
-            Some(4.0)
-        );
+        assert_eq!(snap.trace_dropped(), 4);
         assert!(snap.to_prometheus().contains("dtask_trace_dropped_total 4"));
-        // Plain capture leaves the field zero.
-        assert_eq!(StatsSnapshot::capture(&stats).trace_dropped, 0);
+        // Plain capture leaves the row zero.
+        assert_eq!(StatsSnapshot::capture(&stats).trace_dropped(), 0);
     }
 
+    /// The JSON document survives a writer → parser round trip unchanged, in
+    /// both renderings.
     #[test]
-    fn telemetry_section_reflects_straggler_counter() {
-        let stats = SchedulerStats::new();
-        stats.record_straggler();
-        let snap = StatsSnapshot::capture(&stats);
-        assert_eq!(snap.stragglers_flagged, 1);
-        let doc = snap.to_json();
-        assert_eq!(
-            doc.get("telemetry")
-                .and_then(|t| t.get("stragglers_flagged"))
-                .and_then(Json::as_f64),
-            Some(1.0)
-        );
-        assert!(snap
-            .to_prometheus()
-            .contains("dtask_stragglers_flagged_total 1"));
-    }
-
-    /// Satellite: golden schema round-trip. Activity is recorded into every
-    /// counter section; the JSON document must survive a writer → parser
-    /// round trip unchanged, and each section must also be represented in
-    /// the Prometheus exposition.
-    #[test]
-    fn schema_sections_round_trip_through_json_and_prometheus() {
-        use crate::trace::{EventKind, TraceActor, TraceConfig};
-        let stats = SchedulerStats::new();
-        stats.record(MsgClass::GraphSubmit, 64); // messages
-        stats.record_wire(WireLane::SchedIn, 128); // wire
-        stats.record_steal_request(); // steal
-        stats.record_task_stolen();
-        stats.record_store_spill(4096); // store
-        stats.record_peer_lost(); // fault
-        stats.record_straggler(); // telemetry
-        stats.record_exec_busy(50_000);
-        let tracer = TraceRecorder::new(TraceConfig {
-            enabled: true,
-            capacity_per_actor: 2,
-        });
-        let h = tracer.register(TraceActor::Scheduler);
-        for _ in 0..3 {
-            h.instant(EventKind::Submit, None, 0); // trace: 1 drop
-        }
-        let snap = StatsSnapshot::capture_with_tracer(&stats, &tracer);
-
-        let doc = snap.to_json();
+    fn snapshot_json_round_trips_through_the_parser() {
+        let doc = populated().to_json();
         for rendering in [doc.to_string_compact(), doc.to_string_pretty()] {
             let parsed = Json::parse(&rendering).expect("snapshot JSON must parse");
             assert_eq!(parsed, doc, "writer -> parser round trip must be lossless");
         }
-
-        let prom = snap.to_prometheus();
-        for (section, json_probe, prom_probe) in [
-            (
-                "messages",
-                "graph_submit",
-                "dtask_messages_total{class=\"graph_submit\"} 1",
-            ),
-            (
-                "wire",
-                "lanes",
-                "dtask_wire_bytes_total{lane=\"sched_in\"} 128",
-            ),
-            ("steal", "tasks_stolen", "dtask_steal_tasks_stolen_total 1"),
-            ("store", "spill_bytes", "dtask_store_spill_bytes_total 4096"),
-            ("fault", "peers_lost", "dtask_fault_peers_lost_total 1"),
-            ("trace", "dropped", "dtask_trace_dropped_total 1"),
-            (
-                "telemetry",
-                "stragglers_flagged",
-                "dtask_stragglers_flagged_total 1",
-            ),
-        ] {
-            let sec = doc.get(section).unwrap_or_else(|| panic!("no {section}"));
-            assert!(sec.get(json_probe).is_some(), "{section}.{json_probe}");
-            assert!(prom.contains(prom_probe), "prometheus missing {prom_probe}");
-        }
     }
 
-    /// Satellite: exposition format lint. Checks the whole document against
+    /// Exposition format lint. Checks the whole document against
     /// the text-format rules a Prometheus scraper enforces: HELP+TYPE per
     /// family, `_total` counter names, legal metric-name characters, sample
     /// names matching their family, and a trailing newline.
     #[test]
     fn prometheus_exposition_format_lint() {
-        let stats = SchedulerStats::new();
-        stats.record(MsgClass::TaskReport, 10);
-        stats.record_exec_busy(12_345);
-        stats.record_wire(WireLane::ReplyIn, 99);
-        let prom = StatsSnapshot::capture(&stats).to_prometheus();
+        let prom = populated().to_prometheus();
         assert!(prom.ends_with('\n'), "exposition must end with a newline");
 
         let valid_name = |name: &str| {

@@ -1,10 +1,17 @@
-//! Message and byte accounting.
+//! Message and byte accounting, and the one registry every counter is
+//! declared in.
 //!
 //! The paper's scalability argument is a *message-count* argument: DEISA1
 //! sends `2 · timesteps · ranks + heartbeats` metadata messages to the
 //! centralized scheduler, the external-task version only `1 + ranks` at
 //! startup. These counters make those formulas measurable in the real
 //! runtime (integration tests assert them) and calibrate the DES models.
+//!
+//! [`METRICS`] is the single definition of each metric: identifier, JSON
+//! path, Prometheus family, HELP text, kind and unit. The JSON snapshot, the
+//! `/metrics` text ([`crate::snapshot`]) and the flight recorder's rates
+//! ([`crate::telemetry`]) are all derived from it, so adding a scalar
+//! counter is one row plus one [`SchedulerStats::add`] call.
 
 use crate::key::SessionId;
 use crate::optimize::OptimizeReport;
@@ -12,138 +19,91 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Classes of messages arriving at the scheduler, plus data-plane traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgClass {
-    /// `SubmitGraph` messages.
-    GraphSubmit,
-    /// Individual task specs received across all submissions.
-    TaskSubmitted,
-    /// `RegisterExternal` messages.
-    RegisterExternal,
-    /// `UpdateData` messages from classic scatter (metadata-bearing).
-    UpdateData,
-    /// `UpdateData` messages in external mode (§2.2): completion
-    /// notifications of external tasks — the paper does not count these as
-    /// metadata.
-    UpdateDataExternal,
-    /// `TaskFinished`/`TaskErred` worker reports.
-    TaskReport,
-    /// `WantResult` requests.
-    WantResult,
-    /// Variable operations (set/get/del).
-    Variable,
-    /// Queue operations (push/pop).
-    Queue,
-    /// Heartbeats.
-    Heartbeat,
-    /// Scatter payload messages client→worker (data plane).
-    ScatterData,
-    /// Gather payload messages worker→client (data plane).
-    GatherData,
-    /// Peer dependency fetches worker→worker (data plane).
-    PeerFetch,
-    /// `AddReplica` reports from workers that cached remote blocks.
-    AddReplica,
-    /// Worker liveness pings (off unless failure detection is enabled; never
-    /// part of the paper's bridge-metadata accounting).
-    WorkerHeartbeat,
+/// An enum whose variants each carry a stable snake_case name: `ALL`,
+/// `COUNT`, `name()` and the array index (`as usize`) all come from the one
+/// list, so they cannot drift apart.
+macro_rules! named_enum {
+    ($(#[$meta:meta])* pub enum $Name:ident {
+        $($(#[$vmeta:meta])* $Variant:ident => $name:literal,)+
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $Name {
+            $($(#[$vmeta])* $Variant,)+
+        }
+
+        impl $Name {
+            /// Number of variants.
+            pub const COUNT: usize = [$($name),+].len();
+
+            /// Every variant, in declaration order (the order renderers iterate).
+            pub const ALL: [$Name; $Name::COUNT] = [$($Name::$Variant),+];
+
+            /// Stable snake_case name (JSON key, Prometheus label value).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($Name::$Variant => $name,)+
+                }
+            }
+        }
+    };
 }
 
-const N_CLASSES: usize = 15;
-
-impl MsgClass {
-    /// Every class, in a stable order (snapshot serialization iterates this).
-    pub const ALL: [MsgClass; N_CLASSES] = [
-        MsgClass::GraphSubmit,
-        MsgClass::TaskSubmitted,
-        MsgClass::RegisterExternal,
-        MsgClass::UpdateData,
-        MsgClass::UpdateDataExternal,
-        MsgClass::TaskReport,
-        MsgClass::WantResult,
-        MsgClass::Variable,
-        MsgClass::Queue,
-        MsgClass::Heartbeat,
-        MsgClass::ScatterData,
-        MsgClass::GatherData,
-        MsgClass::PeerFetch,
-        MsgClass::AddReplica,
-        MsgClass::WorkerHeartbeat,
-    ];
-
-    /// Stable snake_case name (snapshot / Prometheus label).
-    pub fn name(self) -> &'static str {
-        match self {
-            MsgClass::GraphSubmit => "graph_submit",
-            MsgClass::TaskSubmitted => "task_submitted",
-            MsgClass::RegisterExternal => "register_external",
-            MsgClass::UpdateData => "update_data",
-            MsgClass::UpdateDataExternal => "update_data_external",
-            MsgClass::TaskReport => "task_report",
-            MsgClass::WantResult => "want_result",
-            MsgClass::Variable => "variable",
-            MsgClass::Queue => "queue",
-            MsgClass::Heartbeat => "heartbeat",
-            MsgClass::ScatterData => "scatter_data",
-            MsgClass::GatherData => "gather_data",
-            MsgClass::PeerFetch => "peer_fetch",
-            MsgClass::AddReplica => "add_replica",
-            MsgClass::WorkerHeartbeat => "worker_heartbeat",
-        }
+named_enum! {
+    /// Classes of messages arriving at the scheduler, plus data-plane traffic.
+    pub enum MsgClass {
+        /// `SubmitGraph` messages.
+        GraphSubmit => "graph_submit",
+        /// Individual task specs received across all submissions.
+        TaskSubmitted => "task_submitted",
+        /// `RegisterExternal` messages.
+        RegisterExternal => "register_external",
+        /// `UpdateData` messages from classic scatter (metadata-bearing).
+        UpdateData => "update_data",
+        /// `UpdateData` messages in external mode (§2.2): completion
+        /// notifications of external tasks — the paper does not count these
+        /// as metadata.
+        UpdateDataExternal => "update_data_external",
+        /// `TaskFinished`/`TaskErred` worker reports.
+        TaskReport => "task_report",
+        /// `WantResult` requests.
+        WantResult => "want_result",
+        /// Variable operations (set/get/del).
+        Variable => "variable",
+        /// Queue operations (push/pop).
+        Queue => "queue",
+        /// Heartbeats.
+        Heartbeat => "heartbeat",
+        /// Scatter payload messages client→worker (data plane).
+        ScatterData => "scatter_data",
+        /// Gather payload messages worker→client (data plane).
+        GatherData => "gather_data",
+        /// Peer dependency fetches worker→worker (data plane).
+        PeerFetch => "peer_fetch",
+        /// `AddReplica` reports from workers that cached remote blocks.
+        AddReplica => "add_replica",
+        /// Worker liveness pings (off unless failure detection is enabled;
+        /// never part of the paper's bridge-metadata accounting).
+        WorkerHeartbeat => "worker_heartbeat",
     }
 }
 
-/// Destination lanes of the framed transport backends. One lane per
-/// payload family, so "scheduler inbound" — the paper's bottleneck — is a
-/// single counter read. Only the Framed/SimNet backends record here;
-/// InProc stays at zero by design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireLane {
-    /// Messages into the scheduler (the centralized bottleneck).
-    SchedIn,
-    /// Assignments into worker executor inboxes.
-    ExecIn,
-    /// Requests into worker data servers.
-    DataIn,
-    /// Notifications into client inboxes.
-    ClientIn,
-    /// Correlated replies (acks, gather payloads, stats).
-    ReplyIn,
-}
-
-/// Number of [`WireLane`]s.
-pub const N_WIRE_LANES: usize = 5;
-
-impl WireLane {
-    /// Every lane, in a stable order (snapshot serialization iterates this).
-    pub const ALL: [WireLane; N_WIRE_LANES] = [
-        WireLane::SchedIn,
-        WireLane::ExecIn,
-        WireLane::DataIn,
-        WireLane::ClientIn,
-        WireLane::ReplyIn,
-    ];
-
-    /// Stable snake_case name (snapshot / Prometheus label).
-    pub fn name(self) -> &'static str {
-        match self {
-            WireLane::SchedIn => "sched_in",
-            WireLane::ExecIn => "exec_in",
-            WireLane::DataIn => "data_in",
-            WireLane::ClientIn => "client_in",
-            WireLane::ReplyIn => "reply_in",
-        }
-    }
-}
-
-fn lane_idx(lane: WireLane) -> usize {
-    match lane {
-        WireLane::SchedIn => 0,
-        WireLane::ExecIn => 1,
-        WireLane::DataIn => 2,
-        WireLane::ClientIn => 3,
-        WireLane::ReplyIn => 4,
+named_enum! {
+    /// Destination lanes of the framed transport backends. One lane per
+    /// payload family, so "scheduler inbound" — the paper's bottleneck — is
+    /// a single counter read. Only the Framed/SimNet/Tcp backends record
+    /// here; InProc stays at zero by design.
+    pub enum WireLane {
+        /// Messages into the scheduler (the centralized bottleneck).
+        SchedIn => "sched_in",
+        /// Assignments into worker executor inboxes.
+        ExecIn => "exec_in",
+        /// Requests into worker data servers.
+        DataIn => "data_in",
+        /// Notifications into client inboxes.
+        ClientIn => "client_in",
+        /// Correlated replies (acks, gather payloads, stats).
+        ReplyIn => "reply_in",
     }
 }
 
@@ -155,6 +115,7 @@ pub const N_LAT_BUCKETS: usize = 36;
 /// A log₂-bucketed latency histogram over nanosecond samples. Recording is a
 /// couple of relaxed `fetch_add`s — the same cost class as the message
 /// counters, so the histograms stay on even when event tracing is off.
+/// Read it through [`crate::snapshot::HistSnapshot::capture`].
 #[derive(Debug)]
 pub struct LatencyHist {
     buckets: [AtomicU64; N_LAT_BUCKETS],
@@ -172,15 +133,11 @@ impl Default for LatencyHist {
     }
 }
 
-/// Bucket index of one nanosecond sample.
-fn lat_bucket(ns: u64) -> usize {
-    (63 - (ns | 1).leading_zeros() as usize).min(N_LAT_BUCKETS - 1)
-}
-
 impl LatencyHist {
     /// Record one sample.
     pub fn record(&self, ns: u64) {
-        self.buckets[lat_bucket(ns)].fetch_add(1, Ordering::Relaxed);
+        let bucket = (63 - (ns | 1).leading_zeros() as usize).min(N_LAT_BUCKETS - 1);
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -195,181 +152,10 @@ impl LatencyHist {
         self.sum_ns.load(Ordering::Relaxed)
     }
 
-    /// Mean sample in nanoseconds; `0.0` for an empty histogram (never NaN).
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_ns() as f64 / n as f64
-        }
-    }
-
-    /// Approximate quantile (`0.0..=1.0`): upper bound of the bucket holding
-    /// the q-th sample. `0` for an empty histogram.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << N_LAT_BUCKETS
-    }
-
     /// Raw bucket counts.
     pub fn buckets(&self) -> [u64; N_LAT_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
-}
-
-fn idx(class: MsgClass) -> usize {
-    match class {
-        MsgClass::GraphSubmit => 0,
-        MsgClass::TaskSubmitted => 1,
-        MsgClass::RegisterExternal => 2,
-        MsgClass::UpdateData => 3,
-        MsgClass::UpdateDataExternal => 12,
-        MsgClass::TaskReport => 4,
-        MsgClass::WantResult => 5,
-        MsgClass::Variable => 6,
-        MsgClass::Queue => 7,
-        MsgClass::Heartbeat => 8,
-        MsgClass::ScatterData => 9,
-        MsgClass::GatherData => 10,
-        MsgClass::PeerFetch => 11,
-        MsgClass::AddReplica => 13,
-        MsgClass::WorkerHeartbeat => 14,
-    }
-}
-
-/// Cluster-wide counters, shared via `Arc` by every actor.
-#[derive(Debug, Default)]
-pub struct SchedulerStats {
-    counts: [AtomicU64; N_CLASSES],
-    bytes: [AtomicU64; N_CLASSES],
-    /// Framed/SimNet transport: messages per destination lane.
-    wire_msgs: [AtomicU64; N_WIRE_LANES],
-    /// Framed/SimNet transport: real serialized bytes per destination lane.
-    wire_bytes: [AtomicU64; N_WIRE_LANES],
-    /// Dependency-gather batches that needed ≥1 remote fetch.
-    gather_batches: AtomicU64,
-    /// Remote dependencies fetched across all gathers.
-    gather_deps: AtomicU64,
-    /// Wall time spent waiting on remote dependency gathers.
-    gather_wait_ns: AtomicU64,
-    /// Wall time executor slots spent running tasks (gather + compute).
-    exec_busy_ns: AtomicU64,
-    /// Wall time executor slots spent blocked on an empty inbox.
-    exec_idle_ns: AtomicU64,
-    /// Tasks in client-submitted graphs before optimization.
-    optimize_tasks_in: AtomicU64,
-    /// Specs actually sent to the scheduler after cull + fuse.
-    optimize_tasks_out: AtomicU64,
-    /// Tasks dropped by the cull pass.
-    optimize_culled: AtomicU64,
-    /// Fused chains produced.
-    fused_chains: AtomicU64,
-    /// Original tasks absorbed into fused chains.
-    fused_stages: AtomicU64,
-    /// Fused-chain length histogram, bucketed by [`size_bucket`].
-    fused_chain_hist: [AtomicU64; N_SIZE_BUCKETS],
-    /// Scheduler inbox bursts drained.
-    ingest_bursts: AtomicU64,
-    /// Messages absorbed across all bursts.
-    ingest_msgs: AtomicU64,
-    /// Burst-size histogram, bucketed by [`size_bucket`].
-    burst_hist: [AtomicU64; N_SIZE_BUCKETS],
-    /// Placement passes run (once per burst in batched mode).
-    assign_passes: AtomicU64,
-    /// Wall time spent inside placement passes.
-    assign_pass_ns: AtomicU64,
-    /// Tasks assigned to workers.
-    assign_tasks: AtomicU64,
-    /// `Execute`/`ExecuteBatch` messages sent to workers.
-    assign_messages: AtomicU64,
-    /// Latency of each dependency-gather batch (wall wait per batch).
-    gather_wait_hist: LatencyHist,
-    /// Latency of each task execution (op/fused-chain compute time).
-    exec_hist: LatencyHist,
-    /// Queue delay: scheduler assignment → executor slot dequeue, per task.
-    queue_delay_hist: LatencyHist,
-    /// Latency of each placement pass.
-    assign_pass_hist: LatencyHist,
-    /// Peers (workers or clients) declared dead by the liveness sweep.
-    fault_peers_lost: AtomicU64,
-    /// Distinct peers whose heartbeats the scheduler has tracked.
-    fault_peers_tracked: AtomicU64,
-    /// Tasks re-queued after their worker died or a gather hit a dead peer.
-    fault_tasks_resubmitted: AtomicU64,
-    /// Tasks that ran out of their bounded retry budget and erred.
-    fault_retries_exhausted: AtomicU64,
-    /// External blocks lost with their only replica (unrecoverable).
-    fault_external_blocks_lost: AtomicU64,
-    /// Memory results whose spec allowed a recompute after data loss.
-    fault_recomputes: AtomicU64,
-    /// Messages dropped by an injected [`FaultPlan`](crate::transport::FaultPlan).
-    fault_injected_drops: AtomicU64,
-    /// Workers killed by fault injection.
-    fault_injected_kills: AtomicU64,
-    /// `StealRequest` messages from idle workers.
-    steal_requests: AtomicU64,
-    /// Steal attempts that found nothing to take (no loaded peer, or the
-    /// victim's queue drained before the steal arrived).
-    steal_misses: AtomicU64,
-    /// Assignments successfully re-pointed from a victim to a thief.
-    tasks_stolen: AtomicU64,
-    /// Object-store gets served from memory.
-    store_hits: AtomicU64,
-    /// Object-store gets of absent keys.
-    store_misses: AtomicU64,
-    /// Entries evicted from memory to disk under the store budget.
-    store_spills: AtomicU64,
-    /// Spilled entries restored back into memory on access.
-    store_restores: AtomicU64,
-    /// Payload bytes written to spill files.
-    store_spill_bytes: AtomicU64,
-    /// Payloads published out-of-band in place of inline control values.
-    proxy_puts: AtomicU64,
-    /// Payload bytes published out-of-band (kept off the control path).
-    proxy_put_bytes: AtomicU64,
-    /// Proxy handles resolved via a data-lane `Fetch` to the holder.
-    proxy_fetches: AtomicU64,
-    /// Payload bytes moved by proxy resolution on the data lane.
-    proxy_fetch_bytes: AtomicU64,
-    /// Task executions flagged as stragglers by the online detector
-    /// (exec duration > k× the robust per-op baseline).
-    stragglers_flagged: AtomicU64,
-    /// Client notifications the scheduler dropped because the target client
-    /// was no longer registered (disconnected or declared dead mid-flight).
-    notifies_dropped: AtomicU64,
-    /// Graphs rejected by per-session admission control (all tenants).
-    admission_rejections: AtomicU64,
-    /// Per-tenant counters, keyed by session id. Touched only on the
-    /// multi-tenant path (scoped messages), so single-tenant clusters never
-    /// take this lock and their accounting stays identical to the seed.
-    tenants: Mutex<HashMap<SessionId, TenantCounters>>,
-}
-
-/// Per-session (tenant) counters surfaced in `StatsSnapshot` and `/metrics`.
-/// These live outside [`MsgClass`] so the paper's control/bridge message
-/// accounting is never polluted by tenancy bookkeeping.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct TenantCounters {
-    /// Task specs submitted by this session (post-optimizer).
-    pub tasks: u64,
-    /// Result bytes produced by this session's tasks.
-    pub bytes: u64,
-    /// Tasks currently in flight (submitted, not yet terminal) — a gauge.
-    pub queue_depth: u64,
-    /// Graphs rejected by admission control.
-    pub admission_rejections: u64,
 }
 
 /// Histogram bucket count shared by the fused-chain and burst histograms.
@@ -390,298 +176,415 @@ pub fn size_bucket(n: u64) -> usize {
 /// Human-readable labels for [`size_bucket`] (reports and bench output).
 pub const SIZE_BUCKET_LABELS: [&str; N_SIZE_BUCKETS] = ["<=1", "2", "3-4", "5-8", "9-16", ">16"];
 
-impl SchedulerStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        SchedulerStats::default()
+/// The four latency histograms of a [`SchedulerStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hist {
+    /// Wall wait of each dependency-gather batch.
+    GatherWait,
+    /// Each task execution (op or fused-chain compute time).
+    Exec,
+    /// Queue delay: scheduler assignment → executor slot dequeue, per task.
+    QueueDelay,
+    /// Each placement pass.
+    AssignPass,
+}
+
+/// The two size histograms (bucketed by [`size_bucket`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SizeHist {
+    /// Fused-chain lengths.
+    FusedChain,
+    /// Scheduler inbox burst sizes.
+    Burst,
+}
+
+// ---- the registry -------------------------------------------------------------
+
+named_enum! {
+    /// Top-level sections of the JSON snapshot, in document order.
+    pub enum Section {
+        Messages => "messages",
+        PaperMetrics => "paper_metrics",
+        Gather => "gather",
+        Executors => "executors",
+        Optimizer => "optimizer",
+        Ingest => "ingest",
+        Assign => "assign",
+        Wire => "wire",
+        Fault => "fault",
+        Steal => "steal",
+        Store => "store",
+        Trace => "trace",
+        Telemetry => "telemetry",
+        Tenancy => "tenancy",
+    }
+}
+
+named_enum! {
+    /// Prometheus metric type of a row.
+    pub enum Kind {
+        /// Monotonic; its family name ends in `_total`.
+        Counter => "counter",
+        /// A value that can go down.
+        Gauge => "gauge",
+        /// A bucketed distribution.
+        Histogram => "histogram",
+    }
+}
+
+named_enum! {
+    /// Unit of a row's value. JSON carries it as recorded; the exposition
+    /// follows Prometheus base units, so [`Unit::Nanos`] renders in seconds.
+    pub enum Unit {
+        /// Dimensionless events (messages, tasks, peers, ...).
+        Count => "count",
+        /// Bytes.
+        Bytes => "bytes",
+        /// Nanoseconds.
+        Nanos => "ns",
+        /// A fraction or mean of two other rows.
+        Ratio => "ratio",
+    }
+}
+
+/// Where a row's value comes from, and so how the renderers lay it out.
+#[derive(Debug, Clone, Copy)]
+pub enum Source {
+    /// One slot of the flat counter array.
+    Scalar(Metric),
+    /// An integer computed from other rows.
+    Sum(fn(&Counters<u64>) -> u64),
+    /// A ratio computed from other rows.
+    Ratio(fn(&Counters<u64>) -> f64),
+    /// One value per message class: label `class`, JSON
+    /// `<section>.<class>.<key>`.
+    PerClass(fn(&Counters<u64>, MsgClass) -> u64),
+    /// One value per wire lane: label `lane`, JSON
+    /// `<section>.lanes.<lane>.<key>`.
+    PerLane(fn(&Counters<u64>, WireLane) -> u64),
+    /// One value per tenant: label `session`, JSON
+    /// `<section>.sessions.<id>.<key>`; no samples on single-tenant clusters.
+    PerTenant(fn(&TenantCounters) -> u64),
+    /// A latency histogram.
+    Latency(Hist),
+    /// A size histogram, keyed by [`SIZE_BUCKET_LABELS`].
+    Sizes(SizeHist),
+}
+
+/// One row of the registry: everything the renderers and the docs need to
+/// know about a metric.
+#[derive(Debug, Clone, Copy)]
+pub struct MetricDef {
+    /// Unique identifier; also the name of the row's getter.
+    pub id: &'static str,
+    /// JSON section the value lives in.
+    pub section: Section,
+    /// JSON key within the section (within the per-label object for
+    /// labelled rows).
+    pub key: &'static str,
+    /// Prometheus family; `None` for rows a scraper derives from other
+    /// families (a histogram's `_sum`, a sum over labels, a ratio).
+    pub family: Option<&'static str>,
+    /// Prometheus type.
+    pub kind: Kind,
+    /// Unit of the recorded value.
+    pub unit: Unit,
+    /// One-line description (the `# HELP` text).
+    pub help: &'static str,
+    /// Where the value comes from.
+    pub source: Source,
+}
+
+/// Declares the registry. A row is
+/// `[Variant] id: Section "key" => "family", Kind, Unit, "help";` for a scalar
+/// counter (generating the [`Metric`] variant and the `id()` getter), or
+/// starts with `(source)` instead of `[Variant]` for any other [`Source`];
+/// `=> "family"` is left out for JSON-only rows. Row order is the order of
+/// the exposition and of the keys within a JSON section.
+macro_rules! metrics {
+    (@family) => { None };
+    (@family $family:literal) => { Some($family) };
+    (@source [$Variant:ident]) => { Source::Scalar(Metric::$Variant) };
+    (@source ($source:expr)) => { $source };
+    ($(
+        $([$Variant:ident])? $(($source:expr))? $id:ident:
+        $Section:ident $key:literal $(=> $family:literal)?, $Kind:ident, $Unit:ident, $help:literal;
+    )+) => {
+        /// Identifier of one scalar counter: a slot of the flat array behind
+        /// [`SchedulerStats::add`] and [`Counters::get`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Metric {
+            $($(#[doc = $help] $Variant,)?)+
+        }
+
+        impl Metric {
+            /// Number of scalar counters.
+            pub const COUNT: usize = [$($(Metric::$Variant,)?)+].len();
+        }
+
+        /// The registry: every metric, defined once.
+        pub const METRICS: &[MetricDef] = &[$(
+            MetricDef {
+                id: stringify!($id),
+                section: Section::$Section,
+                key: $key,
+                family: metrics!(@family $($family)?),
+                kind: Kind::$Kind,
+                unit: Unit::$Unit,
+                help: $help,
+                source: metrics!(@source $([$Variant])? $(($source))?),
+            },
+        )+];
+
+        /// One getter per scalar row, named after the row.
+        impl<T: Cell> Counters<T> {
+            $($(
+                #[doc = $help]
+                pub fn $id(&self) -> u64 {
+                    self.get(Metric::$Variant)
+                }
+            )?)+
+        }
+    };
+}
+
+metrics! {
+    (Source::PerClass(Counters::count)) count: Messages "count" => "dtask_messages_total", Counter, Count,
+        "Messages recorded at the scheduler by class.";
+    (Source::PerClass(Counters::bytes)) bytes: Messages "bytes" => "dtask_message_bytes_total", Counter, Bytes,
+        "Payload bytes recorded at the scheduler by class.";
+    (Source::Sum(Counters::scheduler_control_messages)) scheduler_control_messages:
+        PaperMetrics "scheduler_control_messages" => "dtask_scheduler_control_messages_total", Counter, Count,
+        "Control-plane messages that hit the scheduler (the paper's bottleneck metric).";
+    (Source::Sum(Counters::bridge_metadata_messages)) bridge_metadata_messages:
+        PaperMetrics "bridge_metadata_messages" => "dtask_bridge_metadata_messages_total", Counter, Count,
+        "Bridge/client metadata messages per the paper's section 2.1 accounting.";
+    (Source::PerLane(Counters::wire_messages)) wire_messages: Wire "messages" => "dtask_wire_messages_total", Counter, Count,
+        "Framed transport messages encoded, by destination lane.";
+    (Source::PerLane(Counters::wire_bytes)) wire_bytes: Wire "bytes" => "dtask_wire_bytes_total", Counter, Bytes,
+        "Serialized bytes-on-the-wire, by destination lane.";
+    (Source::Sum(Counters::wire_total_messages)) wire_total_messages: Wire "total_messages", Counter, Count,
+        "Framed transport messages encoded, all lanes (zero under InProc).";
+    (Source::Sum(Counters::wire_total_bytes)) wire_total_bytes: Wire "total_bytes", Counter, Bytes,
+        "Serialized bytes-on-the-wire, all lanes (zero under InProc).";
+    [ExecBusyNs] exec_busy_ns: Executors "busy_ns", Counter, Nanos,
+        "Wall time executor slots spent running tasks (gather plus compute).";
+    [ExecIdleNs] exec_idle_ns: Executors "idle_ns", Counter, Nanos,
+        "Wall time executor slots spent blocked on an empty inbox.";
+    (Source::Ratio(Counters::executor_utilization)) executor_utilization:
+        Executors "utilization" => "dtask_executor_utilization", Gauge, Ratio,
+        "Executor busy time over busy plus idle time.";
+    [GatherBatches] gather_batches: Gather "batches" => "dtask_gather_batches_total", Counter, Count,
+        "Dependency gathers that needed at least one remote fetch.";
+    [GatherDeps] gather_deps: Gather "remote_deps" => "dtask_gather_remote_deps_total", Counter, Count,
+        "Remote dependencies fetched across all gathers.";
+    [GatherWaitNs] gather_wait_ns: Gather "wait_ns", Counter, Nanos,
+        "Wall time waiting on dependency gathers: the _sum of the gather-wait histogram.";
+    [IngestBursts] ingest_bursts: Ingest "bursts" => "dtask_ingest_bursts_total", Counter, Count,
+        "Scheduler inbox bursts drained.";
+    [IngestMsgs] ingest_msgs: Ingest "messages" => "dtask_ingest_messages_total", Counter, Count,
+        "Messages absorbed across all inbox bursts.";
+    (Source::Ratio(Counters::avg_msgs_per_burst)) avg_msgs_per_burst: Ingest "avg_msgs_per_burst", Gauge, Ratio,
+        "Mean messages absorbed per inbox burst.";
+    (Source::Sizes(SizeHist::Burst)) burst_hist: Ingest "burst_hist", Histogram, Count,
+        "Inbox burst sizes, bucketed <=1, 2, 3-4, 5-8, 9-16, >16.";
+    [AssignPasses] assign_passes: Assign "passes" => "dtask_assign_passes_total", Counter, Count,
+        "Scheduler placement passes run.";
+    [AssignPassNs] assign_pass_ns: Assign "pass_ns", Counter, Nanos,
+        "Wall time inside placement passes: the _sum of the placement-pass histogram.";
+    [AssignTasks] assign_tasks: Assign "tasks" => "dtask_assign_tasks_total", Counter, Count,
+        "Tasks assigned to workers.";
+    [AssignMessages] assign_messages: Assign "messages" => "dtask_assign_messages_total", Counter, Count,
+        "Execute/ExecuteBatch messages sent to workers.";
+    (Source::Ratio(Counters::avg_tasks_per_assign_message)) avg_tasks_per_assign_message:
+        Assign "avg_tasks_per_message", Gauge, Ratio,
+        "Mean tasks shipped per scheduler-to-worker message.";
+    [OptimizeTasksIn] optimize_tasks_in: Optimizer "tasks_in" => "dtask_optimize_tasks_in_total", Counter, Count,
+        "Tasks in submitted graphs before optimization.";
+    [OptimizeTasksOut] optimize_tasks_out: Optimizer "tasks_out" => "dtask_optimize_tasks_out_total", Counter, Count,
+        "Specs sent to the scheduler after cull and fuse.";
+    [OptimizeCulled] optimize_culled: Optimizer "culled" => "dtask_optimize_culled_total", Counter, Count,
+        "Tasks dropped by the optimizer cull pass.";
+    [FusedChains] fused_chains: Optimizer "fused_chains", Counter, Count,
+        "Fused chains produced by the optimizer.";
+    [FusedStages] fused_stages: Optimizer "fused_stages", Counter, Count,
+        "Original tasks absorbed into fused chains (chain lengths summed).";
+    (Source::Sizes(SizeHist::FusedChain)) fused_chain_hist: Optimizer "chain_hist", Histogram, Count,
+        "Fused-chain lengths, bucketed <=1, 2, 3-4, 5-8, 9-16, >16.";
+    [PeersLost] peers_lost: Fault "peers_lost" => "dtask_fault_peers_lost_total", Counter, Count,
+        "Peers declared dead by the liveness sweep.";
+    [PeersTracked] peers_tracked: Fault "peers_tracked" => "dtask_fault_peers_tracked_total", Counter, Count,
+        "Distinct peers whose heartbeats were tracked.";
+    [TasksResubmitted] tasks_resubmitted: Fault "tasks_resubmitted" => "dtask_fault_tasks_resubmitted_total", Counter, Count,
+        "Tasks re-queued after a peer loss.";
+    [RetriesExhausted] retries_exhausted: Fault "retries_exhausted" => "dtask_fault_retries_exhausted_total", Counter, Count,
+        "Tasks failed after exhausting their retry budget.";
+    [ExternalBlocksLost] external_blocks_lost:
+        Fault "external_blocks_lost" => "dtask_fault_external_blocks_lost_total", Counter, Count,
+        "External blocks lost beyond recovery.";
+    [Recomputes] recomputes: Fault "recomputes" => "dtask_fault_recomputes_total", Counter, Count,
+        "Lost results re-queued for recompute.";
+    [InjectedDrops] injected_drops: Fault "injected_drops" => "dtask_fault_injected_drops_total", Counter, Count,
+        "Messages dropped by the active fault-injection plan.";
+    [InjectedKills] injected_kills: Fault "injected_kills" => "dtask_fault_injected_kills_total", Counter, Count,
+        "Workers killed by fault injection.";
+    [StealRequests] steal_requests: Steal "requests" => "dtask_steal_requests_total", Counter, Count,
+        "StealRequest messages from idle workers.";
+    [StealMisses] steal_misses: Steal "misses" => "dtask_steal_misses_total", Counter, Count,
+        "Steal attempts that found nothing to take.";
+    [TasksStolen] tasks_stolen: Steal "tasks_stolen" => "dtask_steal_tasks_stolen_total", Counter, Count,
+        "Assignments re-pointed from a victim to a thief.";
+    [StoreHits] store_hits: Store "hits" => "dtask_store_hits_total", Counter, Count,
+        "Object-store lookups answered from memory.";
+    [StoreMisses] store_misses: Store "misses" => "dtask_store_misses_total", Counter, Count,
+        "Object-store lookups that found nothing.";
+    [StoreSpills] store_spills: Store "spills" => "dtask_store_spills_total", Counter, Count,
+        "Store entries spilled to disk under memory pressure.";
+    [StoreRestores] store_restores: Store "restores" => "dtask_store_restores_total", Counter, Count,
+        "Spilled store entries restored on access.";
+    [StoreSpillBytes] store_spill_bytes: Store "spill_bytes" => "dtask_store_spill_bytes_total", Counter, Bytes,
+        "Payload bytes written by store spills.";
+    [ProxyPuts] proxy_puts: Store "proxy_puts" => "dtask_proxy_puts_total", Counter, Count,
+        "Payloads published out-of-band behind proxy handles.";
+    [ProxyPutBytes] proxy_put_bytes: Store "proxy_put_bytes" => "dtask_proxy_put_bytes_total", Counter, Bytes,
+        "Payload bytes published out-of-band.";
+    [ProxyFetches] proxy_fetches: Store "proxy_fetches" => "dtask_proxy_fetches_total", Counter, Count,
+        "Proxy handles resolved by fetching from a holder.";
+    [ProxyFetchBytes] proxy_fetch_bytes: Store "proxy_fetch_bytes" => "dtask_proxy_fetch_bytes_total", Counter, Bytes,
+        "Payload bytes moved by proxy-handle resolution.";
+    [TraceDropped] trace_dropped: Trace "dropped" => "dtask_trace_dropped_total", Counter, Count,
+        "Trace events lost to full per-actor rings.";
+    [StragglersFlagged] stragglers_flagged: Telemetry "stragglers_flagged" => "dtask_stragglers_flagged_total", Counter, Count,
+        "Task executions flagged as stragglers by the online detector.";
+    [NotifiesDropped] notifies_dropped: Tenancy "notifies_dropped" => "dtask_sched_notifies_dropped_total", Counter, Count,
+        "Client notifications dropped because the client channel was gone.";
+    [AdmissionRejections] admission_rejections:
+        Tenancy "admission_rejections" => "dtask_admission_rejections_total", Counter, Count,
+        "Graphs rejected by per-session admission control, all tenants.";
+    (Source::PerTenant(|t| t.tasks)) tenant_tasks: Tenancy "tasks" => "dtask_tenant_tasks_total", Counter, Count,
+        "Tasks admitted per session.";
+    (Source::PerTenant(|t| t.bytes)) tenant_bytes: Tenancy "bytes" => "dtask_tenant_bytes_total", Counter, Bytes,
+        "Result payload bytes reported per session.";
+    (Source::PerTenant(|t| t.queue_depth)) tenant_queue_depth: Tenancy "queue_depth" => "dtask_tenant_queue_depth", Gauge, Count,
+        "In-flight tasks per session.";
+    (Source::PerTenant(|t| t.admission_rejections)) tenant_admission_rejections:
+        Tenancy "admission_rejections" => "dtask_tenant_admission_rejections_total", Counter, Count,
+        "Graphs rejected by admission control per session.";
+    (Source::Latency(Hist::GatherWait)) gather_wait_hist: Gather "wait_hist" => "dtask_gather_wait_seconds", Histogram, Nanos,
+        "Wall time spent waiting on dependency gathers.";
+    (Source::Latency(Hist::Exec)) exec_hist: Executors "exec_hist" => "dtask_exec_seconds", Histogram, Nanos,
+        "Task op or fused-chain execution time.";
+    (Source::Latency(Hist::QueueDelay)) queue_delay_hist: Executors "queue_delay_hist" => "dtask_queue_delay_seconds", Histogram, Nanos,
+        "Delay between scheduler assignment and slot dequeue.";
+    (Source::Latency(Hist::AssignPass)) assign_pass_hist: Assign "pass_hist" => "dtask_assign_pass_seconds", Histogram, Nanos,
+        "Wall time of one scheduler placement pass.";
+}
+
+// ---- storage ------------------------------------------------------------------
+
+/// One counter cell: live (`AtomicU64`) or captured (`u64`).
+pub trait Cell: Default {
+    /// The current value (a relaxed load on a live cell).
+    fn load(&self) -> u64;
+}
+
+impl Cell for AtomicU64 {
+    fn load(&self) -> u64 {
+        AtomicU64::load(self, Ordering::Relaxed)
+    }
+}
+
+impl Cell for u64 {
+    fn load(&self) -> u64 {
+        *self
+    }
+}
+
+// Regions of the flat cell array: the scalars, then the labelled families.
+const CLASS_COUNTS: usize = Metric::COUNT;
+const CLASS_BYTES: usize = CLASS_COUNTS + MsgClass::COUNT;
+const WIRE_MSGS: usize = CLASS_BYTES + MsgClass::COUNT;
+const WIRE_BYTES: usize = WIRE_MSGS + WireLane::COUNT;
+const SIZES: usize = WIRE_BYTES + WireLane::COUNT;
+const N_CELLS: usize = SIZES + 2 * N_SIZE_BUCKETS;
+
+/// Every counter as one flat array: live inside [`SchedulerStats`]
+/// (`AtomicU64` cells), or captured as plain values (`u64` cells) in a
+/// [`crate::snapshot::StatsSnapshot`] and in the flight sampler's cursor.
+/// Every reader, generated or derived, is written once against both.
+#[derive(Debug, Clone)]
+pub struct Counters<T> {
+    cells: [T; N_CELLS],
+}
+
+impl<T: Cell> Default for Counters<T> {
+    fn default() -> Self {
+        Counters {
+            cells: std::array::from_fn(|_| T::default()),
+        }
+    }
+}
+
+/// `a / b` with an empty-run guard: `0.0` when `b == 0`, never NaN.
+pub(crate) fn ratio(a: u64, b: u64) -> f64 {
+    if b == 0 {
+        0.0
+    } else {
+        a as f64 / b as f64
+    }
+}
+
+impl<T: Cell> Counters<T> {
+    /// Copy every cell out.
+    pub fn capture(&self) -> Counters<u64> {
+        Counters {
+            cells: std::array::from_fn(|i| self.cells[i].load()),
+        }
     }
 
-    /// Record one message of `class` carrying `nbytes` payload.
-    pub fn record(&self, class: MsgClass, nbytes: u64) {
-        self.counts[idx(class)].fetch_add(1, Ordering::Relaxed);
-        self.bytes[idx(class)].fetch_add(nbytes, Ordering::Relaxed);
-    }
-
-    /// Record `n` messages at once.
-    pub fn record_n(&self, class: MsgClass, n: u64, nbytes: u64) {
-        self.counts[idx(class)].fetch_add(n, Ordering::Relaxed);
-        self.bytes[idx(class)].fetch_add(nbytes, Ordering::Relaxed);
+    /// Value of one scalar counter.
+    pub fn get(&self, metric: Metric) -> u64 {
+        self.cells[metric as usize].load()
     }
 
     /// Message count of one class.
     pub fn count(&self, class: MsgClass) -> u64 {
-        self.counts[idx(class)].load(Ordering::Relaxed)
+        self.cells[CLASS_COUNTS + class as usize].load()
     }
 
     /// Byte volume of one class.
     pub fn bytes(&self, class: MsgClass) -> u64 {
-        self.bytes[idx(class)].load(Ordering::Relaxed)
-    }
-
-    /// Record one dependency-gather batch: `deps` remote fetches resolved in
-    /// `wait_ns` of wall time (concurrent fetches overlap inside one batch).
-    pub fn record_gather(&self, deps: u64, wait_ns: u64) {
-        self.gather_batches.fetch_add(1, Ordering::Relaxed);
-        self.gather_deps.fetch_add(deps, Ordering::Relaxed);
-        self.gather_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        self.gather_wait_hist.record(wait_ns);
-    }
-
-    /// Record time an executor slot spent running a task.
-    pub fn record_exec_busy(&self, ns: u64) {
-        self.exec_busy_ns.fetch_add(ns, Ordering::Relaxed);
-        self.exec_hist.record(ns);
-    }
-
-    /// Record one task's queue delay: scheduler assignment → slot dequeue.
-    pub fn record_queue_delay(&self, ns: u64) {
-        self.queue_delay_hist.record(ns);
-    }
-
-    /// Record time an executor slot spent waiting for work.
-    pub fn record_exec_idle(&self, ns: u64) {
-        self.exec_idle_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Number of gather batches that hit the network (≥1 remote dep).
-    pub fn gather_batches(&self) -> u64 {
-        self.gather_batches.load(Ordering::Relaxed)
-    }
-
-    /// Remote dependencies fetched across all gathers.
-    pub fn gather_deps(&self) -> u64 {
-        self.gather_deps.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds spent waiting on dependency gathers.
-    pub fn gather_wait_ns(&self) -> u64 {
-        self.gather_wait_ns.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds executor slots spent running tasks.
-    pub fn exec_busy_ns(&self) -> u64 {
-        self.exec_busy_ns.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds executor slots spent blocked on an empty inbox.
-    pub fn exec_idle_ns(&self) -> u64 {
-        self.exec_idle_ns.load(Ordering::Relaxed)
-    }
-
-    /// Fold one graph-optimizer report into the counters.
-    pub fn record_optimize(&self, report: &OptimizeReport) {
-        self.optimize_tasks_in
-            .fetch_add(report.tasks_in as u64, Ordering::Relaxed);
-        self.optimize_tasks_out
-            .fetch_add(report.tasks_out as u64, Ordering::Relaxed);
-        self.optimize_culled
-            .fetch_add(report.culled as u64, Ordering::Relaxed);
-        self.fused_chains
-            .fetch_add(report.fused_chain_lengths.len() as u64, Ordering::Relaxed);
-        for &len in &report.fused_chain_lengths {
-            self.fused_stages.fetch_add(len as u64, Ordering::Relaxed);
-            self.fused_chain_hist[size_bucket(len as u64)].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record one scheduler inbox burst of `n` messages.
-    pub fn record_burst(&self, n: u64) {
-        self.ingest_bursts.fetch_add(1, Ordering::Relaxed);
-        self.ingest_msgs.fetch_add(n, Ordering::Relaxed);
-        self.burst_hist[size_bucket(n)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one placement pass taking `ns` wall time.
-    pub fn record_assign_pass(&self, ns: u64) {
-        self.assign_passes.fetch_add(1, Ordering::Relaxed);
-        self.assign_pass_ns.fetch_add(ns, Ordering::Relaxed);
-        self.assign_pass_hist.record(ns);
-    }
-
-    /// Record `tasks` assignments shipped in `messages` worker messages.
-    pub fn record_assign(&self, tasks: u64, messages: u64) {
-        self.assign_tasks.fetch_add(tasks, Ordering::Relaxed);
-        self.assign_messages.fetch_add(messages, Ordering::Relaxed);
-    }
-
-    /// Tasks in submitted graphs before optimization.
-    pub fn optimize_tasks_in(&self) -> u64 {
-        self.optimize_tasks_in.load(Ordering::Relaxed)
-    }
-
-    /// Specs sent to the scheduler after optimization.
-    pub fn optimize_tasks_out(&self) -> u64 {
-        self.optimize_tasks_out.load(Ordering::Relaxed)
-    }
-
-    /// Tasks dropped by the cull pass.
-    pub fn optimize_culled(&self) -> u64 {
-        self.optimize_culled.load(Ordering::Relaxed)
-    }
-
-    /// Fused chains produced across all submissions.
-    pub fn fused_chains(&self) -> u64 {
-        self.fused_chains.load(Ordering::Relaxed)
-    }
-
-    /// Original tasks absorbed into fused chains (chain lengths summed).
-    pub fn fused_stages(&self) -> u64 {
-        self.fused_stages.load(Ordering::Relaxed)
-    }
-
-    /// Fused-chain length histogram (see [`SIZE_BUCKET_LABELS`]).
-    pub fn fused_chain_hist(&self) -> [u64; N_SIZE_BUCKETS] {
-        std::array::from_fn(|i| self.fused_chain_hist[i].load(Ordering::Relaxed))
-    }
-
-    /// Scheduler inbox bursts drained.
-    pub fn ingest_bursts(&self) -> u64 {
-        self.ingest_bursts.load(Ordering::Relaxed)
-    }
-
-    /// Messages absorbed across all bursts.
-    pub fn ingest_msgs(&self) -> u64 {
-        self.ingest_msgs.load(Ordering::Relaxed)
-    }
-
-    /// Burst-size histogram (see [`SIZE_BUCKET_LABELS`]).
-    pub fn burst_hist(&self) -> [u64; N_SIZE_BUCKETS] {
-        std::array::from_fn(|i| self.burst_hist[i].load(Ordering::Relaxed))
-    }
-
-    /// Placement passes run.
-    pub fn assign_passes(&self) -> u64 {
-        self.assign_passes.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds spent inside placement passes.
-    pub fn assign_pass_ns(&self) -> u64 {
-        self.assign_pass_ns.load(Ordering::Relaxed)
-    }
-
-    /// Tasks assigned to workers.
-    pub fn assign_tasks(&self) -> u64 {
-        self.assign_tasks.load(Ordering::Relaxed)
-    }
-
-    /// `Execute`/`ExecuteBatch` messages sent to workers.
-    pub fn assign_messages(&self) -> u64 {
-        self.assign_messages.load(Ordering::Relaxed)
-    }
-
-    /// Gather-wait latency histogram (one sample per gather batch).
-    pub fn gather_wait_hist(&self) -> &LatencyHist {
-        &self.gather_wait_hist
-    }
-
-    /// Task-execution latency histogram.
-    pub fn exec_hist(&self) -> &LatencyHist {
-        &self.exec_hist
-    }
-
-    /// Queue-delay (assign → dequeue) latency histogram.
-    pub fn queue_delay_hist(&self) -> &LatencyHist {
-        &self.queue_delay_hist
-    }
-
-    /// Placement-pass latency histogram.
-    pub fn assign_pass_hist(&self) -> &LatencyHist {
-        &self.assign_pass_hist
-    }
-
-    /// Fraction of executor-slot wall time spent busy, in `[0, 1]`.
-    /// An idle cluster (no slot activity yet) reports `0.0`, never NaN.
-    pub fn executor_utilization(&self) -> f64 {
-        let busy = self.exec_busy_ns() as f64;
-        let idle = self.exec_idle_ns() as f64;
-        if busy + idle == 0.0 {
-            0.0
-        } else {
-            busy / (busy + idle)
-        }
-    }
-
-    /// `a / b` with an empty-run guard: `0.0` when `b == 0`, never NaN.
-    fn ratio(a: u64, b: u64) -> f64 {
-        if b == 0 {
-            0.0
-        } else {
-            a as f64 / b as f64
-        }
-    }
-
-    /// Mean messages absorbed per inbox burst (`0.0` before any burst).
-    pub fn avg_msgs_per_burst(&self) -> f64 {
-        Self::ratio(self.ingest_msgs(), self.ingest_bursts())
-    }
-
-    /// Mean remote dependencies per gather batch (`0.0` with no gathers).
-    pub fn avg_gather_deps(&self) -> f64 {
-        Self::ratio(self.gather_deps(), self.gather_batches())
-    }
-
-    /// Mean gather wait per batch in ns (`0.0` with no gathers).
-    pub fn avg_gather_wait_ns(&self) -> f64 {
-        Self::ratio(self.gather_wait_ns(), self.gather_batches())
-    }
-
-    /// Mean placement-pass time in ns (`0.0` with no passes).
-    pub fn avg_assign_pass_ns(&self) -> f64 {
-        Self::ratio(self.assign_pass_ns(), self.assign_passes())
-    }
-
-    /// Mean tasks shipped per scheduler→worker message (`0.0` when idle).
-    pub fn avg_tasks_per_assign_message(&self) -> f64 {
-        Self::ratio(self.assign_tasks(), self.assign_messages())
-    }
-
-    /// Total *control-plane* messages that hit the scheduler (everything
-    /// except the data-plane classes). This is the load the paper's formulas
-    /// count.
-    pub fn scheduler_control_messages(&self) -> u64 {
-        use MsgClass::*;
-        [
-            GraphSubmit,
-            RegisterExternal,
-            UpdateData,
-            UpdateDataExternal,
-            TaskReport,
-            AddReplica,
-            WantResult,
-            Variable,
-            Queue,
-            Heartbeat,
-            WorkerHeartbeat,
-        ]
-        .into_iter()
-        .map(|c| self.count(c))
-        .sum()
-    }
-
-    /// Record one framed transport message of `bytes` serialized size.
-    pub fn record_wire(&self, lane: WireLane, bytes: u64) {
-        self.wire_msgs[lane_idx(lane)].fetch_add(1, Ordering::Relaxed);
-        self.wire_bytes[lane_idx(lane)].fetch_add(bytes, Ordering::Relaxed);
+        self.cells[CLASS_BYTES + class as usize].load()
     }
 
     /// Framed messages sent on one lane.
     pub fn wire_messages(&self, lane: WireLane) -> u64 {
-        self.wire_msgs[lane_idx(lane)].load(Ordering::Relaxed)
+        self.cells[WIRE_MSGS + lane as usize].load()
     }
 
     /// Serialized bytes sent on one lane.
     pub fn wire_bytes(&self, lane: WireLane) -> u64 {
-        self.wire_bytes[lane_idx(lane)].load(Ordering::Relaxed)
+        self.cells[WIRE_BYTES + lane as usize].load()
     }
 
-    /// Framed messages across all lanes (`0` under InProc).
-    pub fn wire_total_messages(&self) -> u64 {
-        WireLane::ALL.iter().map(|&l| self.wire_messages(l)).sum()
+    /// Bucket counts of one size histogram (see [`SIZE_BUCKET_LABELS`]).
+    pub fn size_hist(&self, hist: SizeHist) -> [u64; N_SIZE_BUCKETS] {
+        let base = SIZES + hist as usize * N_SIZE_BUCKETS;
+        std::array::from_fn(|i| self.cells[base + i].load())
     }
 
-    /// Serialized bytes across all lanes (`0` under InProc).
-    pub fn wire_total_bytes(&self) -> u64 {
-        WireLane::ALL.iter().map(|&l| self.wire_bytes(l)).sum()
+    /// Total *control-plane* messages that hit the scheduler: every class
+    /// except task specs and the data-plane payloads. This is the load the
+    /// paper's formulas count.
+    pub fn scheduler_control_messages(&self) -> u64 {
+        use MsgClass::*;
+        let data_plane =
+            |c: &MsgClass| matches!(c, TaskSubmitted | ScatterData | GatherData | PeerFetch);
+        MsgClass::ALL
+            .iter()
+            .filter(|c| !data_plane(c))
+            .map(|&c| self.count(c))
+            .sum()
     }
 
     /// Metadata messages *originating at bridges/clients* per the paper's
@@ -696,267 +599,182 @@ impl SchedulerStats {
             .sum()
     }
 
-    // ---- fault tolerance ---------------------------------------------------
-
-    /// Record one peer declared dead by the liveness sweep.
-    pub fn record_peer_lost(&self) {
-        self.fault_peers_lost.fetch_add(1, Ordering::Relaxed);
+    /// Framed messages across all lanes (`0` under InProc).
+    pub fn wire_total_messages(&self) -> u64 {
+        WireLane::ALL.iter().map(|&l| self.wire_messages(l)).sum()
     }
 
-    /// Record the first heartbeat seen from a previously untracked peer.
-    pub fn record_peer_tracked(&self) {
-        self.fault_peers_tracked.fetch_add(1, Ordering::Relaxed);
+    /// Serialized bytes across all lanes (`0` under InProc).
+    pub fn wire_total_bytes(&self) -> u64 {
+        WireLane::ALL.iter().map(|&l| self.wire_bytes(l)).sum()
     }
 
-    /// Record one task re-queued for a surviving worker.
-    pub fn record_task_resubmitted(&self) {
-        self.fault_tasks_resubmitted.fetch_add(1, Ordering::Relaxed);
+    /// Fraction of executor-slot wall time spent busy, in `[0, 1]`.
+    /// An idle cluster (no slot activity yet) reports `0.0`, never NaN.
+    pub fn executor_utilization(&self) -> f64 {
+        let busy = self.exec_busy_ns();
+        ratio(busy, busy + self.exec_idle_ns())
     }
 
-    /// Record one task whose bounded retry budget ran out.
-    pub fn record_retries_exhausted(&self) {
-        self.fault_retries_exhausted.fetch_add(1, Ordering::Relaxed);
+    /// Mean messages absorbed per inbox burst (`0.0` before any burst).
+    pub fn avg_msgs_per_burst(&self) -> f64 {
+        ratio(self.ingest_msgs(), self.ingest_bursts())
     }
 
-    /// Record one unreplicated external block lost with a dead worker.
-    pub fn record_external_block_lost(&self) {
-        self.fault_external_blocks_lost
-            .fetch_add(1, Ordering::Relaxed);
+    /// Mean tasks shipped per scheduler→worker message (`0.0` when idle).
+    pub fn avg_tasks_per_assign_message(&self) -> f64 {
+        ratio(self.assign_tasks(), self.assign_messages())
+    }
+}
+
+impl Counters<u64> {
+    /// Overwrite one captured scalar (values that live outside
+    /// [`SchedulerStats`], such as the trace recorder's drop count).
+    pub(crate) fn set(&mut self, metric: Metric, value: u64) {
+        self.cells[metric as usize] = value;
+    }
+}
+
+/// Per-session (tenant) counters surfaced in `StatsSnapshot` and `/metrics`.
+/// These live outside [`MsgClass`] so the paper's control/bridge message
+/// accounting is never polluted by tenancy bookkeeping.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct TenantCounters {
+    /// Task specs submitted by this session (post-optimizer).
+    pub tasks: u64,
+    /// Result bytes produced by this session's tasks.
+    pub bytes: u64,
+    /// Tasks currently in flight (submitted, not yet terminal) — a gauge.
+    pub queue_depth: u64,
+    /// Graphs rejected by admission control.
+    pub admission_rejections: u64,
+}
+
+/// Cluster-wide counters, shared via `Arc` by every actor. Reads go through
+/// [`Counters`] (this type derefs to it); writes are one relaxed `fetch_add`
+/// on a const-indexed cell.
+#[derive(Debug, Default)]
+pub struct SchedulerStats {
+    counters: Counters<AtomicU64>,
+    /// Indexed by [`Hist`].
+    hists: [LatencyHist; 4],
+    /// Per-tenant counters, keyed by session id. Touched only on the
+    /// multi-tenant path (scoped messages), so single-tenant clusters never
+    /// take this lock and their accounting stays identical to the seed.
+    tenants: Mutex<HashMap<SessionId, TenantCounters>>,
+}
+
+impl std::ops::Deref for SchedulerStats {
+    type Target = Counters<AtomicU64>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.counters
+    }
+}
+
+impl SchedulerStats {
+    /// Fresh zeroed counters.
+    pub fn new() -> Self {
+        SchedulerStats::default()
     }
 
-    /// Record one lost result re-queued for recompute from its spec.
-    pub fn record_recompute(&self) {
-        self.fault_recomputes.fetch_add(1, Ordering::Relaxed);
+    #[inline]
+    fn bump(&self, cell: usize, n: u64) {
+        self.counters.cells[cell].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record one message dropped by fault injection.
-    pub fn record_injected_drop(&self) {
-        self.fault_injected_drops.fetch_add(1, Ordering::Relaxed);
+    /// Add `n` to one scalar counter.
+    #[inline]
+    pub fn add(&self, metric: Metric, n: u64) {
+        self.bump(metric as usize, n);
     }
 
-    /// Record one worker killed by fault injection.
-    pub fn record_injected_kill(&self) {
-        self.fault_injected_kills.fetch_add(1, Ordering::Relaxed);
+    /// Add one to a scalar counter.
+    #[inline]
+    pub fn inc(&self, metric: Metric) {
+        self.add(metric, 1);
     }
 
-    /// Peers declared dead.
-    pub fn peers_lost(&self) -> u64 {
-        self.fault_peers_lost.load(Ordering::Relaxed)
+    /// Record one message of `class` carrying `nbytes` payload.
+    pub fn record(&self, class: MsgClass, nbytes: u64) {
+        self.record_n(class, 1, nbytes);
     }
 
-    /// Distinct peers whose heartbeats have been tracked.
-    pub fn peers_tracked(&self) -> u64 {
-        self.fault_peers_tracked.load(Ordering::Relaxed)
+    /// Record `n` messages at once.
+    pub fn record_n(&self, class: MsgClass, n: u64, nbytes: u64) {
+        self.bump(CLASS_COUNTS + class as usize, n);
+        self.bump(CLASS_BYTES + class as usize, nbytes);
     }
 
-    /// Tasks re-queued after a peer loss.
-    pub fn tasks_resubmitted(&self) -> u64 {
-        self.fault_tasks_resubmitted.load(Ordering::Relaxed)
+    /// Record one framed transport message of `bytes` serialized size.
+    pub fn record_wire(&self, lane: WireLane, bytes: u64) {
+        self.bump(WIRE_MSGS + lane as usize, 1);
+        self.bump(WIRE_BYTES + lane as usize, bytes);
     }
 
-    /// Tasks failed after exhausting their retry budget.
-    pub fn retries_exhausted(&self) -> u64 {
-        self.fault_retries_exhausted.load(Ordering::Relaxed)
+    /// One latency histogram (record into it directly when no counter rides
+    /// along, as for [`Hist::QueueDelay`]).
+    pub fn hist(&self, hist: Hist) -> &LatencyHist {
+        &self.hists[hist as usize]
     }
 
-    /// External blocks lost beyond recovery.
-    pub fn external_blocks_lost(&self) -> u64 {
-        self.fault_external_blocks_lost.load(Ordering::Relaxed)
+    /// All four, indexed by [`Hist`].
+    pub fn hists(&self) -> &[LatencyHist; 4] {
+        &self.hists
     }
 
-    /// Lost results re-queued for recompute.
-    pub fn recomputes(&self) -> u64 {
-        self.fault_recomputes.load(Ordering::Relaxed)
+    /// Record one dependency-gather batch: `deps` remote fetches resolved in
+    /// `wait_ns` of wall time (concurrent fetches overlap inside one batch).
+    pub fn record_gather(&self, deps: u64, wait_ns: u64) {
+        self.inc(Metric::GatherBatches);
+        self.add(Metric::GatherDeps, deps);
+        self.add(Metric::GatherWaitNs, wait_ns);
+        self.hist(Hist::GatherWait).record(wait_ns);
     }
 
-    /// Messages dropped by fault injection.
-    pub fn injected_drops(&self) -> u64 {
-        self.fault_injected_drops.load(Ordering::Relaxed)
+    /// Record time an executor slot spent running a task.
+    pub fn record_exec_busy(&self, ns: u64) {
+        self.add(Metric::ExecBusyNs, ns);
+        self.hist(Hist::Exec).record(ns);
     }
 
-    /// Workers killed by fault injection.
-    pub fn injected_kills(&self) -> u64 {
-        self.fault_injected_kills.load(Ordering::Relaxed)
+    /// Record one placement pass taking `ns` wall time.
+    pub fn record_assign_pass(&self, ns: u64) {
+        self.inc(Metric::AssignPasses);
+        self.add(Metric::AssignPassNs, ns);
+        self.hist(Hist::AssignPass).record(ns);
     }
 
-    // ---- work stealing ------------------------------------------------------
-
-    /// Record one `StealRequest` received from an idle worker.
-    pub fn record_steal_request(&self) {
-        self.steal_requests.fetch_add(1, Ordering::Relaxed);
+    fn record_size(&self, hist: SizeHist, n: u64) {
+        self.bump(SIZES + hist as usize * N_SIZE_BUCKETS + size_bucket(n), 1);
     }
 
-    /// Record one steal attempt that found nothing to take.
-    pub fn record_steal_miss(&self) {
-        self.steal_misses.fetch_add(1, Ordering::Relaxed);
+    /// Record one scheduler inbox burst of `n` messages.
+    pub fn record_burst(&self, n: u64) {
+        self.inc(Metric::IngestBursts);
+        self.add(Metric::IngestMsgs, n);
+        self.record_size(SizeHist::Burst, n);
     }
 
-    /// Record one assignment re-pointed from a victim to a thief.
-    pub fn record_task_stolen(&self) {
-        self.tasks_stolen.fetch_add(1, Ordering::Relaxed);
+    /// Fold one graph-optimizer report into the counters.
+    pub fn record_optimize(&self, report: &OptimizeReport) {
+        self.add(Metric::OptimizeTasksIn, report.tasks_in as u64);
+        self.add(Metric::OptimizeTasksOut, report.tasks_out as u64);
+        self.add(Metric::OptimizeCulled, report.culled as u64);
+        self.add(Metric::FusedChains, report.fused_chain_lengths.len() as u64);
+        for &len in &report.fused_chain_lengths {
+            self.add(Metric::FusedStages, len as u64);
+            self.record_size(SizeHist::FusedChain, len as u64);
+        }
     }
 
-    /// Steal requests received from idle workers.
-    pub fn steal_requests(&self) -> u64 {
-        self.steal_requests.load(Ordering::Relaxed)
-    }
-
-    /// Steal attempts that came up empty.
-    pub fn steal_misses(&self) -> u64 {
-        self.steal_misses.load(Ordering::Relaxed)
-    }
-
-    /// Assignments successfully stolen.
-    pub fn tasks_stolen(&self) -> u64 {
-        self.tasks_stolen.load(Ordering::Relaxed)
-    }
-
-    // ---- object store / proxy data plane -----------------------------------
-
-    /// Record one store get served from memory.
-    pub fn record_store_hit(&self) {
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one store get of an absent key.
-    pub fn record_store_miss(&self) {
-        self.store_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one entry spilled to disk (`bytes` of payload written).
-    pub fn record_store_spill(&self, bytes: u64) {
-        self.store_spills.fetch_add(1, Ordering::Relaxed);
-        self.store_spill_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record one spilled entry restored into memory.
-    pub fn record_store_restore(&self) {
-        self.store_restores.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one payload published out-of-band (proxy put).
-    pub fn record_proxy_put(&self, bytes: u64) {
-        self.proxy_puts.fetch_add(1, Ordering::Relaxed);
-        self.proxy_put_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record one proxy handle resolved via a data-lane fetch.
-    pub fn record_proxy_fetch(&self, bytes: u64) {
-        self.proxy_fetches.fetch_add(1, Ordering::Relaxed);
-        self.proxy_fetch_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Store gets served from memory.
-    pub fn store_hits(&self) -> u64 {
-        self.store_hits.load(Ordering::Relaxed)
-    }
-
-    /// Store gets of absent keys.
-    pub fn store_misses(&self) -> u64 {
-        self.store_misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries spilled to disk under the memory budget.
-    pub fn store_spills(&self) -> u64 {
-        self.store_spills.load(Ordering::Relaxed)
-    }
-
-    /// Spilled entries restored back into memory.
-    pub fn store_restores(&self) -> u64 {
-        self.store_restores.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes written to spill files.
-    pub fn store_spill_bytes(&self) -> u64 {
-        self.store_spill_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Payloads published out-of-band.
-    pub fn proxy_puts(&self) -> u64 {
-        self.proxy_puts.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes published out-of-band.
-    pub fn proxy_put_bytes(&self) -> u64 {
-        self.proxy_put_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Proxy handles resolved via data-lane fetches.
-    pub fn proxy_fetches(&self) -> u64 {
-        self.proxy_fetches.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes moved by proxy resolution.
-    pub fn proxy_fetch_bytes(&self) -> u64 {
-        self.proxy_fetch_bytes.load(Ordering::Relaxed)
-    }
-
-    // ---- telemetry / anomaly detection --------------------------------------
-
-    /// Record one task execution flagged as a straggler.
-    pub fn record_straggler(&self) {
-        self.stragglers_flagged.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Task executions flagged as stragglers.
-    pub fn stragglers_flagged(&self) -> u64 {
-        self.stragglers_flagged.load(Ordering::Relaxed)
-    }
-
-    // ---- multi-tenant serving ------------------------------------------------
-
-    /// Record one client notification dropped because the target client was
-    /// no longer registered.
-    pub fn record_notify_dropped(&self) {
-        self.notifies_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Client notifications dropped on unregistered clients.
-    pub fn notifies_dropped(&self) -> u64 {
-        self.notifies_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Record one graph rejected by per-session admission control.
-    pub fn record_admission_rejection(&self, session: SessionId) {
-        self.admission_rejections.fetch_add(1, Ordering::Relaxed);
-        self.tenants
-            .lock()
-            .entry(session)
-            .or_default()
-            .admission_rejections += 1;
-    }
-
-    /// Graphs rejected by admission control, all tenants.
-    pub fn admission_rejections(&self) -> u64 {
-        self.admission_rejections.load(Ordering::Relaxed)
-    }
-
-    /// Record `n` tasks submitted by one session.
-    pub fn record_tenant_tasks(&self, session: SessionId, n: u64) {
-        self.tenants.lock().entry(session).or_default().tasks += n;
-    }
-
-    /// Record `bytes` of results produced by one session.
-    pub fn record_tenant_bytes(&self, session: SessionId, bytes: u64) {
-        self.tenants.lock().entry(session).or_default().bytes += bytes;
-    }
-
-    /// Update one session's in-flight task gauge.
-    pub fn set_tenant_queue_depth(&self, session: SessionId, depth: u64) {
-        self.tenants.lock().entry(session).or_default().queue_depth = depth;
-    }
-
-    /// One tenant's counters (zeroed default if never seen).
-    pub fn tenant(&self, session: SessionId) -> TenantCounters {
-        self.tenants
-            .lock()
-            .get(&session)
-            .cloned()
-            .unwrap_or_default()
+    /// Update one tenant's counters under the tenant lock.
+    pub fn with_tenant(&self, session: SessionId, update: impl FnOnce(&mut TenantCounters)) {
+        update(self.tenants.lock().entry(session).or_default());
     }
 
     /// All tenant counters, sorted by session id (snapshot serialization).
-    pub fn tenant_snapshot(&self) -> Vec<(SessionId, TenantCounters)> {
+    pub fn tenants(&self) -> Vec<(SessionId, TenantCounters)> {
         let mut v: Vec<_> = self
             .tenants
             .lock()
@@ -971,6 +789,19 @@ impl SchedulerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::HistSnapshot;
+    use std::collections::HashSet;
+
+    /// Where a row's value sits in the JSON snapshot (labels in `<>`).
+    fn json_path(def: &MetricDef) -> String {
+        let section = def.section.name();
+        match def.source {
+            Source::PerClass(_) => format!("{section}.<class>.{}", def.key),
+            Source::PerLane(_) => format!("{section}.lanes.<lane>.{}", def.key),
+            Source::PerTenant(_) => format!("{section}.sessions.<session>.{}", def.key),
+            _ => format!("{section}.{}", def.key),
+        }
+    }
 
     #[test]
     fn record_and_read() {
@@ -982,6 +813,15 @@ mod tests {
         assert_eq!(s.bytes(MsgClass::UpdateData), 150);
         assert_eq!(s.count(MsgClass::Heartbeat), 3);
         assert_eq!(s.count(MsgClass::ScatterData), 0);
+        s.add(Metric::StoreSpillBytes, 512);
+        s.inc(Metric::StoreSpills);
+        s.inc(Metric::StoreSpills);
+        assert_eq!(s.get(Metric::StoreSpillBytes), 512);
+        assert_eq!(
+            s.store_spills(),
+            2,
+            "the generated getter reads its own row"
+        );
     }
 
     #[test]
@@ -991,37 +831,17 @@ mod tests {
         s.record_gather(3, 1_000);
         s.record_gather(1, 500);
         s.record_exec_busy(300);
-        s.record_exec_idle(100);
+        s.add(Metric::ExecIdleNs, 100);
         assert_eq!(s.gather_batches(), 2);
         assert_eq!(s.gather_deps(), 4);
         assert_eq!(s.gather_wait_ns(), 1_500);
         assert_eq!(s.exec_busy_ns(), 300);
         assert_eq!(s.exec_idle_ns(), 100);
         assert!((s.executor_utilization() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn latency_hist_buckets_and_quantiles() {
-        let h = LatencyHist::default();
-        // Empty histogram: every derived value is defined and finite.
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_ns(), 0.0);
-        assert_eq!(h.quantile_ns(0.99), 0);
-        h.record(0);
-        h.record(1);
-        h.record(1_000); // bucket 9 ([512, 1024))
-        h.record(1_000_000);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum_ns(), 1_001_001);
-        assert!((h.mean_ns() - 250_250.25).abs() < 1e-6);
-        // Rank 2 of 4 is still in bucket 0 (upper bound 2 ns); rank 3 is the
-        // 1_000 ns sample, reported as its bucket's upper bound.
-        assert_eq!(h.quantile_ns(0.5), 2);
-        assert_eq!(h.quantile_ns(0.75), 1 << 10);
-        assert!(h.quantile_ns(1.0) >= 1 << 20);
-        let buckets = h.buckets();
-        assert_eq!(buckets.iter().sum::<u64>(), 4);
-        assert_eq!(buckets[0], 2, "0 and 1 ns share bucket 0");
+        s.record_burst(6);
+        s.record_burst(1);
+        assert_eq!(s.avg_msgs_per_burst(), 3.5);
+        assert_eq!(s.size_hist(SizeHist::Burst), [1, 0, 0, 1, 0, 0]);
     }
 
     #[test]
@@ -1037,9 +857,6 @@ mod tests {
         for v in [
             s.executor_utilization(),
             s.avg_msgs_per_burst(),
-            s.avg_gather_deps(),
-            s.avg_gather_wait_ns(),
-            s.avg_assign_pass_ns(),
             s.avg_tasks_per_assign_message(),
         ] {
             assert_eq!(v, 0.0, "idle-cluster ratio must be exactly 0.0");
@@ -1051,13 +868,13 @@ mod tests {
         let s = SchedulerStats::new();
         s.record_gather(2, 5_000);
         s.record_exec_busy(10_000);
-        s.record_queue_delay(700);
+        s.hist(Hist::QueueDelay).record(700);
         s.record_assign_pass(300);
-        assert_eq!(s.gather_wait_hist().count(), 1);
-        assert_eq!(s.exec_hist().count(), 1);
-        assert_eq!(s.queue_delay_hist().count(), 1);
-        assert_eq!(s.assign_pass_hist().count(), 1);
-        assert_eq!(s.queue_delay_hist().sum_ns(), 700);
+        for hist in s.hists() {
+            assert_eq!(HistSnapshot::capture(hist).count, 1);
+        }
+        assert_eq!(s.hist(Hist::QueueDelay).sum_ns(), 700);
+        assert_eq!(s.hist(Hist::AssignPass).sum_ns(), s.assign_pass_ns());
     }
 
     #[test]
@@ -1072,134 +889,66 @@ mod tests {
         assert_eq!(s.wire_messages(WireLane::ExecIn), 0);
         assert_eq!(s.wire_total_messages(), 3);
         assert_eq!(s.wire_total_bytes(), 112);
-        let names: std::collections::HashSet<_> = WireLane::ALL.iter().map(|l| l.name()).collect();
-        assert_eq!(names.len(), N_WIRE_LANES);
     }
 
+    /// `ALL`, `name` and the index come from one list: every variant sits at
+    /// its own index exactly once and no two share a name.
     #[test]
-    fn msg_class_names_are_unique() {
-        let names: std::collections::HashSet<_> = MsgClass::ALL.iter().map(|c| c.name()).collect();
-        assert_eq!(names.len(), MsgClass::ALL.len());
+    fn named_enums_cover_every_variant_exactly_once() {
+        fn check<E: Copy + PartialEq + std::fmt::Debug>(
+            all: &[E],
+            index: fn(E) -> usize,
+            name: fn(E) -> &'static str,
+        ) {
+            for (i, &variant) in all.iter().enumerate() {
+                assert_eq!(index(variant), i, "{variant:?}");
+            }
+            let names: HashSet<_> = all.iter().map(|&v| name(v)).collect();
+            assert_eq!(names.len(), all.len());
+        }
+        check(&MsgClass::ALL, |c| c as usize, MsgClass::name);
+        check(&WireLane::ALL, |l| l as usize, WireLane::name);
+        check(&Section::ALL, |s| s as usize, Section::name);
+        assert_eq!(MsgClass::COUNT, 15);
+        assert_eq!(WireLane::COUNT, 5);
     }
 
+    /// Every scalar row and every tenant counter lives outside `MsgClass`:
+    /// the paper's control and bridge-metadata accounting must stay
+    /// byte-identical to the seed whichever feature bumps them.
     #[test]
-    fn fault_counters_accumulate_and_start_zero() {
+    fn scalar_and_tenant_counters_stay_out_of_the_papers_accounting() {
         let s = SchedulerStats::new();
-        assert_eq!(s.peers_lost(), 0);
-        assert_eq!(s.tasks_resubmitted(), 0);
-        assert_eq!(s.injected_drops(), 0);
-        s.record_peer_tracked();
-        s.record_peer_lost();
-        s.record_task_resubmitted();
-        s.record_task_resubmitted();
-        s.record_retries_exhausted();
-        s.record_external_block_lost();
-        s.record_recompute();
-        s.record_injected_drop();
-        s.record_injected_kill();
-        assert_eq!(s.peers_tracked(), 1);
-        assert_eq!(s.peers_lost(), 1);
-        assert_eq!(s.tasks_resubmitted(), 2);
-        assert_eq!(s.retries_exhausted(), 1);
-        assert_eq!(s.external_blocks_lost(), 1);
-        assert_eq!(s.recomputes(), 1);
-        assert_eq!(s.injected_drops(), 1);
-        assert_eq!(s.injected_kills(), 1);
-    }
-
-    #[test]
-    fn steal_counters_accumulate_and_stay_out_of_control_accounting() {
-        let s = SchedulerStats::new();
-        assert_eq!(s.steal_requests(), 0);
-        assert_eq!(s.steal_misses(), 0);
-        assert_eq!(s.tasks_stolen(), 0);
-        s.record_steal_request();
-        s.record_steal_request();
-        s.record_steal_miss();
-        s.record_task_stolen();
-        s.record_task_stolen();
-        s.record_task_stolen();
-        assert_eq!(s.steal_requests(), 2);
-        assert_eq!(s.steal_misses(), 1);
-        assert_eq!(s.tasks_stolen(), 3);
-        // Steal bookkeeping lives outside MsgClass: the paper's control and
-        // metadata message accounting must be byte-identical to the seed when
-        // stealing is off, and unpolluted by these counters when it is on.
+        for def in METRICS {
+            if let Source::Scalar(metric) = def.source {
+                s.add(metric, 7);
+                assert_eq!(s.get(metric), 7, "{}", def.id);
+            }
+        }
+        s.with_tenant(2, |t| t.tasks += 5);
         assert_eq!(s.scheduler_control_messages(), 0);
         assert_eq!(s.bridge_metadata_messages(), 0);
     }
 
     #[test]
-    fn store_counters_accumulate_and_start_zero() {
+    fn tenant_counters_accumulate_sorted_by_session() {
         let s = SchedulerStats::new();
-        assert_eq!(s.store_hits(), 0);
-        assert_eq!(s.store_spills(), 0);
-        assert_eq!(s.proxy_fetch_bytes(), 0);
-        s.record_store_hit();
-        s.record_store_hit();
-        s.record_store_miss();
-        s.record_store_spill(512);
-        s.record_store_spill(256);
-        s.record_store_restore();
-        s.record_proxy_put(1024);
-        s.record_proxy_fetch(1024);
-        s.record_proxy_fetch(2048);
-        assert_eq!(s.store_hits(), 2);
-        assert_eq!(s.store_misses(), 1);
-        assert_eq!(s.store_spills(), 2);
-        assert_eq!(s.store_spill_bytes(), 768);
-        assert_eq!(s.store_restores(), 1);
-        assert_eq!(s.proxy_puts(), 1);
-        assert_eq!(s.proxy_put_bytes(), 1024);
-        assert_eq!(s.proxy_fetches(), 2);
-        assert_eq!(s.proxy_fetch_bytes(), 3072);
-        // Store traffic is data plane: it never shows up in the paper's
-        // control-message accounting.
-        assert_eq!(s.scheduler_control_messages(), 0);
-        assert_eq!(s.bridge_metadata_messages(), 0);
-    }
-
-    #[test]
-    fn straggler_counter_accumulates_and_stays_out_of_control_accounting() {
-        let s = SchedulerStats::new();
-        assert_eq!(s.stragglers_flagged(), 0);
-        s.record_straggler();
-        s.record_straggler();
-        assert_eq!(s.stragglers_flagged(), 2);
-        // Telemetry flags are observability metadata, never paper-accounted
-        // control or bridge messages.
-        assert_eq!(s.scheduler_control_messages(), 0);
-        assert_eq!(s.bridge_metadata_messages(), 0);
-    }
-
-    #[test]
-    fn tenant_counters_accumulate_and_stay_out_of_control_accounting() {
-        let s = SchedulerStats::new();
-        assert_eq!(s.notifies_dropped(), 0);
-        assert_eq!(s.admission_rejections(), 0);
-        assert!(s.tenant_snapshot().is_empty());
-        s.record_notify_dropped();
-        s.record_tenant_tasks(2, 5);
-        s.record_tenant_tasks(1, 3);
-        s.record_tenant_bytes(2, 4096);
-        s.set_tenant_queue_depth(2, 7);
-        s.record_admission_rejection(2);
-        assert_eq!(s.notifies_dropped(), 1);
-        assert_eq!(s.admission_rejections(), 1);
-        assert_eq!(s.tenant(1).tasks, 3);
-        let t2 = s.tenant(2);
+        assert!(s.tenants().is_empty());
+        s.with_tenant(2, |t| t.tasks += 5);
+        s.with_tenant(1, |t| t.tasks += 3);
+        s.with_tenant(2, |t| {
+            t.bytes += 4096;
+            t.queue_depth = 7;
+            t.admission_rejections += 1;
+        });
+        let tenants = s.tenants();
+        assert_eq!(tenants.len(), 2);
+        assert_eq!((tenants[0].0, tenants[0].1.tasks), (1, 3), "sorted by id");
+        let t2 = &tenants[1].1;
         assert_eq!(
             (t2.tasks, t2.bytes, t2.queue_depth, t2.admission_rejections),
             (5, 4096, 7, 1)
         );
-        let snap = s.tenant_snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, 1, "sorted by session id");
-        assert_eq!(s.tenant(99), TenantCounters::default());
-        // Tenancy bookkeeping lives outside MsgClass: the paper's control
-        // and bridge-metadata accounting stays untouched.
-        assert_eq!(s.scheduler_control_messages(), 0);
-        assert_eq!(s.bridge_metadata_messages(), 0);
     }
 
     #[test]
@@ -1214,10 +963,45 @@ mod tests {
     fn control_plane_totals_exclude_data_plane() {
         let s = SchedulerStats::new();
         s.record(MsgClass::GraphSubmit, 0);
+        s.record(MsgClass::TaskSubmitted, 0);
         s.record(MsgClass::ScatterData, 1 << 20);
         s.record(MsgClass::GatherData, 1 << 20);
         s.record(MsgClass::PeerFetch, 1 << 20);
         assert_eq!(s.scheduler_control_messages(), 1);
         assert_eq!(s.bridge_metadata_messages(), 0);
+    }
+
+    /// The registry is well-formed: identifiers, JSON paths and families are
+    /// unique, counters follow the `_total` convention, every row is
+    /// documented, and every `Metric` variant has exactly one row.
+    #[test]
+    fn registry_rows_are_unique_and_well_formed() {
+        let mut ids = HashSet::new();
+        let mut paths = HashSet::new();
+        let mut families = HashSet::new();
+        let mut scalars = HashSet::new();
+        for def in METRICS {
+            assert!(ids.insert(def.id), "duplicate id {}", def.id);
+            let path = json_path(def);
+            assert!(paths.insert(path.clone()), "duplicate JSON path {path}");
+            assert!(
+                !def.help.is_empty() && !def.help.contains('\n'),
+                "{}",
+                def.id
+            );
+            if let Some(family) = def.family {
+                assert!(families.insert(family), "duplicate family {family}");
+                assert!(family.starts_with("dtask_"), "{family}");
+                assert_eq!(
+                    family.ends_with("_total"),
+                    def.kind == Kind::Counter,
+                    "counter families, and only they, end in _total: {family}"
+                );
+            }
+            if let Source::Scalar(metric) = def.source {
+                assert!(scalars.insert(metric as usize), "{} has two rows", def.id);
+            }
+        }
+        assert_eq!(scalars.len(), Metric::COUNT);
     }
 }

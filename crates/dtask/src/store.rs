@@ -26,7 +26,7 @@
 
 use crate::datum::Datum;
 use crate::key::Key;
-use crate::stats::SchedulerStats;
+use crate::stats::{Metric, SchedulerStats};
 use crate::trace::{EventKind, TraceHandle};
 use linalg::NDArray;
 use parking_lot::Mutex;
@@ -334,7 +334,7 @@ impl ObjectStore {
 
     /// Trace a served proxy fetch (the data-server side of
     /// [`crate::msg::DataMsg::Fetch`]); requester-side byte accounting lives
-    /// with the requester ([`SchedulerStats::record_proxy_fetch`]).
+    /// with the requester ([`Metric::ProxyFetchBytes`]).
     pub fn note_fetch_served(&self, key: &Key, bytes: u64) {
         self.trace.instant(EventKind::StoreFetch, Some(key), bytes);
     }
@@ -358,7 +358,7 @@ impl ObjectStore {
                     let listed = inner.recency.unlist(*stamp);
                     *stamp = inner.recency.list(listed.unwrap_or_else(|| key.clone()));
                 }
-                self.stats.record_store_hit();
+                self.stats.inc(Metric::StoreHits);
                 return Some(value.clone());
             }
             Slot::Spilled { path, shape } => (&*path, &*shape),
@@ -379,8 +379,8 @@ impl ObjectStore {
                 return self.miss(key);
             }
         };
-        self.stats.record_store_restore();
-        self.stats.record_store_hit();
+        self.stats.inc(Metric::StoreRestores);
+        self.stats.inc(Metric::StoreHits);
         self.trace
             .span(EventKind::StoreRestore, t0, Some(key), entry.nbytes);
         let value = Datum::Array(Arc::new(restored));
@@ -395,7 +395,7 @@ impl ObjectStore {
     }
 
     fn miss(&self, key: &Key) -> Option<Datum> {
-        self.stats.record_store_miss();
+        self.stats.inc(Metric::StoreMisses);
         self.trace.instant(EventKind::StoreMiss, Some(key), 0);
         None
     }
@@ -441,7 +441,8 @@ impl ObjectStore {
                 inner.recency.by_stamp.insert(stamp, key);
                 return;
             }
-            self.stats.record_store_spill(entry.nbytes);
+            self.stats.inc(Metric::StoreSpills);
+            self.stats.add(Metric::StoreSpillBytes, entry.nbytes);
             self.trace
                 .span(EventKind::StoreSpill, t0, Some(&key), entry.nbytes);
             inner.mem_bytes -= entry.nbytes;

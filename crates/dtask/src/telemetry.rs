@@ -30,7 +30,7 @@
 use crate::json::Json;
 use crate::key::Key;
 use crate::snapshot::StatsSnapshot;
-use crate::stats::{MsgClass, SchedulerStats, WireLane, N_WIRE_LANES};
+use crate::stats::{Counters, Metric, MsgClass, SchedulerStats, WireLane};
 use crate::trace::TraceRecorder;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -182,7 +182,7 @@ pub struct FlightSample {
     /// Task completion/error reports per second over the interval.
     pub tasks_per_s: f64,
     /// Serialized bytes/s per wire lane (zero under the InProc transport).
-    pub lane_bytes_per_s: [f64; N_WIRE_LANES],
+    pub lane_bytes_per_s: [f64; WireLane::COUNT],
     /// Ready-queue depth at sample time (scheduler gauge).
     pub queue_depth: u64,
     /// Ready-queue high watermark over the interval.
@@ -268,15 +268,21 @@ fn mid(sorted: &[u64]) -> f64 {
     }
 }
 
-/// The delta cursor one sampler keeps between two `sample` calls.
+/// What one sampler keeps between two `sample` calls: when it last ran and
+/// every counter as captured then, so a rate is `(now - prev) / dt` of any
+/// registry row.
 struct SamplerCursor {
     t_prev: Instant,
-    tasks: u64,
-    lane_bytes: [u64; N_WIRE_LANES],
-    steals: u64,
-    steal_misses: u64,
-    spills: u64,
-    spill_bytes: u64,
+    prev: Counters<u64>,
+}
+
+impl SamplerCursor {
+    fn new() -> Self {
+        SamplerCursor {
+            t_prev: Instant::now(),
+            prev: Counters::default(),
+        }
+    }
 }
 
 // ---- the hub ----------------------------------------------------------------
@@ -399,7 +405,7 @@ impl TelemetryHub {
             flagged
         };
         if flagged {
-            self.stats.record_straggler();
+            self.stats.inc(Metric::StragglersFlagged);
             self.raise(Alert {
                 kind: AlertKind::Straggler,
                 t_ms: self.now_ms(),
@@ -451,17 +457,10 @@ impl TelemetryHub {
         let dt_s = dt.as_secs_f64().max(1e-9);
         cursor.t_prev = now;
 
-        let tasks = self.stats.count(MsgClass::TaskReport);
-        let steals = self.stats.tasks_stolen();
-        let steal_misses = self.stats.steal_misses();
-        let spills = self.stats.store_spills();
-        let spill_bytes = self.stats.store_spill_bytes();
-        let mut lane_bytes = [0u64; N_WIRE_LANES];
-        let mut lane_bytes_per_s = [0.0f64; N_WIRE_LANES];
-        for (i, &lane) in WireLane::ALL.iter().enumerate() {
-            lane_bytes[i] = self.stats.wire_bytes(lane);
-            lane_bytes_per_s[i] = (lane_bytes[i] - cursor.lane_bytes[i]) as f64 / dt_s;
-        }
+        let now = self.stats.capture();
+        let prev = std::mem::replace(&mut cursor.prev, now.clone());
+        let per_s = |read: &dyn Fn(&Counters<u64>) -> u64| (read(&now) - read(&prev)) as f64 / dt_s;
+        let scalar_per_s = |metric: Metric| per_s(&|c| c.get(metric));
 
         let queue_depth_peak = self.queue_depth_peak.swap(0, Ordering::Relaxed);
         let worker_gap_ns = self.worker_gap_ns.load(Ordering::Relaxed);
@@ -469,26 +468,20 @@ impl TelemetryHub {
         let sample = FlightSample {
             t_ms: self.now_ms(),
             dt_ms: dt.as_nanos() as f64 / 1e6,
-            tasks_per_s: (tasks - cursor.tasks) as f64 / dt_s,
-            lane_bytes_per_s,
+            tasks_per_s: per_s(&|c| c.count(MsgClass::TaskReport)),
+            lane_bytes_per_s: WireLane::ALL.map(|lane| per_s(&|c| c.wire_bytes(lane))),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_depth_peak,
             workers_alive: self.workers_alive.load(Ordering::Relaxed),
             sessions_active: self.sessions_active.load(Ordering::Relaxed),
-            steals_per_s: (steals - cursor.steals) as f64 / dt_s,
-            steal_misses_per_s: (steal_misses - cursor.steal_misses) as f64 / dt_s,
-            spills_per_s: (spills - cursor.spills) as f64 / dt_s,
-            spill_bytes_per_s: (spill_bytes - cursor.spill_bytes) as f64 / dt_s,
-            stragglers_flagged: self.stats.stragglers_flagged(),
+            steals_per_s: scalar_per_s(Metric::TasksStolen),
+            steal_misses_per_s: scalar_per_s(Metric::StealMisses),
+            spills_per_s: scalar_per_s(Metric::StoreSpills),
+            spill_bytes_per_s: scalar_per_s(Metric::StoreSpillBytes),
+            stragglers_flagged: now.stragglers_flagged(),
             worker_gap_ms: worker_gap_ns as f64 / 1e6,
             client_gap_ms: client_gap_ns as f64 / 1e6,
         };
-        cursor.tasks = tasks;
-        cursor.lane_bytes = lane_bytes;
-        cursor.steals = steals;
-        cursor.steal_misses = steal_misses;
-        cursor.spills = spills;
-        cursor.spill_bytes = spill_bytes;
 
         if let Some(depth) = self.config.queue_depth_alert {
             self.edge_alert(
@@ -570,15 +563,7 @@ impl TelemetryHub {
 pub fn run_sampler(hub: Arc<TelemetryHub>, stop: Arc<AtomicBool>) {
     let interval = hub.config.sample_every;
     let nap = Duration::from_millis(5).min(interval);
-    let mut cursor = SamplerCursor {
-        t_prev: Instant::now(),
-        tasks: 0,
-        lane_bytes: [0; N_WIRE_LANES],
-        steals: 0,
-        steal_misses: 0,
-        spills: 0,
-        spill_bytes: 0,
-    };
+    let mut cursor = SamplerCursor::new();
     let mut next = Instant::now() + interval;
     while !stop.load(Ordering::Relaxed) {
         if Instant::now() >= next {
@@ -801,15 +786,7 @@ mod tests {
             ..TelemetryConfig::enabled()
         };
         let hub = test_hub(config);
-        let mut cursor = SamplerCursor {
-            t_prev: Instant::now(),
-            tasks: 0,
-            lane_bytes: [0; N_WIRE_LANES],
-            steals: 0,
-            steal_misses: 0,
-            spills: 0,
-            spill_bytes: 0,
-        };
+        let mut cursor = SamplerCursor::new();
         hub.publish_scheduler(15, 2, 0, 0, 0);
         hub.sample(&mut cursor); // crossing: one alert
         hub.publish_scheduler(20, 2, 0, 0, 0);
@@ -832,15 +809,7 @@ mod tests {
             ..TelemetryConfig::enabled()
         };
         let hub = test_hub(config);
-        let mut cursor = SamplerCursor {
-            t_prev: Instant::now(),
-            tasks: 0,
-            lane_bytes: [0; N_WIRE_LANES],
-            steals: 0,
-            steal_misses: 0,
-            spills: 0,
-            spill_bytes: 0,
-        };
+        let mut cursor = SamplerCursor::new();
         for _ in 0..5 {
             hub.sample(&mut cursor);
         }
@@ -854,20 +823,14 @@ mod tests {
     #[test]
     fn flight_sample_rates_reflect_counter_deltas() {
         let hub = test_hub(TelemetryConfig::enabled());
-        let mut cursor = SamplerCursor {
-            t_prev: Instant::now() - Duration::from_secs(1),
-            tasks: 0,
-            lane_bytes: [0; N_WIRE_LANES],
-            steals: 0,
-            steal_misses: 0,
-            spills: 0,
-            spill_bytes: 0,
-        };
+        let mut cursor = SamplerCursor::new();
+        cursor.t_prev -= Duration::from_secs(1);
         for _ in 0..10 {
             hub.stats.record(MsgClass::TaskReport, 0);
         }
         hub.stats.record_wire(WireLane::SchedIn, 1000);
-        hub.stats.record_store_spill(4096);
+        hub.stats.inc(Metric::StoreSpills);
+        hub.stats.add(Metric::StoreSpillBytes, 4096);
         hub.publish_scheduler(3, 2, 1, 7_000_000, 0);
         hub.sample(&mut cursor);
         let s = &hub.flight()[0];

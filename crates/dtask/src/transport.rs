@@ -17,7 +17,7 @@
 //! so the default path stays allocation- and codec-free.
 
 use crate::msg::{ClientId, ClientMsg, DataMsg, ExecMsg, SchedMsg, WorkerId};
-use crate::stats::{SchedulerStats, WireLane};
+use crate::stats::{Metric, SchedulerStats, WireLane};
 use crate::trace::{EventKind, TraceHandle};
 use crate::wire;
 use crate::Datum;
@@ -131,7 +131,7 @@ impl FaultPlan {
 /// the deterministic drop pattern.
 struct FaultState {
     plan: FaultPlan,
-    seen: [AtomicU64; crate::stats::N_WIRE_LANES],
+    seen: [AtomicU64; WireLane::COUNT],
 }
 
 impl FaultState {
@@ -673,7 +673,7 @@ impl Router {
             if f.should_drop(payload.lane()) {
                 // Lost "on the wire": never encoded, never delivered. The
                 // counter is the only evidence — exactly like a real loss.
-                self.stats.record_injected_drop();
+                self.stats.inc(Metric::InjectedDrops);
                 return;
             }
         }

@@ -23,7 +23,7 @@ use crate::key::Key;
 use crate::msg::ErrorCause;
 use crate::msg::{Assignment, DataMsg, ExecMsg, SchedMsg, TaskError, WorkerId};
 use crate::spec::{FusedInput, OpRegistry, TaskSpec, Value};
-use crate::stats::{MsgClass, SchedulerStats};
+use crate::stats::{Hist, Metric, MsgClass, SchedulerStats};
 use crate::store::{ObjectStore, StoreConfig};
 use crate::telemetry::TelemetryHub;
 use crate::trace::{EventKind, TraceActor, TraceHandle, TraceRecorder};
@@ -367,7 +367,7 @@ impl Executor {
                 },
             };
             self.stats
-                .record_exec_idle(idle_from.elapsed().as_nanos() as u64);
+                .add(Metric::ExecIdleNs, idle_from.elapsed().as_nanos() as u64);
             match msg {
                 ExecMsg::Execute(assignment) => self.run_one(assignment),
                 ExecMsg::ExecuteBatch { tasks } => {
@@ -461,7 +461,8 @@ impl Executor {
     fn run_one(&self, assignment: Assignment) {
         // Queue delay: scheduler placement → this slot picking the task up.
         self.stats
-            .record_queue_delay(assignment.assigned_at.elapsed().as_nanos() as u64);
+            .hist(Hist::QueueDelay)
+            .record(assignment.assigned_at.elapsed().as_nanos() as u64);
         let Assignment {
             spec,
             dep_locations,
@@ -716,7 +717,8 @@ impl Executor {
         for (handle, reply_rx, t0) in pending {
             match reply_rx.recv().map(DataReply::into_value) {
                 Ok(Ok(value)) => {
-                    self.stats.record_proxy_fetch(value.nbytes());
+                    self.stats.inc(Metric::ProxyFetches);
+                    self.stats.add(Metric::ProxyFetchBytes, value.nbytes());
                     self.tracer
                         .span(EventKind::ProxyFetch, t0, Some(&handle.key), value.nbytes());
                     resolved.insert(handle.key.clone(), value);

@@ -305,7 +305,7 @@ fn main() {
     if spill_mode {
         let snap = StatsSnapshot::capture(stats);
         assert!(
-            snap.store_spills >= 1,
+            snap.store_spills() >= 1,
             "a 600 B budget with four 512 B blocks must spill at least once"
         );
         std::fs::write(
@@ -316,7 +316,10 @@ fn main() {
         println!(
             "store: {} spills ({} B), {} restores, {} hits -> \
              results/STORE_quickstart.json",
-            snap.store_spills, snap.store_spill_bytes, snap.store_restores, snap.store_hits
+            snap.store_spills(),
+            snap.store_spill_bytes(),
+            snap.store_restores(),
+            snap.store_hits()
         );
     }
     // 8. In chaos mode, wait for the liveness sweep to attribute the kill
@@ -336,8 +339,8 @@ fn main() {
         // In-process chaos injects the kill itself; deploy-mode chaos has a
         // real SIGKILL from outside, so nothing is recorded as injected.
         let expected_injected = if deploy.is_some() { 0 } else { 1 };
-        assert_eq!(snap.injected_kills, expected_injected);
-        assert_eq!(snap.peers_lost, 1);
+        assert_eq!(snap.injected_kills(), expected_injected);
+        assert_eq!(snap.peers_lost(), 1);
         std::fs::write(
             "results/CHAOS_quickstart.json",
             snap.to_json().to_string_pretty(),
@@ -346,7 +349,9 @@ fn main() {
         println!(
             "chaos: {} peer lost, {} tasks resubmitted, {} recomputes -> \
              results/CHAOS_quickstart.json",
-            snap.peers_lost, snap.tasks_resubmitted, snap.recomputes
+            snap.peers_lost(),
+            snap.tasks_resubmitted(),
+            snap.recomputes()
         );
     }
     // 9. Under a stealing policy, demonstrate the steal path on a cluster

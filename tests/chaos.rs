@@ -116,8 +116,8 @@ fn killed_worker_with_replicated_blocks_yields_identical_results() {
     let log = cluster.tracer().collect();
     assert_eq!(log.events_of(EventKind::PeerLost).count(), 1);
     let snap = StatsSnapshot::capture(stats);
-    assert_eq!(snap.peers_lost, 1);
-    assert_eq!(snap.injected_kills, 1);
+    assert_eq!(snap.peers_lost(), 1);
+    assert_eq!(snap.injected_kills(), 1);
     assert!(snap.to_json().to_string_compact().contains("\"fault\""));
 }
 

@@ -9,8 +9,8 @@
 //! and move it over the golden.
 
 use dtask::{
-    EventKind, MsgClass, OptimizeReport, SchedulerStats, StatsSnapshot, TraceActor, TraceConfig,
-    TraceRecorder, WireLane,
+    EventKind, Hist, Metric, MsgClass, OptimizeReport, SchedulerStats, StatsSnapshot, TraceActor,
+    TraceConfig, TraceRecorder, WireLane,
 };
 use std::path::PathBuf;
 
@@ -39,10 +39,10 @@ fn populated() -> StatsSnapshot {
     for busy_ns in [1, 2_000, 2_100, 33_000, 1_000_000_000] {
         stats.record_exec_busy(busy_ns);
     }
-    stats.record_exec_idle(next());
+    stats.add(Metric::ExecIdleNs, next());
     // 100 s lands in the overflow bucket (everything from ~34 s up).
     for delay_ns in [40, 41, 5_000, 5_001, 5_002, 100_000_000_000] {
-        stats.record_queue_delay(delay_ns);
+        stats.hist(Hist::QueueDelay).record(delay_ns);
     }
     for pass_ns in [300, 600, 1_200] {
         stats.record_assign_pass(pass_ns);
@@ -50,7 +50,8 @@ fn populated() -> StatsSnapshot {
     for burst in [1, 2, 4, 7, 12, 40] {
         times(next(), &|| stats.record_burst(burst));
     }
-    stats.record_assign(next(), next());
+    stats.add(Metric::AssignTasks, next());
+    stats.add(Metric::AssignMessages, next());
     stats.record_optimize(&OptimizeReport {
         tasks_in: next() as usize,
         tasks_out: next() as usize,
@@ -58,30 +59,44 @@ fn populated() -> StatsSnapshot {
         fused_chain_lengths: vec![2, 2, 3, 5, 9, 17, 17, 17],
     });
 
-    times(next(), &|| stats.record_peer_lost());
-    times(next(), &|| stats.record_peer_tracked());
-    times(next(), &|| stats.record_task_resubmitted());
-    times(next(), &|| stats.record_retries_exhausted());
-    times(next(), &|| stats.record_external_block_lost());
-    times(next(), &|| stats.record_recompute());
-    times(next(), &|| stats.record_injected_drop());
-    times(next(), &|| stats.record_injected_kill());
-    times(next(), &|| stats.record_steal_request());
-    times(next(), &|| stats.record_steal_miss());
-    times(next(), &|| stats.record_task_stolen());
-    times(next(), &|| stats.record_store_hit());
-    times(next(), &|| stats.record_store_miss());
-    times(next(), &|| stats.record_store_spill(11));
-    times(next(), &|| stats.record_store_restore());
-    times(next(), &|| stats.record_proxy_put(13));
-    times(next(), &|| stats.record_proxy_fetch(17));
-    times(next(), &|| stats.record_straggler());
-    times(next(), &|| stats.record_notify_dropped());
+    for metric in [
+        Metric::PeersLost,
+        Metric::PeersTracked,
+        Metric::TasksResubmitted,
+        Metric::RetriesExhausted,
+        Metric::ExternalBlocksLost,
+        Metric::Recomputes,
+        Metric::InjectedDrops,
+        Metric::InjectedKills,
+        Metric::StealRequests,
+        Metric::StealMisses,
+        Metric::TasksStolen,
+        Metric::StoreHits,
+        Metric::StoreMisses,
+    ] {
+        stats.add(metric, next());
+    }
+    let spills = next();
+    stats.add(Metric::StoreSpills, spills);
+    stats.add(Metric::StoreSpillBytes, spills * 11);
+    stats.add(Metric::StoreRestores, next());
+    let puts = next();
+    stats.add(Metric::ProxyPuts, puts);
+    stats.add(Metric::ProxyPutBytes, puts * 13);
+    let fetches = next();
+    stats.add(Metric::ProxyFetches, fetches);
+    stats.add(Metric::ProxyFetchBytes, fetches * 17);
+    stats.add(Metric::StragglersFlagged, next());
+    stats.add(Metric::NotifiesDropped, next());
     for session in [3, 1] {
-        stats.record_tenant_tasks(session, next());
-        stats.record_tenant_bytes(session, next());
-        stats.set_tenant_queue_depth(session, next());
-        times(next(), &|| stats.record_admission_rejection(session));
+        let (tasks, bytes, queue_depth, rejections) = (next(), next(), next(), next());
+        stats.add(Metric::AdmissionRejections, rejections);
+        stats.with_tenant(session, |t| {
+            t.tasks += tasks;
+            t.bytes += bytes;
+            t.queue_depth = queue_depth;
+            t.admission_rejections += rejections;
+        });
     }
 
     // Nine events into a ring of two: seven drops.

@@ -181,7 +181,7 @@ fn idle_worker_steals_from_skewed_queue() {
     assert!(stats.steal_requests() >= 1);
     // The counters surface in the snapshot and its JSON export.
     let snap = StatsSnapshot::capture(stats);
-    assert!(snap.tasks_stolen >= 1);
+    assert!(snap.tasks_stolen() >= 1);
     assert!(snap.to_json().to_string_compact().contains("\"steal\""));
     // Every successful steal leaves an instant in the trace.
     let log = cluster.tracer().collect();

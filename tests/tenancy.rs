@@ -146,7 +146,7 @@ fn admission_cap_rejects_surfaces_and_recovers() {
     assert_eq!(client.future("s2").result().unwrap().as_f64(), Some(9.0));
 
     let snap = StatsSnapshot::capture(cluster.stats());
-    assert_eq!(snap.admission_rejections, 1);
+    assert_eq!(snap.admission_rejections(), 1);
     let tenant = &snap
         .tenants
         .iter()
@@ -187,7 +187,7 @@ fn tenancy_off_serves_the_implicit_session_with_no_tenant_counters() {
         snap.tenants.is_empty(),
         "single-tenant clusters record no per-session counters"
     );
-    assert_eq!(snap.admission_rejections, 0);
+    assert_eq!(snap.admission_rejections(), 0);
     // The tenancy JSON section exists (schema is stable) but is empty.
     let doc = snap.to_json();
     let tenancy = doc.get("tenancy").expect("tenancy section");
