@@ -35,22 +35,25 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Freeze one histogram.
+    /// Freeze one histogram. The live buckets are copied in one pass and the
+    /// count and quantiles derived from that copy, so a capture taken while
+    /// samples are being recorded is still self-consistent: `count` is the
+    /// sum of `buckets`, which is what makes `le="+Inf"`, `_count` and the
+    /// last finite bucket of the exposition agree.
     pub fn capture(hist: &LatencyHist) -> Self {
         let buckets = hist.buckets();
-        let (count, sum_ns) = (hist.count(), hist.sum_ns());
+        let count: u64 = buckets.iter().sum();
+        let sum_ns = hist.sum_ns();
         // Approximate quantile: upper bound of the bucket holding the q-th
-        // sample; `0` for an empty histogram.
+        // sample; `0` for an empty histogram (no bucket reaches rank 1).
         let quantile = |q: f64| {
             let rank = ((q * count as f64).ceil() as u64).max(1);
             let mut seen = 0u64;
             let holder = buckets.iter().position(|&b| {
                 seen += b;
-                count > 0 && seen >= rank
+                seen >= rank
             });
-            holder.map_or(if count == 0 { 0 } else { 1 << N_LAT_BUCKETS }, |i| {
-                1u64 << (i + 1)
-            })
+            holder.map_or(0, |i| 1u64 << (i + 1))
         };
         HistSnapshot {
             count,
@@ -525,6 +528,42 @@ mod tests {
             }
         }
         assert!(pending_help.is_none(), "dangling HELP without TYPE");
+    }
+
+    /// A scrape taken while samples are being recorded is still legal
+    /// exposition: no finite bucket above `+Inf`, `+Inf` equal to `_count`.
+    #[test]
+    fn capture_during_recording_is_never_torn() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let stats = SchedulerStats::new();
+        let stop = AtomicBool::new(false);
+        let started = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                started.wait();
+                let mut ns = 1u64;
+                while !stop.load(Ordering::Relaxed) {
+                    stats.record_exec_busy(ns);
+                    ns = ns.wrapping_mul(6364136223846793005).wrapping_add(1) >> 20;
+                }
+            });
+            started.wait();
+            for _ in 0..1_000 {
+                let snap = StatsSnapshot::capture(&stats);
+                let hist = snap.hist(Hist::Exec);
+                assert_eq!(hist.buckets.iter().sum::<u64>(), hist.count);
+                let prom = snap.to_prometheus();
+                let series: Vec<u64> = prom
+                    .lines()
+                    .filter(|l| l.starts_with("dtask_exec_seconds_bucket"))
+                    .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+                    .collect();
+                assert!(series.windows(2).all(|w| w[0] <= w[1]), "{series:?}");
+                assert_eq!(series.last(), Some(&hist.count), "+Inf is the count");
+                assert!(prom.contains(&format!("dtask_exec_seconds_count {}\n", hist.count)));
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]

@@ -112,14 +112,14 @@ named_enum! {
 /// absorbs everything from ~34 s up.
 pub const N_LAT_BUCKETS: usize = 36;
 
-/// A log₂-bucketed latency histogram over nanosecond samples. Recording is a
-/// couple of relaxed `fetch_add`s — the same cost class as the message
-/// counters, so the histograms stay on even when event tracing is off.
-/// Read it through [`crate::snapshot::HistSnapshot::capture`].
+/// A log₂-bucketed latency histogram over nanosecond samples. Recording is
+/// two relaxed `fetch_add`s — the same cost class as the message counters, so
+/// the histograms stay on even when event tracing is off. The sample count is
+/// the sum of the buckets: read it, and the quantiles, through
+/// [`crate::snapshot::HistSnapshot::capture`].
 #[derive(Debug)]
 pub struct LatencyHist {
     buckets: [AtomicU64; N_LAT_BUCKETS],
-    count: AtomicU64,
     sum_ns: AtomicU64,
 }
 
@@ -127,7 +127,6 @@ impl Default for LatencyHist {
     fn default() -> Self {
         LatencyHist {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
         }
     }
@@ -138,13 +137,7 @@ impl LatencyHist {
     pub fn record(&self, ns: u64) {
         let bucket = (63 - (ns | 1).leading_zeros() as usize).min(N_LAT_BUCKETS - 1);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all samples in nanoseconds.
