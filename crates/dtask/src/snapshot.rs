@@ -224,7 +224,9 @@ impl StatsSnapshot {
                 Source::Latency(hist) => {
                     let hist = self.hist(hist);
                     let mut cumulative = 0u64;
-                    for (i, &b) in hist.buckets.iter().enumerate() {
+                    // The last bucket has no upper bound (it absorbs everything
+                    // from ~34 s up): its samples show under `+Inf` only.
+                    for (i, &b) in hist.buckets[..N_LAT_BUCKETS - 1].iter().enumerate() {
                         cumulative += b;
                         if b > 0 {
                             // Sparse exposition: only non-empty buckets.
@@ -564,6 +566,19 @@ mod tests {
             }
             stop.store(true, Ordering::Relaxed);
         });
+    }
+
+    #[test]
+    fn overflow_bucket_is_counted_under_inf_only() {
+        let stats = SchedulerStats::new();
+        stats.record_exec_busy(100_000_000_000); // 100 s, past every finite bound
+        let prom = StatsSnapshot::capture(&stats).to_prometheus();
+        let buckets: Vec<&str> = prom
+            .lines()
+            .filter(|l| l.starts_with("dtask_exec_seconds_bucket"))
+            .collect();
+        assert_eq!(buckets, ["dtask_exec_seconds_bucket{le=\"+Inf\"} 1"]);
+        assert!(prom.contains("dtask_exec_seconds_sum 100\n"));
     }
 
     #[test]
