@@ -360,9 +360,9 @@ metrics! {
         "Framed transport messages encoded, all lanes (zero under InProc).";
     (Source::Sum(Counters::wire_total_bytes)) wire_total_bytes: Wire "total_bytes", Counter, Bytes,
         "Serialized bytes-on-the-wire, all lanes (zero under InProc).";
-    [ExecBusyNs] exec_busy_ns: Executors "busy_ns", Counter, Nanos,
+    [ExecBusyNs] exec_busy_ns: Executors "busy_ns" => "dtask_executor_busy_seconds_total", Counter, Nanos,
         "Wall time executor slots spent running tasks (gather plus compute).";
-    [ExecIdleNs] exec_idle_ns: Executors "idle_ns", Counter, Nanos,
+    [ExecIdleNs] exec_idle_ns: Executors "idle_ns" => "dtask_executor_idle_seconds_total", Counter, Nanos,
         "Wall time executor slots spent blocked on an empty inbox.";
     (Source::Ratio(Counters::executor_utilization)) executor_utilization:
         Executors "utilization" => "dtask_executor_utilization", Gauge, Ratio,
@@ -398,9 +398,9 @@ metrics! {
         "Specs sent to the scheduler after cull and fuse.";
     [OptimizeCulled] optimize_culled: Optimizer "culled" => "dtask_optimize_culled_total", Counter, Count,
         "Tasks dropped by the optimizer cull pass.";
-    [FusedChains] fused_chains: Optimizer "fused_chains", Counter, Count,
+    [FusedChains] fused_chains: Optimizer "fused_chains" => "dtask_optimize_fused_chains_total", Counter, Count,
         "Fused chains produced by the optimizer.";
-    [FusedStages] fused_stages: Optimizer "fused_stages", Counter, Count,
+    [FusedStages] fused_stages: Optimizer "fused_stages" => "dtask_optimize_fused_stages_total", Counter, Count,
         "Original tasks absorbed into fused chains (chain lengths summed).";
     (Source::Sizes(SizeHist::FusedChain)) fused_chain_hist: Optimizer "chain_hist", Histogram, Count,
         "Fused-chain lengths, bucketed <=1, 2, 3-4, 5-8, 9-16, >16.";
