@@ -964,6 +964,32 @@ mod tests {
         assert_eq!(s.bridge_metadata_messages(), 0);
     }
 
+    /// DESIGN.md's metric reference table is the registry, row for row, so a
+    /// metric cannot be added, renamed or dropped without its documentation.
+    #[test]
+    fn design_md_metric_reference_matches_the_registry() {
+        let expected: Vec<String> = METRICS
+            .iter()
+            .map(|def| {
+                let family = def.family.map_or("—".to_string(), |f| format!("`{f}`"));
+                let (path, kind, unit) = (json_path(def), def.kind.name(), def.unit.name());
+                format!("| {family} | `{path}` | {kind} | {unit} | {} |", def.help)
+            })
+            .collect();
+        let design = include_str!("../../../DESIGN.md");
+        let documented: Vec<&str> = design
+            .lines()
+            .skip_while(|l| *l != "| Family | JSON path | Kind | Unit | Help |")
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .collect();
+        assert!(
+            documented == expected,
+            "DESIGN.md section 9 metric reference is stale; it should read:\n{}",
+            expected.join("\n")
+        );
+    }
+
     /// The registry is well-formed: identifiers, JSON paths and families are
     /// unique, counters follow the `_total` convention, every row is
     /// documented, and every `Metric` variant has exactly one row.
@@ -993,6 +1019,8 @@ mod tests {
             }
             if let Source::Scalar(metric) = def.source {
                 assert!(scalars.insert(metric as usize), "{} has two rows", def.id);
+                // Every scalar renders in both documents, bar a histogram's sum.
+                assert!(def.family.is_some() || def.help.contains("the _sum of"));
             }
         }
         assert_eq!(scalars.len(), Metric::COUNT);
