@@ -458,8 +458,8 @@ impl TelemetryHub {
         cursor.t_prev = now;
 
         let now = self.stats.capture();
-        let prev = std::mem::replace(&mut cursor.prev, now.clone());
-        let per_s = |read: &dyn Fn(&Counters<u64>) -> u64| (read(&now) - read(&prev)) as f64 / dt_s;
+        let prev = &cursor.prev;
+        let per_s = |read: &dyn Fn(&Counters<u64>) -> u64| (read(&now) - read(prev)) as f64 / dt_s;
         let scalar_per_s = |metric: Metric| per_s(&|c| c.get(metric));
 
         let queue_depth_peak = self.queue_depth_peak.swap(0, Ordering::Relaxed);
@@ -482,6 +482,7 @@ impl TelemetryHub {
             worker_gap_ms: worker_gap_ns as f64 / 1e6,
             client_gap_ms: client_gap_ns as f64 / 1e6,
         };
+        cursor.prev = now;
 
         if let Some(depth) = self.config.queue_depth_alert {
             self.edge_alert(
