@@ -240,3 +240,129 @@ fn truncated_frames_never_panic() {
         }
     }
 }
+
+// ---------- golden frames ---------------------------------------------------
+
+use deisa_repro::dtask::msg::DataMsg;
+use deisa_repro::dtask::transport::{Addr, DataReply, Payload, ReplyTo};
+use deisa_repro::dtask::wire::{decode, encode};
+
+/// Deterministic block values: integer arithmetic and one IEEE division, so
+/// the bytes do not depend on a libm.
+fn golden_block(shape: &[usize]) -> NDArray {
+    let n = shape.iter().product::<usize>();
+    let data = (0..n as u64)
+        .map(|i| (i.wrapping_mul(2_654_435_761) % 1_000_003) as f64 / 7.0)
+        .collect();
+    NDArray::from_vec(shape, data).unwrap()
+}
+
+/// The array-carrying payloads whose bytes are pinned in
+/// `tests/golden/wire_frames.txt`.
+fn golden_payloads() -> Vec<(&'static str, Payload)> {
+    let put = |key: &str, value: Datum| {
+        Payload::Data(DataMsg::Put {
+            key: Key::new(key),
+            value,
+            ack: ReplyTo {
+                addr: Addr::Client(3),
+                corr: 41,
+            },
+        })
+    };
+    let reply = |value: Datum| Payload::Reply {
+        corr: 99,
+        reply: DataReply::Value(Ok(value)),
+    };
+    let nasty = NDArray::from_vec(
+        &[2, 3],
+        vec![
+            f64::NAN,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            1.5,
+        ],
+    )
+    .unwrap();
+    vec![
+        (
+            "put_256x256",
+            put("field@(7,0,1)", Datum::from(golden_block(&[256, 256]))),
+        ),
+        (
+            "reply_256x256",
+            reply(Datum::from(golden_block(&[256, 256]))),
+        ),
+        (
+            "put_empty",
+            put("empty", Datum::from(NDArray::zeros(&[0, 4]))),
+        ),
+        ("reply_nan", reply(Datum::from(nasty.clone()))),
+        (
+            "put_list_of_arrays",
+            put(
+                "parts",
+                Datum::List(vec![
+                    Datum::from(golden_block(&[2, 2])),
+                    Datum::from(nasty),
+                    Datum::List(vec![Datum::from(golden_block(&[3])), Datum::F64(-0.0)]),
+                ]),
+            ),
+        ),
+    ]
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The datum a golden payload carries.
+fn payload_datum(p: &Payload) -> &Datum {
+    match p {
+        Payload::Data(DataMsg::Put { value, .. }) => value,
+        Payload::Reply {
+            reply: DataReply::Value(Ok(value)),
+            ..
+        } => value,
+        _ => panic!("not a golden payload"),
+    }
+}
+
+/// Array-carrying envelopes are byte-identical to the frames generated before
+/// the payload codec moved element runs in bulk: one line per frame (name,
+/// length, FNV-1a 64 of the bytes, and the bytes in hex when short). On a
+/// deliberate layout change, review `wire_frames.txt.actual` and move it
+/// over the golden.
+#[test]
+fn array_frames_match_golden_bytes() {
+    let mut actual = String::new();
+    for (name, payload) in golden_payloads() {
+        let bytes = encode(&payload);
+        let hex = if bytes.len() <= 256 {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        } else {
+            "-".to_string()
+        };
+        actual.push_str(&format!(
+            "{name} {} {:016x} {hex}\n",
+            bytes.len(),
+            fnv1a64(&bytes)
+        ));
+        let back = decode(&bytes).unwrap();
+        assert!(
+            datum_eq(payload_datum(&payload), payload_datum(&back)),
+            "{name} does not round-trip"
+        );
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wire_frames.txt");
+    let golden = std::fs::read_to_string(&path).unwrap_or_default();
+    if actual != golden {
+        std::fs::write(path.with_extension("txt.actual"), &actual).unwrap();
+        panic!("array frames differ from {}", path.display());
+    }
+}
