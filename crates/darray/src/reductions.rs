@@ -31,38 +31,12 @@ pub(crate) fn register_reduction_ops(registry: &OpRegistry) {
         if axis >= a.ndim() {
             return Err(format!("da.reduce_axis: axis {axis} out of range"));
         }
-        let in_shape = a.shape().to_vec();
-        let mut out_shape = in_shape.clone();
-        out_shape.remove(axis);
-        let init = match op {
-            0 => 0.0,
-            1 => f64::NEG_INFINITY,
-            2 => f64::INFINITY,
+        Ok(Datum::from(match op {
+            0 => fold_axis(a, axis, 0.0, |acc, v| acc + v),
+            1 => fold_axis(a, axis, f64::NEG_INFINITY, f64::max),
+            2 => fold_axis(a, axis, f64::INFINITY, f64::min),
             _ => return Err(format!("da.reduce_axis: unknown op {op}")),
-        };
-        let mut out = NDArray::full(&out_shape, init);
-        let mut idx = vec![0usize; in_shape.len()];
-        let total: usize = in_shape.iter().product();
-        for _ in 0..total {
-            let mut out_idx = idx.clone();
-            out_idx.remove(axis);
-            let v = a.get(&idx);
-            let cur = out.get(&out_idx);
-            let nv = match op {
-                0 => cur + v,
-                1 => cur.max(v),
-                _ => cur.min(v),
-            };
-            out.set(&out_idx, nv);
-            for d in (0..in_shape.len()).rev() {
-                idx[d] += 1;
-                if idx[d] < in_shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-        Ok(Datum::from(out))
+        }))
     });
 
     // params: [op_code]; elementwise merge of equal-shaped partials.
@@ -89,6 +63,33 @@ pub(crate) fn register_reduction_ops(registry: &OpRegistry) {
         acc.map(Datum::from)
             .ok_or_else(|| "da.merge_reduced: no inputs".into())
     });
+}
+
+/// Fold `axis` of a row-major block away. The block is `outer × n × inner`
+/// (`inner` = product of the dimensions behind `axis`), the result
+/// `outer × inner`: every output row starts at `init` and takes the `n`
+/// contiguous input runs of its slab in ascending axis order, so each cell
+/// sees exactly the operand sequence an element-by-element row-major walk
+/// gives it and sums are bit-identical to such a walk.
+fn fold_axis(a: &NDArray, axis: usize, init: f64, f: impl Fn(f64, f64) -> f64) -> NDArray {
+    let shape = a.shape();
+    let n = shape[axis];
+    let inner: usize = shape[axis + 1..].iter().product();
+    let mut out_shape = shape.to_vec();
+    out_shape.remove(axis);
+    let mut out = NDArray::full(&out_shape, init);
+    // A zero-length dimension leaves `out` empty or at `init`.
+    if n > 0 && inner > 0 {
+        let rows = out.data_mut().chunks_exact_mut(inner);
+        for (acc, slab) in rows.zip(a.data().chunks_exact(n * inner)) {
+            for run in slab.chunks_exact(inner) {
+                for (o, &v) in acc.iter_mut().zip(run) {
+                    *o = f(*o, v);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Reduction kind.
@@ -352,6 +353,137 @@ mod tests {
         assert!(a.sum_axis(&mut g, 2).is_err());
         let one_d = DArray::fill(&mut g, &[4], &[2], 0.0).unwrap();
         assert!(one_d.sum_axis(&mut g, 0).is_err());
+    }
+
+    /// The element-by-element odometer walk `da.reduce_axis` used to be: the
+    /// reference the strided kernel must match bit for bit.
+    fn reduce_axis_oracle(a: &NDArray, axis: usize, op: i64) -> NDArray {
+        let in_shape = a.shape().to_vec();
+        let mut out_shape = in_shape.clone();
+        out_shape.remove(axis);
+        let init = [0.0, f64::NEG_INFINITY, f64::INFINITY][op as usize];
+        let mut out = NDArray::full(&out_shape, init);
+        let mut idx = vec![0usize; in_shape.len()];
+        for _ in 0..a.len() {
+            let mut out_idx = idx.clone();
+            out_idx.remove(axis);
+            let (v, cur) = (a.get(&idx), out.get(&out_idx));
+            out.set(
+                &out_idx,
+                match op {
+                    0 => cur + v,
+                    1 => cur.max(v),
+                    _ => cur.min(v),
+                },
+            );
+            for d in (0..in_shape.len()).rev() {
+                idx[d] += 1;
+                if idx[d] < in_shape[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
+        }
+        out
+    }
+
+    /// The registered `da.reduce_axis` op applied to one array datum.
+    fn reduce_axis_op(block: &Datum, axis: usize, op: i64) -> Datum {
+        let registry = OpRegistry::with_std_ops();
+        register_reduction_ops(&registry);
+        let kernel = registry.get("da.reduce_axis").unwrap();
+        let params = Datum::List(vec![Datum::I64(axis as i64), Datum::I64(op)]);
+        kernel(&params, std::slice::from_ref(block)).unwrap()
+    }
+
+    /// splitmix64: seeded test data without a dev-dependency.
+    fn next_u64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A block of mixed-magnitude values (so sums round), with NaN, -0.0 and
+    /// both infinities sprinkled in when `nasty`.
+    fn seeded_block(shape: &[usize], seed: u64, nasty: bool) -> NDArray {
+        let mut state = seed;
+        NDArray::from_fn(shape, |_| {
+            let r = next_u64(&mut state);
+            match (nasty, r % 16) {
+                (true, 0) => f64::NAN,
+                (true, 1) => -0.0,
+                (true, 2) => f64::INFINITY,
+                (true, 3) => f64::NEG_INFINITY,
+                _ => (r >> 11) as f64 / (1u64 << 40) as f64 - 4096.0,
+            }
+        })
+    }
+
+    #[test]
+    fn reduce_axis_is_bit_identical_to_the_odometer_walk() {
+        let shapes: [&[usize]; 10] = [
+            &[7],
+            &[1],
+            &[5, 9],
+            &[1, 6],
+            &[6, 1],
+            &[3, 4, 5],
+            &[4, 1, 3],
+            &[2, 3, 2, 5],
+            &[3, 0, 4],
+            &[0, 2],
+        ];
+        for (case, shape) in shapes.iter().enumerate() {
+            for nasty in [false, true] {
+                let a = seeded_block(shape, 0xA11C_E000 + case as u64, nasty);
+                let block = Datum::from(a.clone());
+                for axis in 0..shape.len() {
+                    for op in 0..3 {
+                        let got = reduce_axis_op(&block, axis, op);
+                        let got = got.as_array().unwrap();
+                        let want = reduce_axis_oracle(&a, axis, op);
+                        assert_eq!(got.shape(), want.shape(), "{shape:?} axis {axis} op {op}");
+                        let bits = |x: &NDArray| -> Vec<u64> {
+                            x.data().iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(got), bits(&want), "{shape:?} axis {axis} op {op}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A ratio of two timings taken in one process, so a starved machine
+    /// slows both sides: the strided kernel must stay well clear of the
+    /// per-element walk it replaced (which paid four heap allocations per
+    /// `f64`). Optimised builds only; CI runs it in its release step.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing ratio is for optimised builds")]
+    fn reduce_axis_is_at_least_5x_faster_than_the_odometer_walk() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let best_of = |f: &dyn Fn()| {
+            (0..5)
+                .map(|_| {
+                    let t = Instant::now();
+                    f();
+                    t.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        for shape in [&[1usize, 256, 256], &[8, 64, 64]] {
+            let a = seeded_block(shape, 7, false);
+            let block = Datum::from(a.clone());
+            let kernel = best_of(&|| drop(black_box(reduce_axis_op(black_box(&block), 0, 0))));
+            let oracle = best_of(&|| drop(black_box(reduce_axis_oracle(black_box(&a), 0, 0))));
+            assert!(
+                oracle >= kernel * 5,
+                "{shape:?}: kernel {kernel:?} vs odometer walk {oracle:?}"
+            );
+        }
     }
 
     #[test]
