@@ -5,6 +5,7 @@
 //! encode/decode symmetrical.
 
 use dtask::{Datum, OpRegistry};
+use linalg::ndarray::strides_for;
 use linalg::{Matrix, NDArray};
 use std::sync::Arc;
 
@@ -165,26 +166,32 @@ pub fn register_array_ops(registry: &OpRegistry) {
         if seen.iter().any(|&s| !s) {
             return Err("da.stack2d: axes must cover every dimension".into());
         }
-        let shape = src.shape().to_vec();
+        let shape = src.shape();
+        let strides = strides_for(shape);
+        // Source offset of row-major position `pos` within one axis group.
+        // The two groups partition the axes, so a cell's offset is the sum
+        // of its row's and its column's.
+        let group_offset = |axes: &[usize], mut pos: usize| {
+            let mut offset = 0;
+            for &a in axes.iter().rev() {
+                offset += pos % shape[a] * strides[a];
+                pos /= shape[a];
+            }
+            offset
+        };
         let n_samples: usize = sample_axes.iter().map(|&a| shape[a]).product();
         let n_features: usize = feature_axes.iter().map(|&a| shape[a]).product();
-        let out = NDArray::from_fn(&[n_samples, n_features], |out_idx| {
-            // Decompose the row-major sample and feature positions back into
-            // per-axis indices.
-            let mut src_idx = vec![0usize; rank];
-            let mut s = out_idx[0];
-            for &a in sample_axes.iter().rev() {
-                src_idx[a] = s % shape[a];
-                s /= shape[a];
-            }
-            let mut f = out_idx[1];
-            for &a in feature_axes.iter().rev() {
-                src_idx[a] = f % shape[a];
-                f /= shape[a];
-            }
-            src.get(&src_idx)
-        });
-        Ok(Datum::from(out))
+        let col_offsets: Vec<usize> = (0..n_features)
+            .map(|f| group_offset(&feature_axes, f))
+            .collect();
+        let mut data = Vec::with_capacity(n_samples * n_features);
+        for s in 0..n_samples {
+            let row = group_offset(&sample_axes, s);
+            data.extend(col_offsets.iter().map(|&col| src.data()[row + col]));
+        }
+        NDArray::from_vec(&[n_samples, n_features], data)
+            .map(Datum::from)
+            .map_err(|e| e.to_string())
     });
 
     registry.register("da.transpose2d", |_p, deps| {
@@ -294,6 +301,69 @@ mod tests {
         )
         .unwrap();
         assert_eq!(aff.as_array().unwrap().get(&[0, 0]), 5.0);
+    }
+
+    /// The per-element decomposition `da.stack2d` used to be: a fresh index
+    /// vector and a `get` per cell.
+    fn stack2d_oracle(src: &NDArray, sample_axes: &[usize], feature_axes: &[usize]) -> NDArray {
+        let shape = src.shape();
+        let n_samples: usize = sample_axes.iter().map(|&a| shape[a]).product();
+        let n_features: usize = feature_axes.iter().map(|&a| shape[a]).product();
+        NDArray::from_fn(&[n_samples, n_features], |out_idx| {
+            let mut src_idx = vec![0usize; shape.len()];
+            let mut s = out_idx[0];
+            for &a in sample_axes.iter().rev() {
+                src_idx[a] = s % shape[a];
+                s /= shape[a];
+            }
+            let mut f = out_idx[1];
+            for &a in feature_axes.iter().rev() {
+                src_idx[a] = f % shape[a];
+                f /= shape[a];
+            }
+            src.get(&src_idx)
+        })
+    }
+
+    #[test]
+    fn stack2d_is_bit_identical_to_the_per_element_decomposition() {
+        let r = reg();
+        let stack = r.get("da.stack2d").unwrap();
+        // (shape, sample axes, feature axes): every split and order of a
+        // rank-3 block, a rank-4 one, an empty group and a zero-length dim.
+        let cases: [(&[usize], &[usize], &[usize]); 10] = [
+            (&[3, 4, 5], &[0], &[1, 2]),
+            (&[3, 4, 5], &[2, 0], &[1]),
+            (&[3, 4, 5], &[1], &[2, 0]),
+            (&[3, 4, 5], &[0, 1, 2], &[]),
+            (&[3, 4, 5], &[], &[2, 1, 0]),
+            (&[2, 3, 2, 4], &[3, 1], &[0, 2]),
+            (&[6], &[0], &[]),
+            (&[3, 0, 2], &[0], &[2, 1]),
+            (&[3, 0, 2], &[1], &[0, 2]),
+            (&[1, 7], &[1], &[0]),
+        ];
+        for (shape, sample_axes, feature_axes) in cases {
+            let mut x = 0.37f64;
+            let src = NDArray::from_fn(shape, |_| {
+                x = (x * 997.0 + 0.1).fract() - 0.5;
+                if x > 0.45 {
+                    f64::NAN
+                } else {
+                    x * 1e3
+                }
+            });
+            let got = stack(
+                &Datum::List(vec![ilist(sample_axes), ilist(feature_axes)]),
+                &[Datum::from(src.clone())],
+            )
+            .unwrap();
+            let got = got.as_array().unwrap();
+            let want = stack2d_oracle(&src, sample_axes, feature_axes);
+            assert_eq!(got.shape(), want.shape(), "{shape:?} {sample_axes:?}");
+            let bits = |a: &NDArray| -> Vec<u64> { a.data().iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(bits(got), bits(&want), "{shape:?} {sample_axes:?}");
+        }
     }
 
     #[test]

@@ -23,9 +23,19 @@ impl std::fmt::Debug for NDArray {
     }
 }
 
+/// Number of elements implied by a shape (empty shape = scalar = 1 element),
+/// or `None` when the product overflows `usize`: a shape read from outside
+/// the program must not wrap to a small count.
+pub fn checked_shape_len(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
 /// Number of elements implied by a shape (empty shape = scalar = 1 element).
+///
+/// # Panics
+/// When the product overflows `usize`; no such array can exist.
 pub fn shape_len(shape: &[usize]) -> usize {
-    shape.iter().product()
+    checked_shape_len(shape).expect("shape element count overflows usize")
 }
 
 /// Row-major strides for a shape.
@@ -53,14 +63,9 @@ impl NDArray {
 
     /// Create an array from raw row-major data.
     pub fn from_vec(shape: &[usize], data: Vec<f64>) -> Result<Self> {
-        if shape_len(shape) != data.len() {
+        if checked_shape_len(shape) != Some(data.len()) {
             return Err(LinalgError::ShapeMismatch {
-                what: format!(
-                    "shape {:?} wants {} elements, got {}",
-                    shape,
-                    shape_len(shape),
-                    data.len()
-                ),
+                what: format!("shape {:?} vs {} elements", shape, data.len()),
             });
         }
         Ok(NDArray {
@@ -126,11 +131,11 @@ impl NDArray {
         self.data
     }
 
-    /// Flat offset of a multi-index.
+    /// Flat row-major offset of a multi-index, by Horner's rule over the
+    /// shape (no stride vector per call).
     fn offset(&self, idx: &[usize]) -> usize {
         debug_assert_eq!(idx.len(), self.shape.len());
-        let strides = strides_for(&self.shape);
-        idx.iter().zip(&strides).map(|(i, s)| i * s).sum()
+        idx.iter().zip(&self.shape).fold(0, |o, (i, n)| o * n + i)
     }
 
     /// Element at a multi-index.
@@ -325,6 +330,30 @@ mod tests {
         assert_eq!(a.get(&[0, 2]), 2.0);
         assert_eq!(a.get(&[1, 1]), 11.0);
         assert_eq!(a.data(), &[0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
+    }
+
+    #[test]
+    fn offset_matches_the_stride_dot_product() {
+        for shape in [&[4usize][..], &[3, 5], &[2, 3, 4], &[2, 1, 3, 2]] {
+            let a = NDArray::from_vec(shape, (0..shape_len(shape)).map(|x| x as f64).collect())
+                .unwrap();
+            let strides = strides_for(shape);
+            let mut flat = 0usize;
+            NDArray::from_fn(shape, |idx| {
+                let dot: usize = idx.iter().zip(&strides).map(|(i, s)| i * s).sum();
+                assert_eq!((a.offset(idx), dot), (flat, flat));
+                flat += 1;
+                0.0
+            });
+        }
+    }
+
+    #[test]
+    fn overflowing_shape_is_an_error_not_a_wrapped_count() {
+        assert_eq!(checked_shape_len(&[1 << 63, 2]), None);
+        assert_eq!(checked_shape_len(&[]), Some(1));
+        // 2^63 * 2 wraps to 0 elements: must not pass for an empty array.
+        assert!(NDArray::from_vec(&[1 << 63, 2], Vec::new()).is_err());
     }
 
     #[test]
