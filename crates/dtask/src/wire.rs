@@ -37,6 +37,7 @@ use crate::key::Key;
 use crate::msg::{Assignment, ClientMsg, DataMsg, ErrorCause, ExecMsg, SchedMsg, TaskError};
 use crate::spec::{FusedInput, FusedStage, TaskSpec, Value};
 use crate::transport::{Addr, DataReply, Payload, ReplyTo};
+use linalg::ndarray::checked_shape_len;
 use linalg::NDArray;
 use std::sync::Arc;
 use std::time::Instant;
@@ -139,11 +140,46 @@ impl Enc {
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// How many recursive values (lists, scoped messages) enclose `pos`.
+    depth: usize,
 }
+
+/// Deepest nesting of recursive values a decoder follows. Decoding recurses
+/// once per level, so the bound is what keeps a frame of nested one-element
+/// lists from overflowing the stack; real parameters nest a handful deep.
+const MAX_NESTING: usize = 64;
 
 impl<'a> Dec<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+        Dec {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Decode one recursive value's contents a level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        if self.depth == MAX_NESTING {
+            return Err(WireError::Malformed("nesting too deep"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// A length-prefixed list of dimensions. The count is checked against
+    /// the bytes left before anything is allocated for it.
+    fn shape(&mut self) -> Result<Vec<usize>, WireError> {
+        let ndim = self.len()?;
+        if ndim > (self.buf.len() - self.pos) / 8 {
+            return Err(WireError::Truncated);
+        }
+        (0..ndim).map(|_| self.usize()).collect()
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -289,12 +325,8 @@ fn get_datum(d: &mut Dec) -> Result<Datum, WireError> {
         2 => Datum::Bool(d.u8()? != 0),
         3 => Datum::Str(d.str()?),
         4 => {
-            let ndim = d.len()?;
-            let mut shape = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                shape.push(d.usize()?);
-            }
-            let n: usize = shape.iter().product();
+            let shape = d.shape()?;
+            let n = checked_shape_len(&shape).ok_or(WireError::Malformed("array"))?;
             // Bound the element count by the remaining body before
             // allocating, so a corrupt length can't balloon memory.
             if n.saturating_mul(8) > d.buf.len() - d.pos {
@@ -308,31 +340,23 @@ fn get_datum(d: &mut Dec) -> Result<Datum, WireError> {
                 NDArray::from_vec(&shape, data).map_err(|_| WireError::Malformed("array"))?,
             ))
         }
-        5 => {
+        5 => d.nested(|d| {
             let n = d.len()?;
             let mut items = Vec::with_capacity(n.min(d.buf.len() - d.pos));
             for _ in 0..n {
                 items.push(get_datum(d)?);
             }
-            Datum::List(items)
-        }
+            Ok(Datum::List(items))
+        })?,
         6 => Datum::Bytes(d.byte_vec()?.into()),
         7 => Datum::Null,
-        8 => {
-            let key = get_key(d)?;
-            let ndim = d.len()?;
-            let mut shape = Vec::with_capacity(ndim.min(d.buf.len() - d.pos));
-            for _ in 0..ndim {
-                shape.push(d.usize()?);
-            }
-            Datum::Ref(DatumRef {
-                key,
-                shape,
-                nbytes: d.u64()?,
-                holder: d.usize()?,
-                epoch: d.u64()?,
-            })
-        }
+        8 => Datum::Ref(DatumRef {
+            key: get_key(d)?,
+            shape: d.shape()?,
+            nbytes: d.u64()?,
+            holder: d.usize()?,
+            epoch: d.u64()?,
+        }),
         tag => return Err(WireError::BadTag { what: "datum", tag }),
     })
 }
@@ -816,7 +840,7 @@ fn get_sched(d: &mut Dec) -> Result<SchedMsg, WireError> {
         },
         21 => SchedMsg::Scoped {
             session: d.u32()?,
-            inner: Box::new(get_sched(d)?),
+            inner: Box::new(d.nested(get_sched)?),
         },
         tag => {
             return Err(WireError::BadTag {

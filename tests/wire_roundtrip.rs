@@ -366,3 +366,161 @@ fn array_frames_match_golden_bytes() {
         panic!("array frames differ from {}", path.display());
     }
 }
+
+// ---------- hostile payloads ------------------------------------------------
+
+use deisa_repro::dtask::{DatumRef, WireError};
+
+/// A well-formed `Reply` envelope whose value is the given raw datum bytes.
+fn reply_envelope_around(raw_datum: &[u8]) -> Vec<u8> {
+    let mut env = encode(&Payload::Reply {
+        corr: 7,
+        reply: DataReply::Value(Ok(Datum::Null)),
+    });
+    env.pop(); // the encoded `Null`
+    env.extend_from_slice(raw_datum);
+    let body_len = (env.len() - 8) as u32;
+    env[4..8].copy_from_slice(&body_len.to_le_bytes());
+    env
+}
+
+fn decode_err(envelope: &[u8]) -> WireError {
+    match decode(envelope) {
+        Err(e) => e,
+        Ok(_) => panic!("hostile frame decoded"),
+    }
+}
+
+#[test]
+fn array_rank_beyond_the_body_is_an_error_not_an_allocation() {
+    // tag 4, ndim = u32::MAX, one dimension's worth of bytes: 13 bytes that
+    // used to ask the allocator for 32 GiB of shape.
+    let mut raw = vec![4u8];
+    raw.extend_from_slice(&u32::MAX.to_le_bytes());
+    raw.extend_from_slice(&1u64.to_le_bytes());
+    assert_eq!(decode_datum(&raw).err(), Some(WireError::Truncated));
+    assert_eq!(
+        decode_err(&reply_envelope_around(&raw)),
+        WireError::Truncated
+    );
+}
+
+#[test]
+fn array_shape_whose_product_overflows_is_malformed() {
+    // shape [2^63, 2]: the element count wraps to 0 in release arithmetic.
+    let mut raw = vec![4u8];
+    raw.extend_from_slice(&2u32.to_le_bytes());
+    raw.extend_from_slice(&(1u64 << 63).to_le_bytes());
+    raw.extend_from_slice(&2u64.to_le_bytes());
+    assert_eq!(
+        decode_datum(&raw).err(),
+        Some(WireError::Malformed("array"))
+    );
+    assert_eq!(
+        decode_err(&reply_envelope_around(&raw)),
+        WireError::Malformed("array")
+    );
+}
+
+#[test]
+fn ten_megabytes_of_nested_lists_are_malformed_not_a_stack_overflow() {
+    // tag 5, len 1, two million times over, then a Null: 10 MB, well under
+    // the socket's 64 MiB frame bound.
+    let mut raw = Vec::with_capacity(10_000_001);
+    for _ in 0..2_000_000 {
+        raw.push(5u8);
+        raw.extend_from_slice(&1u32.to_le_bytes());
+    }
+    raw.push(7);
+    assert_eq!(
+        decode_datum(&raw).err(),
+        Some(WireError::Malformed("nesting too deep"))
+    );
+    assert_eq!(
+        decode_err(&reply_envelope_around(&raw)),
+        WireError::Malformed("nesting too deep")
+    );
+    // Ordinary nesting still decodes.
+    let mut nested = Datum::I64(1);
+    for _ in 0..16 {
+        nested = Datum::List(vec![nested]);
+    }
+    assert!(datum_eq(
+        &decode_datum(&encode_datum(&nested)).unwrap(),
+        &nested
+    ));
+}
+
+/// Seeded byte mutations (overwrites, bit flips, cuts, a spliced-in run of
+/// another frame) over encoded `Put`/`Reply` envelopes carrying arrays,
+/// lists and refs: whatever comes out is `Ok` or a `WireError`. A panic,
+/// an abort or a stack overflow takes the test process down with it.
+#[test]
+fn mutated_payload_frames_never_panic() {
+    let handle = Datum::Ref(DatumRef {
+        key: Key::new("blk@(3,1)"),
+        shape: vec![64, 64],
+        nbytes: 32_768,
+        holder: 1,
+        epoch: 9,
+    });
+    let value = Datum::List(vec![
+        Datum::from(golden_block(&[6, 5])),
+        handle.clone(),
+        Datum::List(vec![
+            Datum::from(NDArray::zeros(&[0, 3])),
+            Datum::Str("µ".into()),
+            handle,
+        ]),
+        Datum::from(golden_block(&[2, 3, 4])),
+    ]);
+    let frames = [
+        encode(&Payload::Data(DataMsg::Put {
+            key: Key::scoped(5, "field@(0,0)"),
+            value: value.clone(),
+            ack: ReplyTo {
+                addr: Addr::WorkerData(1),
+                corr: 12,
+            },
+        })),
+        encode(&Payload::Reply {
+            corr: 13,
+            reply: DataReply::Value(Ok(value)),
+        }),
+    ];
+    let mut rng = SmallRng::seed_from_u64(0xF022_0017);
+    let mut decoded = 0usize;
+    for round in 0..40_000 {
+        let mut bytes = frames[round % 2].clone();
+        for _ in 0..rng.gen_range(1usize..4) {
+            let at = rng.gen_range(0usize..bytes.len());
+            match rng.gen_range(0u32..4) {
+                0 => bytes[at] = rng.gen_range(0u32..256) as u8,
+                1 => bytes[at] ^= 1 << rng.gen_range(0u32..8),
+                // Length and rank fields are where the damage is: saturate one.
+                2 => bytes[at..].iter_mut().take(4).for_each(|b| *b = 0xFF),
+                _ => {
+                    let other = &frames[(round + 1) % 2];
+                    let from = rng.gen_range(0usize..other.len());
+                    let n = rng.gen_range(1usize..24).min(other.len() - from);
+                    bytes.splice(at..at, other[from..from + n].iter().copied());
+                }
+            }
+        }
+        if rng.gen_range(0u32..4) == 0 {
+            bytes.truncate(rng.gen_range(0usize..bytes.len() + 1));
+        }
+        // Keep the envelope's own length honest half the time so the body
+        // decoders, not just the header check, see the damage.
+        if bytes.len() >= 8 && rng.gen() {
+            let body_len = (bytes.len() - 8) as u32;
+            bytes[4..8].copy_from_slice(&body_len.to_le_bytes());
+        }
+        decoded += decode(&bytes).is_ok() as usize;
+    }
+    // Mutations inside an f64 run leave a valid frame: both outcomes occur.
+    assert!(
+        decoded > 0 && decoded < 40_000,
+        "{decoded} of 40000 decoded"
+    );
+}
