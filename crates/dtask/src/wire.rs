@@ -133,6 +133,17 @@ impl Enc {
         self.len(b.len());
         self.buf.extend_from_slice(b);
     }
+
+    /// A run of `f64`s as one little-endian byte run: the buffer grows once,
+    /// with room for the few fields that follow a payload.
+    fn f64s(&mut self, xs: &[f64]) {
+        let start = self.buf.len();
+        self.buf.reserve(xs.len() * 8 + 64);
+        self.buf.resize(start + xs.len() * 8, 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(8).zip(xs) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+    }
 }
 
 // ---- primitive readers -----------------------------------------------------
@@ -287,9 +298,7 @@ fn put_datum(e: &mut Enc, v: &Datum) {
             for dim in a.shape() {
                 e.usize(*dim);
             }
-            for x in a.data() {
-                e.f64(*x);
-            }
+            e.f64s(a.data());
         }
         Datum::List(items) => {
             e.u8(5);
@@ -327,15 +336,17 @@ fn get_datum(d: &mut Dec) -> Result<Datum, WireError> {
         4 => {
             let shape = d.shape()?;
             let n = checked_shape_len(&shape).ok_or(WireError::Malformed("array"))?;
-            // Bound the element count by the remaining body before
-            // allocating, so a corrupt length can't balloon memory.
-            if n.saturating_mul(8) > d.buf.len() - d.pos {
-                return Err(WireError::Truncated);
-            }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(d.f64()?);
-            }
+            // `take` bounds the run by the remaining body before anything
+            // is allocated for it.
+            let run = d.take(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
+            let data = run
+                .chunks_exact(8)
+                .map(|b| {
+                    let mut le = [0u8; 8];
+                    le.copy_from_slice(b);
+                    f64::from_le_bytes(le)
+                })
+                .collect();
             Datum::Array(Arc::new(
                 NDArray::from_vec(&shape, data).map_err(|_| WireError::Malformed("array"))?,
             ))
