@@ -56,12 +56,8 @@ pub const PREAMBLE_BYTES: usize = 9;
 /// Full frame header: routing preamble + envelope header.
 pub const FRAME_HEADER_BYTES: usize = PREAMBLE_BYTES + HEADER_BYTES;
 
-/// Poll interval for stop-flag checks on a blocked socket read.
+/// Socket read granularity and poll interval for stop-flag checks.
 const READ_POLL: Duration = Duration::from_millis(50);
-
-/// What one socket read asks for while no larger frame is known to be
-/// under way.
-const READ_QUANTUM: usize = 64 * 1024;
 
 /// How often dial/accept loops nap when idle.
 const IDLE_NAP: Duration = Duration::from_millis(2);
@@ -108,21 +104,14 @@ pub struct Frame {
     pub envelope: Vec<u8>,
 }
 
-/// Incremental frame parser with partial-read reassembly. Bytes arrive
-/// either straight from a stream ([`FrameReader::fill_from`], which reads
-/// into the reader's own buffer) or by copy ([`FrameReader::push`]);
-/// complete frames come out borrowed in place
-/// ([`FrameReader::next_in_place`]) or owned ([`FrameReader::next_frame`]).
-/// Header fields are validated as soon as their bytes arrive, so garbage is
-/// rejected with a structured [`WireError`] instead of being buffered until
-/// a bogus length "completes".
+/// Incremental frame parser with partial-read reassembly: push whatever a
+/// socket read produced, pull complete frames out. Header fields are
+/// validated as soon as their bytes arrive, so garbage is rejected with a
+/// structured [`WireError`] instead of being buffered until a bogus length
+/// "completes".
 #[derive(Default)]
 pub struct FrameReader {
-    /// Initialised storage, kept for the connection's lifetime;
-    /// `buf[start..end]` holds the bytes not yet consumed as frames.
     buf: Vec<u8>,
-    start: usize,
-    end: usize,
 }
 
 impl FrameReader {
@@ -131,134 +120,72 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Make `buf[end..end + want]` writable: rewind when everything was
-    /// consumed, else move the unconsumed tail to the front, and grow only
-    /// when that is still too small. The tail is at most one partial frame,
-    /// so the storage never exceeds the largest frame plus one request.
-    fn make_room(&mut self, want: usize) {
-        if self.start == self.end {
-            self.start = 0;
-            self.end = 0;
-        }
-        if self.buf.len() - self.end < want {
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-            let needed = self.end + want;
-            if self.buf.len() < needed {
-                self.buf.reserve_exact(needed - self.buf.len());
-                self.buf.resize(needed, 0);
-            }
-        }
-    }
-
     /// Append raw socket bytes.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.make_room(bytes.len());
-        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
-        self.end += bytes.len();
-    }
-
-    /// Read once from `stream` straight into the reader's buffer and return
-    /// what `read` returned (`0` = end of stream). Once the current frame's
-    /// length is known the read asks for all the rest of it, so a large
-    /// frame lands where it will be parsed without passing through a bounce
-    /// buffer; otherwise it asks for one [`READ_QUANTUM`].
-    pub fn fill_from(&mut self, stream: &mut impl Read) -> std::io::Result<usize> {
-        let rest = match self.header() {
-            Ok(Some((_, total))) => total.saturating_sub(self.buffered()),
-            _ => 0,
-        };
-        let want = rest.max(READ_QUANTUM);
-        self.make_room(want);
-        let n = stream.read(&mut self.buf[self.end..self.end + want])?;
-        self.end += n;
-        Ok(n)
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed as frames.
     pub fn buffered(&self) -> usize {
-        self.end - self.start
+        self.buf.len()
     }
 
-    /// The one frame parser: validate as much of the next frame's header as
-    /// is buffered. `Ok(Some((to, total)))` once all of it is, `total` being
-    /// the frame's full length (header included), complete or not.
-    fn header(&self) -> Result<Option<(Addr, usize)>, WireError> {
-        let b = &self.buf[self.start..self.end];
-        let n = b.len();
+    /// Try to parse the next complete frame. `Ok(None)` means "need more
+    /// bytes"; errors are structural and poison the stream (the caller
+    /// should drop the connection).
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        let n = self.buf.len();
         if n == 0 {
             return Ok(None);
         }
         // Validate header bytes as they become visible.
-        if b[0] > 4 {
+        if self.buf[0] > 4 {
             return Err(WireError::BadTag {
                 what: "socket addr",
-                tag: b[0],
+                tag: self.buf[0],
             });
         }
-        if n > PREAMBLE_BYTES && b[PREAMBLE_BYTES] != wire::MAGIC[0] {
+        if n > PREAMBLE_BYTES && self.buf[PREAMBLE_BYTES] != wire::MAGIC[0] {
             return Err(WireError::BadMagic);
         }
-        if n > PREAMBLE_BYTES + 1 && b[PREAMBLE_BYTES + 1] != wire::MAGIC[1] {
+        if n > PREAMBLE_BYTES + 1 && self.buf[PREAMBLE_BYTES + 1] != wire::MAGIC[1] {
             return Err(WireError::BadMagic);
         }
-        if n > PREAMBLE_BYTES + 2 && b[PREAMBLE_BYTES + 2] != WIRE_VERSION {
-            return Err(WireError::BadVersion(b[PREAMBLE_BYTES + 2]));
+        if n > PREAMBLE_BYTES + 2 && self.buf[PREAMBLE_BYTES + 2] != WIRE_VERSION {
+            return Err(WireError::BadVersion(self.buf[PREAMBLE_BYTES + 2]));
         }
-        if n > PREAMBLE_BYTES + 3 && b[PREAMBLE_BYTES + 3] > NODE_KIND {
+        if n > PREAMBLE_BYTES + 3 && self.buf[PREAMBLE_BYTES + 3] > NODE_KIND {
             return Err(WireError::BadTag {
                 what: "payload kind",
-                tag: b[PREAMBLE_BYTES + 3],
+                tag: self.buf[PREAMBLE_BYTES + 3],
             });
         }
         if n < FRAME_HEADER_BYTES {
             return Ok(None);
         }
         let body_len = u32::from_le_bytes(
-            b[PREAMBLE_BYTES + 4..FRAME_HEADER_BYTES]
+            self.buf[PREAMBLE_BYTES + 4..FRAME_HEADER_BYTES]
                 .try_into()
                 .unwrap(),
         ) as usize;
         if body_len > MAX_FRAME_BYTES {
             return Err(WireError::Malformed("oversized frame"));
         }
-        let idx = u64::from_le_bytes(b[1..PREAMBLE_BYTES].try_into().unwrap());
-        let to = addr_from(b[0], idx).ok_or(WireError::BadTag {
-            what: "socket addr",
-            tag: b[0],
-        })?;
-        Ok(Some((to, FRAME_HEADER_BYTES + body_len)))
-    }
-
-    /// Try to parse the next complete frame and hand out its destination and
-    /// envelope (header ‖ body) borrowed from the reader's buffer; the frame
-    /// counts as consumed. `Ok(None)` means "need more bytes"; errors are
-    /// structural and poison the stream (the caller should drop the
-    /// connection).
-    pub fn next_in_place(&mut self) -> Result<Option<(Addr, &[u8])>, WireError> {
-        match self.header()? {
-            Some((to, total)) if self.buffered() >= total => {
-                let frame = self.start;
-                self.start += total;
-                Ok(Some((to, &self.buf[frame + PREAMBLE_BYTES..self.start])))
-            }
-            _ => Ok(None),
+        let total = FRAME_HEADER_BYTES + body_len;
+        if n < total {
+            return Ok(None);
         }
-    }
-
-    /// [`FrameReader::next_in_place`] with the envelope copied out.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        Ok(self.next_in_place()?.map(|(to, envelope)| Frame {
-            to,
-            envelope: envelope.to_vec(),
-        }))
+        let idx = u64::from_le_bytes(self.buf[1..PREAMBLE_BYTES].try_into().unwrap());
+        let to = addr_from(self.buf[0], idx).expect("tag validated above");
+        let envelope = self.buf[PREAMBLE_BYTES..total].to_vec();
+        self.buf.drain(..total);
+        Ok(Some(Frame { to, envelope }))
     }
 
     /// The stream ended: a partially buffered frame is a truncation error,
     /// a clean boundary is fine.
     pub fn at_eof(&self) -> Result<(), WireError> {
-        if self.buffered() == 0 {
+        if self.buf.is_empty() {
             Ok(())
         } else {
             Err(WireError::Truncated)
@@ -599,16 +526,16 @@ impl PlaneShared {
 
     /// Handle one complete inbound frame. `peer` is the sending node when
     /// known (hub readers; `None` on loopback).
-    fn handle_frame(self: &Arc<Self>, peer: Option<u64>, to: Addr, envelope: &[u8]) -> FrameAction {
-        let kind = envelope[3];
+    fn handle_frame(self: &Arc<Self>, peer: Option<u64>, f: Frame) -> FrameAction {
+        let kind = f.envelope[3];
         match &self.mode {
             Mode::Loopback => {
-                (self.callbacks.deliver)(to, envelope);
+                (self.callbacks.deliver)(f.to, &f.envelope);
                 FrameAction::Continue
             }
             Mode::Hub(hub) => {
                 if kind == NODE_KIND {
-                    return match wire::decode_node(envelope) {
+                    return match wire::decode_node(&f.envelope) {
                         Ok(NodeMsg::Goodbye { reason }) => {
                             eprintln!("dtask-net: node {} leaving: {reason}", peer.unwrap_or(0));
                             FrameAction::Close
@@ -621,26 +548,26 @@ impl PlaneShared {
                     };
                 }
                 if let Some(lane) = lane_of(kind) {
-                    (self.callbacks.account)(lane, envelope.len() as u64);
+                    (self.callbacks.account)(lane, f.envelope.len() as u64);
                 }
-                let dest = to_node(to);
+                let dest = to_node(f.to);
                 if dest == 0 {
                     if kind == 4 {
-                        if let Some(corr) = peek_reply_corr(envelope) {
+                        if let Some(corr) = peek_reply_corr(&f.envelope) {
                             hub.pending.lock().remove(&(0, corr));
                         }
                     }
-                    (self.callbacks.deliver)(to, envelope);
+                    (self.callbacks.deliver)(f.to, &f.envelope);
                     return FrameAction::Continue;
                 }
                 // Star forwarding: node → node via this hub.
                 let meta = match kind {
-                    4 => peek_reply_corr(envelope).map(|corr| RouteMeta::Reply { corr }),
-                    2 => data_request_corr(envelope).map(|corr| RouteMeta::Request { corr }),
+                    4 => peek_reply_corr(&f.envelope).map(|corr| RouteMeta::Reply { corr }),
+                    2 => data_request_corr(&f.envelope).map(|corr| RouteMeta::Request { corr }),
                     _ => None,
                 }
                 .unwrap_or(RouteMeta::Plain);
-                if !self.hub_forward(hub, peer.unwrap_or(0), to, envelope, &meta) {
+                if !self.hub_forward(hub, peer.unwrap_or(0), f.to, &f.envelope, &meta) {
                     // Request against a dead process: cancel at the origin.
                     if let RouteMeta::Request { corr } = meta {
                         self.cancel_at(peer, corr);
@@ -650,7 +577,7 @@ impl PlaneShared {
             }
             Mode::Node { goodbye_tx, .. } => {
                 if kind == NODE_KIND {
-                    return match wire::decode_node(envelope) {
+                    return match wire::decode_node(&f.envelope) {
                         Ok(NodeMsg::Cancel { corr }) => {
                             (self.callbacks.cancel)(corr);
                             FrameAction::Continue
@@ -670,7 +597,7 @@ impl PlaneShared {
                         }
                     };
                 }
-                (self.callbacks.deliver)(to, envelope);
+                (self.callbacks.deliver)(f.to, &f.envelope);
                 FrameAction::Continue
             }
         }
@@ -755,6 +682,7 @@ fn reader_loop(
     label: String,
 ) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    let mut chunk = vec![0u8; 64 * 1024];
     let mut graceful = false;
     'outer: loop {
         if shared.stopping() {
@@ -764,9 +692,9 @@ fn reader_loop(
         // Parse before reading: a handshake may hand over a reader that
         // already buffers frames the peer sent right behind its `Welcome`.
         loop {
-            match fr.next_in_place() {
-                Ok(Some((to, envelope))) => {
-                    if matches!(shared.handle_frame(peer, to, envelope), FrameAction::Close) {
+            match fr.next_frame() {
+                Ok(Some(f)) => {
+                    if matches!(shared.handle_frame(peer, f), FrameAction::Close) {
                         graceful = true;
                         break 'outer;
                     }
@@ -778,14 +706,14 @@ fn reader_loop(
                 }
             }
         }
-        match fr.fill_from(&mut stream) {
+        match stream.read(&mut chunk) {
             Ok(0) => {
                 if let Err(e) = fr.at_eof() {
                     eprintln!("dtask-net: {label}: stream ended mid-frame: {e}");
                 }
                 break;
             }
-            Ok(_) => {}
+            Ok(n) => fr.push(&chunk[..n]),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 continue;
             }
@@ -821,6 +749,7 @@ fn read_one_frame(
 ) -> Result<Frame, String> {
     let deadline = Instant::now() + timeout;
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    let mut chunk = [0u8; 4096];
     loop {
         if let Some(f) = fr.next_frame().map_err(|e| e.to_string())? {
             return Ok(f);
@@ -828,14 +757,14 @@ fn read_one_frame(
         if Instant::now() >= deadline {
             return Err("handshake timed out".into());
         }
-        match fr.fill_from(stream) {
+        match stream.read(&mut chunk) {
             Ok(0) => {
                 return Err(match fr.at_eof() {
                     Err(e) => format!("peer closed mid-handshake: {e}"),
                     Ok(()) => "peer closed during handshake".into(),
                 })
             }
-            Ok(_) => {}
+            Ok(n) => fr.push(&chunk[..n]),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 continue
             }
@@ -1251,85 +1180,6 @@ mod tests {
             fr.next_frame().err(),
             Some(WireError::BadVersion(WIRE_VERSION + 3))
         );
-    }
-
-    /// The read-in-place path (`fill_from` + `next_in_place`) and the copying
-    /// one (`push` + `next_frame`) see the same seeded stream of 512 KiB and
-    /// 26-byte frames cut at the same random points: same frames, same
-    /// leftovers, and the in-place reader's storage stays within the largest
-    /// frame plus one read quantum however the cuts fall.
-    #[test]
-    fn frame_reader_in_place_path_agrees_with_the_copying_path() {
-        let mut state = 0x5EED_F00Du64;
-        let mut next = move |bound: usize| {
-            // splitmix64
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % bound as u64) as usize
-        };
-        let big = {
-            let block = linalg::NDArray::from_fn(&[256, 256], |i| (i[0] * 256 + i[1]) as f64);
-            wire::encode(&crate::transport::Payload::Reply {
-                corr: 5,
-                reply: crate::transport::DataReply::Value(Ok(block.into())),
-            })
-        };
-        let small = env_bytes();
-        assert_eq!(
-            (big.len(), frame(Addr::Scheduler, &small).len()),
-            (512 * 1024 + 38, 26)
-        );
-        let mut sent = Vec::new();
-        let mut stream_bytes = Vec::new();
-        for i in 0..40 {
-            let (to, env) = if next(3) == 0 {
-                (Addr::Client(i), &big)
-            } else {
-                (Addr::WorkerExec(i), &small)
-            };
-            stream_bytes.extend_from_slice(&frame(to, env));
-            sent.push((to, env.clone()));
-        }
-        let largest = PREAMBLE_BYTES + big.len();
-        // One more frame, cut short: the stream ends mid-frame.
-        stream_bytes.extend_from_slice(&frame(Addr::Scheduler, &big)[..1000]);
-
-        let (mut copying, mut in_place) = (FrameReader::new(), FrameReader::new());
-        let (mut copied, mut borrowed) = (Vec::new(), Vec::new());
-        let mut rest = &stream_bytes[..];
-        while !rest.is_empty() {
-            let cut = match next(3) {
-                0 => 1 + next(64),
-                1 => 1 + next(4096),
-                _ => 1 + next(300_000),
-            };
-            let (mut piece, tail) = rest.split_at(cut.min(rest.len()));
-            rest = tail;
-            copying.push(piece);
-            while let Some(f) = copying.next_frame().unwrap() {
-                copied.push((f.to, f.envelope));
-            }
-            // As `reader_loop` does: parse everything buffered between reads.
-            while !piece.is_empty() {
-                assert!(in_place.fill_from(&mut piece).unwrap() > 0);
-                while let Some((to, envelope)) = in_place.next_in_place().unwrap() {
-                    borrowed.push((to, envelope.to_vec()));
-                }
-                assert!(
-                    in_place.buf.capacity() <= largest + READ_QUANTUM,
-                    "retained {} bytes for frames of at most {largest}",
-                    in_place.buf.capacity()
-                );
-            }
-            assert!(copied == borrowed, "the two paths parsed different frames");
-            assert_eq!(copying.buffered(), in_place.buffered());
-            assert_eq!(copying.at_eof(), in_place.at_eof());
-        }
-        assert!(borrowed == sent, "frames differ from what was sent");
-        assert_eq!(in_place.buffered(), 1000);
-        assert_eq!(in_place.at_eof().err(), Some(WireError::Truncated));
     }
 
     #[test]
