@@ -176,7 +176,10 @@ impl FrameReader {
             return Ok(None);
         }
         let idx = u64::from_le_bytes(self.buf[1..PREAMBLE_BYTES].try_into().unwrap());
-        let to = addr_from(self.buf[0], idx).expect("tag validated above");
+        let to = addr_from(self.buf[0], idx).ok_or(WireError::BadTag {
+            what: "socket addr",
+            tag: self.buf[0],
+        })?;
         let envelope = self.buf[PREAMBLE_BYTES..total].to_vec();
         self.buf.drain(..total);
         Ok(Some(Frame { to, envelope }))
@@ -1180,6 +1183,72 @@ mod tests {
             fr.next_frame().err(),
             Some(WireError::BadVersion(WIRE_VERSION + 3))
         );
+    }
+
+    /// A seeded stream of 512 KiB block frames interleaved with 26-byte
+    /// control frames, pushed in pieces cut at random points (inside
+    /// preambles, headers and bodies alike): every frame comes out once, in
+    /// order and intact, and what stays buffered is exactly the bytes of the
+    /// unfinished frame.
+    #[test]
+    fn frame_reader_reassembles_large_and_small_frames_at_random_cuts() {
+        let mut state = 0x5EED_F00Du64;
+        let mut next = move |bound: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let block = linalg::NDArray::from_fn(&[256, 256], |i| (i[0] * 256 + i[1]) as f64);
+        let big = wire::encode(&crate::transport::Payload::Reply {
+            corr: 5,
+            reply: crate::transport::DataReply::Value(Ok(block.into())),
+        });
+        let small = env_bytes();
+        assert_eq!(
+            (big.len(), frame(Addr::Scheduler, &small).len()),
+            (512 * 1024 + 38, 26)
+        );
+        let mut sent = Vec::new();
+        let mut stream_bytes = Vec::new();
+        let mut ends = Vec::new();
+        for i in 0..40 {
+            let (to, env) = if next(3) == 0 {
+                (Addr::Client(i), &big)
+            } else {
+                (Addr::WorkerExec(i), &small)
+            };
+            stream_bytes.extend_from_slice(&frame(to, env));
+            ends.push(stream_bytes.len());
+            sent.push((to, env.clone()));
+        }
+        // One more frame, cut short: the stream ends mid-frame.
+        stream_bytes.extend_from_slice(&frame(Addr::Scheduler, &big)[..1000]);
+
+        let mut fr = FrameReader::new();
+        let mut got = Vec::new();
+        let mut fed = 0;
+        while fed < stream_bytes.len() {
+            let cut = match next(3) {
+                0 => 1 + next(64),
+                1 => 1 + next(4096),
+                _ => 1 + next(300_000),
+            };
+            let upto = (fed + cut).min(stream_bytes.len());
+            fr.push(&stream_bytes[fed..upto]);
+            fed = upto;
+            while let Some(f) = fr.next_frame().unwrap() {
+                got.push((f.to, f.envelope));
+            }
+            let consumed = ends.iter().rev().find(|&&e| e <= fed).copied().unwrap_or(0);
+            assert_eq!(fr.buffered(), fed - consumed);
+            assert_eq!(fr.at_eof().is_ok(), fed == consumed);
+        }
+        assert!(got == sent, "frames differ from what was sent");
+        assert_eq!(fr.buffered(), 1000);
+        assert_eq!(fr.at_eof().err(), Some(WireError::Truncated));
     }
 
     #[test]
