@@ -387,13 +387,15 @@ mod tests {
         out
     }
 
-    /// The registered `da.reduce_axis` op applied to one array datum.
-    fn reduce_axis_op(block: &Datum, axis: usize, op: i64) -> Datum {
+    /// The registered `da.reduce_axis` op as `(block, axis, op) -> result`.
+    fn reduce_axis_op() -> impl Fn(&Datum, usize, i64) -> Datum {
         let registry = OpRegistry::with_std_ops();
         register_reduction_ops(&registry);
         let kernel = registry.get("da.reduce_axis").unwrap();
-        let params = Datum::List(vec![Datum::I64(axis as i64), Datum::I64(op)]);
-        kernel(&params, std::slice::from_ref(block)).unwrap()
+        move |block, axis, op| {
+            let params = Datum::List(vec![Datum::I64(axis as i64), Datum::I64(op)]);
+            kernel(&params, std::slice::from_ref(block)).unwrap()
+        }
     }
 
     /// splitmix64: seeded test data without a dev-dependency.
@@ -435,13 +437,14 @@ mod tests {
             &[3, 0, 4],
             &[0, 2],
         ];
+        let reduce_axis = reduce_axis_op();
         for (case, shape) in shapes.iter().enumerate() {
             for nasty in [false, true] {
                 let a = seeded_block(shape, 0xA11C_E000 + case as u64, nasty);
                 let block = Datum::from(a.clone());
                 for axis in 0..shape.len() {
                     for op in 0..3 {
-                        let got = reduce_axis_op(&block, axis, op);
+                        let got = reduce_axis(&block, axis, op);
                         let got = got.as_array().unwrap();
                         let want = reduce_axis_oracle(&a, axis, op);
                         assert_eq!(got.shape(), want.shape(), "{shape:?} axis {axis} op {op}");
@@ -474,10 +477,11 @@ mod tests {
                 .min()
                 .unwrap()
         };
+        let reduce_axis = reduce_axis_op();
         for shape in [&[1usize, 256, 256], &[8, 64, 64]] {
             let a = seeded_block(shape, 7, false);
             let block = Datum::from(a.clone());
-            let kernel = best_of(&|| drop(black_box(reduce_axis_op(black_box(&block), 0, 0))));
+            let kernel = best_of(&|| drop(black_box(reduce_axis(black_box(&block), 0, 0))));
             let oracle = best_of(&|| drop(black_box(reduce_axis_oracle(black_box(&a), 0, 0))));
             assert!(
                 oracle >= kernel * 5,

@@ -139,11 +139,12 @@ impl FrameReader {
             return Ok(None);
         }
         // Validate header bytes as they become visible.
+        let bad_addr = WireError::BadTag {
+            what: "socket addr",
+            tag: self.buf[0],
+        };
         if self.buf[0] > 4 {
-            return Err(WireError::BadTag {
-                what: "socket addr",
-                tag: self.buf[0],
-            });
+            return Err(bad_addr);
         }
         if n > PREAMBLE_BYTES && self.buf[PREAMBLE_BYTES] != wire::MAGIC[0] {
             return Err(WireError::BadMagic);
@@ -176,10 +177,7 @@ impl FrameReader {
             return Ok(None);
         }
         let idx = u64::from_le_bytes(self.buf[1..PREAMBLE_BYTES].try_into().unwrap());
-        let to = addr_from(self.buf[0], idx).ok_or(WireError::BadTag {
-            what: "socket addr",
-            tag: self.buf[0],
-        })?;
+        let to = addr_from(self.buf[0], idx).ok_or(bad_addr)?;
         let envelope = self.buf[PREAMBLE_BYTES..total].to_vec();
         self.buf.drain(..total);
         Ok(Some(Frame { to, envelope }))

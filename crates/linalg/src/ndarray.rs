@@ -333,18 +333,13 @@ mod tests {
     }
 
     #[test]
-    fn offset_matches_the_stride_dot_product() {
+    fn get_follows_row_major_order() {
+        // `from_fn` visits multi-indices in row-major order, so reading a
+        // block of flat positions back through `get` must reproduce it.
         for shape in [&[4usize][..], &[3, 5], &[2, 3, 4], &[2, 1, 3, 2]] {
-            let a = NDArray::from_vec(shape, (0..shape_len(shape)).map(|x| x as f64).collect())
-                .unwrap();
-            let strides = strides_for(shape);
-            let mut flat = 0usize;
-            NDArray::from_fn(shape, |idx| {
-                let dot: usize = idx.iter().zip(&strides).map(|(i, s)| i * s).sum();
-                assert_eq!((a.offset(idx), dot), (flat, flat));
-                flat += 1;
-                0.0
-            });
+            let flat = (0..shape_len(shape)).map(|x| x as f64).collect();
+            let a = NDArray::from_vec(shape, flat).unwrap();
+            assert_eq!(NDArray::from_fn(shape, |idx| a.get(idx)), a);
         }
     }
 
