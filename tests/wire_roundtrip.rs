@@ -243,9 +243,11 @@ fn truncated_frames_never_panic() {
 
 // ---------- golden frames ---------------------------------------------------
 
-use deisa_repro::dtask::msg::DataMsg;
+use deisa_repro::dtask::msg::{Assignment, ClientMsg, DataMsg, ExecMsg, SchedMsg};
 use deisa_repro::dtask::transport::{Addr, DataReply, Payload, ReplyTo};
-use deisa_repro::dtask::wire::{decode, encode};
+use deisa_repro::dtask::wire::{decode, decode_node, encode, encode_node};
+use deisa_repro::dtask::{DatumRef, NodeMsg, NodeWelcome, WireError};
+use std::sync::Arc;
 
 /// Deterministic block values: integer arithmetic and one IEEE division, so
 /// the bytes do not depend on a libm.
@@ -332,16 +334,414 @@ fn payload_datum(p: &Payload) -> &Datum {
     }
 }
 
-/// Array-carrying envelopes are byte-identical to the frames generated before
-/// the payload codec moved element runs in bulk: one line per frame (name,
-/// length, FNV-1a 64 of the bytes, and the bytes in hex when short). On a
-/// deliberate layout change, review `wire_frames.txt.actual` and move it
-/// over the golden.
+/// One sample envelope per variant of every message kind (and per tag of
+/// every enum nested inside one), by name. Kind-5 `NodeMsg` envelopes are the
+/// `node_*` entries; `node_welcome_short` is what a hub from before
+/// `steal_poll_ms` sends.
+fn every_variant_frames() -> Vec<(String, Vec<u8>)> {
+    let reply_to = |addr| ReplyTo { addr, corr: 41 };
+    let key = Key::new("blk@(3,1)");
+    let scoped_key = Key::scoped(5, "sink");
+    let error = |cause| TaskError::new("origin", "kaboom").with_cause(cause);
+    let fused = TaskSpec::fused(
+        "tail",
+        vec![
+            FusedStage {
+                key: Key::new("head"),
+                op: "identity".into(),
+                params: Datum::Null,
+                inputs: vec![FusedInput::Dep(0)],
+            },
+            FusedStage {
+                key: Key::new("tail"),
+                op: "bump".into(),
+                params: Datum::F64(2.0),
+                inputs: vec![FusedInput::Stage(0), FusedInput::Dep(1)],
+            },
+        ],
+        vec![Key::new("ext-a"), scoped_key.clone()],
+    );
+    let plain = TaskSpec::new("t", "identity", Datum::I64(-3), vec![key.clone()]);
+    let assignment = |spec: &TaskSpec, dep_locations| Assignment {
+        spec: Arc::new(spec.clone()),
+        dep_locations,
+        assigned_at: std::time::Instant::now(),
+    };
+    let handle = DatumRef {
+        key: Key::new("proxy:c3:17"),
+        shape: vec![160, 160],
+        nbytes: 160 * 160 * 8,
+        holder: 2,
+        epoch: 17,
+    };
+
+    let sched = vec![
+        ("client_connect", SchedMsg::ClientConnect { client: 3 }),
+        (
+            "client_disconnect",
+            SchedMsg::ClientDisconnect { client: 3 },
+        ),
+        (
+            "submit_graph",
+            SchedMsg::SubmitGraph {
+                client: 3,
+                specs: vec![plain.clone(), fused.clone()],
+            },
+        ),
+        (
+            "register_external",
+            SchedMsg::RegisterExternal {
+                client: 3,
+                keys: vec![key.clone(), scoped_key.clone()],
+            },
+        ),
+        (
+            "update_data",
+            SchedMsg::UpdateData {
+                client: 3,
+                entries: vec![(key.clone(), 1, 1 << 20), (scoped_key.clone(), 0, 8)],
+                external: true,
+            },
+        ),
+        (
+            "task_finished",
+            SchedMsg::TaskFinished {
+                worker: 1,
+                key: key.clone(),
+                nbytes: 1 << 20,
+            },
+        ),
+        (
+            "add_replica",
+            SchedMsg::AddReplica {
+                worker: 1,
+                entries: vec![(key.clone(), 4096)],
+            },
+        ),
+        (
+            "task_erred",
+            SchedMsg::TaskErred {
+                worker: 1,
+                stored_key: Key::new("tail"),
+                error: error(ErrorCause::FusedStage {
+                    stored_key: Key::new("tail"),
+                }),
+                failed_peer: Some(2),
+            },
+        ),
+        (
+            "want_result",
+            SchedMsg::WantResult {
+                client: 3,
+                key: scoped_key.clone(),
+            },
+        ),
+        (
+            "release_keys",
+            SchedMsg::ReleaseKeys {
+                keys: vec![key.clone()],
+            },
+        ),
+        (
+            "variable_set",
+            SchedMsg::VariableSet {
+                name: "contract".into(),
+                value: Datum::List(vec![Datum::Ref(handle.clone()), Datum::F64(1.5)]),
+            },
+        ),
+        (
+            "variable_get",
+            SchedMsg::VariableGet {
+                client: 3,
+                name: "contract".into(),
+                wait: true,
+            },
+        ),
+        (
+            "variable_del",
+            SchedMsg::VariableDel {
+                name: "contract".into(),
+            },
+        ),
+        (
+            "queue_push",
+            SchedMsg::QueuePush {
+                name: "q".into(),
+                value: Datum::Str("schrödinger".into()),
+            },
+        ),
+        (
+            "queue_pop",
+            SchedMsg::QueuePop {
+                client: 3,
+                name: "q".into(),
+            },
+        ),
+        ("heartbeat", SchedMsg::Heartbeat { client: 7 }),
+        ("shutdown", SchedMsg::Shutdown),
+        ("worker_heartbeat", SchedMsg::WorkerHeartbeat { worker: 3 }),
+        ("steal_request", SchedMsg::StealRequest { worker: 5 }),
+        (
+            "stolen",
+            SchedMsg::Stolen {
+                victim: 2,
+                thief: 7,
+                keys: vec![key.clone(), Key::new("block-3-step-42")],
+            },
+        ),
+        (
+            "register_worker",
+            SchedMsg::RegisterWorker {
+                worker: 4,
+                slots: 3,
+            },
+        ),
+        (
+            "scoped",
+            SchedMsg::Scoped {
+                session: 5,
+                inner: Box::new(SchedMsg::SubmitGraph {
+                    client: 3,
+                    specs: vec![TaskSpec::new(
+                        "t",
+                        "identity",
+                        Datum::Null,
+                        vec![Key::scoped(5, "dep")],
+                    )],
+                }),
+            },
+        ),
+    ];
+    let exec = vec![
+        (
+            "execute",
+            ExecMsg::Execute(assignment(
+                &fused,
+                vec![
+                    (Key::new("ext-a"), vec![0, 2]),
+                    (scoped_key.clone(), vec![1]),
+                ],
+            )),
+        ),
+        (
+            "execute_batch",
+            ExecMsg::ExecuteBatch {
+                tasks: vec![
+                    assignment(&plain, vec![(key.clone(), vec![1])]),
+                    assignment(&plain, Vec::new()),
+                ],
+            },
+        ),
+        ("shutdown", ExecMsg::Shutdown),
+        ("steal", ExecMsg::Steal { thief: 1, max: 4 }),
+    ];
+    let data = vec![
+        (
+            "put",
+            DataMsg::Put {
+                key: scoped_key.clone(),
+                value: Datum::from(golden_block(&[2, 3])),
+                ack: reply_to(Addr::Client(3)),
+            },
+        ),
+        (
+            "get",
+            DataMsg::Get {
+                key: key.clone(),
+                reply: reply_to(Addr::WorkerData(1)),
+            },
+        ),
+        (
+            "delete",
+            DataMsg::Delete {
+                keys: vec![key.clone(), scoped_key.clone()],
+            },
+        ),
+        (
+            "stats",
+            DataMsg::Stats {
+                reply: reply_to(Addr::Control),
+            },
+        ),
+        ("shutdown", DataMsg::Shutdown),
+        (
+            "fetch",
+            DataMsg::Fetch {
+                key: Key::new("proxy:c3:17"),
+                reply: reply_to(Addr::WorkerExec(2)),
+            },
+        ),
+        ("sweep", DataMsg::Sweep { session: 9 }),
+        // The one address tag no request above carries.
+        (
+            "get_from_scheduler",
+            DataMsg::Get {
+                key: key.clone(),
+                reply: reply_to(Addr::Scheduler),
+            },
+        ),
+    ];
+    let mut client = vec![
+        (
+            "key_ready_ok".to_string(),
+            ClientMsg::KeyReady {
+                key: key.clone(),
+                location: Ok(2),
+            },
+        ),
+        (
+            "variable_value".to_string(),
+            ClientMsg::VariableValue {
+                name: "contract".into(),
+                value: Datum::Null,
+                found: false,
+            },
+        ),
+        (
+            "queue_item".to_string(),
+            ClientMsg::QueueItem {
+                name: "q".into(),
+                value: Datum::Bool(true),
+            },
+        ),
+        (
+            "submit_outcome".to_string(),
+            ClientMsg::SubmitOutcome {
+                accepted: false,
+                inflight: 512,
+                cap: 256,
+            },
+        ),
+    ];
+    for (name, cause) in [
+        ("direct", ErrorCause::Direct),
+        (
+            "fused_stage",
+            ErrorCause::FusedStage {
+                stored_key: Key::new("tail"),
+            },
+        ),
+        (
+            "propagated",
+            ErrorCause::Propagated {
+                via: scoped_key.clone(),
+            },
+        ),
+        ("peer_lost", ErrorCause::PeerLost),
+    ] {
+        client.push((
+            format!("key_ready_err_{name}"),
+            ClientMsg::KeyReady {
+                key: key.clone(),
+                location: Err(error(cause)),
+            },
+        ));
+    }
+    let mut replies = vec![
+        ("put_ack".to_string(), DataReply::PutAck),
+        (
+            "value_err".to_string(),
+            DataReply::Value(Err("no such key".into())),
+        ),
+        ("stats".to_string(), DataReply::Stats { keys: 2, bytes: 96 }),
+    ];
+    for (name, datum) in [
+        ("f64", Datum::F64(-0.0)),
+        ("i64", Datum::I64(-42)),
+        ("bool", Datum::Bool(true)),
+        ("str", Datum::Str("µ".into())),
+        ("array", Datum::from(golden_block(&[3, 2]))),
+        (
+            "list",
+            Datum::List(vec![Datum::Null, Datum::List(vec![Datum::I64(1)])]),
+        ),
+        ("bytes", Datum::Bytes(vec![0, 255, 7].into())),
+        ("null", Datum::Null),
+        ("ref", Datum::Ref(handle)),
+    ] {
+        replies.push((format!("value_{name}"), DataReply::Value(Ok(datum))));
+    }
+    let node = vec![
+        (
+            "hello",
+            NodeMsg::Hello {
+                slots: 2,
+                mem_budget: Some(1 << 20),
+                capabilities: vec!["darray".into(), "h5".into()],
+            },
+        ),
+        (
+            "welcome",
+            NodeMsg::Welcome(NodeWelcome {
+                worker: 1,
+                n_workers: 3,
+                slots: 2,
+                heartbeat_ms: 50,
+                mem_budget: None,
+                steal_poll_ms: 2,
+            }),
+        ),
+        (
+            "goodbye",
+            NodeMsg::Goodbye {
+                reason: "cluster shutdown".into(),
+            },
+        ),
+        ("cancel", NodeMsg::Cancel { corr: 99 }),
+    ];
+
+    let mut frames = Vec::new();
+    let mut push = |name: String, p: Payload| frames.push((name, encode(&p)));
+    for (name, m) in sched {
+        push(format!("sched_{name}"), Payload::Sched(m));
+    }
+    for (name, m) in exec {
+        push(format!("exec_{name}"), Payload::Exec(m));
+    }
+    for (name, m) in data {
+        push(format!("data_{name}"), Payload::Data(m));
+    }
+    for (name, m) in client {
+        push(format!("client_{name}"), Payload::Client(m));
+    }
+    for (name, reply) in replies {
+        push(format!("reply_{name}"), Payload::Reply { corr: 99, reply });
+    }
+    for (name, m) in &node {
+        frames.push((format!("node_{name}"), encode_node(m)));
+    }
+    // The same `Welcome` as a hub from before `steal_poll_ms` sends it: the
+    // body ends 8 bytes earlier.
+    let mut short = encode_node(&node[1].1);
+    short.truncate(short.len() - 8);
+    let body_len = (short.len() - 8) as u32;
+    short[4..8].copy_from_slice(&body_len.to_le_bytes());
+    frames.push(("node_welcome_short".to_string(), short));
+    frames
+}
+
+/// Decode an envelope of any kind and encode what came out. The message
+/// enums derive no `PartialEq`; with a deterministic encoder, identical
+/// bytes are the equality check.
+fn reencode(bytes: &[u8]) -> Result<Vec<u8>, WireError> {
+    if bytes.get(3) == Some(&5) {
+        decode_node(bytes).map(|m| encode_node(&m))
+    } else {
+        decode(bytes).map(|p| encode(&p))
+    }
+}
+
+/// Every envelope is byte-identical to the frame pinned for it: the five
+/// array-carrying ones generated before the payload codec moved element runs
+/// in bulk, and one per variant of every message kind generated before the
+/// codec moved onto declaration tables. One line per frame (name, length,
+/// FNV-1a 64 of the bytes, and the bytes in hex when short). The file is
+/// append-only; on a deliberate layout change, review
+/// `wire_frames.txt.actual` and move it over the golden.
 #[test]
-fn array_frames_match_golden_bytes() {
+fn frames_match_golden_bytes() {
     let mut actual = String::new();
-    for (name, payload) in golden_payloads() {
-        let bytes = encode(&payload);
+    let mut line = |name: &str, bytes: &[u8]| {
         let hex = if bytes.len() <= 256 {
             bytes.iter().map(|b| format!("{b:02x}")).collect()
         } else {
@@ -350,26 +750,43 @@ fn array_frames_match_golden_bytes() {
         actual.push_str(&format!(
             "{name} {} {:016x} {hex}\n",
             bytes.len(),
-            fnv1a64(&bytes)
+            fnv1a64(bytes)
         ));
+    };
+    for (name, payload) in golden_payloads() {
+        let bytes = encode(&payload);
+        line(name, &bytes);
         let back = decode(&bytes).unwrap();
         assert!(
             datum_eq(payload_datum(&payload), payload_datum(&back)),
             "{name} does not round-trip"
         );
+        assert_eq!(encode(&back), bytes, "{name} re-encodes differently");
+    }
+    for (name, bytes) in every_variant_frames() {
+        line(&name, &bytes);
+        let again = reencode(&bytes).unwrap_or_else(|e| panic!("{name} does not decode: {e}"));
+        if name == "node_welcome_short" {
+            // Decodes with stealing off, so the long form comes back.
+            let Ok(NodeMsg::Welcome(w)) = decode_node(&bytes) else {
+                panic!("{name} is not a Welcome")
+            };
+            assert_eq!(w.steal_poll_ms, 0);
+            assert_eq!(again.len(), bytes.len() + 8);
+        } else {
+            assert_eq!(again, bytes, "{name} re-encodes differently");
+        }
     }
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wire_frames.txt");
     let golden = std::fs::read_to_string(&path).unwrap_or_default();
     if actual != golden {
         std::fs::write(path.with_extension("txt.actual"), &actual).unwrap();
-        panic!("array frames differ from {}", path.display());
+        panic!("frames differ from {}", path.display());
     }
 }
 
 // ---------- hostile payloads ------------------------------------------------
-
-use deisa_repro::dtask::{DatumRef, WireError};
 
 /// A well-formed `Reply` envelope whose value is the given raw datum bytes.
 fn reply_envelope_around(raw_datum: &[u8]) -> Vec<u8> {
