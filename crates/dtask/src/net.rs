@@ -34,7 +34,8 @@
 
 use crate::stats::WireLane;
 use crate::transport::Addr;
-use crate::wire::{self, NodeMsg, NodeWelcome, WireError, HEADER_BYTES, NODE_KIND, WIRE_VERSION};
+use crate::wire::{self, Kind, NodeMsg, NodeWelcome, WireError, HEADER_BYTES};
+pub use crate::wire::{MAX_FRAME_BYTES, PREAMBLE_BYTES};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -44,14 +45,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Hard upper bound on one envelope's body length. A length field beyond
-/// this is treated as a malformed frame (protects against reading garbage
-/// or hostile lengths as a multi-gigabyte allocation).
-pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
-
-/// Routing preamble size: destination tag byte + u64 index.
-pub const PREAMBLE_BYTES: usize = 9;
 
 /// Full frame header: routing preamble + envelope header.
 pub const FRAME_HEADER_BYTES: usize = PREAMBLE_BYTES + HEADER_BYTES;
@@ -64,33 +57,10 @@ const IDLE_NAP: Duration = Duration::from_millis(2);
 
 // ---- frame codec ------------------------------------------------------------
 
-fn addr_parts(a: Addr) -> (u8, u64) {
-    match a {
-        Addr::Scheduler => (0, 0),
-        Addr::WorkerData(w) => (1, w as u64),
-        Addr::WorkerExec(w) => (2, w as u64),
-        Addr::Client(c) => (3, c as u64),
-        Addr::Control => (4, 0),
-    }
-}
-
-fn addr_from(tag: u8, idx: u64) -> Option<Addr> {
-    Some(match tag {
-        0 => Addr::Scheduler,
-        1 => Addr::WorkerData(idx as usize),
-        2 => Addr::WorkerExec(idx as usize),
-        3 => Addr::Client(idx as usize),
-        4 => Addr::Control,
-        _ => return None,
-    })
-}
-
 /// Build one routed frame: preamble + envelope.
 pub fn frame(to: Addr, envelope: &[u8]) -> Vec<u8> {
-    let (tag, idx) = addr_parts(to);
     let mut out = Vec::with_capacity(PREAMBLE_BYTES + envelope.len());
-    out.push(tag);
-    out.extend_from_slice(&idx.to_le_bytes());
+    out.extend_from_slice(&wire::preamble(to));
     out.extend_from_slice(envelope);
     out
 }
@@ -114,6 +84,11 @@ pub struct FrameReader {
     buf: Vec<u8>,
 }
 
+// Whatever a peer sends, the outcome is a frame, "need more" or a `WireError`.
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 impl FrameReader {
     /// Empty reader.
     pub fn new() -> Self {
@@ -134,51 +109,22 @@ impl FrameReader {
     /// bytes"; errors are structural and poison the stream (the caller
     /// should drop the connection).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let n = self.buf.len();
-        if n == 0 {
+        if self.buf.is_empty() {
             return Ok(None);
         }
-        // Validate header bytes as they become visible.
-        let bad_addr = WireError::BadTag {
-            what: "socket addr",
-            tag: self.buf[0],
+        // Both headers are validated as their bytes become visible.
+        let to = wire::preamble_addr(&self.buf)?;
+        let Some(header) = self.buf.get(PREAMBLE_BYTES..) else {
+            return Ok(None);
         };
-        if self.buf[0] > 4 {
-            return Err(bad_addr);
-        }
-        if n > PREAMBLE_BYTES && self.buf[PREAMBLE_BYTES] != wire::MAGIC[0] {
-            return Err(WireError::BadMagic);
-        }
-        if n > PREAMBLE_BYTES + 1 && self.buf[PREAMBLE_BYTES + 1] != wire::MAGIC[1] {
-            return Err(WireError::BadMagic);
-        }
-        if n > PREAMBLE_BYTES + 2 && self.buf[PREAMBLE_BYTES + 2] != WIRE_VERSION {
-            return Err(WireError::BadVersion(self.buf[PREAMBLE_BYTES + 2]));
-        }
-        if n > PREAMBLE_BYTES + 3 && self.buf[PREAMBLE_BYTES + 3] > NODE_KIND {
-            return Err(WireError::BadTag {
-                what: "payload kind",
-                tag: self.buf[PREAMBLE_BYTES + 3],
-            });
-        }
-        if n < FRAME_HEADER_BYTES {
+        let Some((_, body_len)) = wire::check_header(header)? else {
             return Ok(None);
-        }
-        let body_len = u32::from_le_bytes(
-            self.buf[PREAMBLE_BYTES + 4..FRAME_HEADER_BYTES]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        if body_len > MAX_FRAME_BYTES {
-            return Err(WireError::Malformed("oversized frame"));
-        }
+        };
         let total = FRAME_HEADER_BYTES + body_len;
-        if n < total {
+        let Some(envelope) = self.buf.get(PREAMBLE_BYTES..total) else {
             return Ok(None);
-        }
-        let idx = u64::from_le_bytes(self.buf[1..PREAMBLE_BYTES].try_into().unwrap());
-        let to = addr_from(self.buf[0], idx).ok_or(bad_addr)?;
-        let envelope = self.buf[PREAMBLE_BYTES..total].to_vec();
+        };
+        let envelope = envelope.to_vec();
         self.buf.drain(..total);
         Ok(Some(Frame { to, envelope }))
     }
@@ -194,18 +140,6 @@ impl FrameReader {
     }
 }
 
-/// Map an envelope kind byte onto its accounting lane (kinds `0..=4`).
-fn lane_of(kind: u8) -> Option<WireLane> {
-    Some(match kind {
-        0 => WireLane::SchedIn,
-        1 => WireLane::ExecIn,
-        2 => WireLane::DataIn,
-        3 => WireLane::ClientIn,
-        4 => WireLane::ReplyIn,
-        _ => return None,
-    })
-}
-
 /// Which plane node an actor address lives on: `0` is the hub process
 /// (scheduler, control handle, and every client/bridge), `1 + w` is worker
 /// `w`'s process.
@@ -213,24 +147,6 @@ pub(crate) fn to_node(a: Addr) -> u64 {
     match a {
         Addr::Scheduler | Addr::Control | Addr::Client(_) => 0,
         Addr::WorkerData(w) | Addr::WorkerExec(w) => 1 + w as u64,
-    }
-}
-
-/// Correlation id peeked out of a kind-4 (`Reply`) envelope without a full
-/// decode: the corr is the first body field.
-fn peek_reply_corr(envelope: &[u8]) -> Option<u64> {
-    envelope
-        .get(HEADER_BYTES..HEADER_BYTES + 8)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-}
-
-/// Correlation id of a kind-2 (`Data`) envelope, if the message is a
-/// request carrying a reply slot. Needs a full decode (the `ReplyTo`
-/// position varies per variant).
-fn data_request_corr(envelope: &[u8]) -> Option<u64> {
-    match wire::decode(envelope) {
-        Ok(crate::transport::Payload::Data(msg)) => msg.reply_to().map(|r| r.corr),
-        _ => None,
     }
 }
 
@@ -528,14 +444,14 @@ impl PlaneShared {
     /// Handle one complete inbound frame. `peer` is the sending node when
     /// known (hub readers; `None` on loopback).
     fn handle_frame(self: &Arc<Self>, peer: Option<u64>, f: Frame) -> FrameAction {
-        let kind = f.envelope[3];
+        let kind = wire::kind_of(&f.envelope);
         match &self.mode {
             Mode::Loopback => {
                 (self.callbacks.deliver)(f.to, &f.envelope);
                 FrameAction::Continue
             }
             Mode::Hub(hub) => {
-                if kind == NODE_KIND {
+                if kind == Some(Kind::Node) {
                     return match wire::decode_node(&f.envelope) {
                         Ok(NodeMsg::Goodbye { reason }) => {
                             eprintln!("dtask-net: node {} leaving: {reason}", peer.unwrap_or(0));
@@ -548,26 +464,26 @@ impl PlaneShared {
                         }
                     };
                 }
-                if let Some(lane) = lane_of(kind) {
+                if let Some(lane) = kind.and_then(Kind::lane) {
                     (self.callbacks.account)(lane, f.envelope.len() as u64);
                 }
+                let reply = wire::reply_corr(&f.envelope);
                 let dest = to_node(f.to);
                 if dest == 0 {
-                    if kind == 4 {
-                        if let Some(corr) = peek_reply_corr(&f.envelope) {
-                            hub.pending.lock().remove(&(0, corr));
-                        }
+                    if let Some(corr) = reply {
+                        hub.pending.lock().remove(&(0, corr));
                     }
                     (self.callbacks.deliver)(f.to, &f.envelope);
                     return FrameAction::Continue;
                 }
                 // Star forwarding: node → node via this hub.
-                let meta = match kind {
-                    4 => peek_reply_corr(&f.envelope).map(|corr| RouteMeta::Reply { corr }),
-                    2 => data_request_corr(&f.envelope).map(|corr| RouteMeta::Request { corr }),
-                    _ => None,
-                }
-                .unwrap_or(RouteMeta::Plain);
+                let meta = if let Some(corr) = reply {
+                    RouteMeta::Reply { corr }
+                } else if let Some(corr) = wire::request_corr(&f.envelope) {
+                    RouteMeta::Request { corr }
+                } else {
+                    RouteMeta::Plain
+                };
                 if !self.hub_forward(hub, peer.unwrap_or(0), f.to, &f.envelope, &meta) {
                     // Request against a dead process: cancel at the origin.
                     if let RouteMeta::Request { corr } = meta {
@@ -577,7 +493,7 @@ impl PlaneShared {
                 FrameAction::Continue
             }
             Mode::Node { goodbye_tx, .. } => {
-                if kind == NODE_KIND {
+                if kind == Some(Kind::Node) {
                     return match wire::decode_node(&f.envelope) {
                         Ok(NodeMsg::Cancel { corr }) => {
                             (self.callbacks.cancel)(corr);
@@ -702,7 +618,7 @@ fn reader_loop(
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    eprintln!("dtask-net: {label}: malformed frame: {e}");
+                    eprintln!("dtask-net: {label}: dropping the connection: {e}");
                     break 'outer;
                 }
             }
@@ -1174,12 +1090,12 @@ mod tests {
         assert_eq!(fr.next_frame().err(), Some(WireError::BadMagic));
 
         let mut buf = frame(Addr::Scheduler, &env);
-        buf[PREAMBLE_BYTES + 2] = WIRE_VERSION + 3;
+        buf[PREAMBLE_BYTES + 2] = wire::WIRE_VERSION + 3;
         let mut fr = FrameReader::new();
         fr.push(&buf);
         assert_eq!(
             fr.next_frame().err(),
-            Some(WireError::BadVersion(WIRE_VERSION + 3))
+            Some(WireError::BadVersion(wire::WIRE_VERSION + 3))
         );
     }
 

@@ -360,6 +360,8 @@ metrics! {
         "Framed transport messages encoded, all lanes (zero under InProc).";
     (Source::Sum(Counters::wire_total_bytes)) wire_total_bytes: Wire "total_bytes", Counter, Bytes,
         "Serialized bytes-on-the-wire, all lanes (zero under InProc).";
+    [WireOversized] wire_oversized: Wire "oversized" => "dtask_wire_oversized_total", Counter, Count,
+        "Messages refused where they were built: encoded larger than the frame-size limit.";
     [ExecBusyNs] exec_busy_ns: Executors "busy_ns" => "dtask_executor_busy_seconds_total", Counter, Nanos,
         "Wall time executor slots spent running tasks (gather plus compute).";
     [ExecIdleNs] exec_idle_ns: Executors "idle_ns" => "dtask_executor_idle_seconds_total", Counter, Nanos,

@@ -153,8 +153,7 @@ impl FaultState {
         if p <= 0.0 {
             return false;
         }
-        let idx = WireLane::ALL.iter().position(|&l| l == lane).expect("lane");
-        let n = self.seen[idx].fetch_add(1, Ordering::Relaxed) + 1;
+        let n = self.seen[lane as usize].fetch_add(1, Ordering::Relaxed) + 1;
         (n as f64 * p).floor() > ((n - 1) as f64 * p).floor()
     }
 
@@ -244,13 +243,11 @@ pub enum Payload {
 }
 
 impl Payload {
-    fn lane(&self) -> WireLane {
+    /// The reply slot riding this message, if it is a data request.
+    fn reply_to(&self) -> Option<ReplyTo> {
         match self {
-            Payload::Sched(_) => WireLane::SchedIn,
-            Payload::Exec(_) => WireLane::ExecIn,
-            Payload::Data(_) => WireLane::DataIn,
-            Payload::Client(_) => WireLane::ClientIn,
-            Payload::Reply { .. } => WireLane::ReplyIn,
+            Payload::Data(msg) => msg.reply_to(),
+            _ => None,
         }
     }
 }
@@ -348,9 +345,7 @@ impl Fabric {
                 };
                 // Dead data server: drop the waiting reply slot so the
                 // requester sees "worker hung up", not a hang.
-                if let Some(r) = cancel.and_then(|m| m.reply_to()) {
-                    self.replies.lock().remove(&r.corr);
-                }
+                self.cancel(cancel.and_then(|m| m.reply_to()));
             }
             Payload::Client(m) => {
                 let tx = match to {
@@ -366,6 +361,29 @@ impl Fabric {
                     let _ = tx.send(reply);
                 }
             }
+        }
+    }
+
+    /// Decode an envelope and deliver what it holds: the one place a coded
+    /// backend turns bytes back into a message, whether they crossed a
+    /// socket or never left [`Router::dispatch`]. An envelope that does not
+    /// decode is a codec bug on the sending side: it is dropped loudly, and
+    /// the reply slot `riding` it (known only to a sender in this process)
+    /// is cancelled so its requester does not wait forever.
+    fn deliver_encoded(&self, to: Addr, envelope: &[u8], riding: Option<ReplyTo>) {
+        match wire::decode(envelope) {
+            Ok(payload) => self.deliver(to, payload),
+            Err(e) => {
+                eprintln!("dtask: dropping undecodable envelope for {to:?}: {e}");
+                self.cancel(riding);
+            }
+        }
+    }
+
+    /// Drop a waiting reply slot: its requester unblocks with a disconnect.
+    fn cancel(&self, slot: Option<ReplyTo>) {
+        if let Some(r) = slot {
+            self.replies.lock().remove(&r.corr);
         }
     }
 }
@@ -387,7 +405,9 @@ struct PumpJob {
     due: Instant,
     seq: u64,
     to: Addr,
-    payload: Payload,
+    envelope: Vec<u8>,
+    /// The reply slot riding the message (see [`Fabric::deliver_encoded`]).
+    riding: Option<ReplyTo>,
 }
 
 impl PartialEq for PumpJob {
@@ -456,8 +476,9 @@ fn pump_loop(rx: Receiver<PumpJob>, fabric: Arc<Fabric>) {
     while open || !heap.is_empty() {
         // Deliver everything due.
         while heap.peek().is_some_and(|j| j.due <= Instant::now()) {
-            let job = heap.pop().expect("peeked");
-            fabric.deliver(job.to, job.payload);
+            if let Some(job) = heap.pop() {
+                fabric.deliver_encoded(job.to, &job.envelope, job.riding);
+            }
         }
         let next = match heap.peek() {
             Some(job) => job.due.saturating_duration_since(Instant::now()),
@@ -532,11 +553,8 @@ impl Router {
         let cancel_fabric = Arc::clone(&fabric);
         let (account_stats, account_trace) = (Arc::clone(&stats), trace.clone());
         let callbacks = crate::net::PlaneCallbacks {
-            deliver: Box::new(move |to, envelope| match wire::decode(envelope) {
-                Ok(payload) => deliver_fabric.deliver(to, payload),
-                // A frame that framed/validated correctly but fails payload
-                // decode is a codec bug on the sending side; drop it loudly.
-                Err(e) => eprintln!("dtask-net: dropping undecodable envelope for {to:?}: {e}"),
+            deliver: Box::new(move |to, envelope| {
+                deliver_fabric.deliver_encoded(to, envelope, None)
             }),
             cancel: Box::new(move |corr| {
                 cancel_fabric.replies.lock().remove(&corr);
@@ -669,8 +687,9 @@ impl Router {
     }
 
     fn dispatch(&self, from: Addr, to: Addr, payload: Payload) {
+        let lane = wire::Kind::of(&payload).lane();
         if let Some(f) = &self.faults {
-            if f.should_drop(payload.lane()) {
+            if lane.is_some_and(|lane| f.should_drop(lane)) {
                 // Lost "on the wire": never encoded, never delivered. The
                 // counter is the only evidence — exactly like a real loss.
                 self.stats.inc(Metric::InjectedDrops);
@@ -682,15 +701,17 @@ impl Router {
             Backend::Coded(carrier) => carrier,
         };
         let bytes = wire::encode(&payload);
-        self.account(payload.lane(), bytes.len() as u64);
+        if bytes.len() > wire::HEADER_BYTES + wire::MAX_FRAME_BYTES {
+            return self.refuse_oversized(from, to, payload, bytes.len());
+        }
+        if let Some(lane) = lane {
+            self.account(lane, bytes.len() as u64);
+        }
         // What gets delivered is the *decoded* frame: every coded message
-        // proves round-trip fidelity, and any codec drift fails loudly.
-        let decoded = || {
-            wire::decode(&bytes)
-                .unwrap_or_else(|e| panic!("coded transport: wire round-trip failed: {e}"))
-        };
+        // proves round-trip fidelity.
+        let riding = payload.reply_to();
         match carrier {
-            Carrier::Direct => self.fabric.deliver(to, decoded()),
+            Carrier::Direct => self.fabric.deliver_encoded(to, &bytes, riding),
             Carrier::SimNet(sim) => {
                 let (mut due, seq) = sim.arrival(from, to, bytes.len() as u64);
                 if let Some(f) = &self.faults {
@@ -700,15 +721,12 @@ impl Router {
                     due,
                     seq,
                     to,
-                    payload: decoded(),
+                    envelope: bytes,
+                    riding,
                 });
             }
             Carrier::Socket(plane) => {
-                let reply_slot = match &payload {
-                    Payload::Data(msg) => msg.reply_to(),
-                    _ => None,
-                };
-                let meta = match (&payload, reply_slot) {
+                let meta = match (&payload, riding) {
                     (Payload::Reply { corr, .. }, _) => {
                         crate::net::RouteMeta::Reply { corr: *corr }
                     }
@@ -717,17 +735,39 @@ impl Router {
                 };
                 match plane.shared.route(to, &bytes, meta) {
                     crate::net::RouteOutcome::Sent => {}
-                    crate::net::RouteOutcome::Local => self.fabric.deliver(to, decoded()),
-                    crate::net::RouteOutcome::PeerGone => {
-                        // The destination's process is gone: cancel any
-                        // reply slot riding the request, exactly like the
-                        // fabric does for a dead in-process data server.
-                        if let Some(r) = reply_slot {
-                            self.fabric.replies.lock().remove(&r.corr);
-                        }
+                    crate::net::RouteOutcome::Local => {
+                        self.fabric.deliver_encoded(to, &bytes, riding)
                     }
+                    // The destination's process is gone: cancel any reply
+                    // slot riding the request, exactly like the fabric does
+                    // for a dead in-process data server.
+                    crate::net::RouteOutcome::PeerGone => self.fabric.cancel(riding),
                 }
             }
+        }
+    }
+
+    /// A message whose encoding is over [`wire::MAX_FRAME_BYTES`] is refused
+    /// here, where it was built: the peer's frame reader would drop the
+    /// whole connection over it. Whoever waits on the message learns of it.
+    /// A request's reply slot is cancelled; an oversized reply is replaced
+    /// by the error, so its requester (possibly in another process) is
+    /// answered.
+    fn refuse_oversized(&self, from: Addr, to: Addr, payload: Payload, len: usize) {
+        self.stats.inc(Metric::WireOversized);
+        eprintln!(
+            "dtask: {from:?} -> {to:?}: message of {len} bytes is over the {} byte frame limit; not sent",
+            wire::MAX_FRAME_BYTES
+        );
+        match payload {
+            Payload::Reply { corr, .. } => {
+                let reply = DataReply::Value(Err(format!(
+                    "reply of {len} bytes is over the {} byte frame limit",
+                    wire::MAX_FRAME_BYTES
+                )));
+                self.dispatch(from, to, Payload::Reply { corr, reply });
+            }
+            request => self.fabric.cancel(request.reply_to()),
         }
     }
 
@@ -1069,6 +1109,69 @@ mod tests {
             },
         );
         assert!(reply_rx.recv().is_err(), "slot must be cancelled");
+    }
+
+    /// A message over the frame limit used to be sent anyway: the peer's
+    /// reader dropped the connection over it, everything sent to that worker
+    /// afterwards was discarded, and the `Put`'s ack slot was never
+    /// cancelled, so the sender waited forever.
+    #[test]
+    fn tcp_oversized_put_is_refused_where_it_is_built_and_the_route_stays_usable() {
+        let (channels, _sched_rx, inboxes) = ClusterChannels::new(1);
+        let router = Router::new(
+            &TransportConfig::Tcp,
+            1,
+            channels,
+            Arc::new(SchedulerStats::default()),
+            TraceHandle::disabled(),
+            FaultPlan::default(),
+        )
+        .expect("test router");
+        let ep = router.endpoint(Addr::Client(0));
+        let put = |elements: usize| {
+            let (ack, ack_rx) = ep.reply_slot();
+            ep.send_data(
+                0,
+                DataMsg::Put {
+                    key: Key::new("blk"),
+                    value: Datum::from(linalg::NDArray::zeros(&[elements])),
+                    ack,
+                },
+            );
+            ack_rx
+        };
+
+        // 8 bytes per element: the array alone is one element over the limit.
+        let ack_rx = put(crate::net::MAX_FRAME_BYTES / 8 + 1);
+        assert_eq!(
+            ack_rx.rx.recv_timeout(Duration::from_secs(30)).err(),
+            Some(RecvTimeoutError::Disconnected),
+            "the ack slot of a refused Put must be cancelled"
+        );
+        assert_eq!(router.stats.wire_oversized(), 1);
+        assert_eq!(router.stats.wire_messages(WireLane::DataIn), 0);
+
+        let _ack_rx = put(4);
+        match inboxes[0].data_rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(DataMsg::Put { value, .. }) => assert_eq!(value.as_array().unwrap().len(), 4),
+            _ => panic!("the small Put behind the refused one was not delivered"),
+        }
+        assert_eq!(router.stats.wire_messages(WireLane::DataIn), 1);
+    }
+
+    /// A reply over the limit is answered with the error in its place.
+    #[test]
+    fn oversized_reply_reaches_its_requester_as_an_error() {
+        let (router, _rx) = test_router(TransportConfig::Framed);
+        let requester = router.endpoint(Addr::Control);
+        let responder = router.endpoint(Addr::WorkerData(0));
+        let (token, reply_rx) = requester.reply_slot();
+        let block = linalg::NDArray::zeros(&[crate::net::MAX_FRAME_BYTES / 8 + 1]);
+        responder.reply(token, DataReply::Value(Ok(block.into())));
+        let err = reply_rx.recv().unwrap().into_value().unwrap_err();
+        assert!(err.contains("frame limit"), "{err}");
+        assert_eq!(router.stats.wire_oversized(), 1);
+        assert_eq!(router.stats.wire_messages(WireLane::ReplyIn), 1);
     }
 
     #[test]

@@ -8,10 +8,7 @@
 
 use deisa_repro::dtask::msg::ErrorCause;
 use deisa_repro::dtask::spec::{FusedInput, FusedStage, TaskSpec, Value};
-use deisa_repro::dtask::wire::{
-    decode_datum, decode_error, decode_key, decode_spec, encode_datum, encode_error, encode_key,
-    encode_spec,
-};
+use deisa_repro::dtask::wire::{from_bytes, to_bytes};
 use deisa_repro::dtask::{Datum, Key, TaskError};
 use deisa_repro::linalg::NDArray;
 use rand::prelude::*;
@@ -183,7 +180,7 @@ fn key_roundtrip() {
     let mut rng = SmallRng::seed_from_u64(0x4B45);
     for _ in 0..CASES {
         let key = arb_key(&mut rng);
-        let back = decode_key(&encode_key(&key)).unwrap();
+        let back = from_bytes::<Key>(&to_bytes(&key)).unwrap();
         assert_eq!(back, key);
         assert_eq!(back.as_str(), key.as_str());
         // The cached hash is recomputed at decode, never trusted from the wire.
@@ -196,7 +193,7 @@ fn datum_roundtrip() {
     let mut rng = SmallRng::seed_from_u64(0xDA70);
     for _ in 0..CASES {
         let datum = arb_datum(&mut rng, 3);
-        let back = decode_datum(&encode_datum(&datum)).unwrap();
+        let back = from_bytes::<Datum>(&to_bytes(&datum)).unwrap();
         assert!(
             datum_eq(&back, &datum),
             "datum drifted: {datum:?} vs {back:?}"
@@ -211,7 +208,7 @@ fn spec_roundtrip() {
     let mut rng = SmallRng::seed_from_u64(0x53EC);
     for _ in 0..CASES {
         let spec = arb_spec(&mut rng);
-        let back = decode_spec(&encode_spec(&spec)).unwrap();
+        let back = from_bytes::<TaskSpec>(&to_bytes(&spec)).unwrap();
         assert!(spec_eq(&back, &spec), "spec drifted for key {:?}", spec.key);
     }
 }
@@ -221,7 +218,7 @@ fn error_roundtrip_preserves_cause() {
     let mut rng = SmallRng::seed_from_u64(0xE440);
     for _ in 0..CASES {
         let err = arb_error(&mut rng);
-        let back = decode_error(&encode_error(&err)).unwrap();
+        let back = from_bytes::<TaskError>(&to_bytes(&err)).unwrap();
         assert_eq!(back, err);
         assert_eq!(back.is_propagated(), err.is_propagated());
     }
@@ -234,9 +231,9 @@ fn truncated_frames_never_panic() {
     let mut rng = SmallRng::seed_from_u64(0x7C47);
     for _ in 0..32 {
         let datum = arb_datum(&mut rng, 2);
-        let frame = encode_datum(&datum);
+        let frame = to_bytes(&datum);
         for cut in 0..frame.len() {
-            assert!(decode_datum(&frame[..cut]).is_err());
+            assert!(from_bytes::<Datum>(&frame[..cut]).is_err());
         }
     }
 }
@@ -244,9 +241,10 @@ fn truncated_frames_never_panic() {
 // ---------- golden frames ---------------------------------------------------
 
 use deisa_repro::dtask::msg::{Assignment, ClientMsg, DataMsg, ExecMsg, SchedMsg};
+use deisa_repro::dtask::net::frame;
 use deisa_repro::dtask::transport::{Addr, DataReply, Payload, ReplyTo};
 use deisa_repro::dtask::wire::{decode, decode_node, encode, encode_node};
-use deisa_repro::dtask::{DatumRef, NodeMsg, NodeWelcome, WireError};
+use deisa_repro::dtask::{DatumRef, FrameReader, NodeMsg, NodeWelcome, WireError};
 use std::sync::Arc;
 
 /// Deterministic block values: integer arithmetic and one IEEE division, so
@@ -815,7 +813,7 @@ fn array_rank_beyond_the_body_is_an_error_not_an_allocation() {
     let mut raw = vec![4u8];
     raw.extend_from_slice(&u32::MAX.to_le_bytes());
     raw.extend_from_slice(&1u64.to_le_bytes());
-    assert_eq!(decode_datum(&raw).err(), Some(WireError::Truncated));
+    assert_eq!(from_bytes::<Datum>(&raw).err(), Some(WireError::Truncated));
     assert_eq!(
         decode_err(&reply_envelope_around(&raw)),
         WireError::Truncated
@@ -830,7 +828,7 @@ fn array_shape_whose_product_overflows_is_malformed() {
     raw.extend_from_slice(&(1u64 << 63).to_le_bytes());
     raw.extend_from_slice(&2u64.to_le_bytes());
     assert_eq!(
-        decode_datum(&raw).err(),
+        from_bytes::<Datum>(&raw).err(),
         Some(WireError::Malformed("array"))
     );
     assert_eq!(
@@ -850,7 +848,7 @@ fn ten_megabytes_of_nested_lists_are_malformed_not_a_stack_overflow() {
     }
     raw.push(7);
     assert_eq!(
-        decode_datum(&raw).err(),
+        from_bytes::<Datum>(&raw).err(),
         Some(WireError::Malformed("nesting too deep"))
     );
     assert_eq!(
@@ -863,15 +861,17 @@ fn ten_megabytes_of_nested_lists_are_malformed_not_a_stack_overflow() {
         nested = Datum::List(vec![nested]);
     }
     assert!(datum_eq(
-        &decode_datum(&encode_datum(&nested)).unwrap(),
+        &from_bytes::<Datum>(&to_bytes(&nested)).unwrap(),
         &nested
     ));
 }
 
-/// Seeded byte mutations (overwrites, bit flips, cuts, a spliced-in run of
-/// another frame) over encoded `Put`/`Reply` envelopes carrying arrays,
-/// lists and refs: whatever comes out is `Ok` or a `WireError`. A panic,
-/// an abort or a stack overflow takes the test process down with it.
+/// Seeded byte mutations (overwrites, bit flips, saturated length fields,
+/// cuts, a spliced-in run of another frame) over one envelope of every
+/// variant of every message kind, kind-5 `NodeMsg` ones included, and over
+/// `Put`/`Reply` envelopes carrying arrays, lists and refs: whatever comes
+/// out of either decoder is `Ok` or a `WireError`. A panic, an abort or a
+/// stack overflow takes the test process down with it.
 #[test]
 fn mutated_payload_frames_never_panic() {
     let handle = Datum::Ref(DatumRef {
@@ -891,7 +891,7 @@ fn mutated_payload_frames_never_panic() {
         ]),
         Datum::from(golden_block(&[2, 3, 4])),
     ]);
-    let frames = [
+    let mut frames = vec![
         encode(&Payload::Data(DataMsg::Put {
             key: Key::scoped(5, "field@(0,0)"),
             value: value.clone(),
@@ -905,10 +905,12 @@ fn mutated_payload_frames_never_panic() {
             reply: DataReply::Value(Ok(value)),
         }),
     ];
+    frames.extend(every_variant_frames().into_iter().map(|(_, bytes)| bytes));
     let mut rng = SmallRng::seed_from_u64(0xF022_0017);
-    let mut decoded = 0usize;
-    for round in 0..40_000 {
-        let mut bytes = frames[round % 2].clone();
+    let (mut decoded, mut node_decoded) = (0usize, 0usize);
+    const ROUNDS: usize = 120_000;
+    for round in 0..ROUNDS {
+        let mut bytes = frames[round % frames.len()].clone();
         for _ in 0..rng.gen_range(1usize..4) {
             let at = rng.gen_range(0usize..bytes.len());
             match rng.gen_range(0u32..4) {
@@ -917,7 +919,7 @@ fn mutated_payload_frames_never_panic() {
                 // Length and rank fields are where the damage is: saturate one.
                 2 => bytes[at..].iter_mut().take(4).for_each(|b| *b = 0xFF),
                 _ => {
-                    let other = &frames[(round + 1) % 2];
+                    let other = &frames[rng.gen_range(0usize..frames.len())];
                     let from = rng.gen_range(0usize..other.len());
                     let n = rng.gen_range(1usize..24).min(other.len() - from);
                     bytes.splice(at..at, other[from..from + n].iter().copied());
@@ -934,10 +936,92 @@ fn mutated_payload_frames_never_panic() {
             bytes[4..8].copy_from_slice(&body_len.to_le_bytes());
         }
         decoded += decode(&bytes).is_ok() as usize;
+        node_decoded += decode_node(&bytes).is_ok() as usize;
     }
-    // Mutations inside an f64 run leave a valid frame: both outcomes occur.
+    // Mutations inside an f64 run, a key text or a counter leave a valid
+    // frame: both outcomes occur, for both decoders.
+    for n in [decoded, node_decoded] {
+        assert!(n > 0 && n < ROUNDS, "{n} of {ROUNDS} decoded");
+    }
+}
+
+/// The socket side of the same property. Streams of routed frames (every
+/// sample envelope behind a random address) are damaged the same ways, or
+/// are seeded garbage outright, and reach a `FrameReader` in pieces cut at
+/// random points: every `next_frame` is a frame, "need more" or a
+/// `WireError`, and whatever envelope it hands out goes through both
+/// decoders the same way.
+#[test]
+fn mutated_socket_streams_never_panic() {
+    let envelopes: Vec<Vec<u8>> = every_variant_frames()
+        .into_iter()
+        .map(|(_, bytes)| bytes)
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(0x50C_4E7);
+    let (mut frames_out, mut refused, mut clean_ends) = (0usize, 0usize, 0usize);
+    for round in 0..20_000 {
+        let mut stream = Vec::new();
+        if round % 16 == 0 {
+            let n = rng.gen_range(1usize..200);
+            stream.extend((0..n).map(|_| rng.gen_range(0u32..256) as u8));
+        } else {
+            for _ in 0..rng.gen_range(1usize..5) {
+                let to = match rng.gen_range(0u32..5) {
+                    0 => Addr::Scheduler,
+                    1 => Addr::WorkerData(rng.gen_range(0usize..4)),
+                    2 => Addr::WorkerExec(rng.gen_range(0usize..4)),
+                    3 => Addr::Client(rng.gen_range(0usize..4)),
+                    _ => Addr::Control,
+                };
+                let env = &envelopes[rng.gen_range(0usize..envelopes.len())];
+                stream.extend_from_slice(&frame(to, env));
+            }
+            // One stream in four stays intact, so whole frames come out too.
+            for _ in 0..rng.gen_range(0usize..4) {
+                let at = rng.gen_range(0usize..stream.len());
+                match rng.gen_range(0u32..4) {
+                    0 => stream[at] = rng.gen_range(0u32..256) as u8,
+                    1 => stream[at] ^= 1 << rng.gen_range(0u32..8),
+                    2 => stream[at..].iter_mut().take(4).for_each(|b| *b = 0xFF),
+                    _ => {
+                        let other = &envelopes[rng.gen_range(0usize..envelopes.len())];
+                        let from = rng.gen_range(0usize..other.len());
+                        let n = rng.gen_range(1usize..24).min(other.len() - from);
+                        stream.splice(at..at, other[from..from + n].iter().copied());
+                    }
+                }
+            }
+            if rng.gen_range(0u32..4) == 0 {
+                stream.truncate(rng.gen_range(0usize..stream.len() + 1));
+            }
+        }
+
+        let mut reader = FrameReader::new();
+        let mut fed = 0;
+        'stream: while fed < stream.len() {
+            let upto = (fed + 1 + rng.gen_range(0usize..40)).min(stream.len());
+            reader.push(&stream[fed..upto]);
+            fed = upto;
+            loop {
+                match reader.next_frame() {
+                    Ok(Some(f)) => {
+                        frames_out += 1;
+                        let _ = (decode(&f.envelope), decode_node(&f.envelope));
+                    }
+                    Ok(None) => break,
+                    // The stream is poisoned: a socket reader drops the
+                    // connection here.
+                    Err(_) => {
+                        refused += 1;
+                        break 'stream;
+                    }
+                }
+            }
+        }
+        clean_ends += reader.at_eof().is_ok() as usize;
+    }
     assert!(
-        decoded > 0 && decoded < 40_000,
-        "{decoded} of 40000 decoded"
+        frames_out > 0 && refused > 0 && clean_ends > 0,
+        "{frames_out} frames, {refused} refused streams, {clean_ends} clean ends"
     );
 }
