@@ -787,7 +787,7 @@ pub fn decode(bytes: &[u8]) -> Result<Payload, WireError> {
 
 /// The kind of an envelope a [`crate::net::FrameReader`] handed out.
 pub(crate) fn kind_of(envelope: &[u8]) -> Option<Kind> {
-    open(envelope).ok().map(|(kind, _)| kind)
+    Kind::from_byte(*envelope.get(3)?).ok()
 }
 
 /// The correlation id a [`Kind::Reply`] envelope resolves: the first body

@@ -866,6 +866,24 @@ fn ten_megabytes_of_nested_lists_are_malformed_not_a_stack_overflow() {
     ));
 }
 
+/// One seeded mutation of `bytes`: a byte overwritten, a bit flipped, four
+/// bytes saturated (length and rank fields are where the damage is), or a
+/// run of one of `donors` spliced in.
+fn damage(rng: &mut SmallRng, bytes: &mut Vec<u8>, donors: &[Vec<u8>]) {
+    let at = rng.gen_range(0usize..bytes.len());
+    match rng.gen_range(0u32..4) {
+        0 => bytes[at] = rng.gen_range(0u32..256) as u8,
+        1 => bytes[at] ^= 1 << rng.gen_range(0u32..8),
+        2 => bytes[at..].iter_mut().take(4).for_each(|b| *b = 0xFF),
+        _ => {
+            let other = &donors[rng.gen_range(0usize..donors.len())];
+            let from = rng.gen_range(0usize..other.len());
+            let n = rng.gen_range(1usize..24).min(other.len() - from);
+            bytes.splice(at..at, other[from..from + n].iter().copied());
+        }
+    }
+}
+
 /// Seeded byte mutations (overwrites, bit flips, saturated length fields,
 /// cuts, a spliced-in run of another frame) over one envelope of every
 /// variant of every message kind, kind-5 `NodeMsg` ones included, and over
@@ -912,19 +930,7 @@ fn mutated_payload_frames_never_panic() {
     for round in 0..ROUNDS {
         let mut bytes = frames[round % frames.len()].clone();
         for _ in 0..rng.gen_range(1usize..4) {
-            let at = rng.gen_range(0usize..bytes.len());
-            match rng.gen_range(0u32..4) {
-                0 => bytes[at] = rng.gen_range(0u32..256) as u8,
-                1 => bytes[at] ^= 1 << rng.gen_range(0u32..8),
-                // Length and rank fields are where the damage is: saturate one.
-                2 => bytes[at..].iter_mut().take(4).for_each(|b| *b = 0xFF),
-                _ => {
-                    let other = &frames[rng.gen_range(0usize..frames.len())];
-                    let from = rng.gen_range(0usize..other.len());
-                    let n = rng.gen_range(1usize..24).min(other.len() - from);
-                    bytes.splice(at..at, other[from..from + n].iter().copied());
-                }
-            }
+            damage(&mut rng, &mut bytes, &frames);
         }
         if rng.gen_range(0u32..4) == 0 {
             bytes.truncate(rng.gen_range(0usize..bytes.len() + 1));
@@ -978,18 +984,7 @@ fn mutated_socket_streams_never_panic() {
             }
             // One stream in four stays intact, so whole frames come out too.
             for _ in 0..rng.gen_range(0usize..4) {
-                let at = rng.gen_range(0usize..stream.len());
-                match rng.gen_range(0u32..4) {
-                    0 => stream[at] = rng.gen_range(0u32..256) as u8,
-                    1 => stream[at] ^= 1 << rng.gen_range(0u32..8),
-                    2 => stream[at..].iter_mut().take(4).for_each(|b| *b = 0xFF),
-                    _ => {
-                        let other = &envelopes[rng.gen_range(0usize..envelopes.len())];
-                        let from = rng.gen_range(0usize..other.len());
-                        let n = rng.gen_range(1usize..24).min(other.len() - from);
-                        stream.splice(at..at, other[from..from + n].iter().copied());
-                    }
-                }
+                damage(&mut rng, &mut stream, &envelopes);
             }
             if rng.gen_range(0u32..4) == 0 {
                 stream.truncate(rng.gen_range(0usize..stream.len() + 1));
