@@ -3,15 +3,15 @@
 //! Two kinds of measurement, matching DESIGN.md §2:
 //!
 //! * **Real-mode Criterion benches** (`benches/`): wall-clock measurements of
-//!   the actual runtime at laptop scale — linalg kernels, dtask scatter and
-//!   scheduler throughput, old-vs-new IPCA, and a scaled-down weak-scaling
-//!   sweep of the full workflow. These calibrate and sanity-check the DES
-//!   cost model.
+//!   the actual runtime at laptop scale — linalg kernels and old-vs-new
+//!   IPCA — plus the cost of regenerating a DES run. Scheduler throughput
+//!   and the full pipeline are refereed by `dtask-bench` (`task_storm`,
+//!   `insitu_ipca`), not here.
 //! * **The `figures` binary** (`src/bin/figures.rs`): regenerates every
 //!   figure of the paper's evaluation (Figs. 2a–5) from the DES models in
 //!   `insitu-sim` at full paper scale, printing CSV series.
 //!
-//! This library provides shared helpers for both.
+//! This library provides the helper the benches share.
 
 use dtask::Cluster;
 
@@ -21,74 +21,4 @@ pub fn cluster_with_ops(n_workers: usize) -> Cluster {
     darray::register_array_ops(cluster.registry());
     dml::register_ml_ops(cluster.registry());
     cluster
-}
-
-/// A small real-mode in-transit run: `ranks` bridges push `steps` blocks of
-/// `block_elems` f64s through DEISA3 while a whole-graph IPCA consumes them.
-/// Returns the explained-variance vector (so benches have a value to
-/// black-box).
-pub fn run_small_insitu(ranks: usize, steps: usize, block_side: usize) -> Vec<f64> {
-    use deisa_core::{Adaptor, Bridge, Selection, VirtualArray};
-    use dml::{InSituIncrementalPCA, SvdSolver};
-    use linalg::NDArray;
-
-    let cluster = cluster_with_ops(2);
-    let varray = VirtualArray::new(
-        "G_temp",
-        &[steps, block_side, ranks * block_side],
-        &[1, block_side, block_side],
-        0,
-    )
-    .expect("valid varray");
-
-    let analytics = {
-        let client = cluster.client();
-        let varray = varray.clone();
-        std::thread::spawn(move || {
-            let adaptor = Adaptor::new(client);
-            let mut arrays = adaptor.get_deisa_arrays().expect("descriptors");
-            let gt = arrays
-                .select_labeled("G_temp", Selection::all(&varray), &["t", "X", "Y"])
-                .expect("select");
-            arrays.validate_contract().expect("contract");
-            let ipca = InSituIncrementalPCA::new(2, SvdSolver::Full);
-            let mut g = darray::Graph::new("bench");
-            let fitted = ipca
-                .fit(&mut g, &gt, "t", &["Y"], &["X"])
-                .expect("fit graph");
-            g.submit(adaptor.client());
-            let model = fitted.fetch(adaptor.client()).expect("model");
-            model.explained_variance
-        })
-    };
-
-    let mut bridges = Vec::new();
-    for rank in 0..ranks {
-        let client = cluster.client();
-        let varray = varray.clone();
-        bridges.push(std::thread::spawn(move || {
-            let mut bridge = Bridge::init(client, rank, vec![varray]).expect("bridge");
-            for t in 0..steps {
-                let block = NDArray::from_fn(&[1, block_side, block_side], |idx| {
-                    ((t + rank) * 7 % 13) as f64 + idx[1] as f64 * 0.5 + (idx[2] % 3) as f64
-                });
-                bridge.publish("G_temp", t, rank, block).expect("publish");
-            }
-        }));
-    }
-    for b in bridges {
-        b.join().expect("bridge thread");
-    }
-    analytics.join().expect("analytics thread")
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn small_insitu_smoke() {
-        let ev = super::run_small_insitu(2, 3, 8);
-        assert_eq!(ev.len(), 2);
-        assert!(ev[0] >= ev[1]);
-        assert!(ev[0] > 0.0);
-    }
 }

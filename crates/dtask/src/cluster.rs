@@ -395,27 +395,28 @@ impl Cluster {
         // Scheduler thread. On a hub every worker slot starts offline until
         // its process attaches and registers.
         let mut sched = Scheduler::new(
-            sched_rx,
             cluster.router.endpoint(Addr::Scheduler),
+            config.n_workers,
             slots,
             config.fault.liveness(),
             config.policy.clone(),
             Arc::clone(&cluster.stats),
             cluster.tracer.register(TraceActor::Scheduler),
-            cluster.telemetry.clone(),
             cluster
                 .tenancy
                 .enabled
                 .then_some(cluster.tenancy.max_inflight_tasks)
                 .flatten(),
+            std::time::Instant::now(),
         );
         if cluster.deploy {
             sched = sched.with_offline_workers();
         }
+        let sched_telemetry = cluster.telemetry.clone();
         cluster.sched_thread = Some(
             std::thread::Builder::new()
                 .name("dtask-scheduler".into())
-                .spawn(move || sched.run())?,
+                .spawn(move || sched.run(sched_rx, sched_telemetry))?,
         );
         for (id, inbox) in inboxes.into_iter().enumerate() {
             let runtime = WorkerRuntime::spawn(WorkerSpec {
@@ -813,8 +814,8 @@ mod tests {
             Datum::Null,
             vec!["ext-0".into(), "ext-1".into()],
         )]);
-        // Give the scheduler a beat: the graph must sit in Waiting.
-        std::thread::sleep(Duration::from_millis(20));
+        // The graph now sits in Waiting (the scheduler inbox is FIFO; the
+        // stepped core test asserts the state itself).
         // 2. The "external environment" pushes the data.
         let bridge = cluster.client();
         bridge.scatter_external(vec![(Key::new("ext-0"), Datum::F64(4.0))], Some(0));
@@ -919,8 +920,8 @@ mod tests {
         client.scatter(vec![(Key::new("x"), Datum::F64(1.0))], Some(0));
         assert!(client.future("x").result().is_ok());
         client.release(vec![Key::new("x")]);
-        std::thread::sleep(Duration::from_millis(30));
-        // Key is forgotten by the scheduler now.
+        // Same client, same FIFO inbox: the release is handled before the
+        // lookup, so the key is forgotten by the scheduler now.
         assert!(client.future("x").result().is_err());
     }
 
@@ -1022,13 +1023,18 @@ mod tests {
         ];
         client.submit(graph.clone());
         assert_eq!(client.future("dbl").result().unwrap().as_f64(), Some(6.0));
-        let reports_before = cluster.stats().count(crate::stats::MsgClass::TaskReport);
+        let assigned_before = cluster.stats().assign_tasks();
         // Resubmitting the same graph must not recompute anything.
         client.submit(graph);
         assert_eq!(client.future("dbl").result().unwrap().as_f64(), Some(6.0));
-        std::thread::sleep(Duration::from_millis(30));
-        let reports_after = cluster.stats().count(crate::stats::MsgClass::TaskReport);
-        assert_eq!(reports_before, reports_after, "no new task executions");
+        // One more round trip: its answer comes from a later scheduler step
+        // than the resubmission's, so that step's placement pass is over.
+        assert!(client.var_try_get("barrier").unwrap().is_none());
+        assert_eq!(
+            cluster.stats().assign_tasks(),
+            assigned_before,
+            "no new task executions"
+        );
     }
 
     #[test]
@@ -1167,7 +1173,6 @@ mod tests {
         )]);
         assert_eq!(client.future("y").result().unwrap().as_f64(), Some(7.0));
         client.release(vec![Key::new("x")]);
-        std::thread::sleep(Duration::from_millis(30));
         // A new graph depending on the released key waits for fresh data
         // instead of erring out.
         client.submit(vec![TaskSpec::new(
@@ -1195,7 +1200,6 @@ mod tests {
             Datum::Null,
             vec!["ext".into()],
         )]);
-        std::thread::sleep(Duration::from_millis(20));
         client.release(vec![Key::new("ext")]);
         let err = client.future("w").result().unwrap_err();
         assert!(err.message.contains("released"), "{}", err.message);
@@ -1216,7 +1220,13 @@ mod tests {
         client.submit(graph(1.0));
         assert_eq!(client.future("mid").result().unwrap().as_f64(), Some(1.0));
         client.release(vec![Key::new("mid")]);
-        std::thread::sleep(Duration::from_millis(20));
+        // The release fans a `Delete` out to the holder's data server, and a
+        // `Delete` still in flight would remove the *recomputed* `mid` (an
+        // open race, ROADMAP item 6). Wait for it to land: a scheduler round
+        // trip (the release was handled, the `Delete` is queued), then a
+        // data-server round trip behind it on the same FIFO inbox.
+        assert!(client.var_try_get("barrier").unwrap().is_none());
+        assert_eq!(cluster.worker_memory()[0].0, 1, "only `base` is left");
         client.submit(graph(2.0));
         // `base` is still in memory (1.0) and is reused; `mid` recomputes.
         assert_eq!(client.future("mid").result().unwrap().as_f64(), Some(1.0));
@@ -1343,7 +1353,6 @@ mod tests {
             TaskSpec::new("step", "identity", Datum::Null, vec!["blk".into()]),
             TaskSpec::new("out", "identity", Datum::Null, vec!["step".into()]),
         ]);
-        std::thread::sleep(Duration::from_millis(20));
         let bridge = cluster.client();
         bridge.scatter_external(vec![(Key::new("blk"), Datum::F64(6.0))], Some(0));
         assert_eq!(client.future("out").result().unwrap().as_f64(), Some(6.0));

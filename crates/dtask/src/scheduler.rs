@@ -16,26 +16,57 @@
 //! data (classic `scatter`); it transitions the task `External → Memory` and
 //! then runs the same dependent-unblocking cascade as `handle_task_finished`,
 //! so graphs submitted *before the data existed* start flowing.
+//!
+//! # One core, two drivers
+//!
+//! This file is the **core**: [`Scheduler::step`] takes the state, a batch
+//! of [`SchedMsg`]s and the current time, and sends what follows from them
+//! into a [`Sink`]. It reads no clock, waits on no channel and owns no
+//! thread, so whoever calls it decides what time it is and where the
+//! messages go. Two drivers call it:
+//!
+//! * the live pump (`scheduler/pump.rs`): blocks on the scheduler inbox,
+//!   drains a burst, reads the wall clock once and steps; its sink is the
+//!   transport [`Endpoint`](crate::transport::Endpoint);
+//! * the discrete-event simulator (`insitu-sim::schedlab`): steps under a
+//!   virtual clock, collects the outbound messages and plays the workers.
 
 use crate::datum::Datum;
 use crate::key::{Key, SessionId, DEFAULT_SESSION};
-use crate::msg::{ClientId, ClientMsg, DataMsg, ErrorCause, SchedMsg, TaskError, WorkerId};
+use crate::msg::{
+    Assignment, ClientId, ClientMsg, DataMsg, ErrorCause, ExecMsg, SchedMsg, TaskError, WorkerId,
+};
 use crate::policy::{PolicyConfig, SchedulingPolicy, WorkerState};
 use crate::spec::TaskSpec;
 use crate::stats::{Metric, MsgClass, SchedulerStats};
 use crate::telemetry::TelemetryHub;
 use crate::trace::{EventKind, TraceHandle};
-use crate::transport::Endpoint;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Upper bound on messages absorbed per ingest burst. The cap keeps a steady
-/// inbound stream from starving the placement pass that follows each burst;
-/// 64 is the value the batched-ingest A/B was settled at (EXPERIMENTS.md,
-/// "Settled A/Bs") and the only one any workload, test or bench ever ran.
-const MAX_BURST: usize = 64;
+mod pump;
+
+/// Where the core's outbound messages go: worker executor inboxes, worker
+/// data servers and client notification queues. The live pump passes the
+/// scheduler's transport endpoint; the simulator passes a collector.
+pub trait Sink {
+    /// Send to worker `worker`'s executor inbox.
+    fn send_exec(&self, worker: WorkerId, msg: ExecMsg);
+    /// Send to worker `worker`'s data server.
+    fn send_data(&self, worker: WorkerId, msg: DataMsg);
+    /// Notify a client.
+    fn send_client(&self, client: ClientId, msg: ClientMsg);
+}
+
+/// What one [`Scheduler::step`] did, for its driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepReport {
+    /// The batch carried `Shutdown`: the driver stops stepping.
+    pub shutdown: bool,
+    /// The step ran a placement pass (the live pump times those).
+    pub placed: bool,
+}
 
 /// Failure-detection and recovery parameters for the scheduler loop.
 ///
@@ -143,13 +174,12 @@ struct SessionState {
     inflight: HashSet<Key>,
 }
 
-/// The scheduler loop state.
-pub struct Scheduler {
-    rx: Receiver<SchedMsg>,
-    /// Outbound route to every other actor (worker exec/data inboxes and
-    /// client notification queues), via whichever transport backend the
-    /// cluster was built with.
-    endpoint: Endpoint,
+/// The scheduler state the core steps over.
+pub struct Scheduler<S> {
+    /// Outbound route to every other actor.
+    sink: S,
+    /// The time of the step in progress, as told by the driver.
+    now: Instant,
     tasks: HashMap<Key, TaskEntry>,
     /// Placement policy: owns the ready queue (ordering) and the per-task
     /// worker decision. See [`crate::policy`].
@@ -158,7 +188,7 @@ pub struct Scheduler {
     /// dependency placement (including deps the target already holds), so a
     /// stolen task can still locate every input from its new worker.
     steal_enabled: bool,
-    /// Per-worker flag: a [`crate::msg::ExecMsg::Steal`] probe is in flight
+    /// Per-worker flag: a [`ExecMsg::Steal`] probe is in flight
     /// against this victim and has not been answered with `Stolen` yet. An
     /// idle thief polls faster than a victim finishes a task; without the
     /// guard every poll would queue another redundant probe.
@@ -185,8 +215,8 @@ pub struct Scheduler {
     stats: Arc<SchedulerStats>,
     /// Lifecycle event recorder (empty handle when tracing is off).
     tracer: TraceHandle,
-    /// Set by handlers that may have produced ready tasks; the run loop
-    /// drains the ready queue once per burst instead of once per message.
+    /// Set by handlers that may have produced ready tasks; a step drains
+    /// the ready queue once per batch instead of once per message.
     pending_schedule: bool,
     /// Failure-detection and retry policy.
     liveness: LivenessConfig,
@@ -201,34 +231,28 @@ pub struct Scheduler {
     backoff: Vec<(Instant, Key)>,
     /// When the liveness sweep last ran.
     last_sweep: Instant,
-    /// Live-telemetry hub to publish gauges into (ready-queue depth, live
-    /// workers, heartbeat gap ages), once per loop iteration. `None` when
-    /// telemetry is off — the loop then pays a single branch.
-    telemetry: Option<Arc<TelemetryHub>>,
 }
 
-impl Scheduler {
-    /// Build a scheduler over its inbox and its transport endpoint (the
-    /// worker table size comes from the endpoint's router).
-    /// `slots_per_worker` is the executor-slot count of each worker (≥1),
-    /// used to weight load comparisons during placement.
+impl<S: Sink> Scheduler<S> {
+    /// Build a scheduler for `n_workers` workers of `slots_per_worker`
+    /// executor slots each (≥1; weights load comparisons during placement)
+    /// that sends into `sink`. `now` starts the liveness-sweep clock.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        rx: Receiver<SchedMsg>,
-        endpoint: Endpoint,
+        sink: S,
+        n_workers: usize,
         slots_per_worker: usize,
         liveness: LivenessConfig,
         policy: PolicyConfig,
         stats: Arc<SchedulerStats>,
         tracer: TraceHandle,
-        telemetry: Option<Arc<TelemetryHub>>,
         admission_cap: Option<usize>,
+        now: Instant,
     ) -> Self {
         let slots = slots_per_worker.max(1);
-        let n_workers = endpoint.n_workers();
         Scheduler {
-            rx,
-            endpoint,
+            sink,
+            now,
             tasks: HashMap::new(),
             steal_enabled: policy.steal_enabled(),
             steal_inflight: vec![false; n_workers],
@@ -255,8 +279,7 @@ impl Scheduler {
             default_slots: slots,
             client_last_seen: HashMap::new(),
             backoff: Vec::new(),
-            last_sweep: Instant::now(),
-            telemetry,
+            last_sweep: now,
         }
     }
 
@@ -272,97 +295,42 @@ impl Scheduler {
         self
     }
 
-    /// Run until `Shutdown`.
-    ///
-    /// Each iteration blocks for one message, then drains up to
-    /// `MAX_BURST - 1` more without blocking. Within a burst, `AddReplica`
-    /// entries are merged per worker; everything else is handled in arrival
-    /// order. The ready queue is drained **once** per burst, so a burst
-    /// carrying `k` task completions pays one placement pass instead of `k`.
-    pub fn run(mut self) {
-        let mut burst: Vec<SchedMsg> = Vec::with_capacity(MAX_BURST);
-        loop {
-            // With liveness off and no parked retries this is a plain
-            // blocking `recv` — the fast path pays nothing for the fault
-            // machinery. Otherwise block only until the next sweep/backoff
-            // deadline so failures are detected even on an idle inbox.
-            let first = match self.wakeup_deadline() {
-                None => match self.rx.recv() {
-                    Ok(msg) => Some(msg),
-                    Err(_) => break,
-                },
-                Some(deadline) => {
-                    let wait = deadline.saturating_duration_since(Instant::now());
-                    match self.rx.recv_timeout(wait) {
-                        Ok(msg) => Some(msg),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            };
-            let mut shutdown = false;
-            if let Some(first) = first {
-                burst.push(first);
-                while burst.len() < MAX_BURST {
-                    match self.rx.try_recv() {
-                        Ok(msg) => burst.push(msg),
-                        Err(_) => break,
-                    }
-                }
-                self.stats.record_burst(burst.len() as u64);
-                let burst_len = burst.len() as u64;
-                let ingest_t0 = self.tracer.start();
-                let mut replicas: HashMap<WorkerId, Vec<(Key, u64)>> = HashMap::new();
-                for msg in burst.drain(..) {
-                    match msg {
-                        SchedMsg::AddReplica { worker, entries } => {
-                            // Coalesce: one map update pass per worker per burst.
-                            // Replicas only ever *add* placement options, so
-                            // applying them at burst end is order-safe.
-                            self.stats.record(MsgClass::AddReplica, 0);
-                            replicas.entry(worker).or_default().extend(entries);
-                        }
-                        msg => {
-                            if !self.handle(msg) {
-                                shutdown = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                for (worker, entries) in replicas.drain() {
-                    self.apply_replicas(worker, entries);
-                }
-                self.tracer
-                    .span(EventKind::Ingest, ingest_t0, None, burst_len);
-            }
-            self.tick_faults();
-            if self.pending_schedule {
-                self.pending_schedule = false;
-                let assign_from = Instant::now();
-                let pass_t0 = self.tracer.start();
-                let n_assigned = self.schedule();
-                self.tracer
-                    .span(EventKind::AssignPass, pass_t0, None, n_assigned);
-                self.stats
-                    .record_assign_pass(assign_from.elapsed().as_nanos() as u64);
-            }
-            self.publish_telemetry();
-            if shutdown {
-                break;
-            }
-        }
+    /// The sink this scheduler sends into.
+    pub fn sink(&self) -> &S {
+        &self.sink
     }
 
-    /// Refresh the telemetry gauges: ready-queue depth, live-worker count,
-    /// and the oldest worker/client heartbeat ages. One branch when
-    /// telemetry is off; a few Relaxed stores when on.
-    fn publish_telemetry(&self) {
-        let Some(hub) = &self.telemetry else {
-            return;
-        };
-        let now = Instant::now();
-        let gap_ns = |seen: Instant| now.saturating_duration_since(seen).as_nanos() as u64;
+    /// Advance the state machine: absorb `inbox` (drained, in arrival
+    /// order) at time `now`, run the fault work that is due, then drain the
+    /// ready queue **once**, so a batch carrying `k` task completions pays
+    /// one placement pass instead of `k`. An empty `inbox` is a timer tick
+    /// (the live pump sends one when `wakeup_deadline` falls due). Messages
+    /// behind a `Shutdown` are dropped.
+    pub fn step(&mut self, inbox: &mut Vec<SchedMsg>, now: Instant) -> StepReport {
+        self.now = now;
+        let mut shutdown = false;
+        if !inbox.is_empty() {
+            let n = inbox.len() as u64;
+            self.stats.record_burst(n);
+            let ingest_t0 = self.tracer.start();
+            shutdown = !inbox.drain(..).all(|msg| self.handle(msg));
+            self.tracer.span(EventKind::Ingest, ingest_t0, None, n);
+        }
+        self.tick_faults();
+        let placed = std::mem::take(&mut self.pending_schedule);
+        if placed {
+            let pass_t0 = self.tracer.start();
+            let n_assigned = self.schedule();
+            self.tracer
+                .span(EventKind::AssignPass, pass_t0, None, n_assigned);
+        }
+        StepReport { shutdown, placed }
+    }
+
+    /// Refresh the telemetry gauges as of the last step: ready-queue depth,
+    /// live-worker count, and the oldest worker/client heartbeat ages.
+    fn publish_gauges(&self, hub: &TelemetryHub) {
+        let gap_ns = |seen: Instant| self.now.saturating_duration_since(seen).as_nanos() as u64;
         let workers_alive = self.workers.iter().filter(|w| w.alive).count() as u64;
         let worker_gap = self
             .workers
@@ -386,9 +354,9 @@ impl Scheduler {
         );
     }
 
-    /// Next instant the loop must wake even if the inbox stays empty:
-    /// the earliest parked resubmission, or the next liveness sweep.
-    /// `None` (the default configuration) means "block forever".
+    /// Next instant the driver must step even if no message arrives: the
+    /// earliest parked resubmission, or the next liveness sweep. `None`
+    /// (the default configuration) means "nothing is due, ever".
     fn wakeup_deadline(&self) -> Option<Instant> {
         let backoff_due = self.backoff.iter().map(|(due, _)| *due).min();
         let sweep_due = self
@@ -408,13 +376,12 @@ impl Scheduler {
     }
 
     /// Run the periodic fault work: due resubmissions, then the liveness
-    /// sweep. No-ops (without reading the clock for the sweep) when the
-    /// fault machinery is idle.
+    /// sweep.
     fn tick_faults(&mut self) {
         self.drain_backoff();
         if let Some(timeout) = self.liveness.heartbeat_timeout {
-            if self.last_sweep.elapsed() >= Self::sweep_every(timeout) {
-                self.last_sweep = Instant::now();
+            if self.now.saturating_duration_since(self.last_sweep) >= Self::sweep_every(timeout) {
+                self.last_sweep = self.now;
                 self.sweep_liveness(timeout);
             }
         }
@@ -422,7 +389,7 @@ impl Scheduler {
 
     fn notify(&self, client: ClientId, msg: ClientMsg) {
         if self.clients.contains(&client) {
-            self.endpoint.send_client(client, msg);
+            self.sink.send_client(client, msg);
         } else {
             // A silently vanished notification is indistinguishable from
             // a hung client; count it so operators can tell the two
@@ -436,7 +403,7 @@ impl Scheduler {
     /// reference to its store entries.
     fn release_proxied(&self, value: &Datum) {
         match value {
-            Datum::Ref(handle) => self.endpoint.send_data(
+            Datum::Ref(handle) => self.sink.send_data(
                 handle.holder,
                 DataMsg::Delete {
                     keys: vec![handle.key.clone()],
@@ -558,7 +525,7 @@ impl Scheduler {
                 };
                 self.stats.record(class, nbytes);
                 for (key, worker, nbytes) in entries {
-                    self.handle_update_data(key, worker, nbytes, external);
+                    self.handle_update_data(key, worker, nbytes);
                 }
                 self.pending_schedule = true;
             }
@@ -581,9 +548,9 @@ impl Scheduler {
                 self.pending_schedule = true;
             }
             SchedMsg::AddReplica { worker, entries } => {
-                // Only a `Scoped`-wrapped report lands here; the run loop
-                // coalesces bare ones per burst.
                 self.stats.record(MsgClass::AddReplica, 0);
+                // A late report from a declared-dead worker must not put it
+                // back into `who_has` after `on_worker_lost` purged it.
                 if self.worker_alive(worker) {
                     self.apply_replicas(worker, entries);
                 }
@@ -631,44 +598,24 @@ impl Scheduler {
             }
             SchedMsg::WantResult { client, key } => {
                 self.stats.record(MsgClass::WantResult, 0);
-                match self.tasks.get_mut(&key) {
+                let location = match self.tasks.get_mut(&key) {
                     Some(entry) => match entry.state {
-                        TaskState::Memory => {
-                            let loc = entry.who_has[0];
-                            self.notify(
-                                client,
-                                ClientMsg::KeyReady {
-                                    key,
-                                    location: Ok(loc),
-                                },
-                            );
-                        }
+                        TaskState::Memory => Ok(entry.who_has[0]),
                         TaskState::Erred => {
-                            let e = entry.error.clone().expect("erred tasks carry an error");
-                            self.notify(
-                                client,
-                                ClientMsg::KeyReady {
-                                    key,
-                                    location: Err(e),
-                                },
-                            );
+                            Err(entry.error.clone().expect("erred tasks carry an error"))
                         }
-                        _ => entry.waiters.push(client),
+                        _ => {
+                            entry.waiters.push(client);
+                            return true;
+                        }
                     },
-                    None => {
-                        // Unknown key: treat as a future that may appear later
-                        // (external graphs can be registered after a watch in
-                        // principle), but simplest correct behaviour for this
-                        // runtime: report an error.
-                        self.notify(
-                            client,
-                            ClientMsg::KeyReady {
-                                key: key.clone(),
-                                location: Err(TaskError::new(key, "unknown key")),
-                            },
-                        );
-                    }
-                }
+                    // Unknown key: it could be a future that appears later
+                    // (external graphs can be registered after a watch in
+                    // principle), but the simplest correct behaviour for
+                    // this runtime is to report an error.
+                    None => Err(TaskError::new(key.clone(), "unknown key")),
+                };
+                self.notify(client, ClientMsg::KeyReady { key, location });
             }
             SchedMsg::ReleaseKeys { keys } => {
                 self.release_keys(keys);
@@ -700,30 +647,17 @@ impl Scheduler {
                 self.stats.record(MsgClass::Variable, 0);
                 // Lookup is namespaced: another tenant's identically named
                 // variable is invisible — a miss here is a clean not-found.
-                match self.variables.get(&(session, name.clone())) {
-                    Some(v) => self.notify(
-                        client,
-                        ClientMsg::VariableValue {
-                            name,
-                            value: v.clone(),
-                            found: true,
-                        },
-                    ),
-                    None if wait => {
-                        self.var_waiters
-                            .entry((session, name))
-                            .or_default()
-                            .push(client);
-                    }
-                    None => self.notify(
-                        client,
-                        ClientMsg::VariableValue {
-                            name,
-                            value: Datum::Null,
-                            found: false,
-                        },
-                    ),
+                let value = self.variables.get(&(session, name.clone())).cloned();
+                if value.is_none() && wait {
+                    self.var_waiters
+                        .entry((session, name))
+                        .or_default()
+                        .push(client);
+                    return true;
                 }
+                let found = value.is_some();
+                let value = value.unwrap_or(Datum::Null);
+                self.notify(client, ClientMsg::VariableValue { name, value, found });
             }
             SchedMsg::VariableDel { name } => {
                 self.stats.record(MsgClass::Variable, 0);
@@ -821,7 +755,7 @@ impl Scheduler {
             self.mark_erred(key, err);
         }
         for (w, keys) in per_worker {
-            self.endpoint.send_data(w, DataMsg::Delete { keys });
+            self.sink.send_data(w, DataMsg::Delete { keys });
         }
     }
 
@@ -858,31 +792,16 @@ impl Scheduler {
         );
         let st = self.sessions.remove(&session).unwrap_or_default();
         self.release_keys(st.task_keys.into_iter().collect());
-        let doomed: Vec<(SessionId, String)> = self
-            .variables
-            .keys()
-            .filter(|(s, _)| *s == session)
-            .cloned()
+        let variables = self.variables.extract_if(|(s, _), _| *s == session);
+        let queues = self.queues.extract_if(|(s, _), _| *s == session);
+        let orphaned: Vec<Datum> = variables
+            .map(|(_, value)| value)
+            .chain(queues.flat_map(|(_, q)| q.items))
             .collect();
-        for slot in doomed {
-            if let Some(old) = self.variables.remove(&slot) {
-                self.release_proxied(&old);
-            }
+        for value in &orphaned {
+            self.release_proxied(value);
         }
         self.var_waiters.retain(|(s, _), _| *s != session);
-        let dead_queues: Vec<(SessionId, String)> = self
-            .queues
-            .keys()
-            .filter(|(s, _)| *s == session)
-            .cloned()
-            .collect();
-        for slot in dead_queues {
-            if let Some(q) = self.queues.remove(&slot) {
-                for item in q.items {
-                    self.release_proxied(&item);
-                }
-            }
-        }
         // Parked retries for released tasks would resurrect nothing
         // (their entries are gone), but dropping them keeps the backoff
         // list from waking the loop for a dead tenant.
@@ -894,7 +813,7 @@ impl Scheduler {
         // published out-of-band, spilled entries).
         for worker in 0..self.workers.len() {
             if self.workers[worker].alive {
-                self.endpoint.send_data(worker, DataMsg::Sweep { session });
+                self.sink.send_data(worker, DataMsg::Sweep { session });
             }
         }
     }
@@ -1004,7 +923,7 @@ impl Scheduler {
     }
 
     /// Classic-scatter or external-task data arrival.
-    fn handle_update_data(&mut self, key: Key, worker: WorkerId, nbytes: u64, external: bool) {
+    fn handle_update_data(&mut self, key: Key, worker: WorkerId, nbytes: u64) {
         if !self.worker_alive(worker) {
             // The announced holder is already declared dead: the data there
             // is unreachable. With a surviving live replica this is just a
@@ -1024,29 +943,13 @@ impl Scheduler {
             );
             return;
         }
-        let state = self.tasks.get(&key).map(|e| e.state);
-        match state {
-            Some(TaskState::Memory) => {
-                // Replica announcement.
-                let entry = self.tasks.get_mut(&key).expect("checked above");
-                if !entry.who_has.contains(&worker) {
-                    entry.who_has.push(worker);
-                }
-            }
-            Some(TaskState::External) | None => {
-                // The paper's path: treat exactly like a finished task. With
-                // external=false this is a plain Dask scatter of a fresh key
-                // (no dependents can exist yet); with external=true the
-                // transition cascade unblocks pre-submitted graphs.
-                let _ = external;
-                self.handle_task_finished(key, worker, nbytes);
-            }
-            Some(_) => {
-                // Data arrived for a key the scheduler planned to compute:
-                // accept it and cancel the computation (last write wins).
-                self.handle_task_finished(key, worker, nbytes);
-            }
-        }
+        // The paper's path: treat exactly like a finished task. For a fresh
+        // key this is a plain Dask scatter (no dependents can exist yet);
+        // for an external one the transition cascade unblocks pre-submitted
+        // graphs; for a key already in memory it is a replica announcement;
+        // and for one the scheduler planned to compute, the data is accepted
+        // and the computation cancelled (last write wins).
+        self.handle_task_finished(key, worker, nbytes);
     }
 
     /// Shared completion path for worker-computed AND external tasks. This is
@@ -1058,7 +961,7 @@ impl Scheduler {
             // gone, so the result is garbage. Scrub it from the worker
             // instead of resurrecting a task entry the teardown already
             // released.
-            self.endpoint
+            self.sink
                 .send_data(worker, DataMsg::Delete { keys: vec![key] });
             return;
         }
@@ -1175,11 +1078,7 @@ impl Scheduler {
         if !self.clients.contains(&client) {
             return;
         }
-        if self
-            .client_last_seen
-            .insert(client, Instant::now())
-            .is_none()
-        {
+        if self.client_last_seen.insert(client, self.now).is_none() {
             self.stats.inc(Metric::PeersTracked);
         }
     }
@@ -1197,7 +1096,7 @@ impl Scheduler {
         if entry.last_seen.is_none() {
             self.stats.inc(Metric::PeersTracked);
         }
-        entry.last_seen = Some(Instant::now());
+        entry.last_seen = Some(self.now);
     }
 
     /// A worker process attached through the deployment hub: bring its slot
@@ -1231,7 +1130,7 @@ impl Scheduler {
         if self.backoff.is_empty() {
             return;
         }
-        let now = Instant::now();
+        let now = self.now;
         let (due, parked): (Vec<_>, Vec<_>) = std::mem::take(&mut self.backoff)
             .into_iter()
             .partition(|(at, _)| *at <= now);
@@ -1258,7 +1157,7 @@ impl Scheduler {
     /// Declare workers and heartbeating clients dead when their last
     /// heartbeat is older than `timeout`.
     fn sweep_liveness(&mut self, timeout: Duration) {
-        let now = Instant::now();
+        let now = self.now;
         for worker in 0..self.workers.len() {
             let w = &self.workers[worker];
             // A worker that never heartbeat is not tracked (liveness may be
@@ -1372,7 +1271,7 @@ impl Scheduler {
         // due. `drain_backoff` re-queues it.
         entry.state = TaskState::Ready;
         let delay = self.liveness.retry_backoff * 2u32.saturating_pow(retries.saturating_sub(1));
-        self.backoff.push((Instant::now() + delay, key));
+        self.backoff.push((self.now + delay, key));
     }
 
     /// A Memory result lost its last replica. Prefer recompute when the
@@ -1464,7 +1363,7 @@ impl Scheduler {
 
     /// An idle worker asked for work: point the most-loaded live peer that
     /// has more assignments than slots (i.e. queued-but-unstarted work) at
-    /// it via [`crate::msg::ExecMsg::Steal`]. The victim answers with
+    /// it via [`ExecMsg::Steal`]. The victim answers with
     /// `Stolen`; no peer with surplus is an immediate miss.
     fn handle_steal_request(&mut self, thief: WorkerId) {
         self.stats.inc(Metric::StealRequests);
@@ -1484,8 +1383,7 @@ impl Scheduler {
         let surplus = self.workers[victim].processing - self.workers[victim].slots;
         let max = (surplus / 2).max(1);
         self.steal_inflight[victim] = true;
-        self.endpoint
-            .send_exec(victim, crate::msg::ExecMsg::Steal { thief, max });
+        self.sink.send_exec(victim, ExecMsg::Steal { thief, max });
     }
 
     /// A victim reported the assignments it forwarded. Re-point each task
@@ -1531,12 +1429,12 @@ impl Scheduler {
     /// slot fans the tail back out to its siblings). Returns the number of
     /// tasks assigned this pass.
     fn schedule(&mut self) -> u64 {
-        let mut per_worker: Vec<Vec<crate::msg::Assignment>> =
+        let mut per_worker: Vec<Vec<Assignment>> =
             (0..self.workers.len()).map(|_| Vec::new()).collect();
         let mut n_assigned = 0u64;
         // One timestamp per pass: every assignment in the pass shares it, so
         // queue-delay measurement costs one clock read per pass, not per task.
-        let assigned_at = Instant::now();
+        let assigned_at = self.now;
         while let Some(key) = self.policy.pop() {
             let Some(entry) = self.tasks.get(&key) else {
                 continue;
@@ -1607,7 +1505,7 @@ impl Scheduler {
             n_assigned += 1;
             self.tracer
                 .instant(EventKind::Assign, Some(&key), worker as u64);
-            let assignment = crate::msg::Assignment {
+            let assignment = Assignment {
                 spec,
                 dep_locations,
                 assigned_at,
@@ -1620,12 +1518,10 @@ impl Scheduler {
                 0 => continue,
                 1 => {
                     let assignment = tasks.pop().expect("len checked");
-                    self.endpoint
-                        .send_exec(worker, crate::msg::ExecMsg::Execute(assignment));
+                    self.sink.send_exec(worker, ExecMsg::Execute(assignment));
                 }
                 _ => {
-                    self.endpoint
-                        .send_exec(worker, crate::msg::ExecMsg::ExecuteBatch { tasks });
+                    self.sink.send_exec(worker, ExecMsg::ExecuteBatch { tasks });
                 }
             }
             n_messages += 1;
@@ -1635,3 +1531,6 @@ impl Scheduler {
         n_assigned
     }
 }
+
+#[cfg(test)]
+mod tests;

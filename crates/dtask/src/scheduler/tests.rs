@@ -1,0 +1,470 @@
+//! Unit tests of the scheduler core, stepped by hand: no thread, no channel,
+//! no sleep. Time is whatever the test says it is, and every outbound
+//! message lands in an [`Outbox`] the test reads back.
+
+use super::*;
+use std::cell::RefCell;
+
+/// A sink that keeps everything.
+#[derive(Default)]
+struct Outbox {
+    exec: RefCell<Vec<(WorkerId, ExecMsg)>>,
+    data: RefCell<Vec<(WorkerId, DataMsg)>>,
+    client: RefCell<Vec<(ClientId, ClientMsg)>>,
+}
+
+impl Sink for Outbox {
+    fn send_exec(&self, worker: WorkerId, msg: ExecMsg) {
+        self.exec.borrow_mut().push((worker, msg));
+    }
+    fn send_data(&self, worker: WorkerId, msg: DataMsg) {
+        self.data.borrow_mut().push((worker, msg));
+    }
+    fn send_client(&self, client: ClientId, msg: ClientMsg) {
+        self.client.borrow_mut().push((client, msg));
+    }
+}
+
+const CLIENT: ClientId = 7;
+const MS: Duration = Duration::from_millis(1);
+
+/// A core with one connected client, plus the origin of its virtual clock.
+struct Rig {
+    sched: Scheduler<Outbox>,
+    t0: Instant,
+    stats: Arc<SchedulerStats>,
+}
+
+fn rig(n_workers: usize, liveness: LivenessConfig, policy: PolicyConfig) -> Rig {
+    let t0 = Instant::now();
+    let stats = Arc::new(SchedulerStats::new());
+    let sched = Scheduler::new(
+        Outbox::default(),
+        n_workers,
+        1,
+        liveness,
+        policy,
+        Arc::clone(&stats),
+        TraceHandle::disabled(),
+        None,
+        t0,
+    );
+    let mut rig = Rig { sched, t0, stats };
+    rig.step(vec![SchedMsg::ClientConnect { client: CLIENT }]);
+    rig
+}
+
+fn plain(n_workers: usize) -> Rig {
+    rig(
+        n_workers,
+        LivenessConfig::default(),
+        PolicyConfig::default(),
+    )
+}
+
+fn watched(n_workers: usize, timeout: Duration) -> Rig {
+    rig(
+        n_workers,
+        LivenessConfig {
+            heartbeat_timeout: Some(timeout),
+            ..LivenessConfig::default()
+        },
+        PolicyConfig::default(),
+    )
+}
+
+impl Rig {
+    /// Step at the clock's origin.
+    fn step(&mut self, msgs: Vec<SchedMsg>) -> StepReport {
+        self.step_at(Duration::ZERO, msgs)
+    }
+
+    /// Step at `t0 + offset`.
+    fn step_at(&mut self, offset: Duration, mut msgs: Vec<SchedMsg>) -> StepReport {
+        let report = self.sched.step(&mut msgs, self.t0 + offset);
+        assert!(msgs.is_empty(), "a step drains its inbox");
+        report
+    }
+
+    /// Every `(worker, task key)` assigned since the last call, in order.
+    fn assigned(&self) -> Vec<(WorkerId, String)> {
+        let mut out = Vec::new();
+        for (worker, msg) in self.sched.sink().exec.borrow_mut().drain(..) {
+            match msg {
+                ExecMsg::Execute(a) => out.push((worker, a.spec.key.as_str().to_owned())),
+                ExecMsg::ExecuteBatch { tasks } => out.extend(
+                    tasks
+                        .into_iter()
+                        .map(|a| (worker, a.spec.key.as_str().to_owned())),
+                ),
+                ExecMsg::Steal { .. } | ExecMsg::Shutdown => {}
+            }
+        }
+        out
+    }
+
+    /// Every steal probe sent since the last call: `(victim, thief, max)`.
+    fn probes(&self) -> Vec<(WorkerId, WorkerId, usize)> {
+        let mut out = Vec::new();
+        self.sched.sink().exec.borrow_mut().retain(|(victim, msg)| {
+            if let ExecMsg::Steal { thief, max } = msg {
+                out.push((*victim, *thief, *max));
+                return false;
+            }
+            true
+        });
+        out
+    }
+
+    /// Every `KeyReady` sent to [`CLIENT`] since the last call.
+    fn ready(&self) -> Vec<(String, Result<WorkerId, TaskError>)> {
+        let mut out = Vec::new();
+        for (client, msg) in self.sched.sink().client.borrow_mut().drain(..) {
+            assert_eq!(client, CLIENT);
+            if let ClientMsg::KeyReady { key, location } = msg {
+                out.push((key.as_str().to_owned(), location));
+            }
+        }
+        out
+    }
+
+    /// Every key a `Delete` named since the last call, with its worker.
+    fn deleted(&self) -> Vec<(WorkerId, String)> {
+        let mut out = Vec::new();
+        for (worker, msg) in self.sched.sink().data.borrow_mut().drain(..) {
+            if let DataMsg::Delete { keys } = msg {
+                out.extend(keys.iter().map(|k| (worker, k.as_str().to_owned())));
+            }
+        }
+        out
+    }
+
+    fn who_has(&self, key: &str) -> Vec<WorkerId> {
+        self.sched.tasks[&Key::new(key)].who_has.clone()
+    }
+
+    fn state(&self, key: &str) -> Option<TaskState> {
+        self.sched.tasks.get(&Key::new(key)).map(|e| e.state)
+    }
+}
+
+fn spec(key: &str, deps: &[&str]) -> TaskSpec {
+    TaskSpec::new(
+        key,
+        "identity",
+        Datum::Null,
+        deps.iter().map(Key::new).collect(),
+    )
+}
+
+fn submit(specs: Vec<TaskSpec>) -> SchedMsg {
+    SchedMsg::SubmitGraph {
+        client: CLIENT,
+        specs,
+    }
+}
+
+fn data(key: &str, worker: WorkerId, external: bool) -> SchedMsg {
+    SchedMsg::UpdateData {
+        client: CLIENT,
+        entries: vec![(Key::new(key), worker, 8)],
+        external,
+    }
+}
+
+fn finished(key: &str, worker: WorkerId) -> SchedMsg {
+    SchedMsg::TaskFinished {
+        worker,
+        key: Key::new(key),
+        nbytes: 8,
+    }
+}
+
+fn want(key: &str) -> SchedMsg {
+    SchedMsg::WantResult {
+        client: CLIENT,
+        key: Key::new(key),
+    }
+}
+
+fn release(key: &str) -> SchedMsg {
+    SchedMsg::ReleaseKeys {
+        keys: vec![Key::new(key)],
+    }
+}
+
+// ---- (i) the paper's external-task cascade ----------------------------------
+
+#[test]
+fn external_data_releases_a_graph_submitted_before_it() {
+    let mut r = plain(2);
+    r.step(vec![SchedMsg::RegisterExternal {
+        client: CLIENT,
+        keys: vec![Key::new("ext-0"), Key::new("ext-1")],
+    }]);
+    let report = r.step(vec![submit(vec![spec("sum", &["ext-0", "ext-1"])])]);
+    assert!(
+        report.placed,
+        "a submission always asks for a placement pass"
+    );
+    assert!(r.assigned().is_empty(), "the graph must sit in Waiting");
+    assert_eq!(r.state("sum"), Some(TaskState::Waiting));
+    r.step(vec![data("ext-0", 0, true)]);
+    assert!(r.assigned().is_empty(), "one of two inputs is not enough");
+    r.step(vec![data("ext-1", 1, true)]);
+    let assigned = r.assigned();
+    assert_eq!(assigned.len(), 1, "exactly one Execute: {assigned:?}");
+    assert_eq!(assigned[0].1, "sum");
+    assert_eq!(r.state("sum"), Some(TaskState::Processing));
+    assert_eq!(r.stats.count(MsgClass::UpdateDataExternal), 2);
+    assert_eq!(r.stats.count(MsgClass::RegisterExternal), 1);
+}
+
+#[test]
+fn a_whole_batch_pays_one_placement_pass() {
+    let mut r = plain(2);
+    r.step(vec![
+        submit(vec![spec("a", &[]), spec("b", &["a"]), spec("c", &["a"])]),
+        want("c"),
+    ]);
+    let w = r.assigned()[0].0;
+    // `a` finishing readies both dependents; they leave in one pass.
+    r.step(vec![finished("a", w)]);
+    let mut keys: Vec<_> = r.assigned().into_iter().map(|(_, k)| k).collect();
+    keys.sort();
+    assert_eq!(keys, ["b", "c"]);
+    assert_eq!(r.stats.assign_tasks(), 3);
+    assert!(r.ready().is_empty(), "c is not done yet");
+    r.step(vec![finished("c", 0)]);
+    assert_eq!(r.ready(), [("c".to_owned(), Ok(0))]);
+}
+
+#[test]
+fn resubmitted_graph_reuses_memory_results() {
+    let mut r = plain(1);
+    let graph = || vec![spec("base", &[]), spec("dbl", &["base", "base"])];
+    r.step(vec![submit(graph())]);
+    assert_eq!(r.assigned(), [(0, "base".to_owned())]);
+    r.step(vec![finished("base", 0)]);
+    assert_eq!(r.assigned(), [(0, "dbl".to_owned())]);
+    r.step(vec![finished("dbl", 0)]);
+    r.step(vec![submit(graph()), want("dbl")]);
+    assert!(r.assigned().is_empty(), "nothing recomputes");
+    assert_eq!(r.ready(), [("dbl".to_owned(), Ok(0))]);
+}
+
+#[test]
+fn shutdown_drops_the_rest_of_the_batch() {
+    let mut r = plain(1);
+    let report = r.step(vec![SchedMsg::Shutdown, submit(vec![spec("late", &[])])]);
+    assert!(report.shutdown);
+    assert_eq!(r.state("late"), None);
+    assert!(r.assigned().is_empty());
+}
+
+// ---- (ii) heartbeats and the liveness sweep ---------------------------------
+
+#[test]
+fn every_heartbeat_is_counted_however_the_batches_fall() {
+    // The deterministic form of the DEISA1 window count: N pings in, N
+    // counted, whether they arrive one per step or all in one burst.
+    let mut r = watched(1, 100 * MS);
+    let ping = || SchedMsg::Heartbeat { client: CLIENT };
+    for i in 0..5 {
+        r.step_at(i * MS, vec![ping()]);
+    }
+    r.step_at(6 * MS, (0..12).map(|_| ping()).collect());
+    assert_eq!(r.stats.count(MsgClass::Heartbeat), 17);
+    assert_eq!(r.stats.peers_tracked(), 1);
+    assert_eq!(r.stats.peers_lost(), 0);
+}
+
+#[test]
+fn silent_client_dies_exactly_past_the_timeout() {
+    let timeout = 100 * MS;
+    let ping = vec![SchedMsg::Heartbeat { client: CLIENT }];
+    // Swept at exactly the timeout: still alive.
+    let mut r = watched(1, timeout);
+    r.step(ping.clone());
+    r.step_at(timeout, vec![]);
+    assert_eq!(r.stats.peers_lost(), 0);
+    assert!(r.sched.clients.contains(&CLIENT));
+    // Swept one nanosecond later: dead, and dropped like a disconnect.
+    let mut r = watched(1, timeout);
+    r.step(ping);
+    r.step_at(timeout + Duration::from_nanos(1), vec![]);
+    assert_eq!(r.stats.peers_lost(), 1);
+    assert!(!r.sched.clients.contains(&CLIENT));
+}
+
+#[test]
+fn silent_worker_dies_past_the_timeout_and_a_quiet_one_never() {
+    let timeout = 100 * MS;
+    let mut r = watched(2, timeout);
+    // Worker 1 never heartbeats: untracked, so silence is not death.
+    r.step(vec![SchedMsg::WorkerHeartbeat { worker: 0 }]);
+    assert_eq!(
+        r.sched.wakeup_deadline(),
+        Some(r.t0 + timeout / 4),
+        "the driver must wake for the next sweep"
+    );
+    r.step_at(timeout, vec![]);
+    assert!(r.sched.workers[0].alive);
+    r.step_at(2 * timeout, vec![]);
+    assert!(!r.sched.workers[0].alive);
+    assert!(r.sched.workers[1].alive);
+    assert_eq!(r.stats.peers_lost(), 1);
+}
+
+#[test]
+fn nothing_is_ever_due_with_liveness_off() {
+    let mut r = plain(1);
+    r.step(vec![SchedMsg::Heartbeat { client: CLIENT }]);
+    assert_eq!(r.sched.wakeup_deadline(), None);
+    r.step_at(Duration::from_secs(3600), vec![]);
+    assert_eq!(r.stats.peers_lost(), 0);
+}
+
+// ---- satellite bugfix: late AddReplica from a dead worker -------------------
+
+#[test]
+fn late_add_replica_from_a_dead_worker_is_dropped() {
+    let timeout = 100 * MS;
+    let mut r = watched(2, timeout);
+    r.step(vec![
+        data("x", 1, false),
+        data("x", 0, false),
+        SchedMsg::WorkerHeartbeat { worker: 0 },
+        SchedMsg::WorkerHeartbeat { worker: 1 },
+    ]);
+    assert_eq!(r.who_has("x"), [1, 0]);
+    // Worker 0 keeps pinging, worker 1 goes silent and is swept dead.
+    r.step_at(timeout, vec![SchedMsg::WorkerHeartbeat { worker: 0 }]);
+    r.step_at(2 * timeout, vec![]);
+    assert!(!r.sched.workers[1].alive);
+    assert_eq!(r.who_has("x"), [0]);
+    // Its gather report was already in flight: bare and session-scoped.
+    let late = || SchedMsg::AddReplica {
+        worker: 1,
+        entries: vec![(Key::new("x"), 8)],
+    };
+    r.step_at(
+        2 * timeout,
+        vec![
+            late(),
+            SchedMsg::Scoped {
+                session: DEFAULT_SESSION,
+                inner: Box::new(late()),
+            },
+            want("x"),
+        ],
+    );
+    assert_eq!(r.who_has("x"), [0], "the dead worker re-entered who_has");
+    assert_eq!(r.ready(), [("x".to_owned(), Ok(0))]);
+    assert_eq!(r.stats.count(MsgClass::AddReplica), 2);
+}
+
+// ---- (iii) stealing ----------------------------------------------------------
+
+#[test]
+fn steal_probes_follow_surplus_and_never_overlap() {
+    let policy = PolicyConfig {
+        steal_poll: Some(MS),
+        ..PolicyConfig::locality()
+    };
+    let mut r = rig(2, LivenessConfig::default(), policy);
+    // No surplus anywhere: an immediate miss, no probe.
+    r.step(vec![SchedMsg::StealRequest { worker: 1 }]);
+    assert!(r.probes().is_empty());
+    assert_eq!(r.stats.steal_misses(), 1);
+    // Byte gravity herds five tasks onto the one-slot holder of `hot`.
+    r.step(vec![data("hot", 0, false)]);
+    let keys: Vec<String> = (0..5).map(|i| format!("t{i}")).collect();
+    r.step(vec![submit(
+        keys.iter().map(|k| spec(k, &["hot"])).collect(),
+    )]);
+    assert!(r.assigned().iter().all(|(w, _)| *w == 0));
+    assert_eq!(r.sched.workers[0].processing, 5);
+    // Surplus 4: one probe for half of it.
+    r.step(vec![SchedMsg::StealRequest { worker: 1 }]);
+    assert_eq!(r.probes(), [(0, 1, 2)]);
+    // The thief polls again before the victim answered: no second probe.
+    r.step(vec![SchedMsg::StealRequest { worker: 1 }]);
+    assert!(r.probes().is_empty());
+    assert_eq!(r.stats.steal_misses(), 2);
+    // The victim forwards two: they re-point, and the guard lifts.
+    r.step(vec![SchedMsg::Stolen {
+        victim: 0,
+        thief: 1,
+        keys: vec![Key::new("t0"), Key::new("t1")],
+    }]);
+    assert_eq!(r.stats.tasks_stolen(), 2);
+    assert_eq!(r.sched.workers[0].processing, 3);
+    assert_eq!(r.sched.workers[1].processing, 2);
+    assert_eq!(r.sched.tasks[&Key::new("t0")].assigned_to, Some(1));
+    r.step(vec![SchedMsg::StealRequest { worker: 1 }]);
+    assert_eq!(r.probes(), [(0, 1, 1)], "surplus is 2 now");
+    assert_eq!(r.stats.steal_requests(), 4);
+}
+
+// ---- (iv) release -------------------------------------------------------------
+
+#[test]
+fn release_fails_waiting_dependents() {
+    let mut r = plain(1);
+    r.step(vec![
+        SchedMsg::RegisterExternal {
+            client: CLIENT,
+            keys: vec![Key::new("ext")],
+        },
+        submit(vec![spec("w", &["ext"])]),
+    ]);
+    r.step(vec![release("ext"), want("w")]);
+    let ready = r.ready();
+    assert_eq!(ready.len(), 1);
+    let err = ready[0].1.as_ref().unwrap_err();
+    assert!(err.message.contains("released"), "{}", err.message);
+    assert_eq!(r.state("ext"), None);
+}
+
+#[test]
+fn release_deletes_every_replica_and_forgets_the_key() {
+    let mut r = plain(2);
+    r.step(vec![data("x", 0, false), data("x", 1, false)]);
+    r.step(vec![release("x"), want("x")]);
+    let mut deleted = r.deleted();
+    deleted.sort();
+    assert_eq!(deleted, [(0, "x".to_owned()), (1, "x".to_owned())]);
+    assert!(r.ready()[0].1.is_err(), "a released key is unknown");
+}
+
+#[test]
+fn released_key_can_be_depended_on_again() {
+    let mut r = plain(1);
+    r.step(vec![data("x", 0, false), submit(vec![spec("y", &["x"])])]);
+    assert_eq!(r.assigned(), [(0, "y".to_owned())]);
+    r.step(vec![finished("y", 0), release("x")]);
+    // A new graph on the released key waits for fresh data: the dependency
+    // is an implicit external task, not an error.
+    r.step(vec![submit(vec![spec("y2", &["x"])])]);
+    assert!(r.assigned().is_empty());
+    assert_eq!(r.state("x"), Some(TaskState::External));
+    r.step(vec![data("x", 0, true)]);
+    assert_eq!(r.assigned(), [(0, "y2".to_owned())]);
+}
+
+#[test]
+fn release_unlinks_dependency_edges() {
+    let mut r = plain(1);
+    let graph = || vec![spec("base", &[]), spec("mid", &["base"])];
+    r.step(vec![submit(graph())]);
+    r.step(vec![finished("base", 0)]);
+    r.step(vec![finished("mid", 0)]);
+    r.assigned();
+    r.step(vec![release("mid")]);
+    assert!(r.sched.tasks[&Key::new("base")].dependents.is_empty());
+    // `base` is still in memory and is reused; `mid` recomputes, once.
+    r.step(vec![submit(graph())]);
+    assert_eq!(r.assigned(), [(0, "mid".to_owned())]);
+    assert_eq!(r.sched.tasks[&Key::new("base")].dependents.len(), 1);
+}

@@ -242,6 +242,9 @@ impl<'a> Dec<'a> {
 
 // ---- the codec trait and its building blocks -----------------------------------
 
+/// A length prefix is a `u32`.
+const LEN_BYTES: usize = 4;
+
 mod sealed {
     pub trait Sealed {}
 }
@@ -251,6 +254,10 @@ use sealed::Sealed;
 /// *are* the format. Public only so [`to_bytes`] and [`from_bytes`] can name
 /// it.
 pub trait Wire: Sized + Sealed {
+    /// A lower bound on the bytes one value encodes to, exact wherever the
+    /// tables can tell: how many values a body of known length can hold at
+    /// most (see the `Vec` impl). An enum counts its tag byte only.
+    const MIN_BYTES: usize;
     /// Append this value's encoding.
     fn put(&self, e: &mut Enc);
     /// Read one value, advancing the cursor past it.
@@ -262,6 +269,7 @@ macro_rules! wire_le {
     ($($T:ty),*) => {$(
         impl Sealed for $T {}
         impl Wire for $T {
+            const MIN_BYTES: usize = std::mem::size_of::<$T>();
             fn put(&self, e: &mut Enc) {
                 e.buf.extend_from_slice(&self.to_le_bytes());
             }
@@ -275,6 +283,7 @@ wire_le!(u8, u32, u64, i64, f64);
 
 impl Sealed for usize {}
 impl Wire for usize {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
     fn put(&self, e: &mut Enc) {
         (*self as u64).put(e);
     }
@@ -285,6 +294,7 @@ impl Wire for usize {
 
 impl Sealed for bool {}
 impl Wire for bool {
+    const MIN_BYTES: usize = 1;
     fn put(&self, e: &mut Enc) {
         e.u8(*self as u8);
     }
@@ -295,6 +305,7 @@ impl Wire for bool {
 
 impl Sealed for String {}
 impl Wire for String {
+    const MIN_BYTES: usize = LEN_BYTES;
     fn put(&self, e: &mut Enc) {
         e.str(self);
     }
@@ -305,6 +316,7 @@ impl Wire for String {
 
 impl Sealed for bytes::Bytes {}
 impl Wire for bytes::Bytes {
+    const MIN_BYTES: usize = LEN_BYTES;
     fn put(&self, e: &mut Enc) {
         e.len(self.len());
         e.buf.extend_from_slice(self);
@@ -315,17 +327,26 @@ impl Wire for bytes::Bytes {
     }
 }
 
-/// Length-prefixed. The count comes from outside the program, so what is
-/// allocated up front is capped by the bytes left to decode from.
+/// How many `T`s to make room for when the wire claims `claimed` of them
+/// and `remaining` bytes are left to decode from. The count comes from
+/// outside the program: a body can hold no more values than its length
+/// divided by the smallest one, so a hostile count over a short body
+/// reserves next to nothing, and an honest count is reserved in full.
+fn seq_capacity<T: Wire>(claimed: usize, remaining: usize) -> usize {
+    claimed.min(remaining / T::MIN_BYTES.max(1))
+}
+
+/// Length-prefixed.
 impl<T: Wire> Sealed for Vec<T> {}
 impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = LEN_BYTES;
     fn put(&self, e: &mut Enc) {
         e.seq(self);
     }
     fn get(d: &mut Dec) -> Result<Self, WireError> {
         d.nested(|d| {
             let n = d.len()?;
-            let mut items = Vec::with_capacity(n.min(d.remaining()));
+            let mut items = Vec::with_capacity(seq_capacity::<T>(n, d.remaining()));
             for _ in 0..n {
                 items.push(T::get(d)?);
             }
@@ -338,6 +359,7 @@ macro_rules! wire_tuple {
     ($($T:ident $i:tt),+) => {
         impl<$($T: Wire),+> Sealed for ($($T,)+) {}
         impl<$($T: Wire),+> Wire for ($($T,)+) {
+            const MIN_BYTES: usize = 0 $(+ $T::MIN_BYTES)+;
             fn put(&self, e: &mut Enc) {
                 $(self.$i.put(e);)+
             }
@@ -354,6 +376,7 @@ wire_tuple!(A 0, B 1, C 2);
 /// nesting level.
 impl<T: Wire> Sealed for Box<T> {}
 impl<T: Wire> Wire for Box<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
     fn put(&self, e: &mut Enc) {
         (**self).put(e);
     }
@@ -364,6 +387,7 @@ impl<T: Wire> Wire for Box<T> {
 
 impl<T: Wire> Sealed for Arc<T> {}
 impl<T: Wire> Wire for Arc<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
     fn put(&self, e: &mut Enc) {
         (**self).put(e);
     }
@@ -403,6 +427,7 @@ macro_rules! wire_enum {
         [$(($tag:literal [$($f:ident)*] $($shape:tt)+))*]) => {
         impl<$($G: Wire),*> Sealed for $T<$($G),*> {}
         impl<$($G: Wire),*> Wire for $T<$($G),*> {
+            const MIN_BYTES: usize = 1;
             fn put(&self, e: &mut Enc) {
                 match self {
                     $($($shape)+ => {
@@ -436,11 +461,17 @@ wire_enum!(Result<A, B>, "result" {
     1 => Err(v),
 });
 
+/// `T::MIN_BYTES` of the struct field a projection names.
+const fn field_min_bytes<S, T: Wire>(_: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
+}
+
 /// One table per struct: its fields, in wire order.
 macro_rules! wire_struct {
     ($T:ident => $($f:ident),*) => {
         impl Sealed for $T {}
         impl Wire for $T {
+            const MIN_BYTES: usize = 0 $(+ field_min_bytes(|s: &$T| &s.$f))*;
             fn put(&self, e: &mut Enc) {
                 let $T { $($f),* } = self;
                 $($f.put(e);)*
@@ -463,6 +494,7 @@ const SCOPED_KEY_MARK: u32 = u32::MAX;
 
 impl Sealed for Key {}
 impl Wire for Key {
+    const MIN_BYTES: usize = LEN_BYTES;
     fn put(&self, e: &mut Enc) {
         if self.session() != 0 {
             SCOPED_KEY_MARK.put(e);
@@ -484,6 +516,7 @@ impl Wire for Key {
 /// Shape, then the elements as one byte run.
 impl Sealed for NDArray {}
 impl Wire for NDArray {
+    const MIN_BYTES: usize = Vec::<usize>::MIN_BYTES;
     fn put(&self, e: &mut Enc) {
         e.seq(self.shape());
         e.f64s(self.data());
@@ -557,6 +590,7 @@ wire_struct!(ReplyTo => addr, corr);
 /// decoder stamps the moment of delivery.
 impl Sealed for Assignment {}
 impl Wire for Assignment {
+    const MIN_BYTES: usize = TaskSpec::MIN_BYTES + LEN_BYTES;
     fn put(&self, e: &mut Enc) {
         self.spec.put(e);
         self.dep_locations.put(e);
@@ -897,6 +931,7 @@ wire_enum!(NodeMsg, "node msg" {
 
 impl Sealed for NodeWelcome {}
 impl Wire for NodeWelcome {
+    const MIN_BYTES: usize = 4 * u64::MIN_BYTES + Option::<u64>::MIN_BYTES;
     fn put(&self, e: &mut Enc) {
         self.worker.put(e);
         self.n_workers.put(e);
@@ -982,6 +1017,34 @@ mod tests {
         bad[0] = 0;
         assert_eq!(decode(&bad).err(), Some(WireError::BadMagic));
         assert_eq!(decode(&bytes[..4]).err(), Some(WireError::Truncated));
+    }
+
+    #[test]
+    fn hostile_element_count_reserves_next_to_nothing() {
+        let spec = TaskSpec::new("t", "identity", Datum::Null, vec![]);
+        let honest = encode(&Payload::Sched(SchedMsg::SubmitGraph {
+            client: 1,
+            specs: vec![spec],
+        }));
+        // Envelope header, message tag, `client`, then the spec count.
+        let count_at = HEADER_BYTES + 1 + usize::MIN_BYTES;
+        assert_eq!(honest[count_at..count_at + LEN_BYTES], 1u32.to_le_bytes());
+        let mut hostile = honest.clone();
+        hostile[count_at..count_at + LEN_BYTES].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&hostile).err(), Some(WireError::Truncated));
+        // What that decode made room for: as many specs as the bytes behind
+        // the count could hold at their smallest, not one per byte, and
+        // never the claimed four billion.
+        assert_eq!(TaskSpec::MIN_BYTES, 2 * LEN_BYTES + 1);
+        let left = hostile.len() - count_at - LEN_BYTES;
+        let claimed = u32::MAX as usize;
+        assert_eq!(seq_capacity::<TaskSpec>(claimed, left), left / 9);
+        assert_eq!(
+            seq_capacity::<TaskSpec>(claimed, MAX_FRAME_BYTES),
+            MAX_FRAME_BYTES / 9
+        );
+        // An honest count is reserved in full, so nothing regrows.
+        assert_eq!(seq_capacity::<TaskSpec>(1, left), 1);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use crate::analytics::{run_insitu_analytics, run_posthoc_analytics};
 use crate::cost::CostModel;
 use crate::scenario::{Mode, Scenario};
+use crate::schedlab::{policies, run_matrix, workloads, Outcome, Workload};
 use crate::simside::{run_sim_side, SimSideOut};
 use crate::stats_util::{core_hours, mean, mib_per_s, ns_to_s, std};
 
@@ -397,6 +398,57 @@ impl Series {
         self.y.push(mean(samples));
         self.yerr.push(std(samples));
     }
+}
+
+/// The policy × workload matrix of [`crate::schedlab`] (`figures policies`;
+/// not a paper figure, so not in [`all_figures`]): one series per policy, one
+/// x per workload family in [`workloads`] order, mean and std over three
+/// workload seeds.
+pub fn policy_figures(n_tasks: usize, workers: usize, slots: usize) -> Vec<Figure> {
+    let per_seed: Vec<Vec<Workload>> = RUNS.iter().map(|&s| workloads(n_tasks, s)).collect();
+    let xlabel = per_seed[0]
+        .iter()
+        .enumerate()
+        .map(|(i, w)| format!("{i}={}", w.name))
+        .collect::<Vec<_>>()
+        .join(" ");
+    let scale = format!("{workers} workers x {slots} slots, ~{n_tasks} tasks");
+    // outcomes[policy][family] = one Outcome per seed.
+    let mut outcomes: Vec<Vec<Vec<Outcome>>> = vec![vec![Vec::new(); per_seed[0].len()]; 4];
+    for family in &per_seed {
+        for (f, workload) in family.iter().enumerate() {
+            for (p, outcome) in run_matrix(workload, workers, slots).into_iter().enumerate() {
+                outcomes[p][f].push(outcome);
+            }
+        }
+    }
+    let figure = |id: &str, ylabel: &str, metric: fn(&Outcome) -> f64| Figure {
+        id: format!("policies_{id}"),
+        title: format!("Scheduling policies on the scheduler core, DES ({scale})"),
+        xlabel: format!("Workload ({xlabel})"),
+        ylabel: ylabel.to_string(),
+        series: policies()
+            .iter()
+            .zip(&outcomes)
+            .map(|(policy, per_family)| {
+                let mut series = Series::empty(policy.kind.name());
+                for (f, runs) in per_family.iter().enumerate() {
+                    let samples: Vec<f64> = runs.iter().map(metric).collect();
+                    series.push(f as f64, &samples);
+                }
+                series
+            })
+            .collect(),
+    };
+    vec![
+        figure("makespan", "Makespan (seconds)", |o| ns_to_s(o.makespan_ns)),
+        figure(
+            "transfer",
+            "Dependency transfer time, summed (seconds)",
+            |o| ns_to_s(o.transfer_ns),
+        ),
+        figure("stolen", "Tasks stolen", |o| o.stats.tasks_stolen() as f64),
+    ]
 }
 
 /// All figures by id.

@@ -20,9 +20,9 @@
 //!   new) chained on data arrival, post-hoc IPCA chained on PFS reads,
 //! * [`figures`] — one function per paper figure, returning plot-ready
 //!   series,
-//! * [`schedlab`] — the scheduling-policy lab: the four `dtask` placement
-//!   policies replayed as a fast list-scheduling simulation at 100–1000
-//!   workers and 1e5–1e6 tasks.
+//! * [`schedlab`] — the scheduling-policy lab: `dtask`'s own scheduler
+//!   core and policies stepped under a virtual clock against simulated
+//!   workers, at 100–1000 workers and 1e5–1e6 tasks.
 
 pub mod ablations;
 pub mod analytics;

@@ -1,84 +1,49 @@
-//! `schedlab` — scheduling-policy A/B at discrete-event scale.
+//! `schedlab` — the scheduler core under a virtual clock.
 //!
-//! The live `dtask` cluster benches the four scheduling policies at laptop
-//! scale (a handful of workers, thousands of tasks). This module replays the
-//! same placement and queueing disciplines as a fast list-scheduling
-//! simulation, so the policy×workload matrix extends to paper scale —
-//! hundreds to a thousand workers, 1e5–1e6 tasks — without spawning a
-//! thread per worker.
+//! The live `dtask` cluster runs the scheduling policies at laptop scale (a
+//! handful of workers, thousands of tasks). This module drives the *same*
+//! scheduler core ([`dtask::scheduler::Scheduler::step`]) and the same
+//! [`dtask::policy`] objects at hundreds to a thousand workers and 1e5–1e6
+//! tasks without spawning a thread: every ready-queue push and pop, every
+//! `decide_worker`, every steal decision here is `dtask`'s, and this file
+//! only plays the **workers**:
 //!
-//! The disciplines mirror `dtask::policy` rule for rule:
+//! * a worker queues the assignments it is sent and starts one per free
+//!   executor slot;
+//! * a task pays [`netsim::transfer_ns`] for each dependency its worker
+//!   does not hold, then reports the fetched replicas (`AddReplica`), then
+//!   computes, then reports `TaskFinished` at its virtual completion time;
+//! * with stealing on, a worker with a free slot and an empty queue sends
+//!   `StealRequest` every `steal_poll`, and a victim answers
+//!   [`ExecMsg::Steal`] between tasks by forwarding the head of its queue
+//!   and reporting `Stolen`.
 //!
-//! * **locality** — byte-gravity placement (most dependency bytes wins,
-//!   least-loaded tie-break, round-robin for dependency-free tasks), FIFO
-//!   ready order;
-//! * **blevel** — same placement, but ready tasks pop in descending
-//!   bottom-level (critical-path length) order, FIFO within a rank;
-//! * **random-stealing** — uniform random placement; a worker whose local
-//!   queue drains while it has a free slot steals half the most-loaded
-//!   peer's queued surplus;
-//! * **mineft** — per-worker expected finish time: queue depth in units of a
-//!   nominal task, plus [`netsim::transfer_ns`] for every dependency the
-//!   candidate does not hold; first minimum wins.
-//!
-//! As in the live scheduler, ready tasks are pushed *eagerly* to the chosen
-//! worker's local FIFO (per-worker queues can exceed the slot count), a task
-//! pays the transfer cost of each dependency its worker does not hold at
-//! execution start, and fetched dependencies replicate onto the fetching
-//! worker (the `AddReplica` feedback that makes locality sticky).
+//! Input blocks are the paper's external tasks: one `RegisterExternal` and
+//! one `SubmitGraph` up front, then one `UpdateData { external: true }` per
+//! block. Not modelled: control-message latency, scheduler service time
+//! (every step is instantaneous), NIC contention between transfers, worker
+//! loss.
 
+use dtask::msg::{Assignment, ClientId, ClientMsg, DataMsg, ExecMsg, SchedMsg, WorkerId};
+use dtask::scheduler::{LivenessConfig, Scheduler, Sink};
+use dtask::{Datum, Key, PolicyConfig, PolicyKind, SchedulerStats, TaskSpec, TraceHandle};
+use netsim::network::NetworkConfig;
 use netsim::transfer_ns;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Fabric bandwidth for dependency transfers (EDR InfiniBand, matching both
-/// [`crate::cost::CostModel`] and the live mineft policy's constant).
-pub const NIC_BW: u64 = 12_500_000_000;
-
-/// Nominal per-task service time the mineft queue term uses (the live
-/// policy's `NOMINAL_TASK_NS`).
-pub const NOMINAL_TASK_NS: u64 = netsim::MS;
-
-/// The four disciplines under test (names match `dtask::PolicyKind`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// Byte-gravity placement, FIFO ready order (the live default).
-    Locality,
-    /// Byte-gravity placement, critical-path-first ready order.
-    BLevel,
-    /// Uniform random placement with idle-worker stealing.
-    RandomStealing,
-    /// Min expected finish time (queue depth + transfer costs).
-    MinEft,
-}
-
-impl Policy {
-    /// Every policy, in bench-matrix order.
-    pub const ALL: [Policy; 4] = [
-        Policy::Locality,
-        Policy::BLevel,
-        Policy::RandomStealing,
-        Policy::MinEft,
-    ];
-
-    /// Stable name (matches `dtask::PolicyKind::name`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Policy::Locality => "locality",
-            Policy::BLevel => "blevel",
-            Policy::RandomStealing => "random-stealing",
-            Policy::MinEft => "mineft",
-        }
-    }
-}
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// One task of a simulated graph.
 #[derive(Debug, Clone)]
 pub struct SimTask {
     /// In-graph dependencies (indices into `Workload::tasks`).
     pub deps: Vec<u32>,
-    /// Pre-placed input blocks this task reads (indices into
-    /// `Workload::blocks`) — the DES stand-in for external/scattered data.
+    /// External input blocks this task reads (indices into
+    /// `Workload::blocks`).
     pub blocks: Vec<u32>,
     /// Pure compute time.
     pub compute_ns: u64,
@@ -86,10 +51,10 @@ pub struct SimTask {
     pub out_bytes: u64,
 }
 
-/// A generated task graph plus its pre-placed input data.
+/// A generated task graph plus its external input data.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// Workload family name (bench matrix key).
+    /// Workload family name (matrix key).
     pub name: String,
     /// Input blocks as `(bytes, home worker)`; homes wrap modulo the
     /// simulated worker count at run time.
@@ -102,7 +67,7 @@ pub struct Workload {
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// Policy that ran.
-    pub policy: Policy,
+    pub policy: PolicyKind,
     /// Workload name.
     pub workload: String,
     /// Simulated workers.
@@ -111,54 +76,24 @@ pub struct Outcome {
     pub slots: usize,
     /// Tasks executed.
     pub tasks: usize,
-    /// First placement → last completion.
+    /// Block arrival → last completion.
     pub makespan_ns: u64,
-    /// Queued assignments moved by stealing (random-stealing only).
-    pub tasks_stolen: u64,
     /// Total dependency-transfer time paid across all task starts.
     pub transfer_ns: u64,
     /// Busy time / (makespan × workers × slots).
     pub utilization: f64,
-}
-
-// ---- deterministic RNG (no global entropy: runs must replay exactly) -------
-
-/// xorshift64* — same generator the live random policy uses.
-#[derive(Debug, Clone)]
-pub struct XorShift64 {
-    state: u64,
-}
-
-impl XorShift64 {
-    /// Seeded generator; `seed` is decorrelated and forced non-zero.
-    pub fn new(seed: u64) -> Self {
-        XorShift64 {
-            state: (seed ^ 0x9E37_79B9_7F4A_7C15) | 1,
-        }
-    }
-
-    /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform draw in `[0, n)`.
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
+    /// Every placement the scheduler made, in order: `(task, worker)`.
+    pub assignments: Vec<(u32, u32)>,
+    /// The scheduler's own counters: inbound messages by class, steals.
+    pub stats: Arc<SchedulerStats>,
 }
 
 // ---- workload generators ---------------------------------------------------
 
 /// Jittered around `base_ns` by ±12.5 % so no two runs tie artificially.
-fn jitter(rng: &mut XorShift64, base_ns: u64) -> u64 {
+fn jitter(rng: &mut SmallRng, base_ns: u64) -> u64 {
     let span = base_ns / 4;
-    base_ns - span / 2 + rng.below(span.max(1))
+    base_ns - span / 2 + rng.gen_range(0..span.max(1))
 }
 
 /// Wide fan-out over *skewed* input data: `n_tasks` independent tasks, each
@@ -167,14 +102,14 @@ fn jitter(rng: &mut XorShift64, base_ns: u64) -> u64 {
 /// the workload where work distribution (random-stealing, mineft) beats the
 /// locality default.
 pub fn wide_fanout(n_tasks: usize, seed: u64) -> Workload {
-    let mut rng = XorShift64::new(seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let n_blocks = 4u32;
     let block_bytes = 8 << 20; // 8 MiB: ~0.67 ms transfer vs ~1 ms compute
     let blocks = (0..n_blocks).map(|h| (block_bytes, h)).collect();
     let tasks = (0..n_tasks)
         .map(|_| SimTask {
             deps: vec![],
-            blocks: vec![rng.below(n_blocks as u64) as u32],
+            blocks: vec![rng.gen_range(0..n_blocks)],
             compute_ns: jitter(&mut rng, netsim::MS),
             out_bytes: 1 << 10,
         })
@@ -191,7 +126,7 @@ pub fn wide_fanout(n_tasks: usize, seed: u64) -> Workload {
 /// chain on one worker (zero transfers); random placement pays a transfer on
 /// almost every hop.
 pub fn deep_chains(n_chains: usize, depth: usize, seed: u64) -> Workload {
-    let mut rng = XorShift64::new(seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let blocks = (0..n_chains)
         .map(|c| (1u64 << 20, c as u32))
         .collect::<Vec<_>>();
@@ -224,7 +159,7 @@ pub fn deep_chains(n_chains: usize, depth: usize, seed: u64) -> Workload {
 /// that folds all ranks into the running PCA state (which chains across
 /// timesteps).
 pub fn ipca(timesteps: usize, ranks: usize, seed: u64) -> Workload {
-    let mut rng = XorShift64::new(seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut blocks = Vec::with_capacity(timesteps * ranks);
     let mut tasks: Vec<SimTask> = Vec::with_capacity(timesteps * (ranks + 1));
     let mut prev_reduce: Option<u32> = None;
@@ -263,14 +198,14 @@ pub fn ipca(timesteps: usize, ranks: usize, seed: u64) -> Workload {
 /// Skewed fan-out feeding per-task chains — both failure modes at once:
 /// gravity herding on the fan-out stage and chain affinity afterwards.
 pub fn mixed(n_roots: usize, depth: usize, seed: u64) -> Workload {
-    let mut rng = XorShift64::new(seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let n_blocks = 4u32;
     let blocks = (0..n_blocks).map(|h| (8u64 << 20, h)).collect();
     let mut tasks = Vec::with_capacity(n_roots * depth);
     for _ in 0..n_roots {
         for d in 0..depth {
             let (deps, blks) = if d == 0 {
-                (vec![], vec![rng.below(n_blocks as u64) as u32])
+                (vec![], vec![rng.gen_range(0..n_blocks)])
             } else {
                 (vec![(tasks.len() - 1) as u32], vec![])
             };
@@ -289,8 +224,8 @@ pub fn mixed(n_roots: usize, depth: usize, seed: u64) -> Workload {
     }
 }
 
-/// The bench matrix's four workload families, sized to roughly `n_tasks`
-/// tasks each.
+/// The matrix's four workload families, sized to roughly `n_tasks` tasks
+/// each.
 pub fn workloads(n_tasks: usize, seed: u64) -> Vec<Workload> {
     let chains_depth = 20;
     vec![
@@ -301,347 +236,387 @@ pub fn workloads(n_tasks: usize, seed: u64) -> Vec<Workload> {
     ]
 }
 
-// ---- bottom levels ---------------------------------------------------------
-
-/// Bottom level of every task: sinks rank 1, each task one above its highest
-/// dependent (the same Kahn walk the live b-level policy runs).
-pub fn b_levels(tasks: &[SimTask]) -> Vec<u64> {
-    let n = tasks.len();
-    let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut out_deg = vec![0u32; n];
-    for (i, t) in tasks.iter().enumerate() {
-        for &d in &t.deps {
-            dependents[d as usize].push(i as u32);
-            out_deg[d as usize] += 1;
-        }
-    }
-    let mut rank = vec![1u64; n];
-    let mut stack: Vec<u32> = (0..n as u32)
-        .filter(|&i| out_deg[i as usize] == 0)
-        .collect();
-    while let Some(i) = stack.pop() {
-        for &d in &tasks[i as usize].deps {
-            let d = d as usize;
-            rank[d] = rank[d].max(rank[i as usize] + 1);
-            out_deg[d] -= 1;
-            if out_deg[d] == 0 {
-                stack.push(d as u32);
-            }
-        }
-    }
-    // `dependents` only existed to size out_deg consistently; the walk runs
-    // over deps so duplicate edges need no dedup (out_deg counts them too).
-    drop(dependents);
-    rank
+/// The four `dtask` policies, in matrix order, each as the live cluster
+/// configures it (stealing on for `random-stealing` only).
+pub fn policies() -> [PolicyConfig; 4] {
+    [
+        PolicyConfig::locality(),
+        PolicyConfig::b_level(),
+        PolicyConfig::random_stealing(),
+        PolicyConfig::min_eft(),
+    ]
 }
 
-// ---- the simulator ---------------------------------------------------------
+// ---- the simulated workers -------------------------------------------------
 
+/// The scheduler's sink: executor-bound messages are kept for the simulated
+/// workers; data-server and client traffic has nobody to go to.
+#[derive(Default)]
+struct Outbox {
+    exec: RefCell<Vec<(WorkerId, ExecMsg)>>,
+}
+
+impl Sink for Outbox {
+    fn send_exec(&self, worker: WorkerId, msg: ExecMsg) {
+        self.exec.borrow_mut().push((worker, msg));
+    }
+    fn send_data(&self, _worker: WorkerId, _msg: DataMsg) {}
+    fn send_client(&self, _client: ClientId, _msg: ClientMsg) {}
+}
+
+/// What can happen at a worker, ordered by virtual time (then by creation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// `task`'s missing dependencies have arrived at `worker`.
+    Fetched { worker: u32, task: u32 },
+    /// `task` is done on `worker`.
+    Finished { worker: u32, task: u32 },
+    /// `worker`'s idle slot has waited one steal-poll interval.
+    Poll { worker: u32 },
+}
+
+#[derive(Default)]
 struct SimWorker {
-    queue: VecDeque<u32>,
-    busy: u32,
+    /// Assignments received and not started, in arrival order.
+    queue: VecDeque<Assignment>,
+    /// Executor slots running a task.
+    busy: usize,
+    /// Steal probes `(thief, max)` waiting for a slot to come up for air.
+    probes: Vec<(WorkerId, usize)>,
+    /// A `Poll` event is armed.
+    polling: bool,
 }
 
-impl SimWorker {
-    fn load(&self) -> u64 {
-        self.queue.len() as u64 + self.busy as u64
+const CLIENT: ClientId = 0;
+
+struct Sim<'a> {
+    workload: &'a Workload,
+    slots: usize,
+    nic_bw: u64,
+    /// Idle-slot poll interval in ns; `None` = stealing off.
+    steal_poll: Option<u64>,
+    task_keys: Vec<Key>,
+    block_keys: Vec<Key>,
+    task_of: HashMap<Key, u32>,
+    /// Who holds each datum: task outputs first, then blocks.
+    holders: Vec<Vec<u32>>,
+    ws: Vec<SimWorker>,
+    events: BinaryHeap<Reverse<(u64, u64, Event)>>,
+    seq: u64,
+    now: u64,
+    /// Scheduler-bound messages produced at `now`.
+    inbox: Vec<SchedMsg>,
+    /// Replicas a running task's gather fetched, until `Fetched` reports them.
+    fetched: HashMap<u32, Vec<(Key, u64)>>,
+    done: usize,
+    busy_ns: u64,
+    transfer_ns: u64,
+    assignments: Vec<(u32, u32)>,
+}
+
+impl Sim<'_> {
+    fn at(&mut self, delay: u64, event: Event) {
+        self.seq += 1;
+        self.events
+            .push(Reverse((self.now + delay, self.seq, event)));
     }
-}
 
-/// Central ready queue in the policy's pop order.
-enum ReadyQueue {
-    Fifo(VecDeque<u32>),
-    Ranked {
-        ranks: Vec<u64>,
-        heap: BinaryHeap<(u64, Reverse<u64>, u32)>,
-        seq: u64,
-    },
-}
+    /// `(datum id, key, bytes)` of everything `task` reads.
+    fn inputs(&self, task: u32) -> impl Iterator<Item = (usize, &Key, u64)> {
+        let w = self.workload;
+        let t = &w.tasks[task as usize];
+        let blocks = t.blocks.iter().map(move |&b| {
+            let b = b as usize;
+            (w.tasks.len() + b, &self.block_keys[b], w.blocks[b].0)
+        });
+        let deps = t.deps.iter().map(move |&d| {
+            let d = d as usize;
+            (d, &self.task_keys[d], w.tasks[d].out_bytes)
+        });
+        blocks.chain(deps)
+    }
 
-impl ReadyQueue {
-    fn push(&mut self, task: u32) {
-        match self {
-            ReadyQueue::Fifo(q) => q.push_back(task),
-            ReadyQueue::Ranked { ranks, heap, seq } => {
-                heap.push((ranks[task as usize], Reverse(*seq), task));
-                *seq += 1;
+    /// A message from the scheduler (or a forwarding victim) reaches `worker`.
+    fn deliver(&mut self, worker: WorkerId, msg: ExecMsg) {
+        match msg {
+            ExecMsg::Execute(a) => self.ws[worker].queue.push_back(a),
+            ExecMsg::ExecuteBatch { tasks } => self.ws[worker].queue.extend(tasks),
+            // A slot answers probes between tasks: at once when one is
+            // idle, else when the next task finishes.
+            ExecMsg::Steal { thief, max } if self.ws[worker].busy < self.slots => {
+                self.answer_steal(worker, thief, max)
+            }
+            ExecMsg::Steal { thief, max } => self.ws[worker].probes.push((thief, max)),
+            ExecMsg::Shutdown => {}
+        }
+        self.start_tasks(worker);
+    }
+
+    /// Victim half of the steal protocol: hand the head of the queue (up to
+    /// `max` unstarted assignments) to `thief`, reporting them first.
+    fn answer_steal(&mut self, victim: WorkerId, thief: WorkerId, max: usize) {
+        let n = max.min(self.ws[victim].queue.len());
+        let stolen: Vec<Assignment> = self.ws[victim].queue.drain(..n).collect();
+        self.inbox.push(SchedMsg::Stolen {
+            victim,
+            thief,
+            keys: stolen.iter().map(|a| a.spec.key.clone()).collect(),
+        });
+        if !stolen.is_empty() {
+            self.deliver(thief, ExecMsg::ExecuteBatch { tasks: stolen });
+        }
+    }
+
+    /// Start queued tasks on `w`'s free slots; arm the steal poll if it is
+    /// left with a free slot and nothing queued.
+    fn start_tasks(&mut self, w: WorkerId) {
+        while self.ws[w].busy < self.slots {
+            let Some(assignment) = self.ws[w].queue.pop_front() else {
+                break;
+            };
+            let task = self.task_of[&assignment.spec.key];
+            let missing: Vec<(usize, Key, u64)> = self
+                .inputs(task)
+                .filter(|(id, _, _)| !self.holders[*id].contains(&(w as u32)))
+                .map(|(id, key, bytes)| (id, key.clone(), bytes))
+                .collect();
+            let mut gather = 0;
+            for (id, _, bytes) in &missing {
+                gather += transfer_ns(*bytes, self.nic_bw);
+                self.holders[*id].push(w as u32);
+            }
+            let (worker, dur) = (
+                w as u32,
+                gather + self.workload.tasks[task as usize].compute_ns,
+            );
+            if !missing.is_empty() {
+                let replicas = missing.into_iter().map(|(_, k, b)| (k, b)).collect();
+                self.fetched.insert(task, replicas);
+                self.at(gather, Event::Fetched { worker, task });
+            }
+            self.at(dur, Event::Finished { worker, task });
+            self.ws[w].busy += 1;
+            self.busy_ns += dur;
+            self.transfer_ns += gather;
+        }
+        let idle = self.ws[w].busy < self.slots && self.ws[w].queue.is_empty();
+        if let (Some(poll), true, false) = (self.steal_poll, idle, self.ws[w].polling) {
+            self.ws[w].polling = true;
+            self.at(poll, Event::Poll { worker: w as u32 });
+        }
+    }
+
+    fn handle(&mut self, event: Event) {
+        match event {
+            Event::Fetched { worker, task } => {
+                let entries = self.fetched.remove(&task).unwrap_or_default();
+                self.inbox.push(SchedMsg::AddReplica {
+                    worker: worker as usize,
+                    entries,
+                });
+            }
+            Event::Finished { worker, task } => {
+                let w = worker as usize;
+                self.ws[w].busy -= 1;
+                self.holders[task as usize].push(worker);
+                self.done += 1;
+                self.inbox.push(SchedMsg::TaskFinished {
+                    worker: w,
+                    key: self.task_keys[task as usize].clone(),
+                    nbytes: self.workload.tasks[task as usize].out_bytes,
+                });
+                for (thief, max) in std::mem::take(&mut self.ws[w].probes) {
+                    self.answer_steal(w, thief, max);
+                }
+                self.start_tasks(w);
+            }
+            Event::Poll { worker } => {
+                let w = worker as usize;
+                self.ws[w].polling = false;
+                if self.ws[w].busy < self.slots && self.ws[w].queue.is_empty() {
+                    self.inbox.push(SchedMsg::StealRequest { worker: w });
+                }
+                // Re-arms the poll while the worker stays idle.
+                self.start_tasks(w);
             }
         }
     }
 
-    fn pop(&mut self) -> Option<u32> {
-        match self {
-            ReadyQueue::Fifo(q) => q.pop_front(),
-            ReadyQueue::Ranked { heap, .. } => heap.pop().map(|(_, _, t)| t),
+    /// Step the scheduler on everything produced at `now`, hand its
+    /// answers to the workers, and repeat until the instant is quiet.
+    fn flush(&mut self, sched: &mut Scheduler<Outbox>, now: Instant) {
+        while !self.inbox.is_empty() {
+            sched.step(&mut self.inbox, now);
+            let out = std::mem::take(&mut *sched.sink().exec.borrow_mut());
+            for (worker, msg) in out {
+                match &msg {
+                    ExecMsg::Execute(a) => self.note_assigned(std::slice::from_ref(a), worker),
+                    ExecMsg::ExecuteBatch { tasks } => self.note_assigned(tasks, worker),
+                    ExecMsg::Steal { .. } | ExecMsg::Shutdown => {}
+                }
+                self.deliver(worker, msg);
+            }
         }
+    }
+
+    fn note_assigned(&mut self, tasks: &[Assignment], worker: WorkerId) {
+        self.assignments.extend(
+            tasks
+                .iter()
+                .map(|a| (self.task_of[&a.spec.key], worker as u32)),
+        );
     }
 }
 
 /// Run one workload under one policy on `workers`×`slots` simulated
-/// executors. Deterministic: the same inputs replay the same makespan.
-pub fn run(workload: &Workload, workers: usize, slots: usize, policy: Policy) -> Outcome {
+/// executors. Deterministic: the same inputs replay the same assignment
+/// sequence and the same makespan.
+pub fn run(workload: &Workload, workers: usize, slots: usize, policy: &PolicyConfig) -> Outcome {
     assert!(workers > 0 && slots > 0);
     let n = workload.tasks.len();
-    let mut rng = XorShift64::new(0xC0FF_EE00 ^ workers as u64);
-    let mut ready = match policy {
-        Policy::BLevel => ReadyQueue::Ranked {
-            ranks: b_levels(&workload.tasks),
-            heap: BinaryHeap::new(),
-            seq: 0,
-        },
-        _ => ReadyQueue::Fifo(VecDeque::new()),
-    };
-
-    // Data placement: block holders seeded from homes, task holders filled
-    // at completion; fetches replicate (AddReplica feedback).
-    let mut block_holders: Vec<Vec<u32>> = workload
-        .blocks
-        .iter()
-        .map(|&(_, home)| vec![home % workers as u32])
+    let task_keys: Vec<Key> = (0..n).map(|i| Key::new(format!("t{i}"))).collect();
+    let block_keys: Vec<Key> = (0..workload.blocks.len())
+        .map(|b| Key::new(format!("b{b}")))
         .collect();
-    let mut task_holders: Vec<Vec<u32>> = vec![Vec::new(); n];
-
-    let mut pending: Vec<u32> = workload.tasks.iter().map(|t| t.deps.len() as u32).collect();
-    let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, t) in workload.tasks.iter().enumerate() {
-        for &d in &t.deps {
-            dependents[d as usize].push(i as u32);
-        }
-    }
-    for (i, &p) in pending.iter().enumerate() {
-        if p == 0 {
-            ready.push(i as u32);
-        }
-    }
-
-    let mut ws: Vec<SimWorker> = (0..workers)
-        .map(|_| SimWorker {
-            queue: VecDeque::new(),
-            busy: 0,
+    let specs: Vec<TaskSpec> = workload
+        .tasks
+        .iter()
+        .zip(&task_keys)
+        .map(|(t, key)| {
+            let blocks = t.blocks.iter().map(|&b| block_keys[b as usize].clone());
+            let deps = t.deps.iter().map(|&d| task_keys[d as usize].clone());
+            TaskSpec::new(
+                key.clone(),
+                "sim",
+                Datum::Null,
+                blocks.chain(deps).collect(),
+            )
         })
         .collect();
-    let mut rr_cursor = 0usize;
-    let mut now = 0u64;
-    let mut makespan = 0u64;
-    let mut busy_ns = 0u64;
-    let mut transfer_total = 0u64;
-    let mut tasks_stolen = 0u64;
-    let mut done = 0usize;
-    // Completion events: (time, task, worker), min-heap.
-    let mut events: BinaryHeap<Reverse<(u64, u32, u32)>> = BinaryHeap::new();
 
-    // Byte share per candidate worker for one task (holders only — the
-    // locality fast path the live policy takes via its score map).
-    let share = |task: &SimTask,
-                 block_holders: &[Vec<u32>],
-                 task_holders: &[Vec<u32>]|
-     -> Vec<(u32, u64)> {
-        let mut out: Vec<(u32, u64)> = Vec::new();
-        let mut add = |w: u32, bytes: u64| match out.iter_mut().find(|(ow, _)| *ow == w) {
-            Some((_, b)) => *b += bytes,
-            None => out.push((w, bytes)),
-        };
-        for &b in &task.blocks {
-            let bytes = workload.blocks[b as usize].0.max(1);
-            for &w in &block_holders[b as usize] {
-                add(w, bytes);
-            }
-        }
-        for &d in &task.deps {
-            let bytes = workload.tasks[d as usize].out_bytes.max(1);
-            for &w in &task_holders[d as usize] {
-                add(w, bytes);
-            }
-        }
-        out
+    // The virtual clock's zero. Only differences from it are ever looked
+    // at, so when the run happens changes nothing in it.
+    let origin = Instant::now();
+    let stats = Arc::new(SchedulerStats::new());
+    let mut sched = Scheduler::new(
+        Outbox::default(),
+        workers,
+        slots,
+        LivenessConfig::default(),
+        policy.clone(),
+        Arc::clone(&stats),
+        TraceHandle::disabled(),
+        None,
+        origin,
+    );
+    let mut sim = Sim {
+        workload,
+        slots,
+        nic_bw: NetworkConfig::default().nic_bw,
+        steal_poll: policy.steal_poll.map(|d| d.as_nanos() as u64),
+        task_of: task_keys.iter().cloned().zip(0..).collect(),
+        holders: vec![Vec::new(); n + workload.blocks.len()],
+        ws: (0..workers).map(|_| SimWorker::default()).collect(),
+        events: BinaryHeap::new(),
+        seq: 0,
+        now: 0,
+        inbox: Vec::new(),
+        fetched: HashMap::new(),
+        done: 0,
+        busy_ns: 0,
+        transfer_ns: 0,
+        assignments: Vec::with_capacity(n),
+        task_keys,
+        block_keys,
     };
 
-    // Start as many queued tasks on `w` as it has free slots.
-    macro_rules! try_start {
-        ($w:expr) => {{
-            let w = $w;
-            while ws[w].busy < slots as u32 {
-                let Some(t) = ws[w].queue.pop_front() else {
-                    break;
-                };
-                let spec = &workload.tasks[t as usize];
-                let mut dur = spec.compute_ns;
-                for &b in &spec.blocks {
-                    if !block_holders[b as usize].contains(&(w as u32)) {
-                        let tx = transfer_ns(workload.blocks[b as usize].0, NIC_BW);
-                        dur += tx;
-                        transfer_total += tx;
-                        block_holders[b as usize].push(w as u32);
-                    }
-                }
-                for &d in &spec.deps {
-                    if !task_holders[d as usize].contains(&(w as u32)) {
-                        let tx = transfer_ns(workload.tasks[d as usize].out_bytes, NIC_BW);
-                        dur += tx;
-                        transfer_total += tx;
-                        task_holders[d as usize].push(w as u32);
-                    }
-                }
-                busy_ns += dur;
-                ws[w].busy += 1;
-                events.push(Reverse((now + dur, t, w as u32)));
-            }
-        }};
+    // The contract and the whole graph first, as the adaptor does; nothing
+    // can run yet. Then every bridge announces its blocks.
+    sim.inbox = vec![
+        SchedMsg::RegisterExternal {
+            client: CLIENT,
+            keys: sim.block_keys.clone(),
+        },
+        SchedMsg::SubmitGraph {
+            client: CLIENT,
+            specs,
+        },
+    ];
+    sim.flush(&mut sched, origin);
+    assert!(
+        n == 0 || sim.assignments.is_empty(),
+        "tasks ran before data"
+    );
+    for (b, &(bytes, home)) in workload.blocks.iter().enumerate() {
+        let home = home % workers as u32;
+        sim.holders[n + b].push(home);
+        sim.inbox.push(SchedMsg::UpdateData {
+            client: CLIENT,
+            entries: vec![(sim.block_keys[b].clone(), home as usize, bytes)],
+            external: true,
+        });
     }
-
-    // Drain the ready queue: place each task per the policy and enqueue it
-    // at its worker (eager push, like the live schedule() pass).
-    macro_rules! place_ready {
-        () => {{
-            while let Some(t) = ready.pop() {
-                let spec = &workload.tasks[t as usize];
-                let w = match policy {
-                    Policy::RandomStealing => rng.below(workers as u64) as usize,
-                    Policy::MinEft => {
-                        let shares = share(spec, &block_holders, &task_holders);
-                        let total_tx: u64 = spec
-                            .blocks
-                            .iter()
-                            .map(|&b| transfer_ns(workload.blocks[b as usize].0, NIC_BW))
-                            .chain(spec.deps.iter().map(|&d| {
-                                transfer_ns(workload.tasks[d as usize].out_bytes, NIC_BW)
-                            }))
-                            .sum();
-                        let mut best: Option<(u64, usize)> = None;
-                        for (w, worker) in ws.iter().enumerate() {
-                            let rounds = (worker.load() + slots as u64) / slots as u64;
-                            let held: u64 = shares
-                                .iter()
-                                .filter(|&&(hw, _)| hw == w as u32)
-                                .map(|&(_, b)| transfer_ns(b, NIC_BW))
-                                .sum();
-                            let eft = rounds * NOMINAL_TASK_NS + total_tx.saturating_sub(held);
-                            best = match best {
-                                Some(b) if b.0 <= eft => Some(b),
-                                _ => Some((eft, w)),
-                            };
-                        }
-                        best.map(|(_, w)| w).unwrap_or(0)
-                    }
-                    Policy::Locality | Policy::BLevel => {
-                        let shares = share(spec, &block_holders, &task_holders);
-                        let best = shares
-                            .iter()
-                            .max_by(|a, b| {
-                                a.1.cmp(&b.1).then_with(|| {
-                                    // Tie → less-loaded wins (reversed).
-                                    ws[b.0 as usize].load().cmp(&ws[a.0 as usize].load())
-                                })
-                            })
-                            .copied();
-                        match best {
-                            Some((w, bytes)) if bytes > 0 => w as usize,
-                            _ => {
-                                // Round-robin scan for the least loaded.
-                                let mut pick = rr_cursor % workers;
-                                let mut min = u64::MAX;
-                                for i in 0..workers {
-                                    let w = (rr_cursor + i) % workers;
-                                    if ws[w].load() < min {
-                                        min = ws[w].load();
-                                        pick = w;
-                                    }
-                                }
-                                rr_cursor = (pick + 1) % workers;
-                                pick
-                            }
-                        }
-                    }
-                };
-                ws[w].queue.push_back(t);
-                try_start!(w);
-            }
-        }};
+    sim.flush(&mut sched, origin);
+    for w in 0..workers {
+        sim.start_tasks(w);
     }
-
-    place_ready!();
-    while let Some(Reverse((t_ns, task, w))) = events.pop() {
-        now = t_ns;
-        makespan = makespan.max(now);
-        let w = w as usize;
-        ws[w].busy -= 1;
-        task_holders[task as usize].push(w as u32);
-        done += 1;
-        for &dep in &dependents[task as usize] {
-            pending[dep as usize] -= 1;
-            if pending[dep as usize] == 0 {
-                ready.push(dep);
-            }
+    while sim.done < n {
+        let Some(Reverse((t, _, event))) = sim.events.pop() else {
+            panic!("simulation stalled with {} of {n} tasks done", sim.done);
+        };
+        if let Event::Poll { .. } = event {
+            let active = sim.ws.iter().any(|w| w.busy > 0 || !w.queue.is_empty());
+            assert!(active, "only polls left, {} of {n} tasks done", sim.done);
         }
-        place_ready!();
-        try_start!(w);
-        if policy == Policy::RandomStealing && ws[w].queue.is_empty() && ws[w].busy < slots as u32 {
-            // Idle thief: take half the most-loaded peer's queued surplus
-            // (the live victim drains up to (surplus/2).max(1)).
-            let victim = (0..workers)
-                .filter(|&v| v != w && !ws[v].queue.is_empty())
-                .max_by_key(|&v| ws[v].load());
-            if let Some(v) = victim {
-                let surplus = ws[v].load().saturating_sub(slots as u64);
-                let take = (surplus / 2).max(1).min(ws[v].queue.len() as u64);
-                for _ in 0..take {
-                    if let Some(t) = ws[v].queue.pop_back() {
-                        ws[w].queue.push_back(t);
-                        tasks_stolen += 1;
-                    }
-                }
-                try_start!(w);
-            }
-        }
+        sim.now = t;
+        sim.handle(event);
+        sim.flush(&mut sched, origin + Duration::from_nanos(t));
     }
 
-    assert_eq!(done, n, "every task must run exactly once");
+    let makespan = sim.now;
     let capacity_ns = makespan as u128 * (workers * slots) as u128;
     Outcome {
-        policy,
+        policy: policy.kind,
         workload: workload.name.clone(),
         workers,
         slots,
-        tasks: n,
+        tasks: sim.done,
         makespan_ns: makespan,
-        tasks_stolen,
-        transfer_ns: transfer_total,
+        transfer_ns: sim.transfer_ns,
         utilization: if capacity_ns == 0 {
             0.0
         } else {
-            busy_ns as f64 / capacity_ns as f64
+            sim.busy_ns as f64 / capacity_ns as f64
         },
+        assignments: sim.assignments,
+        stats,
     }
 }
 
 /// Run every policy over one workload.
 pub fn run_matrix(workload: &Workload, workers: usize, slots: usize) -> Vec<Outcome> {
-    Policy::ALL
+    policies()
         .iter()
-        .map(|&p| run(workload, workers, slots, p))
+        .map(|p| run(workload, workers, slots, p))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtask::MsgClass;
 
     #[test]
-    fn b_levels_rank_roots_above_sinks() {
-        // chain 0 -> 1 -> 2 (task 1 deps on 0, 2 deps on 1).
-        let w = deep_chains(1, 3, 7);
-        let r = b_levels(&w.tasks);
-        assert_eq!(r, vec![3, 2, 1]);
-    }
-
-    #[test]
-    fn runs_are_deterministic() {
+    fn runs_are_deterministic_down_to_the_assignment_sequence() {
         let w = wide_fanout(2_000, 42);
-        for p in Policy::ALL {
-            let a = run(&w, 32, 2, p);
-            let b = run(&w, 32, 2, p);
-            assert_eq!(a.makespan_ns, b.makespan_ns, "{}", p.name());
-            assert_eq!(a.tasks_stolen, b.tasks_stolen);
+        for p in policies() {
+            let a = run(&w, 32, 2, &p);
+            let b = run(&w, 32, 2, &p);
+            let name = p.kind.name();
+            assert_eq!(a.assignments, b.assignments, "{name}");
+            assert_eq!(a.makespan_ns, b.makespan_ns, "{name}");
+            assert_eq!(a.stats.tasks_stolen(), b.stats.tasks_stolen(), "{name}");
+            assert_eq!(a.assignments.len(), 2_000, "{name}: one placement per task");
         }
     }
 
@@ -651,9 +626,9 @@ mod tests {
         // while work distribution spreads it. Both stealing and mineft must
         // beat the locality default on makespan.
         let w = wide_fanout(5_000, 42);
-        let loc = run(&w, 50, 2, Policy::Locality);
-        let steal = run(&w, 50, 2, Policy::RandomStealing);
-        let eft = run(&w, 50, 2, Policy::MinEft);
+        let loc = run(&w, 50, 2, &PolicyConfig::locality());
+        let steal = run(&w, 50, 2, &PolicyConfig::random_stealing());
+        let eft = run(&w, 50, 2, &PolicyConfig::min_eft());
         assert!(
             steal.makespan_ns < loc.makespan_ns,
             "stealing {} !< locality {}",
@@ -666,7 +641,11 @@ mod tests {
             eft.makespan_ns,
             loc.makespan_ns
         );
-        assert!(steal.tasks_stolen > 0, "the thief must actually steal");
+        assert!(
+            steal.stats.tasks_stolen() > 0,
+            "the thief must actually steal"
+        );
+        assert_eq!(loc.stats.steal_requests(), 0, "no stealing unless asked");
     }
 
     #[test]
@@ -674,8 +653,8 @@ mod tests {
         // Chain affinity: locality pays zero transfers, random placement
         // pays one per hop.
         let w = deep_chains(200, 20, 7);
-        let loc = run(&w, 50, 2, Policy::Locality);
-        let rand = run(&w, 50, 2, Policy::RandomStealing);
+        let loc = run(&w, 50, 2, &PolicyConfig::locality());
+        let rand = run(&w, 50, 2, &PolicyConfig::random_stealing());
         assert!(loc.transfer_ns < rand.transfer_ns);
         assert!(loc.makespan_ns <= rand.makespan_ns);
     }
@@ -692,11 +671,41 @@ mod tests {
     }
 
     #[test]
+    fn ipca_inbound_messages_match_the_live_accounting() {
+        // What `tests/message_accounting.rs` asserts of a live DEISA3 run:
+        // one contract registration, one graph, one external update per
+        // block, and no heartbeat, queue or variable traffic; plus one
+        // report per task.
+        let (steps, ranks) = (12, 16);
+        let w = ipca(steps, ranks, 5);
+        for o in run_matrix(&w, 8, 2) {
+            let s = &o.stats;
+            let name = o.policy.name();
+            assert_eq!(s.count(MsgClass::RegisterExternal), 1, "{name}");
+            assert_eq!(s.count(MsgClass::GraphSubmit), 1, "{name}");
+            assert_eq!(
+                s.count(MsgClass::UpdateDataExternal) as usize,
+                steps * ranks,
+                "{name}"
+            );
+            assert_eq!(s.count(MsgClass::UpdateData), 0, "{name}");
+            assert_eq!(s.count(MsgClass::TaskSubmitted) as usize, w.tasks.len());
+            assert_eq!(s.count(MsgClass::TaskReport) as usize, w.tasks.len());
+            assert_eq!(s.count(MsgClass::Heartbeat), 0, "{name}");
+            assert_eq!(s.count(MsgClass::Queue), 0, "{name}");
+            assert_eq!(s.count(MsgClass::Variable), 0, "{name}");
+            // Every gather that fetched anything reported it, once.
+            assert!(s.count(MsgClass::AddReplica) as usize <= w.tasks.len());
+            assert_eq!(s.assign_tasks() as usize, w.tasks.len(), "{name}");
+        }
+    }
+
+    #[test]
     fn scales_to_many_workers_and_tasks() {
-        // A smoke-sized version of the bench's scale point: 200 workers,
+        // A smoke-sized version of the matrix's scale point: 200 workers,
         // tens of thousands of tasks, still exact and fast.
         let w = wide_fanout(40_000, 3);
-        let o = run(&w, 200, 2, Policy::MinEft);
+        let o = run(&w, 200, 2, &PolicyConfig::min_eft());
         assert_eq!(o.tasks, 40_000);
         assert!(o.makespan_ns > 0);
     }
