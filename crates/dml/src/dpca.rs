@@ -18,7 +18,7 @@
 use crate::pca::sign_flip_rows;
 use darray::{DArray, Graph};
 use dtask::{Client, Datum, Key, OpRegistry, TaskSpec};
-use linalg::{householder_qr_owned, jacobi_svd, Matrix, MatrixView, NDArray};
+use linalg::{householder_r, jacobi_svd_vt, Matrix, MatrixView, NDArray};
 
 /// Register the `ml.pca_*` kernels (called from [`crate::register_ml_ops`]).
 pub(crate) fn register_dpca_ops(registry: &OpRegistry) {
@@ -117,10 +117,10 @@ pub(crate) fn register_dpca_ops(registry: &OpRegistry) {
             .and_then(|d| d.as_array())
             .ok_or("ml.pca_r_of: block input")?;
         // One working copy total: the view borrows the shared block and the
-        // owned QR factorizes its copy in place.
+        // QR factorizes its column-ordered copy in place; Q is never formed.
         let m = Matrix::from_ndarray_ref(a).map_err(|e| e.to_string())?;
-        let qr = householder_qr_owned(m.to_matrix()).map_err(|e| e.to_string())?;
-        Ok(Datum::from(qr.r.into_ndarray()))
+        let r = householder_r(m).map_err(|e| e.to_string())?;
+        Ok(Datum::from(r.into_ndarray()))
     });
 
     // Merge R factors: stack vertically, QR, keep R (the TSQR tree node).
@@ -130,10 +130,10 @@ pub(crate) fn register_dpca_ops(registry: &OpRegistry) {
             let a = d.as_array().ok_or("ml.pca_r_merge: array inputs")?;
             views.push(Matrix::from_ndarray_ref(a).map_err(|e| e.to_string())?);
         }
-        // Stack straight from the borrowed buffers; QR works in place on it.
+        // Stack straight from the borrowed buffers; keep R only.
         let stacked = MatrixView::vstack(&views).map_err(|e| e.to_string())?;
-        let qr = householder_qr_owned(stacked).map_err(|e| e.to_string())?;
-        Ok(Datum::from(qr.r.into_ndarray()))
+        let r = householder_r(stacked.as_view()).map_err(|e| e.to_string())?;
+        Ok(Datum::from(r.into_ndarray()))
     });
 
     // deps [R, mean], params [k, n_samples] → fitted model as
@@ -160,15 +160,15 @@ pub(crate) fn register_dpca_ops(registry: &OpRegistry) {
         let rm = Matrix::from_ndarray_ref(r)
             .map_err(|e| e.to_string())?
             .to_matrix();
-        let svd = jacobi_svd(&rm).map_err(|e| e.to_string())?;
-        if k == 0 || k > svd.s.len() {
+        let (mut s, vt) = jacobi_svd_vt(&rm).map_err(|e| e.to_string())?;
+        if k == 0 || k > s.len() {
             return Err(format!("ml.pca_finish: k={k} out of range"));
         }
-        let total_var: f64 = svd.s.iter().map(|s| s * s).sum::<f64>() / (n_samples - 1.0).max(1.0);
-        let mut svd = svd.truncate(k).map_err(|e| e.to_string())?;
-        sign_flip_rows(&mut svd.vt);
-        let ev: Vec<f64> = svd
-            .s
+        let total_var: f64 = s.iter().map(|s| s * s).sum::<f64>() / (n_samples - 1.0).max(1.0);
+        s.truncate(k);
+        let mut components = vt.take_rows(k).map_err(|e| e.to_string())?;
+        sign_flip_rows(&mut components);
+        let ev: Vec<f64> = s
             .iter()
             .map(|s| s * s / (n_samples - 1.0).max(1.0))
             .collect();
@@ -177,8 +177,8 @@ pub(crate) fn register_dpca_ops(registry: &OpRegistry) {
             .map(|v| if total_var > 0.0 { v / total_var } else { 0.0 })
             .collect();
         Ok(Datum::List(vec![
-            Datum::from(svd.vt.into_ndarray()),
-            Datum::from(NDArray::from_vec(&[k], svd.s).expect("singvals")),
+            Datum::from(components.into_ndarray()),
+            Datum::from(NDArray::from_vec(&[k], s).expect("singvals")),
             Datum::from(NDArray::from_vec(&[k], ev).expect("ev")),
             Datum::from(NDArray::from_vec(&[k], evr).expect("evr")),
             Datum::from((**mean).clone()),

@@ -16,7 +16,7 @@
 
 use crate::pca::sign_flip_rows;
 use linalg::stats::{center_columns_view, col_mean_view, col_var_view, RunningStats};
-use linalg::{jacobi_svd, randomized_svd, LinalgError, Matrix, MatrixView, Svd};
+use linalg::{jacobi_svd_vt, randomized_svd, LinalgError, Matrix, MatrixView};
 
 /// Which SVD backs `partial_fit`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,16 +70,22 @@ impl IncrementalPca {
         }
     }
 
-    fn svd(&self, a: &Matrix, k: usize) -> Result<Svd, LinalgError> {
+    /// The top `k` singular values and right singular vectors (`k×F`) of `a`.
+    fn svd(&self, a: &Matrix, k: usize) -> Result<(Vec<f64>, Matrix), LinalgError> {
         match self.solver {
-            SvdSolver::Full => jacobi_svd(a)?.truncate(k),
+            SvdSolver::Full => {
+                let (mut s, vt) = jacobi_svd_vt(a)?;
+                s.truncate(k);
+                Ok((s, vt.take_rows(k)?))
+            }
             SvdSolver::Randomized { seed } => {
                 // Derive a fresh seed per call so successive batches use
                 // different projections, deterministically.
                 let call_seed = seed
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add(self.n_samples_seen);
-                randomized_svd(a, k, 10, 4, call_seed)
+                let svd = randomized_svd(a, k, 10, 4, call_seed)?;
+                Ok((svd.s, svd.vt))
             }
         }
     }
@@ -151,19 +157,19 @@ impl IncrementalPca {
         };
 
         let k = self.n_components.min(a.rows()).min(n_features);
-        let mut svd = self.svd(&a, k)?;
-        sign_flip_rows(&mut svd.vt);
+        let (s, mut vt) = self.svd(&a, k)?;
+        sign_flip_rows(&mut vt);
 
         let denom = (n_total as f64 - 1.0).max(1.0);
-        self.explained_variance = svd.s.iter().map(|s| s * s / denom).collect();
+        self.explained_variance = s.iter().map(|s| s * s / denom).collect();
         let total_var: f64 = stats.var.iter().sum::<f64>() * n_total as f64 / denom;
         self.explained_variance_ratio = self
             .explained_variance
             .iter()
             .map(|v| if total_var > 0.0 { v / total_var } else { 0.0 })
             .collect();
-        self.components = svd.vt;
-        self.singular_values = svd.s;
+        self.components = vt;
+        self.singular_values = s;
         self.mean = stats.mean;
         self.var = stats.var;
         self.n_samples_seen = n_total;
@@ -319,6 +325,18 @@ mod tests {
         assert!(IncrementalPca::new(2, SvdSolver::Full)
             .fit_in_batches(&data(8, 4), 0)
             .is_err());
+    }
+
+    #[test]
+    fn svd_that_does_not_converge_is_an_error() {
+        let mut x = data(8, 4);
+        x[(3, 2)] = f64::NAN;
+        let mut ipca = IncrementalPca::new(2, SvdSolver::Full);
+        assert!(matches!(
+            ipca.partial_fit(&x),
+            Err(LinalgError::NoConvergence { .. })
+        ));
+        assert_eq!(ipca.n_samples_seen, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Exact PCA on a local matrix — the correctness reference for IPCA.
 
 use linalg::stats::{center_columns, col_mean};
-use linalg::{jacobi_svd, LinalgError, Matrix};
+use linalg::{jacobi_svd_vt, LinalgError, Matrix};
 
 /// A fitted PCA model.
 #[derive(Debug, Clone)]
@@ -34,18 +34,22 @@ impl Pca {
         }
         let mean = col_mean(x);
         let centered = center_columns(x, &mean)?;
-        let svd = jacobi_svd(&centered)?;
-        let total_var: f64 = svd.s.iter().map(|s| s * s).sum::<f64>() / (n as f64 - 1.0);
-        let mut svd = svd.truncate(k)?;
-        sign_flip_rows(&mut svd.vt);
-        let explained_variance: Vec<f64> = svd.s.iter().map(|s| s * s / (n as f64 - 1.0)).collect();
+        let (mut singular_values, vt) = jacobi_svd_vt(&centered)?;
+        let total_var: f64 = singular_values.iter().map(|s| s * s).sum::<f64>() / (n as f64 - 1.0);
+        singular_values.truncate(k);
+        let mut components = vt.take_rows(k)?;
+        sign_flip_rows(&mut components);
+        let explained_variance: Vec<f64> = singular_values
+            .iter()
+            .map(|s| s * s / (n as f64 - 1.0))
+            .collect();
         let explained_variance_ratio = explained_variance
             .iter()
             .map(|v| if total_var > 0.0 { v / total_var } else { 0.0 })
             .collect();
         Ok(Pca {
-            components: svd.vt,
-            singular_values: svd.s,
+            components,
+            singular_values,
             explained_variance,
             explained_variance_ratio,
             mean,

@@ -4,96 +4,93 @@
 //! chunked arrays; we reproduce the same structure: per-chunk local QR, then a
 //! reduction tree over the stacked R factors.
 
-use crate::matrix::{par_threads, Matrix};
+use crate::matrix::{dot, par_threads, Matrix, MatrixView};
 use crate::{LinalgError, Result};
 
-/// Apply the Householder reflector `H = I - 2 v v^T / (v^T v)` to the block
-/// `mat[pivot.., col0..]`. `v` spans rows `pivot..m`.
+/// Apply the Householder reflector `H = I - 2 v v^T / (v^T v)`, acting on
+/// rows `pivot..m`, to every column of `cols` (columns of length `m`, stored
+/// contiguously). `v` spans rows `pivot..m`.
 ///
-/// With `threads > 1` the update runs in two band-parallel passes over row
-/// bands of the trailing block: (1) partial column dots per band, reduced on
-/// the calling thread; (2) the rank-1 row updates, each band a disjoint
-/// `&mut` slice of the row-major storage.
+/// Each column is one contiguous dot product and one contiguous update,
+/// independent of the others, so with `threads > 1` the columns are split
+/// into groups on scoped threads with no reduction: the result is
+/// bit-identical to the serial one.
 fn apply_reflector(
-    mat: &mut Matrix,
+    cols: &mut [f64],
+    m: usize,
     pivot: usize,
-    col0: usize,
     v: &[f64],
     vnorm2: f64,
     threads: usize,
 ) {
-    let m = mat.rows();
-    let n = mat.cols();
-    let ncols = n - col0;
-    if ncols == 0 || m == pivot {
-        return;
-    }
-    let nrows = m - pivot;
-    let threads = threads.clamp(1, nrows);
+    let reflect = |group: &mut [f64]| {
+        for col in group.chunks_exact_mut(m) {
+            let x = &mut col[pivot..];
+            let f = 2.0 * dot(v, x) / vnorm2;
+            for (xi, vi) in x.iter_mut().zip(v) {
+                *xi -= f * vi;
+            }
+        }
+    };
+    let ncols = cols.len() / m;
+    let threads = threads.clamp(1, ncols.max(1));
     if threads == 1 {
-        for col in col0..n {
-            let mut dot = 0.0;
-            for i in pivot..m {
-                dot += v[i - pivot] * mat[(i, col)];
-            }
-            let f = 2.0 * dot / vnorm2;
-            for i in pivot..m {
-                mat[(i, col)] -= f * v[i - pivot];
-            }
-        }
+        reflect(cols);
         return;
     }
-    let tail = &mut mat.data_mut()[pivot * n..];
-    let band = nrows.div_ceil(threads);
-    // Pass 1: column dots, one partial vector per row band.
-    let mut dots = vec![0.0; ncols];
-    {
-        let tail_ro: &[f64] = tail;
-        let partials: Vec<Vec<f64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let r0 = t * band;
-                    let r1 = ((t + 1) * band).min(nrows);
-                    s.spawn(move || {
-                        let mut partial = vec![0.0; ncols];
-                        for i in r0..r1 {
-                            let vi = v[i];
-                            let row = &tail_ro[i * n + col0..i * n + n];
-                            for (p, x) in partial.iter_mut().zip(row) {
-                                *p += vi * x;
-                            }
-                        }
-                        partial
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("dot band panicked"))
-                .collect()
-        });
-        for partial in partials {
-            for (d, p) in dots.iter_mut().zip(partial) {
-                *d += p;
-            }
-        }
-    }
-    let factors: Vec<f64> = dots.iter().map(|d| 2.0 * d / vnorm2).collect();
-    // Pass 2: rank-1 update, disjoint row bands.
+    let reflect = &reflect;
     std::thread::scope(|s| {
-        for (t, chunk) in tail.chunks_mut(band * n).enumerate() {
-            let r0 = t * band;
-            let factors = &factors;
-            s.spawn(move || {
-                for (li, row) in chunk.chunks_mut(n).enumerate() {
-                    let vi = v[r0 + li];
-                    for (f, x) in factors.iter().zip(&mut row[col0..]) {
-                        *x -= f * vi;
-                    }
-                }
-            });
+        for group in cols.chunks_mut(ncols.div_ceil(threads) * m) {
+            s.spawn(move || reflect(group));
         }
     });
+}
+
+/// Householder QR in place over `n` columns of length `m` stored
+/// contiguously (`a[j*m..(j+1)*m]` is column `j`: the rows of `Aᵀ`).
+///
+/// On return rows `0..=j` of column `j` hold column `j` of `R` (its first
+/// `k = min(m, n)` rows) and every entry below the diagonal is zero. The thin
+/// `Q` (`m×k`, same storage) is formed, and the reflectors kept for it, only
+/// when `form_q`; a caller that keeps `R` alone pays for `R` alone.
+pub(crate) fn qr_columns(a: &mut [f64], m: usize, n: usize, form_q: bool) -> Option<Vec<f64>> {
+    let k = m.min(n);
+    let mut reflectors: Vec<(usize, Vec<f64>, f64)> = Vec::new();
+    for j in 0..k {
+        let (head, trailing) = a.split_at_mut((j + 1) * m);
+        let x = &mut head[j * m + j..];
+        let norm = dot(x, x).sqrt();
+        if norm == 0.0 {
+            // Column already zero on and below the diagonal.
+            continue;
+        }
+        let alpha = if x[0] >= 0.0 { -norm } else { norm };
+        let mut v = x.to_vec();
+        v[0] -= alpha;
+        let vnorm2 = dot(&v, &v);
+        // H maps the column onto alpha·e_j; write that exactly.
+        x[0] = alpha;
+        x[1..].fill(0.0);
+        let threads = par_threads(n - j - 1, 2 * (m - j) * (n - j - 1));
+        apply_reflector(trailing, m, j, &v, vnorm2, threads);
+        if form_q {
+            reflectors.push((j, v, vnorm2));
+        }
+    }
+    if !form_q {
+        return None;
+    }
+    // Q = H_0 ⋯ H_{k-1} applied to the first k columns of I, last reflector
+    // first; H_j leaves columns left of j (still e_i, i < j) untouched.
+    let mut q = vec![0.0; m * k];
+    for i in 0..k {
+        q[i * m + i] = 1.0;
+    }
+    for (j, v, vnorm2) in reflectors.iter().rev() {
+        let threads = par_threads(k - j, 2 * (m - j) * (k - j));
+        apply_reflector(&mut q[j * m..], m, *j, v, *vnorm2, threads);
+    }
+    Some(q)
 }
 
 /// Thin QR decomposition `A = Q R` with `Q: m×k`, `R: k×n`, `k = min(m, n)`.
@@ -104,77 +101,41 @@ pub struct Qr {
     pub r: Matrix,
 }
 
-/// Householder QR returning the thin factors.
-///
-/// Numerically stable for any `m >= 1`, `n >= 1`. Cost `O(m n^2)`.
-pub fn householder_qr(a: &Matrix) -> Result<Qr> {
-    householder_qr_owned(a.clone())
-}
-
-/// [`householder_qr`] taking ownership of `a` and factorizing in place —
-/// callers that already hold a throwaway copy (e.g. one assembled from a
-/// [`crate::matrix::MatrixView`]) skip the internal working-copy clone.
-pub fn householder_qr_owned(a: Matrix) -> Result<Qr> {
-    let m = a.rows();
-    let n = a.cols();
+/// Factor `a` in column storage; `R` (`k×n`) and, when asked, `Q` (`m×k`).
+fn factor(a: MatrixView<'_>, form_q: bool) -> Result<(Matrix, Option<Matrix>)> {
+    let (m, n) = (a.rows(), a.cols());
     if m == 0 || n == 0 {
         return Err(LinalgError::InvalidArgument {
             what: "QR of an empty matrix".into(),
         });
     }
     let k = m.min(n);
-    let mut r = a;
-    // Store Householder vectors; v[j] has length m - j.
-    let mut vs: Vec<Vec<f64>> = Vec::with_capacity(k);
-    for j in 0..k {
-        // Build the Householder vector for column j below the diagonal.
-        let mut norm = 0.0;
-        for i in j..m {
-            norm += r[(i, j)] * r[(i, j)];
-        }
-        norm = norm.sqrt();
-        let mut v = vec![0.0; m - j];
-        if norm == 0.0 {
-            // Column already zero; identity reflector.
-            vs.push(v);
-            continue;
-        }
-        let alpha = if r[(j, j)] >= 0.0 { -norm } else { norm };
-        for i in j..m {
-            v[i - j] = r[(i, j)];
-        }
-        v[0] -= alpha;
-        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-        if vnorm2 > 0.0 {
-            // Apply H = I - 2 v v^T / (v^T v) to R[j.., j..], band-parallel
-            // on trailing blocks large enough to pay for it.
-            let threads = par_threads(m - j, 2 * (m - j) * (n - j));
-            apply_reflector(&mut r, j, j, &v, vnorm2, threads);
-        }
-        vs.push(v);
-    }
-    // Zero strict lower triangle of R and take the top k rows.
-    let mut r_thin = Matrix::zeros(k, n);
-    for i in 0..k {
-        for jj in i..n {
-            r_thin[(i, jj)] = r[(i, jj)];
-        }
-    }
-    // Accumulate Q by applying reflectors to the first k columns of I.
-    let mut q = Matrix::zeros(m, k);
-    for i in 0..k {
-        q[(i, i)] = 1.0;
-    }
-    for j in (0..k).rev() {
-        let v = &vs[j];
-        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-        if vnorm2 == 0.0 {
-            continue;
-        }
-        let threads = par_threads(m - j, 2 * (m - j) * k);
-        apply_reflector(&mut q, j, 0, v, vnorm2, threads);
-    }
-    Ok(Qr { q, r: r_thin })
+    let mut at = a.transpose();
+    let q = qr_columns(at.data_mut(), m, n, form_q);
+    let r = Matrix::from_fn(k, n, |i, j| if i <= j { at[(j, i)] } else { 0.0 });
+    let q = match q {
+        Some(q) => Some(Matrix::from_vec(k, m, q)?.transpose()),
+        None => None,
+    };
+    Ok((r, q))
+}
+
+/// Householder QR returning the thin factors.
+///
+/// Numerically stable for any `m >= 1`, `n >= 1`. Cost `O(m n^2)`.
+pub fn householder_qr(a: &Matrix) -> Result<Qr> {
+    let (r, q) = factor(a.as_view(), true)?;
+    Ok(Qr {
+        q: q.expect("Q was asked for"),
+        r,
+    })
+}
+
+/// The triangular factor `R` (`k×n`) of [`householder_qr`] alone, straight
+/// from a borrowed buffer: no `Q`, no reflectors kept. What a TSQR node or
+/// an SVD that discards `U` needs.
+pub fn householder_r(a: MatrixView<'_>) -> Result<Matrix> {
+    Ok(factor(a, false)?.0)
 }
 
 /// Tall-skinny QR over row blocks.
@@ -443,29 +404,40 @@ mod tests {
 
     #[test]
     fn parallel_reflector_matches_serial() {
-        let base = Matrix::from_fn(41, 9, |i, j| ((i * 13 + j * 29) % 19) as f64 * 0.5 - 4.0);
+        // 9 columns of length 41, stored contiguously.
+        let (m, ncols) = (41usize, 9usize);
+        let base: Vec<f64> = (0..m * ncols)
+            .map(|x| ((x * 13 + (x / m) * 29) % 19) as f64 * 0.5 - 4.0)
+            .collect();
         let pivot = 3usize;
-        let v: Vec<f64> = (0..base.rows() - pivot)
+        let v: Vec<f64> = (0..m - pivot)
             .map(|i| ((i * 7 + 2) % 11) as f64 - 5.0)
             .collect();
         let vnorm2: f64 = v.iter().map(|x| x * x).sum();
         let mut serial = base.clone();
-        apply_reflector(&mut serial, pivot, 2, &v, vnorm2, 1);
+        apply_reflector(&mut serial, m, pivot, &v, vnorm2, 1);
         for threads in [2, 4, 9, 64] {
             let mut par = base.clone();
-            apply_reflector(&mut par, pivot, 2, &v, vnorm2, threads);
-            // Band-wise dot reduction reorders the sums; allow rounding.
-            assert!(
-                par.max_abs_diff(&serial).unwrap() < 1e-12,
-                "threads={threads}"
-            );
+            apply_reflector(&mut par, m, pivot, &v, vnorm2, threads);
+            // Columns are independent: no reduction to reorder.
+            assert_eq!(par, serial, "threads={threads}");
         }
-        // Untouched region (rows above pivot, cols before col0) is bit-equal.
-        for i in 0..pivot {
-            for j in 0..base.cols() {
-                assert_eq!(serial[(i, j)], base[(i, j)]);
-            }
+        // Rows above the pivot are untouched; the reflection keeps norms.
+        for (b, s) in base.chunks(m).zip(serial.chunks(m)) {
+            assert_eq!(b[..pivot], s[..pivot]);
+            let norm = |c: &[f64]| c.iter().map(|x| x * x).sum::<f64>();
+            assert!((norm(b) - norm(s)).abs() < 1e-9 * norm(b));
         }
+    }
+
+    #[test]
+    fn r_alone_is_the_r_of_the_full_factorization() {
+        for (m, n) in [(20, 4), (5, 5), (3, 6), (131, 64)] {
+            let a = Matrix::from_fn(m, n, |i, j| ((i * 17 + j * 29) % 23) as f64 * 0.3 - 3.0);
+            let r = householder_r(a.as_view()).unwrap();
+            assert_eq!(r, householder_qr(&a).unwrap().r, "{m}x{n}");
+        }
+        assert!(householder_r(Matrix::zeros(0, 2).as_view()).is_err());
     }
 
     #[test]
