@@ -170,6 +170,11 @@ fn sigkill_worker_process_recovers_with_one_peer_lost() {
     let stats = cluster.stats();
     assert_eq!(stats.peers_lost(), 1, "exactly one peer may be lost");
     assert_eq!(
+        stats.injected_kills(),
+        0,
+        "a SIGKILL from outside is a loss, not an injected kill"
+    );
+    assert_eq!(
         stats.external_blocks_lost(),
         0,
         "every external block had a surviving replica"

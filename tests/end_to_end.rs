@@ -7,7 +7,9 @@ use deisa_repro::deisa::deisa1::{Adaptor1, Bridge1};
 use deisa_repro::deisa::plugin::DeisaPlugin;
 use deisa_repro::deisa::{Adaptor, DeisaVersion, Selection, VirtualArray};
 use deisa_repro::dml::{self, InSituIncrementalPCA, IncrementalPca, SvdSolver};
-use deisa_repro::dtask::{Cluster, Datum, Key};
+use deisa_repro::dtask::{
+    Cluster, ClusterConfig, Datum, Key, PolicyConfig, StoreConfig, TelemetryConfig, TransportConfig,
+};
 use deisa_repro::h5lite::{H5Reader, H5Writer, SharedWriter};
 use deisa_repro::heat2d::{run_rank, HeatConfig, PostHocPlugin};
 use deisa_repro::linalg::Matrix;
@@ -21,7 +23,14 @@ fn cfg() -> HeatConfig {
 }
 
 fn cluster() -> Cluster {
-    let c = Cluster::new(3);
+    cluster_with(ClusterConfig::default())
+}
+
+fn cluster_with(config: ClusterConfig) -> Cluster {
+    let c = Cluster::with_config(ClusterConfig {
+        n_workers: 3,
+        ..config
+    });
     darray::register_array_ops(c.registry());
     dml::register_ml_ops(c.registry());
     c
@@ -90,10 +99,12 @@ fn reference_model() -> IncrementalPca {
     model
 }
 
-/// DEISA3 through the PDI plugin + whole-graph IPCA.
-fn deisa3_model() -> IncrementalPca {
+/// DEISA3 through the PDI plugin + whole-graph IPCA, on a cluster built from
+/// `config` (three workers). Returns the model and the cluster, whose stats
+/// the caller may read.
+fn deisa3_model(config: ClusterConfig) -> (IncrementalPca, Cluster) {
     let cfg = cfg();
-    let cluster = cluster();
+    let cluster = cluster_with(config);
     let analytics = {
         let client = cluster.client();
         std::thread::spawn(move || {
@@ -125,7 +136,7 @@ fn deisa3_model() -> IncrementalPca {
     // Happy path: every client notification found a connected client — a
     // non-zero count here means results or queue items were silently lost.
     assert_eq!(cluster.stats().notifies_dropped(), 0);
-    model
+    (model, cluster)
 }
 
 /// DEISA1 (legacy queues protocol) + per-step old IPCA.
@@ -190,23 +201,103 @@ fn deisa1_model() -> IncrementalPca {
     model
 }
 
+/// The paper's pipeline matches the serial reference on every transport,
+/// with payloads behind proxy handles in stores too small to hold them,
+/// under every placement policy and with the telemetry plane sampling.
+/// Each task computes the same thing wherever it runs, so every run's model
+/// is bit-identical to the default run's.
 #[test]
 fn deisa3_matches_reference() {
     let reference = reference_model();
-    let model = deisa3_model();
-    assert_eq!(model.n_samples_seen, reference.n_samples_seen);
-    for (a, b) in model.singular_values.iter().zip(&reference.singular_values) {
-        assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-    }
-    assert!(
-        model
-            .components
-            .max_abs_diff(&reference.components)
-            .unwrap()
-            < 1e-7
-    );
-    for (a, b) in model.mean.iter().zip(&reference.mean) {
-        assert!((a - b).abs() < 1e-9);
+    let spill = StoreConfig {
+        // A 6×6 block is 288 B: a worker keeps about five in memory.
+        mem_budget: Some(1500),
+        ..StoreConfig::proxies()
+    };
+    let configs = [
+        ("inproc", ClusterConfig::default()),
+        (
+            "framed",
+            ClusterConfig {
+                transport: TransportConfig::Framed,
+                ..ClusterConfig::default()
+            },
+        ),
+        (
+            "tcp",
+            ClusterConfig {
+                transport: TransportConfig::Tcp,
+                ..ClusterConfig::default()
+            },
+        ),
+        (
+            "proxies + spill",
+            ClusterConfig {
+                store: spill,
+                ..ClusterConfig::default()
+            },
+        ),
+        (
+            "blevel",
+            ClusterConfig {
+                policy: PolicyConfig::b_level(),
+                ..ClusterConfig::default()
+            },
+        ),
+        (
+            "random-stealing",
+            ClusterConfig {
+                policy: PolicyConfig::random_stealing(),
+                ..ClusterConfig::default()
+            },
+        ),
+        (
+            "mineft",
+            ClusterConfig {
+                policy: PolicyConfig::min_eft(),
+                ..ClusterConfig::default()
+            },
+        ),
+        (
+            "telemetry",
+            ClusterConfig {
+                telemetry: TelemetryConfig {
+                    sample_every: std::time::Duration::from_millis(5),
+                    serve_http: false,
+                    ..TelemetryConfig::enabled()
+                },
+                ..ClusterConfig::default()
+            },
+        ),
+    ];
+    let mut baseline: Option<IncrementalPca> = None;
+    for (name, config) in configs {
+        let (model, cluster) = deisa3_model(config);
+        let baseline = baseline.get_or_insert_with(|| model.clone());
+        assert_eq!(model.n_samples_seen, reference.n_samples_seen, "{name}");
+        for (a, b) in model.singular_values.iter().zip(&reference.singular_values) {
+            assert!((a - b).abs() < 1e-8, "{name}: {a} vs {b}");
+        }
+        assert!(
+            model
+                .components
+                .max_abs_diff(&reference.components)
+                .unwrap()
+                < 1e-7,
+            "{name}"
+        );
+        for (a, b) in model.mean.iter().zip(&reference.mean) {
+            assert!((a - b).abs() < 1e-9, "{name}");
+        }
+        assert_eq!(model.singular_values, baseline.singular_values, "{name}");
+        assert_eq!(model.components, baseline.components, "{name}");
+        let stats = cluster.stats();
+        match name {
+            "inproc" => assert_eq!(stats.wire_total_messages(), 0),
+            "framed" | "tcp" => assert!(stats.wire_total_bytes() > stats.wire_total_messages()),
+            "proxies + spill" => assert!(stats.store_spills() >= 1, "the budget never spilled"),
+            _ => {}
+        }
     }
 }
 

@@ -78,43 +78,83 @@ fn exporter_serves_valid_prometheus_mid_run() {
     });
     let addr = cluster.telemetry_addr().expect("exporter bound");
     run_rounds(&cluster, 2, "warm");
+    // Scrape while a round is still executing: executors record into the
+    // histograms the exporter is reading.
+    let client = cluster.client();
+    client.submit(
+        (0..4)
+            .map(|i| TaskSpec::new(format!("live-{i}"), "pause_ms", Datum::I64(5), vec![]))
+            .collect(),
+    );
 
     let (status, body) = http_get(addr, "/metrics");
     assert!(status.contains("200"), "{status}");
-    // Exposition-format spot checks (the full lint lives in the dtask unit
-    // suite): families come as HELP/TYPE pairs, samples parse, counters
-    // carry the _total suffix, and the body ends in exactly one newline.
+    // Exposition-format checks: families come as HELP/TYPE pairs, once each,
+    // samples parse, counters carry the _total suffix, and the body ends in
+    // exactly one newline.
     assert!(body.ends_with('\n') && !body.ends_with("\n\n"));
-    let mut families = 0;
-    let mut last_help: Option<String> = None;
+    let mut families: Vec<(&str, &str)> = Vec::new();
+    let mut samples: Vec<(&str, f64)> = Vec::new();
+    let mut last_help: Option<&str> = None;
     for line in body.lines() {
         if let Some(rest) = line.strip_prefix("# HELP ") {
-            last_help = rest.split_whitespace().next().map(str::to_string);
+            last_help = rest.split_whitespace().next();
         } else if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut it = rest.split_whitespace();
             let name = it.next().unwrap();
             let kind = it.next().unwrap();
-            assert_eq!(last_help.as_deref(), Some(name), "HELP precedes TYPE");
+            assert_eq!(last_help, Some(name), "HELP precedes TYPE");
             assert!(matches!(kind, "counter" | "gauge" | "histogram"), "{line}");
             if kind == "counter" {
                 assert!(name.ends_with("_total"), "counter naming: {name}");
             }
-            families += 1;
+            assert!(
+                families.iter().all(|(n, _)| *n != name),
+                "duplicate family {name}"
+            );
+            families.push((name, kind));
         } else if !line.is_empty() {
-            let value = line.rsplit(' ').next().unwrap();
-            assert!(value.parse::<f64>().is_ok(), "unparseable sample: {line}");
+            let (series, value) = line.rsplit_once(' ').unwrap();
+            let value = value
+                .parse::<f64>()
+                .unwrap_or_else(|_| panic!("unparseable sample: {line}"));
+            samples.push((series, value));
         }
     }
     assert!(
-        families >= 10,
-        "expected a real metric corpus, got {families}"
+        families.len() >= 10,
+        "expected a real metric corpus, got {}",
+        families.len()
     );
+    for name in ["dtask_messages_total", "dtask_stragglers_flagged_total"] {
+        assert!(families.iter().any(|(n, _)| *n == name), "{name} missing");
+    }
+    // Every histogram is cumulative even mid-run: bucket counts never
+    // decrease with `le`, and the `+Inf` bucket equals `_count`.
+    for (name, _) in families.iter().filter(|(_, kind)| *kind == "histogram") {
+        let bucket = format!("{name}_bucket{{");
+        let buckets: Vec<f64> = samples
+            .iter()
+            .filter(|(s, _)| s.starts_with(&bucket))
+            .map(|&(_, v)| v)
+            .collect();
+        assert!(
+            buckets.windows(2).all(|w| w[0] <= w[1]),
+            "{name}: buckets decrease in le: {buckets:?}"
+        );
+        let count_series = format!("{name}_count");
+        let count = samples.iter().find(|(s, _)| *s == count_series).unwrap().1;
+        assert_eq!(buckets.last(), Some(&count), "{name}: +Inf != _count");
+    }
     // The run above completed tasks; the counters must already show them.
     assert!(
         body.lines()
             .any(|l| l.starts_with("dtask_messages_total") && !l.ends_with(" 0")),
         "mid-run scrape must see non-zero message counters"
     );
+    for i in 0..4 {
+        client.future(format!("live-{i}")).result().unwrap();
+    }
     cluster.shutdown();
 }
 

@@ -17,20 +17,34 @@
 //!    stays zero through a full multi-tenant workload.
 //! 5. **Default-off**: with tenancy off the scheduler serves the implicit
 //!    session and records no tenant counters at all.
+//!
+//! Isolation and admission run on both the in-process and the Tcp transport.
 
 use deisa_repro::dtask::{
     Cluster, ClusterConfig, Datum, Key, StatsSnapshot, SubmitError, TaskSpec, TenancyConfig,
+    TransportConfig,
 };
 use std::time::Duration;
 
 fn tenant_cluster(n_workers: usize, tenancy: TenancyConfig) -> Cluster {
+    tenant_cluster_on(TransportConfig::InProc, n_workers, tenancy)
+}
+
+fn tenant_cluster_on(
+    transport: TransportConfig,
+    n_workers: usize,
+    tenancy: TenancyConfig,
+) -> Cluster {
     Cluster::with_config(ClusterConfig {
         n_workers,
         slots_per_worker: 1,
+        transport,
         tenancy,
         ..ClusterConfig::default()
     })
 }
+
+const TRANSPORTS: [TransportConfig; 2] = [TransportConfig::InProc, TransportConfig::Tcp];
 
 /// The same graph both tenants submit: identical key names, per-tenant
 /// payloads. If namespaces leak anywhere, the reductions collide.
@@ -49,7 +63,13 @@ fn tenant_graph(seed: f64) -> Vec<TaskSpec> {
 
 #[test]
 fn concurrent_sessions_with_identical_key_names_are_isolated() {
-    let cluster = tenant_cluster(2, TenancyConfig::enabled());
+    for transport in TRANSPORTS {
+        sessions_are_isolated_on(transport);
+    }
+}
+
+fn sessions_are_isolated_on(transport: TransportConfig) {
+    let cluster = tenant_cluster_on(transport, 2, TenancyConfig::enabled());
     let c1 = cluster.client();
     let c2 = cluster.client();
     assert_ne!(c1.session(), c2.session(), "each client gets a session");
@@ -105,7 +125,13 @@ fn cross_session_variable_and_queue_reads_are_clean_not_found() {
 
 #[test]
 fn admission_cap_rejects_surfaces_and_recovers() {
-    let cluster = tenant_cluster(1, TenancyConfig::with_cap(2));
+    for transport in TRANSPORTS {
+        admission_rejects_and_recovers_on(transport);
+    }
+}
+
+fn admission_rejects_and_recovers_on(transport: TransportConfig) {
+    let cluster = tenant_cluster_on(transport, 1, TenancyConfig::with_cap(2));
     cluster.registry().register("slow_const", |param, _| {
         std::thread::sleep(Duration::from_millis(30));
         Ok(param.clone())

@@ -121,8 +121,8 @@ fn chrome_export_is_valid_and_phase_report_partitions_makespan() {
     run_workload(&cluster);
     let log = cluster.tracer().collect();
 
-    // The export round-trips through the in-tree JSON parser-free check:
-    // balanced structure, one traceEvents array, metadata rows present.
+    // The export has one traceEvents array and metadata rows, and its text
+    // parses back through the in-tree JSON parser.
     let chrome = log.to_chrome_json();
     let events = chrome
         .get("traceEvents")
@@ -130,6 +130,7 @@ fn chrome_export_is_valid_and_phase_report_partitions_makespan() {
         .expect("traceEvents array");
     assert!(events.len() >= log.n_events(), "spans + metadata rows");
     let text = chrome.to_string_pretty();
+    deisa_repro::dtask::Json::parse(&text).expect("the written export parses back");
     assert!(text.contains("\"process_name\""));
     assert!(text.contains("\"thread_name\""));
 
