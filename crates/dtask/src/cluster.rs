@@ -63,9 +63,8 @@ pub struct FaultConfig {
     pub max_retries: u32,
     /// Base of the exponential resubmission backoff.
     pub retry_backoff: Duration,
-    /// Injected faults: lane drops and heartbeat delays act inside the
-    /// transport; a scheduled worker kill is consumed by workload drivers
-    /// via [`Cluster::fault_kill_due`].
+    /// Injected faults: lane drops and heartbeat delays, acting inside the
+    /// transport. Workers are killed with [`Cluster::kill_worker`].
     pub plan: FaultPlan,
 }
 
@@ -267,9 +266,6 @@ pub struct Cluster {
     telemetry_threads: parking_lot::Mutex<Vec<StoppableThread>>,
     /// Bound address of the HTTP exporter, if one is serving.
     telemetry_addr: Option<SocketAddr>,
-    /// Pending scheduled kill from [`FaultPlan::kill_worker`], consumed by
-    /// [`Cluster::fault_kill_due`].
-    kill_at: parking_lot::Mutex<Option<(WorkerId, u64)>>,
     /// Multi-tenant serving knobs; governs the session each new client is
     /// born into and whether the scheduler enforces an admission cap.
     tenancy: TenancyConfig,
@@ -381,7 +377,6 @@ impl Cluster {
             telemetry: hub,
             telemetry_threads: parking_lot::Mutex::new(Vec::new()),
             telemetry_addr: None,
-            kill_at: parking_lot::Mutex::new(config.fault.plan.kill_worker),
             tenancy: config.tenancy.clone(),
             deploy: deploy.is_some(),
             down: false,
@@ -510,15 +505,6 @@ impl Cluster {
             .map_or(self.n_workers(), |plane| plane.attached_workers())
     }
 
-    /// Worker ids currently reachable. On a deployment hub this is the set
-    /// of worker processes whose sockets are alive — a killed process drops
-    /// out the moment its connection dies, so producers can steer external
-    /// data at survivors. In-process clusters report every worker.
-    pub fn live_workers(&self) -> Vec<usize> {
-        self.hub()
-            .map_or_else(|| (0..self.n_workers()).collect(), |p| p.live_workers())
-    }
-
     /// The shared op registry; register application ops here before
     /// submitting graphs that use them.
     pub fn registry(&self) -> &OpRegistry {
@@ -596,21 +582,6 @@ impl Cluster {
             runtime.stop_slots();
         }
         self.stats.inc(Metric::InjectedKills);
-    }
-
-    /// Consume the scheduled kill from [`FaultPlan::kill_worker`] if its
-    /// step has arrived. Workload drivers call this once per step and kill
-    /// the returned worker; `None` means nothing (or nothing anymore) is
-    /// scheduled.
-    pub fn fault_kill_due(&self, step: u64) -> Option<WorkerId> {
-        let mut guard = self.kill_at.lock();
-        match *guard {
-            Some((worker, at)) if step >= at => {
-                *guard = None;
-                Some(worker)
-            }
-            _ => None,
-        }
     }
 
     /// Connect a new client with the cluster-default heartbeat. With

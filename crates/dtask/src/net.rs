@@ -278,26 +278,6 @@ impl PlaneShared {
         }
     }
 
-    /// Hub: worker ids whose node still holds a live connection — attached
-    /// and not seen disconnecting. A SIGKILLed worker process leaves this
-    /// set as soon as its socket dies, before any liveness verdict.
-    pub fn live_workers(&self) -> Vec<usize> {
-        match &self.mode {
-            Mode::Hub(_) => {
-                let mut ids: Vec<usize> = self
-                    .writers
-                    .lock()
-                    .keys()
-                    .filter(|&&node| node > 0)
-                    .map(|&node| (node - 1) as usize)
-                    .collect();
-                ids.sort_unstable();
-                ids
-            }
-            _ => Vec::new(),
-        }
-    }
-
     /// Hub: block until every worker slot is attached, or `timeout`.
     pub fn await_workers(&self, timeout: Duration) -> bool {
         let Mode::Hub(hub) = &self.mode else {

@@ -40,6 +40,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Flight ring capacity in samples; the oldest sample is evicted (and
+/// counted) when full.
+const FLIGHT_CAPACITY: usize = 512;
+/// Alert ring capacity; the oldest alert is evicted when full.
+const ALERT_CAPACITY: usize = 256;
+/// Straggler threshold multiplier: flag an execution whose duration exceeds
+/// `max(k × median, median + 4×1.4826×MAD)` for its op kind.
+const STRAGGLER_K: f64 = 4.0;
+/// Recent-duration window per op kind feeding the median/MAD baseline.
+const STRAGGLER_WINDOW: usize = 64;
+
 /// Live-telemetry configuration (part of [`crate::ClusterConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
@@ -48,9 +59,6 @@ pub struct TelemetryConfig {
     pub enabled: bool,
     /// Flight-recorder sampling interval.
     pub sample_every: Duration,
-    /// Flight ring capacity in samples; the oldest sample is evicted (and
-    /// counted) when full.
-    pub flight_capacity: usize,
     /// Serve the HTTP endpoints? (`enabled` must also be set.)
     pub serve_http: bool,
     /// TCP port for the exporter; `0` asks the OS for a free port
@@ -60,25 +68,18 @@ pub struct TelemetryConfig {
     /// specific interface) so a remote scraper can reach a worker node's
     /// `/metrics` in multi-process deployments.
     pub bind_addr: std::net::IpAddr,
-    /// Straggler threshold multiplier: flag an execution whose duration
-    /// exceeds `max(k × median, median + 4×1.4826×MAD)` for its op kind.
-    pub straggler_k: f64,
     /// Baseline samples required per op kind before flagging anything.
     pub straggler_min_samples: usize,
     /// Absolute duration floor in nanoseconds — executions faster than this
     /// are never stragglers regardless of baseline (keeps microsecond ops
     /// from flagging on scheduler jitter).
     pub straggler_min_ns: u64,
-    /// Recent-duration window per op kind feeding the median/MAD baseline.
-    pub straggler_window: usize,
     /// Raise a [`AlertKind::QueueDepth`] alert when the per-interval
     /// ready-queue high watermark reaches this depth (rising edge only).
     pub queue_depth_alert: Option<u64>,
     /// Raise a [`AlertKind::HeartbeatGap`] alert when the oldest worker or
     /// client heartbeat is staler than this (rising edge only).
     pub heartbeat_gap_alert: Option<Duration>,
-    /// Alert ring capacity; the oldest alert is evicted when full.
-    pub alert_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -86,17 +87,13 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             sample_every: Duration::from_millis(25),
-            flight_capacity: 512,
             serve_http: true,
             http_port: 0,
             bind_addr: std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-            straggler_k: 4.0,
             straggler_min_samples: 8,
             straggler_min_ns: 1_000_000,
-            straggler_window: 64,
             queue_depth_alert: None,
             heartbeat_gap_alert: None,
-            alert_capacity: 256,
         }
     }
 }
@@ -386,18 +383,17 @@ impl TelemetryHub {
             let base = baselines
                 .entry(op.to_string())
                 .or_insert_with(|| OpBaseline {
-                    window: VecDeque::with_capacity(self.config.straggler_window),
+                    window: VecDeque::with_capacity(STRAGGLER_WINDOW),
                     samples: 0,
                 });
             let flagged = base.samples >= self.config.straggler_min_samples as u64
                 && dur_ns >= self.config.straggler_min_ns
                 && {
                     let (median, mad) = base.median_mad();
-                    let threshold =
-                        (self.config.straggler_k * median).max(median + 4.0 * 1.4826 * mad);
+                    let threshold = (STRAGGLER_K * median).max(median + 4.0 * 1.4826 * mad);
                     dur_ns as f64 > threshold
                 };
-            if base.window.len() == self.config.straggler_window {
+            if base.window.len() == STRAGGLER_WINDOW {
                 base.window.pop_front();
             }
             base.window.push_back(dur_ns);
@@ -412,7 +408,7 @@ impl TelemetryHub {
                 key: Some(key.as_str().to_string()),
                 worker: Some(worker),
                 value: dur_ns as f64 / 1e6,
-                threshold: self.config.straggler_k,
+                threshold: STRAGGLER_K,
             });
         }
         flagged
@@ -423,7 +419,7 @@ impl TelemetryHub {
     fn raise(&self, alert: Alert) {
         self.alerts_total.fetch_add(1, Ordering::Relaxed);
         let mut alerts = self.alerts.lock();
-        if alerts.len() == self.config.alert_capacity {
+        if alerts.len() == ALERT_CAPACITY {
             alerts.pop_front();
         }
         alerts.push_back(alert);
@@ -515,7 +511,7 @@ impl TelemetryHub {
         }
 
         let mut flight = self.flight.lock();
-        if flight.len() == self.config.flight_capacity {
+        if flight.len() == FLIGHT_CAPACITY {
             flight.pop_front();
             self.flight_evicted.fetch_add(1, Ordering::Relaxed);
         }
@@ -783,7 +779,6 @@ mod tests {
     fn threshold_alerts_fire_on_rising_edge_only() {
         let config = TelemetryConfig {
             queue_depth_alert: Some(10),
-            flight_capacity: 4,
             ..TelemetryConfig::enabled()
         };
         let hub = test_hub(config);
@@ -805,20 +800,19 @@ mod tests {
 
     #[test]
     fn flight_ring_is_bounded_and_counts_evictions() {
-        let config = TelemetryConfig {
-            flight_capacity: 3,
-            ..TelemetryConfig::enabled()
-        };
-        let hub = test_hub(config);
+        let hub = test_hub(TelemetryConfig::enabled());
         let mut cursor = SamplerCursor::new();
-        for _ in 0..5 {
+        for _ in 0..FLIGHT_CAPACITY + 2 {
             hub.sample(&mut cursor);
         }
-        assert_eq!(hub.flight().len(), 3);
+        assert_eq!(hub.flight().len(), FLIGHT_CAPACITY);
         assert_eq!(hub.flight_evicted(), 2);
         let doc = hub.flight_json();
         assert_eq!(doc.get("evicted").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(doc.get("samples").and_then(Json::as_arr).unwrap().len(), 3);
+        assert_eq!(
+            doc.get("samples").and_then(Json::as_arr).unwrap().len(),
+            FLIGHT_CAPACITY
+        );
     }
 
     #[test]

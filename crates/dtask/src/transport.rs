@@ -99,8 +99,8 @@ pub struct LaneDrop {
     pub fraction: f64,
 }
 
-/// A chaos-testing plan pluggable into a cluster's transport (drops,
-/// heartbeat delays) and its lifecycle (worker kills).
+/// A chaos-testing plan pluggable into a cluster's transport: message
+/// drops and heartbeat delays.
 ///
 /// All fields default to "no faults"; the plan is inert unless configured.
 /// Message drops apply to any backend; heartbeat delay needs the delivery
@@ -108,11 +108,6 @@ pub struct LaneDrop {
 /// notion of in-flight time) and is ignored elsewhere.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Kill worker `.0` when the workload reaches step `.1`. The transport
-    /// does not act on this itself: workload drivers poll
-    /// [`crate::Cluster::fault_kill_due`] between steps and the cluster
-    /// performs the kill.
-    pub kill_worker: Option<(WorkerId, u64)>,
     /// Per-lane message drop fractions.
     pub drop: Vec<LaneDrop>,
     /// Extra in-flight delay for heartbeat messages (client and worker),
@@ -123,7 +118,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Does this plan inject anything at all?
     pub fn is_inert(&self) -> bool {
-        self.kill_worker.is_none() && self.drop.is_empty() && self.delay_heartbeats.is_none()
+        self.drop.is_empty() && self.delay_heartbeats.is_none()
     }
 }
 
