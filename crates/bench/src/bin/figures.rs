@@ -16,6 +16,8 @@
 //! policy (`insitu_sim::schedlab`), by default at 100 workers × 2 slots and
 //! 1e5 tasks.
 
+#![forbid(unsafe_code)]
+
 use insitu_sim::ablations::all_ablations;
 use insitu_sim::figures::{
     all_figures, fig2a, fig2b, fig3a, fig3b, fig4a, fig4b, fig5, policy_figures, Figure,

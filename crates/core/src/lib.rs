@@ -32,6 +32,8 @@
 //!
 //! The version axis of the evaluation is captured by [`DeisaVersion`].
 
+#![forbid(unsafe_code)]
+
 pub mod adaptor;
 pub mod bridge;
 pub mod contract;

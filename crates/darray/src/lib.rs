@@ -19,6 +19,8 @@
 //! by a simulation, registered but not yet materialized) — that is the DEISA
 //! virtual-array path; see `deisa-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod dims;
 pub mod graph;

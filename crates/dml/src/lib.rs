@@ -19,6 +19,8 @@
 //!     chain for *all* timesteps built ahead of time and submitted as a
 //!     single graph — which is what external tasks make possible in transit.
 
+#![forbid(unsafe_code)]
+
 pub mod dipca;
 pub mod dpca;
 pub mod ipca;

@@ -9,20 +9,16 @@ use crate::scheduler::{LivenessConfig, Scheduler};
 use crate::spec::OpRegistry;
 use crate::stats::{Metric, SchedulerStats};
 use crate::store::StoreConfig;
-use crate::telemetry::{self, TelemetryConfig, TelemetryHub};
+use crate::telemetry::{TelemetryConfig, TelemetryHub, TelemetryThreads};
 use crate::trace::{TraceActor, TraceConfig, TraceRecorder};
 use crate::transport::{Addr, ClusterChannels, DataReply, FaultPlan, Router, TransportConfig};
 use crate::worker::{Pinger, WorkerRuntime, WorkerSpec};
 use crossbeam::channel::unbounded;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// A periodic background thread (telemetry sampler, exporter) plus the flag
-/// that stops its loop before the join.
-type StoppableThread = (Arc<AtomicBool>, JoinHandle<()>);
 
 /// How often a client pings the scheduler.
 ///
@@ -263,9 +259,7 @@ pub struct Cluster {
     /// Sampler + HTTP exporter threads. Retired *first* at shutdown: they
     /// only read shared state, so stopping them before the actors keeps the
     /// final flight sample and scrape consistent with a live cluster.
-    telemetry_threads: parking_lot::Mutex<Vec<StoppableThread>>,
-    /// Bound address of the HTTP exporter, if one is serving.
-    telemetry_addr: Option<SocketAddr>,
+    telemetry_threads: Option<TelemetryThreads>,
     /// Multi-tenant serving knobs; governs the session each new client is
     /// born into and whether the scheduler enforces an admission cap.
     tenancy: TenancyConfig,
@@ -375,8 +369,7 @@ impl Cluster {
             sched_thread: None,
             workers: parking_lot::Mutex::new((0..config.n_workers).map(|_| None).collect()),
             telemetry: hub,
-            telemetry_threads: parking_lot::Mutex::new(Vec::new()),
-            telemetry_addr: None,
+            telemetry_threads: None,
             tenancy: config.tenancy.clone(),
             deploy: deploy.is_some(),
             down: false,
@@ -385,7 +378,13 @@ impl Cluster {
         // Telemetry plane: flight-recorder sampler and (optionally) the HTTP
         // exporter. Spawned before the actors so the first samples cover the
         // whole run; both threads only *read* shared state.
-        cluster.spawn_telemetry_threads()?;
+        if let Some(hub) = &cluster.telemetry {
+            cluster.telemetry_threads = Some(TelemetryThreads::spawn(
+                hub,
+                &cluster.stats,
+                &cluster.tracer,
+            )?);
+        }
 
         // Scheduler thread. On a hub every worker slot starts offline until
         // its process attaches and registers.
@@ -430,38 +429,6 @@ impl Cluster {
             cluster.workers.get_mut()[id] = Some(runtime);
         }
         Ok(cluster)
-    }
-
-    /// Spawn the telemetry sampler and (optionally) HTTP exporter threads.
-    /// No-op when telemetry is disabled; the caller tears the cluster down
-    /// on error.
-    fn spawn_telemetry_threads(&mut self) -> std::io::Result<()> {
-        let Some(hub) = self.telemetry.clone() else {
-            return Ok(());
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let sampler_hub = Arc::clone(&hub);
-        let handle = std::thread::Builder::new()
-            .name("dtask-telemetry-sampler".into())
-            .spawn(move || telemetry::run_sampler(sampler_hub, stop2))?;
-        self.telemetry_threads.get_mut().push((stop, handle));
-        if hub.config().serve_http {
-            let (listener, addr) =
-                telemetry::bind_exporter(hub.config().bind_addr, hub.config().http_port)?;
-            self.telemetry_addr = Some(addr);
-            let stop = Arc::new(AtomicBool::new(false));
-            let stop2 = Arc::clone(&stop);
-            let exporter_stats = Arc::clone(&self.stats);
-            let exporter_tracer = Arc::clone(&self.tracer);
-            let handle = std::thread::Builder::new()
-                .name("dtask-telemetry-http".into())
-                .spawn(move || {
-                    telemetry::run_exporter(listener, hub, exporter_stats, exporter_tracer, stop2)
-                })?;
-            self.telemetry_threads.get_mut().push((stop, handle));
-        }
-        Ok(())
     }
 
     /// Start a *deployment hub*: the scheduler plus a listener for
@@ -533,7 +500,9 @@ impl Cluster {
     /// `/snapshot.json`, `/flight.json`, `/alerts.json`, `/health`).
     /// `None` unless telemetry is enabled with `serve_http`.
     pub fn telemetry_addr(&self) -> Option<SocketAddr> {
-        self.telemetry_addr
+        self.telemetry_threads
+            .as_ref()
+            .and_then(TelemetryThreads::addr)
     }
 
     /// Number of workers.
@@ -677,10 +646,7 @@ impl Cluster {
             return;
         }
         self.down = true;
-        for (stop, thread) in self.telemetry_threads.lock().drain(..) {
-            stop.store(true, Ordering::SeqCst);
-            let _ = thread.join();
-        }
+        self.telemetry_threads = None;
         // Deployment hub: tell every attached worker process to leave. A
         // node that already exited (or was SIGKILLed) has a dead writer —
         // the send is logged and skipped, never a panic or a stall, so the

@@ -41,6 +41,8 @@
 //! [`stats::SchedulerStats`], which is how the integration tests verify the
 //! paper's metadata-message formulas.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod cluster;
 pub mod datum;

@@ -40,20 +40,14 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Full frame header: routing preamble + envelope header.
 pub const FRAME_HEADER_BYTES: usize = PREAMBLE_BYTES + HEADER_BYTES;
-
-/// Socket read granularity and poll interval for stop-flag checks.
-const READ_POLL: Duration = Duration::from_millis(50);
-
-/// How often dial/accept loops nap when idle.
-const IDLE_NAP: Duration = Duration::from_millis(2);
 
 // ---- frame codec ------------------------------------------------------------
 
@@ -215,13 +209,23 @@ struct HubState {
     /// Per-worker-id attach flags, set strictly *after* the scheduler
     /// registration is enqueued — `await_workers` returning must imply the
     /// scheduler's inbox already carries every `RegisterWorker`.
-    attached: Mutex<Vec<bool>>,
+    attached: std::sync::Mutex<Vec<bool>>,
+    /// Signalled at every attach and at shutdown.
+    attach_cv: Condvar,
     /// Enqueues the attach's `RegisterWorker` on the scheduler's raw inbox.
     register: RegisterFn,
     /// Outstanding cross-process data requests: `(origin node, corr)` →
     /// target node. Entries die with the reply that resolves them or with
     /// either endpoint's process.
     pending: Mutex<HashMap<(u64, u64), u64>>,
+}
+
+impl HubState {
+    fn attached(&self) -> std::sync::MutexGuard<'_, Vec<bool>> {
+        self.attached
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 enum Mode {
@@ -273,7 +277,7 @@ impl PlaneShared {
     /// Hub: how many worker processes have completed the handshake.
     pub fn attached_workers(&self) -> usize {
         match &self.mode {
-            Mode::Hub(hub) => hub.attached.lock().iter().filter(|a| **a).count(),
+            Mode::Hub(hub) => hub.attached().iter().filter(|a| **a).count(),
             _ => 0,
         }
     }
@@ -283,16 +287,13 @@ impl PlaneShared {
         let Mode::Hub(hub) = &self.mode else {
             return true;
         };
-        let deadline = Instant::now() + timeout;
-        loop {
-            if hub.attached.lock().iter().all(|a| *a) {
-                return true;
-            }
-            if Instant::now() >= deadline || self.stopping() {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let (attached, _) = hub
+            .attach_cv
+            .wait_timeout_while(hub.attached(), timeout, |attached| {
+                !self.stopping() && !attached.iter().all(|a| *a)
+            })
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        attached.iter().all(|a| *a)
     }
 
     /// Hub: announce orderly teardown to every attached node. Writes to
@@ -313,12 +314,23 @@ impl PlaneShared {
         }
     }
 
-    /// Stop every plane thread: writers retire when their senders drop,
-    /// readers and accept loops observe the flag within one poll interval.
-    /// Joining happens in [`SocketPlane::drop`].
+    /// Stop every plane thread. Writers retire when their senders drop and
+    /// shut their socket down on the way out, which ends the blocking read
+    /// of the reader on the same connection (or, on loopback, of the reader
+    /// at the far end). The accept loop is woken by one connection to its
+    /// own listener. Joining happens in [`SocketPlane::drop`].
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        match self.listen_addr {
+            Some(addr) => stop_accepting(&self.stop, addr),
+            None => self.stop.store(true, Ordering::SeqCst),
+        }
         self.writers.lock().clear();
+        if let Mode::Hub(hub) = &self.mode {
+            // Taken after the flag is set, so a waiter either sees the flag
+            // or is already waiting for this notification.
+            let _attached = hub.attached();
+            hub.attach_cv.notify_all();
+        }
     }
 
     /// Route one dispatched envelope toward `to`.
@@ -578,14 +590,9 @@ fn reader_loop(
     mut fr: FrameReader,
     label: String,
 ) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut chunk = vec![0u8; 64 * 1024];
     let mut graceful = false;
     'outer: loop {
-        if shared.stopping() {
-            graceful = true;
-            break;
-        }
         // Parse before reading: a handshake may hand over a reader that
         // already buffers frames the peer sent right behind its `Welcome`.
         loop {
@@ -611,9 +618,6 @@ fn reader_loop(
                 break;
             }
             Ok(n) => fr.push(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue;
-            }
             Err(e) => {
                 if !shared.stopping() {
                     eprintln!("dtask-net: {label}: read failed: {e}");
@@ -638,22 +642,29 @@ fn reader_loop(
     }
 }
 
-/// Read exactly one frame with an overall deadline (handshake paths).
+/// Read exactly one frame with an overall deadline (handshake paths). The
+/// stream is handed back with no read timeout: its reader blocks until EOF.
 fn read_one_frame(
     stream: &mut TcpStream,
     fr: &mut FrameReader,
     timeout: Duration,
 ) -> Result<Frame, String> {
     let deadline = Instant::now() + timeout;
-    let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut chunk = [0u8; 4096];
     loop {
         if let Some(f) = fr.next_frame().map_err(|e| e.to_string())? {
+            stream
+                .set_read_timeout(None)
+                .map_err(|e| format!("handshake socket: {e}"))?;
             return Ok(f);
         }
-        if Instant::now() >= deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
             return Err("handshake timed out".into());
         }
+        stream
+            .set_read_timeout(Some(left))
+            .map_err(|e| format!("handshake socket: {e}"))?;
         match stream.read(&mut chunk) {
             Ok(0) => {
                 return Err(match fr.at_eof() {
@@ -751,7 +762,16 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
             return;
         }
     }
-    shared.writers.lock().insert(node, tx.clone());
+    {
+        // Checked under the writers lock that `shutdown` clears after
+        // setting the flag: a writer inserted here is always retired, so
+        // the reader below always gets its EOF.
+        let mut writers = shared.writers.lock();
+        if shared.stopping() {
+            return;
+        }
+        writers.insert(node, tx.clone());
+    }
     (hub.register)(worker, slots);
     let env = wire::encode_node(&NodeMsg::Welcome(NodeWelcome {
         worker,
@@ -762,7 +782,11 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
         steal_poll_ms: hub.params.steal_poll_ms,
     }));
     let _ = tx.send(frame(Addr::Control, &env));
-    hub.attached.lock()[worker] = true;
+    // From here only `writers` holds the sender, so clearing it at shutdown
+    // retires the writer and ends the read below.
+    drop(tx);
+    hub.attached()[worker] = true;
+    hub.attach_cv.notify_all();
     if capabilities.is_empty() {
         eprintln!("dtask-net: worker {worker} attached from {peer_sock} ({slots} slots)");
     } else {
@@ -774,34 +798,67 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
     reader_loop(shared, stream, Some(node), fr, label);
 }
 
-/// Accept loop shared by loopback and hub planes.
-fn accept_loop(shared: Arc<PlaneShared>, listener: TcpListener) {
+/// Blocking accept loop, shared by the socket planes and the telemetry
+/// exporter: hands every connection to `serve` until `stop` is set and
+/// [`stop_accepting`] wakes the blocked `accept`. An error other than a
+/// connection aborted before it was accepted means the listener itself is
+/// broken, and ends the loop.
+pub(crate) fn accept_until_stopped(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    mut serve: impl FnMut(TcpStream, SocketAddr),
+) {
     loop {
-        if shared.stopping() {
-            break;
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
         }
-        match listener.accept() {
-            Ok((stream, peer_sock)) => {
-                let conn_shared = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
-                    .name("dtask-net-conn".into())
-                    .spawn(move || match conn_shared.mode {
-                        Mode::Loopback => {
-                            let _ = stream.set_nodelay(true);
-                            let label = format!("loopback peer {peer_sock}");
-                            reader_loop(conn_shared, stream, None, FrameReader::new(), label);
-                        }
-                        Mode::Hub(_) => hub_conn(conn_shared, stream, peer_sock),
-                        Mode::Node { .. } => {}
-                    });
-                match spawned {
-                    Ok(h) => shared.threads.lock().push(h),
-                    Err(e) => eprintln!("dtask-net: connection thread spawn failed: {e}"),
-                }
+        match accepted {
+            Ok((stream, peer)) => serve(stream, peer),
+            Err(e) if e.kind() == ErrorKind::ConnectionAborted => {}
+            Err(e) => {
+                eprintln!(
+                    "dtask-net: accept on {:?} failed ({e}); listener closed",
+                    listener.local_addr()
+                );
+                return;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(IDLE_NAP),
-            Err(_) => std::thread::sleep(IDLE_NAP),
         }
+    }
+}
+
+/// Set `stop` and connect once to `listener_addr` so the
+/// [`accept_until_stopped`] blocked on that listener wakes and sees it.
+pub(crate) fn stop_accepting(stop: &AtomicBool, listener_addr: SocketAddr) {
+    if stop.swap(true, Ordering::SeqCst) {
+        return;
+    }
+    let mut wake = listener_addr;
+    match wake.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    let _ = TcpStream::connect(wake);
+}
+
+/// Serve one accepted plane connection on its own thread.
+fn spawn_conn(shared: &Arc<PlaneShared>, stream: TcpStream, peer_sock: SocketAddr) {
+    let conn_shared = Arc::clone(shared);
+    let spawned = std::thread::Builder::new()
+        .name("dtask-net-conn".into())
+        .spawn(move || match conn_shared.mode {
+            Mode::Loopback => {
+                let _ = stream.set_nodelay(true);
+                let label = format!("loopback peer {peer_sock}");
+                reader_loop(conn_shared, stream, None, FrameReader::new(), label);
+            }
+            Mode::Hub(_) => hub_conn(conn_shared, stream, peer_sock),
+            Mode::Node { .. } => {}
+        });
+    match spawned {
+        Ok(h) => shared.threads.lock().push(h),
+        Err(e) => eprintln!("dtask-net: connection thread spawn failed: {e}"),
     }
 }
 
@@ -838,12 +895,15 @@ impl SocketPlane {
         callbacks: PlaneCallbacks,
     ) -> std::io::Result<SocketPlane> {
         let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
         let shared = PlaneShared::new(mode, Some(listener.local_addr()?), callbacks);
         let accept_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("dtask-net-accept".into())
-            .spawn(move || accept_loop(accept_shared, listener))?;
+            .spawn(move || {
+                accept_until_stopped(&listener, &accept_shared.stop, |stream, peer| {
+                    spawn_conn(&accept_shared, stream, peer)
+                })
+            })?;
         shared.threads.lock().push(handle);
         Ok(SocketPlane { shared })
     }
@@ -867,7 +927,8 @@ impl SocketPlane {
     ) -> std::io::Result<SocketPlane> {
         let hub = HubState {
             claimed: Mutex::new(vec![false; params.n_workers]),
-            attached: Mutex::new(vec![false; params.n_workers]),
+            attached: std::sync::Mutex::new(vec![false; params.n_workers]),
+            attach_cv: Condvar::new(),
             params,
             register,
             pending: Mutex::new(HashMap::new()),

@@ -79,16 +79,6 @@ pub struct OptimizeReport {
     pub fused_chain_lengths: Vec<usize>,
 }
 
-impl OptimizeReport {
-    /// Tasks absorbed into fused chains (stages beyond each chain's head).
-    pub fn fused_away(&self) -> usize {
-        self.fused_chain_lengths
-            .iter()
-            .map(|l| l.saturating_sub(1))
-            .sum()
-    }
-}
-
 /// Optimize a graph before submission.
 ///
 /// * `outputs` — keys the client will consume. Empty means "unknown":

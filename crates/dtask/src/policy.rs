@@ -117,7 +117,7 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Stable name, matching `PolicyConfig::from_name`.
+    /// Stable name (trace and report labels).
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Locality => "locality",
@@ -194,29 +194,6 @@ impl PolicyConfig {
     pub fn with_fair_share(mut self) -> Self {
         self.fair_share = true;
         self
-    }
-
-    /// Parse a policy name (as used by the example/CI env knobs). Accepts
-    /// the canonical names plus common spellings. A `fair-` prefix enables
-    /// the fair-share wrapper around the named base policy (`fair` alone
-    /// wraps the locality default).
-    pub fn from_name(name: &str) -> Option<Self> {
-        let name = name.trim().to_ascii_lowercase();
-        if let Some(base) = name.strip_prefix("fair-").filter(|b| *b != "share") {
-            return PolicyConfig::from_name(base).map(PolicyConfig::with_fair_share);
-        }
-        match name.as_str() {
-            "fair" | "fair-share" | "fair_share" => {
-                Some(PolicyConfig::locality().with_fair_share())
-            }
-            "locality" | "default" => Some(PolicyConfig::locality()),
-            "blevel" | "b-level" | "b_level" => Some(PolicyConfig::b_level()),
-            "random-stealing" | "random_stealing" | "random" | "stealing" => {
-                Some(PolicyConfig::random_stealing())
-            }
-            "mineft" | "min-eft" | "min_eft" => Some(PolicyConfig::min_eft()),
-            _ => None,
-        }
     }
 
     /// Is worker-side stealing on?
@@ -1000,21 +977,15 @@ mod tests {
     }
 
     #[test]
-    fn config_parses_names_and_builds_matching_policies() {
-        for (name, kind) in [
-            ("locality", PolicyKind::Locality),
-            ("blevel", PolicyKind::BLevel),
-            ("b-level", PolicyKind::BLevel),
-            ("random-stealing", PolicyKind::RandomStealing),
-            ("random", PolicyKind::RandomStealing),
-            ("mineft", PolicyKind::MinEft),
-            ("min-eft", PolicyKind::MinEft),
+    fn config_builds_matching_policies() {
+        for cfg in [
+            PolicyConfig::locality(),
+            PolicyConfig::b_level(),
+            PolicyConfig::random_stealing(),
+            PolicyConfig::min_eft(),
         ] {
-            let cfg = PolicyConfig::from_name(name).unwrap();
-            assert_eq!(cfg.kind, kind, "{name}");
-            assert_eq!(cfg.build().name(), kind.name());
+            assert_eq!(cfg.build().name(), cfg.kind.name());
         }
-        assert!(PolicyConfig::from_name("nope").is_none());
         assert!(PolicyConfig::default().steal_poll.is_none());
         assert!(PolicyConfig::random_stealing().steal_enabled());
     }

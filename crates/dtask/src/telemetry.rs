@@ -29,15 +29,19 @@
 
 use crate::json::Json;
 use crate::key::Key;
+use crate::net::{accept_until_stopped, stop_accepting};
 use crate::snapshot::StatsSnapshot;
 use crate::stats::{Counters, Metric, MsgClass, SchedulerStats, WireLane};
 use crate::trace::TraceRecorder;
+use crate::worker::Pinger;
+use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Flight ring capacity in samples; the oldest sample is evicted (and
@@ -554,60 +558,83 @@ impl TelemetryHub {
     }
 }
 
-/// Sampler thread body: flight-sample the hub every
-/// [`TelemetryConfig::sample_every`] until `stop`, napping in small slices
-/// so shutdown is prompt.
-pub fn run_sampler(hub: Arc<TelemetryHub>, stop: Arc<AtomicBool>) {
-    let interval = hub.config.sample_every;
-    let nap = Duration::from_millis(5).min(interval);
-    let mut cursor = SamplerCursor::new();
-    let mut next = Instant::now() + interval;
-    while !stop.load(Ordering::Relaxed) {
-        if Instant::now() >= next {
-            hub.sample(&mut cursor);
-            next += interval;
-            // Never try to catch up a long stall with a burst of samples.
-            if next < Instant::now() {
-                next = Instant::now() + interval;
-            }
-        }
-        std::thread::sleep(nap);
-    }
-    // One final sample so short runs always leave a non-empty flight.
-    hub.sample(&mut cursor);
+/// The telemetry plane's threads: the flight sampler and, when
+/// [`TelemetryConfig::serve_http`] is set, the HTTP exporter. Dropping the
+/// value stops and joins both; the sampler takes one final sample on the
+/// way out, so short runs always leave a non-empty flight.
+pub(crate) struct TelemetryThreads {
+    sampler: Option<Pinger>,
+    exporter: Option<Exporter>,
 }
 
-// ---- HTTP exporter ----------------------------------------------------------
-
-/// Bind the exporter socket (nonblocking, so the serve loop can poll its
-/// stop flag). `port` 0 lets the OS choose; the bound address is returned
-/// for discovery.
-pub fn bind_exporter(
-    addr: std::net::IpAddr,
-    port: u16,
-) -> std::io::Result<(TcpListener, SocketAddr)> {
-    let listener = TcpListener::bind((addr, port))?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    Ok((listener, addr))
-}
-
-/// Exporter thread body: accept-poll `listener` until `stop`, answering one
-/// request per connection (scrape traffic; no keep-alive).
-pub fn run_exporter(
-    listener: TcpListener,
-    hub: Arc<TelemetryHub>,
-    stats: Arc<SchedulerStats>,
-    tracer: Arc<TraceRecorder>,
+struct Exporter {
+    addr: SocketAddr,
     stop: Arc<AtomicBool>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => handle_request(stream, &hub, &stats, &tracer),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+    thread: JoinHandle<()>,
+}
+
+impl TelemetryThreads {
+    /// Spawn the sampler and (optionally) bind and serve the exporter. On
+    /// an error the threads already running are stopped before it returns.
+    pub(crate) fn spawn(
+        hub: &Arc<TelemetryHub>,
+        stats: &Arc<SchedulerStats>,
+        tracer: &Arc<TraceRecorder>,
+    ) -> std::io::Result<TelemetryThreads> {
+        let sampler_hub = Arc::clone(hub);
+        let mut threads = TelemetryThreads {
+            sampler: Some(Pinger::spawn_with(
+                "dtask-telemetry-sampler".into(),
+                move |stop| {
+                    let mut cursor = SamplerCursor::new();
+                    while let Err(RecvTimeoutError::Timeout) =
+                        stop.recv_timeout(sampler_hub.config.sample_every)
+                    {
+                        sampler_hub.sample(&mut cursor);
+                    }
+                    sampler_hub.sample(&mut cursor);
+                },
+            )?),
+            exporter: None,
+        };
+        if hub.config.serve_http {
+            let listener = TcpListener::bind((hub.config.bind_addr, hub.config.http_port))?;
+            let addr = listener.local_addr()?;
+            let stop = Arc::new(AtomicBool::new(false));
+            let (hub, stats, tracer, flag) = (
+                Arc::clone(hub),
+                Arc::clone(stats),
+                Arc::clone(tracer),
+                Arc::clone(&stop),
+            );
+            let thread = std::thread::Builder::new()
+                .name("dtask-telemetry-http".into())
+                .spawn(move || {
+                    // One request per connection (scrape traffic; no
+                    // keep-alive).
+                    accept_until_stopped(&listener, &flag, |stream, _| {
+                        handle_request(stream, &hub, &stats, &tracer)
+                    })
+                })?;
+            threads.exporter = Some(Exporter { addr, stop, thread });
+        }
+        Ok(threads)
+    }
+
+    /// Where the HTTP exporter is listening, if it is serving.
+    pub(crate) fn addr(&self) -> Option<SocketAddr> {
+        self.exporter.as_ref().map(|e| e.addr)
+    }
+}
+
+impl Drop for TelemetryThreads {
+    fn drop(&mut self) {
+        if let Some(sampler) = self.sampler.take() {
+            sampler.stop();
+        }
+        if let Some(exporter) = self.exporter.take() {
+            stop_accepting(&exporter.stop, exporter.addr);
+            let _ = exporter.thread.join();
         }
     }
 }
@@ -618,9 +645,6 @@ fn handle_request(
     stats: &SchedulerStats,
     tracer: &TraceRecorder,
 ) {
-    // The accepted stream inherits nonblocking from the listener on some
-    // platforms; force blocking reads with a timeout instead.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
 
@@ -852,20 +876,13 @@ mod tests {
     #[test]
     fn exporter_serves_all_endpoints() {
         let hub = test_hub(TelemetryConfig::enabled());
-        let stats = Arc::clone(&hub.stats);
-        let tracer = Arc::new(TraceRecorder::disabled());
-        let stop = Arc::new(AtomicBool::new(false));
-        let (listener, addr) =
-            bind_exporter(std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST), 0).unwrap();
-        let server = {
-            let (hub, stats, tracer, stop) = (
-                Arc::clone(&hub),
-                stats,
-                Arc::clone(&tracer),
-                Arc::clone(&stop),
-            );
-            std::thread::spawn(move || run_exporter(listener, hub, stats, tracer, stop))
-        };
+        let threads = TelemetryThreads::spawn(
+            &hub,
+            &Arc::clone(&hub.stats),
+            &Arc::new(TraceRecorder::disabled()),
+        )
+        .unwrap();
+        let addr = threads.addr().unwrap();
         let get = |path: &str| -> (u16, String) {
             let mut conn = TcpStream::connect(addr).unwrap();
             conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
@@ -908,7 +925,7 @@ mod tests {
         let (status, _) = get("/nope");
         assert_eq!(status, 404);
 
-        stop.store(true, Ordering::Relaxed);
-        server.join().unwrap();
+        drop(threads);
+        assert!(!hub.flight().is_empty(), "final sample taken at stop");
     }
 }

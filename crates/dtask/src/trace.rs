@@ -15,12 +15,12 @@
 //! the recorder epoch.
 //!
 //! Design:
-//! * **One bounded lock-free ring per actor** ([`EventRing`], the classic
-//!   Vyukov bounded MPMC queue). Actors are the scheduler thread, every
-//!   worker executor slot, and every client/bridge. Recording is a couple of
-//!   atomics on the owner's ring; rings are drained only on snapshot
-//!   ([`TraceRecorder::collect`]). A full ring drops the newest event and
-//!   counts it — tracing never blocks the runtime.
+//! * **One bounded buffer per actor.** Actors are the scheduler thread,
+//!   every worker executor slot, and every client/bridge. Recording pushes
+//!   onto the owner's mutex-guarded `Vec` (uncontended but for the shared
+//!   transport track); buffers are drained only on snapshot
+//!   ([`TraceRecorder::collect`]). A full buffer drops the newest event and
+//!   counts it — tracing never blocks on a consumer.
 //! * **Disabled ⇒ zero cost.** With [`TraceConfig::enabled`]`= false` every
 //!   [`TraceHandle`] is empty: `start()` returns `None` without reading the
 //!   clock and `span`/`instant` return after one branch — no allocation, no
@@ -34,9 +34,6 @@
 use crate::json::Json;
 use crate::key::Key;
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,8 +43,8 @@ pub struct TraceConfig {
     /// Record lifecycle events? Off by default: a disabled recorder hands
     /// out empty handles whose record calls are a single branch.
     pub enabled: bool,
-    /// Ring capacity per actor, in events (rounded up to a power of two).
-    /// A full ring drops the newest event and counts the drop.
+    /// Buffer capacity per actor, in events (rounded up to a power of two).
+    /// A full buffer drops the newest event and counts the drop.
     pub capacity_per_actor: usize,
 }
 
@@ -70,7 +67,7 @@ impl TraceConfig {
     }
 }
 
-/// Who recorded an event (one ring — one Chrome trace row — per actor).
+/// Who recorded an event (one buffer — one Chrome trace row — per actor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceActor {
     /// The scheduler thread.
@@ -252,135 +249,44 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-// ---- lock-free bounded ring ------------------------------------------------
+// ---- bounded per-actor buffer -----------------------------------------------
 
-struct RingSlot {
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<TraceEvent>>,
-}
-
-/// Bounded MPMC ring (Vyukov): producers are the owning actor thread,
-/// consumers are snapshot drains — push and pop never block, a push into a
-/// full ring fails (the event is dropped and counted).
-pub struct EventRing {
-    mask: usize,
-    slots: Box<[RingSlot]>,
-    /// Next push position (monotonically increasing, wrapped by `mask`).
-    tail: AtomicUsize,
-    /// Next pop position.
-    head: AtomicUsize,
-    /// Events discarded because the ring was full at push time.
-    dropped: AtomicU64,
+struct BufferState {
+    events: Vec<TraceEvent>,
+    /// Events discarded because the buffer was full at push time.
+    dropped: u64,
     /// Optional display label for this actor's trace row (e.g. a bridge
     /// rank); set off the hot path, read only at export.
-    label: Mutex<Option<String>>,
+    label: Option<String>,
 }
 
-// The UnsafeCell contents are only touched under the per-slot sequence
-// protocol below, which establishes exclusive access.
-unsafe impl Send for EventRing {}
-unsafe impl Sync for EventRing {}
+/// One actor's recorded events: a locked `Vec` that holds at most `cap`
+/// events between two drains. A push into a full buffer drops the event
+/// and counts it.
+struct EventBuffer {
+    cap: usize,
+    state: Mutex<BufferState>,
+}
 
-impl EventRing {
+impl EventBuffer {
     fn new(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(2);
-        let slots: Vec<RingSlot> = (0..cap)
-            .map(|i| RingSlot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        EventRing {
-            mask: cap - 1,
-            slots: slots.into_boxed_slice(),
-            tail: AtomicUsize::new(0),
-            head: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-            label: Mutex::new(None),
+        EventBuffer {
+            cap: capacity.next_power_of_two().max(2),
+            state: Mutex::new(BufferState {
+                events: Vec::new(),
+                dropped: 0,
+                label: None,
+            }),
         }
     }
 
-    /// Push one event; `false` (and a drop count) when full.
-    pub fn push(&self, event: TraceEvent) -> bool {
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[tail & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match (seq as isize).wrapping_sub(tail as isize) {
-                0 => {
-                    match self.tail.compare_exchange_weak(
-                        tail,
-                        tail.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // We own the slot: write, then publish via seq.
-                            unsafe { (*slot.value.get()).write(event) };
-                            slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-                            return true;
-                        }
-                        Err(t) => tail = t,
-                    }
-                }
-                d if d < 0 => {
-                    // Slot still holds an unconsumed event: ring is full.
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-                _ => tail = self.tail.load(Ordering::Relaxed),
-            }
+    fn push(&self, event: TraceEvent) {
+        let mut state = self.state.lock();
+        if state.events.len() < self.cap {
+            state.events.push(event);
+        } else {
+            state.dropped += 1;
         }
-    }
-
-    /// Pop the oldest event, if any.
-    pub fn pop(&self) -> Option<TraceEvent> {
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[head & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match (seq as isize).wrapping_sub(head.wrapping_add(1) as isize) {
-                0 => {
-                    match self.head.compare_exchange_weak(
-                        head,
-                        head.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            let event = unsafe { (*slot.value.get()).assume_init_read() };
-                            slot.seq
-                                .store(head.wrapping_add(self.mask + 1), Ordering::Release);
-                            return Some(event);
-                        }
-                        Err(h) => head = h,
-                    }
-                }
-                d if d < 0 => return None, // empty
-                _ => head = self.head.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Drain everything currently recorded.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
-        out
-    }
-
-    /// Events lost to a full ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for EventRing {
-    fn drop(&mut self) {
-        // Release any events still sitting in slots (they own heap keys).
-        while self.pop().is_some() {}
     }
 }
 
@@ -388,13 +294,13 @@ impl Drop for EventRing {
 
 struct Registered {
     actor: TraceActor,
-    ring: Arc<EventRing>,
+    buffer: Arc<EventBuffer>,
 }
 
 struct TraceShared {
     epoch: Instant,
     capacity: usize,
-    rings: Mutex<Vec<Registered>>,
+    actors: Mutex<Vec<Registered>>,
 }
 
 /// The cluster-wide trace recorder. Disabled recorders are inert and free.
@@ -410,7 +316,7 @@ impl TraceRecorder {
                 Arc::new(TraceShared {
                     epoch: Instant::now(),
                     capacity: config.capacity_per_actor,
-                    rings: Mutex::new(Vec::new()),
+                    actors: Mutex::new(Vec::new()),
                 })
             }),
         }
@@ -433,41 +339,50 @@ impl TraceRecorder {
         let Some(shared) = &self.shared else {
             return TraceHandle { inner: None };
         };
-        let ring = Arc::new(EventRing::new(shared.capacity));
-        shared.rings.lock().push(Registered {
+        let buffer = Arc::new(EventBuffer::new(shared.capacity));
+        shared.actors.lock().push(Registered {
             actor,
-            ring: Arc::clone(&ring),
+            buffer: Arc::clone(&buffer),
         });
         TraceHandle {
             inner: Some(HandleInner {
                 epoch: shared.epoch,
-                ring,
+                buffer,
             }),
         }
     }
 
-    /// Total events lost to full rings across every registered actor, without
+    /// Total events lost to full buffers across every registered actor, without
     /// draining anything. Snapshots surface this so a clipped trace is never
     /// mistaken for a complete one.
     pub fn dropped_total(&self) -> u64 {
         let Some(shared) = &self.shared else {
             return 0;
         };
-        shared.rings.lock().iter().map(|r| r.ring.dropped()).sum()
+        shared
+            .actors
+            .lock()
+            .iter()
+            .map(|r| r.buffer.state.lock().dropped)
+            .sum()
     }
 
-    /// Drain every ring into a [`TraceLog`] snapshot. Events recorded after
-    /// the drain belong to the next `collect` call.
+    /// Drain every actor's buffer into a [`TraceLog`] snapshot. Events
+    /// recorded after the drain belong to the next `collect` call.
     pub fn collect(&self) -> TraceLog {
         let mut tracks = Vec::new();
         if let Some(shared) = &self.shared {
-            for reg in shared.rings.lock().iter() {
-                let mut events = reg.ring.drain();
+            for reg in shared.actors.lock().iter() {
+                let (mut events, label, dropped) = {
+                    let mut state = reg.buffer.state.lock();
+                    let events = std::mem::take(&mut state.events);
+                    (events, state.label.clone(), state.dropped)
+                };
                 events.sort_by_key(|e| e.t_ns);
                 tracks.push(TraceTrack {
                     actor: reg.actor,
-                    label: reg.ring.label.lock().clone(),
-                    dropped: reg.ring.dropped(),
+                    label,
+                    dropped,
                     events,
                 });
             }
@@ -478,10 +393,10 @@ impl TraceRecorder {
 
 struct HandleInner {
     epoch: Instant,
-    ring: Arc<EventRing>,
+    buffer: Arc<EventBuffer>,
 }
 
-/// Per-actor recording handle. Cloning shares the ring.
+/// Per-actor recording handle. Cloning shares the buffer.
 pub struct TraceHandle {
     inner: Option<HandleInner>,
 }
@@ -491,7 +406,7 @@ impl Clone for TraceHandle {
         TraceHandle {
             inner: self.inner.as_ref().map(|i| HandleInner {
                 epoch: i.epoch,
-                ring: Arc::clone(&i.ring),
+                buffer: Arc::clone(&i.buffer),
             }),
         }
     }
@@ -513,7 +428,7 @@ impl TraceHandle {
     /// disabled; cold path.
     pub fn set_label(&self, label: impl Into<String>) {
         if let Some(inner) = &self.inner {
-            *inner.ring.label.lock() = Some(label.into());
+            inner.buffer.state.lock().label = Some(label.into());
         }
     }
 
@@ -533,7 +448,7 @@ impl TraceHandle {
         };
         let dur_ns = t0.elapsed().as_nanos() as u64;
         let t_ns = t0.saturating_duration_since(inner.epoch).as_nanos() as u64;
-        inner.ring.push(TraceEvent {
+        inner.buffer.push(TraceEvent {
             kind,
             t_ns,
             dur_ns,
@@ -549,7 +464,7 @@ impl TraceHandle {
             return;
         };
         let t_ns = inner.epoch.elapsed().as_nanos() as u64;
-        inner.ring.push(TraceEvent {
+        inner.buffer.push(TraceEvent {
             kind,
             t_ns,
             dur_ns: 0,
@@ -567,7 +482,7 @@ pub struct TraceTrack {
     pub actor: TraceActor,
     /// Optional display label (bridges name themselves).
     pub label: Option<String>,
-    /// Events lost to a full ring.
+    /// Events lost to a full buffer.
     pub dropped: u64,
     /// Events sorted by start time.
     pub events: Vec<TraceEvent>,
@@ -810,7 +725,7 @@ pub struct PhaseReport {
     pub scheduler_ns: u64,
     /// Idle after the last external block (e.g. shutdown straggle).
     pub other_ns: u64,
-    /// Events lost to full rings across the drained tracks. When nonzero the
+    /// Events lost to full buffers across the drained tracks. When nonzero the
     /// phase attribution under-counts whatever the dropped spans covered.
     pub dropped: u64,
 }
@@ -857,7 +772,7 @@ impl PhaseReport {
         }
         if self.dropped > 0 {
             out.push_str(&format!(
-                "  CAVEAT: {} trace event(s) dropped by full rings — phases under-counted\n",
+                "  CAVEAT: {} trace event(s) dropped by full buffers — phases under-counted\n",
                 self.dropped
             ));
         }
@@ -893,43 +808,65 @@ mod tests {
     }
 
     #[test]
-    fn ring_push_pop_fifo_and_wraparound() {
-        let ring = EventRing::new(4);
-        for round in 0..3u64 {
-            for i in 0..4u64 {
-                assert!(ring.push(ev(EventKind::Exec, round * 10 + i, 0)));
-            }
-            assert!(!ring.push(ev(EventKind::Exec, 99, 0)), "full ring drops");
-            for i in 0..4u64 {
-                assert_eq!(ring.pop().unwrap().t_ns, round * 10 + i);
-            }
-            assert!(ring.pop().is_none());
+    fn full_buffer_drops_and_counts_the_newest_events() {
+        // Capacity 3 rounds up to 4: the fifth and later pushes are dropped.
+        let buffer = EventBuffer::new(3);
+        for i in 0..7u64 {
+            buffer.push(ev(EventKind::Exec, i, 0));
         }
-        assert_eq!(ring.dropped(), 3);
+        let state = buffer.state.lock();
+        assert_eq!(state.dropped, 3);
+        let kept: Vec<u64> = state.events.iter().map(|e| e.t_ns).collect();
+        assert_eq!(kept, [0, 1, 2, 3]);
     }
 
     #[test]
-    fn ring_concurrent_push_drain() {
-        let ring = Arc::new(EventRing::new(1 << 10));
-        let writer = {
-            let ring = Arc::clone(&ring);
-            std::thread::spawn(move || {
-                for i in 0..5_000u64 {
-                    ring.push(ev(EventKind::Exec, i, 1));
-                }
-            })
-        };
-        // Drain concurrently while the writer runs, then settle: every event
-        // was either popped or counted as dropped, never both, never lost.
-        let mut seen = 0usize;
-        while !writer.is_finished() {
-            seen += ring.drain().len();
-            std::thread::yield_now();
+    fn collect_drains_fifo_across_calls() {
+        let recorder = TraceRecorder::new(TraceConfig {
+            enabled: true,
+            capacity_per_actor: 4,
+        });
+        let h = recorder.register(TraceActor::Scheduler);
+        let args =
+            |log: TraceLog| -> Vec<u64> { log.tracks[0].events.iter().map(|e| e.arg).collect() };
+        for i in 0..3u64 {
+            h.instant(EventKind::Submit, None, i);
         }
-        writer.join().unwrap();
-        seen += ring.drain().len();
-        let total = seen as u64 + ring.dropped();
-        assert_eq!(total, 5_000);
+        assert_eq!(args(recorder.collect()), [0, 1, 2]);
+        // The drain freed the space: four more fit, the fifth is dropped.
+        for i in 3..8u64 {
+            h.instant(EventKind::Submit, None, i);
+        }
+        let log = recorder.collect();
+        assert_eq!(log.tracks[0].dropped, 1);
+        assert_eq!(args(log), [3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn concurrent_pushes_below_capacity_lose_nothing() {
+        let recorder = TraceRecorder::new(TraceConfig {
+            enabled: true,
+            capacity_per_actor: 4 * 1000,
+        });
+        let h = recorder.register(TraceActor::Transport);
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let h = h.clone();
+                std::thread::spawn(move || {
+                    for i in 0..1000u64 {
+                        h.instant(EventKind::WireSend, None, t * 1000 + i);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let log = recorder.collect();
+        assert_eq!(log.tracks[0].dropped, 0);
+        let mut args: Vec<u64> = log.tracks[0].events.iter().map(|e| e.arg).collect();
+        args.sort_unstable();
+        assert_eq!(args, (0..4000).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1040,7 +977,7 @@ mod tests {
             h.instant(EventKind::Submit, None, i);
         }
         assert_eq!(recorder.dropped_total(), 3);
-        // Non-draining: the ring still holds its 2 events.
+        // Non-draining: the buffer still holds its 2 events.
         let log = recorder.collect();
         assert_eq!(log.n_events(), 2);
         assert_eq!(log.phase_report().dropped, 3);

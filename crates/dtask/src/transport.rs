@@ -50,13 +50,6 @@ pub enum TransportConfig {
     Tcp,
 }
 
-impl TransportConfig {
-    /// Does this backend push messages through the wire codec?
-    pub fn is_framed(&self) -> bool {
-        !matches!(self, TransportConfig::InProc)
-    }
-}
-
 /// Parameters for the [`TransportConfig::SimNet`] backend.
 #[derive(Debug, Clone)]
 pub struct SimNetConfig {
@@ -791,15 +784,6 @@ impl Endpoint {
     /// Number of workers reachable through this transport.
     pub fn n_workers(&self) -> usize {
         self.router.n_workers()
-    }
-
-    /// A sibling endpoint speaking as a different actor (used by the
-    /// cluster when constructing actors that share one router).
-    pub fn for_addr(&self, from: Addr) -> Endpoint {
-        Endpoint {
-            from,
-            router: Arc::clone(&self.router),
-        }
     }
 
     /// Remove a client inbox route (called by `Client::drop`).

@@ -37,35 +37,45 @@ use std::time::{Duration, Instant};
 /// Shared object store of one worker (data server + every executor slot).
 pub type WorkerStore = Arc<ObjectStore>;
 
-/// A heartbeat thread: pings once at start, then once per `period`, until
-/// stopped. It blocks on its stop channel between pings, so stopping wakes
-/// it at once instead of waiting out a sleep.
+/// A periodic thread (a heartbeat, the telemetry sampler) that blocks on its
+/// stop channel between ticks, so stopping wakes it at once instead of
+/// waiting out a sleep.
 pub(crate) struct Pinger {
     stop: Sender<()>,
     thread: JoinHandle<()>,
 }
 
 impl Pinger {
-    /// Spawn the thread; `ping` sends one heartbeat.
+    /// Spawn a heartbeat thread: `ping` once at start, then once per
+    /// `period`.
     pub(crate) fn spawn(
         name: String,
         period: Duration,
         ping: impl Fn() + Send + 'static,
     ) -> std::io::Result<Pinger> {
-        let (stop, stop_rx) = unbounded::<()>();
-        let thread = std::thread::Builder::new().name(name).spawn(move || {
+        Pinger::spawn_with(name, move |stop| {
             ping();
-            // Nothing is ever sent: the wait ends early only when `stop`
-            // drops the sender.
-            while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(period) {
+            while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(period) {
                 ping();
             }
-        })?;
+        })
+    }
+
+    /// Spawn `body` with the stop channel's receiver. Nothing is ever sent
+    /// on it: a wait on it ends early only when [`Pinger::stop`] drops the
+    /// sender.
+    pub(crate) fn spawn_with(
+        name: String,
+        body: impl FnOnce(Receiver<()>) + Send + 'static,
+    ) -> std::io::Result<Pinger> {
+        let (stop, stop_rx) = unbounded::<()>();
+        let thread = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || body(stop_rx))?;
         Ok(Pinger { stop, thread })
     }
 
-    /// Wake the thread and join it: once this returns no further ping goes
-    /// out.
+    /// Wake the thread and join it: once this returns no further tick runs.
     pub(crate) fn stop(self) {
         drop(self.stop);
         let _ = self.thread.join();

@@ -22,6 +22,8 @@
 //! per-chunk offsets) is written at close, footer-pointer style, so writers
 //! never seek backwards — mirroring append-friendly PFS usage.
 
+#![forbid(unsafe_code)]
+
 pub mod format;
 pub mod reader;
 pub mod writer;

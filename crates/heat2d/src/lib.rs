@@ -14,6 +14,8 @@
 //! Boundary condition: insulated (zero-flux Neumann), so total heat is
 //! conserved — handy for validation.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod posthoc;
 pub mod solver;

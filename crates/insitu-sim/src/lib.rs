@@ -24,6 +24,8 @@
 //!   core and policies stepped under a virtual clock against simulated
 //!   workers, at 100–1000 workers and 1e5–1e6 tasks.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod analytics;
 pub mod cost;

@@ -14,6 +14,8 @@
 //!
 //! Everything is deterministic given a seed; no external BLAS.
 
+#![forbid(unsafe_code)]
+
 pub mod matrix;
 pub mod ndarray;
 pub mod qr;

@@ -14,6 +14,8 @@
 //! log-P algorithms (dissemination barrier, binomial-tree bcast/reduce,
 //! recursive-doubling allreduce), so message counts resemble a real MPI.
 
+#![forbid(unsafe_code)]
+
 pub mod cart;
 pub mod collectives;
 pub mod collectives2;

@@ -17,6 +17,8 @@
 //! their message schedules are the ones the real `dtask` runtime emits (the
 //! integration tests assert the counts match).
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod network;
 pub mod resources;

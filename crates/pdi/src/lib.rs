@@ -19,6 +19,8 @@
 //! The deisa plugin itself lives in the `deisa-core` crate (it needs the
 //! bridge); a file-writing plugin lives in `heat2d` (post-hoc path).
 
+#![forbid(unsafe_code)]
+
 pub mod expr;
 pub mod plugin;
 pub mod store;

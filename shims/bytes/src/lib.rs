@@ -6,6 +6,8 @@
 //! freezes into one. The [`Buf`]/[`BufMut`] traits cover exactly the little-
 //! endian accessors the `h5lite` container format uses.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 

@@ -8,6 +8,8 @@
 //!   shared inbox.
 //! * [`thread`] — `scope` with the builder-style named spawn.
 
+#![forbid(unsafe_code)]
+
 pub mod channel {
     //! MPMC channels with the crossbeam-channel surface used in-tree.
 

@@ -6,6 +6,8 @@
 //! (a poisoned std lock is recovered transparently, matching parking_lot's
 //! semantics of never poisoning).
 
+#![forbid(unsafe_code)]
+
 /// Guard returned by [`Mutex::lock`].
 pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 /// Guard returned by [`RwLock::read`].

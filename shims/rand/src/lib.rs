@@ -6,6 +6,8 @@
 //! workspace uses: `gen::<f64>()`, `gen::<u64>()`, `gen_bool`, and
 //! `gen_range` over integer and float ranges.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 pub mod rngs {

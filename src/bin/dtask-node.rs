@@ -17,6 +17,8 @@
 //!
 //! [`Cluster::listen`]: deisa_repro::dtask::Cluster::listen
 
+#![forbid(unsafe_code)]
+
 use deisa_repro::darray;
 use deisa_repro::dtask::{run_node, NodeConfig, OpRegistry};
 use std::time::Duration;

@@ -36,6 +36,8 @@
 //! assert_eq!(client.future(total).result().unwrap().as_f64(), Some(12.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use darray;
 pub use deisa_core as deisa;
 pub use dml;

@@ -111,21 +111,6 @@ fn all_policies_compute_identical_results() {
     }
 }
 
-#[test]
-fn every_policy_name_round_trips_the_env_knob() {
-    for kind in [
-        PolicyKind::Locality,
-        PolicyKind::BLevel,
-        PolicyKind::RandomStealing,
-        PolicyKind::MinEft,
-    ] {
-        let parsed = PolicyConfig::from_name(kind.name())
-            .unwrap_or_else(|| panic!("canonical name {:?} must parse", kind.name()));
-        assert_eq!(parsed.kind, kind);
-    }
-    assert!(PolicyConfig::from_name("no-such-policy").is_none());
-}
-
 /// Locality placement with stealing switched on: every task gravitates to
 /// the worker holding the hot block, so the steal path is exercised
 /// deterministically — the idle peer MUST pull work over.

@@ -281,3 +281,23 @@ fn telemetry_adds_no_control_plane_messages() {
     });
     assert_eq!(off, on, "telemetry must stay off the control plane");
 }
+
+#[test]
+fn sequential_health_scrapes_are_served_without_accept_naps() {
+    // A blocking accept answers each connection as it arrives; an exporter
+    // that polls its listener pays up to one nap per scrape.
+    let cluster = telemetry_cluster(TelemetryConfig::enabled());
+    let addr = cluster.telemetry_addr().expect("exporter bound");
+    http_get(addr, "/health");
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        let (status, body) = http_get(addr, "/health");
+        assert!(status.contains("200") && body == "ok\n", "{status} {body:?}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(50),
+        "20 scrapes took {elapsed:?}"
+    );
+    cluster.shutdown();
+}
