@@ -8,8 +8,8 @@ use crate::spec::TaskSpec;
 use crate::stats::{Metric, MsgClass, SchedulerStats};
 use crate::store::StoreConfig;
 use crate::trace::{EventKind, TraceHandle};
-use crate::transport::{DataReply, Endpoint};
-use crate::worker::Pinger;
+use crate::transport::Endpoint;
+use crate::worker::{resolve_refs, Pinger};
 use crossbeam::channel::Receiver;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashSet, VecDeque};
@@ -285,19 +285,15 @@ impl Client {
             let nbytes = value.nbytes();
             total_bytes += nbytes;
             self.stats.record(MsgClass::ScatterData, nbytes);
-            let (ack, ack_rx) = self.endpoint.reply_slot();
-            self.endpoint.send_data(
-                w,
-                DataMsg::Put {
-                    key: key.clone(),
-                    value,
-                    ack,
-                },
-            );
+            let put = |ack| DataMsg::Put {
+                key: key.clone(),
+                value,
+                ack,
+            };
             // Wait for the worker to own the data before informing the
             // scheduler (otherwise a dependent task could be scheduled and
             // fetch-miss).
-            let _ = ack_rx.recv();
+            self.endpoint.request(w, put).recv();
             entries.push((key, w, nbytes));
             placements.push(w);
         }
@@ -318,7 +314,8 @@ impl Client {
 
     /// Wait for many keys and gather their values in order. More efficient
     /// than sequential `future(..).result()` calls: all `WantResult`
-    /// registrations go out before any wait begins.
+    /// registrations go out before any wait begins, and all data requests
+    /// before any reply is awaited.
     pub fn gather_many(&self, keys: &[Key]) -> Result<Vec<Datum>, TaskError> {
         let keys: Vec<Key> = keys.iter().map(|k| self.scope(k.clone())).collect();
         let keys = &keys[..];
@@ -328,7 +325,7 @@ impl Client {
                 key: key.clone(),
             });
         }
-        let mut locations = Vec::with_capacity(keys.len());
+        let mut wants = Vec::with_capacity(keys.len());
         for key in keys {
             let k = key.clone();
             let loc = self
@@ -337,12 +334,9 @@ impl Client {
                     _ => None,
                 })
                 .map_err(|we| TaskError::new(key.clone(), we.to_string()))??;
-            locations.push(loc);
+            wants.push((key.clone(), vec![loc]));
         }
-        keys.iter()
-            .zip(locations)
-            .map(|(key, worker)| self.gather_from(worker, key))
-            .collect()
+        self.fetch_results(&wants)
     }
 
     /// Release keys cluster-wide (scheduler state + worker memory).
@@ -402,35 +396,20 @@ impl Client {
         }
     }
 
-    /// Fetch a key's value from a worker (data plane).
-    fn gather_from(&self, worker: WorkerId, key: &Key) -> Result<Datum, TaskError> {
-        let gather_t0 = self.tracer.start();
-        let (reply, reply_rx) = self.endpoint.reply_slot();
-        self.endpoint.send_data(
-            worker,
-            DataMsg::Get {
-                key: key.clone(),
-                reply,
-            },
-        );
-        match reply_rx.recv().map(DataReply::into_value) {
-            Ok(Ok(value)) => {
-                self.stats.record(MsgClass::GatherData, value.nbytes());
-                self.tracer.span(
-                    EventKind::GatherToClient,
-                    gather_t0,
-                    Some(key),
-                    value.nbytes(),
-                );
-                Ok(value)
-            }
-            Ok(Err(m)) => Err(TaskError::new(key.clone(), m)),
-            // A dropped reply slot means the worker's data server died while
-            // we were waiting: attribute the loss so callers can distinguish
-            // it from an ordinary task failure.
-            Err(_) => Err(TaskError::new(key.clone(), "worker hung up")
-                .with_cause(crate::msg::ErrorCause::PeerLost)),
-        }
+    /// Read results from the workers holding them (data plane), every
+    /// request out before the first reply is awaited. A holder that hung
+    /// up is a [`crate::ErrorCause::PeerLost`] error, so callers can tell it
+    /// from an ordinary task failure.
+    fn fetch_results(&self, wants: &[(Key, Vec<WorkerId>)]) -> Result<Vec<Datum>, TaskError> {
+        let got = |key: &Key, _, t0, value: &Datum| {
+            self.stats.record(MsgClass::GatherData, value.nbytes());
+            self.tracer
+                .span(EventKind::GatherToClient, t0, Some(key), value.nbytes());
+        };
+        let get = |key, reply| DataMsg::Get { key, reply };
+        Ok(self
+            .endpoint
+            .fetch(wants, get, &self.tracer, |_| None, got)?)
     }
 
     // ---- out-of-band proxy plane -------------------------------------------
@@ -452,18 +431,14 @@ impl Client {
             self.scatter_cursor.fetch_add(1, Ordering::Relaxed) % self.endpoint.n_workers();
         let shape = array.shape().to_vec();
         let nbytes = value.nbytes();
-        let (ack, ack_rx) = self.endpoint.reply_slot();
-        self.endpoint.send_data(
-            holder,
-            DataMsg::Put {
-                key: key.clone(),
-                value,
-                ack,
-            },
-        );
+        let put = |ack| DataMsg::Put {
+            key: key.clone(),
+            value,
+            ack,
+        };
         // Wait for the store to own the payload before the handle travels the
         // control path: a consumer must never resolve a handle into a miss.
-        let _ = ack_rx.recv();
+        self.endpoint.request(holder, put).recv();
         self.stats.inc(Metric::ProxyPuts);
         self.stats.add(Metric::ProxyPutBytes, nbytes);
         Datum::Ref(DatumRef {
@@ -475,48 +450,13 @@ impl Client {
         })
     }
 
-    /// Resolve any [`DatumRef`] handles inside `value` (lists recurse) by
-    /// fetching the payloads from their holders over the data lane. A holder
-    /// that hangs up mid-fetch surfaces as [`WaitError::PeerLost`], never as
-    /// a hang (the transport cancels the reply slot).
-    fn resolve_proxies(&self, value: Datum) -> Result<Datum, WaitError> {
-        match value {
-            Datum::Ref(handle) => {
-                let t0 = self.tracer.start();
-                let (reply, reply_rx) = self.endpoint.reply_slot();
-                self.endpoint.send_data(
-                    handle.holder,
-                    DataMsg::Fetch {
-                        key: handle.key.clone(),
-                        reply,
-                    },
-                );
-                match reply_rx.recv().map(DataReply::into_value) {
-                    Ok(Ok(payload)) => {
-                        self.stats.inc(Metric::ProxyFetches);
-                        self.stats.add(Metric::ProxyFetchBytes, payload.nbytes());
-                        self.tracer.span(
-                            EventKind::ProxyFetch,
-                            t0,
-                            Some(&handle.key),
-                            payload.nbytes(),
-                        );
-                        Ok(payload)
-                    }
-                    // The holder answered but no longer has the payload: the
-                    // entry was deleted under us (or never landed) — treat it
-                    // like the holder being gone, the data is lost either way.
-                    Ok(Err(_)) | Err(_) => Err(WaitError::PeerLost),
-                }
-            }
-            Datum::List(items) => Ok(Datum::List(
-                items
-                    .into_iter()
-                    .map(|d| self.resolve_proxies(d))
-                    .collect::<Result<Vec<_>, _>>()?,
-            )),
-            other => Ok(other),
-        }
+    /// Resolve the [`DatumRef`] handles inside `value` over the data lane
+    /// ([`resolve_refs`]). A holder that hung up, or no longer has the
+    /// payload, surfaces as [`WaitError::PeerLost`], never as a hang: the
+    /// data is lost either way.
+    fn resolve_handles(&self, value: &Datum) -> Result<Datum, WaitError> {
+        resolve_refs(&self.endpoint, value, &self.stats, &self.tracer, |_| None)
+            .map_err(|_| WaitError::PeerLost)
     }
 
     // ---- variables ---------------------------------------------------------
@@ -535,8 +475,7 @@ impl Client {
     /// Blocking read of a variable (waits for it to be set). Proxy handles
     /// resolve transparently to their payloads.
     pub fn var_get(&self, name: &str) -> Result<Datum, WaitError> {
-        let value = self.var_get_raw(name)?;
-        self.resolve_proxies(value)
+        self.resolve_handles(&self.var_get_raw(name)?)
     }
 
     /// Blocking read of a variable *without* proxy resolution: a proxied
@@ -574,7 +513,7 @@ impl Client {
             } if n == name => Some(found.then(|| value.clone())),
             _ => None,
         })?;
-        value.map(|v| self.resolve_proxies(v)).transpose()
+        value.map(|v| self.resolve_handles(&v)).transpose()
     }
 
     /// Delete a variable.
@@ -618,17 +557,16 @@ impl Client {
             ClientMsg::QueueItem { name: n, value } if n == name => Some(value.clone()),
             _ => None,
         })?;
+        let resolved = self.resolve_handles(&value)?;
         if let Datum::Ref(handle) = &value {
-            let resolved = self.resolve_proxies(value.clone())?;
             self.endpoint.send_data(
                 handle.holder,
                 DataMsg::Delete {
                     keys: vec![handle.key.clone()],
                 },
             );
-            return Ok(resolved);
         }
-        self.resolve_proxies(value)
+        Ok(resolved)
     }
 
     /// Handle for a named distributed queue.
@@ -755,7 +693,8 @@ impl DFuture<'_> {
 
     fn result_impl(&self, timeout: Option<Duration>) -> Result<Datum, TaskError> {
         let worker = self.wait_impl(timeout)?;
-        self.client.gather_from(worker, &self.key)
+        let want = (self.key.clone(), vec![worker]);
+        Ok(self.client.fetch_results(&[want])?.remove(0))
     }
 }
 

@@ -11,7 +11,9 @@ use crate::stats::{Metric, SchedulerStats};
 use crate::store::StoreConfig;
 use crate::telemetry::{TelemetryConfig, TelemetryHub, TelemetryThreads};
 use crate::trace::{TraceActor, TraceConfig, TraceRecorder};
-use crate::transport::{Addr, ClusterChannels, DataReply, FaultPlan, Router, TransportConfig};
+use crate::transport::{
+    Addr, ClusterChannels, DataReply, FaultPlan, Outcome, Router, TransportConfig,
+};
 use crate::worker::{Pinger, WorkerRuntime, WorkerSpec};
 use crossbeam::channel::unbounded;
 use std::net::SocketAddr;
@@ -521,10 +523,9 @@ impl Cluster {
         let endpoint = self.router.endpoint(Addr::Control);
         (0..self.n_workers())
             .map(|w| {
-                let (reply, reply_rx) = endpoint.reply_slot();
-                endpoint.send_data(w, DataMsg::Stats { reply });
-                match reply_rx.recv() {
-                    Ok(DataReply::Stats { keys, bytes }) => (keys as usize, bytes),
+                let stats = endpoint.request(w, |reply| DataMsg::Stats { reply });
+                match stats.recv() {
+                    Outcome::Value(DataReply::Stats { keys, bytes }) => (keys as usize, bytes),
                     _ => (0, 0),
                 }
             })

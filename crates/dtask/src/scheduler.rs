@@ -1257,19 +1257,12 @@ impl<S: Sink> Scheduler<S> {
         }
         // Re-derive readiness: the loss that killed this attempt may also
         // have taken an input out of Memory (recompute in progress), and a
-        // resubmission without it would fail hard. Non-Memory deps park the
-        // task as Waiting instead — the recompute cascade re-readies it.
-        let deps = entry.deps.clone();
-        let mut seen: HashSet<&Key> = HashSet::new();
-        let n_waiting = deps
-            .iter()
-            .filter(|d| seen.insert(d))
-            .filter(|d| {
-                self.tasks
-                    .get(*d)
-                    .is_none_or(|e| e.state != TaskState::Memory)
-            })
-            .count();
+        // resubmission without it would fail hard. Such deps park the task
+        // as Waiting instead — the recompute cascade re-readies it.
+        let n_waiting = match self.dep_readiness(&key) {
+            Ok(n) => n,
+            Err(error) => return self.mark_erred(key, error),
+        };
         let entry = self.tasks.get_mut(&key).expect("present above");
         if n_waiting > 0 {
             entry.state = TaskState::Waiting;
@@ -1282,6 +1275,37 @@ impl<S: Sink> Scheduler<S> {
         entry.state = TaskState::Ready;
         let delay = self.liveness.retry_backoff * 2u32.saturating_pow(retries.saturating_sub(1));
         self.backoff.push((self.now + delay, key));
+    }
+
+    /// How many of `key`'s distinct dependencies are not in Memory yet, or
+    /// why it cannot run at all: an erred dependency propagates its error,
+    /// and a released one cannot be recomputed (`PeerLost`).
+    fn dep_readiness(&self, key: &Key) -> Result<usize, TaskError> {
+        let mut seen: HashSet<&Key> = HashSet::new();
+        let mut n_waiting = 0;
+        for dep in &self.tasks[key].deps {
+            if !seen.insert(dep) {
+                continue;
+            }
+            match self.tasks.get(dep) {
+                Some(de) if de.state == TaskState::Memory => {}
+                Some(de) if de.state == TaskState::Erred => {
+                    return Err(match de.error.clone() {
+                        Some(e) => e.propagated_via(dep.clone()),
+                        None => TaskError::new(dep.clone(), "upstream error"),
+                    });
+                }
+                Some(_) => n_waiting += 1,
+                None => {
+                    return Err(TaskError::new(
+                        dep.clone(),
+                        format!("dependency {dep} released; cannot recompute"),
+                    )
+                    .with_cause(ErrorCause::PeerLost));
+                }
+            }
+        }
+        Ok(n_waiting)
     }
 
     /// A Memory result lost its last replica. Prefer recompute when the
@@ -1326,38 +1350,10 @@ impl<S: Sink> Scheduler<S> {
         // task's own inputs were also lost, their `recover_lost_result`
         // pass re-demotes us via the dependent loop above — order within
         // the lost set does not matter.
-        let deps = self.tasks[&key].deps.clone();
-        let mut seen: HashSet<&Key> = HashSet::new();
-        let mut n_waiting = 0usize;
-        let mut upstream_err = None;
-        for dep in &deps {
-            if !seen.insert(dep) {
-                continue;
-            }
-            match self.tasks.get(dep) {
-                Some(de) if de.state == TaskState::Memory => {}
-                Some(de) if de.state == TaskState::Erred => {
-                    upstream_err = Some(match de.error.clone() {
-                        Some(e) => e.propagated_via(dep.clone()),
-                        None => TaskError::new(dep.clone(), "upstream error"),
-                    });
-                }
-                Some(_) => n_waiting += 1,
-                None => {
-                    upstream_err = Some(
-                        TaskError::new(
-                            dep.clone(),
-                            format!("dependency {dep} released; cannot recompute"),
-                        )
-                        .with_cause(ErrorCause::PeerLost),
-                    );
-                }
-            }
-        }
-        if let Some(err) = upstream_err {
-            self.mark_erred(key, err);
-            return;
-        }
+        let n_waiting = match self.dep_readiness(&key) {
+            Ok(n) => n,
+            Err(error) => return self.mark_erred(key, error),
+        };
         let entry = self.tasks.get_mut(&key).expect("checked above");
         entry.n_waiting = n_waiting;
         entry.assigned_to = None;

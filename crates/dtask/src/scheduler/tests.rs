@@ -375,6 +375,40 @@ fn late_add_replica_from_a_dead_worker_is_dropped() {
     assert_eq!(r.stats.count(MsgClass::AddReplica), 2);
 }
 
+// ---- a retry cannot recompute a released input -----------------------------
+
+#[test]
+fn retried_task_whose_input_was_released_errs_instead_of_parking() {
+    let mut r = plain(2);
+    r.step(vec![
+        data("d", 0, false),
+        submit(vec![spec("t", &["d"])]),
+        want("t"),
+    ]);
+    let assigned = r.assigned();
+    assert_eq!(assigned.len(), 1, "{assigned:?}");
+    let worker = assigned[0].0;
+    r.step(vec![release("d")]);
+    assert_eq!(r.state("d"), None);
+    // The gather hit a dead peer: a retry cannot recompute a released input.
+    r.step(vec![SchedMsg::TaskErred {
+        worker,
+        stored_key: Key::new("t"),
+        error: TaskError::new(Key::new("t"), "holder hung up").with_cause(ErrorCause::PeerLost),
+        failed_peer: None,
+    }]);
+    let ready = r.ready();
+    assert_eq!(
+        ready.len(),
+        1,
+        "the client's future must resolve: {ready:?}"
+    );
+    assert_eq!(ready[0].0, "t");
+    let err = ready[0].1.as_ref().unwrap_err();
+    assert_eq!(err.cause, ErrorCause::PeerLost, "{err:?}");
+    assert_eq!(r.state("t"), Some(TaskState::Erred));
+}
+
 // ---- (iii) stealing ----------------------------------------------------------
 
 #[test]

@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// Object-store / proxy-plane configuration (part of
 /// [`crate::ClusterConfig`]). The default disables proxies and bounds
 /// nothing, reproducing the pre-store behavior byte for byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreConfig {
     /// Publish large control-path values (variables, queue items, task
     /// params) out-of-band as [`crate::datum::DatumRef`] handles? Off by
@@ -47,27 +47,17 @@ pub struct StoreConfig {
     /// Per-worker memory budget in payload bytes; entries beyond it are
     /// LRU-spilled to disk. `None` (default) never spills.
     pub mem_budget: Option<u64>,
-    /// Values at or under this many payload bytes stay inline on the
-    /// control path even with `proxies` on — a handle would be bigger.
-    pub inline_threshold: u64,
     /// Spill directory; `None` (default) uses a per-store temp directory
     /// that is removed when the store drops.
     pub spill_dir: Option<PathBuf>,
 }
 
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            proxies: false,
-            mem_budget: None,
-            inline_threshold: 256,
-            spill_dir: None,
-        }
-    }
-}
+/// Values at or under this many payload bytes stay inline on the control
+/// path even with proxies on: a handle would be bigger.
+const INLINE_THRESHOLD: u64 = 256;
 
 impl StoreConfig {
-    /// Proxies on with the default threshold and no spill budget.
+    /// Proxies on, no spill budget.
     pub fn proxies() -> Self {
         StoreConfig {
             proxies: true,
@@ -78,9 +68,7 @@ impl StoreConfig {
     /// Should `value` ride the control path inline (scalars, small values),
     /// or be published out-of-band behind a handle?
     pub fn keep_inline(&self, value: &Datum) -> bool {
-        !self.proxies
-            || value.nbytes() <= self.inline_threshold
-            || !matches!(value, Datum::Array(_))
+        !self.proxies || value.nbytes() <= INLINE_THRESHOLD || !matches!(value, Datum::Array(_))
     }
 }
 

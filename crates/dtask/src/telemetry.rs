@@ -81,9 +81,6 @@ pub struct TelemetryConfig {
     /// Raise a [`AlertKind::QueueDepth`] alert when the per-interval
     /// ready-queue high watermark reaches this depth (rising edge only).
     pub queue_depth_alert: Option<u64>,
-    /// Raise a [`AlertKind::HeartbeatGap`] alert when the oldest worker or
-    /// client heartbeat is staler than this (rising edge only).
-    pub heartbeat_gap_alert: Option<Duration>,
 }
 
 impl Default for TelemetryConfig {
@@ -97,7 +94,6 @@ impl Default for TelemetryConfig {
             straggler_min_samples: 8,
             straggler_min_ns: 1_000_000,
             queue_depth_alert: None,
-            heartbeat_gap_alert: None,
         }
     }
 }
@@ -121,8 +117,6 @@ pub enum AlertKind {
     Straggler,
     /// The ready-queue high watermark crossed the configured depth.
     QueueDepth,
-    /// A worker or client heartbeat went stale past the configured gap.
-    HeartbeatGap,
 }
 
 impl AlertKind {
@@ -131,7 +125,6 @@ impl AlertKind {
         match self {
             AlertKind::Straggler => "straggler",
             AlertKind::QueueDepth => "queue_depth",
-            AlertKind::HeartbeatGap => "heartbeat_gap",
         }
     }
 }
@@ -147,7 +140,7 @@ pub struct Alert {
     pub key: Option<String>,
     /// The worker involved, when one is identifiable.
     pub worker: Option<usize>,
-    /// Observed value (straggler: duration ms; queue: depth; gap: ms).
+    /// Observed value (straggler: duration ms; queue: depth).
     pub value: f64,
     /// The threshold the value exceeded, in the same unit.
     pub threshold: f64,
@@ -311,10 +304,9 @@ pub struct TelemetryHub {
     flight_evicted: AtomicU64,
     alerts: Mutex<VecDeque<Alert>>,
     alerts_total: AtomicU64,
-    // Rising-edge latches for threshold alerts (avoid one alert per sample
-    // while the condition persists).
+    // Rising-edge latch for the queue-depth alert (avoids one alert per
+    // sample while the condition persists).
     queue_latched: AtomicBool,
-    gap_latched: AtomicBool,
 }
 
 impl TelemetryHub {
@@ -337,7 +329,6 @@ impl TelemetryHub {
             alerts: Mutex::new(VecDeque::new()),
             alerts_total: AtomicU64::new(0),
             queue_latched: AtomicBool::new(false),
-            gap_latched: AtomicBool::new(false),
         }
     }
 
@@ -495,21 +486,6 @@ impl TelemetryHub {
                     worker: None,
                     value: queue_depth_peak as f64,
                     threshold: depth as f64,
-                },
-            );
-        }
-        if let Some(gap) = self.config.heartbeat_gap_alert {
-            let worst_ns = worker_gap_ns.max(client_gap_ns);
-            self.edge_alert(
-                &self.gap_latched,
-                worst_ns as u128 >= gap.as_nanos(),
-                Alert {
-                    kind: AlertKind::HeartbeatGap,
-                    t_ms: sample.t_ms,
-                    key: None,
-                    worker: None,
-                    value: worst_ns as f64 / 1e6,
-                    threshold: gap.as_nanos() as f64 / 1e6,
                 },
             );
         }

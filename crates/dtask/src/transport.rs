@@ -16,12 +16,13 @@
 //! `StatsSnapshot` and the trace layer; InProc deliberately records nothing
 //! so the default path stays allocation- and codec-free.
 
+use crate::key::Key;
 use crate::msg::{ClientId, ClientMsg, DataMsg, ExecMsg, SchedMsg, WorkerId};
 use crate::stats::{Metric, SchedulerStats, WireLane};
 use crate::trace::{EventKind, TraceHandle};
 use crate::wire;
 use crate::Datum;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,11 +57,6 @@ pub struct SimNetConfig {
     /// Fat-tree parameters. `nodes: 0` auto-sizes to scheduler + workers +
     /// a small pool of client nodes when the cluster is built.
     pub network: netsim::NetworkConfig,
-    /// Simulated nanoseconds per real nanosecond: injected delays are the
-    /// model's transfer times divided by this factor, so tests can keep the
-    /// model's *relative* contention while compressing wall-clock. `1`
-    /// means real-time emulation.
-    pub time_scale: u64,
 }
 
 impl Default for SimNetConfig {
@@ -70,10 +66,14 @@ impl Default for SimNetConfig {
                 nodes: 0,
                 ..netsim::NetworkConfig::default()
             },
-            time_scale: 1_000,
         }
     }
 }
+
+/// Simulated nanoseconds per real nanosecond: injected delays are the
+/// model's transfer times divided by this factor, which keeps the model's
+/// *relative* contention while compressing wall-clock.
+const SIMNET_TIME_SCALE: u64 = 1_000;
 
 /// Number of extra fat-tree nodes client actors are spread over when the
 /// SimNet node count is auto-sized.
@@ -178,7 +178,7 @@ pub enum Addr {
 pub struct ReplyTo {
     /// The requester's address (used for SimNet path costing).
     pub addr: Addr,
-    /// Correlation id minted by [`Endpoint::reply_slot`].
+    /// Correlation id minted by [`Endpoint::request`].
     pub corr: u64,
 }
 
@@ -198,12 +198,36 @@ pub enum DataReply {
     },
 }
 
-impl DataReply {
-    /// Interpret this reply as a `Get` result.
-    pub fn into_value(self) -> Result<Datum, String> {
-        match self {
-            DataReply::Value(r) => r,
-            other => Err(format!("protocol mismatch: expected value, got {other:?}")),
+/// How one data request ended (see [`Endpoint::request`]).
+#[derive(Debug)]
+pub enum Outcome {
+    /// The holder answered: with the value for a `Get` or `Fetch`
+    /// (`DataReply::Value(Ok(..))`), with an ack or its statistics otherwise.
+    Value(DataReply),
+    /// The holder answered that it does not have the key: its message.
+    Miss(String),
+    /// The holder hung up: the transport cancelled the reply slot because
+    /// its data server is gone.
+    HungUp,
+}
+
+/// A read that failed, or a task that failed (on such a read or in its
+/// own computation): the key it failed on, why, and — when a dead holder
+/// rather than the data or the computation is to blame — the first holder
+/// that hung up. The scheduler resubmits work that failed on a hung-up
+/// holder and treats that holder as dead; every other failure is final.
+pub(crate) struct Failure {
+    pub(crate) origin: Key,
+    pub(crate) message: String,
+    pub(crate) hung_peer: Option<WorkerId>,
+}
+
+impl From<Failure> for crate::msg::TaskError {
+    fn from(f: Failure) -> Self {
+        let error = crate::msg::TaskError::new(f.origin, f.message);
+        match f.hung_peer {
+            Some(_) => error.with_cause(crate::msg::ErrorCause::PeerLost),
+            None => error,
         }
     }
 }
@@ -423,7 +447,6 @@ impl Ord for PumpJob {
 struct SimNetState {
     net: Mutex<netsim::Network>,
     epoch: Instant,
-    time_scale: u64,
     n_workers: usize,
     client_nodes: usize,
     seq: AtomicU64,
@@ -442,7 +465,7 @@ impl SimNetState {
     /// Run the message through the fat-tree model; returns when (in real
     /// time, after scaling) it should be delivered.
     fn arrival(&self, from: Addr, to: Addr, bytes: u64) -> (Instant, u64) {
-        let scale = self.time_scale.max(1);
+        let scale = SIMNET_TIME_SCALE;
         let now = Instant::now();
         let sim_now =
             (now.saturating_duration_since(self.epoch).as_nanos() as u64).saturating_mul(scale);
@@ -600,7 +623,6 @@ impl Router {
                         Backend::Coded(Carrier::SimNet(SimNetState {
                             net: Mutex::new(netsim::Network::new(net_cfg)),
                             epoch: Instant::now(),
-                            time_scale: sim.time_scale,
                             n_workers: n_workers.max(1),
                             client_nodes,
                             seq: AtomicU64::new(0),
@@ -827,10 +849,84 @@ impl Endpoint {
         );
     }
 
+    /// Send worker `w`'s data server the request `msg` builds around a fresh
+    /// reply slot. The returned receiver yields how the request ended; a
+    /// dead server surfaces there as [`Outcome::HungUp`], never as a hang.
+    pub fn request(&self, w: WorkerId, msg: impl FnOnce(ReplyTo) -> DataMsg) -> ReplyRx {
+        let (reply, rx) = self.reply_slot();
+        self.send_data(w, msg(reply));
+        rx
+    }
+
+    /// Read every key of `wants` from the holders listed with it, in order.
+    /// One request per key goes to its first holder before any reply is
+    /// awaited, so the wait is the slowest read rather than their sum. A
+    /// key whose holder misses or hangs up (or that has no holder) is looked
+    /// up in `local`, where it may have landed meanwhile, and then asked of
+    /// its next holder. `ask` builds the request (`Get` or `Fetch`); `got`
+    /// sees every value a holder sent, with that holder and the trace start
+    /// of its request. Values come back in `wants` order; the failure names
+    /// the first key no holder served and the first of its holders that
+    /// hung up.
+    pub(crate) fn fetch(
+        &self,
+        wants: &[(Key, Vec<WorkerId>)],
+        ask: fn(Key, ReplyTo) -> DataMsg,
+        tracer: &TraceHandle,
+        local: impl Fn(&Key) -> Option<Datum>,
+        mut got: impl FnMut(&Key, WorkerId, Option<Instant>, &Datum),
+    ) -> Result<Vec<Datum>, Failure> {
+        let send = |key: &Key, holder: Option<&WorkerId>| {
+            holder.map(|&h| (h, tracer.start(), self.request(h, |r| ask(key.clone(), r))))
+        };
+        let first: Vec<_> = wants
+            .iter()
+            .map(|(key, holders)| send(key, holders.first()))
+            .collect();
+        let mut values = Vec::with_capacity(wants.len());
+        for ((key, holders), mut asked) in wants.iter().zip(first) {
+            let (mut hung_peer, mut miss) = (None, String::new());
+            let mut rest = holders.iter().skip(1);
+            let value = loop {
+                if let Some((holder, t0, rx)) = asked {
+                    match rx.recv() {
+                        Outcome::Value(DataReply::Value(Ok(value))) => {
+                            got(key, holder, t0, &value);
+                            break Some(value);
+                        }
+                        Outcome::Value(other) => miss = format!(": unexpected reply {other:?}"),
+                        Outcome::Miss(m) => miss = format!(": {m}"),
+                        Outcome::HungUp => {
+                            hung_peer.get_or_insert(holder);
+                        }
+                    }
+                }
+                if let Some(value) = local(key) {
+                    break Some(value);
+                }
+                asked = send(key, rest.next());
+                if asked.is_none() {
+                    break None;
+                }
+            };
+            let Some(value) = value else {
+                let hung = hung_peer.map_or("", |_| ", ≥1 hung up");
+                let tried = holders.len();
+                return Err(Failure {
+                    origin: key.clone(),
+                    message: format!("{key} unavailable (tried {tried} peers{hung}){miss}"),
+                    hung_peer,
+                });
+            };
+            values.push(value);
+        }
+        Ok(values)
+    }
+
     /// Open a one-shot reply slot: the returned token travels inside a
     /// request message; the returned receiver yields the correlated
     /// response. Dropping the receiver cancels the slot.
-    pub fn reply_slot(&self) -> (ReplyTo, ReplyRx) {
+    fn reply_slot(&self) -> (ReplyTo, ReplyRx) {
         let corr = self.router.next_corr.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
         self.router.fabric.replies.lock().insert(corr, tx);
@@ -848,7 +944,7 @@ impl Endpoint {
     }
 }
 
-/// Receiving half of a one-shot reply slot (see [`Endpoint::reply_slot`]).
+/// Receiving half of a one-shot reply slot (see [`Endpoint::request`]).
 pub struct ReplyRx {
     corr: u64,
     rx: Receiver<DataReply>,
@@ -856,10 +952,13 @@ pub struct ReplyRx {
 }
 
 impl ReplyRx {
-    /// Block until the reply arrives. Errors if the responder died (its
-    /// side of the slot was cancelled).
-    pub fn recv(&self) -> Result<DataReply, RecvError> {
-        self.rx.recv()
+    /// Block until the holder answers or hangs up.
+    pub fn recv(self) -> Outcome {
+        match self.rx.recv() {
+            Ok(DataReply::Value(Err(miss))) => Outcome::Miss(miss),
+            Ok(reply) => Outcome::Value(reply),
+            Err(_) => Outcome::HungUp,
+        }
     }
 }
 
@@ -872,7 +971,6 @@ impl Drop for ReplyRx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::Key;
 
     fn test_router(config: TransportConfig) -> (Arc<Router>, Receiver<SchedMsg>) {
         test_router_with_faults(config, FaultPlan::default())
@@ -950,15 +1048,14 @@ mod tests {
         // the requester unblocks instead of hanging.
         let (router, _rx) = test_router(TransportConfig::InProc);
         let ep = router.endpoint(Addr::Client(0));
-        let (token, reply_rx) = ep.reply_slot();
-        ep.send_data(
-            5,
-            DataMsg::Get {
-                key: Key::new("x"),
-                reply: token,
-            },
+        let reply_rx = ep.request(5, |reply| DataMsg::Get {
+            key: Key::new("x"),
+            reply,
+        });
+        assert!(
+            matches!(reply_rx.recv(), Outcome::HungUp),
+            "slot must be cancelled"
         );
-        assert!(reply_rx.recv().is_err(), "slot must be cancelled");
     }
 
     #[test]
@@ -967,15 +1064,14 @@ mod tests {
         // requester the same way a Get does — PeerLost, never a hang.
         let (router, _rx) = test_router(TransportConfig::InProc);
         let ep = router.endpoint(Addr::Client(0));
-        let (token, reply_rx) = ep.reply_slot();
-        ep.send_data(
-            5,
-            DataMsg::Fetch {
-                key: Key::new("proxy:c0:0"),
-                reply: token,
-            },
+        let reply_rx = ep.request(5, |reply| DataMsg::Fetch {
+            key: Key::new("proxy:c0:0"),
+            reply,
+        });
+        assert!(
+            matches!(reply_rx.recv(), Outcome::HungUp),
+            "fetch slot must be cancelled"
         );
-        assert!(reply_rx.recv().is_err(), "fetch slot must be cancelled");
     }
 
     #[test]
@@ -1037,7 +1133,7 @@ mod tests {
         );
         // Non-heartbeat traffic is not delayed by the heartbeat knob (it
         // only pays the network model's own latency, which at the default
-        // time_scale is far under the injected 80 ms).
+        // time scale is far under the injected 80 ms).
         let t1 = Instant::now();
         ep.send_sched(SchedMsg::ClientConnect { client: 0 });
         let _ = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1079,15 +1175,14 @@ mod tests {
         // crosses a socket before the missing data server is discovered.
         let (router, _rx) = test_router(TransportConfig::Tcp);
         let ep = router.endpoint(Addr::Client(0));
-        let (token, reply_rx) = ep.reply_slot();
-        ep.send_data(
-            5,
-            DataMsg::Get {
-                key: Key::new("x"),
-                reply: token,
-            },
+        let reply_rx = ep.request(5, |reply| DataMsg::Get {
+            key: Key::new("x"),
+            reply,
+        });
+        assert!(
+            matches!(reply_rx.recv(), Outcome::HungUp),
+            "slot must be cancelled"
         );
-        assert!(reply_rx.recv().is_err(), "slot must be cancelled");
     }
 
     /// A message over the frame limit used to be sent anyway: the peer's
@@ -1108,16 +1203,11 @@ mod tests {
         .expect("test router");
         let ep = router.endpoint(Addr::Client(0));
         let put = |elements: usize| {
-            let (ack, ack_rx) = ep.reply_slot();
-            ep.send_data(
-                0,
-                DataMsg::Put {
-                    key: Key::new("blk"),
-                    value: Datum::from(linalg::NDArray::zeros(&[elements])),
-                    ack,
-                },
-            );
-            ack_rx
+            ep.request(0, |ack| DataMsg::Put {
+                key: Key::new("blk"),
+                value: Datum::from(linalg::NDArray::zeros(&[elements])),
+                ack,
+            })
         };
 
         // 8 bytes per element: the array alone is one element over the limit.
@@ -1147,8 +1237,10 @@ mod tests {
         let (token, reply_rx) = requester.reply_slot();
         let block = linalg::NDArray::zeros(&[crate::net::MAX_FRAME_BYTES / 8 + 1]);
         responder.reply(token, DataReply::Value(Ok(block.into())));
-        let err = reply_rx.recv().unwrap().into_value().unwrap_err();
-        assert!(err.contains("frame limit"), "{err}");
+        match reply_rx.recv() {
+            Outcome::Miss(err) => assert!(err.contains("frame limit"), "{err}"),
+            other => panic!("wrong outcome: {other:?}"),
+        }
         assert_eq!(router.stats.wire_oversized(), 1);
         assert_eq!(router.stats.wire_messages(WireLane::ReplyIn), 1);
     }
@@ -1160,8 +1252,8 @@ mod tests {
         let responder = router.endpoint(Addr::WorkerData(0));
         let (token, reply_rx) = requester.reply_slot();
         responder.reply(token, DataReply::Stats { keys: 2, bytes: 96 });
-        match reply_rx.recv().unwrap() {
-            DataReply::Stats { keys, bytes } => {
+        match reply_rx.recv() {
+            Outcome::Value(DataReply::Stats { keys, bytes }) => {
                 assert_eq!((keys, bytes), (2, 96));
             }
             other => panic!("wrong reply: {other:?}"),
@@ -1176,8 +1268,8 @@ mod tests {
         let responder = router.endpoint(Addr::WorkerData(0));
         let (token, reply_rx) = requester.reply_slot();
         responder.reply(token, DataReply::Stats { keys: 2, bytes: 96 });
-        match reply_rx.recv().unwrap() {
-            DataReply::Stats { keys, bytes } => {
+        match reply_rx.recv() {
+            Outcome::Value(DataReply::Stats { keys, bytes }) => {
                 assert_eq!((keys, bytes), (2, 96));
             }
             other => panic!("wrong reply: {other:?}"),

@@ -8,9 +8,10 @@
 //! The execution pipeline is built around three ideas:
 //!
 //! 1. **Concurrent dependency gather** — all missing dependencies of a task
-//!    are requested from peers *at once* (one reply channel each) and then
-//!    collected, so the gather latency is the slowest single fetch instead of
-//!    the sum of all fetches.
+//!    are requested from their first holders *at once* and then collected
+//!    ([`Endpoint::fetch`], the one read path proxy resolution and client
+//!    results share), so the gather latency is the slowest single fetch
+//!    instead of the sum of all fetches.
 //! 2. **Executor slots** — a worker runs a pool of executor threads draining
 //!    one shared inbox, so a task blocked in a gather (or in a blocking op)
 //!    does not stall the tasks queued behind it.
@@ -20,14 +21,13 @@
 
 use crate::datum::{Datum, DatumRef};
 use crate::key::Key;
-use crate::msg::ErrorCause;
-use crate::msg::{Assignment, DataMsg, ExecMsg, SchedMsg, TaskError, WorkerId};
+use crate::msg::{Assignment, DataMsg, ErrorCause, ExecMsg, SchedMsg, TaskError, WorkerId};
 use crate::spec::{FusedInput, OpRegistry, TaskSpec, Value};
 use crate::stats::{Hist, Metric, MsgClass, SchedulerStats};
 use crate::store::{ObjectStore, StoreConfig};
 use crate::telemetry::TelemetryHub;
 use crate::trace::{EventKind, TraceActor, TraceHandle, TraceRecorder};
-use crate::transport::{Addr, DataReply, Endpoint, ReplyRx, Router, WorkerInbox};
+use crate::transport::{Addr, DataReply, Endpoint, Failure, Router, WorkerInbox};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Shared object store of one worker (data server + every executor slot).
-pub type WorkerStore = Arc<ObjectStore>;
+pub(crate) type WorkerStore = Arc<ObjectStore>;
 
 /// A periodic thread (a heartbeat, the telemetry sampler) that blocks on its
 /// stop channel between ticks, so stopping wakes it at once instead of
@@ -215,38 +215,31 @@ impl Drop for WorkerRuntime {
     }
 }
 
-/// The data-server half: serves `Put`/`Get`/`Delete` until shutdown.
-/// Replies are routed back through the transport via the [`ReplyTo`] token
-/// carried by each request, so requesters never hand us a live channel.
+/// The data-server half: serves `Put`/`Get`/`Fetch`/`Delete` until
+/// shutdown. Replies are routed back through the transport via the
+/// [`ReplyTo`] token carried by each request, so requesters never hand us a
+/// live channel.
 ///
 /// [`ReplyTo`]: crate::transport::ReplyTo
-pub fn run_data_server(store: WorkerStore, rx: Receiver<DataMsg>, endpoint: Endpoint) {
+pub(crate) fn run_data_server(store: WorkerStore, rx: Receiver<DataMsg>, endpoint: Endpoint) {
     while let Ok(msg) = rx.recv() {
+        // A proxy-handle `Fetch` is the same store lookup as a `Get`
+        // (spilled entries restore transparently), traced on the holder as
+        // data-plane traffic.
+        let proxied = matches!(msg, DataMsg::Fetch { .. });
         match msg {
             DataMsg::Put { key, value, ack } => {
                 store.insert(key, value);
                 endpoint.reply(ack, DataReply::PutAck);
             }
-            DataMsg::Get { key, reply } => {
+            DataMsg::Get { key, reply } | DataMsg::Fetch { key, reply } => {
                 let value = store.get(&key);
-                endpoint.reply(
-                    reply,
-                    DataReply::Value(value.ok_or_else(|| format!("key {key} not on this worker"))),
-                );
-            }
-            DataMsg::Fetch { key, reply } => {
-                // Proxy-handle resolution: the same store lookup as `Get`
-                // (spilled entries restore transparently), but served and
-                // traced as data-plane traffic.
-                let value = store.get(&key);
-                if let Some(v) = &value {
+                if let (true, Some(v)) = (proxied, &value) {
                     store.note_fetch_served(&key, v.nbytes());
                 }
                 endpoint.reply(
                     reply,
-                    DataReply::Value(
-                        value.ok_or_else(|| format!("proxied key {key} not on this worker")),
-                    ),
+                    DataReply::Value(value.ok_or_else(|| format!("key {key} not on this worker"))),
                 );
             }
             DataMsg::Delete { keys } => {
@@ -270,87 +263,50 @@ pub fn run_data_server(store: WorkerStore, rx: Receiver<DataMsg>, endpoint: Endp
     }
 }
 
-/// A failed dependency resolution, with the signal recovery needs: which
-/// candidate (if any) *hung up* mid-request (the transport cancels the reply
-/// slot when a data server dies) as opposed to merely not holding the key.
-/// The scheduler resubmits hung-up gathers — and treats the hung peer's id as
-/// direct evidence of death, ahead of the heartbeat timeout; plain misses
-/// stay hard errors.
-struct GatherError {
-    message: String,
-    /// First peer that hung up mid-request, if any.
-    hung_peer: Option<WorkerId>,
-}
-
-/// A task failure as reported to the scheduler: the originating key (an
-/// interior fused stage, possibly), the message, and — when a dead peer
-/// rather than the computation itself is to blame — the peer that hung up.
-struct TaskFailure {
-    origin: Key,
-    message: String,
-    hung_peer: Option<WorkerId>,
-}
-
-/// One in-flight peer fetch of the concurrent gather.
-struct PendingFetch<'a> {
-    /// Index into the task's input vector.
-    slot: usize,
-    /// The dependency key.
-    key: &'a Key,
-    /// Candidate holders (excluding this worker).
-    candidates: Vec<WorkerId>,
-    /// Position in `candidates` of the peer already asked.
-    asked: usize,
-    /// Reply slot of the outstanding request.
-    reply_rx: ReplyRx,
-    /// Trace span start of this fetch (request launch), when tracing is on.
-    trace_t0: Option<Instant>,
-}
-
 /// One executor slot: runs tasks, fetching dependencies from peers as needed.
 /// A worker spawns several of these over one cloned inbox [`Receiver`].
-pub struct Executor {
+pub(crate) struct Executor {
     /// This worker's id.
-    pub id: WorkerId,
+    id: WorkerId,
     /// Local store (shared with the data server and sibling slots).
-    pub store: WorkerStore,
+    store: WorkerStore,
     /// Inbox of execution requests (shared by all slots of this worker).
-    pub rx: Receiver<ExecMsg>,
+    rx: Receiver<ExecMsg>,
     /// Loopback sender onto the shared inbox: a slot receiving an
     /// `ExecuteBatch` re-enqueues the tail here so sibling slots run it
     /// concurrently instead of the whole batch serializing on one slot.
     /// Deliberately bypasses the transport — batch fan-out is intra-worker
     /// requeueing, not traffic between actors, so it must not count as
     /// bytes-on-the-wire.
-    pub exec_tx: Sender<ExecMsg>,
+    exec_tx: Sender<ExecMsg>,
     /// Outbound route to the scheduler (completion/replica reports) and to
     /// peer data servers (dependency fetches).
-    pub endpoint: Endpoint,
+    endpoint: Endpoint,
     /// Shared op registry.
-    pub registry: OpRegistry,
+    registry: OpRegistry,
     /// Shared counters.
-    pub stats: Arc<SchedulerStats>,
+    stats: Arc<SchedulerStats>,
     /// Work-stealing idle poll: with `Some(poll)`, a slot that waits `poll`
     /// without receiving work sends a [`SchedMsg::StealRequest`] and keeps
     /// waiting. `None` (the default) keeps the loop on a plain blocking
     /// `recv` — zero overhead, identical to the pre-stealing runtime.
-    pub steal_poll: Option<Duration>,
+    steal_poll: Option<Duration>,
     /// Urgent lane carrying [`ExecMsg::Steal`] probes. Shared (cloned)
     /// across this worker's slots like the main inbox, but drained with
     /// priority between tasks: a probe queued behind a deep backlog on the
     /// FIFO inbox would only ever find an empty queue.
-    pub steal_rx: Receiver<ExecMsg>,
+    steal_rx: Receiver<ExecMsg>,
     /// Lifecycle event recorder for this slot (empty when tracing is off).
-    pub tracer: TraceHandle,
+    tracer: TraceHandle,
     /// Live-telemetry hub: exec durations feed the online straggler
     /// detector. `None` when telemetry is off — the exec path then pays a
     /// single branch and never reads the clock for it.
-    pub telemetry: Option<Arc<TelemetryHub>>,
+    telemetry: Option<Arc<TelemetryHub>>,
 }
 
 impl Executor {
     /// Run until `Shutdown`.
-    pub fn run(self) {
+    fn run(self) {
         'outer: loop {
             // Answer pending steal probes before picking up the next task:
             // this is what lets a thief drain a victim that is busy for the
@@ -516,246 +472,64 @@ impl Executor {
             .record_exec_busy(busy_from.elapsed().as_nanos() as u64);
     }
 
-    /// Ask `peer` for `key`; returns the reply slot of the request. A dead
-    /// peer surfaces as a recv error on the slot (the transport cancels it),
-    /// never as a hang.
-    fn request_from_peer(&self, peer: WorkerId, key: &Key) -> ReplyRx {
-        let (reply, reply_rx) = self.endpoint.reply_slot();
-        self.endpoint.send_data(
-            peer,
-            DataMsg::Get {
-                key: key.clone(),
-                reply,
-            },
-        );
-        reply_rx
-    }
-
-    /// Cache a fetched block locally (a replica, like Dask's dependency
-    /// gather) and account for the transfer.
-    fn cache_replica(&self, key: &Key, value: &Datum, replicas: &mut Vec<(Key, u64)>) {
-        self.stats.record(MsgClass::PeerFetch, value.nbytes());
-        self.store.insert(key.clone(), value.clone());
-        replicas.push((key.clone(), value.nbytes()));
-    }
-
-    /// Resolve one dependency serially: local store first, then each peer in
-    /// turn. The fallback when a concurrent fetch's first candidate fails
-    /// (or a dependency has no candidate at all).
-    fn fetch_dep_serial(
-        &self,
-        key: &Key,
-        candidates: &[WorkerId],
-        skip: usize,
-        replicas: &mut Vec<(Key, u64)>,
-    ) -> Result<Datum, GatherError> {
-        if let Some(v) = self.store.get(key) {
-            return Ok(v);
-        }
-        let mut hung_peer = None;
-        for (i, &peer) in candidates.iter().enumerate() {
-            if i < skip {
-                continue;
-            }
-            let t0 = self.tracer.start();
-            let reply_rx = self.request_from_peer(peer, key);
-            match reply_rx.recv().map(DataReply::into_value) {
-                Ok(Ok(value)) => {
-                    self.tracer
-                        .span(EventKind::GatherDep, t0, Some(key), peer as u64);
-                    self.cache_replica(key, &value, replicas);
-                    return Ok(value);
-                }
-                // The peer answered "don't have it": a routing miss.
-                Ok(Err(_)) => continue,
-                // The peer hung up mid-request (reply slot cancelled): it
-                // died holding our dependency.
-                Err(_) => {
-                    hung_peer.get_or_insert(peer);
-                    continue;
-                }
-            }
-        }
-        Err(GatherError {
-            message: format!(
-                "dependency {key} unavailable (tried {} peers{})",
-                candidates.len(),
-                if hung_peer.is_some() {
-                    ", ≥1 hung up"
-                } else {
-                    ""
-                }
-            ),
-            hung_peer,
-        })
-    }
-
-    /// Resolve every dependency of `spec`. Local blocks come straight from
-    /// the store; the rest are requested from their holders all at once. On
-    /// success the inputs are ordered like `spec.deps`.
+    /// Resolve every dependency of `spec`: local blocks straight from the
+    /// store, the rest in one concurrent fetch from their holders, each
+    /// fetched block cached here as a replica (like Dask's dependency
+    /// gather). On success the inputs are ordered like `spec.deps`.
     fn gather_deps(
         &self,
         spec: &TaskSpec,
         dep_locations: &[(Key, Vec<WorkerId>)],
         replicas: &mut Vec<(Key, u64)>,
-    ) -> Result<Vec<Datum>, GatherError> {
+    ) -> Result<Vec<Datum>, Failure> {
         // Every local dependency resolves under one store lock.
-        let mut inputs = self.store.get_many(&spec.deps);
-        let missing: Vec<(usize, &Key)> = spec
+        let inputs = self.store.get_many(&spec.deps);
+        let wants: Vec<(Key, Vec<WorkerId>)> = spec
             .deps
             .iter()
-            .enumerate()
-            .filter(|(i, _)| inputs[*i].is_none())
-            .collect();
-        if !missing.is_empty() {
-            let gather_from = Instant::now();
-            let batch_t0 = self.tracer.start();
-            let n_remote = missing.len() as u64;
-            let candidates_of = |key: &Key| -> Vec<WorkerId> {
-                dep_locations
+            .zip(&inputs)
+            .filter(|(_, input)| input.is_none())
+            .map(|(key, _)| {
+                let holders = dep_locations
                     .iter()
                     .find(|(k, _)| k == key)
                     .map(|(_, locs)| locs.iter().copied().filter(|&w| w != self.id).collect())
-                    .unwrap_or_default()
-            };
-            // Phase 1: fan out one request per missing dep to its
-            // first candidate holder.
-            let mut pending: Vec<PendingFetch> = Vec::with_capacity(missing.len());
-            for (slot, key) in missing {
-                let candidates = candidates_of(key);
-                let trace_t0 = self.tracer.start();
-                match candidates.first() {
-                    // A dead first candidate answers with a recv
-                    // error on the slot (the transport cancels it),
-                    // which phase 2's fallback handles like a miss.
-                    Some(&peer) => {
-                        let reply_rx = self.request_from_peer(peer, key);
-                        pending.push(PendingFetch {
-                            slot,
-                            key,
-                            candidates,
-                            asked: 0,
-                            reply_rx,
-                            trace_t0,
-                        });
-                    }
-                    // No candidate at all: the serial path below
-                    // re-checks the local store (a scatter may have
-                    // landed meanwhile) before giving up.
-                    None => {
-                        inputs[slot] = Some(self.fetch_dep_serial(key, &candidates, 0, replicas)?)
-                    }
-                }
-            }
-            // Phase 2: collect replies; a failed fetch falls back to
-            // the remaining candidates serially.
-            for fetch in pending {
-                match fetch.reply_rx.recv().map(DataReply::into_value) {
-                    Ok(Ok(value)) => {
-                        self.tracer.span(
-                            EventKind::GatherDep,
-                            fetch.trace_t0,
-                            Some(fetch.key),
-                            fetch.candidates[fetch.asked] as u64,
-                        );
-                        self.cache_replica(fetch.key, &value, replicas);
-                        inputs[fetch.slot] = Some(value);
-                    }
-                    outcome => {
-                        // A recv error (vs. a "don't have it" reply)
-                        // means the asked peer hung up — keep that
-                        // attribution even if the serial fallback
-                        // fails for a different reason.
-                        let hung = outcome.is_err().then(|| fetch.candidates[fetch.asked]);
-                        inputs[fetch.slot] = Some(
-                            self.fetch_dep_serial(
-                                fetch.key,
-                                &fetch.candidates,
-                                fetch.asked + 1,
-                                replicas,
-                            )
-                            .map_err(|mut e| {
-                                if e.hung_peer.is_none() {
-                                    e.hung_peer = hung;
-                                }
-                                e
-                            })?,
-                        );
-                    }
-                }
-            }
-            self.tracer
-                .span(EventKind::GatherBatch, batch_t0, Some(&spec.key), n_remote);
-            self.stats
-                .record_gather(n_remote, gather_from.elapsed().as_nanos() as u64);
+                    .unwrap_or_default();
+                (key.clone(), holders)
+            })
+            .collect();
+        if wants.is_empty() {
+            return Ok(inputs.into_iter().flatten().collect());
         }
+        let gather_from = Instant::now();
+        let batch_t0 = self.tracer.start();
+        let fetched = self.endpoint.fetch(
+            &wants,
+            |key, reply| DataMsg::Get { key, reply },
+            &self.tracer,
+            |key| self.store.get(key),
+            |key, peer, t0, value| {
+                self.tracer
+                    .span(EventKind::GatherDep, t0, Some(key), peer as u64);
+                self.stats.record(MsgClass::PeerFetch, value.nbytes());
+                self.store.insert(key.clone(), value.clone());
+                replicas.push((key.clone(), value.nbytes()));
+            },
+        )?;
+        let n_remote = wants.len() as u64;
+        self.tracer
+            .span(EventKind::GatherBatch, batch_t0, Some(&spec.key), n_remote);
+        self.stats
+            .record_gather(n_remote, gather_from.elapsed().as_nanos() as u64);
+        let mut fetched = fetched.into_iter();
         Ok(inputs
             .into_iter()
-            .map(|v| v.expect("every dependency resolved or we returned Err"))
+            .map(|input| {
+                input
+                    .or_else(|| fetched.next())
+                    .expect("one fetched value per missing dependency")
+            })
             .collect())
-    }
-
-    /// Resolve every [`DatumRef`] handle inside `value` (recursing into
-    /// lists) to its payload: the local store first (zero-copy on the
-    /// holder), then a concurrent [`DataMsg::Fetch`] fan-out to the holders.
-    /// A holder that hangs up mid-fetch is reported like a hung gather peer,
-    /// so the scheduler gets the same direct death evidence.
-    fn resolve_params(&self, params: &Datum) -> Result<Datum, GatherError> {
-        if !params.contains_ref() {
-            return Ok(params.clone());
-        }
-        let mut handles: Vec<DatumRef> = Vec::new();
-        collect_refs(params, &mut handles);
-        let mut resolved: HashMap<Key, Datum> = HashMap::new();
-        let mut pending: Vec<(DatumRef, ReplyRx, Option<Instant>)> = Vec::new();
-        for handle in handles {
-            if let Some(v) = self.store.get(&handle.key) {
-                resolved.insert(handle.key.clone(), v);
-                continue;
-            }
-            let t0 = self.tracer.start();
-            let (reply, reply_rx) = self.endpoint.reply_slot();
-            self.endpoint.send_data(
-                handle.holder,
-                DataMsg::Fetch {
-                    key: handle.key.clone(),
-                    reply,
-                },
-            );
-            pending.push((handle, reply_rx, t0));
-        }
-        for (handle, reply_rx, t0) in pending {
-            match reply_rx.recv().map(DataReply::into_value) {
-                Ok(Ok(value)) => {
-                    self.stats.inc(Metric::ProxyFetches);
-                    self.stats.add(Metric::ProxyFetchBytes, value.nbytes());
-                    self.tracer
-                        .span(EventKind::ProxyFetch, t0, Some(&handle.key), value.nbytes());
-                    resolved.insert(handle.key.clone(), value);
-                }
-                Ok(Err(miss)) => {
-                    return Err(GatherError {
-                        message: format!(
-                            "proxy {} unresolvable at worker {}: {miss}",
-                            handle.key, handle.holder
-                        ),
-                        hung_peer: None,
-                    });
-                }
-                // The holder hung up mid-fetch (reply slot cancelled): it
-                // died holding the payload.
-                Err(_) => {
-                    return Err(GatherError {
-                        message: format!(
-                            "proxy {} lost: holder worker {} hung up",
-                            handle.key, handle.holder
-                        ),
-                        hung_peer: Some(handle.holder),
-                    });
-                }
-            }
-        }
-        Ok(substitute_refs(params, &resolved))
     }
 
     /// Run one registered op under a panic guard.
@@ -782,7 +556,7 @@ impl Executor {
         &self,
         spec: &TaskSpec,
         dep_locations: &[(Key, Vec<WorkerId>)],
-    ) -> Result<Datum, TaskFailure> {
+    ) -> Result<Datum, Failure> {
         let mut replicas = Vec::new();
         let gathered = self.gather_deps(spec, dep_locations, &mut replicas);
         // Report new replicas even if some other dependency failed: the
@@ -793,36 +567,36 @@ impl Executor {
                 entries: replicas,
             });
         }
-        let inputs = gathered.map_err(|e| TaskFailure {
+        // A failed read fails the task as a whole, never one fused stage.
+        let read_failed = |what: &str, e: Failure| Failure {
             origin: spec.key.clone(),
-            message: e.message,
+            message: format!("{what} {}", e.message),
             hung_peer: e.hung_peer,
-        })?;
+        };
+        let inputs = gathered.map_err(|e| read_failed("dependency", e))?;
         // Proxy-handle parameters resolve out-of-band *before* the exec span
         // starts: the fetches are data movement, not computation. One
         // resolved datum per op — `[params]` for a plain op, one per stage
         // for a fused chain.
+        let resolve = |params| {
+            resolve_refs(&self.endpoint, params, &self.stats, &self.tracer, |key| {
+                self.store.get(key)
+            })
+        };
         let stage_params: Vec<Datum> = match &spec.value {
-            Value::Op { params, .. } => vec![self.resolve_params(params)],
-            Value::Fused { stages } => stages
-                .iter()
-                .map(|stage| self.resolve_params(&stage.params))
-                .collect(),
+            Value::Op { params, .. } => vec![resolve(params)],
+            Value::Fused { stages } => stages.iter().map(|stage| resolve(&stage.params)).collect(),
         }
         .into_iter()
         .collect::<Result<_, _>>()
-        .map_err(|e| TaskFailure {
-            origin: spec.key.clone(),
-            message: e.message,
-            hung_peer: e.hung_peer,
-        })?;
+        .map_err(|e| read_failed("proxy", e))?;
         // The exec span covers op computation only — the gather above records
         // its own spans, keeping the lifecycle phases distinct in the trace.
         // The straggler detector times the same region with its own clock
         // read: telemetry and tracing toggle independently.
         let exec_t0 = self.tracer.start();
         let straggle_t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        let fail = |origin: &Key, message: String| TaskFailure {
+        let fail = |origin: &Key, message: String| Failure {
             origin: origin.clone(),
             message,
             hung_peer: None,
@@ -871,6 +645,48 @@ impl Executor {
     }
 }
 
+/// Resolve every [`DatumRef`] handle inside `value` (lists recurse) to its
+/// payload: `local` first (zero-copy on the holder), then one concurrent
+/// [`DataMsg::Fetch`] to the holders of the rest. Executors and clients
+/// resolve alike, and neither caches a payload it fetched. A holder that
+/// hangs up mid-fetch is named in the failure, like a hung gather peer.
+pub(crate) fn resolve_refs(
+    endpoint: &Endpoint,
+    value: &Datum,
+    stats: &SchedulerStats,
+    tracer: &TraceHandle,
+    local: impl Fn(&Key) -> Option<Datum>,
+) -> Result<Datum, Failure> {
+    if !value.contains_ref() {
+        return Ok(value.clone());
+    }
+    let mut handles: Vec<DatumRef> = Vec::new();
+    collect_refs(value, &mut handles);
+    let mut resolved: HashMap<Key, Datum> = HashMap::new();
+    let mut wants = Vec::new();
+    for handle in handles {
+        match local(&handle.key) {
+            Some(payload) => {
+                resolved.insert(handle.key, payload);
+            }
+            None => wants.push((handle.key, vec![handle.holder])),
+        }
+    }
+    let fetched = endpoint.fetch(
+        &wants,
+        |key, reply| DataMsg::Fetch { key, reply },
+        tracer,
+        local,
+        |key, _, t0, payload| {
+            stats.inc(Metric::ProxyFetches);
+            stats.add(Metric::ProxyFetchBytes, payload.nbytes());
+            tracer.span(EventKind::ProxyFetch, t0, Some(key), payload.nbytes());
+        },
+    )?;
+    resolved.extend(wants.into_iter().map(|(key, _)| key).zip(fetched));
+    Ok(substitute_refs(value, &resolved))
+}
+
 /// Collect the distinct [`DatumRef`] handles inside `value` (lists recurse).
 fn collect_refs(value: &Datum, out: &mut Vec<DatumRef>) {
     match value {
@@ -889,11 +705,189 @@ fn substitute_refs(value: &Datum, resolved: &HashMap<Key, Datum>) -> Datum {
     match value {
         Datum::Ref(r) => resolved
             .get(&r.key)
-            .expect("resolve_params resolved every handle")
+            .expect("resolve_refs resolved every handle")
             .clone(),
         Datum::List(items) => {
             Datum::List(items.iter().map(|d| substitute_refs(d, resolved)).collect())
         }
         other => other.clone(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{ClusterChannels, FaultPlan, TransportConfig};
+
+    /// Workers `0..n` behind an in-process router, each with its own store.
+    /// Worker 0 runs the executor under test; every other worker not listed
+    /// in `dead` runs a real data server. A dead worker's inbox is dropped,
+    /// so requests to it are cancelled like requests to a killed worker.
+    struct Rig {
+        exec: Executor,
+        stores: Vec<WorkerStore>,
+        sched_rx: Receiver<SchedMsg>,
+        servers: Vec<(WorkerId, JoinHandle<()>)>,
+    }
+
+    fn rig(n: usize, dead: &[WorkerId]) -> Rig {
+        let (channels, sched_rx, inboxes) = ClusterChannels::new(n);
+        let stats = Arc::new(SchedulerStats::new());
+        let router = Router::new(
+            &TransportConfig::InProc,
+            n,
+            channels,
+            Arc::clone(&stats),
+            TraceHandle::disabled(),
+            FaultPlan::default(),
+        )
+        .expect("test router");
+        let stores: Vec<WorkerStore> = (0..n)
+            .map(|id| {
+                let config = StoreConfig::default();
+                let trace = TraceHandle::disabled();
+                Arc::new(ObjectStore::new(config, id, Arc::clone(&stats), trace))
+            })
+            .collect();
+        let mut servers = Vec::new();
+        for (id, inbox) in inboxes.into_iter().enumerate().skip(1) {
+            if !dead.contains(&id) {
+                let (store, endpoint) = (
+                    Arc::clone(&stores[id]),
+                    router.endpoint(Addr::WorkerData(id)),
+                );
+                let server =
+                    std::thread::spawn(move || run_data_server(store, inbox.data_rx, endpoint));
+                servers.push((id, server));
+            }
+        }
+        let (exec_tx, rx) = unbounded();
+        let exec = Executor {
+            id: 0,
+            store: Arc::clone(&stores[0]),
+            rx: rx.clone(),
+            exec_tx,
+            endpoint: router.endpoint(Addr::WorkerExec(0)),
+            registry: OpRegistry::with_std_ops(),
+            stats,
+            steal_poll: None,
+            steal_rx: rx,
+            tracer: TraceHandle::disabled(),
+            telemetry: None,
+        };
+        Rig {
+            exec,
+            stores,
+            sched_rx,
+            servers,
+        }
+    }
+
+    impl Drop for Rig {
+        fn drop(&mut self) {
+            for (id, server) in self.servers.drain(..) {
+                self.exec.endpoint.send_data(id, DataMsg::Shutdown);
+                let _ = server.join();
+            }
+        }
+    }
+
+    impl Rig {
+        /// Run `spec` on worker 0 with `d`'s holders listed in that order,
+        /// and return what the executor told the scheduler.
+        fn run(&self, spec: TaskSpec, holders: &[WorkerId]) -> Vec<SchedMsg> {
+            self.exec.run_one(Assignment {
+                spec: Arc::new(spec),
+                dep_locations: vec![(Key::new("d"), holders.to_vec())],
+                assigned_at: Instant::now(),
+            });
+            std::iter::from_fn(|| self.sched_rx.try_recv().ok()).collect()
+        }
+    }
+
+    fn reads_d() -> TaskSpec {
+        TaskSpec::new("t", "identity", Datum::Null, vec![Key::new("d")])
+    }
+
+    /// The `TaskErred` among `msgs`: `(message, cause, failed_peer)`.
+    fn erred(msgs: &[SchedMsg]) -> (String, ErrorCause, Option<WorkerId>) {
+        for msg in msgs {
+            if let SchedMsg::TaskErred {
+                error, failed_peer, ..
+            } = msg
+            {
+                return (error.message.clone(), error.cause.clone(), *failed_peer);
+            }
+        }
+        panic!("no TaskErred in {} messages", msgs.len());
+    }
+
+    #[test]
+    fn a_miss_at_the_first_holder_falls_back_to_the_second_and_caches_one_replica() {
+        let rig = rig(3, &[]);
+        rig.stores[2].insert(Key::new("d"), Datum::F64(4.0));
+        let msgs = rig.run(reads_d(), &[1, 2]);
+        let replicas: Vec<_> = msgs
+            .iter()
+            .filter_map(|m| match m {
+                SchedMsg::AddReplica { entries, .. } => Some(entries.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replicas, [vec![(Key::new("d"), 8)]]);
+        assert!(matches!(msgs.last(), Some(SchedMsg::TaskFinished { .. })));
+        assert_eq!(
+            rig.stores[0].get(&Key::new("t")).unwrap().as_f64(),
+            Some(4.0)
+        );
+        assert_eq!(
+            rig.stores[0].get(&Key::new("d")).unwrap().as_f64(),
+            Some(4.0)
+        );
+    }
+
+    #[test]
+    fn a_dead_first_holder_falls_back_to_the_second() {
+        let rig = rig(3, &[1]);
+        rig.stores[2].insert(Key::new("d"), Datum::F64(5.0));
+        let msgs = rig.run(reads_d(), &[1, 2]);
+        assert!(matches!(msgs.last(), Some(SchedMsg::TaskFinished { .. })));
+        assert_eq!(
+            rig.stores[0].get(&Key::new("t")).unwrap().as_f64(),
+            Some(5.0)
+        );
+    }
+
+    #[test]
+    fn when_every_holder_fails_the_first_that_hung_up_is_blamed() {
+        // Holder 2 answers "not here"; holders 1 and 3 are dead.
+        let rig = rig(4, &[1, 3]);
+        let (message, cause, failed_peer) = erred(&rig.run(reads_d(), &[2, 1, 3]));
+        assert_eq!(failed_peer, Some(1), "{message}");
+        assert_eq!(cause, ErrorCause::PeerLost);
+        assert!(
+            message.starts_with("dependency d unavailable (tried 3 peers, ≥1 hung up)"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_proxy_fetch_from_a_dead_holder_blames_that_holder() {
+        let rig = rig(2, &[1]);
+        let handle = Datum::Ref(DatumRef {
+            key: Key::new("proxy:c0:0"),
+            shape: vec![4],
+            nbytes: 32,
+            holder: 1,
+            epoch: 0,
+        });
+        let spec = TaskSpec::new("t", "const", handle, vec![]);
+        let (message, cause, failed_peer) = erred(&rig.run(spec, &[]));
+        assert_eq!(failed_peer, Some(1), "{message}");
+        assert_eq!(cause, ErrorCause::PeerLost);
+        assert!(
+            message.starts_with("proxy proxy:c0:0 unavailable"),
+            "{message}"
+        );
     }
 }

@@ -292,7 +292,10 @@ fn sequential_health_scrapes_are_served_without_accept_naps() {
     let started = std::time::Instant::now();
     for _ in 0..20 {
         let (status, body) = http_get(addr, "/health");
-        assert!(status.contains("200") && body == "ok\n", "{status} {body:?}");
+        assert!(
+            status.contains("200") && body == "ok\n",
+            "{status} {body:?}"
+        );
     }
     let elapsed = started.elapsed();
     assert!(
