@@ -3,6 +3,7 @@
 use crate::client::Client;
 use crate::key::{SessionId, DEFAULT_SESSION};
 use crate::msg::{ClientMsg, DataMsg, SchedMsg, WorkerId};
+use crate::net::{HubParams, Plane, RegisterFn};
 use crate::optimize::OptimizeConfig;
 use crate::policy::PolicyConfig;
 use crate::scheduler::{LivenessConfig, Scheduler};
@@ -61,8 +62,8 @@ pub struct FaultConfig {
     pub max_retries: u32,
     /// Base of the exponential resubmission backoff.
     pub retry_backoff: Duration,
-    /// Injected faults: lane drops and heartbeat delays, acting inside the
-    /// transport. Workers are killed with [`Cluster::kill_worker`].
+    /// Injected faults: lane drops, acting inside the transport. Workers
+    /// are killed with [`Cluster::kill_worker`].
     pub plan: FaultPlan,
 }
 
@@ -317,43 +318,36 @@ impl Cluster {
         // its worker inboxes drop right here: every worker-bound message
         // routes over the plane.
         let (channels, sched_rx, mut inboxes) = ClusterChannels::new(config.n_workers);
-        let transport_trace = tracer.register(TraceActor::Transport);
-        let router = match &deploy {
-            None => Router::new(
-                &config.transport,
-                config.n_workers,
-                channels,
-                Arc::clone(&stats),
-                transport_trace,
-                config.fault.plan.clone(),
-            )?,
-            Some(deploy) => {
-                inboxes.clear();
-                let as_ms = |d: Option<Duration>| d.map_or(0, |d| d.as_millis().max(1) as u64);
-                let params = crate::net::HubParams {
-                    n_workers: config.n_workers,
-                    default_slots: slots,
-                    heartbeat_ms: as_ms(heartbeat),
-                    steal_poll_ms: as_ms(config.policy.steal_poll),
-                    mem_budget: config.store.mem_budget,
-                    handshake_timeout: deploy.handshake_timeout,
-                };
-                let register_tx = channels.sched_tx.clone();
-                let register = Box::new(move |worker, slots| {
-                    let _ = register_tx.send(SchedMsg::RegisterWorker { worker, slots });
-                });
-                Router::new_socket(
-                    |callbacks| {
-                        crate::net::SocketPlane::hub(&deploy.bind, params, callbacks, register)
-                    },
-                    config.n_workers,
-                    channels,
-                    Arc::clone(&stats),
-                    transport_trace,
-                    config.fault.plan.clone(),
-                )?
-            }
-        };
+        let hub_plane = deploy.as_ref().map(|deploy| {
+            inboxes.clear();
+            let as_ms = |d: Option<Duration>| d.map_or(0, |d| d.as_millis().max(1) as u64);
+            let params = HubParams {
+                n_workers: config.n_workers,
+                default_slots: slots,
+                heartbeat_ms: as_ms(heartbeat),
+                steal_poll_ms: as_ms(config.policy.steal_poll),
+                mem_budget: config.store.mem_budget,
+                handshake_timeout: deploy.handshake_timeout,
+            };
+            let register_tx = channels.sched_tx.clone();
+            let register: RegisterFn = Box::new(move |worker, slots| {
+                let _ = register_tx.send(SchedMsg::RegisterWorker { worker, slots });
+            });
+            (deploy.bind.as_str(), params, register)
+        });
+        let router = Router::new(
+            config.n_workers,
+            channels,
+            Arc::clone(&stats),
+            tracer.register(TraceActor::Transport),
+            config.fault.plan.clone(),
+            |fabric| match hub_plane {
+                None => Ok(Plane::for_transport(&config.transport, fabric)),
+                Some((bind, params, register)) => {
+                    Plane::hub(bind, params, register, fabric).map(Some)
+                }
+            },
+        )?;
 
         // Build the (thread-less) cluster first: an early return below
         // drops it, and the drop retires exactly the threads recorded so
@@ -535,9 +529,9 @@ impl Cluster {
     /// Kill one worker: stop its heartbeat pinger, retire its executor
     /// slots and data server, and join their threads. From the rest of the
     /// cluster's point of view the worker silently vanishes — in-flight
-    /// fetches against it error out (the transport cancels their reply
-    /// slots), its heartbeats stop, and with liveness enabled the scheduler
-    /// declares it dead and recovers. This is the fault-injection "kill"
+    /// fetches against it error out (every reply slot aimed at it dies with
+    /// its data server), its heartbeats stop, and with liveness enabled the
+    /// scheduler declares it dead and recovers. This is the fault-injection "kill"
     /// primitive; it does not tell the scheduler anything.
     pub fn kill_worker(&self, worker: WorkerId) {
         assert!(worker < self.n_workers(), "no such worker");

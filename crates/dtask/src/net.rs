@@ -1,7 +1,8 @@
-//! Socket plane for the [`crate::TransportConfig::Tcp`] backend and the
-//! cross-process deployment layer.
+//! The byte-stream plane every coded transport rides: the `Framed`, `SimNet`
+//! and `Tcp` backends of [`crate::TransportConfig`], the deployment hub
+//! inside [`crate::Cluster::listen`], and the worker side of [`crate::node`].
 //!
-//! Every byte on a socket is a **routed frame**:
+//! Every byte on a link is a **routed frame**:
 //!
 //! | bytes   | field                                           |
 //! |---------|-------------------------------------------------|
@@ -10,37 +11,44 @@
 //! | 9..     | a standard [`crate::wire`] envelope (header ‖ body)     |
 //!
 //! The 9-byte preamble is pure routing — per-lane byte accounting counts
-//! only the envelope, so a Tcp cluster reports byte totals identical to the
-//! Framed backend.
+//! only the envelope, so every coded backend reports the same byte totals.
 //!
-//! Three plane shapes share this module:
+//! A **link** is one byte pipe per destination node: one writer thread
+//! drains the link's queue into it, one reader thread reassembles frames out
+//! of it. [`writer_loop`] and [`reader_loop`] are written once, over `Write`
+//! and `Read`; only the pipe differs:
 //!
-//! * **Loopback** — the `TransportConfig::Tcp` in-process backend: one
-//!   listener, one dialed connection per destination node, every message
-//!   crossing a real socket with partial-read reassembly.
-//! * **Hub** — the deployment listener inside [`crate::Cluster::listen`]:
-//!   accepts `dtask-node` worker processes, runs the `Hello`/`Welcome`
-//!   registration handshake, and star-routes worker↔worker traffic.
-//! * **Node** — the worker-process side (see [`crate::node`]): one
-//!   connection to the hub carrying everything.
+//! * **In process** (`Framed`, `SimNet`, `Tcp`): every node lives in this
+//!   process. The plane makes a link the first time it routes to a node — an
+//!   OS pipe for `Framed` and `SimNet`, a connected `127.0.0.1` TCP pair for
+//!   `Tcp` — and the link's reader delivers into the local fabric. Under
+//!   `SimNet` a frame carries the due time the fat-tree model gave it at
+//!   dispatch, and the link's writer holds it until then, so delivery is
+//!   FIFO per link, as over TCP.
+//! * **Hub** (inside [`crate::Cluster::listen`]): a link is an accepted
+//!   `dtask-node` connection, after the `Hello`/`Welcome` registration
+//!   handshake. The hub star-routes worker↔worker frames without looking
+//!   inside them.
+//! * **Node** (see [`crate::node`]): one link, the connection to the hub,
+//!   carries everything.
 //!
-//! Reply-slot lifetimes across processes: the hub tracks every data request
-//! it forwards to a remote node as `(origin, corr) → target`. When a node
-//! dies, pending requests against it are cancelled — locally (dropping the
-//! reply sender, so the waiter unblocks with a disconnect) when the
-//! requester is hub-side, or with a [`NodeMsg::Cancel`] control frame when
-//! the requester is another node. That reproduces exactly the in-process
-//! dead-worker contract: a requester observes "peer hung up", never a hang.
+//! Reply slots follow one rule across processes: a slot dies with the
+//! worker it asked ([`Fabric::peer_gone`]). A route to a process that is
+//! gone applies it on the spot. A hub that loses a node applies it to its
+//! own slots and sends [`NodeMsg::PeerGone`] to every other node; a forward
+//! that fails sends the same to the frame's origin. A node that loses its
+//! hub applies it for every other worker. A requester observes "peer hung
+//! up", never a hang.
 
-use crate::stats::WireLane;
-use crate::transport::Addr;
+use crate::msg::WorkerId;
+use crate::transport::{Addr, Fabric, SimNetConfig, TransportConfig};
 use crate::wire::{self, Kind, NodeMsg, NodeWelcome, WireError, HEADER_BYTES};
 pub use crate::wire::{MAX_FRAME_BYTES, PREAMBLE_BYTES};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, PipeReader, PipeWriter, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
@@ -137,67 +145,187 @@ impl FrameReader {
 /// Which plane node an actor address lives on: `0` is the hub process
 /// (scheduler, control handle, and every client/bridge), `1 + w` is worker
 /// `w`'s process.
-pub(crate) fn to_node(a: Addr) -> u64 {
+fn to_node(a: Addr) -> u64 {
     match a {
         Addr::Scheduler | Addr::Control | Addr::Client(_) => 0,
         Addr::WorkerData(w) | Addr::WorkerExec(w) => 1 + w as u64,
     }
 }
 
-// ---- plane ------------------------------------------------------------------
-
-/// Envelope delivery hook: decode and hand the frame to the in-process
-/// fabric at the given address (the fabric is transport-private).
-type DeliverFn = Box<dyn Fn(Addr, &[u8]) + Send + Sync>;
-
-/// The router-side hooks a plane is built with. The router's delivery fabric
-/// exists before any plane does, so every socket thread sees them from its
-/// first frame.
-pub(crate) struct PlaneCallbacks {
-    pub deliver: DeliverFn,
-    /// Cancel a local reply slot by correlation id.
-    pub cancel: Box<dyn Fn(u64) + Send + Sync>,
-    /// Per-lane accounting for frames received by hub readers.
-    pub account: Box<dyn Fn(WireLane, u64) + Send + Sync>,
+/// The worker whose process is plane node `node` (`None` for node 0).
+fn worker_on(node: u64) -> Option<WorkerId> {
+    node.checked_sub(1).map(|w| w as WorkerId)
 }
+
+// ---- SimNet delay -----------------------------------------------------------
+
+/// Simulated nanoseconds per real nanosecond: a frame is held for the
+/// model's transfer time divided by this factor, which keeps the model's
+/// *relative* contention while compressing wall-clock.
+const SIMNET_TIME_SCALE: u64 = 1_000;
+
+/// Number of extra fat-tree nodes client actors are spread over when the
+/// SimNet node count is auto-sized.
+const SIMNET_CLIENT_NODES: usize = 4;
+
+/// The fat-tree model behind `SimNet`: at dispatch it gives each frame the
+/// instant it arrives.
+struct SimNet {
+    net: Mutex<netsim::Network>,
+    epoch: Instant,
+    n_workers: usize,
+    client_nodes: usize,
+}
+
+impl SimNet {
+    fn new(config: &SimNetConfig, n_workers: usize) -> SimNet {
+        let mut network = config.network.clone();
+        network.nodes = network.nodes.max(1 + n_workers + SIMNET_CLIENT_NODES);
+        SimNet {
+            client_nodes: network.nodes - 1 - n_workers,
+            net: Mutex::new(netsim::Network::new(network)),
+            epoch: Instant::now(),
+            n_workers: n_workers.max(1),
+        }
+    }
+
+    fn node_of(&self, a: Addr) -> usize {
+        match a {
+            Addr::Scheduler | Addr::Control => 0,
+            Addr::WorkerData(w) | Addr::WorkerExec(w) => 1 + w.min(self.n_workers - 1),
+            Addr::Client(c) => 1 + self.n_workers + (c % self.client_nodes),
+        }
+    }
+
+    /// When a frame of `bytes` sent now from `from` arrives at `to`.
+    fn due(&self, from: Addr, to: Addr, bytes: u64) -> Instant {
+        let now = Instant::now();
+        let sim_now = (now.saturating_duration_since(self.epoch).as_nanos() as u64)
+            .saturating_mul(SIMNET_TIME_SCALE);
+        let sim_arrival =
+            self.net
+                .lock()
+                .send(sim_now, self.node_of(from), self.node_of(to), bytes);
+        now + Duration::from_nanos(sim_arrival.saturating_sub(sim_now) / SIMNET_TIME_SCALE)
+    }
+}
+
+// ---- links ------------------------------------------------------------------
+
+/// One frame queued on a link: routed bytes and, under `SimNet`, the instant
+/// they may leave.
+struct Outgoing {
+    bytes: Vec<u8>,
+    due: Option<Instant>,
+}
+
+/// One end of a link's byte pipe.
+trait Pipe: Send + 'static {
+    /// End the link from this side. A socket is shut down both ways, which
+    /// also ends a read blocked on a clone of it; an OS pipe end closes when
+    /// it drops.
+    fn hang_up(&self) {}
+}
+
+impl Pipe for TcpStream {
+    fn hang_up(&self) {
+        let _ = self.shutdown(Shutdown::Both);
+    }
+}
+
+impl Pipe for PipeReader {}
+
+impl Pipe for PipeWriter {}
+
+/// A connected pair of `127.0.0.1` sockets, `(dialed, accepted)`, made
+/// without an accept thread: the kernel completes the connect from the
+/// listener's backlog, so `accept` returns at once.
+fn tcp_pair() -> std::io::Result<(TcpStream, TcpStream)> {
+    let listener = TcpListener::bind(("127.0.0.1", 0))?;
+    let dialed = TcpStream::connect(listener.local_addr()?)?;
+    let _ = dialed.set_nodelay(true);
+    Ok((dialed, listener.accept()?.0))
+}
+
+/// Per-link writer: drains the queue into `out`, holding a frame that
+/// carries a due time (`SimNet`) until then — the modelled transit time —
+/// so frames leave in queue order. A write error means the far end is gone:
+/// log once, then keep draining so no sender ever blocks on a corpse (the
+/// dependency-ordered teardown relies on this). Once every sender is gone,
+/// hang up, which ends the far end's read.
+fn writer_loop<W: Write + Pipe>(mut out: W, rx: Receiver<Outgoing>, label: String) {
+    let mut dead = false;
+    while let Ok(Outgoing { bytes, due }) = rx.recv() {
+        if dead {
+            continue;
+        }
+        if let Some(due) = due {
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        }
+        if let Err(e) = out.write_all(&bytes) {
+            eprintln!("dtask-net: write to {label} failed ({e}); peer treated as gone");
+            dead = true;
+        }
+    }
+    out.hang_up();
+}
+
+/// Per-link reader: reassembles frames out of `inp` (after whatever `fr`
+/// already holds) and hands them to the plane until EOF, a read error, a
+/// frame that does not parse, or a control frame that closes the link; then
+/// runs the plane's bookkeeping for the lost link.
+fn reader_loop<R: Read + Pipe>(
+    shared: Arc<PlaneShared>,
+    mut inp: R,
+    peer: u64,
+    mut fr: FrameReader,
+) {
+    let label = shared.link_name(peer);
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut closed = None;
+    'outer: loop {
+        // Parse before reading: a handshake may hand over a reader that
+        // already buffers frames the peer sent right behind its `Welcome`.
+        loop {
+            match fr.next_frame() {
+                Ok(Some(f)) => {
+                    if let Some(reason) = shared.handle_frame(peer, f) {
+                        closed = Some(reason);
+                        break 'outer;
+                    }
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    eprintln!("dtask-net: {label}: dropping the connection: {e}");
+                    break 'outer;
+                }
+            }
+        }
+        match inp.read(&mut chunk) {
+            Ok(0) => {
+                if let Err(e) = fr.at_eof() {
+                    eprintln!("dtask-net: {label}: stream ended mid-frame: {e}");
+                }
+                break;
+            }
+            Ok(n) => fr.push(&chunk[..n]),
+            Err(e) => {
+                if !shared.stopping() {
+                    eprintln!("dtask-net: {label}: read failed: {e}");
+                }
+                break;
+            }
+        }
+    }
+    inp.hang_up();
+    shared.link_down(peer, closed);
+}
+
+// ---- plane ------------------------------------------------------------------
 
 /// Hub hook delivering a [`crate::msg::SchedMsg::RegisterWorker`]
 /// `(worker, slots)` into the scheduler's inbox.
 pub(crate) type RegisterFn = Box<dyn Fn(usize, usize) + Send + Sync>;
-
-/// Dispatch-side metadata the router attaches to a routed envelope so the
-/// plane can track cross-process reply lifetimes without re-decoding.
-pub(crate) enum RouteMeta {
-    /// No reply slot rides this message.
-    Plain,
-    /// A data request whose reply slot `corr` must be cancelled if the
-    /// target dies before answering.
-    Request {
-        /// The requester-side correlation id.
-        corr: u64,
-    },
-    /// A reply resolving `corr`.
-    Reply {
-        /// The correlation id being resolved.
-        corr: u64,
-    },
-}
-
-/// Outcome of routing one envelope.
-pub(crate) enum RouteOutcome {
-    /// Queued onto a live socket.
-    Sent,
-    /// Destination is this process: the caller must deliver locally.
-    Local,
-    /// Destination's process is gone: the caller must cancel any reply slot
-    /// riding the message (the dead-worker contract).
-    PeerGone,
-}
-
-enum FrameAction {
-    Continue,
-    Close,
-}
 
 /// Hub-side deployment state.
 struct HubState {
@@ -214,10 +342,6 @@ struct HubState {
     attach_cv: Condvar,
     /// Enqueues the attach's `RegisterWorker` on the scheduler's raw inbox.
     register: RegisterFn,
-    /// Outstanding cross-process data requests: `(origin node, corr)` →
-    /// target node. Entries die with the reply that resolves them or with
-    /// either endpoint's process.
-    pending: Mutex<HashMap<(u64, u64), u64>>,
 }
 
 impl HubState {
@@ -228,39 +352,46 @@ impl HubState {
     }
 }
 
+/// How a plane reaches its nodes.
 enum Mode {
-    Loopback,
+    /// Every node is in this process (`Framed`, `SimNet`, `Tcp`): links are
+    /// made on first use, over a loopback TCP pair when `tcp` and an OS pipe
+    /// otherwise; `sim` holds each frame for its modelled transit time.
+    Local { tcp: bool, sim: Option<SimNet> },
+    /// The deployment hub: links are accepted `dtask-node` connections.
     Hub(HubState),
+    /// A worker process: one link, to the hub (node 0).
     Node {
         self_node: u64,
-        /// Teardown signal into [`crate::node::run_node`]: a `Goodbye`
-        /// reason, or a synthesized message when the hub connection drops.
+        /// Teardown signal into [`crate::node::run_node`]: why the hub link
+        /// ended.
         goodbye_tx: Sender<String>,
     },
 }
 
-/// State shared by every socket thread of one plane. The owning
-/// [`SocketPlane`] keeps the thread handles; threads keep only this.
+/// State shared by every thread of one plane. The owning [`Plane`] keeps
+/// the thread handles; threads keep only this.
 pub struct PlaneShared {
     mode: Mode,
+    /// Where readers deliver, and whose reply slots die with a lost worker.
+    fabric: Arc<Fabric>,
     stop: AtomicBool,
-    /// Live outbound connections by destination node id. Dropping a sender
-    /// retires its writer thread.
-    writers: Mutex<HashMap<u64, Sender<Vec<u8>>>>,
-    /// Where the plane's listener is bound (loopback and hub modes).
+    /// Live links by destination node id. Dropping a sender retires its
+    /// writer.
+    links: Mutex<HashMap<u64, Sender<Outgoing>>>,
+    /// Where the hub's listener is bound.
     listen_addr: Option<SocketAddr>,
-    callbacks: PlaneCallbacks,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl PlaneShared {
-    fn new(mode: Mode, listen_addr: Option<SocketAddr>, callbacks: PlaneCallbacks) -> Arc<Self> {
+    fn new(mode: Mode, listen_addr: Option<SocketAddr>, fabric: &Arc<Fabric>) -> Arc<Self> {
         Arc::new(PlaneShared {
             mode,
+            fabric: Arc::clone(fabric),
             stop: AtomicBool::new(false),
-            writers: Mutex::new(HashMap::new()),
+            links: Mutex::new(HashMap::new()),
             listen_addr,
-            callbacks,
             threads: Mutex::new(Vec::new()),
         })
     }
@@ -269,7 +400,7 @@ impl PlaneShared {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Where the listener is bound (loopback and hub planes).
+    /// Where the hub's listener is bound.
     pub fn local_addr(&self) -> Option<SocketAddr> {
         self.listen_addr
     }
@@ -296,35 +427,24 @@ impl PlaneShared {
         attached.iter().all(|a| *a)
     }
 
-    /// Hub: announce orderly teardown to every attached node. Writes to
-    /// already-dead peers fail inside their writer threads, which log and
-    /// drain — the teardown sequence itself never blocks or panics.
-    pub fn goodbye_all(&self, reason: &str) {
-        let env = wire::encode_node(&NodeMsg::Goodbye {
+    /// Hub: announce orderly teardown to every attached node.
+    pub fn goodbye_all(self: &Arc<Self>, reason: &str) {
+        self.tell_all(&NodeMsg::Goodbye {
             reason: reason.to_string(),
         });
-        let buf = frame(Addr::Control, &env);
-        for (node, tx) in self.writers.lock().iter() {
-            if *node == 0 {
-                continue;
-            }
-            if tx.send(buf.clone()).is_err() {
-                eprintln!("dtask-net: goodbye to node {node} skipped (writer already gone)");
-            }
-        }
     }
 
     /// Stop every plane thread. Writers retire when their senders drop and
-    /// shut their socket down on the way out, which ends the blocking read
-    /// of the reader on the same connection (or, on loopback, of the reader
-    /// at the far end). The accept loop is woken by one connection to its
-    /// own listener. Joining happens in [`SocketPlane::drop`].
+    /// hang up on the way out, which ends the read at the far end of each
+    /// link (for a socket, also the read on the same connection). The hub's
+    /// accept loop is woken by one connection to its own listener. Joining
+    /// happens in [`Plane::drop`].
     pub fn shutdown(&self) {
         match self.listen_addr {
             Some(addr) => stop_accepting(&self.stop, addr),
             None => self.stop.store(true, Ordering::SeqCst),
         }
-        self.writers.lock().clear();
+        self.links.lock().clear();
         if let Mode::Hub(hub) = &self.mode {
             // Taken after the flag is set, so a waiter either sees the flag
             // or is already waiting for this notification.
@@ -333,312 +453,227 @@ impl PlaneShared {
         }
     }
 
-    /// Route one dispatched envelope toward `to`.
-    pub(crate) fn route(
-        self: &Arc<Self>,
-        to: Addr,
-        envelope: &[u8],
-        meta: RouteMeta,
-    ) -> RouteOutcome {
+    /// Route one encoded envelope from `from` toward `to`: into the local
+    /// fabric when `to` lives on this process's node, else onto the link of
+    /// `to`'s node. When that node's process is gone (or has not attached),
+    /// its worker is unreachable and the reply slots aimed at it die here.
+    pub(crate) fn route(self: &Arc<Self>, from: Addr, to: Addr, envelope: &[u8]) {
         let dest = to_node(to);
-        match &self.mode {
-            Mode::Loopback => {
-                let tx = match self.loopback_writer(dest) {
-                    Some(tx) => tx,
-                    // Plane is shutting down: deliver locally so teardown
-                    // messages still land.
-                    None => return RouteOutcome::Local,
-                };
-                if tx.send(frame(to, envelope)).is_err() {
-                    return RouteOutcome::Local;
-                }
-                RouteOutcome::Sent
-            }
-            Mode::Hub(hub) => {
-                if dest == 0 {
-                    if let RouteMeta::Reply { corr } = meta {
-                        // Hub-local reply to a hub-local requester: nothing
-                        // pending, but keep the invariant tidy.
-                        hub.pending.lock().remove(&(0, corr));
-                    }
-                    RouteOutcome::Local
-                } else if self.hub_forward(hub, 0, to, envelope, &meta) {
-                    RouteOutcome::Sent
-                } else {
-                    // Unattached or dead worker process: same contract as a
-                    // closed in-process channel.
-                    RouteOutcome::PeerGone
-                }
-            }
-            Mode::Node { self_node, .. } => {
-                if dest == *self_node {
-                    return RouteOutcome::Local;
-                }
-                // Everything else — scheduler, clients, peer workers — rides
-                // the hub connection (star topology; the hub forwards).
-                let tx = self.writers.lock().get(&0).cloned();
-                match tx {
-                    Some(tx) if tx.send(frame(to, envelope)).is_ok() => RouteOutcome::Sent,
-                    _ => RouteOutcome::PeerGone,
+        let (via, due) = match &self.mode {
+            Mode::Local { sim, .. } => (
+                Some(dest),
+                sim.as_ref()
+                    .map(|sim| sim.due(from, to, envelope.len() as u64)),
+            ),
+            Mode::Hub(_) => ((dest != 0).then_some(dest), None),
+            // Everything off this node rides the hub link (star topology;
+            // the hub forwards).
+            Mode::Node { self_node, .. } => ((dest != *self_node).then_some(0), None),
+        };
+        let Some(link) = via else {
+            return self.fabric.deliver_encoded(to, envelope);
+        };
+        if self.send_on(link, frame(to, envelope), due) {
+            return;
+        }
+        match self.mode {
+            // A link this process could not make: deliver in place rather
+            // than lose the message.
+            Mode::Local { .. } => self.fabric.deliver_encoded(to, envelope),
+            _ => {
+                if let Some(w) = worker_on(dest) {
+                    self.fabric.peer_gone(w);
                 }
             }
         }
     }
 
-    /// Hub: queue one frame from node `origin` onto the connection of `to`'s
-    /// worker process, keeping the pending-request map in step — a reply
-    /// retires its entry, a request that got queued opens one. `false` when
-    /// that process is unattached or gone.
-    fn hub_forward(
-        &self,
-        hub: &HubState,
-        origin: u64,
-        to: Addr,
-        envelope: &[u8],
-        meta: &RouteMeta,
-    ) -> bool {
-        let dest = to_node(to);
-        if let RouteMeta::Reply { corr } = meta {
-            hub.pending.lock().remove(&(dest, *corr));
-        }
-        let tx = self.writers.lock().get(&dest).cloned();
-        let sent = tx.is_some_and(|tx| tx.send(frame(to, envelope)).is_ok());
-        if let (true, RouteMeta::Request { corr }) = (sent, meta) {
-            hub.pending.lock().insert((origin, *corr), dest);
-        }
-        sent
+    /// Queue `bytes` on the link to node `node`; `false` when there is none.
+    fn send_on(self: &Arc<Self>, node: u64, bytes: Vec<u8>, due: Option<Instant>) -> bool {
+        self.link(node)
+            .is_some_and(|tx| tx.send(Outgoing { bytes, due }).is_ok())
     }
 
-    /// Loopback: connection to destination node `dest`, dialing it (and
-    /// spawning its writer) on first use.
-    fn loopback_writer(self: &Arc<Self>, dest: u64) -> Option<Sender<Vec<u8>>> {
-        let mut writers = self.writers.lock();
-        if let Some(tx) = writers.get(&dest) {
+    /// The link to node `node`: in process, made on first use; on a hub or
+    /// a node, the one its handshake opened, while it is up.
+    fn link(self: &Arc<Self>, node: u64) -> Option<Sender<Outgoing>> {
+        let mut links = self.links.lock();
+        if let Some(tx) = links.get(&node) {
             return Some(tx.clone());
         }
+        let Mode::Local { tcp, .. } = self.mode else {
+            return None;
+        };
         if self.stopping() {
             return None;
         }
-        let addr = self.listen_addr?;
-        let stream = TcpStream::connect(addr).ok()?;
-        let _ = stream.set_nodelay(true);
-        let (tx, rx) = unbounded();
-        let label = format!("loopback node {dest}");
-        let handle = std::thread::Builder::new()
-            .name(format!("dtask-net-w{dest}"))
-            .spawn(move || writer_loop(stream, rx, label))
-            .ok()?;
-        self.threads.lock().push(handle);
-        writers.insert(dest, tx.clone());
-        Some(tx)
-    }
-
-    /// Handle one complete inbound frame. `peer` is the sending node when
-    /// known (hub readers; `None` on loopback).
-    fn handle_frame(self: &Arc<Self>, peer: Option<u64>, f: Frame) -> FrameAction {
-        let kind = wire::kind_of(&f.envelope);
-        match &self.mode {
-            Mode::Loopback => {
-                (self.callbacks.deliver)(f.to, &f.envelope);
-                FrameAction::Continue
-            }
-            Mode::Hub(hub) => {
-                if kind == Some(Kind::Node) {
-                    return match wire::decode_node(&f.envelope) {
-                        Ok(NodeMsg::Goodbye { reason }) => {
-                            eprintln!("dtask-net: node {} leaving: {reason}", peer.unwrap_or(0));
-                            FrameAction::Close
-                        }
-                        Ok(_) => FrameAction::Continue,
-                        Err(e) => {
-                            eprintln!("dtask-net: bad control frame: {e}");
-                            FrameAction::Close
-                        }
-                    };
-                }
-                if let Some(lane) = kind.and_then(Kind::lane) {
-                    (self.callbacks.account)(lane, f.envelope.len() as u64);
-                }
-                let reply = wire::reply_corr(&f.envelope);
-                let dest = to_node(f.to);
-                if dest == 0 {
-                    if let Some(corr) = reply {
-                        hub.pending.lock().remove(&(0, corr));
-                    }
-                    (self.callbacks.deliver)(f.to, &f.envelope);
-                    return FrameAction::Continue;
-                }
-                // Star forwarding: node → node via this hub.
-                let meta = if let Some(corr) = reply {
-                    RouteMeta::Reply { corr }
-                } else if let Some(corr) = wire::request_corr(&f.envelope) {
-                    RouteMeta::Request { corr }
-                } else {
-                    RouteMeta::Plain
-                };
-                if !self.hub_forward(hub, peer.unwrap_or(0), f.to, &f.envelope, &meta) {
-                    // Request against a dead process: cancel at the origin.
-                    if let RouteMeta::Request { corr } = meta {
-                        self.cancel_at(peer, corr);
-                    }
-                }
-                FrameAction::Continue
-            }
-            Mode::Node { goodbye_tx, .. } => {
-                if kind == Some(Kind::Node) {
-                    return match wire::decode_node(&f.envelope) {
-                        Ok(NodeMsg::Cancel { corr }) => {
-                            (self.callbacks.cancel)(corr);
-                            FrameAction::Continue
-                        }
-                        Ok(NodeMsg::Goodbye { reason }) => {
-                            // Retire the hub writer first: anything routed
-                            // after this fails fast as PeerGone instead of
-                            // queueing onto a connection that is going away.
-                            self.writers.lock().clear();
-                            let _ = goodbye_tx.send(reason);
-                            FrameAction::Close
-                        }
-                        Ok(_) => FrameAction::Continue,
-                        Err(e) => {
-                            eprintln!("dtask-net: bad control frame from hub: {e}");
-                            FrameAction::Close
-                        }
-                    };
-                }
-                (self.callbacks.deliver)(f.to, &f.envelope);
-                FrameAction::Continue
-            }
-        }
-    }
-
-    /// Cancel a pending request's reply slot where it lives: locally when
-    /// the requester is hub-side, with a control frame when it is a node.
-    fn cancel_at(&self, origin: Option<u64>, corr: u64) {
-        match origin {
-            None | Some(0) => (self.callbacks.cancel)(corr),
-            Some(o) => {
-                let env = wire::encode_node(&NodeMsg::Cancel { corr });
-                let tx = self.writers.lock().get(&o).cloned();
-                if let Some(tx) = tx {
-                    let _ = tx.send(frame(Addr::Control, &env));
-                }
-            }
-        }
-    }
-
-    /// Hub: a worker process's connection is gone. Retire its writer and
-    /// resolve every pending request that can no longer complete.
-    fn node_down(&self, node: u64) {
-        let Mode::Hub(hub) = &self.mode else {
-            return;
+        let fr = FrameReader::new();
+        let made = if tcp {
+            tcp_pair().and_then(|(out, inp)| self.open_link(&mut links, node, out, inp, fr))
+        } else {
+            std::io::pipe().and_then(|(inp, out)| self.open_link(&mut links, node, out, inp, fr))
         };
-        let had_writer = self.writers.lock().remove(&node).is_some();
-        if had_writer && !self.stopping() {
-            eprintln!("dtask-net: worker node {node} disconnected");
+        made.map_err(|e| eprintln!("dtask-net: no link to in-process node {node}: {e}"))
+            .ok()
+    }
+
+    /// Start a link to node `node` and list it in `links`: a writer draining
+    /// its queue into `out`, then a reader reassembling what arrives on
+    /// `inp` after whatever `fr` already holds.
+    fn open_link<W: Write + Pipe, R: Read + Pipe>(
+        self: &Arc<Self>,
+        links: &mut HashMap<u64, Sender<Outgoing>>,
+        node: u64,
+        out: W,
+        inp: R,
+        fr: FrameReader,
+    ) -> std::io::Result<Sender<Outgoing>> {
+        let tx = self.spawn_writer(node, out)?;
+        links.insert(node, tx.clone());
+        let shared = Arc::clone(self);
+        self.spawn(format!("dtask-net-r{node}"), move || {
+            reader_loop(shared, inp, node, fr)
+        })
+        .inspect_err(|_| {
+            links.remove(&node);
+        })?;
+        Ok(tx)
+    }
+
+    /// Start the writer of the link to node `node` on `out`; the returned
+    /// sender is its queue.
+    fn spawn_writer<W: Write + Pipe>(
+        &self,
+        node: u64,
+        out: W,
+    ) -> std::io::Result<Sender<Outgoing>> {
+        let (tx, rx) = unbounded();
+        let label = self.link_name(node);
+        self.spawn(format!("dtask-net-w{node}"), move || {
+            writer_loop(out, rx, label)
+        })?;
+        Ok(tx)
+    }
+
+    /// Spawn one plane thread, joined when the [`Plane`] drops.
+    fn spawn(&self, name: String, body: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+        let handle = std::thread::Builder::new().name(name).spawn(body)?;
+        self.threads.lock().push(handle);
+        Ok(())
+    }
+
+    /// What log lines call the link to node `node`.
+    fn link_name(&self, node: u64) -> String {
+        match self.mode {
+            Mode::Local { .. } => format!("in-process node {node}"),
+            Mode::Hub(_) => format!("worker node {node}"),
+            Mode::Node { .. } => "hub".into(),
         }
-        let mut local = Vec::new();
-        let mut remote = Vec::new();
-        hub.pending.lock().retain(|&(origin, corr), &mut target| {
-            if target == node {
-                if origin == 0 {
-                    local.push(corr);
-                } else {
-                    remote.push((origin, corr));
-                }
-                false
-            } else {
-                // Requests *from* the dead node can never consume their
-                // reply; drop the bookkeeping.
-                origin != node
+    }
+
+    /// Hub: queue a control message on node `node`'s link.
+    fn tell(self: &Arc<Self>, node: u64, msg: &NodeMsg) -> bool {
+        self.send_on(node, frame(Addr::Control, &wire::encode_node(msg)), None)
+    }
+
+    /// Hub: queue a control message on every node's link. A node that
+    /// already exited has a dead writer, which drains: this never blocks or
+    /// panics.
+    fn tell_all(self: &Arc<Self>, msg: &NodeMsg) {
+        let nodes: Vec<u64> = self.links.lock().keys().copied().collect();
+        for node in nodes {
+            if !self.tell(node, msg) {
+                eprintln!("dtask-net: {msg:?} to node {node} skipped (link already gone)");
             }
-        });
-        for corr in local {
-            (self.callbacks.cancel)(corr);
-        }
-        for (origin, corr) in remote {
-            self.cancel_at(Some(origin), corr);
         }
     }
-}
 
-// ---- threads ----------------------------------------------------------------
-
-/// Per-connection writer: drains its queue onto the socket. A write error
-/// means the peer is gone — log once, then keep draining so no sender ever
-/// blocks on a corpse (the dependency-ordered teardown relies on this).
-fn writer_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>, label: String) {
-    let mut dead = false;
-    while let Ok(buf) = rx.recv() {
-        if dead {
-            continue;
+    /// Handle one complete inbound frame from node `peer`. Returns why the
+    /// link closes, if this frame closes it.
+    fn handle_frame(self: &Arc<Self>, peer: u64, f: Frame) -> Option<String> {
+        let kind = wire::kind_of(&f.envelope);
+        if kind == Some(Kind::Node) {
+            return self.handle_control(peer, &f.envelope);
         }
-        if let Err(e) = stream.write_all(&buf) {
-            eprintln!("dtask-net: write to {label} failed ({e}); peer treated as gone");
-            dead = true;
+        let Mode::Hub(_) = self.mode else {
+            self.fabric.deliver_encoded(f.to, &f.envelope);
+            return None;
+        };
+        // A remote sender's counters never leave its process, so the hub
+        // accounts what it receives.
+        if let Some(lane) = kind.and_then(Kind::lane) {
+            self.fabric.account(lane, f.envelope.len() as u64);
+        }
+        let dest = to_node(f.to);
+        if dest == 0 {
+            self.fabric.deliver_encoded(f.to, &f.envelope);
+        } else if !self.send_on(dest, frame(f.to, &f.envelope), None) {
+            // Star forwarding moves bytes untouched. Its target's process is
+            // gone: the origin's slots aimed at that worker die.
+            if let Some(worker) = worker_on(dest) {
+                self.tell(peer, &NodeMsg::PeerGone { worker });
+            }
+        }
+        None
+    }
+
+    /// A deployment control frame from node `peer`. Returns why the link
+    /// closes, if this frame closes it.
+    fn handle_control(&self, peer: u64, envelope: &[u8]) -> Option<String> {
+        let on_node = matches!(self.mode, Mode::Node { .. });
+        match wire::decode_node(envelope) {
+            Ok(NodeMsg::Goodbye { reason }) => Some(reason),
+            Ok(NodeMsg::PeerGone { worker }) if on_node => {
+                self.fabric.peer_gone(worker);
+                None
+            }
+            Ok(NodeMsg::Cancel { corr }) if on_node => {
+                self.fabric.cancel(corr);
+                None
+            }
+            Ok(_) => None,
+            Err(e) => Some(format!(
+                "bad control frame from {}: {e}",
+                self.link_name(peer)
+            )),
         }
     }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-}
 
-/// Per-connection reader: reassemble frames, hand them to the plane. On
-/// EOF/error, run the mode's peer-death bookkeeping.
-fn reader_loop(
-    shared: Arc<PlaneShared>,
-    mut stream: TcpStream,
-    peer: Option<u64>,
-    mut fr: FrameReader,
-    label: String,
-) {
-    let mut chunk = vec![0u8; 64 * 1024];
-    let mut graceful = false;
-    'outer: loop {
-        // Parse before reading: a handshake may hand over a reader that
-        // already buffers frames the peer sent right behind its `Welcome`.
-        loop {
-            match fr.next_frame() {
-                Ok(Some(f)) => {
-                    if matches!(shared.handle_frame(peer, f), FrameAction::Close) {
-                        graceful = true;
-                        break 'outer;
+    /// The link to node `peer` is down (`closed`: the reason a frame gave).
+    /// Hub: that node's worker is gone — its reply slots die here and,
+    /// through [`NodeMsg::PeerGone`], on every other node. Node: the hub is
+    /// gone, and with it every other worker; then [`crate::node::run_node`]
+    /// is woken.
+    fn link_down(self: &Arc<Self>, peer: u64, closed: Option<String>) {
+        match &self.mode {
+            Mode::Local { .. } => {}
+            Mode::Hub(_) => {
+                let had_link = self.links.lock().remove(&peer).is_some();
+                if had_link && !self.stopping() {
+                    match &closed {
+                        Some(reason) => eprintln!("dtask-net: worker node {peer} left: {reason}"),
+                        None => eprintln!("dtask-net: worker node {peer} disconnected"),
                     }
                 }
-                Ok(None) => break,
-                Err(e) => {
-                    eprintln!("dtask-net: {label}: dropping the connection: {e}");
-                    break 'outer;
+                if let Some(worker) = worker_on(peer) {
+                    self.fabric.peer_gone(worker);
+                    self.tell_all(&NodeMsg::PeerGone { worker });
                 }
             }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                if let Err(e) = fr.at_eof() {
-                    eprintln!("dtask-net: {label}: stream ended mid-frame: {e}");
+            Mode::Node {
+                self_node,
+                goodbye_tx,
+            } => {
+                // Retire the hub link first: a route after this fails fast
+                // and its own slot dies.
+                self.links.lock().clear();
+                let me = worker_on(*self_node);
+                for w in (0..self.fabric.n_workers()).filter(|&w| Some(w) != me) {
+                    self.fabric.peer_gone(w);
                 }
-                break;
-            }
-            Ok(n) => fr.push(&chunk[..n]),
-            Err(e) => {
-                if !shared.stopping() {
-                    eprintln!("dtask-net: {label}: read failed: {e}");
-                }
-                break;
+                let _ = goodbye_tx.send(closed.unwrap_or_else(|| "connection to hub lost".into()));
             }
         }
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    match (&shared.mode, peer) {
-        (Mode::Hub(_), Some(node)) => shared.node_down(node),
-        (Mode::Node { goodbye_tx, .. }, _) => {
-            // Hub link is gone either way: retire the writer so later
-            // routes fail fast (PeerGone), then — if this was not an
-            // orderly Goodbye — wake the node runtime.
-            shared.writers.lock().clear();
-            if !graceful && !shared.stopping() {
-                let _ = goodbye_tx.send("connection to hub lost".into());
-            }
-        }
-        _ => {}
     }
 }
 
@@ -682,8 +717,8 @@ fn read_one_frame(
 }
 
 /// Hub side of one accepted connection: registration handshake, then the
-/// normal reader loop. Any handshake failure logs a structured error and
-/// abandons only this connection — the accept loop keeps serving.
+/// link's reader. Any handshake failure logs a structured error and abandons
+/// only this connection — the accept loop keeps serving.
 fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAddr) {
     let Mode::Hub(hub) = &shared.mode else {
         return;
@@ -738,39 +773,27 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
     // the attach flag — so `await_workers` returning implies the
     // scheduler's inbox already carries the registration, and nothing the
     // node sends after Welcome can outrace its own `RegisterWorker`.
-    let write_stream = match stream.try_clone() {
-        Ok(s) => s,
+    let node = 1 + worker as u64;
+    let tx = match stream
+        .try_clone()
+        .and_then(|out| shared.spawn_writer(node, out))
+    {
+        Ok(tx) => tx,
         Err(e) => {
-            eprintln!("dtask-net: {peer_sock}: socket clone failed: {e}");
+            eprintln!("dtask-net: {peer_sock}: link writer failed to start: {e}");
             hub.claimed.lock()[worker] = false;
             return;
         }
     };
-    let (tx, rx) = unbounded();
-    let node = 1 + worker as u64;
-    let label = format!("worker node {node}");
-    match std::thread::Builder::new()
-        .name(format!("dtask-net-w{node}"))
-        .spawn({
-            let label = label.clone();
-            move || writer_loop(write_stream, rx, label)
-        }) {
-        Ok(h) => shared.threads.lock().push(h),
-        Err(e) => {
-            eprintln!("dtask-net: {peer_sock}: writer spawn failed: {e}");
-            hub.claimed.lock()[worker] = false;
-            return;
-        }
-    }
     {
-        // Checked under the writers lock that `shutdown` clears after
-        // setting the flag: a writer inserted here is always retired, so
-        // the reader below always gets its EOF.
-        let mut writers = shared.writers.lock();
+        // Checked under the links lock that `shutdown` clears after setting
+        // the flag: a link listed here is always retired, so the reader
+        // below always gets its EOF.
+        let mut links = shared.links.lock();
         if shared.stopping() {
             return;
         }
-        writers.insert(node, tx.clone());
+        links.insert(node, tx.clone());
     }
     (hub.register)(worker, slots);
     let env = wire::encode_node(&NodeMsg::Welcome(NodeWelcome {
@@ -781,8 +804,11 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
         mem_budget: hub.params.mem_budget,
         steal_poll_ms: hub.params.steal_poll_ms,
     }));
-    let _ = tx.send(frame(Addr::Control, &env));
-    // From here only `writers` holds the sender, so clearing it at shutdown
+    let _ = tx.send(Outgoing {
+        bytes: frame(Addr::Control, &env),
+        due: None,
+    });
+    // From here only `links` holds the sender, so clearing it at shutdown
     // retires the writer and ends the read below.
     drop(tx);
     hub.attached()[worker] = true;
@@ -795,10 +821,10 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
             capabilities.join(",")
         );
     }
-    reader_loop(shared, stream, Some(node), fr, label);
+    reader_loop(shared, stream, node, fr);
 }
 
-/// Blocking accept loop, shared by the socket planes and the telemetry
+/// Blocking accept loop, shared by the hub plane and the telemetry
 /// exporter: hands every connection to `serve` until `stop` is set and
 /// [`stop_accepting`] wakes the blocked `accept`. An error other than a
 /// connection aborted before it was accepted means the listener itself is
@@ -842,32 +868,12 @@ pub(crate) fn stop_accepting(stop: &AtomicBool, listener_addr: SocketAddr) {
     let _ = TcpStream::connect(wake);
 }
 
-/// Serve one accepted plane connection on its own thread.
-fn spawn_conn(shared: &Arc<PlaneShared>, stream: TcpStream, peer_sock: SocketAddr) {
-    let conn_shared = Arc::clone(shared);
-    let spawned = std::thread::Builder::new()
-        .name("dtask-net-conn".into())
-        .spawn(move || match conn_shared.mode {
-            Mode::Loopback => {
-                let _ = stream.set_nodelay(true);
-                let label = format!("loopback peer {peer_sock}");
-                reader_loop(conn_shared, stream, None, FrameReader::new(), label);
-            }
-            Mode::Hub(_) => hub_conn(conn_shared, stream, peer_sock),
-            Mode::Node { .. } => {}
-        });
-    match spawned {
-        Ok(h) => shared.threads.lock().push(h),
-        Err(e) => eprintln!("dtask-net: connection thread spawn failed: {e}"),
-    }
-}
-
 // ---- plane handles ----------------------------------------------------------
 
-/// Owning handle of one socket plane: shared state plus its threads.
-/// Dropping it stops and joins everything.
-pub struct SocketPlane {
-    /// Routing and deploy bookkeeping, shared with every socket thread.
+/// Owning handle of one plane: shared state plus its threads. Dropping it
+/// stops and joins everything.
+pub struct Plane {
+    /// Routing and deploy bookkeeping, shared with every plane thread.
     pub(crate) shared: Arc<PlaneShared>,
 }
 
@@ -886,33 +892,20 @@ pub(crate) struct HubParams {
     pub handshake_timeout: Duration,
 }
 
-impl SocketPlane {
-    /// Bind `bind` and serve it with an accept loop in the given mode
-    /// (loopback and hub planes).
-    fn listen(
-        bind: impl std::net::ToSocketAddrs,
-        mode: Mode,
-        callbacks: PlaneCallbacks,
-    ) -> std::io::Result<SocketPlane> {
-        let listener = TcpListener::bind(bind)?;
-        let shared = PlaneShared::new(mode, Some(listener.local_addr()?), callbacks);
-        let accept_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("dtask-net-accept".into())
-            .spawn(move || {
-                accept_until_stopped(&listener, &accept_shared.stop, |stream, peer| {
-                    spawn_conn(&accept_shared, stream, peer)
-                })
-            })?;
-        shared.threads.lock().push(handle);
-        Ok(SocketPlane { shared })
-    }
-
-    /// In-process loopback plane for `TransportConfig::Tcp`: everything a
-    /// router dispatches crosses a real 127.0.0.1 socket and is delivered
-    /// back into the local fabric by an accept-side reader.
-    pub(crate) fn loopback(callbacks: PlaneCallbacks) -> std::io::Result<SocketPlane> {
-        SocketPlane::listen(("127.0.0.1", 0), Mode::Loopback, callbacks)
+impl Plane {
+    /// The plane `config` runs on: none for InProc, whose messages never
+    /// become bytes; an in-process plane, whose links are made as routes
+    /// need them, for every coded backend.
+    pub(crate) fn for_transport(config: &TransportConfig, fabric: &Arc<Fabric>) -> Option<Plane> {
+        let (tcp, sim) = match config {
+            TransportConfig::InProc => return None,
+            TransportConfig::Framed => (false, None),
+            TransportConfig::SimNet(sim) => (false, Some(SimNet::new(sim, fabric.n_workers()))),
+            TransportConfig::Tcp => (true, None),
+        };
+        Some(Plane {
+            shared: PlaneShared::new(Mode::Local { tcp, sim }, None, fabric),
+        })
     }
 
     /// Deployment hub plane: listen for `dtask-node` worker processes.
@@ -922,18 +915,31 @@ impl SocketPlane {
     pub(crate) fn hub(
         bind: &str,
         params: HubParams,
-        callbacks: PlaneCallbacks,
         register: RegisterFn,
-    ) -> std::io::Result<SocketPlane> {
+        fabric: &Arc<Fabric>,
+    ) -> std::io::Result<Plane> {
+        let listener = TcpListener::bind(bind)?;
         let hub = HubState {
             claimed: Mutex::new(vec![false; params.n_workers]),
             attached: std::sync::Mutex::new(vec![false; params.n_workers]),
             attach_cv: Condvar::new(),
             params,
             register,
-            pending: Mutex::new(HashMap::new()),
         };
-        SocketPlane::listen(bind, Mode::Hub(hub), callbacks)
+        let plane = Plane {
+            shared: PlaneShared::new(Mode::Hub(hub), Some(listener.local_addr()?), fabric),
+        };
+        let accept_shared = Arc::clone(&plane.shared);
+        plane.shared.spawn("dtask-net-accept".into(), move || {
+            accept_until_stopped(&listener, &accept_shared.stop, |stream, peer_sock| {
+                let conn_shared = Arc::clone(&accept_shared);
+                let serve = move || hub_conn(conn_shared, stream, peer_sock);
+                if let Err(e) = accept_shared.spawn("dtask-net-conn".into(), serve) {
+                    eprintln!("dtask-net: connection thread spawn failed: {e}");
+                }
+            })
+        })?;
+        Ok(plane)
     }
 }
 
@@ -996,14 +1002,14 @@ impl NodeHandshake {
         })
     }
 
-    /// Bring the node plane up on the handshaken connection: one writer and
-    /// one reader thread. `goodbye_tx` carries the teardown signal into
+    /// Bring the node plane up on the handshaken connection: its one link,
+    /// to the hub. `goodbye_tx` carries the teardown signal into
     /// [`crate::node::run_node`].
     pub(crate) fn start(
         self,
-        callbacks: PlaneCallbacks,
+        fabric: &Arc<Fabric>,
         goodbye_tx: Sender<String>,
-    ) -> Result<SocketPlane, String> {
+    ) -> Result<Plane, String> {
         let NodeHandshake {
             stream,
             reader,
@@ -1013,29 +1019,21 @@ impl NodeHandshake {
             self_node: 1 + welcome.worker as u64,
             goodbye_tx,
         };
-        let shared = PlaneShared::new(mode, None, callbacks);
-        let write_stream = stream
+        let plane = Plane {
+            shared: PlaneShared::new(mode, None, fabric),
+        };
+        let out = stream
             .try_clone()
             .map_err(|e| format!("socket clone failed: {e}"))?;
-        let (tx, rx) = unbounded();
-        shared.writers.lock().insert(0, tx);
-        let wh = std::thread::Builder::new()
-            .name("dtask-net-whub".into())
-            .spawn(move || writer_loop(write_stream, rx, "hub".into()))
-            .map_err(|e| format!("writer spawn failed: {e}"))?;
-        shared.threads.lock().push(wh);
-        let plane = SocketPlane { shared };
-        let reader_shared = Arc::clone(&plane.shared);
-        let rh = std::thread::Builder::new()
-            .name("dtask-net-rhub".into())
-            .spawn(move || reader_loop(reader_shared, stream, Some(0), reader, "hub".into()))
-            .map_err(|e| format!("reader spawn failed: {e}"))?;
-        plane.shared.threads.lock().push(rh);
+        let shared = &plane.shared;
+        shared
+            .open_link(&mut shared.links.lock(), 0, out, stream, reader)
+            .map_err(|e| format!("hub link failed to start: {e}"))?;
         Ok(plane)
     }
 }
 
-impl Drop for SocketPlane {
+impl Drop for Plane {
     fn drop(&mut self) {
         self.shared.shutdown();
         // Connection threads may still be registering handles while we
@@ -1055,6 +1053,11 @@ impl Drop for SocketPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::Key;
+    use crate::msg::DataMsg;
+    use crate::stats::SchedulerStats;
+    use crate::trace::TraceHandle;
+    use crate::transport::{ClusterChannels, FaultPlan, Outcome, ReplyRx, Router};
 
     fn env_bytes() -> Vec<u8> {
         wire::encode(&crate::transport::Payload::Sched(
@@ -1216,5 +1219,97 @@ mod tests {
         assert_eq!(fr.next_frame().unwrap().unwrap().to, Addr::Scheduler);
         assert_eq!(fr.next_frame().unwrap().unwrap().to, Addr::Client(2));
         assert!(fr.next_frame().unwrap().is_none());
+    }
+
+    /// A router for two workers over the plane `plane` builds.
+    fn plane_router<E: std::fmt::Debug>(
+        channels: ClusterChannels,
+        plane: impl FnOnce(&Arc<Fabric>) -> Result<Plane, E>,
+    ) -> Arc<Router> {
+        let stats = Arc::new(SchedulerStats::new());
+        let faults = FaultPlan::default();
+        Router::new(
+            2,
+            channels,
+            stats,
+            TraceHandle::disabled(),
+            faults,
+            |fabric| plane(fabric).map(Some),
+        )
+        .expect("plane")
+    }
+
+    /// Whether `reply` ends as `HungUp` within ten seconds.
+    fn hangs_up(reply: ReplyRx) -> bool {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        std::thread::spawn(move || tx.send(matches!(reply.recv(), Outcome::HungUp)));
+        rx.recv_timeout(Duration::from_secs(10)) == Ok(true)
+    }
+
+    /// One hub plane and two node planes over real sockets, no scheduler.
+    /// Node B's process goes while node A waits on a request to B's worker:
+    /// that request, one node A sends afterwards and one the hub sends all
+    /// end as `HungUp`.
+    #[test]
+    fn requests_to_a_lost_node_hang_up_on_the_other_node_and_the_hub() {
+        let (hub_channels, _sched_rx, _) = ClusterChannels::new(2);
+        let params = HubParams {
+            n_workers: 2,
+            default_slots: 1,
+            heartbeat_ms: 0,
+            steal_poll_ms: 0,
+            mem_budget: None,
+            handshake_timeout: Duration::from_secs(10),
+        };
+        let hub = plane_router(hub_channels, |fabric| {
+            Plane::hub("127.0.0.1:0", params, Box::new(|_, _| {}), fabric)
+        });
+        let addr = hub
+            .plane()
+            .and_then(|p| p.local_addr())
+            .expect("hub address");
+        let node = || {
+            let handshake = NodeHandshake::dial(
+                &addr.to_string(),
+                1,
+                None,
+                Vec::new(),
+                Duration::from_secs(10),
+                Duration::from_secs(10),
+            )
+            .expect("handshake");
+            let worker = handshake.welcome.worker;
+            let (channels, _, inboxes) = ClusterChannels::new(2);
+            let (goodbye_tx, _) = unbounded();
+            let router = plane_router(channels, |fabric| handshake.start(fabric, goodbye_tx));
+            (worker, router, inboxes)
+        };
+        let (a, node_a, _) = node();
+        let (b, node_b, mut b_inboxes) = node();
+        assert_eq!((a, b), (0, 1));
+        let get = |router: &Arc<Router>, from: Addr| {
+            router.endpoint(from).request(b, |reply| DataMsg::Get {
+                key: Key::new("k"),
+                reply,
+            })
+        };
+
+        // B's worker has the request in its inbox and never answers it.
+        let in_flight = get(&node_a, Addr::WorkerExec(a));
+        let b_inbox = b_inboxes.swap_remove(b);
+        assert!(matches!(
+            b_inbox.data_rx.recv_timeout(Duration::from_secs(10)),
+            Ok(DataMsg::Get { .. })
+        ));
+        drop(node_b);
+        assert!(hangs_up(in_flight), "node A's request in flight");
+        assert!(
+            hangs_up(get(&node_a, Addr::WorkerExec(a))),
+            "node A's request after the loss"
+        );
+        assert!(
+            hangs_up(get(&hub, Addr::Control)),
+            "the hub's request after the loss"
+        );
     }
 }

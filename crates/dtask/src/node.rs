@@ -98,13 +98,13 @@ pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, 
         .nth(w)
         .ok_or("assigned worker id out of range")?;
     let (goodbye_tx, goodbye_rx) = unbounded();
-    let router = Router::new_socket(
-        |callbacks| handshake.start(callbacks, goodbye_tx),
+    let router = Router::new(
         welcome.n_workers,
         channels,
         Arc::clone(&stats),
         TraceHandle::disabled(),
         FaultPlan::default(),
+        |fabric| handshake.start(fabric, goodbye_tx).map(Some),
     )?;
 
     let millis = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
@@ -131,10 +131,9 @@ pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, 
         .recv()
         .unwrap_or_else(|_| "plane closed".to_string());
 
-    // The hub link is gone, so first unblock anything waiting on a
-    // cross-process reply — every further outbound request fails fast as
-    // PeerGone — then retire the worker in the orderly order.
-    router.cancel_all_replies();
+    // The hub link is gone, and the plane has already cancelled every reply
+    // slot aimed at another worker (a later request fails fast the same
+    // way): retire the worker in the orderly order.
     runtime.stop_slots();
     runtime.stop_data();
     Ok(NodeReport {

@@ -824,24 +824,6 @@ pub(crate) fn kind_of(envelope: &[u8]) -> Option<Kind> {
     Kind::from_byte(*envelope.get(3)?).ok()
 }
 
-/// The correlation id a [`Kind::Reply`] envelope resolves: the first body
-/// field, read without decoding the value behind it.
-pub(crate) fn reply_corr(envelope: &[u8]) -> Option<u64> {
-    match open(envelope) {
-        Ok((Kind::Reply, body)) => u64::get(&mut Dec::new(body)).ok(),
-        _ => None,
-    }
-}
-
-/// The correlation id of the reply slot riding a [`Kind::Data`] request.
-/// Needs a full decode: the [`ReplyTo`]'s position varies per variant.
-pub(crate) fn request_corr(envelope: &[u8]) -> Option<u64> {
-    match (kind_of(envelope)? == Kind::Data).then(|| decode(envelope)) {
-        Some(Ok(Payload::Data(msg))) => msg.reply_to().map(|r| r.corr),
-        _ => None,
-    }
-}
-
 /// The routing preamble of a frame bound for `to`.
 pub(crate) fn preamble(to: Addr) -> [u8; PREAMBLE_BYTES] {
     let mut e = Enc::new();
@@ -893,11 +875,19 @@ pub enum NodeMsg {
         reason: String,
     },
     /// Hub → node: a reply slot the node is waiting on can never be
-    /// fulfilled (the target process died). The node cancels the local
-    /// correlation so the waiter observes the standard hung-peer error.
+    /// fulfilled. Still decoded and honoured (the node cancels that one
+    /// correlation), but hubs send [`NodeMsg::PeerGone`] instead.
     Cancel {
         /// Correlation id in the *receiving node's* reply space.
         corr: u64,
+    },
+    /// Hub → node: worker `worker` is unreachable — its process is gone, or
+    /// a frame for it could not be forwarded. The node cancels every reply
+    /// slot aimed at that worker, so each waiter observes the standard
+    /// hung-peer error.
+    PeerGone {
+        /// The lost worker.
+        worker: usize,
     },
 }
 
@@ -927,6 +917,7 @@ wire_enum!(NodeMsg, "node msg" {
     1 => Welcome(w),
     2 => Goodbye { reason },
     3 => Cancel { corr },
+    4 => PeerGone { worker },
 });
 
 impl Sealed for NodeWelcome {}
@@ -1108,6 +1099,7 @@ mod tests {
                 reason: "cluster shutdown".into(),
             },
             NodeMsg::Cancel { corr: 99 },
+            NodeMsg::PeerGone { worker: 1 },
         ];
         for m in &msgs {
             let bytes = encode_node(m);

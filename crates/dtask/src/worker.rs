@@ -198,12 +198,15 @@ impl WorkerRuntime {
         }
     }
 
-    /// Teardown step: retire the data server.
+    /// Teardown step: retire the data server. Once its thread is joined
+    /// nothing answers a request to this worker, so every reply slot aimed
+    /// at it dies — a request still queued behind the `Shutdown` included.
     pub(crate) fn stop_data(&mut self) {
         self.stop_pinger();
         if let Some(thread) = self.data.take() {
             self.control.send_data(self.id, DataMsg::Shutdown);
             let _ = thread.join();
+            self.control.peer_gone(self.id);
         }
     }
 }
@@ -717,7 +720,25 @@ fn substitute_refs(value: &Datum, resolved: &HashMap<Key, Datum>) -> Datum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{ClusterChannels, FaultPlan, TransportConfig};
+    use crate::transport::{ClusterChannels, FaultPlan, Outcome};
+
+    /// An in-process router for workers `0..n`.
+    fn inproc_router(
+        n: usize,
+        channels: ClusterChannels,
+        stats: &Arc<SchedulerStats>,
+    ) -> Arc<Router> {
+        let trace = TraceHandle::disabled();
+        Router::new(
+            n,
+            channels,
+            Arc::clone(stats),
+            trace,
+            FaultPlan::default(),
+            |_| Ok::<_, std::convert::Infallible>(None),
+        )
+        .expect("test router")
+    }
 
     /// Workers `0..n` behind an in-process router, each with its own store.
     /// Worker 0 runs the executor under test; every other worker not listed
@@ -733,15 +754,7 @@ mod tests {
     fn rig(n: usize, dead: &[WorkerId]) -> Rig {
         let (channels, sched_rx, inboxes) = ClusterChannels::new(n);
         let stats = Arc::new(SchedulerStats::new());
-        let router = Router::new(
-            &TransportConfig::InProc,
-            n,
-            channels,
-            Arc::clone(&stats),
-            TraceHandle::disabled(),
-            FaultPlan::default(),
-        )
-        .expect("test router");
+        let router = inproc_router(n, channels, &stats);
         let stores: Vec<WorkerStore> = (0..n)
             .map(|id| {
                 let config = StoreConfig::default();
@@ -889,5 +902,43 @@ mod tests {
             message.starts_with("proxy proxy:c0:0 unavailable"),
             "{message}"
         );
+    }
+
+    /// A request that reached the inbox behind the data server's `Shutdown`
+    /// stayed there when the thread exited, its reply slot open: the
+    /// requester waited forever, and a cluster dropped after it never
+    /// finished joining.
+    #[test]
+    fn a_request_queued_behind_the_data_servers_shutdown_hangs_up() {
+        let (channels, _sched_rx, inboxes) = ClusterChannels::new(2);
+        let stats = Arc::new(SchedulerStats::new());
+        let router = inproc_router(2, channels, &stats);
+        let requester = router.endpoint(Addr::Control);
+        requester.send_data(1, DataMsg::Shutdown);
+        let reply = requester.request(1, |reply| DataMsg::Get {
+            key: Key::new("k"),
+            reply,
+        });
+        let mut runtime = WorkerRuntime::spawn(WorkerSpec {
+            id: 1,
+            slots: 0,
+            store: StoreConfig::default(),
+            inbox: inboxes.into_iter().nth(1).expect("worker 1's inbox"),
+            router: &router,
+            registry: &OpRegistry::with_std_ops(),
+            stats: &stats,
+            steal_poll: None,
+            heartbeat: None,
+            tracer: &TraceRecorder::disabled(),
+            telemetry: None,
+        })
+        .expect("worker threads");
+        runtime.stop_data();
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        std::thread::spawn(move || tx.send(reply.recv()));
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(Outcome::HungUp) => {}
+            other => panic!("the queued Get was not hung up: {other:?}"),
+        }
     }
 }

@@ -715,6 +715,10 @@ fn every_variant_frames() -> Vec<(String, Vec<u8>)> {
     let body_len = (short.len() - 8) as u32;
     short[4..8].copy_from_slice(&body_len.to_le_bytes());
     frames.push(("node_welcome_short".to_string(), short));
+    frames.push((
+        "node_peer_gone".to_string(),
+        encode_node(&NodeMsg::PeerGone { worker: 1 }),
+    ));
     frames
 }
 
