@@ -17,7 +17,6 @@ use crate::figures::{Figure, Series};
 use crate::scenario::{Mode, Scenario};
 use crate::simside::run_sim_side;
 use crate::stats_util::{mean, ns_to_s, std};
-use netsim::SEC;
 
 fn base_scenario(mode: Mode, seed: u64) -> Scenario {
     Scenario {
@@ -148,11 +147,6 @@ pub fn placement_sweep(cost: &CostModel) -> Figure {
         ylabel: "Duration (seconds)".into(),
         series: vec![spread, meanline],
     }
-}
-
-/// Virtual-runtime helper for tests: total makespan in seconds.
-pub fn makespan_secs(scen: &Scenario, cost: &CostModel) -> f64 {
-    run_sim_side(scen, cost).makespan as f64 / SEC as f64
 }
 
 /// All ablation figures.

@@ -1,12 +1,13 @@
 //! `insitu-sim` — DES models of the paper's four workflow configurations.
 //!
 //! The real runtime (`dtask` + `deisa-core` + `heat2d`) executes the
-//! protocols with real data at laptop scale; this crate replays the *same
-//! message schedules* at paper scale (up to 128 ranks × 1 GiB per process)
-//! on the `netsim` discrete-event simulator to regenerate the evaluation
-//! figures. The correspondence is enforced by integration tests: the message
-//! counts per class that the models inject equal the counts the real runtime
-//! produces (`dtask::SchedulerStats`).
+//! protocols with real data at laptop scale; this crate runs them at paper
+//! scale (up to 128 ranks × 1 GiB per process) on the `netsim`
+//! discrete-event simulator to regenerate the evaluation figures. The
+//! scheduler is not modelled but stepped: both simulators feed real
+//! `SchedMsg`s to `dtask`'s scheduler core under a virtual clock, and
+//! integration tests assert the core's per-class counts
+//! (`dtask::SchedulerStats`) against the runtime's formulas.
 //!
 //! Modules:
 //! * [`cost`] — the calibrated cost model (NIC/PFS bandwidths, scheduler
@@ -15,7 +16,8 @@
 //!   occupies in the pruned fat tree; the seed moves the allocation's switch
 //!   boundary, reproducing §3.3.2's placement variability),
 //! * [`simside`] — the producer-side DES: compute, ghost-sync lockstep,
-//!   scatter data+control, scheduler queueing, heartbeats, PFS writes,
+//!   scatter data, control messages queued for and stepped through the
+//!   scheduler core, heartbeats, PFS writes,
 //! * [`analytics`] — the consumer-side timelines: in-transit IPCA (old and
 //!   new) chained on data arrival, post-hoc IPCA chained on PFS reads,
 //! * [`figures`] — one function per paper figure, returning plot-ready
@@ -34,6 +36,7 @@ pub mod scenario;
 pub mod schedlab;
 pub mod simside;
 pub mod stats_util;
+mod vcore;
 
 pub use ablations::all_ablations;
 pub use cost::CostModel;

@@ -22,20 +22,19 @@
 //! one `SubmitGraph` up front, then one `UpdateData { external: true }` per
 //! block. Not modelled: control-message latency, scheduler service time
 //! (every step is instantaneous), NIC contention between transfers, worker
-//! loss.
+//! loss. The core, its sink and the step-until-quiet loop are
+//! `VirtualCore`'s, shared with [`simside`](crate::simside); the clock is
+//! a [`netsim::Engine`].
 
-use dtask::msg::{Assignment, ClientId, ClientMsg, DataMsg, ExecMsg, SchedMsg, WorkerId};
-use dtask::scheduler::{LivenessConfig, Scheduler, Sink};
-use dtask::{Datum, Key, PolicyConfig, PolicyKind, SchedulerStats, TaskSpec, TraceHandle};
+use crate::vcore::{Actors, VirtualCore};
+use dtask::msg::{Assignment, ClientId, ClientMsg, ExecMsg, SchedMsg, WorkerId};
+use dtask::{Datum, Key, PolicyConfig, PolicyKind, SchedulerStats, TaskSpec};
 use netsim::network::NetworkConfig;
-use netsim::transfer_ns;
+use netsim::{transfer_ns, Engine};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One task of a simulated graph.
 #[derive(Debug, Clone)]
@@ -249,23 +248,8 @@ pub fn policies() -> [PolicyConfig; 4] {
 
 // ---- the simulated workers -------------------------------------------------
 
-/// The scheduler's sink: executor-bound messages are kept for the simulated
-/// workers; data-server and client traffic has nobody to go to.
-#[derive(Default)]
-struct Outbox {
-    exec: RefCell<Vec<(WorkerId, ExecMsg)>>,
-}
-
-impl Sink for Outbox {
-    fn send_exec(&self, worker: WorkerId, msg: ExecMsg) {
-        self.exec.borrow_mut().push((worker, msg));
-    }
-    fn send_data(&self, _worker: WorkerId, _msg: DataMsg) {}
-    fn send_client(&self, _client: ClientId, _msg: ClientMsg) {}
-}
-
-/// What can happen at a worker, ordered by virtual time (then by creation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// What can happen at a worker.
+#[derive(Debug, Clone, Copy)]
 enum Event {
     /// `task`'s missing dependencies have arrived at `worker`.
     Fetched { worker: u32, task: u32 },
@@ -301,10 +285,8 @@ struct Sim<'a> {
     /// Who holds each datum: task outputs first, then blocks.
     holders: Vec<Vec<u32>>,
     ws: Vec<SimWorker>,
-    events: BinaryHeap<Reverse<(u64, u64, Event)>>,
-    seq: u64,
-    now: u64,
-    /// Scheduler-bound messages produced at `now`.
+    eng: Engine<Event>,
+    /// Scheduler-bound messages produced at the engine's `now`.
     inbox: Vec<SchedMsg>,
     /// Replicas a running task's gather fetched, until `Fetched` reports them.
     fetched: HashMap<u32, Vec<(Key, u64)>>,
@@ -315,12 +297,6 @@ struct Sim<'a> {
 }
 
 impl Sim<'_> {
-    fn at(&mut self, delay: u64, event: Event) {
-        self.seq += 1;
-        self.events
-            .push(Reverse((self.now + delay, self.seq, event)));
-    }
-
     /// `(datum id, key, bytes)` of everything `task` reads.
     fn inputs(&self, task: u32) -> impl Iterator<Item = (usize, &Key, u64)> {
         let w = self.workload;
@@ -392,9 +368,9 @@ impl Sim<'_> {
             if !missing.is_empty() {
                 let replicas = missing.into_iter().map(|(_, k, b)| (k, b)).collect();
                 self.fetched.insert(task, replicas);
-                self.at(gather, Event::Fetched { worker, task });
+                self.eng.schedule(gather, Event::Fetched { worker, task });
             }
-            self.at(dur, Event::Finished { worker, task });
+            self.eng.schedule(dur, Event::Finished { worker, task });
             self.ws[w].busy += 1;
             self.busy_ns += dur;
             self.transfer_ns += gather;
@@ -402,7 +378,7 @@ impl Sim<'_> {
         let idle = self.ws[w].busy < self.slots && self.ws[w].queue.is_empty();
         if let (Some(poll), true, false) = (self.steal_poll, idle, self.ws[w].polling) {
             self.ws[w].polling = true;
-            self.at(poll, Event::Poll { worker: w as u32 });
+            self.eng.schedule(poll, Event::Poll { worker: w as u32 });
         }
     }
 
@@ -442,23 +418,6 @@ impl Sim<'_> {
         }
     }
 
-    /// Step the scheduler on everything produced at `now`, hand its
-    /// answers to the workers, and repeat until the instant is quiet.
-    fn flush(&mut self, sched: &mut Scheduler<Outbox>, now: Instant) {
-        while !self.inbox.is_empty() {
-            sched.step(&mut self.inbox, now);
-            let out = std::mem::take(&mut *sched.sink().exec.borrow_mut());
-            for (worker, msg) in out {
-                match &msg {
-                    ExecMsg::Execute(a) => self.note_assigned(std::slice::from_ref(a), worker),
-                    ExecMsg::ExecuteBatch { tasks } => self.note_assigned(tasks, worker),
-                    ExecMsg::Steal { .. } | ExecMsg::Shutdown => {}
-                }
-                self.deliver(worker, msg);
-            }
-        }
-    }
-
     fn note_assigned(&mut self, tasks: &[Assignment], worker: WorkerId) {
         self.assignments.extend(
             tasks
@@ -466,6 +425,24 @@ impl Sim<'_> {
                 .map(|a| (self.task_of[&a.spec.key], worker as u32)),
         );
     }
+}
+
+impl Actors for Sim<'_> {
+    fn inbox(&mut self) -> &mut Vec<SchedMsg> {
+        &mut self.inbox
+    }
+
+    fn exec(&mut self, worker: WorkerId, msg: ExecMsg) {
+        match &msg {
+            ExecMsg::Execute(a) => self.note_assigned(std::slice::from_ref(a), worker),
+            ExecMsg::ExecuteBatch { tasks } => self.note_assigned(tasks, worker),
+            ExecMsg::Steal { .. } | ExecMsg::Shutdown => {}
+        }
+        self.deliver(worker, msg);
+    }
+
+    /// The lab's client never connects, so nothing is ever notified.
+    fn client(&mut self, _client: ClientId, _msg: ClientMsg) {}
 }
 
 /// Run one workload under one policy on `workers`×`slots` simulated
@@ -494,21 +471,7 @@ pub fn run(workload: &Workload, workers: usize, slots: usize, policy: &PolicyCon
         })
         .collect();
 
-    // The virtual clock's zero. Only differences from it are ever looked
-    // at, so when the run happens changes nothing in it.
-    let origin = Instant::now();
-    let stats = Arc::new(SchedulerStats::new());
-    let mut sched = Scheduler::new(
-        Outbox::default(),
-        workers,
-        slots,
-        LivenessConfig::default(),
-        policy.clone(),
-        Arc::clone(&stats),
-        TraceHandle::disabled(),
-        None,
-        origin,
-    );
+    let mut core = VirtualCore::new(workers, slots, policy.clone());
     let mut sim = Sim {
         workload,
         slots,
@@ -517,9 +480,7 @@ pub fn run(workload: &Workload, workers: usize, slots: usize, policy: &PolicyCon
         task_of: task_keys.iter().cloned().zip(0..).collect(),
         holders: vec![Vec::new(); n + workload.blocks.len()],
         ws: (0..workers).map(|_| SimWorker::default()).collect(),
-        events: BinaryHeap::new(),
-        seq: 0,
-        now: 0,
+        eng: Engine::new(),
         inbox: Vec::new(),
         fetched: HashMap::new(),
         done: 0,
@@ -542,7 +503,7 @@ pub fn run(workload: &Workload, workers: usize, slots: usize, policy: &PolicyCon
             specs,
         },
     ];
-    sim.flush(&mut sched, origin);
+    core.settle(&mut sim, 0);
     assert!(
         n == 0 || sim.assignments.is_empty(),
         "tasks ran before data"
@@ -556,24 +517,24 @@ pub fn run(workload: &Workload, workers: usize, slots: usize, policy: &PolicyCon
             external: true,
         });
     }
-    sim.flush(&mut sched, origin);
+    core.settle(&mut sim, 0);
     for w in 0..workers {
         sim.start_tasks(w);
     }
     while sim.done < n {
-        let Some(Reverse((t, _, event))) = sim.events.pop() else {
+        let Some(event) = sim.eng.next_event() else {
             panic!("simulation stalled with {} of {n} tasks done", sim.done);
         };
         if let Event::Poll { .. } = event {
             let active = sim.ws.iter().any(|w| w.busy > 0 || !w.queue.is_empty());
             assert!(active, "only polls left, {} of {n} tasks done", sim.done);
         }
-        sim.now = t;
         sim.handle(event);
-        sim.flush(&mut sched, origin + Duration::from_nanos(t));
+        let now = sim.eng.now();
+        core.settle(&mut sim, now);
     }
 
-    let makespan = sim.now;
+    let makespan = sim.eng.now();
     let capacity_ns = makespan as u128 * (workers * slots) as u128;
     Outcome {
         policy: policy.kind,
@@ -589,7 +550,7 @@ pub fn run(workload: &Workload, workers: usize, slots: usize, policy: &PolicyCon
             sim.busy_ns as f64 / capacity_ns as f64
         },
         assignments: sim.assignments,
-        stats,
+        stats: Arc::clone(core.stats()),
     }
 }
 

@@ -9,8 +9,6 @@ use crate::engine::SimTime;
 #[derive(Debug, Clone, Default)]
 pub struct FifoServer {
     free_at: SimTime,
-    busy_total: SimTime,
-    served: u64,
 }
 
 impl FifoServer {
@@ -25,78 +23,7 @@ impl FifoServer {
         let start = self.free_at.max(now);
         let finish = start + service;
         self.free_at = finish;
-        self.busy_total += service;
-        self.served += 1;
         (start, finish)
-    }
-
-    /// When the server next becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
-    /// Total service time delivered.
-    pub fn busy_total(&self) -> SimTime {
-        self.busy_total
-    }
-
-    /// Number of requests served.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Utilization over an observation window ending at `horizon`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == 0 {
-            return 0.0;
-        }
-        self.busy_total as f64 / horizon as f64
-    }
-}
-
-/// A bank of identical FIFO servers with per-index access (e.g. one NIC per
-/// node, one executor per worker).
-#[derive(Debug, Clone)]
-pub struct ServerBank {
-    servers: Vec<FifoServer>,
-}
-
-impl ServerBank {
-    /// `n` idle servers.
-    pub fn new(n: usize) -> Self {
-        ServerBank {
-            servers: vec![FifoServer::new(); n],
-        }
-    }
-
-    /// Number of servers.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// True when the bank is empty.
-    pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
-    }
-
-    /// Access one server.
-    pub fn get_mut(&mut self, i: usize) -> &mut FifoServer {
-        &mut self.servers[i]
-    }
-
-    /// Read one server.
-    pub fn get(&self, i: usize) -> &FifoServer {
-        &self.servers[i]
-    }
-
-    /// Index of the server that frees up earliest (least-loaded placement).
-    pub fn earliest_free(&self) -> usize {
-        self.servers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.free_at())
-            .map(|(i, _)| i)
-            .unwrap_or(0)
     }
 }
 
@@ -120,26 +47,5 @@ mod tests {
         // Arriving after the server freed: no wait.
         let (start, _) = s.enqueue(500, 10);
         assert_eq!(start, 500);
-        assert_eq!(s.served(), 3);
-        assert_eq!(s.busy_total(), 210);
-    }
-
-    #[test]
-    fn utilization_math() {
-        let mut s = FifoServer::new();
-        s.enqueue(0, 250);
-        assert!((s.utilization(1000) - 0.25).abs() < 1e-12);
-        assert_eq!(s.utilization(0), 0.0);
-    }
-
-    #[test]
-    fn bank_least_loaded() {
-        let mut b = ServerBank::new(3);
-        b.get_mut(0).enqueue(0, 100);
-        b.get_mut(1).enqueue(0, 50);
-        assert_eq!(b.earliest_free(), 2);
-        b.get_mut(2).enqueue(0, 500);
-        assert_eq!(b.earliest_free(), 1);
-        assert_eq!(b.len(), 3);
     }
 }
