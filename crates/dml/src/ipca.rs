@@ -16,7 +16,7 @@
 
 use crate::pca::sign_flip_rows;
 use linalg::stats::{center_columns_view, col_mean_view, col_var_view, RunningStats};
-use linalg::{jacobi_svd_vt, randomized_svd, LinalgError, Matrix, MatrixView};
+use linalg::{jacobi_svd_top, randomized_svd, LinalgError, Matrix, MatrixView};
 
 /// Which SVD backs `partial_fit`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,11 +73,7 @@ impl IncrementalPca {
     /// The top `k` singular values and right singular vectors (`k×F`) of `a`.
     fn svd(&self, a: &Matrix, k: usize) -> Result<(Vec<f64>, Matrix), LinalgError> {
         match self.solver {
-            SvdSolver::Full => {
-                let (mut s, vt) = jacobi_svd_vt(a)?;
-                s.truncate(k);
-                Ok((s, vt.take_rows(k)?))
-            }
+            SvdSolver::Full => jacobi_svd_top(a, k),
             SvdSolver::Randomized { seed } => {
                 // Derive a fresh seed per call so successive batches use
                 // different projections, deterministically.

@@ -17,19 +17,22 @@
 //! then runs the same dependent-unblocking cascade as `handle_task_finished`,
 //! so graphs submitted *before the data existed* start flowing.
 //!
-//! # One core, two drivers
+//! # One core, three drivers
 //!
 //! This file is the **core**: [`Scheduler::step`] takes the state, a batch
 //! of [`SchedMsg`]s and the current time, and sends what follows from them
 //! into a [`Sink`]. It reads no clock, waits on no channel and owns no
 //! thread, so whoever calls it decides what time it is and where the
-//! messages go. Two drivers call it:
+//! messages go. Three drivers call it:
 //!
 //! * the live pump (`scheduler/pump.rs`): blocks on the scheduler inbox,
 //!   drains a burst, reads the wall clock once and steps; its sink is the
 //!   transport [`Endpoint`](crate::transport::Endpoint);
-//! * the discrete-event simulator (`insitu-sim::schedlab`): steps under a
-//!   virtual clock, collects the outbound messages and plays the workers.
+//! * the policy simulator (`insitu-sim::schedlab`): steps under a virtual
+//!   clock, collects the outbound messages and plays the workers;
+//! * the paper's figures (`insitu-sim::simside`): steps under a virtual
+//!   clock the bridges' and the adaptor's real messages, each charged a
+//!   scheduler service time.
 
 use crate::datum::Datum;
 use crate::key::{Key, SessionId, DEFAULT_SESSION};

@@ -6,8 +6,8 @@
 //! * [`NDArray`] — a row-major dense n-dimensional array of `f64`,
 //! * [`Matrix`] — a 2-D specialization with blocked `matmul`,
 //! * Householder [`qr`] and the communication-avoiding tall-skinny [`qr::tsqr`],
-//! * one-sided Jacobi [`svd`] over column-contiguous storage, QR first for
-//!   tall inputs, forming `U` only for the callers that keep it,
+//! * one-sided Jacobi [`svd`] on the rows of a column-pivoted `R` that stops
+//!   at the numerical rank, forming `U` only for the callers that keep it,
 //! * [`rsvd`] — the randomized SVD used by `svd_solver='randomized'` in the
 //!   paper's Listing 2,
 //! * axis [`stats`] (mean / variance) used by the IPCA update.
@@ -27,7 +27,7 @@ pub use matrix::{Matrix, MatrixView};
 pub use ndarray::NDArray;
 pub use qr::{householder_qr, householder_r, tsqr};
 pub use rsvd::randomized_svd;
-pub use svd::{jacobi_svd, jacobi_svd_vt, Svd};
+pub use svd::{jacobi_svd, jacobi_svd_top, jacobi_svd_vt, Svd};
 
 /// Error type for shape/argument mismatches in linear-algebra routines.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,14 +1,17 @@
-//! One-sided Jacobi SVD.
+//! Rank-revealing one-sided Jacobi SVD.
 //!
-//! Rotate column pairs of `A` until all pairs are orthogonal; then column
-//! norms are the singular values, the normalized columns are `U`, and the
-//! accumulated rotations give `V`. Columns are stored contiguously (the
-//! rows of `Aᵀ`), so every dot product and rotation walks memory in order.
-//! A matrix with more rows than columns is first reduced to its `n×n`
-//! triangular factor `R` by Householder QR, so the sweeps only ever see a
-//! square matrix that stays in cache; `Q` is formed only when `U` is asked
-//! for. Used directly, and as the core factorization after random
-//! projection in [`crate::rsvd`].
+//! A tall `A` (`m ≥ n`; a wide one is factored as `Aᵀ`) is first reduced by
+//! a column-pivoted Householder QR, `A·P = Q·R`, which stops at the
+//! numerical rank `r`: once the columns not yet reduced hold only rounding,
+//! the rest of `R` is dropped. The `r` rows of `R` are stored contiguously
+//! (as the columns of `Rᵀ`) and rotated in pairs until all are orthogonal,
+//! `Rᵀ·J = W`. Then the norms of `W`'s columns are the singular values, and
+//! its normalised columns, un-permuted, are the rows of `Vᵀ`: no `V` is
+//! accumulated. `U = Q_r·J` costs `Q` and the `r×r` rotation `J`, which only
+//! a caller that wants `U` pays for. This is the preconditioned Jacobi SVD
+//! of Drmač and Veselić (LAPACK `dgejsv`) stopped at the numerical rank;
+//! the sweeps only ever see `r` rows that stay in cache. Used directly, and
+//! as the core factorization after random projection in [`crate::rsvd`].
 
 use crate::matrix::{dot, Matrix};
 use crate::qr::qr_columns;
@@ -24,8 +27,7 @@ pub struct Svd {
     pub vt: Matrix,
 }
 
-/// Maximum sweeps for the Jacobi iteration. Convergence takes 4–12 sweeps
-/// on the IPCA workload; reaching the limit is a
+/// Maximum sweeps for the Jacobi iteration; reaching the limit is a
 /// [`LinalgError::NoConvergence`].
 const MAX_SWEEPS: usize = 60;
 
@@ -34,37 +36,47 @@ const MAX_SWEEPS: usize = 60;
 /// For `m < n` the routine factors the transpose and swaps the factors.
 pub fn jacobi_svd(a: &Matrix) -> Result<Svd> {
     check_nonempty(a)?;
-    if a.rows() >= a.cols() {
-        let f = factor(a.transpose(), true, true)?;
-        Ok(Svd {
-            u: f.u.expect("U was asked for"),
-            s: f.s,
-            vt: f.vt.expect("V was asked for"),
-        })
+    let k = a.rows().min(a.cols());
+    let (ut, s, vt) = if a.rows() >= a.cols() {
+        let f = factor(a.transpose(), k, true, true)?;
+        (f.ut, f.s, f.vt)
     } else {
         // Aᵀ = U' S V'ᵀ ⇒ A = V' S U'ᵀ, and the rows of A are the columns of Aᵀ.
-        let f = factor(a.clone(), true, true)?;
-        Ok(Svd {
-            u: f.vt.expect("V was asked for").transpose(),
-            s: f.s,
-            vt: f.u.expect("U was asked for").transpose(),
-        })
-    }
+        let f = factor(a.clone(), k, true, true)?;
+        (f.vt, f.s, f.ut)
+    };
+    Ok(Svd {
+        u: ut.expect("U was asked for").transpose(),
+        s,
+        vt: vt.expect("V was asked for"),
+    })
 }
 
-/// The singular values (descending, length `k = min(m, n)`) and `Vᵀ`
-/// (`k×n`) of `a`, without forming `U`: what PCA and incremental PCA keep.
-/// Same values as [`jacobi_svd`], by the same rotations.
-pub fn jacobi_svd_vt(a: &Matrix) -> Result<(Vec<f64>, Matrix)> {
+/// The top `k` singular values (descending) and right singular vectors
+/// (`Vᵀ`, `k×n`) of `a`, without forming `U`: what incremental PCA keeps.
+/// Past the numerical rank the values are 0 and the rows complete an
+/// orthonormal set. Same values as [`jacobi_svd`], by the same rotations.
+pub fn jacobi_svd_top(a: &Matrix, k: usize) -> Result<(Vec<f64>, Matrix)> {
     check_nonempty(a)?;
-    if a.rows() >= a.cols() {
-        let f = factor(a.transpose(), false, true)?;
-        Ok((f.s, f.vt.expect("V was asked for")))
+    if k > a.rows().min(a.cols()) {
+        return Err(LinalgError::InvalidArgument {
+            what: format!("top {k} of a {}x{} SVD", a.rows(), a.cols()),
+        });
+    }
+    let (s, vt) = if a.rows() >= a.cols() {
+        let f = factor(a.transpose(), k, false, true)?;
+        (f.s, f.vt)
     } else {
         // Vᵀ of A is U'ᵀ of Aᵀ.
-        let f = factor(a.clone(), true, false)?;
-        Ok((f.s, f.u.expect("U was asked for").transpose()))
-    }
+        let f = factor(a.clone(), k, true, false)?;
+        (f.s, f.ut)
+    };
+    Ok((s, vt.expect("V was asked for")))
+}
+
+/// [`jacobi_svd_top`] at `k = min(m, n)`: what PCA keeps.
+pub fn jacobi_svd_vt(a: &Matrix) -> Result<(Vec<f64>, Matrix)> {
+    jacobi_svd_top(a, a.rows().min(a.cols()))
 }
 
 fn check_nonempty(a: &Matrix) -> Result<()> {
@@ -76,95 +88,143 @@ fn check_nonempty(a: &Matrix) -> Result<()> {
     Ok(())
 }
 
-/// The factors of a tall matrix that [`factor`] was asked for.
+/// The top `k` factors of a tall matrix that [`factor`] was asked for.
 struct Factors {
     /// Singular values, descending.
     s: Vec<f64>,
-    /// `m×n` left singular vectors.
-    u: Option<Matrix>,
-    /// `n×n` right singular vectors, transposed.
+    /// Left singular vectors, transposed (`k×m`).
+    ut: Option<Matrix>,
+    /// Right singular vectors, transposed (`k×n`).
     vt: Option<Matrix>,
+    /// Numerical rank: the pivoted QR's steps (the tests read it).
+    #[cfg_attr(not(test), allow(dead_code))]
+    rank: usize,
     /// Jacobi sweeps taken (the tests read it).
     #[cfg_attr(not(test), allow(dead_code))]
     sweeps: usize,
 }
 
-/// SVD of a tall `A` (`m ≥ n`) handed over as `at = Aᵀ`, whose rows are the
-/// columns of `A`. For `m > n` the columns are first reduced to `R` (`n×n`)
-/// and `U = Q·U_R`; the Jacobi sweeps always run on an `n×n` matrix.
-fn factor(mut at: Matrix, want_u: bool, want_v: bool) -> Result<Factors> {
+/// Top-`k` SVD of a tall `A` (`m ≥ n`) handed over as `at = Aᵀ`, whose rows
+/// are the columns of `A`: a pivoted QR to the numerical rank `r`, then
+/// Jacobi on the `r` rows of `R`, accumulating `J` only for `U`.
+fn factor(mut at: Matrix, k: usize, want_u: bool, want_v: bool) -> Result<Factors> {
     let (n, m) = (at.rows(), at.cols());
-    let (mut w, q) = if m > n {
-        let q = qr_columns(at.data_mut(), m, n, want_u);
-        // The upper triangle of the first n rows is R; below it is zero.
-        let mut r = vec![0.0; n * n];
-        for (j, col) in at.data().chunks_exact(m).enumerate() {
-            r[j * n..=j * n + j].copy_from_slice(&col[..=j]);
+    let negligible = negligible_norm2(at.data(), n);
+    let qr = qr_columns(at.data_mut(), m, n, want_u, Some(negligible));
+    let r = qr.rank;
+    // Row i of R is entry i of the reduced columns i..; lay rows 0..r out
+    // contiguously, as the columns of Rᵀ.
+    let mut w = vec![0.0; r * n];
+    for (c, col) in at.data().chunks_exact(m).enumerate() {
+        for (i, &x) in col[..r.min(c + 1)].iter().enumerate() {
+            w[i * n + c] = x;
         }
-        (r, q)
-    } else {
-        (at.data().to_vec(), None)
-    };
-    let negligible = negligible_norm2(&w, n);
-    let mut v = want_v.then(|| Matrix::eye(n));
+    }
+    let mut j = want_u.then(|| Matrix::eye(r));
     let sweeps = jacobi_sweeps(
         &mut w,
         n,
-        n,
-        v.as_mut().map(|v| v.data_mut()),
+        r,
+        j.as_mut().map(|j| j.data_mut()),
         negligible,
         MAX_SWEEPS,
     )?;
 
     // Column norms are the singular values; sort them descending.
     let norms: Vec<f64> = w.chunks_exact(n).map(|c| dot(c, c)).collect();
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut order: Vec<usize> = (0..r).collect();
     order.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]));
-    let s = order.iter().map(|&j| norms[j].sqrt()).collect();
-    // V is stored by columns, which makes its storage Vᵀ row by row.
-    let vt = v.map(|v| Matrix::from_fn(n, n, |i, c| v[(order[i], c)]));
-    let u = if want_u {
-        let u_r = Matrix::from_vec(n, n, left_vectors(&w, n, &order, &norms, negligible))?;
-        // u_r holds U_R by columns, i.e. U_Rᵀ row by row.
-        Some(match q {
-            Some(q) => u_r.matmul(&Matrix::from_vec(n, m, q)?)?.transpose(),
-            None => u_r.transpose(),
-        })
+    let top = &order[..k.min(r)];
+    let s = top
+        .iter()
+        .map(|&c| norms[c].sqrt())
+        .chain(std::iter::repeat(0.0))
+        .take(k)
+        .collect();
+    let vt = if want_v {
+        // Entry c of a row of R belongs to input column perm[c].
+        let mut wv = vec![0.0; r * n];
+        for (row, out) in w.chunks_exact(n).zip(wv.chunks_exact_mut(n)) {
+            for (&x, &c) in row.iter().zip(&qr.perm) {
+                out[c] = x;
+            }
+        }
+        let rows = orthonormal(&wv, n, top, &norms, negligible, k);
+        Some(Matrix::from_vec(k, n, rows)?)
     } else {
         None
     };
-    Ok(Factors { s, u, vt, sweeps })
-}
-
-/// `U_R` (`n×n`, by columns, in the sorted `order`) from the rotated columns
-/// `w` and their squared norms. A column the sweeps rotated is normalised;
-/// a negligible one was never made orthogonal to anything, so its place is
-/// taken by the unit vector farthest from the span so far, orthogonalised
-/// against it twice. `U` is orthonormal whatever the rank.
-fn left_vectors(w: &[f64], n: usize, order: &[usize], norms: &[f64], negligible: f64) -> Vec<f64> {
-    let mut u: Vec<f64> = Vec::with_capacity(n * n);
-    // 1 − ‖projection of e_i onto the span so far‖².
-    let mut outside = vec![1.0f64; n];
-    for &j in order {
-        let col = if norms[j] > negligible {
-            let sigma = norms[j].sqrt();
-            w[j * n..(j + 1) * n].iter().map(|x| x / sigma).collect()
-        } else {
-            let i = (0..n)
-                .max_by(|&x, &y| outside[x].total_cmp(&outside[y]))
-                .expect("n > 0");
-            let mut e = vec![0.0; n];
-            e[i] = 1.0;
-            for _ in 0..2 {
-                for b in u.chunks_exact(n) {
-                    let d = dot(b, &e);
-                    for (x, y) in e.iter_mut().zip(b) {
-                        *x -= d * y;
+    let ut = match (qr.q, j) {
+        (Some(q), Some(j)) => {
+            // Column c of Q_r·J, in the sorted order; past r, Q's own columns
+            // (H_0 ⋯ H_{r-1} e_i), which complete the set.
+            let mut ut = Vec::with_capacity(k * m);
+            for &c in top {
+                let mut u = vec![0.0; m];
+                for (qi, &x) in q.chunks_exact(m).zip(&j.data()[c * r..(c + 1) * r]) {
+                    for (u, q) in u.iter_mut().zip(qi) {
+                        *u += x * q;
                     }
                 }
+                ut.extend(u);
             }
-            let norm = dot(&e, &e).sqrt();
-            e.iter().map(|x| x / norm).collect::<Vec<f64>>()
+            ut.extend_from_slice(&q[top.len() * m..k * m]);
+            Some(Matrix::from_vec(k, m, ut)?)
+        }
+        _ => None,
+    };
+    Ok(Factors {
+        s,
+        ut,
+        vt,
+        rank: r,
+        sweeps,
+    })
+}
+
+/// `count` orthonormal vectors of length `len`, one after the other: the
+/// columns of `w` that `order` names, normalised, then completion. A column
+/// at most `negligible` ([`negligible_norm2`]) was never made orthogonal to
+/// anything, and a place past `order` has no column; either is taken by
+/// the unit vector farthest from the span so far, orthogonalised against
+/// it twice. The set is orthonormal whatever the rank.
+fn orthonormal(
+    w: &[f64],
+    len: usize,
+    order: &[usize],
+    norms: &[f64],
+    negligible: f64,
+    count: usize,
+) -> Vec<f64> {
+    let mut u: Vec<f64> = Vec::with_capacity(count * len);
+    // 1 − ‖projection of e_i onto the span so far‖².
+    let mut outside = vec![1.0f64; len];
+    for place in 0..count {
+        let col = match order.get(place) {
+            Some(&j) if norms[j] > negligible => {
+                let sigma = norms[j].sqrt();
+                w[j * len..(j + 1) * len]
+                    .iter()
+                    .map(|x| x / sigma)
+                    .collect()
+            }
+            _ => {
+                let i = (0..len)
+                    .max_by(|&x, &y| outside[x].total_cmp(&outside[y]))
+                    .expect("len > 0");
+                let mut e = vec![0.0; len];
+                e[i] = 1.0;
+                for _ in 0..2 {
+                    for b in u.chunks_exact(len) {
+                        let d = dot(b, &e);
+                        for (x, y) in e.iter_mut().zip(b) {
+                            *x -= d * y;
+                        }
+                    }
+                }
+                let norm = dot(&e, &e).sqrt();
+                e.iter().map(|x| x / norm).collect::<Vec<f64>>()
+            }
         };
         for (o, x) in outside.iter_mut().zip(&col) {
             *o -= x * x;
@@ -174,11 +234,11 @@ fn left_vectors(w: &[f64], n: usize, order: &[usize], norms: &[f64], negligible:
     u
 }
 
-/// A column whose squared norm is at most `(m·ε)²·‖A‖²_F` is rounding noise
-/// (LAPACK `dgesvj`'s negligible column), for columns of length `m`.
-fn negligible_norm2(w: &[f64], m: usize) -> f64 {
-    let fro2: f64 = w.chunks_exact(m).map(|c| dot(c, c)).sum();
-    (m as f64 * f64::EPSILON).powi(2) * fro2
+/// A column whose squared norm is at most `(n·ε)²·‖A‖²_F` is rounding noise
+/// (LAPACK `dgesvj`'s negligible column), for the entries `a` of a matrix
+/// of `n` columns.
+fn negligible_norm2(a: &[f64], n: usize) -> f64 {
+    (n as f64 * f64::EPSILON).powi(2) * dot(a, a)
 }
 
 /// A pair of columns is orthogonal once `|a_pᵀa_q| ≤ TOL·‖a_p‖‖a_q‖`.
@@ -399,7 +459,7 @@ mod tests {
     #[test]
     fn sweep_limit_is_an_error_not_a_silent_answer() {
         let a = Matrix::from_fn(6, 4, |i, j| ((i * 7 + j * 13) % 17) as f64 - 8.0);
-        let negligible = negligible_norm2(a.transpose().data(), 6);
+        let negligible = negligible_norm2(a.data(), 4);
         let mut w = a.transpose();
         let mut v = Matrix::eye(4);
         match jacobi_sweeps(w.data_mut(), 6, 4, Some(v.data_mut()), negligible, 1) {
@@ -451,8 +511,98 @@ mod tests {
             let (x, y) = (i as f64 / 130.0, j as f64 / 63.0);
             (-8.0 * (x - y).powi(2)).exp() + (3.0 * x * y).sin()
         });
-        let f = factor(a.transpose(), false, true).unwrap();
+        let f = factor(a.transpose(), 64, false, true).unwrap();
         assert!(f.s[20] < 1e-13 * f.s[0], "not low-rank: {:?}", &f.s[..21]);
+        assert!(f.rank <= 20, "rank {}", f.rank);
         assert!(f.sweeps <= 12, "{} sweeps", f.sweeps);
+    }
+
+    /// 131×64 of exact rank 5 (a spectrum falling to 1e-2), plus noise at
+    /// a few roundings of its largest entry.
+    fn rank_five() -> Matrix {
+        let wave = |t: usize, x: f64| ((t + 1) as f64 * 2.1 * x + t as f64).sin();
+        let a = Matrix::from_fn(131, 64, |i, j| {
+            let (x, y) = (i as f64 / 130.0, j as f64 / 63.0);
+            [1.0, 0.5, 0.25, 0.1, 0.01]
+                .iter()
+                .enumerate()
+                .map(|(t, w)| w * wave(t, x) * wave(t + 5, y))
+                .sum()
+        });
+        let scale = 4.0 * f64::EPSILON * a.data().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        Matrix::from_fn(131, 64, |i, j| {
+            let hash = (i * 7919 + j * 104_729) % 1000;
+            a[(i, j)] + scale * (hash as f64 / 500.0 - 1.0)
+        })
+    }
+
+    #[test]
+    fn rank_five_plus_rounding_noise_stops_the_qr_at_five() {
+        let a = rank_five();
+        let f = factor(a.transpose(), 64, false, true).unwrap();
+        assert_eq!(f.rank, 5);
+        assert!(f.s[4] > 1e-4 * f.s[0], "{:?}", &f.s[..5]);
+        assert!(f.s[5..].iter().all(|&s| s == 0.0));
+        // Dropping the unreduced block costs no more than the negligible rule.
+        let svd = jacobi_svd(&a).unwrap();
+        assert_valid_svd(&a, &svd, 1e-12);
+    }
+
+    #[test]
+    fn past_the_rank_rows_complete_and_at_the_rank_match_jacobi_svd() {
+        let a = rank_five();
+        let full = jacobi_svd(&a).unwrap();
+        let (s, vt) = jacobi_svd_top(&a, 9).unwrap();
+        assert_eq!((s.len(), vt.rows(), vt.cols()), (9, 9, 64));
+        assert!(s[5..].iter().all(|&s| s == 0.0));
+        let gram = vt.matmul(&vt.transpose()).unwrap();
+        assert!(gram.max_abs_diff(&Matrix::eye(9)).unwrap() < 1e-12);
+
+        let (s, vt) = jacobi_svd_top(&a, 5).unwrap();
+        for (i, (si, want_si)) in s.iter().zip(&full.s).enumerate() {
+            assert!((si - want_si).abs() <= 1e-12 * full.s[0], "sigma_{i}");
+            let (row, want) = (vt.row(i), full.vt.row(i));
+            let same = row.iter().zip(want).map(|(a, b)| (a - b).abs());
+            let flipped = row.iter().zip(want).map(|(a, b)| (a + b).abs());
+            let dist = same.fold(0.0, f64::max).min(flipped.fold(0.0, f64::max));
+            assert!(dist <= 1e-12, "row {i} differs by {dist:e}");
+        }
+        assert!(jacobi_svd_top(&a, 65).is_err());
+        assert_eq!(jacobi_svd_top(&a, 0).unwrap().1.rows(), 0);
+    }
+
+    #[test]
+    fn wide_zero_and_one_by_one_give_what_jacobi_svd_gives() {
+        let wide = Matrix::from_fn(3, 8, |i, j| ((i * 11 + j * 3) % 7) as f64 * 0.5);
+        let one = Matrix::from_vec(1, 1, vec![-2.5]).unwrap();
+        for a in [wide, Matrix::zeros(4, 3), one] {
+            let svd = jacobi_svd(&a).unwrap();
+            assert_valid_svd(&a, &svd, 1e-12);
+            let (s, vt) = jacobi_svd_top(&a, a.rows().min(a.cols())).unwrap();
+            assert_eq!(s, svd.s);
+            assert_eq!(vt, svd.vt);
+        }
+        assert_eq!(factor(Matrix::zeros(3, 4), 3, true, true).unwrap().rank, 0);
+        let svd = jacobi_svd(&Matrix::from_vec(1, 1, vec![-2.5]).unwrap()).unwrap();
+        assert_eq!(svd.s, [2.5]);
+    }
+
+    #[test]
+    fn pivoted_output_is_deterministic() {
+        let heat = Matrix::from_fn(131, 64, |i, j| {
+            let (x, y) = (i as f64 / 130.0, j as f64 / 63.0);
+            (-8.0 * (x - y).powi(2)).exp() + (3.0 * x * y).sin()
+        });
+        for a in [rank_five(), heat] {
+            let (f, g) = (
+                factor(a.transpose(), 64, true, true).unwrap(),
+                factor(a.transpose(), 64, true, true).unwrap(),
+            );
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!((f.rank, f.sweeps), (g.rank, g.sweeps));
+            assert_eq!(bits(&f.s), bits(&g.s));
+            assert_eq!(bits(f.vt.unwrap().data()), bits(g.vt.unwrap().data()));
+            assert_eq!(bits(f.ut.unwrap().data()), bits(g.ut.unwrap().data()));
+        }
     }
 }

@@ -276,7 +276,7 @@ fn des_model_injects_matching_schedule() {
     // The DES replays the same per-class counts the real runtime produced,
     // projected to its scale. For R ranks and T steps the producer side
     // injects: DEISA3 → T·R light updates (+0 queue/heartbeat);
-    // DEISA1 → T·R heavy updates + T·R pushes + T submits (+heartbeats ≥ 0).
+    // DEISA1 → T·R heavy updates + 2·T·R queue ops + T submits + heartbeats.
     use deisa_repro::insitu_sim::{run_sim_side, CostModel, Mode, Scenario};
     let cost = CostModel::default();
     let t = STEPS;
@@ -306,9 +306,11 @@ fn des_model_injects_matching_schedule() {
         },
         &cost,
     );
-    // At least updates + pushes + submits; heartbeats depend on virtual
-    // runtime.
-    assert!(d1.sched_msgs as usize >= 2 * t * r + t);
+    // Updates + pushes + pops + submits, plus the heartbeats the DES run's
+    // own scheduler counted (their number depends on virtual runtime).
+    let heartbeats = d1.stats.count(MsgClass::Heartbeat) as usize;
+    assert!(heartbeats > 0, "DEISA1 bridges heartbeat");
+    assert_eq!(d1.sched_msgs as usize, 3 * t * r + t + heartbeats);
 }
 
 // ---- heartbeat accounting over a simulated wall-clock window --------------
