@@ -53,8 +53,8 @@ pub struct Client {
     /// Monotonic per-client sequence for proxy keys (also the handle epoch).
     pub(crate) proxy_seq: AtomicUsize,
     /// Whether the scheduler acks scoped graph submissions with
-    /// [`ClientMsg::SubmitOutcome`] (true only when tenancy is on *and* an
-    /// admission cap is configured).
+    /// [`ClientMsg::SubmitOutcome`] (true only for a client in a scoped
+    /// session of a cluster with an admission cap).
     pub(crate) await_submit_ack: bool,
     /// Test hook ([`Client::simulate_death`]): drop without the goodbye.
     pub(crate) dead: Cell<bool>,
@@ -150,7 +150,7 @@ impl Client {
     }
 
     /// Like [`Client::submit`], surfacing admission-control backpressure:
-    /// with tenancy and a per-session in-flight cap configured, a graph
+    /// in a scoped session under a per-session in-flight cap, a graph
     /// that would exceed the cap is rejected whole and returned as
     /// [`SubmitError::Rejected`] — retry after some in-flight work
     /// completes. Without a cap this never fails (no ack round-trip).

@@ -93,37 +93,29 @@ impl FaultConfig {
 
 /// Multi-tenant serving knobs.
 ///
-/// Default **off**: every client runs in the implicit session
-/// ([`DEFAULT_SESSION`]) and the message plane is byte-identical to a
-/// single-tenant cluster — no `Scoped` wrapper ever travels the wire.
-/// Enabled, each client from [`Cluster::client`] gets its own session:
-/// task keys, variables, queues, and store payloads are namespaced per
-/// session, and a client's departure (orderly or swept dead) releases
-/// exactly its session's resources.
+/// Sessions are chosen per client, not per cluster: a client from
+/// [`Cluster::client`] runs in the implicit session ([`DEFAULT_SESSION`]),
+/// whose messages are byte-identical to a single-tenant cluster's — no
+/// `Scoped` wrapper ever travels the wire. A client from
+/// [`Cluster::client_in`] joins the session it names: task keys,
+/// variables, queues, and store payloads are namespaced per session, so
+/// every client of one session (bridges and an adaptor, say) shares one
+/// namespace, and the departure of a session's last client (orderly or
+/// swept dead) releases exactly that session's resources.
 #[derive(Debug, Clone, Default)]
 pub struct TenancyConfig {
-    /// Give each new client its own session namespace.
-    pub enabled: bool,
     /// Per-session in-flight task cap. A scoped `SubmitGraph` that would
     /// exceed it is rejected whole and the client told so
     /// ([`crate::msg::ClientMsg::SubmitOutcome`]) — backpressure, not
-    /// silent queuing. `None` admits everything (and sends no acks).
+    /// silent queuing. `None` admits everything (and sends no acks). The
+    /// implicit session is never capped.
     pub max_inflight_tasks: Option<usize>,
 }
 
 impl TenancyConfig {
-    /// Per-client sessions, no admission cap.
-    pub fn enabled() -> Self {
-        TenancyConfig {
-            enabled: true,
-            max_inflight_tasks: None,
-        }
-    }
-
-    /// Per-client sessions with an in-flight task cap per session.
+    /// An in-flight task cap per session.
     pub fn with_cap(cap: usize) -> Self {
         TenancyConfig {
-            enabled: true,
             max_inflight_tasks: Some(cap),
         }
     }
@@ -157,8 +149,7 @@ pub struct ClusterConfig {
     /// [`TransportConfig::InProc`] — plain channels, zero overhead).
     /// [`TransportConfig::Framed`] runs every message through the versioned
     /// wire format and counts real serialized bytes;
-    /// [`TransportConfig::SimNet`] additionally injects netsim fat-tree
-    /// latency/bandwidth delays.
+    /// [`TransportConfig::Tcp`] also sends each one over a loopback socket.
     pub transport: TransportConfig,
     /// Fault tolerance and fault injection (default: everything off).
     pub fault: FaultConfig,
@@ -177,9 +168,8 @@ pub struct ClusterConfig {
     /// a single never-true branch). Enable with [`TelemetryConfig::enabled`]
     /// and read back via [`Cluster::telemetry`] / [`Cluster::telemetry_addr`].
     pub telemetry: TelemetryConfig,
-    /// Multi-tenant serving: per-client session namespaces, admission
-    /// control, and teardown-on-departure (default: off — single implicit
-    /// session, message plane identical to the pre-tenancy cluster).
+    /// Multi-tenant serving: the admission cap of the sessions clients
+    /// join with [`Cluster::client_in`] (default: no cap).
     pub tenancy: TenancyConfig,
 }
 
@@ -263,9 +253,9 @@ pub struct Cluster {
     /// only read shared state, so stopping them before the actors keeps the
     /// final flight sample and scrape consistent with a live cluster.
     telemetry_threads: Option<TelemetryThreads>,
-    /// Multi-tenant serving knobs; governs the session each new client is
-    /// born into and whether the scheduler enforces an admission cap.
-    tenancy: TenancyConfig,
+    /// Whether the scheduler caps sessions: a client in one then waits for
+    /// each submission's ack.
+    capped: bool,
     /// Built by [`Cluster::listen`]: workers are remote processes attached
     /// over the deployment plane, not local threads. Shutdown then sends
     /// `Goodbye` over the sockets instead of joining worker threads.
@@ -366,7 +356,7 @@ impl Cluster {
             workers: parking_lot::Mutex::new((0..config.n_workers).map(|_| None).collect()),
             telemetry: hub,
             telemetry_threads: None,
-            tenancy: config.tenancy.clone(),
+            capped: config.tenancy.max_inflight_tasks.is_some(),
             deploy: deploy.is_some(),
             down: false,
         };
@@ -392,11 +382,7 @@ impl Cluster {
             config.policy.clone(),
             Arc::clone(&cluster.stats),
             cluster.tracer.register(TraceActor::Scheduler),
-            cluster
-                .tenancy
-                .enabled
-                .then_some(cluster.tenancy.max_inflight_tasks)
-                .flatten(),
+            config.tenancy.max_inflight_tasks,
             std::time::Instant::now(),
         );
         if cluster.deploy {
@@ -548,22 +534,24 @@ impl Cluster {
         self.stats.inc(Metric::InjectedKills);
     }
 
-    /// Connect a new client with the cluster-default heartbeat. With
-    /// [`TenancyConfig::enabled`], each client gets its own session
-    /// namespace (session `id + 1`; session 0 is the implicit
-    /// single-tenant one).
+    /// Connect a new client to the implicit session with the
+    /// cluster-default heartbeat.
     pub fn client(&self) -> Client {
         self.client_with_heartbeat(self.default_heartbeat)
     }
 
-    /// Connect a new client with an explicit heartbeat interval.
+    /// Connect a new client to the implicit session with an explicit
+    /// heartbeat interval.
     pub fn client_with_heartbeat(&self, heartbeat: HeartbeatInterval) -> Client {
+        self.client_in(DEFAULT_SESSION, heartbeat)
+    }
+
+    /// Connect a new client to `session` with an explicit heartbeat
+    /// interval. Every client of one session shares its namespace; the
+    /// session is torn down when its last client leaves (see
+    /// [`TenancyConfig`]).
+    pub fn client_in(&self, session: SessionId, heartbeat: HeartbeatInterval) -> Client {
         let id = self.next_client.fetch_add(1, Ordering::Relaxed);
-        let session: SessionId = if self.tenancy.enabled {
-            id as SessionId + 1
-        } else {
-            DEFAULT_SESSION
-        };
         let (tx, rx) = unbounded::<ClientMsg>();
         // Register the notification route BEFORE announcing the client: the
         // connect message and any subsequent notification travel the same
@@ -610,8 +598,7 @@ impl Cluster {
             heartbeat,
             store: self.store_config.clone(),
             proxy_seq: AtomicUsize::new(0),
-            await_submit_ack: session != DEFAULT_SESSION
-                && self.tenancy.max_inflight_tasks.is_some(),
+            await_submit_ack: session != DEFAULT_SESSION && self.capped,
             dead: std::cell::Cell::new(false),
         }
     }

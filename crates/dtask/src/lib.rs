@@ -89,6 +89,6 @@ pub use trace::{
     TraceRecorder,
 };
 pub use transport::{
-    Addr, DataReply, Endpoint, FaultPlan, LaneDrop, ReplyRx, ReplyTo, SimNetConfig, TransportConfig,
+    Addr, DataReply, Endpoint, FaultPlan, LaneDrop, ReplyRx, ReplyTo, TransportConfig,
 };
 pub use wire::{NodeMsg, NodeWelcome, WireError, WIRE_VERSION};

@@ -2,7 +2,7 @@
 //!
 //! No variant carries a live channel handle: replies are id-routed through
 //! the transport layer via [`ReplyTo`] tokens (see [`crate::transport`]), so
-//! every message can be serialized by the Framed/SimNet backends without
+//! every message can be serialized by the coded backends without
 //! special-casing.
 
 use crate::datum::Datum;
@@ -303,7 +303,7 @@ pub struct Assignment {
     /// omitted here).
     pub dep_locations: Vec<(Key, Vec<WorkerId>)>,
     /// When the scheduler's placement pass shipped this task. Not part of
-    /// the wire format: the Framed/SimNet decoder re-stamps it at delivery,
+    /// the wire format: the coded backends' decoder re-stamps it at delivery,
     /// so queue delay measures slot wait, not transport latency.
     pub assigned_at: std::time::Instant,
 }

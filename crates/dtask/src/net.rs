@@ -1,5 +1,5 @@
-//! The byte-stream plane every coded transport rides: the `Framed`, `SimNet`
-//! and `Tcp` backends of [`crate::TransportConfig`], the deployment hub
+//! The byte-stream plane every coded transport rides: the `Framed` and
+//! `Tcp` backends of [`crate::TransportConfig`], the deployment hub
 //! inside [`crate::Cluster::listen`], and the worker side of [`crate::node`].
 //!
 //! Every byte on a link is a **routed frame**:
@@ -18,13 +18,11 @@
 //! of it. [`writer_loop`] and [`reader_loop`] are written once, over `Write`
 //! and `Read`; only the pipe differs:
 //!
-//! * **In process** (`Framed`, `SimNet`, `Tcp`): every node lives in this
-//!   process. The plane makes a link the first time it routes to a node — an
-//!   OS pipe for `Framed` and `SimNet`, a connected `127.0.0.1` TCP pair for
-//!   `Tcp` — and the link's reader delivers into the local fabric. Under
-//!   `SimNet` a frame carries the due time the fat-tree model gave it at
-//!   dispatch, and the link's writer holds it until then, so delivery is
-//!   FIFO per link, as over TCP.
+//! * **In process** (`Framed`, `Tcp`): every node lives in this process.
+//!   The plane makes a link the first time it routes to a node — an OS pipe
+//!   for `Framed`, a connected `127.0.0.1` TCP pair for `Tcp` — and the
+//!   link's reader delivers into the local fabric. Delivery is FIFO per
+//!   link.
 //! * **Hub** (inside [`crate::Cluster::listen`]): a link is an accepted
 //!   `dtask-node` connection, after the `Hello`/`Welcome` registration
 //!   handshake. The hub star-routes worker↔worker frames without looking
@@ -41,7 +39,7 @@
 //! up", never a hang.
 
 use crate::msg::WorkerId;
-use crate::transport::{Addr, Fabric, SimNetConfig, TransportConfig};
+use crate::transport::{Addr, Fabric, TransportConfig};
 use crate::wire::{self, Kind, NodeMsg, NodeWelcome, WireError, HEADER_BYTES};
 pub use crate::wire::{MAX_FRAME_BYTES, PREAMBLE_BYTES};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -157,67 +155,7 @@ fn worker_on(node: u64) -> Option<WorkerId> {
     node.checked_sub(1).map(|w| w as WorkerId)
 }
 
-// ---- SimNet delay -----------------------------------------------------------
-
-/// Simulated nanoseconds per real nanosecond: a frame is held for the
-/// model's transfer time divided by this factor, which keeps the model's
-/// *relative* contention while compressing wall-clock.
-const SIMNET_TIME_SCALE: u64 = 1_000;
-
-/// Number of extra fat-tree nodes client actors are spread over when the
-/// SimNet node count is auto-sized.
-const SIMNET_CLIENT_NODES: usize = 4;
-
-/// The fat-tree model behind `SimNet`: at dispatch it gives each frame the
-/// instant it arrives.
-struct SimNet {
-    net: Mutex<netsim::Network>,
-    epoch: Instant,
-    n_workers: usize,
-    client_nodes: usize,
-}
-
-impl SimNet {
-    fn new(config: &SimNetConfig, n_workers: usize) -> SimNet {
-        let mut network = config.network.clone();
-        network.nodes = network.nodes.max(1 + n_workers + SIMNET_CLIENT_NODES);
-        SimNet {
-            client_nodes: network.nodes - 1 - n_workers,
-            net: Mutex::new(netsim::Network::new(network)),
-            epoch: Instant::now(),
-            n_workers: n_workers.max(1),
-        }
-    }
-
-    fn node_of(&self, a: Addr) -> usize {
-        match a {
-            Addr::Scheduler | Addr::Control => 0,
-            Addr::WorkerData(w) | Addr::WorkerExec(w) => 1 + w.min(self.n_workers - 1),
-            Addr::Client(c) => 1 + self.n_workers + (c % self.client_nodes),
-        }
-    }
-
-    /// When a frame of `bytes` sent now from `from` arrives at `to`.
-    fn due(&self, from: Addr, to: Addr, bytes: u64) -> Instant {
-        let now = Instant::now();
-        let sim_now = (now.saturating_duration_since(self.epoch).as_nanos() as u64)
-            .saturating_mul(SIMNET_TIME_SCALE);
-        let sim_arrival =
-            self.net
-                .lock()
-                .send(sim_now, self.node_of(from), self.node_of(to), bytes);
-        now + Duration::from_nanos(sim_arrival.saturating_sub(sim_now) / SIMNET_TIME_SCALE)
-    }
-}
-
 // ---- links ------------------------------------------------------------------
-
-/// One frame queued on a link: routed bytes and, under `SimNet`, the instant
-/// they may leave.
-struct Outgoing {
-    bytes: Vec<u8>,
-    due: Option<Instant>,
-}
 
 /// One end of a link's byte pipe.
 trait Pipe: Send + 'static {
@@ -247,20 +185,15 @@ fn tcp_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     Ok((dialed, listener.accept()?.0))
 }
 
-/// Per-link writer: drains the queue into `out`, holding a frame that
-/// carries a due time (`SimNet`) until then — the modelled transit time —
-/// so frames leave in queue order. A write error means the far end is gone:
-/// log once, then keep draining so no sender ever blocks on a corpse (the
-/// dependency-ordered teardown relies on this). Once every sender is gone,
-/// hang up, which ends the far end's read.
-fn writer_loop<W: Write + Pipe>(mut out: W, rx: Receiver<Outgoing>, label: String) {
+/// Per-link writer: drains the queue into `out`, in queue order. A write
+/// error means the far end is gone: log once, then keep draining so no
+/// sender ever blocks on a corpse (the dependency-ordered teardown relies on
+/// this). Once every sender is gone, hang up, which ends the far end's read.
+fn writer_loop<W: Write + Pipe>(mut out: W, rx: Receiver<Vec<u8>>, label: String) {
     let mut dead = false;
-    while let Ok(Outgoing { bytes, due }) = rx.recv() {
+    while let Ok(bytes) = rx.recv() {
         if dead {
             continue;
-        }
-        if let Some(due) = due {
-            std::thread::sleep(due.saturating_duration_since(Instant::now()));
         }
         if let Err(e) = out.write_all(&bytes) {
             eprintln!("dtask-net: write to {label} failed ({e}); peer treated as gone");
@@ -354,10 +287,10 @@ impl HubState {
 
 /// How a plane reaches its nodes.
 enum Mode {
-    /// Every node is in this process (`Framed`, `SimNet`, `Tcp`): links are
-    /// made on first use, over a loopback TCP pair when `tcp` and an OS pipe
-    /// otherwise; `sim` holds each frame for its modelled transit time.
-    Local { tcp: bool, sim: Option<SimNet> },
+    /// Every node is in this process (`Framed`, `Tcp`): links are made on
+    /// first use, over a loopback TCP pair when `tcp` and an OS pipe
+    /// otherwise.
+    Local { tcp: bool },
     /// The deployment hub: links are accepted `dtask-node` connections.
     Hub(HubState),
     /// A worker process: one link, to the hub (node 0).
@@ -378,7 +311,7 @@ pub struct PlaneShared {
     stop: AtomicBool,
     /// Live links by destination node id. Dropping a sender retires its
     /// writer.
-    links: Mutex<HashMap<u64, Sender<Outgoing>>>,
+    links: Mutex<HashMap<u64, Sender<Vec<u8>>>>,
     /// Where the hub's listener is bound.
     listen_addr: Option<SocketAddr>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -453,27 +386,23 @@ impl PlaneShared {
         }
     }
 
-    /// Route one encoded envelope from `from` toward `to`: into the local
-    /// fabric when `to` lives on this process's node, else onto the link of
-    /// `to`'s node. When that node's process is gone (or has not attached),
-    /// its worker is unreachable and the reply slots aimed at it die here.
-    pub(crate) fn route(self: &Arc<Self>, from: Addr, to: Addr, envelope: &[u8]) {
+    /// Route one encoded envelope toward `to`: into the local fabric when
+    /// `to` lives on this process's node, else onto the link of `to`'s node.
+    /// When that node's process is gone (or has not attached), its worker is
+    /// unreachable and the reply slots aimed at it die here.
+    pub(crate) fn route(self: &Arc<Self>, to: Addr, envelope: &[u8]) {
         let dest = to_node(to);
-        let (via, due) = match &self.mode {
-            Mode::Local { sim, .. } => (
-                Some(dest),
-                sim.as_ref()
-                    .map(|sim| sim.due(from, to, envelope.len() as u64)),
-            ),
-            Mode::Hub(_) => ((dest != 0).then_some(dest), None),
+        let via = match &self.mode {
+            Mode::Local { .. } => Some(dest),
+            Mode::Hub(_) => (dest != 0).then_some(dest),
             // Everything off this node rides the hub link (star topology;
             // the hub forwards).
-            Mode::Node { self_node, .. } => ((dest != *self_node).then_some(0), None),
+            Mode::Node { self_node, .. } => (dest != *self_node).then_some(0),
         };
         let Some(link) = via else {
             return self.fabric.deliver_encoded(to, envelope);
         };
-        if self.send_on(link, frame(to, envelope), due) {
+        if self.send_on(link, frame(to, envelope)) {
             return;
         }
         match self.mode {
@@ -489,19 +418,18 @@ impl PlaneShared {
     }
 
     /// Queue `bytes` on the link to node `node`; `false` when there is none.
-    fn send_on(self: &Arc<Self>, node: u64, bytes: Vec<u8>, due: Option<Instant>) -> bool {
-        self.link(node)
-            .is_some_and(|tx| tx.send(Outgoing { bytes, due }).is_ok())
+    fn send_on(self: &Arc<Self>, node: u64, bytes: Vec<u8>) -> bool {
+        self.link(node).is_some_and(|tx| tx.send(bytes).is_ok())
     }
 
     /// The link to node `node`: in process, made on first use; on a hub or
     /// a node, the one its handshake opened, while it is up.
-    fn link(self: &Arc<Self>, node: u64) -> Option<Sender<Outgoing>> {
+    fn link(self: &Arc<Self>, node: u64) -> Option<Sender<Vec<u8>>> {
         let mut links = self.links.lock();
         if let Some(tx) = links.get(&node) {
             return Some(tx.clone());
         }
-        let Mode::Local { tcp, .. } = self.mode else {
+        let Mode::Local { tcp } = self.mode else {
             return None;
         };
         if self.stopping() {
@@ -522,12 +450,12 @@ impl PlaneShared {
     /// `inp` after whatever `fr` already holds.
     fn open_link<W: Write + Pipe, R: Read + Pipe>(
         self: &Arc<Self>,
-        links: &mut HashMap<u64, Sender<Outgoing>>,
+        links: &mut HashMap<u64, Sender<Vec<u8>>>,
         node: u64,
         out: W,
         inp: R,
         fr: FrameReader,
-    ) -> std::io::Result<Sender<Outgoing>> {
+    ) -> std::io::Result<Sender<Vec<u8>>> {
         let tx = self.spawn_writer(node, out)?;
         links.insert(node, tx.clone());
         let shared = Arc::clone(self);
@@ -542,11 +470,7 @@ impl PlaneShared {
 
     /// Start the writer of the link to node `node` on `out`; the returned
     /// sender is its queue.
-    fn spawn_writer<W: Write + Pipe>(
-        &self,
-        node: u64,
-        out: W,
-    ) -> std::io::Result<Sender<Outgoing>> {
+    fn spawn_writer<W: Write + Pipe>(&self, node: u64, out: W) -> std::io::Result<Sender<Vec<u8>>> {
         let (tx, rx) = unbounded();
         let label = self.link_name(node);
         self.spawn(format!("dtask-net-w{node}"), move || {
@@ -573,7 +497,7 @@ impl PlaneShared {
 
     /// Hub: queue a control message on node `node`'s link.
     fn tell(self: &Arc<Self>, node: u64, msg: &NodeMsg) -> bool {
-        self.send_on(node, frame(Addr::Control, &wire::encode_node(msg)), None)
+        self.send_on(node, frame(Addr::Control, &wire::encode_node(msg)))
     }
 
     /// Hub: queue a control message on every node's link. A node that
@@ -607,7 +531,7 @@ impl PlaneShared {
         let dest = to_node(f.to);
         if dest == 0 {
             self.fabric.deliver_encoded(f.to, &f.envelope);
-        } else if !self.send_on(dest, frame(f.to, &f.envelope), None) {
+        } else if !self.send_on(dest, frame(f.to, &f.envelope)) {
             // Star forwarding moves bytes untouched. Its target's process is
             // gone: the origin's slots aimed at that worker die.
             if let Some(worker) = worker_on(dest) {
@@ -804,10 +728,7 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
         mem_budget: hub.params.mem_budget,
         steal_poll_ms: hub.params.steal_poll_ms,
     }));
-    let _ = tx.send(Outgoing {
-        bytes: frame(Addr::Control, &env),
-        due: None,
-    });
+    let _ = tx.send(frame(Addr::Control, &env));
     // From here only `links` holds the sender, so clearing it at shutdown
     // retires the writer and ends the read below.
     drop(tx);
@@ -897,14 +818,13 @@ impl Plane {
     /// become bytes; an in-process plane, whose links are made as routes
     /// need them, for every coded backend.
     pub(crate) fn for_transport(config: &TransportConfig, fabric: &Arc<Fabric>) -> Option<Plane> {
-        let (tcp, sim) = match config {
+        let tcp = match config {
             TransportConfig::InProc => return None,
-            TransportConfig::Framed => (false, None),
-            TransportConfig::SimNet(sim) => (false, Some(SimNet::new(sim, fabric.n_workers()))),
-            TransportConfig::Tcp => (true, None),
+            TransportConfig::Framed => false,
+            TransportConfig::Tcp => true,
         };
         Some(Plane {
-            shared: PlaneShared::new(Mode::Local { tcp, sim }, None, fabric),
+            shared: PlaneShared::new(Mode::Local { tcp }, None, fabric),
         })
     }
 

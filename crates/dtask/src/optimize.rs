@@ -25,44 +25,30 @@ use crate::key::Key;
 use crate::spec::{FusedInput, FusedStage, TaskSpec, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// Optimizer switches, A/B-able via `ClusterConfig`.
-#[derive(Clone, Debug)]
-pub struct OptimizeConfig {
-    /// Drop tasks unreachable from the requested outputs.
-    pub cull: bool,
-    /// Collapse strictly linear op chains into fused specs.
-    pub fuse: bool,
-    /// Longest chain a single fused spec may hold (≥ 2 to fuse at all).
-    pub max_chain: usize,
-}
+/// Longest chain a single fused spec holds.
+const MAX_CHAIN: usize = 32;
 
-impl Default for OptimizeConfig {
-    /// Disabled: intermediate keys stay individually addressable, which the
-    /// classic `future`-any-key client contract relies on. Callers that
-    /// submit whole graphs and only consume marked outputs opt in with
-    /// [`OptimizeConfig::enabled`].
-    fn default() -> Self {
-        OptimizeConfig {
-            cull: false,
-            fuse: false,
-            max_chain: 32,
-        }
-    }
+/// Whether clients optimize the graphs they submit, set through
+/// `ClusterConfig`.
+///
+/// Disabled by default: intermediate keys stay individually addressable,
+/// which the classic `future`-any-key client contract relies on. Callers
+/// that submit whole graphs and only consume marked outputs opt in with
+/// [`OptimizeConfig::enabled`].
+#[derive(Clone, Debug, Default)]
+pub struct OptimizeConfig {
+    active: bool,
 }
 
 impl OptimizeConfig {
-    /// Both passes on.
+    /// Both passes on: cull, then fuse chains of up to 32 tasks.
     pub fn enabled() -> Self {
-        OptimizeConfig {
-            cull: true,
-            fuse: true,
-            max_chain: 32,
-        }
+        OptimizeConfig { active: true }
     }
 
     /// Anything to do?
     pub fn is_active(&self) -> bool {
-        self.cull || (self.fuse && self.max_chain >= 2)
+        self.active
     }
 }
 
@@ -95,6 +81,19 @@ pub fn optimize(
     protected: &HashSet<Key>,
     cfg: &OptimizeConfig,
 ) -> (Vec<TaskSpec>, OptimizeReport) {
+    let max_chain = if cfg.active { MAX_CHAIN } else { 0 };
+    cull_and_fuse(specs, outputs, protected, cfg.active, max_chain)
+}
+
+/// The two passes behind [`optimize`]: cull when `cull`, then fuse chains
+/// of at most `max_chain` tasks (none below 2).
+fn cull_and_fuse(
+    specs: Vec<TaskSpec>,
+    outputs: &[Key],
+    protected: &HashSet<Key>,
+    cull: bool,
+    max_chain: usize,
+) -> (Vec<TaskSpec>, OptimizeReport) {
     let tasks_in: usize = specs.iter().map(|s| s.n_stages()).sum();
     let mut report = OptimizeReport {
         tasks_in,
@@ -102,7 +101,7 @@ pub fn optimize(
         culled: 0,
         fused_chain_lengths: Vec::new(),
     };
-    if !cfg.is_active() || specs.is_empty() {
+    if !(cull || max_chain >= 2) || specs.is_empty() {
         return (specs, report);
     }
 
@@ -129,7 +128,7 @@ pub fn optimize(
 
     // --- Cull: keep only tasks reachable (backwards) from the outputs. ---
     let mut kept: Vec<bool> = vec![true; n];
-    if cfg.cull && !outputs.is_empty() {
+    if cull && !outputs.is_empty() {
         let mut seen = vec![false; n];
         let mut queue: VecDeque<usize> = outputs
             .iter()
@@ -162,7 +161,7 @@ pub fn optimize(
         }
     }
 
-    if !cfg.fuse || cfg.max_chain < 2 {
+    if max_chain < 2 {
         let out: Vec<TaskSpec> = specs
             .into_iter()
             .enumerate()
@@ -221,7 +220,7 @@ pub fn optimize(
         let mut chain = vec![head];
         let mut cur = head;
         while let Some(j) = next[cur] {
-            if chain.len() >= cfg.max_chain {
+            if chain.len() >= max_chain {
                 heads.push_back(j);
                 break;
             }
@@ -334,12 +333,7 @@ mod tests {
     fn cull_drops_unreachable_branch() {
         // a -> b (wanted), a -> c (dead end)
         let specs = vec![spec("a", &[]), spec("b", &["a"]), spec("c", &["a"])];
-        let cfg = OptimizeConfig {
-            cull: true,
-            fuse: false,
-            max_chain: 32,
-        };
-        let (out, rep) = optimize(specs, &[Key::new("b")], &HashSet::new(), &cfg);
+        let (out, rep) = cull_and_fuse(specs, &[Key::new("b")], &HashSet::new(), true, 0);
         assert_eq!(
             keys(&out),
             ["a", "b"].iter().map(|s| s.to_string()).collect()
@@ -438,12 +432,7 @@ mod tests {
         for i in 1..10 {
             specs.push(spec(&format!("t{i}"), &[&format!("t{}", i - 1)]));
         }
-        let cfg = OptimizeConfig {
-            cull: false,
-            fuse: true,
-            max_chain: 4,
-        };
-        let (out, rep) = optimize(specs, &[Key::new("t9")], &HashSet::new(), &cfg);
+        let (out, rep) = cull_and_fuse(specs, &[Key::new("t9")], &HashSet::new(), false, 4);
         let total: usize = out.iter().map(|s| s.n_stages()).sum();
         assert_eq!(total, 10);
         assert!(rep.fused_chain_lengths.iter().all(|&l| l <= 4));

@@ -140,12 +140,9 @@ pub struct PolicyConfig {
     /// stealing (the default, and byte-identical to the pre-policy runtime).
     pub steal_poll: Option<Duration>,
     /// Wrap the placement policy in [`FairSharePolicy`]: per-session ready
-    /// queues drained by weighted round-robin, so no tenant starves the
-    /// others. Off by default (one implicit session — behavior identical).
+    /// queues drained round-robin, so no tenant starves the others. Off by
+    /// default (one implicit session — behavior identical).
     pub fair_share: bool,
-    /// Per-session weights for the fair-share wrapper; sessions not listed
-    /// get weight 1. Ignored unless `fair_share` is set.
-    pub fair_weights: Vec<(SessionId, u32)>,
 }
 
 impl Default for PolicyConfig {
@@ -161,7 +158,6 @@ impl PolicyConfig {
             kind: PolicyKind::Locality,
             steal_poll: None,
             fair_share: false,
-            fair_weights: Vec::new(),
         }
     }
 
@@ -599,7 +595,7 @@ impl SchedulingPolicy for MinEftPolicy {
 }
 
 /// Fair-share tenancy wrapper: one instance of the configured base policy
-/// per session, drained by weighted round-robin so a tenant flooding the
+/// per session, drained round-robin so a tenant flooding the
 /// scheduler with ready tasks cannot starve the others. Placement decisions
 /// and graph-priority derivation route to the owning session's base policy,
 /// so fair-share composes with locality, b-level, stealing, and min-EFT
@@ -613,36 +609,20 @@ pub struct FairSharePolicy {
     sessions: Vec<SessionId>,
     /// Per-session base-policy queues.
     queues: HashMap<SessionId, Box<dyn SchedulingPolicy>>,
-    /// Ring position of the session currently being drained.
+    /// Ring position of the session drained next.
     cursor: usize,
-    /// Pops left for the cursor session before the ring advances.
-    credit: u32,
-    /// Configured weights (sessions absent here get weight 1).
-    weights: HashMap<SessionId, u32>,
 }
 
 impl FairSharePolicy {
     /// Wrap `config`'s base policy (its `fair_share` flag is ignored).
-    pub fn new(config: PolicyConfig) -> Self {
-        let weights = config
-            .fair_weights
-            .iter()
-            .map(|&(s, w)| (s, w.max(1)))
-            .collect();
-        let mut base = config;
+    pub fn new(mut base: PolicyConfig) -> Self {
         base.fair_share = false;
         FairSharePolicy {
             base,
             sessions: Vec::new(),
             queues: HashMap::new(),
             cursor: 0,
-            credit: 0,
-            weights,
         }
-    }
-
-    fn weight_of(&self, session: SessionId) -> u32 {
-        self.weights.get(&session).copied().unwrap_or(1)
     }
 
     /// The base-policy queue of `session`, created on first use.
@@ -650,17 +630,8 @@ impl FairSharePolicy {
         if !self.queues.contains_key(&session) {
             self.queues.insert(session, self.base.build());
             self.sessions.push(session);
-            if self.sessions.len() == 1 {
-                self.credit = self.weight_of(session);
-            }
         }
         self.queues.get_mut(&session).unwrap()
-    }
-
-    /// Move the ring to the next session and refill its credit.
-    fn advance(&mut self) {
-        self.cursor = (self.cursor + 1) % self.sessions.len();
-        self.credit = self.weight_of(self.sessions[self.cursor]);
     }
 }
 
@@ -675,24 +646,15 @@ impl SchedulingPolicy for FairSharePolicy {
     }
 
     fn pop(&mut self) -> Option<Key> {
+        // At most one full lap: every session gets inspected once before we
+        // conclude all queues are dry.
         let n = self.sessions.len();
-        if n == 0 {
-            return None;
-        }
-        // At most one full lap plus the current partial credit window: every
-        // session gets inspected once before we conclude all queues are dry.
-        for _ in 0..=n {
+        for _ in 0..n {
             let session = self.sessions[self.cursor];
-            if self.credit > 0 {
-                if let Some(key) = self.queues.get_mut(&session).unwrap().pop() {
-                    self.credit -= 1;
-                    if self.credit == 0 {
-                        self.advance();
-                    }
-                    return Some(key);
-                }
+            self.cursor = (self.cursor + 1) % n;
+            if let Some(key) = self.queues.get_mut(&session).unwrap().pop() {
+                return Some(key);
             }
-            self.advance();
         }
         None
     }
@@ -886,7 +848,7 @@ mod tests {
         let order: Vec<String> = std::iter::from_fn(|| p.pop())
             .map(|k| format!("s{}:{}", k.session(), k.as_str()))
             .collect();
-        // Equal weights: strict alternation, FIFO within each session.
+        // Strict alternation, FIFO within each session.
         assert_eq!(
             order,
             ["s1:a0", "s2:b0", "s1:a1", "s2:b1", "s1:a2", "s2:b2"]
@@ -896,10 +858,8 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_honors_weights_and_skips_dry_sessions() {
-        let mut cfg = PolicyConfig::locality().with_fair_share();
-        cfg.fair_weights = vec![(1, 2)];
-        let mut p = FairSharePolicy::new(cfg);
+    fn fair_share_skips_dry_sessions() {
+        let mut p = FairSharePolicy::new(PolicyConfig::locality().with_fair_share());
         for i in 0..4 {
             p.push(Key::scoped(1, format!("a{i}")));
         }
@@ -909,11 +869,10 @@ mod tests {
         let order: Vec<String> = std::iter::from_fn(|| p.pop())
             .map(|k| format!("s{}:{}", k.session(), k.as_str()))
             .collect();
-        // Session 1 (weight 2) drains two per turn against session 2's one;
-        // once session 2 is dry, session 1 keeps draining unimpeded.
+        // Once session 2 is dry, session 1 keeps draining unimpeded.
         assert_eq!(
             order,
-            ["s1:a0", "s1:a1", "s2:b0", "s1:a2", "s1:a3", "s2:b1"]
+            ["s1:a0", "s2:b0", "s1:a1", "s2:b1", "s1:a2", "s1:a3"]
         );
     }
 

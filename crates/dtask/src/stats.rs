@@ -91,7 +91,7 @@ named_enum! {
 named_enum! {
     /// Destination lanes of the framed transport backends. One lane per
     /// payload family, so "scheduler inbound" — the paper's bottleneck — is
-    /// a single counter read. Only the Framed/SimNet/Tcp backends record
+    /// a single counter read. Only the Framed and Tcp backends record
     /// here; InProc stays at zero by design.
     pub enum WireLane {
         /// Messages into the scheduler (the centralized bottleneck).

@@ -85,7 +85,7 @@ pub enum TraceActor {
         /// Client id.
         id: usize,
     },
-    /// The transport router (Framed/SimNet backends record per-message
+    /// The transport router (the coded backends record per-message
     /// wire sizes here; senders on any thread share this one track).
     Transport,
     /// One worker's object store (the data server thread records store
@@ -140,7 +140,7 @@ pub enum EventKind {
     /// Distributed queue op (instant; arg = 0 push / 1 pop).
     QueueOp,
     /// One framed transport message sent (instant; arg = serialized
-    /// bytes-on-the-wire). Only the Framed/SimNet backends emit these.
+    /// bytes-on-the-wire). Only the coded backends emit these.
     WireSend,
     /// The liveness sweep declared a peer dead (instant; arg = worker id,
     /// or `u64::MAX - client id` for client peers).

@@ -2,7 +2,7 @@
 //! [`Endpoint`], and replies are id-routed — no live channel handle ever
 //! travels inside a message enum.
 //!
-//! Four backends, selected per cluster via [`TransportConfig`], ride two
+//! Three backends, selected per cluster via [`TransportConfig`], ride two
 //! carriers. `InProc` hands messages to plain channels. Every other backend
 //! encodes each message with [`crate::wire`] and sends the bytes over the
 //! byte-stream plane of [`crate::net`], whose readers decode them back into
@@ -12,11 +12,10 @@
 //! |----------|---------|---------------------------|---------|
 //! | `InProc` | channels | none | zero-overhead default |
 //! | `Framed` | byte-stream plane | an OS pipe | real bytes-on-the-wire accounting + serialization-tax measurement |
-//! | `SimNet` | byte-stream plane | an OS pipe whose writer holds each frame until the fat-tree model of [`netsim`] says it arrives | the DES network model injected into *live* cluster runs |
 //! | `Tcp`    | byte-stream plane | a connected loopback TCP pair | every message crosses a real socket with partial-read reassembly; the plane the multi-process deployment layer runs on |
 //!
 //! The coded backends record per-lane message/byte counters into
-//! [`crate::stats::SchedulerStats`] (`WireLane`) at dispatch, so all three
+//! [`crate::stats::SchedulerStats`] (`WireLane`) at dispatch, so both
 //! report the same counts for the same message sequence; InProc
 //! deliberately records nothing, so the default path stays allocation- and
 //! codec-free.
@@ -45,9 +44,6 @@ pub enum TransportConfig {
     /// crosses an in-process pipe, so byte counters are real serialized
     /// sizes and round-trip fidelity is exercised on every send.
     Framed,
-    /// Framed, plus fat-tree latency/bandwidth delays from the [`netsim`]
-    /// network model, injected into the live run.
-    SimNet(SimNetConfig),
     /// Every message travels as a routed frame over a real TCP socket (one
     /// loopback socket pair per destination node, partial-read reassembly —
     /// see [`crate::net`]). Per-lane accounting counts the same envelope
@@ -55,25 +51,6 @@ pub enum TransportConfig {
     /// also the backend worker processes attached via the deployment layer
     /// speak.
     Tcp,
-}
-
-/// Parameters for the [`TransportConfig::SimNet`] backend.
-#[derive(Debug, Clone)]
-pub struct SimNetConfig {
-    /// Fat-tree parameters. `nodes: 0` auto-sizes to scheduler + workers +
-    /// a small pool of client nodes when the cluster is built.
-    pub network: netsim::NetworkConfig,
-}
-
-impl Default for SimNetConfig {
-    fn default() -> Self {
-        SimNetConfig {
-            network: netsim::NetworkConfig {
-                nodes: 0,
-                ..netsim::NetworkConfig::default()
-            },
-        }
-    }
 }
 
 // ---- fault injection -------------------------------------------------------
@@ -155,7 +132,7 @@ pub enum Addr {
 /// the `Sender` handles that used to live inside [`DataMsg`] variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplyTo {
-    /// The requester's address (used for SimNet path costing).
+    /// The requester's address: where the reply is routed.
     pub addr: Addr,
     /// Correlation id minted by [`Endpoint::request`].
     pub corr: u64,
@@ -501,7 +478,7 @@ impl Router {
         }
         // What gets delivered is the *decoded* frame: every coded message
         // proves round-trip fidelity.
-        plane.shared.route(from, to, &bytes);
+        plane.shared.route(to, &bytes);
     }
 
     /// A message whose encoding is over [`wire::MAX_FRAME_BYTES`] is refused
@@ -537,7 +514,8 @@ impl Router {
 // ---- endpoint --------------------------------------------------------------
 
 /// A cluster actor's handle on the transport: all sends carry this actor's
-/// [`Addr`] as the source (the SimNet backend costs paths with it).
+/// [`Addr`] as the source, and a reply to one of its requests is routed
+/// back to that address.
 #[derive(Clone)]
 pub struct Endpoint {
     from: Addr,
@@ -797,32 +775,18 @@ mod tests {
     }
 
     #[test]
-    fn simnet_delivers_with_delay_and_accounts_bytes() {
-        // 5 ms per hop once scaled: a client → scheduler frame crosses two
-        // hops, so none may arrive sooner than 10 ms after its send.
-        let network = netsim::NetworkConfig {
-            nodes: 0,
-            hop_latency: 5_000_000_000,
-            ..netsim::NetworkConfig::default()
-        };
-        let (router, rx) = test_router(TransportConfig::SimNet(SimNetConfig { network }));
-        let mut sent = Vec::new();
+    fn framed_delivers_in_order_and_accounts_bytes() {
+        let (router, rx) = test_router(TransportConfig::Framed);
         for client in 0..5 {
-            sent.push(Instant::now());
             router
                 .endpoint(Addr::Client(client))
                 .send_sched(SchedMsg::Heartbeat { client });
         }
-        for (client, sent_at) in sent.into_iter().enumerate() {
+        for client in 0..5 {
             let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            let transit = sent_at.elapsed();
             assert!(
                 matches!(got, SchedMsg::Heartbeat { client: c } if c == client),
                 "frames to one destination arrive in send order"
-            );
-            assert!(
-                transit >= Duration::from_millis(10),
-                "frame {client} arrived {transit:?} after its send, before it was due"
             );
         }
         assert_eq!(router.fabric.stats.wire_messages(WireLane::SchedIn), 5);

@@ -1,6 +1,6 @@
 //! Versioned wire format for every inter-actor message.
 //!
-//! The Framed, SimNet and Tcp transport backends (see [`crate::transport`])
+//! The Framed and Tcp transport backends (see [`crate::transport`])
 //! and the cross-process deployment plane (see [`crate::net`]) push each
 //! [`Payload`] through this codec, so the byte counts recorded in
 //! [`crate::stats::SchedulerStats`] are *real serialized sizes*, not

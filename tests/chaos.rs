@@ -15,8 +15,7 @@
 
 use deisa_repro::dtask::{
     Cluster, ClusterConfig, Datum, ErrorCause, EventKind, FaultConfig, FaultPlan,
-    HeartbeatInterval, Key, StatsSnapshot, TaskError, TaskSpec, TenancyConfig, TraceConfig,
-    TransportConfig,
+    HeartbeatInterval, Key, StatsSnapshot, TaskError, TaskSpec, TraceConfig, TransportConfig,
 };
 use deisa_repro::linalg::NDArray;
 use std::time::Duration;
@@ -239,19 +238,17 @@ fn dead_client_session_is_fully_reclaimed_by_liveness_sweep() {
     let cluster = Cluster::with_config(ClusterConfig {
         n_workers: 2,
         slots_per_worker: 1,
-        tenancy: TenancyConfig::enabled(),
         fault: chaos_fault(),
         ..ClusterConfig::default()
     });
-    let survivor =
-        cluster.client_with_heartbeat(HeartbeatInterval::Every(Duration::from_millis(20)));
+    let survivor = cluster.client_in(1, HeartbeatInterval::Every(Duration::from_millis(20)));
     survivor.scatter(
         vec![(Key::new("keep"), Datum::from(NDArray::full(&[16], 1.0)))],
         Some(0),
     );
     let baseline: u64 = cluster.worker_memory().iter().map(|(_, b)| b).sum();
 
-    let doomed = cluster.client_with_heartbeat(HeartbeatInterval::Every(Duration::from_millis(20)));
+    let doomed = cluster.client_in(2, HeartbeatInterval::Every(Duration::from_millis(20)));
     // The doomed tenant spreads state across both planes: scattered blocks,
     // computed results, and a variable.
     doomed.scatter(

@@ -15,15 +15,23 @@
 //!    work completes.
 //! 4. **No dropped notifications on the happy path**: `notifies_dropped`
 //!    stays zero through a full multi-tenant workload.
-//! 5. **Default-off**: with tenancy off the scheduler serves the implicit
-//!    session and records no tenant counters at all.
+//! 5. **Default session**: clients from `Cluster::client` share the
+//!    implicit session, and the scheduler records no tenant counters at all.
+//! 6. **A session is per client, not per cluster**: the paper's DEISA3
+//!    pipeline — an adaptor and R bridges sharing one contract — runs in
+//!    one session beside a second tenant running the same pipeline under
+//!    the same key names.
 //!
 //! Isolation and admission run on both the in-process and the Tcp transport.
 
+use deisa_repro::darray::{self, Graph};
+use deisa_repro::deisa::{Adaptor, Bridge, Selection, VirtualArray};
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, Key, StatsSnapshot, SubmitError, TaskSpec, TenancyConfig,
-    TransportConfig,
+    Client, Cluster, ClusterConfig, Datum, HeartbeatInterval, Key, SessionId, StatsSnapshot,
+    SubmitError, TaskSpec, TenancyConfig, TransportConfig,
 };
+use deisa_repro::linalg::NDArray;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::time::Duration;
 
 fn tenant_cluster(n_workers: usize, tenancy: TenancyConfig) -> Cluster {
@@ -45,6 +53,11 @@ fn tenant_cluster_on(
 }
 
 const TRANSPORTS: [TransportConfig; 2] = [TransportConfig::InProc, TransportConfig::Tcp];
+
+/// A client of `session`, without heartbeats.
+fn tenant(cluster: &Cluster, session: SessionId) -> Client {
+    cluster.client_in(session, HeartbeatInterval::Infinite)
+}
 
 /// The same graph both tenants submit: identical key names, per-tenant
 /// payloads. If namespaces leak anywhere, the reductions collide.
@@ -69,9 +82,9 @@ fn concurrent_sessions_with_identical_key_names_are_isolated() {
 }
 
 fn sessions_are_isolated_on(transport: TransportConfig) {
-    let cluster = tenant_cluster_on(transport, 2, TenancyConfig::enabled());
-    let c1 = cluster.client();
-    let c2 = cluster.client();
+    let cluster = tenant_cluster_on(transport, 2, TenancyConfig::default());
+    let c1 = tenant(&cluster, 1);
+    let c2 = tenant(&cluster, 2);
     assert_ne!(c1.session(), c2.session(), "each client gets a session");
 
     // Interleave: both graphs are in flight under the same key names at
@@ -106,9 +119,9 @@ fn sessions_are_isolated_on(transport: TransportConfig) {
 
 #[test]
 fn cross_session_variable_and_queue_reads_are_clean_not_found() {
-    let cluster = tenant_cluster(1, TenancyConfig::enabled());
-    let c1 = cluster.client();
-    let c2 = cluster.client();
+    let cluster = tenant_cluster(1, TenancyConfig::default());
+    let c1 = tenant(&cluster, 1);
+    let c2 = tenant(&cluster, 2);
 
     c1.var_set("shared", Datum::F64(42.0));
     assert_eq!(c1.var_get("shared").unwrap().as_f64(), Some(42.0));
@@ -136,7 +149,7 @@ fn admission_rejects_and_recovers_on(transport: TransportConfig) {
         std::thread::sleep(Duration::from_millis(30));
         Ok(param.clone())
     });
-    let client = cluster.client();
+    let client = tenant(&cluster, 1);
 
     // Two slow tasks fill the cap exactly and hold it: one executor slot
     // serializes them, so both stay in flight while the next graph arrives.
@@ -189,8 +202,8 @@ fn admission_rejects_and_recovers_on(transport: TransportConfig) {
 fn without_a_cap_submissions_never_wait_for_acks() {
     // Tenancy on, no cap: scoped namespaces but the seed's fire-and-forget
     // submission path (no SubmitOutcome round trip to deadlock on).
-    let cluster = tenant_cluster(1, TenancyConfig::enabled());
-    let client = cluster.client();
+    let cluster = tenant_cluster(1, TenancyConfig::default());
+    let client = tenant(&cluster, 1);
     client.try_submit(tenant_graph(3.0)).unwrap();
     assert_eq!(
         client.future("total").result().unwrap().as_f64(),
@@ -222,9 +235,9 @@ fn tenancy_off_serves_the_implicit_session_with_no_tenant_counters() {
 
 #[test]
 fn session_teardown_releases_only_that_tenants_state() {
-    let cluster = tenant_cluster(2, TenancyConfig::enabled());
-    let c1 = cluster.client();
-    let c2 = cluster.client();
+    let cluster = tenant_cluster(2, TenancyConfig::default());
+    let c1 = tenant(&cluster, 1);
+    let c2 = tenant(&cluster, 2);
     c1.submit(tenant_graph(1.0));
     c2.submit(tenant_graph(2.0));
     assert_eq!(c1.future("total").result().unwrap().as_f64(), Some(11.0));
@@ -238,4 +251,69 @@ fn session_teardown_releases_only_that_tenants_state() {
     // Tenant 2 is undisturbed: its variable and results are still there.
     assert_eq!(c2.var_get("v").unwrap().as_f64(), Some(6.0));
     assert_eq!(c2.future("total").result().unwrap().as_f64(), Some(22.0));
+}
+
+const STEPS: usize = 5;
+const RANKS: usize = 4;
+
+/// The DEISA3 pipeline of one tenant, every actor a client of `session`:
+/// R bridges wait on the contract the adaptor publishes, then publish T
+/// steps of blocks filled with `fill`, while the adaptor's pre-submitted
+/// graph sums the whole virtual array. The receiver yields that sum.
+fn deisa3_in(cluster: &Cluster, session: SessionId, fill: f64) -> Receiver<f64> {
+    let varray = || VirtualArray::new("A", &[STEPS, 4, 4], &[1, 2, 2], 0).unwrap();
+    let (tx, rx) = sync_channel(1);
+    let adaptor = Adaptor::new(tenant(cluster, session));
+    std::thread::spawn(move || {
+        let mut arrays = adaptor.get_deisa_arrays().unwrap();
+        let v = arrays.descriptor("A").unwrap().clone();
+        let a = arrays.select("A", Selection::all(&v)).unwrap();
+        arrays.validate_contract().unwrap();
+        let mut g = Graph::new("m");
+        let k = a.sum_all(&mut g);
+        g.submit(adaptor.client());
+        let total = adaptor
+            .client()
+            .future(k)
+            .result_timeout(Duration::from_secs(30))
+            .unwrap();
+        let _ = tx.send(total.as_f64().unwrap());
+    });
+    for rank in 0..RANKS {
+        let client = tenant(cluster, session);
+        std::thread::spawn(move || {
+            let mut b = Bridge::init(client, rank, vec![varray()]).unwrap();
+            for t in 0..STEPS {
+                b.publish("A", t, rank, NDArray::full(&[1, 2, 2], fill))
+                    .unwrap();
+            }
+        });
+    }
+    rx
+}
+
+/// Regression: tenancy used to be a cluster-wide switch that put every
+/// client in a session of its own, so a tenancy-enabled cluster could not
+/// run the paper's pipeline: each bridge waited forever on a contract in
+/// its own session. The whole pipeline now runs in one session, next to a
+/// second tenant whose pipeline uses every key name the first one does.
+#[test]
+fn deisa3_pipeline_runs_in_one_session_beside_another_tenant() {
+    let cluster = tenant_cluster(2, TenancyConfig::default());
+    darray::register_array_ops(cluster.registry());
+    let first = deisa3_in(&cluster, 7, 1.0);
+    let second = deisa3_in(&cluster, 8, 2.0);
+    let per_fill = (STEPS * RANKS * 4) as f64;
+    let wait = Duration::from_secs(60);
+    assert_eq!(
+        first.recv_timeout(wait),
+        Ok(per_fill),
+        "the pipeline's tenant sees its own sum"
+    );
+    assert_eq!(
+        second.recv_timeout(wait),
+        Ok(2.0 * per_fill),
+        "the other tenant sees its own sum"
+    );
+    assert_eq!(cluster.stats().notifies_dropped(), 0);
 }

@@ -10,15 +10,14 @@
 //!    fused-stage attribution through the optimizer.
 //! 3. The paper's §2.1 scheduler-load gap — DEISA1's `2·T·R + heartbeats`
 //!    metadata stream vs DEISA3's `1 + R` contract setup — reproduces in
-//!    *bytes on the wire*, measured under the SimNet backend with fat-tree
-//!    delays injected into the live run.
+//!    *bytes on the wire*, measured over the Tcp backend's real sockets.
 
 use deisa_repro::darray::{self, Graph};
 use deisa_repro::deisa::deisa1::{Adaptor1, Bridge1};
 use deisa_repro::deisa::{Adaptor, Bridge, DeisaVersion, Selection, VirtualArray};
 use deisa_repro::dtask::{
     Cluster, ClusterConfig, Datum, ErrorCause, FaultConfig, HeartbeatInterval, Key, MsgClass,
-    OptimizeConfig, SimNetConfig, TaskSpec, TransportConfig, WireLane,
+    OptimizeConfig, TaskSpec, TransportConfig, WireLane,
 };
 use deisa_repro::linalg::NDArray;
 use std::time::Duration;
@@ -203,7 +202,7 @@ fn run_fixed_graph_on(transport: TransportConfig) -> (Vec<f64>, Vec<(u64, u64)>)
 fn framed_cluster_matches_inproc_results_and_accounts_bytes() {
     assert_deisa3_matches_inproc(TransportConfig::Framed);
 
-    // All three coded backends share one encode-and-account step, so a
+    // Both coded backends share one encode-and-account step, so a
     // fixed message sequence must cost each of them the same frames and the
     // same bytes, lane by lane — and compute what InProc computes.
     let (expect, inproc_lanes) = run_fixed_graph_on(TransportConfig::InProc);
@@ -212,17 +211,12 @@ fn framed_cluster_matches_inproc_results_and_accounts_bytes() {
     let (framed, framed_lanes) = run_fixed_graph_on(TransportConfig::Framed);
     assert_eq!(framed, expect);
     assert!(framed_lanes.iter().all(|&(msgs, bytes)| bytes > msgs));
-    for (name, transport) in [
-        ("simnet", TransportConfig::SimNet(SimNetConfig::default())),
-        ("tcp", TransportConfig::Tcp),
-    ] {
-        let (values, lanes) = run_fixed_graph_on(transport);
-        assert_eq!(values, expect, "{name} changed the computed values");
-        assert_eq!(
-            lanes, framed_lanes,
-            "{name} per-lane totals differ from framed"
-        );
-    }
+    let (tcp, tcp_lanes) = run_fixed_graph_on(TransportConfig::Tcp);
+    assert_eq!(tcp, expect, "tcp changed the computed values");
+    assert_eq!(
+        tcp_lanes, framed_lanes,
+        "tcp per-lane totals differ from framed"
+    );
 }
 
 #[test]
@@ -355,79 +349,6 @@ fn framed_contract_setup_bytes_scale_as_one_plus_r() {
     assert!(per_rank_bytes < per_rank_msgs * 2048);
 }
 
-// ---- the acceptance run: SimNet DEISA1 vs DEISA3 gap -----------------------
-
-#[test]
-fn simnet_live_run_reproduces_deisa1_vs_deisa3_scheduler_gap() {
-    // Both versions run LIVE under the SimNet backend: every frame is
-    // encoded, costed through the fat-tree model, delayed, and decoded.
-    let simnet = || cluster_with(TransportConfig::SimNet(SimNetConfig::default()));
-
-    let c3 = simnet();
-    let total3 = run_deisa3_on(&c3);
-    assert_eq!(total3, (STEPS * RANKS * 4) as f64);
-
-    let c1 = simnet();
-    let total1 = run_deisa1_on(&c1);
-    assert_eq!(total1, (STEPS * RANKS * 4) as f64);
-
-    let (s1, s3) = (c1.stats(), c3.stats());
-
-    // Protocol shape (the §2.1 formulas), measured on the same runs:
-    // DEISA1 pays `2·T·R + heartbeats` bridge metadata, DEISA3 pays the
-    // `1 + R`-shaped contract setup and nothing per step.
-    assert_eq!(s1.count(MsgClass::Queue) as usize, 2 * STEPS * RANKS);
-    assert_eq!(s1.count(MsgClass::UpdateData) as usize, STEPS * RANKS);
-    assert_eq!(s1.count(MsgClass::GraphSubmit) as usize, STEPS);
-    assert!(s1.bridge_metadata_messages() as usize >= 2 * STEPS * RANKS);
-    assert_eq!(s3.count(MsgClass::Queue), 0);
-    assert_eq!(s3.count(MsgClass::Heartbeat), 0);
-    assert_eq!(s3.count(MsgClass::Variable) as usize, 3 + RANKS);
-    assert_eq!(s3.count(MsgClass::GraphSubmit), 1);
-
-    // The same gap in actual wire traffic into the scheduler: DEISA1's
-    // queue ops alone (2·T·R) dwarf DEISA3's whole metadata budget, so the
-    // scheduler-inbound lane must show both more messages and more bytes.
-    let (m1, b1) = (
-        s1.wire_messages(WireLane::SchedIn),
-        s1.wire_bytes(WireLane::SchedIn),
-    );
-    let (m3, b3) = (
-        s3.wire_messages(WireLane::SchedIn),
-        s3.wire_bytes(WireLane::SchedIn),
-    );
-    assert!(m1 > 0 && m3 > 0, "SimNet must account frames on both runs");
-
-    // Strip the compute plane out of the inbound lane. Task reports,
-    // replica notices, and external-task completions are each exactly one
-    // wire frame, and the paper does not count them as metadata — what
-    // remains is the §2.1 metadata stream plus per-client session setup
-    // (one connect + one disconnect for each of the R bridges + 1 adaptor).
-    let metadata = |s: &deisa_repro::dtask::SchedulerStats, lane_msgs: u64| {
-        lane_msgs
-            - s.count(MsgClass::TaskReport)
-            - s.count(MsgClass::AddReplica)
-            - s.count(MsgClass::UpdateDataExternal)
-    };
-    let meta1 = metadata(s1, m1) - s1.count(MsgClass::Heartbeat);
-    let meta3 = metadata(s3, m3);
-    let session = 2 * (RANKS + 1);
-    // DEISA1: T·R scatter updates + 2·T·R queue ops + T submits + T result
-    // waits (the paper's `2·T·R + heartbeats`, every term on the wire).
-    assert_eq!(meta1 as usize, 3 * STEPS * RANKS + 2 * STEPS + session);
-    // DEISA3: the `1 + R`-shaped contract setup (3 + R variable ops) plus
-    // one registration, one submit, one result wait — nothing per step.
-    assert_eq!(meta3 as usize, (3 + RANKS) + 3 + session);
-    assert!(
-        meta1 >= 3 * meta3,
-        "DEISA1 metadata frames {meta1} should dwarf DEISA3's {meta3}"
-    );
-    assert!(
-        b1 > b3,
-        "DEISA1 scheduler-inbound bytes {b1} should exceed DEISA3's {b3}"
-    );
-}
-
 /// The same §2.1 gap with every frame crossing real TCP sockets — the
 /// acceptance bar for the socket backend: byte accounting identical in shape
 /// to Framed, measured on live runs.
@@ -456,8 +377,11 @@ fn tcp_live_run_reproduces_deisa1_vs_deisa3_scheduler_gap() {
     );
     assert!(m1 > 0 && m3 > 0, "TCP must account frames on both runs");
 
-    // Same metadata extraction as the SimNet acceptance test: strip the
-    // compute plane, leaving the §2.1 stream plus session setup.
+    // Strip the compute plane out of the inbound lane. Task reports,
+    // replica notices, and external-task completions are each exactly one
+    // wire frame, and the paper does not count them as metadata — what
+    // remains is the §2.1 metadata stream plus per-client session setup
+    // (one connect + one disconnect for each of the R bridges + 1 adaptor).
     let metadata = |s: &deisa_repro::dtask::SchedulerStats, lane_msgs: u64| {
         lane_msgs
             - s.count(MsgClass::TaskReport)

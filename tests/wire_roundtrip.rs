@@ -2,7 +2,7 @@
 //! (`dtask::wire`). Arbitrary `Key`s, `Datum`s, `TaskSpec`s, and
 //! `TaskError`s — drawn from fixed seeds so runs are deterministic and
 //! fully offline — must survive encode → decode bit-exactly. Any drift
-//! here silently corrupts every Framed/SimNet cluster, so the generators
+//! here silently corrupts every Framed and Tcp cluster, so the generators
 //! deliberately cover the nasty corners: NaN/∞ floats, empty strings,
 //! unicode keys, deep nesting, and all three `ErrorCause` shapes.
 
