@@ -6,7 +6,7 @@ use deisa_repro::deisa::deisa1::{Adaptor1, Bridge1};
 use deisa_repro::deisa::{Adaptor, Bridge, DeisaVersion, Selection, VirtualArray};
 use deisa_repro::dtask::{
     Cluster, ClusterConfig, Datum, HeartbeatInterval, MsgClass, OptimizeConfig, StoreConfig,
-    TransportConfig, WireLane,
+    TaskSpec, TransportConfig, WireLane,
 };
 use deisa_repro::linalg::NDArray;
 use deisa_repro::netsim::sizing::f64_block_bytes;
@@ -220,8 +220,8 @@ fn external_task_counts_identical_pre_post_optimize() {
 
 /// The §2.1 formulas measured with every frame crossing real TCP sockets:
 /// the protocol counts are transport-invariant, and the scheduler-inbound
-/// lane shows the same `2·T·R` vs `1 + R` gap in bytes that the Framed and
-/// SimNet backends account — sockets add framing, never messages.
+/// lane shows the same `2·T·R` vs `1 + R` gap in bytes that the Framed
+/// backend accounts — sockets add framing, never messages.
 #[test]
 fn tcp_lane_bytes_reproduce_deisa_formulas() {
     let tcp_cluster = || {
@@ -332,6 +332,13 @@ fn deisa1_window_counts_2tr_plus_heartbeats() {
         HeartbeatInterval::Every(Duration::from_millis(5)),
         WINDOW,
     );
+    // Every bridge has sent its last heartbeat, but the scheduler may not
+    // have counted it yet. One round trip through its FIFO inbox first, in
+    // classes the assertions do not read (a graph submission and a result
+    // request), so the two reads below see the same heartbeat count.
+    let client = cluster.client();
+    client.submit(vec![TaskSpec::new("sync", "const", Datum::Null, vec![])]);
+    client.future("sync").result().unwrap();
     let stats = cluster.stats();
     let heartbeats = stats.count(MsgClass::Heartbeat);
     // Metadata shape is unchanged by the pinger…
