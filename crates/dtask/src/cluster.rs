@@ -307,7 +307,8 @@ impl Cluster {
         // `Endpoint`s derived from it. A hub runs no local worker thread, so
         // its worker inboxes drop right here: every worker-bound message
         // routes over the plane.
-        let (channels, sched_rx, mut inboxes) = ClusterChannels::new(config.n_workers);
+        let (channels, sched_rx, mut inboxes) =
+            ClusterChannels::new(config.n_workers, slots, config.policy.steal_poll);
         let hub_plane = deploy.as_ref().map(|deploy| {
             inboxes.clear();
             let as_ms = |d: Option<Duration>| d.map_or(0, |d| d.as_millis().max(1) as u64);
@@ -397,13 +398,11 @@ impl Cluster {
         for (id, inbox) in inboxes.into_iter().enumerate() {
             let runtime = WorkerRuntime::spawn(WorkerSpec {
                 id,
-                slots,
                 store: config.store.clone(),
                 inbox,
                 router: &cluster.router,
                 registry: &cluster.registry,
                 stats: &cluster.stats,
-                steal_poll: config.policy.steal_poll,
                 heartbeat,
                 tracer: &cluster.tracer,
                 telemetry: cluster.telemetry.as_ref(),

@@ -308,31 +308,32 @@ pub struct Assignment {
     pub assigned_at: std::time::Instant,
 }
 
-/// Messages a worker's *executor slots* handle (one shared inbox per worker,
-/// drained by every slot thread).
+/// Messages a worker's *executor slots* handle: each is stepped into the
+/// worker's [`crate::worker::Core`], which every slot thread shares.
 #[derive(Clone)]
 pub enum ExecMsg {
     /// Run one assigned task.
     Execute(Assignment),
-    /// A burst of assignments coalesced by the batched scheduler loop. The
-    /// receiving slot runs the first task inline and re-enqueues the rest on
-    /// the shared inbox so sibling slots pick them up concurrently.
+    /// A burst of assignments coalesced by the batched scheduler loop,
+    /// queued in order: free slots start them concurrently, and the tail
+    /// starts before anything delivered after it.
     ExecuteBatch {
         /// Assignments in placement order.
         tasks: Vec<Assignment>,
     },
     /// The scheduler (answering a [`SchedMsg::StealRequest`]) tells this
-    /// worker to forward up to `max` queued-but-unstarted assignments from
-    /// its shared inbox to `thief`. The receiving slot drains its inbox,
-    /// re-enqueues what it keeps, reports the forwarded keys with
-    /// [`SchedMsg::Stolen`], and ships the assignments to the thief's inbox.
+    /// worker to forward up to `max` queued-but-unstarted assignments to
+    /// `thief`. The worker answers as soon as a slot is between tasks: it
+    /// takes them from the head of its queue, reports their keys with
+    /// [`SchedMsg::Stolen`], and ships them to the thief's executor.
     Steal {
         /// Worker to forward the assignments to.
         thief: WorkerId,
         /// Upper bound on assignments to hand over.
         max: usize,
     },
-    /// Stop one executor slot thread.
+    /// Stop one executor slot thread, once everything queued before this
+    /// has started.
     Shutdown,
 }
 

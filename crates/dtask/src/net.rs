@@ -1172,7 +1172,7 @@ mod tests {
     /// end as `HungUp`.
     #[test]
     fn requests_to_a_lost_node_hang_up_on_the_other_node_and_the_hub() {
-        let (hub_channels, _sched_rx, _) = ClusterChannels::new(2);
+        let (hub_channels, _sched_rx, _) = ClusterChannels::new(2, 1, None);
         let params = HubParams {
             n_workers: 2,
             default_slots: 1,
@@ -1199,7 +1199,7 @@ mod tests {
             )
             .expect("handshake");
             let worker = handshake.welcome.worker;
-            let (channels, _, inboxes) = ClusterChannels::new(2);
+            let (channels, _, inboxes) = ClusterChannels::new(2, 1, None);
             let (goodbye_tx, _) = unbounded();
             let router = plane_router(channels, |fabric| handshake.start(fabric, goodbye_tx));
             (worker, router, inboxes)

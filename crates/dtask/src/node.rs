@@ -5,7 +5,7 @@
 //! versioned registration handshake ([`crate::wire::NodeMsg::Hello`] →
 //! [`crate::wire::NodeMsg::Welcome`]), then brings up exactly the worker
 //! actors an in-process cluster would have spawned as threads — one data
-//! server plus the assigned number of executor slots over a shared inbox,
+//! server plus the assigned number of executor slots over one worker core,
 //! and (when the hub asks for it) a heartbeat pinger. All of them talk
 //! through a normal [`crate::transport::Router`] whose backend is the
 //! node's hub connection, so executor code is byte-for-byte the same code
@@ -92,7 +92,10 @@ pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, 
     // The router wants the full worker-count channel layout; only this
     // worker's inbox stays alive, every other one is a dead end the plane
     // never delivers into (their traffic routes to the hub).
-    let (channels, _sched_rx, inboxes) = ClusterChannels::new(welcome.n_workers);
+    let millis = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
+    let steal_poll = millis(welcome.steal_poll_ms);
+    let (channels, _sched_rx, inboxes) =
+        ClusterChannels::new(welcome.n_workers, welcome.slots, steal_poll);
     let inbox = inboxes
         .into_iter()
         .nth(w)
@@ -107,10 +110,8 @@ pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, 
         |fabric| handshake.start(fabric, goodbye_tx).map(Some),
     )?;
 
-    let millis = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
     let mut runtime = WorkerRuntime::spawn(WorkerSpec {
         id: w,
-        slots: welcome.slots,
         store: StoreConfig {
             mem_budget: welcome.mem_budget.or(config.mem_budget),
             ..StoreConfig::default()
@@ -119,7 +120,6 @@ pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, 
         router: &router,
         registry: &registry,
         stats: &stats,
-        steal_poll: millis(welcome.steal_poll_ms),
         heartbeat: millis(welcome.heartbeat_ms),
         tracer: &TraceRecorder::disabled(),
         telemetry: None,

@@ -1,39 +1,34 @@
-//! `schedlab` — the scheduler core under a virtual clock.
+//! `schedlab` — the scheduler and worker cores under a virtual clock.
 //!
 //! The live `dtask` cluster runs the scheduling policies at laptop scale (a
-//! handful of workers, thousands of tasks). This module drives the *same*
-//! scheduler core ([`dtask::scheduler::Scheduler::step`]) and the same
-//! [`dtask::policy`] objects at hundreds to a thousand workers and 1e5–1e6
-//! tasks without spawning a thread: every ready-queue push and pop, every
-//! `decide_worker`, every steal decision here is `dtask`'s, and this file
-//! only plays the **workers**:
-//!
-//! * a worker queues the assignments it is sent and starts one per free
-//!   executor slot;
-//! * a task pays [`netsim::transfer_ns`] for each dependency its worker
-//!   does not hold, then reports the fetched replicas (`AddReplica`), then
-//!   computes, then reports `TaskFinished` at its virtual completion time;
-//! * with stealing on, a worker with a free slot and an empty queue sends
-//!   `StealRequest` every `steal_poll`, and a victim answers
-//!   [`ExecMsg::Steal`] between tasks by forwarding the head of its queue
-//!   and reporting `Stolen`.
+//! handful of workers, thousands of tasks). This module steps the *same*
+//! scheduler core ([`dtask::scheduler::Scheduler::step`]) with the same
+//! [`dtask::policy`] objects, and the same worker core per worker
+//! ([`dtask::worker::Core::step`]: its queue, slots, steal probes and poll),
+//! at hundreds to a thousand workers and 1e5–1e6 tasks without spawning a
+//! thread. This file only keeps the **clock**: a task a worker's core starts
+//! pays [`netsim::transfer_ns`] for each input its worker does not hold, then
+//! computes, and the clock steps its gather and its finish back into the
+//! core; an armed steal poll fires `steal_poll` later; stolen work reaches
+//! its thief at once.
 //!
 //! Input blocks are the paper's external tasks: one `RegisterExternal` and
 //! one `SubmitGraph` up front, then one `UpdateData { external: true }` per
 //! block. Not modelled: control-message latency, scheduler service time
 //! (every step is instantaneous), NIC contention between transfers, worker
-//! loss. The core, its sink and the step-until-quiet loop are
+//! loss. The scheduler core, its sink and the step-until-quiet loop are
 //! `VirtualCore`'s, shared with [`simside`](crate::simside); the clock is
 //! a [`netsim::Engine`].
 
 use crate::vcore::{Actors, VirtualCore};
 use dtask::msg::{Assignment, ClientId, ClientMsg, ExecMsg, SchedMsg, WorkerId};
-use dtask::{Datum, Key, PolicyConfig, PolicyKind, SchedulerStats, TaskSpec};
+use dtask::worker::{Core, Effect, Event};
+use dtask::{Datum, Key, MsgClass, PolicyConfig, PolicyKind, SchedulerStats, TaskSpec};
 use netsim::network::NetworkConfig;
 use netsim::{transfer_ns, Engine};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One task of a simulated graph.
@@ -69,10 +64,6 @@ pub struct Outcome {
     pub policy: PolicyKind,
     /// Workload name.
     pub workload: String,
-    /// Simulated workers.
-    pub workers: usize,
-    /// Executor slots per worker.
-    pub slots: usize,
     /// Tasks executed.
     pub tasks: usize,
     /// Block arrival → last completion.
@@ -248,182 +239,85 @@ pub fn policies() -> [PolicyConfig; 4] {
 
 // ---- the simulated workers -------------------------------------------------
 
-/// What can happen at a worker.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// `task`'s missing dependencies have arrived at `worker`.
-    Fetched { worker: u32, task: u32 },
-    /// `task` is done on `worker`.
-    Finished { worker: u32, task: u32 },
-    /// `worker`'s idle slot has waited one steal-poll interval.
-    Poll { worker: u32 },
-}
-
-#[derive(Default)]
-struct SimWorker {
-    /// Assignments received and not started, in arrival order.
-    queue: VecDeque<Assignment>,
-    /// Executor slots running a task.
-    busy: usize,
-    /// Steal probes `(thief, max)` waiting for a slot to come up for air.
-    probes: Vec<(WorkerId, usize)>,
-    /// A `Poll` event is armed.
-    polling: bool,
+/// `(datum id, bytes)` of everything `task` reads: task outputs are data
+/// `0..n`, blocks follow.
+fn inputs(w: &Workload, task: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let t = &w.tasks[task];
+    let blocks = t.blocks.iter().map(|&b| b as usize);
+    let blocks = blocks.map(move |b| (w.tasks.len() + b, w.blocks[b].0));
+    let deps = t.deps.iter().map(|&d| d as usize);
+    blocks.chain(deps.map(move |d| (d, w.tasks[d].out_bytes)))
 }
 
 const CLIENT: ClientId = 0;
 
 struct Sim<'a> {
     workload: &'a Workload,
-    slots: usize,
     nic_bw: u64,
     /// Idle-slot poll interval in ns; `None` = stealing off.
     steal_poll: Option<u64>,
-    task_keys: Vec<Key>,
-    block_keys: Vec<Key>,
+    /// Every datum's key: task outputs first, then blocks.
+    keys: Vec<Key>,
     task_of: HashMap<Key, u32>,
-    /// Who holds each datum: task outputs first, then blocks.
+    /// Who holds each datum.
     holders: Vec<Vec<u32>>,
-    ws: Vec<SimWorker>,
-    eng: Engine<Event>,
+    /// Every worker's queue, slots and steal probes: `dtask`'s own core.
+    cores: Vec<Core>,
+    /// The clock: each event is one for a worker's core, due at its time.
+    eng: Engine<(WorkerId, Event)>,
     /// Scheduler-bound messages produced at the engine's `now`.
     inbox: Vec<SchedMsg>,
-    /// Replicas a running task's gather fetched, until `Fetched` reports them.
-    fetched: HashMap<u32, Vec<(Key, u64)>>,
-    done: usize,
     busy_ns: u64,
     transfer_ns: u64,
     assignments: Vec<(u32, u32)>,
 }
 
 impl Sim<'_> {
-    /// `(datum id, key, bytes)` of everything `task` reads.
-    fn inputs(&self, task: u32) -> impl Iterator<Item = (usize, &Key, u64)> {
-        let w = self.workload;
-        let t = &w.tasks[task as usize];
-        let blocks = t.blocks.iter().map(move |&b| {
-            let b = b as usize;
-            (w.tasks.len() + b, &self.block_keys[b], w.blocks[b].0)
-        });
-        let deps = t.deps.iter().map(move |&d| {
-            let d = d as usize;
-            (d, &self.task_keys[d], w.tasks[d].out_bytes)
-        });
-        blocks.chain(deps)
-    }
-
-    /// A message from the scheduler (or a forwarding victim) reaches `worker`.
-    fn deliver(&mut self, worker: WorkerId, msg: ExecMsg) {
-        match msg {
-            ExecMsg::Execute(a) => self.ws[worker].queue.push_back(a),
-            ExecMsg::ExecuteBatch { tasks } => self.ws[worker].queue.extend(tasks),
-            // A slot answers probes between tasks: at once when one is
-            // idle, else when the next task finishes.
-            ExecMsg::Steal { thief, max } if self.ws[worker].busy < self.slots => {
-                self.answer_steal(worker, thief, max)
-            }
-            ExecMsg::Steal { thief, max } => self.ws[worker].probes.push((thief, max)),
-            ExecMsg::Shutdown => {}
-        }
-        self.start_tasks(worker);
-    }
-
-    /// Victim half of the steal protocol: hand the head of the queue (up to
-    /// `max` unstarted assignments) to `thief`, reporting them first.
-    fn answer_steal(&mut self, victim: WorkerId, thief: WorkerId, max: usize) {
-        let n = max.min(self.ws[victim].queue.len());
-        let stolen: Vec<Assignment> = self.ws[victim].queue.drain(..n).collect();
-        self.inbox.push(SchedMsg::Stolen {
-            victim,
-            thief,
-            keys: stolen.iter().map(|a| a.spec.key.clone()).collect(),
-        });
-        if !stolen.is_empty() {
-            self.deliver(thief, ExecMsg::ExecuteBatch { tasks: stolen });
-        }
-    }
-
-    /// Start queued tasks on `w`'s free slots; arm the steal poll if it is
-    /// left with a free slot and nothing queued.
-    fn start_tasks(&mut self, w: WorkerId) {
-        while self.ws[w].busy < self.slots {
-            let Some(assignment) = self.ws[w].queue.pop_front() else {
-                break;
-            };
-            let task = self.task_of[&assignment.spec.key];
-            let missing: Vec<(usize, Key, u64)> = self
-                .inputs(task)
-                .filter(|(id, _, _)| !self.holders[*id].contains(&(w as u32)))
-                .map(|(id, key, bytes)| (id, key.clone(), bytes))
-                .collect();
-            let mut gather = 0;
-            for (id, _, bytes) in &missing {
-                gather += transfer_ns(*bytes, self.nic_bw);
-                self.holders[*id].push(w as u32);
-            }
-            let (worker, dur) = (
-                w as u32,
-                gather + self.workload.tasks[task as usize].compute_ns,
-            );
-            if !missing.is_empty() {
-                let replicas = missing.into_iter().map(|(_, k, b)| (k, b)).collect();
-                self.fetched.insert(task, replicas);
-                self.eng.schedule(gather, Event::Fetched { worker, task });
-            }
-            self.eng.schedule(dur, Event::Finished { worker, task });
-            self.ws[w].busy += 1;
-            self.busy_ns += dur;
-            self.transfer_ns += gather;
-        }
-        let idle = self.ws[w].busy < self.slots && self.ws[w].queue.is_empty();
-        if let (Some(poll), true, false) = (self.steal_poll, idle, self.ws[w].polling) {
-            self.ws[w].polling = true;
-            self.eng.schedule(poll, Event::Poll { worker: w as u32 });
-        }
-    }
-
-    fn handle(&mut self, event: Event) {
-        match event {
-            Event::Fetched { worker, task } => {
-                let entries = self.fetched.remove(&task).unwrap_or_default();
-                self.inbox.push(SchedMsg::AddReplica {
-                    worker: worker as usize,
-                    entries,
-                });
-            }
-            Event::Finished { worker, task } => {
-                let w = worker as usize;
-                self.ws[w].busy -= 1;
-                self.holders[task as usize].push(worker);
-                self.done += 1;
-                self.inbox.push(SchedMsg::TaskFinished {
-                    worker: w,
-                    key: self.task_keys[task as usize].clone(),
-                    nbytes: self.workload.tasks[task as usize].out_bytes,
-                });
-                for (thief, max) in std::mem::take(&mut self.ws[w].probes) {
-                    self.answer_steal(w, thief, max);
+    /// Step `w`'s core and play what follows: charge each start, queue each
+    /// report for the scheduler, hand stolen work to its thief at once, and
+    /// time the poll.
+    fn step(&mut self, w: WorkerId, event: Event) {
+        let mut effects = Vec::new();
+        self.cores[w].step(event, &mut effects);
+        for effect in effects {
+            match effect {
+                Effect::Start(assignment) => self.start(w, &assignment),
+                Effect::Report(msg) => self.inbox.push(msg),
+                Effect::Forward { thief, msg } => self.step(thief, Event::Deliver(msg)),
+                Effect::ArmPoll => {
+                    if let Some(poll) = self.steal_poll {
+                        self.eng.schedule(poll, (w, Event::PollExpired));
+                    }
                 }
-                self.start_tasks(w);
-            }
-            Event::Poll { worker } => {
-                let w = worker as usize;
-                self.ws[w].polling = false;
-                if self.ws[w].busy < self.slots && self.ws[w].queue.is_empty() {
-                    self.inbox.push(SchedMsg::StealRequest { worker: w });
-                }
-                // Re-arms the poll while the worker stays idle.
-                self.start_tasks(w);
+                Effect::Retire => {}
             }
         }
     }
 
-    fn note_assigned(&mut self, tasks: &[Assignment], worker: WorkerId) {
-        self.assignments.extend(
-            tasks
-                .iter()
-                .map(|a| (self.task_of[&a.spec.key], worker as u32)),
-        );
+    /// A slot of `w` starts `assignment`: it pays [`transfer_ns`] for each
+    /// input `w` does not hold (its gather ends then), then computes.
+    fn start(&mut self, w: WorkerId, assignment: &Assignment) {
+        let task = self.task_of[&assignment.spec.key] as usize;
+        let (mut gather, mut replicas) = (0, Vec::new());
+        for (id, bytes) in inputs(self.workload, task) {
+            if !self.holders[id].contains(&(w as u32)) {
+                gather += transfer_ns(bytes, self.nic_bw);
+                self.holders[id].push(w as u32);
+                replicas.push((self.keys[id].clone(), bytes));
+            }
+        }
+        if !replicas.is_empty() {
+            self.eng.schedule(gather, (w, Event::Gathered(replicas)));
+        }
+        // Nothing reads a task's output before it finishes.
+        self.holders[task].push(w as u32);
+        let key = self.keys[task].clone();
+        let outcome = Ok(self.workload.tasks[task].out_bytes);
+        let dur = gather + self.workload.tasks[task].compute_ns;
+        self.eng
+            .schedule(dur, (w, Event::Finished { key, outcome }));
+        self.busy_ns += dur;
+        self.transfer_ns += gather;
     }
 }
 
@@ -433,12 +327,15 @@ impl Actors for Sim<'_> {
     }
 
     fn exec(&mut self, worker: WorkerId, msg: ExecMsg) {
-        match &msg {
-            ExecMsg::Execute(a) => self.note_assigned(std::slice::from_ref(a), worker),
-            ExecMsg::ExecuteBatch { tasks } => self.note_assigned(tasks, worker),
-            ExecMsg::Steal { .. } | ExecMsg::Shutdown => {}
-        }
-        self.deliver(worker, msg);
+        let placed = match &msg {
+            ExecMsg::Execute(a) => std::slice::from_ref(a),
+            ExecMsg::ExecuteBatch { tasks } => tasks,
+            ExecMsg::Steal { .. } | ExecMsg::Shutdown => &[],
+        };
+        let task_of = &self.task_of;
+        let placed = placed.iter().map(|a| (task_of[&a.spec.key], worker as u32));
+        self.assignments.extend(placed);
+        self.step(worker, Event::Deliver(msg));
     }
 
     /// The lab's client never connects, so nothing is ever notified.
@@ -451,52 +348,37 @@ impl Actors for Sim<'_> {
 pub fn run(workload: &Workload, workers: usize, slots: usize, policy: &PolicyConfig) -> Outcome {
     assert!(workers > 0 && slots > 0);
     let n = workload.tasks.len();
-    let task_keys: Vec<Key> = (0..n).map(|i| Key::new(format!("t{i}"))).collect();
-    let block_keys: Vec<Key> = (0..workload.blocks.len())
-        .map(|b| Key::new(format!("b{b}")))
-        .collect();
-    let specs: Vec<TaskSpec> = workload
-        .tasks
-        .iter()
-        .zip(&task_keys)
-        .map(|(t, key)| {
-            let blocks = t.blocks.iter().map(|&b| block_keys[b as usize].clone());
-            let deps = t.deps.iter().map(|&d| task_keys[d as usize].clone());
-            TaskSpec::new(
-                key.clone(),
-                "sim",
-                Datum::Null,
-                blocks.chain(deps).collect(),
-            )
-        })
-        .collect();
-
+    let tasks = (0..n).map(|i| format!("t{i}"));
+    let blocks = (0..workload.blocks.len()).map(|b| format!("b{b}"));
+    let keys: Vec<Key> = tasks.chain(blocks).map(Key::new).collect();
     let mut core = VirtualCore::new(workers, slots, policy.clone());
     let mut sim = Sim {
         workload,
-        slots,
         nic_bw: NetworkConfig::default().nic_bw,
         steal_poll: policy.steal_poll.map(|d| d.as_nanos() as u64),
-        task_of: task_keys.iter().cloned().zip(0..).collect(),
+        task_of: keys[..n].iter().cloned().zip(0..).collect(),
         holders: vec![Vec::new(); n + workload.blocks.len()],
-        ws: (0..workers).map(|_| SimWorker::default()).collect(),
+        cores: (0..workers).map(|w| Core::new(w, slots)).collect(),
         eng: Engine::new(),
         inbox: Vec::new(),
-        fetched: HashMap::new(),
-        done: 0,
         busy_ns: 0,
         transfer_ns: 0,
         assignments: Vec::with_capacity(n),
-        task_keys,
-        block_keys,
+        keys,
     };
+    let specs = (0..n)
+        .map(|t| {
+            let deps = inputs(workload, t).map(|(id, _)| sim.keys[id].clone());
+            TaskSpec::new(sim.keys[t].clone(), "sim", Datum::Null, deps.collect())
+        })
+        .collect();
 
     // The contract and the whole graph first, as the adaptor does; nothing
     // can run yet. Then every bridge announces its blocks.
     sim.inbox = vec![
         SchedMsg::RegisterExternal {
             client: CLIENT,
-            keys: sim.block_keys.clone(),
+            keys: sim.keys[n..].to_vec(),
         },
         SchedMsg::SubmitGraph {
             client: CLIENT,
@@ -513,23 +395,25 @@ pub fn run(workload: &Workload, workers: usize, slots: usize, policy: &PolicyCon
         sim.holders[n + b].push(home);
         sim.inbox.push(SchedMsg::UpdateData {
             client: CLIENT,
-            entries: vec![(sim.block_keys[b].clone(), home as usize, bytes)],
+            entries: vec![(sim.keys[n + b].clone(), home as usize, bytes)],
             external: true,
         });
     }
     core.settle(&mut sim, 0);
     for w in 0..workers {
-        sim.start_tasks(w);
+        sim.step(w, Event::Up);
     }
-    while sim.done < n {
-        let Some(event) = sim.eng.next_event() else {
-            panic!("simulation stalled with {} of {n} tasks done", sim.done);
+    // Tasks done: one report each, counted as the scheduler steps it.
+    let done = |core: &VirtualCore| core.stats().count(MsgClass::TaskReport) as usize;
+    while done(&core) < n {
+        let Some((w, event)) = sim.eng.next_event() else {
+            panic!("simulation stalled with {} of {n} tasks done", done(&core));
         };
-        if let Event::Poll { .. } = event {
-            let active = sim.ws.iter().any(|w| w.busy > 0 || !w.queue.is_empty());
-            assert!(active, "only polls left, {} of {n} tasks done", sim.done);
+        if let Event::PollExpired = event {
+            let active = sim.cores.iter().any(|w| !w.is_quiet());
+            assert!(active, "only polls left, {} of {n} tasks done", done(&core));
         }
-        sim.handle(event);
+        sim.step(w, event);
         let now = sim.eng.now();
         core.settle(&mut sim, now);
     }
@@ -539,9 +423,7 @@ pub fn run(workload: &Workload, workers: usize, slots: usize, policy: &PolicyCon
     Outcome {
         policy: policy.kind,
         workload: workload.name.clone(),
-        workers,
-        slots,
-        tasks: sim.done,
+        tasks: done(&core),
         makespan_ns: makespan,
         transfer_ns: sim.transfer_ns,
         utilization: if capacity_ns == 0 {
@@ -565,7 +447,6 @@ pub fn run_matrix(workload: &Workload, workers: usize, slots: usize) -> Vec<Outc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtask::MsgClass;
 
     #[test]
     fn runs_are_deterministic_down_to_the_assignment_sequence() {
