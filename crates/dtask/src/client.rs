@@ -336,7 +336,7 @@ impl Client {
                 .map_err(|we| TaskError::new(key.clone(), we.to_string()))??;
             wants.push((key.clone(), vec![loc]));
         }
-        self.fetch_results(&wants)
+        self.fetch_results(wants)
     }
 
     /// Release keys cluster-wide (scheduler state + worker memory).
@@ -400,16 +400,15 @@ impl Client {
     /// request out before the first reply is awaited. A holder that hung
     /// up is a [`crate::ErrorCause::PeerLost`] error, so callers can tell it
     /// from an ordinary task failure.
-    fn fetch_results(&self, wants: &[(Key, Vec<WorkerId>)]) -> Result<Vec<Datum>, TaskError> {
+    fn fetch_results(&self, wants: Vec<(Key, Vec<WorkerId>)>) -> Result<Vec<Datum>, TaskError> {
         let got = |key: &Key, _, t0, value: &Datum| {
             self.stats.record(MsgClass::GatherData, value.nbytes());
             self.tracer
                 .span(EventKind::GatherToClient, t0, Some(key), value.nbytes());
         };
         let get = |key, reply| DataMsg::Get { key, reply };
-        Ok(self
-            .endpoint
-            .fetch(wants, get, &self.tracer, |_| None, got)?)
+        let fetched = self.endpoint.fetch(wants, get, &self.tracer, |_| None, got);
+        fetched.map_err(|(error, _)| error)
     }
 
     // ---- out-of-band proxy plane -------------------------------------------
@@ -694,7 +693,7 @@ impl DFuture<'_> {
     fn result_impl(&self, timeout: Option<Duration>) -> Result<Datum, TaskError> {
         let worker = self.wait_impl(timeout)?;
         let want = (self.key.clone(), vec![worker]);
-        Ok(self.client.fetch_results(&[want])?.remove(0))
+        Ok(self.client.fetch_results(vec![want])?.remove(0))
     }
 }
 

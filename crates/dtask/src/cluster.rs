@@ -798,14 +798,28 @@ mod tests {
         assert!(cluster.stats().gather_wait_ns() > 0);
     }
 
+    /// Wait, yielding, until `done` holds; fail after 10 s. The event
+    /// waits below poll a counter the scheduler bumps as it steps each
+    /// message, so the step after it sees the state it leaves.
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "no {what} in 10 s");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn variables_set_get_wait() {
         let cluster = Cluster::new(1);
         let setter = cluster.client();
         let getter = cluster.client();
         assert!(getter.var_try_get("v").unwrap().is_none());
+        let stats = Arc::clone(cluster.stats());
         let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
+            // The getter's blocking get is parked: the scheduler stepped it.
+            let gets = || stats.count(crate::stats::MsgClass::Variable) >= 2;
+            wait_until("blocking get", gets);
             setter.var_set("v", Datum::I64(99));
         });
         // Blocking get resolves once set.
@@ -821,8 +835,11 @@ mod tests {
         let cluster = Cluster::new(1);
         let producer = cluster.client();
         let consumer = cluster.client();
+        let stats = Arc::clone(cluster.stats());
         let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
+            // The consumer's first pop is parked: the scheduler stepped it.
+            let pops = || stats.count(crate::stats::MsgClass::Queue) >= 1;
+            wait_until("blocking pop", pops);
             producer.q_push("q", Datum::I64(1));
             producer.q_push("q", Datum::I64(2));
         });
@@ -848,15 +865,17 @@ mod tests {
         let cluster = Cluster::new(1);
         let _client =
             cluster.client_with_heartbeat(HeartbeatInterval::Every(Duration::from_millis(25)));
-        std::thread::sleep(Duration::from_millis(130));
+        let beats = || cluster.stats().count(crate::stats::MsgClass::Heartbeat);
+        wait_until("second heartbeat", || beats() >= 2);
         assert!(cluster.stats().count(crate::stats::MsgClass::Heartbeat) >= 2);
     }
 
     #[test]
     fn no_heartbeats_when_infinite() {
         let cluster = Cluster::new(1);
-        let _client = cluster.client_with_heartbeat(HeartbeatInterval::Infinite);
-        std::thread::sleep(Duration::from_millis(80));
+        let client = cluster.client_with_heartbeat(HeartbeatInterval::Infinite);
+        // No pinger runs, so nothing can ever send a heartbeat: no wait.
+        assert!(client.heartbeat.is_none());
         assert_eq!(cluster.stats().count(crate::stats::MsgClass::Heartbeat), 0);
     }
 
@@ -1478,8 +1497,12 @@ mod tests {
         for i in 0..8 {
             client.future(format!("t{i}")).result().unwrap();
         }
-        // Let the sampler observe the completed work, then read the flight.
-        std::thread::sleep(Duration::from_millis(15));
+        // Let the sampler observe the completed work, then read the flight:
+        // wait for one sample taken after the last result arrived.
+        let hub = cluster.telemetry().expect("telemetry on");
+        let taken = || hub.flight().len() as u64 + hub.flight_evicted();
+        let done = taken();
+        wait_until("sample after the work", || taken() > done);
         let flight = scrape("/flight.json");
         assert!(flight.starts_with("HTTP/1.1 200 OK"), "{flight}");
         let json_body = &flight[flight.find("\r\n\r\n").unwrap() + 4..];

@@ -28,8 +28,10 @@
 //! * the live pump (`scheduler/pump.rs`): blocks on the scheduler inbox,
 //!   drains a burst, reads the wall clock once and steps; its sink is the
 //!   transport [`Endpoint`](crate::transport::Endpoint);
-//! * the policy simulator (`insitu-sim::schedlab`): steps under a virtual
-//!   clock, collects the outbound messages and plays the workers;
+//! * the policy simulator (`insitu-sim::schedlab`, a configuration of the
+//!   virtual cluster in `insitu-sim::vcore`): steps under a virtual clock
+//!   and delivers the outbound messages to worker cores and object stores
+//!   in the same thread;
 //! * the paper's figures (`insitu-sim::simside`): steps under a virtual
 //!   clock the bridges' and the adaptor's real messages, each charged a
 //!   scheduler service time.

@@ -11,7 +11,9 @@
 //! * **Inter-node resolution.** Remote consumers resolve a handle with a
 //!   framed `DataMsg::Fetch` to the holder's data server, which answers from
 //!   this store (`DataReply::Value` on the reply lane — data plane, never
-//!   the scheduler).
+//!   the scheduler). The data server's whole body is
+//!   [`ObjectStore::answer`]: a request in, the reply out, no I/O, so the
+//!   DES's stores answer the same way.
 //! * **LRU eviction + spill.** Under a configurable memory budget
 //!   ([`StoreConfig::mem_budget`]) the least-recently-used spillable entries
 //!   are written to disk as single-chunk [`h5lite`] containers — the same
@@ -26,8 +28,10 @@
 
 use crate::datum::Datum;
 use crate::key::Key;
+use crate::msg::DataMsg;
 use crate::stats::{Metric, SchedulerStats};
 use crate::trace::{EventKind, TraceHandle};
+use crate::transport::{DataReply, ReplyTo};
 use linalg::NDArray;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -320,11 +324,43 @@ impl ObjectStore {
         self.inner.lock().entries.contains_key(key)
     }
 
-    /// Trace a served proxy fetch (the data-server side of
-    /// [`crate::msg::DataMsg::Fetch`]); requester-side byte accounting lives
-    /// with the requester ([`Metric::ProxyFetchBytes`]).
-    pub fn note_fetch_served(&self, key: &Key, bytes: u64) {
-        self.trace.instant(EventKind::StoreFetch, Some(key), bytes);
+    /// The data server's answer to `msg`: the reply and where it goes, or
+    /// `None` for a message answered with nothing (`Delete`, `Sweep`, and
+    /// `Shutdown`, which only the server loop acts on). A `Fetch` is the
+    /// same lookup as a `Get` (spilled entries restore transparently); a
+    /// served one is traced here as data-plane traffic, while its byte
+    /// accounting lives with the requester ([`Metric::ProxyFetchBytes`]).
+    pub fn answer(&self, msg: DataMsg) -> Option<(ReplyTo, DataReply)> {
+        let proxied = matches!(msg, DataMsg::Fetch { .. });
+        match msg {
+            DataMsg::Put { key, value, ack } => {
+                self.insert(key, value);
+                Some((ack, DataReply::PutAck))
+            }
+            DataMsg::Get { key, reply } | DataMsg::Fetch { key, reply } => {
+                let value = self.get(&key);
+                if let (true, Some(v)) = (proxied, &value) {
+                    self.trace
+                        .instant(EventKind::StoreFetch, Some(&key), v.nbytes());
+                }
+                let miss = || format!("key {key} not on this worker");
+                Some((reply, DataReply::Value(value.ok_or_else(miss))))
+            }
+            DataMsg::Delete { keys } => {
+                self.remove(&keys);
+                None
+            }
+            DataMsg::Sweep { session } => {
+                self.remove_session(session);
+                None
+            }
+            DataMsg::Stats { reply } => {
+                let (keys, bytes) = self.report();
+                let keys = keys as u64;
+                Some((reply, DataReply::Stats { keys, bytes }))
+            }
+            DataMsg::Shutdown => None,
+        }
     }
 
     /// Worker memory report: entry count and total payload bytes (spilled

@@ -3,17 +3,19 @@
 //! Splitting the worker into compute and comm halves mirrors the
 //! comm/executor split of a Dask worker and makes peer dependency fetches
 //! deadlock-free: the data server never blocks on task execution, so two
-//! workers can fetch from each other while both executors are busy.
+//! workers can fetch from each other while both executors are busy. The
+//! data server's body is one function of the store,
+//! [`ObjectStore::answer`], which the DES calls too.
 //!
 //! The execution pipeline is built around three ideas:
 //!
 //! 1. **One stepped core** — the worker's queue, free slots, steal probes
 //!    and steal poll are a [`Core`]: like `Scheduler::step`, [`Core::step`]
 //!    reads no clock and owns no thread; it takes an [`Event`] and pushes
-//!    the [`Effect`]s that follow into a sink. `schedlab` steps it under a
-//!    virtual clock; here a [`Lane`] holds it for a pool of executor-slot
-//!    threads, so a task blocked in a gather (or a blocking op) does not
-//!    stall the tasks queued behind it. Each step ends with the same rules
+//!    the [`Effect`]s that follow into a sink. The DES's virtual cluster
+//!    steps it under a virtual clock; here a [`Lane`] holds it for a pool
+//!    of executor-slot threads, so a task blocked in a gather (or a
+//!    blocking op) does not stall the tasks queued behind it. Each step ends with the same rules
 //!    while a slot is free: every waiting steal probe gets its own answer
 //!    from the head of the queue (at once if a slot was free, else at the
 //!    next finish), then work starts in arrival order, each `Shutdown`
@@ -21,9 +23,9 @@
 //!    queued arms its poll, once per idle spell.
 //! 2. **Concurrent dependency gather** — all missing dependencies of a task
 //!    are requested from their first holders *at once* and then collected
-//!    ([`Endpoint::fetch`], the one read path proxy resolution and client
-//!    results share), so the gather latency is the slowest single fetch
-//!    instead of the sum of all fetches.
+//!    ([`Endpoint::fetch`] stepping a [`crate::transport::Gather`], the one
+//!    read path proxy resolution and client results share), so the gather
+//!    latency is the slowest single fetch instead of the sum of all fetches.
 //! 3. **Replica feedback** — blocks cached during a gather are reported to
 //!    the scheduler ([`SchedMsg::AddReplica`]) so later placement decisions
 //!    see the new copies and stop re-fetching.
@@ -36,7 +38,7 @@ use crate::stats::{Hist, Metric, MsgClass, SchedulerStats};
 use crate::store::{ObjectStore, StoreConfig};
 use crate::telemetry::TelemetryHub;
 use crate::trace::{EventKind, TraceActor, TraceHandle, TraceRecorder};
-use crate::transport::{Addr, DataReply, Endpoint, Failure, Router, WorkerInbox};
+use crate::transport::{Addr, Endpoint, Failed, Router, WorkerInbox};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -222,50 +224,19 @@ impl Drop for WorkerRuntime {
     }
 }
 
-/// The data-server half: serves `Put`/`Get`/`Fetch`/`Delete` until
-/// shutdown. Replies are routed back through the transport via the
-/// [`ReplyTo`] token carried by each request, so requesters never hand us a
-/// live channel.
+/// The data-server half: answers each request from the store
+/// ([`ObjectStore::answer`]) until `Shutdown`. Replies are routed back
+/// through the transport via the [`ReplyTo`] token carried by each request,
+/// so requesters never hand us a live channel.
 ///
 /// [`ReplyTo`]: crate::transport::ReplyTo
 pub(crate) fn run_data_server(store: WorkerStore, rx: Receiver<DataMsg>, endpoint: Endpoint) {
     while let Ok(msg) = rx.recv() {
-        // A proxy-handle `Fetch` is the same store lookup as a `Get`
-        // (spilled entries restore transparently), traced on the holder as
-        // data-plane traffic.
-        let proxied = matches!(msg, DataMsg::Fetch { .. });
-        match msg {
-            DataMsg::Put { key, value, ack } => {
-                store.insert(key, value);
-                endpoint.reply(ack, DataReply::PutAck);
-            }
-            DataMsg::Get { key, reply } | DataMsg::Fetch { key, reply } => {
-                let value = store.get(&key);
-                if let (true, Some(v)) = (proxied, &value) {
-                    store.note_fetch_served(&key, v.nbytes());
-                }
-                endpoint.reply(
-                    reply,
-                    DataReply::Value(value.ok_or_else(|| format!("key {key} not on this worker"))),
-                );
-            }
-            DataMsg::Delete { keys } => {
-                store.remove(&keys);
-            }
-            DataMsg::Sweep { session } => {
-                store.remove_session(session);
-            }
-            DataMsg::Stats { reply } => {
-                let (keys, bytes) = store.report();
-                endpoint.reply(
-                    reply,
-                    DataReply::Stats {
-                        keys: keys as u64,
-                        bytes,
-                    },
-                );
-            }
-            DataMsg::Shutdown => break,
+        if let DataMsg::Shutdown = msg {
+            break;
+        }
+        if let Some((to, reply)) = store.answer(msg) {
+            endpoint.reply(to, reply);
         }
     }
 }
@@ -590,13 +561,11 @@ impl Executor {
                 self.store.insert(key.clone(), result);
                 Ok(nbytes)
             }
-            Err(failure) => {
+            Err((mut error, hung_peer)) => {
                 // Peer loss outranks the other attributions — it tells the
                 // scheduler the failure is environmental (retryable), not a
                 // property of the task. Otherwise an origin differing from
                 // the spec key means an interior fused stage failed.
-                let hung_peer = failure.hung_peer;
-                let mut error = TaskError::from(failure);
                 if error.cause == ErrorCause::Direct && error.key != key {
                     error.cause = ErrorCause::FusedStage {
                         stored_key: key.clone(),
@@ -619,7 +588,7 @@ impl Executor {
         spec: &TaskSpec,
         dep_locations: &[(Key, Vec<WorkerId>)],
         replicas: &mut Vec<(Key, u64)>,
-    ) -> Result<Vec<Datum>, Failure> {
+    ) -> Result<Vec<Datum>, Failed> {
         // Every local dependency resolves under one store lock.
         let inputs = self.store.get_many(&spec.deps);
         let wants: Vec<(Key, Vec<WorkerId>)> = spec
@@ -641,8 +610,9 @@ impl Executor {
         }
         let gather_from = Instant::now();
         let batch_t0 = self.tracer.start();
+        let n_remote = wants.len() as u64;
         let fetched = self.endpoint.fetch(
-            &wants,
+            wants,
             |key, reply| DataMsg::Get { key, reply },
             &self.tracer,
             |key| self.store.get(key),
@@ -654,7 +624,6 @@ impl Executor {
                 replicas.push((key.clone(), value.nbytes()));
             },
         )?;
-        let n_remote = wants.len() as u64;
         self.tracer
             .span(EventKind::GatherBatch, batch_t0, Some(&spec.key), n_remote);
         self.stats
@@ -694,7 +663,7 @@ impl Executor {
         &self,
         spec: &TaskSpec,
         dep_locations: &[(Key, Vec<WorkerId>)],
-    ) -> Result<Datum, Failure> {
+    ) -> Result<Datum, Failed> {
         let mut replicas = Vec::new();
         let gathered = self.gather_deps(spec, dep_locations, &mut replicas);
         // Report new replicas even if some other dependency failed: the
@@ -707,10 +676,10 @@ impl Executor {
             self.flush(&mut sends);
         }
         // A failed read fails the task as a whole, never one fused stage.
-        let read_failed = |what: &str, e: Failure| Failure {
-            origin: spec.key.clone(),
-            message: format!("{what} {}", e.message),
-            hung_peer: e.hung_peer,
+        let read_failed = |what: &str, (mut error, hung_peer): Failed| {
+            error.key = spec.key.clone();
+            error.message = format!("{what} {}", error.message);
+            (error, hung_peer)
         };
         let inputs = gathered.map_err(|e| read_failed("dependency", e))?;
         // Proxy-handle parameters resolve out-of-band *before* the exec span
@@ -735,11 +704,7 @@ impl Executor {
         // read: telemetry and tracing toggle independently.
         let exec_t0 = self.tracer.start();
         let straggle_t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        let fail = |origin: &Key, message: String| Failure {
-            origin: origin.clone(),
-            message,
-            hung_peer: None,
-        };
+        let fail = |origin: &Key, message: String| (TaskError::new(origin.clone(), message), None);
         let result = match &spec.value {
             Value::Op { op, .. } => self
                 .run_op(op, &stage_params[0], &inputs)
@@ -795,7 +760,7 @@ pub(crate) fn resolve_refs(
     stats: &SchedulerStats,
     tracer: &TraceHandle,
     local: impl Fn(&Key) -> Option<Datum>,
-) -> Result<Datum, Failure> {
+) -> Result<Datum, Failed> {
     if !value.contains_ref() {
         return Ok(value.clone());
     }
@@ -811,8 +776,9 @@ pub(crate) fn resolve_refs(
             None => wants.push((handle.key, vec![handle.holder])),
         }
     }
+    let keys: Vec<Key> = wants.iter().map(|(key, _)| key.clone()).collect();
     let fetched = endpoint.fetch(
-        &wants,
+        wants,
         |key, reply| DataMsg::Fetch { key, reply },
         tracer,
         local,
@@ -822,7 +788,7 @@ pub(crate) fn resolve_refs(
             tracer.span(EventKind::ProxyFetch, t0, Some(key), payload.nbytes());
         },
     )?;
-    resolved.extend(wants.into_iter().map(|(key, _)| key).zip(fetched));
+    resolved.extend(keys.into_iter().zip(fetched));
     Ok(substitute_refs(value, &resolved))
 }
 

@@ -23,8 +23,8 @@
 //! * [`figures`] — one function per paper figure, returning plot-ready
 //!   series,
 //! * [`schedlab`] — the scheduling-policy lab: `dtask`'s own scheduler
-//!   core and policies stepped under a virtual clock against simulated
-//!   workers, at 100–1000 workers and 1e5–1e6 tasks.
+//!   core and policies on one virtual cluster of `dtask`'s own worker cores
+//!   and object stores (`vcore`), at 100–1000 workers and 1e5–1e6 tasks.
 
 #![forbid(unsafe_code)]
 

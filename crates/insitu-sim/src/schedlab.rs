@@ -1,31 +1,27 @@
-//! `schedlab` — the scheduler and worker cores under a virtual clock.
+//! `schedlab` — the scheduling policies at scale, on one virtual cluster.
 //!
-//! The live `dtask` cluster runs the scheduling policies at laptop scale (a
-//! handful of workers, thousands of tasks). This module steps the *same*
-//! scheduler core ([`dtask::scheduler::Scheduler::step`]) with the same
-//! [`dtask::policy`] objects, and the same worker core per worker
-//! ([`dtask::worker::Core::step`]: its queue, slots, steal probes and poll),
-//! at hundreds to a thousand workers and 1e5–1e6 tasks without spawning a
-//! thread. This file only keeps the **clock**: a task a worker's core starts
-//! pays [`netsim::transfer_ns`] for each input its worker does not hold, then
-//! computes, and the clock steps its gather and its finish back into the
-//! core; an armed steal poll fires `steal_poll` later; stolen work reaches
-//! its thief at once.
+//! The live `dtask` cluster runs the policies at laptop scale (a handful of
+//! workers, thousands of tasks). This module runs the *same* scheduler core
+//! with the same [`dtask::policy`] objects, and per worker the same worker
+//! core and object store, at hundreds to a thousand workers and 1e5–1e6
+//! tasks without spawning a thread: it is one configuration of
+//! `vcore::VirtualCluster`, and this file keeps only the workloads and that
+//! configuration. Deliveries take no time and happen at once, in order, so a
+//! slot started in the same step as another finds the replica the first one
+//! fetched. A gather pays [`netsim::transfer_ns`] per input it fetched, then
+//! the task computes for its jittered time.
 //!
 //! Input blocks are the paper's external tasks: one `RegisterExternal` and
-//! one `SubmitGraph` up front, then one `UpdateData { external: true }` per
-//! block. Not modelled: control-message latency, scheduler service time
+//! one `SubmitGraph` up front, then per block a `Put` on its home worker and
+//! one `UpdateData { external: true }`. Not modelled: scheduler service time
 //! (every step is instantaneous), NIC contention between transfers, worker
-//! loss. The scheduler core, its sink and the step-until-quiet loop are
-//! `VirtualCore`'s, shared with [`simside`](crate::simside); the clock is
-//! a [`netsim::Engine`].
+//! loss.
 
-use crate::vcore::{Actors, VirtualCore};
-use dtask::msg::{Assignment, ClientId, ClientMsg, ExecMsg, SchedMsg, WorkerId};
-use dtask::worker::{Core, Effect, Event};
-use dtask::{Datum, Key, MsgClass, PolicyConfig, PolicyKind, SchedulerStats, TaskSpec};
+use crate::vcore::{stand_in, Costs, VirtualCluster};
+use dtask::msg::{DataMsg, SchedMsg};
+use dtask::transport::{Addr, Payload};
+use dtask::{Datum, Key, MsgClass, PolicyConfig, PolicyKind, ReplyTo, SchedulerStats, TaskSpec};
 use netsim::network::NetworkConfig;
-use netsim::{transfer_ns, Engine};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -64,7 +60,7 @@ pub struct Outcome {
     pub policy: PolicyKind,
     /// Workload name.
     pub workload: String,
-    /// Tasks executed.
+    /// Tasks computed, each after a served gather (so none erred).
     pub tasks: usize,
     /// Block arrival → last completion.
     pub makespan_ns: u64,
@@ -86,29 +82,51 @@ fn jitter(rng: &mut SmallRng, base_ns: u64) -> u64 {
     base_ns - span / 2 + rng.gen_range(0..span.max(1))
 }
 
+/// `roots` linear chains of `depth` tasks over `blocks`: the first task of
+/// chain `c` reads the block `pick` names for it, and every task computes
+/// about a millisecond and leaves `out_bytes`.
+fn chains(
+    name: &str,
+    seed: u64,
+    blocks: Vec<(u64, u32)>,
+    (roots, depth): (usize, usize),
+    out_bytes: u64,
+    mut pick: impl FnMut(&mut SmallRng, usize) -> u32,
+) -> Workload {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut tasks = Vec::with_capacity(roots * depth);
+    for c in 0..roots {
+        for d in 0..depth {
+            let (deps, blocks) = match d {
+                0 => (vec![], vec![pick(&mut rng, c)]),
+                _ => (vec![tasks.len() as u32 - 1], vec![]),
+            };
+            let compute_ns = jitter(&mut rng, netsim::MS);
+            tasks.push(SimTask {
+                deps,
+                blocks,
+                compute_ns,
+                out_bytes,
+            });
+        }
+    }
+    Workload {
+        name: name.into(),
+        blocks,
+        tasks,
+    }
+}
+
 /// Wide fan-out over *skewed* input data: `n_tasks` independent tasks, each
 /// reading one of a handful of large blocks that all live on the first few
 /// workers. Byte gravity herds every task onto the block holders, so this is
 /// the workload where work distribution (random-stealing, mineft) beats the
 /// locality default.
 pub fn wide_fanout(n_tasks: usize, seed: u64) -> Workload {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let n_blocks = 4u32;
-    let block_bytes = 8 << 20; // 8 MiB: ~0.67 ms transfer vs ~1 ms compute
-    let blocks = (0..n_blocks).map(|h| (block_bytes, h)).collect();
-    let tasks = (0..n_tasks)
-        .map(|_| SimTask {
-            deps: vec![],
-            blocks: vec![rng.gen_range(0..n_blocks)],
-            compute_ns: jitter(&mut rng, netsim::MS),
-            out_bytes: 1 << 10,
-        })
-        .collect();
-    Workload {
-        name: "wide-fanout".into(),
-        blocks,
-        tasks,
-    }
+    // 8 MiB blocks: ~0.67 ms transfer vs ~1 ms compute.
+    let blocks = (0..4).map(|h| (8 << 20, h)).collect();
+    let pick = |rng: &mut SmallRng, _| rng.gen_range(0..4u32);
+    chains("wide-fanout", seed, blocks, (n_tasks, 1), 1 << 10, pick)
 }
 
 /// Independent linear chains: `n_chains` chains of `depth` tasks, each chain
@@ -116,32 +134,16 @@ pub fn wide_fanout(n_tasks: usize, seed: u64) -> Workload {
 /// chain on one worker (zero transfers); random placement pays a transfer on
 /// almost every hop.
 pub fn deep_chains(n_chains: usize, depth: usize, seed: u64) -> Workload {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let blocks = (0..n_chains)
-        .map(|c| (1u64 << 20, c as u32))
-        .collect::<Vec<_>>();
-    let mut tasks = Vec::with_capacity(n_chains * depth);
-    for c in 0..n_chains {
-        for d in 0..depth {
-            let deps = if d == 0 {
-                vec![]
-            } else {
-                vec![(tasks.len() - 1) as u32]
-            };
-            let blocks = if d == 0 { vec![c as u32] } else { vec![] };
-            tasks.push(SimTask {
-                deps,
-                blocks,
-                compute_ns: jitter(&mut rng, netsim::MS),
-                out_bytes: 1 << 20,
-            });
-        }
-    }
-    Workload {
-        name: "deep-chains".into(),
+    let blocks = (0..n_chains).map(|c| (1 << 20, c as u32)).collect();
+    let home = |_: &mut SmallRng, c| c as u32;
+    chains(
+        "deep-chains",
+        seed,
         blocks,
-        tasks,
-    }
+        (n_chains, depth),
+        1 << 20,
+        home,
+    )
 }
 
 /// The paper's in-transit IPCA shape: per timestep, one external block per
@@ -188,30 +190,9 @@ pub fn ipca(timesteps: usize, ranks: usize, seed: u64) -> Workload {
 /// Skewed fan-out feeding per-task chains — both failure modes at once:
 /// gravity herding on the fan-out stage and chain affinity afterwards.
 pub fn mixed(n_roots: usize, depth: usize, seed: u64) -> Workload {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let n_blocks = 4u32;
-    let blocks = (0..n_blocks).map(|h| (8u64 << 20, h)).collect();
-    let mut tasks = Vec::with_capacity(n_roots * depth);
-    for _ in 0..n_roots {
-        for d in 0..depth {
-            let (deps, blks) = if d == 0 {
-                (vec![], vec![rng.gen_range(0..n_blocks)])
-            } else {
-                (vec![(tasks.len() - 1) as u32], vec![])
-            };
-            tasks.push(SimTask {
-                deps,
-                blocks: blks,
-                compute_ns: jitter(&mut rng, netsim::MS),
-                out_bytes: 256 << 10,
-            });
-        }
-    }
-    Workload {
-        name: "mixed".into(),
-        blocks,
-        tasks,
-    }
+    let blocks = (0..4).map(|h| (8 << 20, h)).collect();
+    let pick = |rng: &mut SmallRng, _| rng.gen_range(0..4u32);
+    chains("mixed", seed, blocks, (n_roots, depth), 256 << 10, pick)
 }
 
 /// The matrix's four workload families, sized to roughly `n_tasks` tasks
@@ -237,202 +218,112 @@ pub fn policies() -> [PolicyConfig; 4] {
     ]
 }
 
-// ---- the simulated workers -------------------------------------------------
-
-/// `(datum id, bytes)` of everything `task` reads: task outputs are data
-/// `0..n`, blocks follow.
-fn inputs(w: &Workload, task: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-    let t = &w.tasks[task];
-    let blocks = t.blocks.iter().map(|&b| b as usize);
-    let blocks = blocks.map(move |b| (w.tasks.len() + b, w.blocks[b].0));
-    let deps = t.deps.iter().map(|&d| d as usize);
-    blocks.chain(deps.map(move |d| (d, w.tasks[d].out_bytes)))
-}
-
-const CLIENT: ClientId = 0;
-
-struct Sim<'a> {
-    workload: &'a Workload,
-    nic_bw: u64,
-    /// Idle-slot poll interval in ns; `None` = stealing off.
-    steal_poll: Option<u64>,
-    /// Every datum's key: task outputs first, then blocks.
-    keys: Vec<Key>,
-    task_of: HashMap<Key, u32>,
-    /// Who holds each datum.
-    holders: Vec<Vec<u32>>,
-    /// Every worker's queue, slots and steal probes: `dtask`'s own core.
-    cores: Vec<Core>,
-    /// The clock: each event is one for a worker's core, due at its time.
-    eng: Engine<(WorkerId, Event)>,
-    /// Scheduler-bound messages produced at the engine's `now`.
-    inbox: Vec<SchedMsg>,
-    busy_ns: u64,
-    transfer_ns: u64,
-    assignments: Vec<(u32, u32)>,
-}
-
-impl Sim<'_> {
-    /// Step `w`'s core and play what follows: charge each start, queue each
-    /// report for the scheduler, hand stolen work to its thief at once, and
-    /// time the poll.
-    fn step(&mut self, w: WorkerId, event: Event) {
-        let mut effects = Vec::new();
-        self.cores[w].step(event, &mut effects);
-        for effect in effects {
-            match effect {
-                Effect::Start(assignment) => self.start(w, &assignment),
-                Effect::Report(msg) => self.inbox.push(msg),
-                Effect::Forward { thief, msg } => self.step(thief, Event::Deliver(msg)),
-                Effect::ArmPoll => {
-                    if let Some(poll) = self.steal_poll {
-                        self.eng.schedule(poll, (w, Event::PollExpired));
-                    }
-                }
-                Effect::Retire => {}
-            }
-        }
-    }
-
-    /// A slot of `w` starts `assignment`: it pays [`transfer_ns`] for each
-    /// input `w` does not hold (its gather ends then), then computes.
-    fn start(&mut self, w: WorkerId, assignment: &Assignment) {
-        let task = self.task_of[&assignment.spec.key] as usize;
-        let (mut gather, mut replicas) = (0, Vec::new());
-        for (id, bytes) in inputs(self.workload, task) {
-            if !self.holders[id].contains(&(w as u32)) {
-                gather += transfer_ns(bytes, self.nic_bw);
-                self.holders[id].push(w as u32);
-                replicas.push((self.keys[id].clone(), bytes));
-            }
-        }
-        if !replicas.is_empty() {
-            self.eng.schedule(gather, (w, Event::Gathered(replicas)));
-        }
-        // Nothing reads a task's output before it finishes.
-        self.holders[task].push(w as u32);
-        let key = self.keys[task].clone();
-        let outcome = Ok(self.workload.tasks[task].out_bytes);
-        let dur = gather + self.workload.tasks[task].compute_ns;
-        self.eng
-            .schedule(dur, (w, Event::Finished { key, outcome }));
-        self.busy_ns += dur;
-        self.transfer_ns += gather;
-    }
-}
-
-impl Actors for Sim<'_> {
-    fn inbox(&mut self) -> &mut Vec<SchedMsg> {
-        &mut self.inbox
-    }
-
-    fn exec(&mut self, worker: WorkerId, msg: ExecMsg) {
-        let placed = match &msg {
-            ExecMsg::Execute(a) => std::slice::from_ref(a),
-            ExecMsg::ExecuteBatch { tasks } => tasks,
-            ExecMsg::Steal { .. } | ExecMsg::Shutdown => &[],
-        };
-        let task_of = &self.task_of;
-        let placed = placed.iter().map(|a| (task_of[&a.spec.key], worker as u32));
-        self.assignments.extend(placed);
-        self.step(worker, Event::Deliver(msg));
-    }
-
-    /// The lab's client never connects, so nothing is ever notified.
-    fn client(&mut self, _client: ClientId, _msg: ClientMsg) {}
-}
+// ---- the lab: a configuration of the virtual cluster -----------------------
 
 /// Run one workload under one policy on `workers`×`slots` simulated
 /// executors. Deterministic: the same inputs replay the same assignment
 /// sequence and the same makespan.
 pub fn run(workload: &Workload, workers: usize, slots: usize, policy: &PolicyConfig) -> Outcome {
-    assert!(workers > 0 && slots > 0);
+    run_seeded(workload, (workers, slots), policy, None)
+}
+
+/// Under a seed, how long a delivery may take: a tenth of a task's compute.
+const SEEDED_DELIVERY_NS: u64 = 100 * netsim::US;
+
+/// [`run`], or with `seed`, each delivery taking a time it draws up to
+/// [`SEEDED_DELIVERY_NS`] (each sender's messages still arrive in send
+/// order). Otherwise deliveries are free; a gather pays
+/// [`netsim::transfer_ns`] per input it fetched and a task its workload
+/// compute time.
+pub(crate) fn run_seeded(
+    workload: &Workload,
+    shape: (usize, usize),
+    policy: &PolicyConfig,
+    seed: Option<u64>,
+) -> Outcome {
+    let (workers, slots) = shape;
     let n = workload.tasks.len();
+    assert!(workers > 0 && slots > 0);
     let tasks = (0..n).map(|i| format!("t{i}"));
     let blocks = (0..workload.blocks.len()).map(|b| format!("b{b}"));
     let keys: Vec<Key> = tasks.chain(blocks).map(Key::new).collect();
-    let mut core = VirtualCore::new(workers, slots, policy.clone());
-    let mut sim = Sim {
-        workload,
-        nic_bw: NetworkConfig::default().nic_bw,
-        steal_poll: policy.steal_poll.map(|d| d.as_nanos() as u64),
-        task_of: keys[..n].iter().cloned().zip(0..).collect(),
-        holders: vec![Vec::new(); n + workload.blocks.len()],
-        cores: (0..workers).map(|w| Core::new(w, slots)).collect(),
-        eng: Engine::new(),
-        inbox: Vec::new(),
-        busy_ns: 0,
-        transfer_ns: 0,
-        assignments: Vec::with_capacity(n),
-        keys,
+    let task_of: HashMap<Key, u32> = keys[..n].iter().cloned().zip(0..).collect();
+    let task = |spec: &TaskSpec| {
+        let task = &workload.tasks[task_of[&spec.key] as usize];
+        (task.compute_ns, task.out_bytes)
     };
-    let specs = (0..n)
-        .map(|t| {
-            let deps = inputs(workload, t).map(|(id, _)| sim.keys[id].clone());
-            TaskSpec::new(sim.keys[t].clone(), "sim", Datum::Null, deps.collect())
-        })
-        .collect();
+    let nic_bw = NetworkConfig::default().nic_bw;
+    let delivery_ns = seed.map_or(0, |_| SEEDED_DELIVERY_NS);
+    let costs = Costs {
+        delivery_ns,
+        nic_bw,
+        task,
+    };
+    let mut cluster = VirtualCluster::new(shape, policy.clone(), costs, seed);
+    let specs = workload.tasks.iter().enumerate().map(|(t, task)| {
+        let blocks = task.blocks.iter().map(|&b| &keys[n + b as usize]);
+        let deps = blocks.chain(task.deps.iter().map(|&d| &keys[d as usize]));
+        TaskSpec::new(keys[t].clone(), "sim", Datum::Null, deps.cloned().collect())
+    });
 
     // The contract and the whole graph first, as the adaptor does; nothing
-    // can run yet. Then every bridge announces its blocks.
-    sim.inbox = vec![
-        SchedMsg::RegisterExternal {
-            client: CLIENT,
-            keys: sim.keys[n..].to_vec(),
-        },
-        SchedMsg::SubmitGraph {
-            client: CLIENT,
-            specs,
-        },
-    ];
-    core.settle(&mut sim, 0);
+    // can run yet. Then every bridge puts each block on its home worker and
+    // announces it.
+    let (client, externals) = (0, keys[n..].to_vec());
+    let contract = SchedMsg::RegisterExternal {
+        client,
+        keys: externals,
+    };
+    cluster.send(Addr::Scheduler, Payload::Sched(contract));
+    let graph = SchedMsg::SubmitGraph {
+        client,
+        specs: specs.collect(),
+    };
+    cluster.send(Addr::Scheduler, Payload::Sched(graph));
+    cluster.settle();
     assert!(
-        n == 0 || sim.assignments.is_empty(),
+        n == 0 || cluster.workers.placed.is_empty(),
         "tasks ran before data"
     );
     for (b, &(bytes, home)) in workload.blocks.iter().enumerate() {
-        let home = home % workers as u32;
-        sim.holders[n + b].push(home);
-        sim.inbox.push(SchedMsg::UpdateData {
-            client: CLIENT,
-            entries: vec![(sim.keys[n + b].clone(), home as usize, bytes)],
-            external: true,
-        });
-    }
-    core.settle(&mut sim, 0);
-    for w in 0..workers {
-        sim.step(w, Event::Up);
-    }
-    // Tasks done: one report each, counted as the scheduler steps it.
-    let done = |core: &VirtualCore| core.stats().count(MsgClass::TaskReport) as usize;
-    while done(&core) < n {
-        let Some((w, event)) = sim.eng.next_event() else {
-            panic!("simulation stalled with {} of {n} tasks done", done(&core));
+        let (key, home) = (keys[n + b].clone(), home as usize % workers);
+        let ack = ReplyTo {
+            addr: Addr::Client(client),
+            corr: 0,
         };
-        if let Event::PollExpired = event {
-            let active = sim.cores.iter().any(|w| !w.is_quiet());
-            assert!(active, "only polls left, {} of {n} tasks done", done(&core));
-        }
-        sim.step(w, event);
-        let now = sim.eng.now();
-        core.settle(&mut sim, now);
+        let put = DataMsg::Put {
+            key: key.clone(),
+            value: stand_in(bytes),
+            ack,
+        };
+        cluster.send(Addr::WorkerData(home), Payload::Data(put));
+        let update = SchedMsg::UpdateData {
+            client,
+            entries: vec![(key, home, bytes)],
+            external: true,
+        };
+        cluster.send(Addr::Scheduler, Payload::Sched(update));
     }
+    cluster.settle();
+    // Tasks done: one report each, counted as the scheduler steps it.
+    let reports = |stats: &SchedulerStats| stats.count(MsgClass::TaskReport) as usize;
+    cluster.run(|stats| reports(stats) >= n);
 
-    let makespan = sim.eng.now();
-    let capacity_ns = makespan as u128 * (workers * slots) as u128;
+    let (makespan, done) = (cluster.now(), &cluster.workers);
+    let capacity_ns = makespan as f64 * (workers * slots) as f64;
+    let placed = done
+        .placed
+        .iter()
+        .map(|(spec, w)| (task_of[&spec.key], *w as u32));
     Outcome {
         policy: policy.kind,
         workload: workload.name.clone(),
-        tasks: done(&core),
+        tasks: done.computed,
         makespan_ns: makespan,
-        transfer_ns: sim.transfer_ns,
-        utilization: if capacity_ns == 0 {
-            0.0
-        } else {
-            sim.busy_ns as f64 / capacity_ns as f64
-        },
-        assignments: sim.assignments,
-        stats: Arc::clone(core.stats()),
+        transfer_ns: done.transfer_ns,
+        utilization: done.busy_ns as f64 / capacity_ns.max(1.0),
+        assignments: placed.collect(),
+        stats: Arc::clone(cluster.stats()),
     }
 }
 
@@ -539,6 +430,48 @@ mod tests {
             // Every gather that fetched anything reported it, once.
             assert!(s.count(MsgClass::AddReplica) as usize <= w.tasks.len());
             assert_eq!(s.assign_tasks() as usize, w.tasks.len(), "{name}");
+        }
+    }
+
+    /// The virtual cluster's first invariant run (the skeleton of an
+    /// explorer): the `ipca` and `deep-chains` generators under eight
+    /// delivery seeds each, under every policy. In every run each task is
+    /// placed once, computed once (so none erred: in the lab only a failed
+    /// gather errs, and it computes nothing) and reported once; the inbound
+    /// classes count what the default order counts; and the same seed
+    /// replays the same assignment sequence.
+    #[test]
+    fn seeded_delivery_orders_keep_the_invariants() {
+        let (steps, ranks) = (6, 4);
+        let classes = [
+            MsgClass::UpdateDataExternal,
+            MsgClass::RegisterExternal,
+            MsgClass::GraphSubmit,
+            MsgClass::TaskReport,
+        ];
+        for w in [ipca(steps, ranks, 5), deep_chains(8, 5, 7)] {
+            let n = w.tasks.len();
+            for p in policies() {
+                let default = run_seeded(&w, (4, 2), &p, None);
+                let counts = |o: &Outcome| classes.map(|c| o.stats.count(c));
+                let blocks = w.blocks.len() as u64;
+                assert_eq!(counts(&default), [blocks, 1, 1, n as u64]);
+                for seed in 0..8 {
+                    let name = format!("{} {} seed {seed}", w.name, p.kind.name());
+                    let o = run_seeded(&w, (4, 2), &p, Some(seed));
+                    let mut placed: Vec<u32> = o.assignments.iter().map(|&(t, _)| t).collect();
+                    placed.sort_unstable();
+                    assert!(
+                        placed.iter().copied().eq(0..n as u32),
+                        "{name}: placed once"
+                    );
+                    assert_eq!(o.tasks, n, "{name}: computed once, none erred");
+                    assert_eq!(counts(&o), counts(&default), "{name}");
+                    assert!(o.stats.count(MsgClass::AddReplica) as usize <= n, "{name}");
+                    let again = run_seeded(&w, (4, 2), &p, Some(seed));
+                    assert_eq!(o.assignments, again.assignments, "{name}: replays");
+                }
+            }
         }
     }
 

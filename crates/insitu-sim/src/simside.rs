@@ -24,7 +24,8 @@
 use crate::cost::CostModel;
 use crate::scenario::{Mode, Placement, Scenario};
 use crate::vcore::{Actors, VirtualCore};
-use dtask::msg::{ClientId, ClientMsg, ExecMsg, SchedMsg, WorkerId};
+use dtask::msg::{ClientId, ClientMsg, SchedMsg};
+use dtask::transport::{Addr, Payload};
 use dtask::{Datum, Key, PolicyConfig, SchedulerStats, TaskSpec};
 use netsim::{transfer_ns, Engine, FifoServer, Network, SimTime, SEC};
 use std::iter::{once, zip};
@@ -248,14 +249,12 @@ impl Actors for Model {
         &mut self.inbox
     }
 
-    /// The step graphs' tasks are placed but not run here: the consumer
-    /// side's timeline is [`analytics`](crate::analytics)'.
-    fn exec(&mut self, _worker: WorkerId, _msg: ExecMsg) {}
-
     /// The adaptor receives queue items; on a step's R-th it submits the
-    /// step's graph, one task per block.
-    fn client(&mut self, _client: ClientId, msg: ClientMsg) {
-        let ClientMsg::QueueItem { value, .. } = msg else {
+    /// step's graph, one task per block. The step graphs' tasks are placed
+    /// but not run here: the consumer side's timeline is
+    /// [`analytics`](crate::analytics)'.
+    fn send(&mut self, _to: Addr, payload: Payload) {
+        let Payload::Client(ClientMsg::QueueItem { value, .. }) = payload else {
             return;
         };
         let t = block_of(value.as_str().expect("a block key")).0;
