@@ -15,6 +15,7 @@ use deisa_repro::dtask::{
     Cluster, ClusterConfig, Datum, EventKind, FaultConfig, FaultPlan, HeartbeatInterval, Key,
     PolicyConfig, PolicyKind, StatsSnapshot, TaskSpec, TraceConfig,
 };
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// A sleepy reduction op so queues actually build up behind busy slots.
@@ -28,6 +29,27 @@ fn register_slow_sum(cluster: &Cluster) {
         }
         Ok(Datum::F64(total))
     });
+}
+
+/// A reduction op that holds its slot until the test lets it go: each call
+/// says it started on `started`, then waits for one release on the gate the
+/// returned sender feeds (or for the sender to drop, which releases every
+/// call at once). Queues build up behind a held slot for as long as the test
+/// needs, whatever the load on the box.
+fn register_gated_sum(cluster: &Cluster) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+    let (started_tx, started) = mpsc::channel();
+    let (release, gate) = mpsc::channel::<()>();
+    let gate = Arc::new(Mutex::new(gate));
+    cluster.registry().register("gated_sum", move |_, inputs| {
+        let _ = started_tx.send(());
+        let _ = gate.lock().unwrap_or_else(|e| e.into_inner()).recv();
+        let mut total = 0.0;
+        for d in inputs {
+            total += d.as_f64().ok_or_else(|| "non-scalar input".to_string())?;
+        }
+        Ok(Datum::F64(total))
+    });
+    (started, release)
 }
 
 /// Fixed diamond + chain graph over three scattered blocks; returns every
@@ -201,7 +223,7 @@ fn stolen_task_from_killed_worker_completes() {
         },
         ..ClusterConfig::default()
     });
-    register_slow_sum(&cluster);
+    let (started, release) = register_gated_sum(&cluster);
     let client = cluster.client();
     // Replica on worker 0 first: gravity pins the whole batch there.
     client.scatter_external(vec![(Key::new("hot"), Datum::F64(2.5))], Some(0));
@@ -210,18 +232,30 @@ fn stolen_task_from_killed_worker_completes() {
             .map(|i| {
                 TaskSpec::new(
                     format!("t{i}"),
-                    "slow_sum",
-                    Datum::I64(50),
+                    "gated_sum",
+                    Datum::Null,
                     vec!["hot".into()],
                 )
             })
             .collect(),
     );
-    // Second replica on worker 1: the kill below must not lose the block,
-    // and stolen tasks resolve the dependency from their local store.
+    // The victim's slot holds t0: the batch is placed, all of it on worker
+    // 0. Only now the second replica, on worker 1: the kill below must not
+    // lose the block, and stolen tasks resolve the dependency from their
+    // local store. Sent before the placement, it would have spread the
+    // batch over both workers and left nothing to steal.
+    let wait = Duration::from_secs(10);
+    started.recv_timeout(wait).expect("the victim started t0");
     client.scatter_external(vec![(Key::new("hot"), Datum::F64(2.5))], Some(1));
-    // Wait until the scheduler has re-pointed at least one assignment.
+    // The idle thief's poll makes the scheduler probe the victim, which
+    // answers at its next finish: wait for the probe, then let t0 finish.
     let stats = cluster.stats();
+    let deadline = std::time::Instant::now() + wait;
+    while stats.steal_requests() <= stats.steal_misses() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    release.send(()).expect("the gate is open");
+    // Wait until the scheduler has re-pointed at least one assignment.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while stats.tasks_stolen() == 0 {
         assert!(
@@ -230,8 +264,17 @@ fn stolen_task_from_killed_worker_completes() {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    // Kill the victim: its queue dies with it, the stolen work must not.
+    // Let every held task go, then kill the victim: its queue dies with
+    // it, the stolen work must not.
+    drop(release);
     cluster.kill_worker(0);
+    // Results read from the victim before the liveness sweep declares it
+    // dead would find their holder gone: wait for the sweep, which
+    // resubmits what the victim held.
+    let deadline = std::time::Instant::now() + wait;
+    while stats.peers_lost() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
     for i in 0..SKEW_TASKS {
         let r = client
             .future(format!("t{i}"))
