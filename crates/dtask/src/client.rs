@@ -27,7 +27,7 @@ pub struct Client {
     /// client creates and wraps every scheduler-bound message in
     /// [`SchedMsg::Scoped`].
     pub(crate) session: SessionId,
-    /// Outbound route to the scheduler and worker data servers.
+    /// Outbound route to the scheduler and worker stores.
     pub(crate) endpoint: Endpoint,
     pub(crate) rx: Receiver<ClientMsg>,
     pub(crate) pending: RefCell<VecDeque<ClientMsg>>,

@@ -15,7 +15,7 @@ use crate::trace::{TraceActor, TraceConfig, TraceRecorder};
 use crate::transport::{
     Addr, ClusterChannels, DataReply, FaultPlan, Outcome, Router, TransportConfig,
 };
-use crate::worker::{Pinger, WorkerRuntime, WorkerSpec};
+use crate::worker::{new_store, Pinger, WorkerRuntime, WorkerSpec};
 use crossbeam::channel::unbounded;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -304,13 +304,17 @@ impl Cluster {
         };
 
         // One router fronts every inter-actor channel; actors only ever see
-        // `Endpoint`s derived from it. A hub runs no local worker thread, so
-        // its worker inboxes drop right here: every worker-bound message
-        // routes over the plane.
-        let (channels, sched_rx, mut inboxes) =
-            ClusterChannels::new(config.n_workers, slots, config.policy.steal_poll);
+        // `Endpoint`s derived from it. A hub runs no local worker, so it
+        // builds no store: every worker-bound message routes over the plane.
+        let store = |id| {
+            let config = config.store.clone();
+            deploy
+                .is_none()
+                .then(|| new_store(id, config, &stats, &tracer))
+        };
+        let (channels, sched_rx) =
+            ClusterChannels::new(config.n_workers, slots, config.policy.steal_poll, store);
         let hub_plane = deploy.as_ref().map(|deploy| {
-            inboxes.clear();
             let as_ms = |d: Option<Duration>| d.map_or(0, |d| d.as_millis().max(1) as u64);
             let params = HubParams {
                 n_workers: config.n_workers,
@@ -327,7 +331,6 @@ impl Cluster {
             (deploy.bind.as_str(), params, register)
         });
         let router = Router::new(
-            config.n_workers,
             channels,
             Arc::clone(&stats),
             tracer.register(TraceActor::Transport),
@@ -395,11 +398,9 @@ impl Cluster {
                 .name("dtask-scheduler".into())
                 .spawn(move || sched.run(sched_rx, sched_telemetry))?,
         );
-        for (id, inbox) in inboxes.into_iter().enumerate() {
+        for id in (0..config.n_workers).filter(|_| !cluster.deploy) {
             let runtime = WorkerRuntime::spawn(WorkerSpec {
                 id,
-                store: config.store.clone(),
-                inbox,
                 router: &cluster.router,
                 registry: &cluster.registry,
                 stats: &cluster.stats,
@@ -511,18 +512,19 @@ impl Cluster {
             .collect()
     }
 
-    /// Kill one worker: stop its heartbeat pinger, retire its executor
-    /// slots and data server, and join their threads. From the rest of the
-    /// cluster's point of view the worker silently vanishes — in-flight
-    /// fetches against it error out (every reply slot aimed at it dies with
-    /// its data server), its heartbeats stop, and with liveness enabled the
-    /// scheduler declares it dead and recovers. This is the fault-injection "kill"
-    /// primitive; it does not tell the scheduler anything.
+    /// Kill one worker: stop its heartbeat pinger, retire its store from the
+    /// data plane, then retire its executor slots and join their threads.
+    /// From the rest of the cluster's point of view the worker silently
+    /// vanishes — in-flight fetches against it error out (every reply slot
+    /// aimed at it dies with its store), its heartbeats stop, and with
+    /// liveness enabled the scheduler declares it dead and recovers. This is
+    /// the fault-injection "kill" primitive; it does not tell the scheduler
+    /// anything.
     pub fn kill_worker(&self, worker: WorkerId) {
         assert!(worker < self.n_workers(), "no such worker");
         let runtime = self.workers.lock()[worker].take();
         if let Some(mut runtime) = runtime {
-            // Data plane first: once the data server is down, every result
+            // Data plane first: once the store is retired, every result
             // this worker holds (including those its exec slots finish
             // below, straight into the shared store) is unreachable — the
             // death is observable to any peer immediately, not only after
@@ -614,8 +616,8 @@ impl Cluster {
     ///    any of the state they read starts tearing down; the sampler takes
     ///    one final sample on stop),
     /// 1. every worker's pinger and executor slots (they write into the
-    ///    scheduler and the data servers),
-    /// 2. data servers (executors are gone, no more peer fetches),
+    ///    scheduler and read from the stores),
+    /// 2. every worker's store (executors are gone, no more peer fetches),
     /// 3. the scheduler itself.
     ///
     /// Killed (or never-spawned) workers have nothing left to retire. Client
@@ -1006,7 +1008,8 @@ mod tests {
     #[test]
     fn mutual_cross_worker_gather_does_not_deadlock() {
         // Two busy workers fetching from each other at the same time: the
-        // data-server split plus concurrent gather must never deadlock.
+        // stores answering where reads land, plus concurrent gather, must
+        // never deadlock.
         let cluster = Cluster::with_config(ClusterConfig {
             n_workers: 2,
             slots_per_worker: 1,
@@ -1157,11 +1160,11 @@ mod tests {
         client.submit(graph(1.0));
         assert_eq!(client.future("mid").result().unwrap().as_f64(), Some(1.0));
         client.release(vec![Key::new("mid")]);
-        // The release fans a `Delete` out to the holder's data server, and a
+        // The release fans a `Delete` out to the holder's store, and a
         // `Delete` still in flight would remove the *recomputed* `mid` (an
         // open race, ROADMAP item 6). Wait for it to land: a scheduler round
-        // trip (the release was handled, the `Delete` is queued), then a
-        // data-server round trip behind it on the same FIFO inbox.
+        // trip (the release was handled, so its `Delete` was answered in the
+        // scheduler's thread), then a read of the store's statistics.
         assert!(client.var_try_get("barrier").unwrap().is_none());
         assert_eq!(cluster.worker_memory()[0].0, 1, "only `base` is left");
         client.submit(graph(2.0));

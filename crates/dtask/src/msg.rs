@@ -337,8 +337,9 @@ pub enum ExecMsg {
     Shutdown,
 }
 
-/// Messages a worker's *data server* handles (always responsive; this is the
-/// comm half of the worker, so dependency fetches can never deadlock).
+/// Messages a worker's store answers, in the thread that delivers them (it
+/// never waits on the worker's slots, so dependency fetches can never
+/// deadlock).
 #[derive(Clone)]
 pub enum DataMsg {
     /// Store a value (scatter landing). The ack fires after the store, so
@@ -386,7 +387,8 @@ pub enum DataMsg {
         /// Where to route the value (or the miss error).
         reply: ReplyTo,
     },
-    /// Stop the data-server thread.
+    /// A no-op: it stopped the data-server thread that once answered these
+    /// messages, and stays so that its frame still decodes.
     Shutdown,
 }
 

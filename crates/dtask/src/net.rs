@@ -15,8 +15,10 @@
 //!
 //! A **link** is one byte pipe per destination node: one writer thread
 //! drains the link's queue into it, one reader thread reassembles frames out
-//! of it. [`writer_loop`] and [`reader_loop`] are written once, over `Write`
-//! and `Read`; only the pipe differs:
+//! of it and delivers them. A data request is answered in that reader by its
+//! worker's store, and the reply queued on the requester's link. [`writer_loop`]
+//! and [`reader_loop`] are written once, over `Write` and `Read`; only the
+//! pipe differs:
 //!
 //! * **In process** (`Framed`, `Tcp`): every node lives in this process.
 //!   The plane makes a link the first time it routes to a node — an OS pipe
@@ -400,7 +402,7 @@ impl PlaneShared {
             Mode::Node { self_node, .. } => (dest != *self_node).then_some(0),
         };
         let Some(link) = via else {
-            return self.fabric.deliver_encoded(to, envelope);
+            return self.fabric.deliver_encoded(self, to, envelope);
         };
         if self.send_on(link, frame(to, envelope)) {
             return;
@@ -408,7 +410,7 @@ impl PlaneShared {
         match self.mode {
             // A link this process could not make: deliver in place rather
             // than lose the message.
-            Mode::Local { .. } => self.fabric.deliver_encoded(to, envelope),
+            Mode::Local { .. } => self.fabric.deliver_encoded(self, to, envelope),
             _ => {
                 if let Some(w) = worker_on(dest) {
                     self.fabric.peer_gone(w);
@@ -520,7 +522,7 @@ impl PlaneShared {
             return self.handle_control(peer, &f.envelope);
         }
         let Mode::Hub(_) = self.mode else {
-            self.fabric.deliver_encoded(f.to, &f.envelope);
+            self.fabric.deliver_encoded(self, f.to, &f.envelope);
             return None;
         };
         // A remote sender's counters never leave its process, so the hub
@@ -530,7 +532,7 @@ impl PlaneShared {
         }
         let dest = to_node(f.to);
         if dest == 0 {
-            self.fabric.deliver_encoded(f.to, &f.envelope);
+            self.fabric.deliver_encoded(self, f.to, &f.envelope);
         } else if !self.send_on(dest, frame(f.to, &f.envelope)) {
             // Star forwarding moves bytes untouched. Its target's process is
             // gone: the origin's slots aimed at that worker die.
@@ -976,8 +978,10 @@ mod tests {
     use crate::key::Key;
     use crate::msg::DataMsg;
     use crate::stats::SchedulerStats;
+    use crate::stats::WireLane;
     use crate::trace::TraceHandle;
-    use crate::transport::{ClusterChannels, FaultPlan, Outcome, ReplyRx, Router};
+    use crate::transport::{ClusterChannels, FaultPlan, LaneDrop, Outcome, ReplyRx, Router};
+    use crate::ObjectStore;
 
     fn env_bytes() -> Vec<u8> {
         wire::encode(&crate::transport::Payload::Sched(
@@ -1141,17 +1145,17 @@ mod tests {
         assert!(fr.next_frame().unwrap().is_none());
     }
 
-    /// A router for two workers over the plane `plane` builds.
+    /// A router for two workers over the plane `plane` builds, counting in
+    /// `stats` and injecting `faults`.
     fn plane_router<E: std::fmt::Debug>(
         channels: ClusterChannels,
+        stats: &Arc<SchedulerStats>,
+        faults: FaultPlan,
         plane: impl FnOnce(&Arc<Fabric>) -> Result<Plane, E>,
     ) -> Arc<Router> {
-        let stats = Arc::new(SchedulerStats::new());
-        let faults = FaultPlan::default();
         Router::new(
-            2,
             channels,
-            stats,
+            Arc::clone(stats),
             TraceHandle::disabled(),
             faults,
             |fabric| plane(fabric).map(Some),
@@ -1172,7 +1176,7 @@ mod tests {
     /// end as `HungUp`.
     #[test]
     fn requests_to_a_lost_node_hang_up_on_the_other_node_and_the_hub() {
-        let (hub_channels, _sched_rx, _) = ClusterChannels::new(2, 1, None);
+        let (hub_channels, _sched_rx) = ClusterChannels::new(2, 1, None, |_| None);
         let params = HubParams {
             n_workers: 2,
             default_slots: 1,
@@ -1181,13 +1185,22 @@ mod tests {
             mem_budget: None,
             handshake_timeout: Duration::from_secs(10),
         };
-        let hub = plane_router(hub_channels, |fabric| {
+        let stats = Arc::new(SchedulerStats::new());
+        let hub = plane_router(hub_channels, &stats, FaultPlan::default(), |fabric| {
             Plane::hub("127.0.0.1:0", params, Box::new(|_, _| {}), fabric)
         });
         let addr = hub
             .plane()
             .and_then(|p| p.local_addr())
             .expect("hub address");
+        // Each node's worker has a store; every reply it sends is lost on
+        // the wire, so a request to it stays in flight.
+        let lost = FaultPlan {
+            drop: vec![LaneDrop {
+                lane: WireLane::ReplyIn,
+                fraction: 1.0,
+            }],
+        };
         let node = || {
             let handshake = NodeHandshake::dial(
                 &addr.to_string(),
@@ -1199,13 +1212,16 @@ mod tests {
             )
             .expect("handshake");
             let worker = handshake.welcome.worker;
-            let (channels, _, inboxes) = ClusterChannels::new(2, 1, None);
+            let store = |w| (w == worker).then(|| Arc::new(ObjectStore::unbounded()));
+            let (channels, _) = ClusterChannels::new(2, 1, None, store);
             let (goodbye_tx, _) = unbounded();
-            let router = plane_router(channels, |fabric| handshake.start(fabric, goodbye_tx));
-            (worker, router, inboxes)
+            let stats = Arc::new(SchedulerStats::new());
+            let start = |fabric: &Arc<Fabric>| handshake.start(fabric, goodbye_tx);
+            let router = plane_router(channels, &stats, lost.clone(), start);
+            (worker, router, stats)
         };
         let (a, node_a, _) = node();
-        let (b, node_b, mut b_inboxes) = node();
+        let (b, node_b, b_stats) = node();
         assert_eq!((a, b), (0, 1));
         let get = |router: &Arc<Router>, from: Addr| {
             router.endpoint(from).request(b, |reply| DataMsg::Get {
@@ -1214,13 +1230,13 @@ mod tests {
             })
         };
 
-        // B's worker has the request in its inbox and never answers it.
+        // B's worker got the request: its answer is the one reply B lost.
         let in_flight = get(&node_a, Addr::WorkerExec(a));
-        let b_inbox = b_inboxes.swap_remove(b);
-        assert!(matches!(
-            b_inbox.data_rx.recv_timeout(Duration::from_secs(10)),
-            Ok(DataMsg::Get { .. })
-        ));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while b_stats.injected_drops() == 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(b_stats.injected_drops(), 1, "B never answered the request");
         drop(node_b);
         assert!(hangs_up(in_flight), "node A's request in flight");
         assert!(

@@ -4,9 +4,9 @@
 //! [`run_node`] dials a [`crate::Cluster::listen`] hub, performs the
 //! versioned registration handshake ([`crate::wire::NodeMsg::Hello`] →
 //! [`crate::wire::NodeMsg::Welcome`]), then brings up exactly the worker
-//! actors an in-process cluster would have spawned as threads — one data
-//! server plus the assigned number of executor slots over one worker core,
-//! and (when the hub asks for it) a heartbeat pinger. All of them talk
+//! actors an in-process cluster would have spawned as threads — the assigned
+//! number of executor slots over one worker core and its store, and (when
+//! the hub asks for it) a heartbeat pinger. All of them talk
 //! through a normal [`crate::transport::Router`] whose backend is the
 //! node's hub connection, so executor code is byte-for-byte the same code
 //! that runs in-process.
@@ -22,7 +22,7 @@ use crate::stats::SchedulerStats;
 use crate::store::StoreConfig;
 use crate::trace::{TraceHandle, TraceRecorder};
 use crate::transport::{ClusterChannels, FaultPlan, Router};
-use crate::worker::{WorkerRuntime, WorkerSpec};
+use crate::worker::{new_store, WorkerRuntime, WorkerSpec};
 use crossbeam::channel::unbounded;
 use std::sync::Arc;
 use std::time::Duration;
@@ -89,20 +89,25 @@ pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, 
     let w = welcome.worker;
     let stats = Arc::new(SchedulerStats::new());
 
-    // The router wants the full worker-count channel layout; only this
-    // worker's inbox stays alive, every other one is a dead end the plane
-    // never delivers into (their traffic routes to the hub).
+    // The router wants the full worker-count layout; only this worker has a
+    // store here, built before the plane starts so that a request arriving
+    // before the runtime is answered. Every other worker is a dead end the
+    // plane never delivers into (their traffic routes to the hub).
+    if w >= welcome.n_workers {
+        return Err("assigned worker id out of range".into());
+    }
     let millis = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
     let steal_poll = millis(welcome.steal_poll_ms);
-    let (channels, _sched_rx, inboxes) =
-        ClusterChannels::new(welcome.n_workers, welcome.slots, steal_poll);
-    let inbox = inboxes
-        .into_iter()
-        .nth(w)
-        .ok_or("assigned worker id out of range")?;
+    let store_config = StoreConfig {
+        mem_budget: welcome.mem_budget.or(config.mem_budget),
+        ..StoreConfig::default()
+    };
+    let tracer = TraceRecorder::disabled();
+    let store = |id| (id == w).then(|| new_store(id, store_config.clone(), &stats, &tracer));
+    let (channels, _sched_rx) =
+        ClusterChannels::new(welcome.n_workers, welcome.slots, steal_poll, store);
     let (goodbye_tx, goodbye_rx) = unbounded();
     let router = Router::new(
-        welcome.n_workers,
         channels,
         Arc::clone(&stats),
         TraceHandle::disabled(),
@@ -112,16 +117,11 @@ pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, 
 
     let mut runtime = WorkerRuntime::spawn(WorkerSpec {
         id: w,
-        store: StoreConfig {
-            mem_budget: welcome.mem_budget.or(config.mem_budget),
-            ..StoreConfig::default()
-        },
-        inbox,
         router: &router,
         registry: &registry,
         stats: &stats,
         heartbeat: millis(welcome.heartbeat_ms),
-        tracer: &TraceRecorder::disabled(),
+        tracer: &tracer,
         telemetry: None,
     })
     .map_err(|e| format!("worker thread spawn failed: {e}"))?;

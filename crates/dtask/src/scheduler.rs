@@ -53,12 +53,12 @@ use std::time::{Duration, Instant};
 mod pump;
 
 /// Where the core's outbound messages go: worker executor inboxes, worker
-/// data servers and client notification queues. The live pump passes the
+/// stores and client notification queues. The live pump passes the
 /// scheduler's transport endpoint; the simulator passes a collector.
 pub trait Sink {
     /// Send to worker `worker`'s executor inbox.
     fn send_exec(&self, worker: WorkerId, msg: ExecMsg);
-    /// Send to worker `worker`'s data server.
+    /// Send to worker `worker`'s store.
     fn send_data(&self, worker: WorkerId, msg: DataMsg);
     /// Notify a client.
     fn send_client(&self, client: ClientId, msg: ClientMsg);
@@ -570,6 +570,7 @@ impl<S: Sink> Scheduler<S> {
                 if !self.worker_alive(worker) {
                     return true;
                 }
+                self.stats.inc(Metric::TasksErred);
                 self.tracer
                     .instant(EventKind::Report, Some(&stored_key), worker as u64);
                 self.workers[worker].processing = self.workers[worker].processing.saturating_sub(1);

@@ -273,6 +273,29 @@ fn shutdown_drops_the_rest_of_the_batch() {
     assert!(r.assigned().is_empty());
 }
 
+#[test]
+fn an_erred_report_is_counted_once_and_a_finished_one_not_at_all() {
+    let mut r = plain(1);
+    r.step(vec![submit(vec![spec("ok", &[]), spec("bad", &[])])]);
+    assert_eq!(r.assigned().len(), 2);
+    r.step(vec![finished("ok", 0)]);
+    assert_eq!(r.stats.tasks_erred(), 0);
+    let error = TaskError::new(Key::new("bad"), "boom");
+    r.step(vec![SchedMsg::TaskErred {
+        worker: 0,
+        stored_key: Key::new("bad"),
+        error,
+        failed_peer: None,
+    }]);
+    assert_eq!(r.stats.tasks_erred(), 1);
+    assert_eq!(r.state("bad"), Some(TaskState::Erred));
+    assert_eq!(
+        r.stats.count(MsgClass::TaskReport),
+        2,
+        "both reports keep their one class"
+    );
+}
+
 // ---- (ii) heartbeats and the liveness sweep ---------------------------------
 
 #[test]

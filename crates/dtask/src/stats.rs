@@ -98,7 +98,7 @@ named_enum! {
         SchedIn => "sched_in",
         /// Assignments into worker executor inboxes.
         ExecIn => "exec_in",
-        /// Requests into worker data servers.
+        /// Requests into worker stores.
         DataIn => "data_in",
         /// Notifications into client inboxes.
         ClientIn => "client_in",
@@ -414,6 +414,8 @@ metrics! {
         "Tasks re-queued after a peer loss.";
     [RetriesExhausted] retries_exhausted: Fault "retries_exhausted" => "dtask_fault_retries_exhausted_total", Counter, Count,
         "Tasks failed after exhausting their retry budget.";
+    [TasksErred] tasks_erred: Fault "tasks_erred" => "dtask_fault_tasks_erred_total", Counter, Count,
+        "TaskErred reports the scheduler accepted from a live worker.";
     [ExternalBlocksLost] external_blocks_lost:
         Fault "external_blocks_lost" => "dtask_fault_external_blocks_lost_total", Counter, Count,
         "External blocks lost beyond recovery.";

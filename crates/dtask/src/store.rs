@@ -3,15 +3,15 @@
 //! The paper's scalability argument is about keeping bulk data off the
 //! control path. [`crate::datum::DatumRef`] handles travel through the
 //! scheduler in place of payloads; the payloads themselves live here, one
-//! [`ObjectStore`] per worker, shared by the worker's data server and every
-//! executor slot:
+//! [`ObjectStore`] per worker, shared by the transport that delivers reads to
+//! it and every executor slot:
 //!
 //! * **Zero-copy intra-process.** Entries hold [`Datum`]s whose arrays are
 //!   `Arc`-shared, so a `get` on the holding node never copies the buffer.
 //! * **Inter-node resolution.** Remote consumers resolve a handle with a
-//!   framed `DataMsg::Fetch` to the holder's data server, which answers from
-//!   this store (`DataReply::Value` on the reply lane — data plane, never
-//!   the scheduler). The data server's whole body is
+//!   framed `DataMsg::Fetch` to the holder's store, which answers it
+//!   (`DataReply::Value` on the reply lane — data plane, never the
+//!   scheduler) in whichever thread delivers it. The answer is
 //!   [`ObjectStore::answer`]: a request in, the reply out, no I/O, so the
 //!   DES's stores answer the same way.
 //! * **LRU eviction + spill.** Under a configurable memory budget
@@ -249,7 +249,8 @@ impl ObjectStore {
 
     /// [`ObjectStore::get`] for several keys under one lock acquisition, in
     /// order: what a task's dependency gather uses, so a wide task contends
-    /// once with the sibling slot and the data server, not once per input.
+    /// once with the sibling slot and the readers it serves, not once per
+    /// input.
     pub fn get_many(&self, keys: &[Key]) -> Vec<Option<Datum>> {
         let inner = &mut *self.inner.lock();
         keys.iter().map(|key| self.get_locked(inner, key)).collect()
@@ -324,9 +325,9 @@ impl ObjectStore {
         self.inner.lock().entries.contains_key(key)
     }
 
-    /// The data server's answer to `msg`: the reply and where it goes, or
-    /// `None` for a message answered with nothing (`Delete`, `Sweep`, and
-    /// `Shutdown`, which only the server loop acts on). A `Fetch` is the
+    /// This store's answer to `msg`, in the caller's thread: the reply and
+    /// where it goes, or `None` for a message answered with nothing
+    /// (`Delete`, `Sweep`, and the no-op `Shutdown`). A `Fetch` is the
     /// same lookup as a `Get` (spilled entries restore transparently); a
     /// served one is traced here as data-plane traffic, while its byte
     /// accounting lives with the requester ([`Metric::ProxyFetchBytes`]).

@@ -88,8 +88,8 @@ pub enum TraceActor {
     /// The transport router (the coded backends record per-message
     /// wire sizes here; senders on any thread share this one track).
     Transport,
-    /// One worker's object store (the data server thread records store
-    /// hit/miss/spill/fetch events here).
+    /// One worker's object store (whichever thread reads or writes it
+    /// records store hit/miss/spill/fetch events here).
     Store {
         /// Worker id.
         worker: usize,
@@ -156,7 +156,7 @@ pub enum EventKind {
     StoreRestore,
     /// Object store get of an absent key (instant; key).
     StoreMiss,
-    /// A data server answered a peer/client `Fetch` of a store entry
+    /// A store answered a peer/client `Fetch` of one of its entries
     /// (instant; key = entry, arg = payload bytes served).
     StoreFetch,
     /// A consumer resolved a proxy handle via a data-lane fetch to its

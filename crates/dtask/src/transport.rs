@@ -4,9 +4,10 @@
 //!
 //! Three backends, selected per cluster via [`TransportConfig`], ride two
 //! carriers. `InProc` hands messages to plain channels (executor messages to
-//! their worker's core). Every other backend encodes each message with
-//! [`crate::wire`] and sends the bytes over the byte-stream plane of
-//! [`crate::net`], whose readers decode them back into the same channels:
+//! their worker's core, data requests to their worker's store). Every other
+//! backend encodes each message with [`crate::wire`] and sends the bytes over
+//! the byte-stream plane of [`crate::net`], whose readers decode them back
+//! into the same channels:
 //!
 //! | backend  | carrier | link per destination node | purpose |
 //! |----------|---------|---------------------------|---------|
@@ -20,7 +21,9 @@
 //! deliberately records nothing, so the default path stays allocation- and
 //! codec-free.
 //!
-//! Every read of data held elsewhere (a slot's dependency gather, proxy
+//! A data request is answered where it lands, by the holder's store
+//! ([`crate::ObjectStore::answer`]), in the thread that delivers it. Every
+//! read of data held elsewhere (a slot's dependency gather, proxy
 //! resolution, client results) is one [`Gather`]: the holder fallback rule
 //! as a stepped value with no I/O and no clock. [`Endpoint::fetch`] drives
 //! it over this transport; the DES drives the same value over its stores.
@@ -29,11 +32,11 @@ use crate::key::Key;
 use crate::msg::{
     ClientId, ClientMsg, DataMsg, ErrorCause, ExecMsg, SchedMsg, TaskError, WorkerId,
 };
-use crate::net::Plane;
+use crate::net::{Plane, PlaneShared};
 use crate::stats::{Metric, SchedulerStats, WireLane};
 use crate::trace::{EventKind, TraceHandle};
 use crate::wire;
-use crate::worker::Lane;
+use crate::worker::{Lane, WorkerStore};
 use crate::Datum;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -125,7 +128,7 @@ impl FaultState {
 pub enum Addr {
     /// The scheduler loop.
     Scheduler,
-    /// Worker `w`'s data server.
+    /// Worker `w`'s store.
     WorkerData(WorkerId),
     /// Worker `w`'s executor-slot inbox.
     WorkerExec(WorkerId),
@@ -171,7 +174,7 @@ pub enum Outcome {
     /// The holder answered that it does not have the key: its message.
     Miss(String),
     /// The holder hung up: the transport cancelled the reply slot because
-    /// its data server is gone.
+    /// its store is retired or unreachable.
     HungUp,
 }
 
@@ -184,7 +187,7 @@ pub enum Payload {
     Sched(SchedMsg),
     /// Into a worker's executor inbox.
     Exec(ExecMsg),
-    /// Into a worker's data server.
+    /// Into a worker's store.
     Data(DataMsg),
     /// Into a client inbox.
     Client(ClientMsg),
@@ -199,114 +202,171 @@ pub enum Payload {
 
 // ---- delivery fabric -------------------------------------------------------
 
-/// The scheduler/worker inboxes a cluster hands its router at construction
-/// (client and reply routes register dynamically).
+/// The plane a message travels on; `None` under InProc.
+type Via<'a> = Option<&'a Arc<PlaneShared>>;
+
+/// The scheduler's inbox and each worker's core and store, which a cluster
+/// hands its router (client and reply routes register dynamically).
 pub(crate) struct ClusterChannels {
     pub(crate) sched_tx: Sender<SchedMsg>,
-    pub(crate) data_txs: Vec<Sender<DataMsg>>,
     /// Each worker's executor core, which the fabric steps deliveries into.
     pub(crate) lanes: Vec<Arc<Lane>>,
-}
-
-/// The receiving halves of one worker's inboxes.
-pub(crate) struct WorkerInbox {
-    pub(crate) data_rx: Receiver<DataMsg>,
-    pub(crate) lane: Arc<Lane>,
+    /// Each worker's store, which answers the data requests the fabric
+    /// delivers to it; `None` where the worker does not run, or once its
+    /// store is retired.
+    pub(crate) stores: Vec<Mutex<Option<WorkerStore>>>,
 }
 
 impl ClusterChannels {
-    /// A fresh channel set for `n_workers`, each with `slots` executor slots
-    /// and `steal_poll`: the router's sending halves, the scheduler's inbox
-    /// and each worker's inbox. A caller that runs no local thread for an
-    /// actor drops its inbox: a data send to it fails like one to any dead
-    /// actor, and a hub or node plane never delivers there anyway.
+    /// A fresh channel set for `n_workers`, each with `slots` executor slots,
+    /// `steal_poll` and the store `store` gives it, and the scheduler's
+    /// inbox. A process that runs no worker `w` gives it no store: a request
+    /// to it hangs up like one to any dead worker.
     pub(crate) fn new(
         n_workers: usize,
         slots: usize,
         steal_poll: Option<Duration>,
-    ) -> (ClusterChannels, Receiver<SchedMsg>, Vec<WorkerInbox>) {
+        store: impl FnMut(WorkerId) -> Option<WorkerStore>,
+    ) -> (ClusterChannels, Receiver<SchedMsg>) {
         let (sched_tx, sched_rx) = unbounded();
-        let mut channels = ClusterChannels {
+        let channels = ClusterChannels {
             sched_tx,
-            data_txs: Vec::with_capacity(n_workers),
-            lanes: Vec::with_capacity(n_workers),
+            lanes: (0..n_workers)
+                .map(|w| Arc::new(Lane::new(w, slots, steal_poll)))
+                .collect(),
+            stores: (0..n_workers).map(store).map(Mutex::new).collect(),
         };
-        let inboxes = (0..n_workers)
-            .map(|w| {
-                let (data_tx, data_rx) = unbounded();
-                let lane = Arc::new(Lane::new(w, slots, steal_poll));
-                channels.data_txs.push(data_tx);
-                channels.lanes.push(Arc::clone(&lane));
-                WorkerInbox { data_rx, lane }
-            })
-            .collect();
-        (channels, sched_rx, inboxes)
+        (channels, sched_rx)
     }
 }
 
-/// The in-process end of every route: the inboxes messages are delivered
-/// into, the open reply slots, and the counters coded traffic is
+/// Both ends of every route in this process: where messages are delivered,
+/// the open reply slots, the fault plan, and the counters coded traffic is
 /// accounted in. A byte-stream plane holds it to deliver what its readers
 /// decode and to cancel the slots aimed at a worker it can no longer reach.
 pub(crate) struct Fabric {
     channels: ClusterChannels,
-    n_workers: usize,
     clients: Mutex<HashMap<ClientId, Sender<ClientMsg>>>,
-    /// Open reply slots by correlation id: the worker whose data server the
+    /// Open reply slots by correlation id: the worker whose store the
     /// request went to, and the waiter.
     replies: Mutex<HashMap<u64, (WorkerId, Sender<DataReply>)>>,
     stats: Arc<SchedulerStats>,
     trace: TraceHandle,
+    /// Active fault-injection state; `None` when the plan is inert, so the
+    /// fault-free hot path pays one branch.
+    faults: Option<FaultState>,
 }
 
 impl Fabric {
-    /// Hand a payload to its destination channel, or step an executor
-    /// message into its worker's core. Channel-closed errors are swallowed
-    /// (teardown races), except that a data server whose inbox is closed is
-    /// gone: [`Fabric::peer_gone`].
-    fn deliver(&self, to: Addr, payload: Payload) {
+    /// Send `payload` from `from` to `to` via a plane or, under InProc,
+    /// straight into this fabric: the one path of every message, a store's
+    /// replies included.
+    fn dispatch(&self, via: Via, from: Addr, to: Addr, payload: Payload) {
+        let lane = wire::Kind::of(&payload).lane();
+        if let Some(f) = &self.faults {
+            if lane.is_some_and(|lane| f.should_drop(lane)) {
+                // Lost "on the wire": never encoded, never delivered. The
+                // counter is the only evidence — exactly like a real loss.
+                self.stats.inc(Metric::InjectedDrops);
+                return;
+            }
+        }
+        let Some(plane) = via else {
+            return self.deliver(None, to, payload);
+        };
+        let bytes = wire::encode(&payload);
+        if bytes.len() > wire::HEADER_BYTES + wire::MAX_FRAME_BYTES {
+            return self.refuse_oversized(via, from, to, payload, bytes.len());
+        }
+        if let Some(lane) = lane {
+            self.account(lane, bytes.len() as u64);
+        }
+        // What gets delivered is the *decoded* frame: every coded message
+        // proves round-trip fidelity.
+        plane.route(to, &bytes);
+    }
+
+    /// A message whose encoding is over [`wire::MAX_FRAME_BYTES`] is refused
+    /// here, where it was built: the peer's frame reader would drop the
+    /// whole connection over it. Whoever waits on the message learns of it.
+    /// A request's reply slot is cancelled; an oversized reply is replaced
+    /// by the error, so its requester (possibly in another process) is
+    /// answered.
+    fn refuse_oversized(&self, via: Via, from: Addr, to: Addr, payload: Payload, len: usize) {
+        self.stats.inc(Metric::WireOversized);
+        eprintln!(
+            "dtask: {from:?} -> {to:?}: message of {len} bytes is over the {} byte frame limit; not sent",
+            wire::MAX_FRAME_BYTES
+        );
         match payload {
-            Payload::Sched(m) => {
+            Payload::Reply { corr, .. } => {
+                let reply = DataReply::Value(Err(format!(
+                    "reply of {len} bytes is over the {} byte frame limit",
+                    wire::MAX_FRAME_BYTES
+                )));
+                self.dispatch(via, from, to, Payload::Reply { corr, reply });
+            }
+            Payload::Data(request) => {
+                if let Some(slot) = request.reply_to() {
+                    self.cancel(slot.corr);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Hand a payload to its destination channel, step an executor message
+    /// into its worker's core, or have a data request answered by its
+    /// worker's store, whose reply leaves via the same plane in this thread.
+    /// Channel-closed errors are swallowed (teardown races); a request to a
+    /// worker with no store here hangs up: [`Fabric::peer_gone`].
+    fn deliver(&self, via: Via, to: Addr, payload: Payload) {
+        match (to, payload) {
+            (_, Payload::Sched(m)) => {
                 let _ = self.channels.sched_tx.send(m);
             }
-            Payload::Exec(m) => {
-                if let Some(lane) = to_worker(to).and_then(|w| self.channels.lanes.get(w)) {
+            (Addr::WorkerExec(w), Payload::Exec(m)) => {
+                if let Some(lane) = self.channels.lanes.get(w) {
                     lane.deliver(m);
                 }
             }
-            Payload::Data(m) => {
-                if let Some(w) = to_worker(to) {
-                    let inbox = self.channels.data_txs.get(w);
-                    if inbox.is_none_or(|tx| tx.send(m).is_err()) {
-                        self.peer_gone(w);
-                    }
+            (Addr::WorkerData(w), Payload::Data(m)) => {
+                let store = self.channels.stores.get(w).and_then(|s| s.lock().clone());
+                let Some(store) = store else {
+                    return self.peer_gone(w);
+                };
+                if let Some((back, reply)) = store.answer(m) {
+                    let reply = Payload::Reply {
+                        corr: back.corr,
+                        reply,
+                    };
+                    self.dispatch(via, to, back.addr, reply);
                 }
             }
-            Payload::Client(m) => {
-                let tx = match to {
-                    Addr::Client(id) => self.clients.lock().get(&id).cloned(),
-                    _ => None,
-                };
+            (Addr::Client(id), Payload::Client(m)) => {
+                let tx = self.clients.lock().get(&id).cloned();
                 if let Some(tx) = tx {
                     let _ = tx.send(m);
                 }
             }
-            Payload::Reply { corr, reply } => {
+            (_, Payload::Reply { corr, reply }) => {
                 if let Some((_, tx)) = self.replies.lock().remove(&corr) {
                     let _ = tx.send(reply);
                 }
             }
+            _ => {}
         }
     }
 
-    /// Decode an envelope and deliver what it holds: the one place a coded
-    /// backend turns bytes back into a message. An envelope that does not
-    /// decode is a codec bug on the sending side: it is dropped loudly, and
-    /// when it was bound for a data server every slot aimed at that worker
-    /// dies, so no requester waits forever on it.
-    pub(crate) fn deliver_encoded(&self, to: Addr, envelope: &[u8]) {
+    /// Decode an envelope that arrived on `plane` and deliver what it
+    /// holds: the one place a coded backend turns bytes back into a
+    /// message. An envelope that does not decode is a codec bug on the
+    /// sending side: it is dropped loudly, and when it was bound for a store
+    /// every slot aimed at that worker dies, so no requester waits forever
+    /// on it.
+    pub(crate) fn deliver_encoded(&self, plane: &Arc<PlaneShared>, to: Addr, envelope: &[u8]) {
         match wire::decode(envelope) {
-            Ok(payload) => self.deliver(to, payload),
+            Ok(payload) => self.deliver(Some(plane), to, payload),
             Err(e) => {
                 eprintln!("dtask: dropping undecodable envelope for {to:?}: {e}");
                 if let Addr::WorkerData(w) = to {
@@ -318,9 +378,9 @@ impl Fabric {
 
     /// Worker `w` is unreachable from here: every reply slot aimed at it
     /// dies, and each waiter unblocks with [`Outcome::HungUp`]. The one rule
-    /// for every such event — a send into a closed inbox, a retired data
-    /// server, a route to a process that is gone, a hub losing a node, a
-    /// node losing its hub.
+    /// for every such event — a request to a retired or absent store, a
+    /// route to a process that is gone, a hub losing a node, a node losing
+    /// its hub.
     pub(crate) fn peer_gone(&self, w: WorkerId) {
         self.replies.lock().retain(|_, (asked, _)| *asked != w);
     }
@@ -332,20 +392,13 @@ impl Fabric {
 
     /// Number of workers behind this fabric.
     pub(crate) fn n_workers(&self) -> usize {
-        self.n_workers
+        self.channels.lanes.len()
     }
 
     /// Count one coded frame of `bytes` on `lane`.
     pub(crate) fn account(&self, lane: WireLane, bytes: u64) {
         self.stats.record_wire(lane, bytes);
         self.trace.instant(EventKind::WireSend, None, bytes);
-    }
-}
-
-fn to_worker(to: Addr) -> Option<WorkerId> {
-    match to {
-        Addr::WorkerData(w) | Addr::WorkerExec(w) => Some(w),
-        _ => None,
     }
 }
 
@@ -361,9 +414,6 @@ pub struct Router {
     /// plane's threads when the router drops.
     plane: Option<Plane>,
     next_corr: AtomicU64,
-    /// Active fault-injection state; `None` when the plan is inert, so the
-    /// fault-free hot path pays one branch.
-    faults: Option<FaultState>,
 }
 
 impl Router {
@@ -373,7 +423,6 @@ impl Router {
     /// builds the plane of a [`TransportConfig`]; a deployment hub and a
     /// worker node build theirs.
     pub(crate) fn new<E>(
-        n_workers: usize,
         channels: ClusterChannels,
         stats: Arc<SchedulerStats>,
         trace: TraceHandle,
@@ -382,18 +431,17 @@ impl Router {
     ) -> Result<Arc<Router>, E> {
         let fabric = Arc::new(Fabric {
             channels,
-            n_workers,
             clients: Mutex::new(HashMap::new()),
             replies: Mutex::new(HashMap::new()),
             stats,
             trace,
+            faults: (!faults.is_inert()).then(|| FaultState::new(faults)),
         });
         let plane = plane(&fabric)?;
         Ok(Arc::new(Router {
             fabric,
             plane,
             next_corr: AtomicU64::new(1),
-            faults: (!faults.is_inert()).then(|| FaultState::new(faults)),
         }))
     }
 
@@ -413,7 +461,15 @@ impl Router {
 
     /// Number of workers behind this router.
     pub fn n_workers(&self) -> usize {
-        self.fabric.n_workers
+        self.fabric.n_workers()
+    }
+
+    /// Worker `w`'s core and store, for the runtime that runs it here;
+    /// `None` when this process holds no store for it.
+    pub(crate) fn worker(&self, w: WorkerId) -> Option<(Arc<Lane>, WorkerStore)> {
+        let channels = &self.fabric.channels;
+        let store = channels.stores.get(w)?.lock().clone()?;
+        Some((Arc::clone(&channels.lanes[w]), store))
     }
 
     /// Register a client inbox route. Must happen before the client's
@@ -422,63 +478,9 @@ impl Router {
         self.fabric.clients.lock().insert(id, tx);
     }
 
-    /// Remove a client inbox route (client drop).
-    pub(crate) fn unregister_client(&self, id: ClientId) {
-        self.fabric.clients.lock().remove(&id);
-    }
-
     fn dispatch(&self, from: Addr, to: Addr, payload: Payload) {
-        let lane = wire::Kind::of(&payload).lane();
-        if let Some(f) = &self.faults {
-            if lane.is_some_and(|lane| f.should_drop(lane)) {
-                // Lost "on the wire": never encoded, never delivered. The
-                // counter is the only evidence — exactly like a real loss.
-                self.fabric.stats.inc(Metric::InjectedDrops);
-                return;
-            }
-        }
-        let Some(plane) = &self.plane else {
-            return self.fabric.deliver(to, payload);
-        };
-        let bytes = wire::encode(&payload);
-        if bytes.len() > wire::HEADER_BYTES + wire::MAX_FRAME_BYTES {
-            return self.refuse_oversized(from, to, payload, bytes.len());
-        }
-        if let Some(lane) = lane {
-            self.fabric.account(lane, bytes.len() as u64);
-        }
-        // What gets delivered is the *decoded* frame: every coded message
-        // proves round-trip fidelity.
-        plane.shared.route(to, &bytes);
-    }
-
-    /// A message whose encoding is over [`wire::MAX_FRAME_BYTES`] is refused
-    /// here, where it was built: the peer's frame reader would drop the
-    /// whole connection over it. Whoever waits on the message learns of it.
-    /// A request's reply slot is cancelled; an oversized reply is replaced
-    /// by the error, so its requester (possibly in another process) is
-    /// answered.
-    fn refuse_oversized(&self, from: Addr, to: Addr, payload: Payload, len: usize) {
-        self.fabric.stats.inc(Metric::WireOversized);
-        eprintln!(
-            "dtask: {from:?} -> {to:?}: message of {len} bytes is over the {} byte frame limit; not sent",
-            wire::MAX_FRAME_BYTES
-        );
-        match payload {
-            Payload::Reply { corr, .. } => {
-                let reply = DataReply::Value(Err(format!(
-                    "reply of {len} bytes is over the {} byte frame limit",
-                    wire::MAX_FRAME_BYTES
-                )));
-                self.dispatch(from, to, Payload::Reply { corr, reply });
-            }
-            Payload::Data(request) => {
-                if let Some(slot) = request.reply_to() {
-                    self.fabric.cancel(slot.corr);
-                }
-            }
-            _ => {}
-        }
+        let plane = self.plane.as_ref().map(|plane| &plane.shared);
+        self.fabric.dispatch(plane, from, to, payload);
     }
 }
 
@@ -501,13 +503,18 @@ impl Endpoint {
 
     /// Remove a client inbox route (called by `Client::drop`).
     pub(crate) fn unregister_client(&self, id: ClientId) {
-        self.router.unregister_client(id);
+        self.router.fabric.clients.lock().remove(&id);
     }
 
-    /// Worker `w`'s data server is retired: every reply slot aimed at it
-    /// dies (see [`Fabric::peer_gone`]).
-    pub(crate) fn peer_gone(&self, w: WorkerId) {
-        self.router.fabric.peer_gone(w);
+    /// Retire worker `w`'s store: a request to `w` delivered from now on
+    /// hangs up, and so does every reply slot already aimed at it (see
+    /// [`Fabric::peer_gone`]). Its slots keep what they hold of it.
+    pub(crate) fn retire_store(&self, w: WorkerId) {
+        let fabric = &self.router.fabric;
+        if let Some(store) = fabric.channels.stores.get(w) {
+            store.lock().take();
+        }
+        fabric.peer_gone(w);
     }
 
     /// Send into the scheduler.
@@ -522,7 +529,7 @@ impl Endpoint {
             .dispatch(self.from, Addr::WorkerExec(w), Payload::Exec(msg));
     }
 
-    /// Send to worker `w`'s data server.
+    /// Send to worker `w`'s store.
     pub fn send_data(&self, w: WorkerId, msg: DataMsg) {
         self.router
             .dispatch(self.from, Addr::WorkerData(w), Payload::Data(msg));
@@ -534,21 +541,10 @@ impl Endpoint {
             .dispatch(self.from, Addr::Client(client), Payload::Client(msg));
     }
 
-    /// Route a reply for a previously received request token.
-    pub fn reply(&self, to: ReplyTo, reply: DataReply) {
-        self.router.dispatch(
-            self.from,
-            to.addr,
-            Payload::Reply {
-                corr: to.corr,
-                reply,
-            },
-        );
-    }
-
-    /// Send worker `w`'s data server the request `msg` builds around a fresh
-    /// reply slot. The returned receiver yields how the request ended; a
-    /// dead server surfaces there as [`Outcome::HungUp`], never as a hang.
+    /// Send worker `w`'s store the request `msg` builds around a fresh reply
+    /// slot. The returned receiver yields how the request ended; a retired
+    /// or unreachable store surfaces there as [`Outcome::HungUp`], never as
+    /// a hang. Under InProc the store answers in this call.
     pub fn request(&self, w: WorkerId, msg: impl FnOnce(ReplyTo) -> DataMsg) -> ReplyRx {
         let (reply, rx) = self.reply_slot(w);
         self.send_data(w, msg(reply));
@@ -643,7 +639,7 @@ pub(crate) type Failed = (TaskError, Option<WorkerId>);
 
 /// The keys a [`Gather`] reads, each with its holders in the order to ask
 /// them, and an ask of one (`(i, holder)`: key `i`, of that holder).
-type Wants = Vec<(Key, Vec<WorkerId>)>;
+pub type Wants = Vec<(Key, Vec<WorkerId>)>;
 type Ask = (usize, WorkerId);
 
 /// One read of several keys from the workers holding them: the holder
@@ -770,24 +766,19 @@ impl Gather {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ObjectStore;
     use crossbeam::channel::RecvTimeoutError;
     use std::convert::Infallible;
 
     fn router_with(
         config: &TransportConfig,
-        n_workers: usize,
         channels: ClusterChannels,
         faults: FaultPlan,
     ) -> Arc<Router> {
         let stats = Arc::new(SchedulerStats::default());
-        Router::new(
-            n_workers,
-            channels,
-            stats,
-            TraceHandle::disabled(),
-            faults,
-            |fabric| Ok::<_, Infallible>(Plane::for_transport(config, fabric)),
-        )
+        Router::new(channels, stats, TraceHandle::disabled(), faults, |fabric| {
+            Ok::<_, Infallible>(Plane::for_transport(config, fabric))
+        })
         .expect("test router")
     }
 
@@ -802,10 +793,19 @@ mod tests {
         let (sched_tx, sched_rx) = unbounded();
         let channels = ClusterChannels {
             sched_tx,
-            data_txs: Vec::new(),
             lanes: Vec::new(),
+            stores: Vec::new(),
         };
-        (router_with(&config, 2, channels, faults), sched_rx)
+        (router_with(&config, channels, faults), sched_rx)
+    }
+
+    /// A router for one worker over `config`, and that worker's store.
+    fn stored_router(config: TransportConfig) -> (Arc<Router>, WorkerStore) {
+        let store = Arc::new(ObjectStore::unbounded());
+        let held = Some(Arc::clone(&store));
+        let (channels, _sched_rx) = ClusterChannels::new(1, 1, None, |_| held.clone());
+        let router = router_with(&config, channels, FaultPlan::default());
+        (router, store)
     }
 
     // ---- the holder fallback rule, stepped by hand: no thread, no sleep --
@@ -968,7 +968,7 @@ mod tests {
 
     #[test]
     fn reply_slots_cancel_when_server_is_gone() {
-        // No data servers registered at all: a Get must cancel its slot so
+        // No stores registered at all: a Get must cancel its slot so
         // the requester unblocks instead of hanging.
         let (router, _rx) = test_router(TransportConfig::InProc);
         let ep = router.endpoint(Addr::Client(0));
@@ -1078,7 +1078,7 @@ mod tests {
     #[test]
     fn tcp_reply_slots_cancel_when_server_is_gone() {
         // Same dead-peer contract as InProc/Framed, but the request now
-        // crosses a socket before the missing data server is discovered.
+        // crosses a socket before the missing store is discovered.
         let (router, _rx) = test_router(TransportConfig::Tcp);
         let ep = router.endpoint(Addr::Client(0));
         let reply_rx = ep.request(5, |reply| DataMsg::Get {
@@ -1097,8 +1097,7 @@ mod tests {
     /// cancelled, so the sender waited forever.
     #[test]
     fn tcp_oversized_put_is_refused_where_it_is_built_and_the_route_stays_usable() {
-        let (channels, _sched_rx, inboxes) = ClusterChannels::new(1, 1, None);
-        let router = router_with(&TransportConfig::Tcp, 1, channels, FaultPlan::default());
+        let (router, store) = stored_router(TransportConfig::Tcp);
         let ep = router.endpoint(Addr::Client(0));
         let put = |elements: usize| {
             ep.request(0, |ack| DataMsg::Put {
@@ -1118,9 +1117,11 @@ mod tests {
         assert_eq!(router.fabric.stats.wire_oversized(), 1);
         assert_eq!(router.fabric.stats.wire_messages(WireLane::DataIn), 0);
 
-        let _ack_rx = put(4);
-        match inboxes[0].data_rx.recv_timeout(Duration::from_secs(30)) {
-            Ok(DataMsg::Put { value, .. }) => assert_eq!(value.as_array().unwrap().len(), 4),
+        let acked = put(4).recv();
+        match (acked, store.get(&Key::new("blk"))) {
+            (Outcome::Value(DataReply::PutAck), Some(value)) => {
+                assert_eq!(value.as_array().unwrap().len(), 4)
+            }
             _ => panic!("the small Put behind the refused one was not delivered"),
         }
         assert_eq!(router.fabric.stats.wire_messages(WireLane::DataIn), 1);
@@ -1129,13 +1130,15 @@ mod tests {
     /// A reply over the limit is answered with the error in its place.
     #[test]
     fn oversized_reply_reaches_its_requester_as_an_error() {
-        let (router, _rx) = test_router(TransportConfig::Framed);
-        let requester = router.endpoint(Addr::Control);
-        let responder = router.endpoint(Addr::WorkerData(0));
-        let (token, reply_rx) = requester.reply_slot(0);
+        let (router, store) = stored_router(TransportConfig::Framed);
         let block = linalg::NDArray::zeros(&[crate::net::MAX_FRAME_BYTES / 8 + 1]);
-        responder.reply(token, DataReply::Value(Ok(block.into())));
-        match reply_rx.recv() {
+        store.insert(Key::new("blk"), block.into());
+        let requester = router.endpoint(Addr::Control);
+        let get = |reply| DataMsg::Get {
+            key: Key::new("blk"),
+            reply,
+        };
+        match requester.request(0, get).recv() {
             Outcome::Miss(err) => assert!(err.contains("frame limit"), "{err}"),
             other => panic!("wrong outcome: {other:?}"),
         }
@@ -1143,14 +1146,17 @@ mod tests {
         assert_eq!(router.fabric.stats.wire_messages(WireLane::ReplyIn), 1);
     }
 
-    #[test]
-    fn tcp_reply_round_trip() {
-        let (router, _rx) = test_router(TransportConfig::Tcp);
+    /// A store holding 32 + 64 payload bytes answers its statistics over
+    /// `config`, and the answer crosses the plane once.
+    fn reply_round_trip(config: TransportConfig) {
+        let (router, store) = stored_router(config);
+        store.insert(Key::new("a"), linalg::NDArray::zeros(&[4]).into());
+        store.insert(Key::new("b"), linalg::NDArray::zeros(&[8]).into());
         let requester = router.endpoint(Addr::Control);
-        let responder = router.endpoint(Addr::WorkerData(0));
-        let (token, reply_rx) = requester.reply_slot(0);
-        responder.reply(token, DataReply::Stats { keys: 2, bytes: 96 });
-        match reply_rx.recv() {
+        match requester
+            .request(0, |reply| DataMsg::Stats { reply })
+            .recv()
+        {
             Outcome::Value(DataReply::Stats { keys, bytes }) => {
                 assert_eq!((keys, bytes), (2, 96));
             }
@@ -1160,18 +1166,25 @@ mod tests {
     }
 
     #[test]
+    fn tcp_reply_round_trip() {
+        reply_round_trip(TransportConfig::Tcp);
+    }
+
+    #[test]
     fn reply_round_trip_over_framed() {
-        let (router, _rx) = test_router(TransportConfig::Framed);
+        reply_round_trip(TransportConfig::Framed);
+    }
+
+    /// Under InProc the store answers in the requester's thread: the reply
+    /// is waiting before `request` returns.
+    #[test]
+    fn an_inproc_request_is_answered_before_it_returns() {
+        let (router, _store) = stored_router(TransportConfig::InProc);
         let requester = router.endpoint(Addr::Control);
-        let responder = router.endpoint(Addr::WorkerData(0));
-        let (token, reply_rx) = requester.reply_slot(0);
-        responder.reply(token, DataReply::Stats { keys: 2, bytes: 96 });
-        match reply_rx.recv() {
-            Outcome::Value(DataReply::Stats { keys, bytes }) => {
-                assert_eq!((keys, bytes), (2, 96));
-            }
-            other => panic!("wrong reply: {other:?}"),
-        }
-        assert_eq!(router.fabric.stats.wire_messages(WireLane::ReplyIn), 1);
+        let reply_rx = requester.request(0, |reply| DataMsg::Stats { reply });
+        assert!(
+            matches!(reply_rx.rx.try_recv(), Ok(DataReply::Stats { keys: 0, .. })),
+            "no reply in the slot when the request returned"
+        );
     }
 }

@@ -1,11 +1,11 @@
-//! Worker: executor slots + always-responsive data-server thread.
+//! Worker: executor slots over one core, and a store that answers reads.
 //!
-//! Splitting the worker into compute and comm halves mirrors the
-//! comm/executor split of a Dask worker and makes peer dependency fetches
-//! deadlock-free: the data server never blocks on task execution, so two
-//! workers can fetch from each other while both executors are busy. The
-//! data server's body is one function of the store,
-//! [`ObjectStore::answer`], which the DES calls too.
+//! Peer dependency fetches are deadlock-free because a read never waits on
+//! the holder's slots: the holder's store answers it
+//! ([`ObjectStore::answer`], which the DES calls too) in the thread that
+//! delivers it — the requester's own under InProc, a link reader on a coded
+//! backend — so two workers can fetch from each other while both executors
+//! are busy. No thread serves the store.
 //!
 //! The execution pipeline is built around three ideas:
 //!
@@ -38,7 +38,7 @@ use crate::stats::{Hist, Metric, MsgClass, SchedulerStats};
 use crate::store::{ObjectStore, StoreConfig};
 use crate::telemetry::TelemetryHub;
 use crate::trace::{EventKind, TraceActor, TraceHandle, TraceRecorder};
-use crate::transport::{Addr, Endpoint, Failed, Router, WorkerInbox};
+use crate::transport::{Addr, Endpoint, Failed, Router, Wants};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -46,7 +46,8 @@ use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Shared object store of one worker (data server + every executor slot).
+/// Shared object store of one worker: the fabric delivers reads to it, and
+/// every executor slot reads and writes it.
 pub(crate) type WorkerStore = Arc<ObjectStore>;
 
 /// A periodic thread (a heartbeat, the telemetry sampler) that blocks on its
@@ -96,11 +97,10 @@ impl Pinger {
 
 /// Everything one worker needs to come up, wherever it runs: an in-process
 /// [`crate::Cluster`] builds one per worker, a `dtask-node` process builds
-/// its own from the hub's `Welcome`.
+/// its own from the hub's `Welcome`. Its core and store come from the
+/// router, which holds them from the start.
 pub(crate) struct WorkerSpec<'a> {
     pub id: WorkerId,
-    pub store: StoreConfig,
-    pub inbox: WorkerInbox,
     pub router: &'a Arc<Router>,
     pub registry: &'a OpRegistry,
     pub stats: &'a Arc<SchedulerStats>,
@@ -110,19 +110,31 @@ pub(crate) struct WorkerSpec<'a> {
     pub telemetry: Option<&'a Arc<TelemetryHub>>,
 }
 
-/// One running worker: the data-server thread, the executor-slot threads and
-/// the heartbeat pinger, with the two teardown steps every owner composes.
-/// Orderly shutdown and node exit retire slots, then data (nothing may write
-/// into a data server that is gone); a fault-injection kill retires data
-/// first (see [`crate::Cluster::kill_worker`]). Both steps stop the pinger
-/// before anything else, and dropping the runtime runs the orderly order.
+/// One running worker: the executor-slot threads and the heartbeat pinger,
+/// with the two teardown steps every owner composes. Orderly shutdown and
+/// node exit retire slots, then the store (another worker's slot may still
+/// read from it); a fault-injection kill retires the store first (see
+/// [`crate::Cluster::kill_worker`]). Both steps stop the pinger before
+/// anything else, and dropping the runtime runs the orderly order.
 pub(crate) struct WorkerRuntime {
     id: WorkerId,
-    /// Routes the `Shutdown` messages of the teardown steps.
+    /// Routes the teardown steps: the slots' `Shutdown`s, the store's
+    /// retirement.
     control: Endpoint,
     pinger: Option<Pinger>,
     slots: Vec<JoinHandle<()>>,
-    data: Option<JoinHandle<()>>,
+}
+
+/// Build worker `id`'s store: before its router, so that no plane can
+/// deliver to the worker before its store exists.
+pub(crate) fn new_store(
+    id: WorkerId,
+    config: StoreConfig,
+    stats: &Arc<SchedulerStats>,
+    tracer: &TraceRecorder,
+) -> WorkerStore {
+    let trace = tracer.register(TraceActor::Store { worker: id });
+    Arc::new(ObjectStore::new(config, id, Arc::clone(stats), trace))
 }
 
 impl WorkerRuntime {
@@ -130,13 +142,8 @@ impl WorkerRuntime {
     /// running are retired before the error is returned.
     pub(crate) fn spawn(spec: WorkerSpec<'_>) -> std::io::Result<WorkerRuntime> {
         let WorkerSpec { id, router, .. } = spec;
-        let store: WorkerStore = Arc::new(ObjectStore::new(
-            spec.store,
-            id,
-            Arc::clone(spec.stats),
-            spec.tracer.register(TraceActor::Store { worker: id }),
-        ));
-        let WorkerInbox { data_rx, lane } = spec.inbox;
+        let no_store = || std::io::Error::other(format!("worker {id} has no store here"));
+        let (lane, store) = router.worker(id).ok_or_else(no_store)?;
         let slots = lane.state.lock().core.slots();
         // From here on an early `?` drops `rt`, which retires what it holds.
         let mut rt = WorkerRuntime {
@@ -144,15 +151,7 @@ impl WorkerRuntime {
             control: router.endpoint(Addr::Control),
             pinger: None,
             slots: Vec::with_capacity(slots),
-            data: None,
         };
-        let data_store = Arc::clone(&store);
-        let data_endpoint = router.endpoint(Addr::WorkerData(id));
-        rt.data = Some(
-            std::thread::Builder::new()
-                .name(format!("dtask-worker-{id}-data"))
-                .spawn(move || run_data_server(data_store, data_rx, data_endpoint))?,
-        );
         for slot in 0..slots {
             let exec = Executor {
                 id,
@@ -204,16 +203,12 @@ impl WorkerRuntime {
         }
     }
 
-    /// Teardown step: retire the data server. Once its thread is joined
-    /// nothing answers a request to this worker, so every reply slot aimed
-    /// at it dies — a request still queued behind the `Shutdown` included.
+    /// Teardown step: retire the store from the data plane. From then on
+    /// nothing answers a request to this worker, so it hangs up, as does
+    /// every reply slot already aimed at it.
     pub(crate) fn stop_data(&mut self) {
         self.stop_pinger();
-        if let Some(thread) = self.data.take() {
-            self.control.send_data(self.id, DataMsg::Shutdown);
-            let _ = thread.join();
-            self.control.peer_gone(self.id);
-        }
+        self.control.retire_store(self.id);
     }
 }
 
@@ -221,23 +216,6 @@ impl Drop for WorkerRuntime {
     fn drop(&mut self) {
         self.stop_slots();
         self.stop_data();
-    }
-}
-
-/// The data-server half: answers each request from the store
-/// ([`ObjectStore::answer`]) until `Shutdown`. Replies are routed back
-/// through the transport via the [`ReplyTo`] token carried by each request,
-/// so requesters never hand us a live channel.
-///
-/// [`ReplyTo`]: crate::transport::ReplyTo
-pub(crate) fn run_data_server(store: WorkerStore, rx: Receiver<DataMsg>, endpoint: Endpoint) {
-    while let Ok(msg) = rx.recv() {
-        if let DataMsg::Shutdown = msg {
-            break;
-        }
-        if let Some((to, reply)) = store.answer(msg) {
-            endpoint.reply(to, reply);
-        }
     }
 }
 
@@ -493,13 +471,13 @@ impl Lane {
 pub(crate) struct Executor {
     /// This worker's id.
     id: WorkerId,
-    /// Local store (shared with the data server and sibling slots).
+    /// Local store (shared with the fabric and sibling slots).
     store: WorkerStore,
     /// This worker's core (shared by all slots of this worker).
     lane: Arc<Lane>,
     /// Outbound route to the scheduler (completion/replica reports), to
-    /// peer data servers (dependency fetches) and to a thief's executor
-    /// (stolen work).
+    /// peer stores (dependency fetches) and to a thief's executor (stolen
+    /// work).
     endpoint: Endpoint,
     /// Shared op registry.
     registry: OpRegistry,
@@ -589,22 +567,7 @@ impl Executor {
         dep_locations: &[(Key, Vec<WorkerId>)],
         replicas: &mut Vec<(Key, u64)>,
     ) -> Result<Vec<Datum>, Failed> {
-        // Every local dependency resolves under one store lock.
-        let inputs = self.store.get_many(&spec.deps);
-        let wants: Vec<(Key, Vec<WorkerId>)> = spec
-            .deps
-            .iter()
-            .zip(&inputs)
-            .filter(|(_, input)| input.is_none())
-            .map(|(key, _)| {
-                let holders = dep_locations
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, locs)| locs.iter().copied().filter(|&w| w != self.id).collect())
-                    .unwrap_or_default();
-                (key.clone(), holders)
-            })
-            .collect();
+        let (inputs, wants) = slot_reads(&self.store, self.id, &spec.deps, dep_locations);
         if wants.is_empty() {
             return Ok(inputs.into_iter().flatten().collect());
         }
@@ -749,6 +712,31 @@ impl Executor {
     }
 }
 
+/// What a slot of worker `me` reads before it runs a task on `deps`: each
+/// input `store` holds, all taken under one lock (`None` for the others),
+/// and each other input with its holders in `dep_locations`, less `me`, in
+/// the order to ask them. The live executor and the DES both build a
+/// gather's wants here.
+pub fn slot_reads(
+    store: &ObjectStore,
+    me: WorkerId,
+    deps: &[Key],
+    dep_locations: &[(Key, Vec<WorkerId>)],
+) -> (Vec<Option<Datum>>, Wants) {
+    let inputs = store.get_many(deps);
+    let missing = deps
+        .iter()
+        .zip(&inputs)
+        .filter(|(_, input)| input.is_none());
+    let wants = missing.map(|(key, _)| {
+        let listed = dep_locations.iter().find(|(k, _)| k == key);
+        let holders = listed.map(|(_, h)| h.iter().copied().filter(|&w| w != me).collect());
+        (key.clone(), holders.unwrap_or_default())
+    });
+    let wants = wants.collect();
+    (inputs, wants)
+}
+
 /// Resolve every [`DatumRef`] handle inside `value` (lists recurse) to its
 /// payload: `local` first (zero-copy on the holder), then one concurrent
 /// [`DataMsg::Fetch`] to the holders of the rest. Executors and clients
@@ -822,62 +810,47 @@ fn substitute_refs(value: &Datum, resolved: &HashMap<Key, Datum>) -> Datum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{ClusterChannels, FaultPlan, Outcome};
+    use crate::net::Plane;
+    use crate::transport::{ClusterChannels, DataReply, FaultPlan, Outcome, TransportConfig};
 
-    /// An in-process router for workers `0..n`.
-    fn inproc_router(
-        n: usize,
+    /// A router for the workers of `channels` over `transport`.
+    fn router(
+        transport: &TransportConfig,
         channels: ClusterChannels,
         stats: &Arc<SchedulerStats>,
     ) -> Arc<Router> {
         let trace = TraceHandle::disabled();
         Router::new(
-            n,
             channels,
             Arc::clone(stats),
             trace,
             FaultPlan::default(),
-            |_| Ok::<_, std::convert::Infallible>(None),
+            |fabric| Ok::<_, std::convert::Infallible>(Plane::for_transport(transport, fabric)),
         )
         .expect("test router")
     }
 
     /// Workers `0..n` behind an in-process router, each with its own store.
     /// Worker 0 runs the executor under test; every other worker not listed
-    /// in `dead` runs a real data server. A dead worker's inbox is dropped,
-    /// so requests to it are cancelled like requests to a killed worker.
+    /// in `dead` answers reads from its store. A dead worker's store is not
+    /// in the router, so requests to it hang up like requests to a killed
+    /// worker.
     struct Rig {
         exec: Executor,
         stores: Vec<WorkerStore>,
         sched_rx: Receiver<SchedMsg>,
-        servers: Vec<(WorkerId, JoinHandle<()>)>,
     }
 
     fn rig(n: usize, dead: &[WorkerId]) -> Rig {
-        let (channels, sched_rx, inboxes) = ClusterChannels::new(n, 1, None);
         let stats = Arc::new(SchedulerStats::new());
-        let router = inproc_router(n, channels, &stats);
+        let tracer = TraceRecorder::disabled();
         let stores: Vec<WorkerStore> = (0..n)
-            .map(|id| {
-                let config = StoreConfig::default();
-                let trace = TraceHandle::disabled();
-                Arc::new(ObjectStore::new(config, id, Arc::clone(&stats), trace))
-            })
+            .map(|id| new_store(id, StoreConfig::default(), &stats, &tracer))
             .collect();
-        let mut servers = Vec::new();
-        let mut inboxes = inboxes.into_iter();
-        let lane = inboxes.next().expect("worker 0's inbox").lane;
-        for (id, inbox) in inboxes.enumerate().map(|(i, inbox)| (i + 1, inbox)) {
-            if !dead.contains(&id) {
-                let (store, endpoint) = (
-                    Arc::clone(&stores[id]),
-                    router.endpoint(Addr::WorkerData(id)),
-                );
-                let server =
-                    std::thread::spawn(move || run_data_server(store, inbox.data_rx, endpoint));
-                servers.push((id, server));
-            }
-        }
+        let live = |id: WorkerId| (!dead.contains(&id)).then(|| Arc::clone(&stores[id]));
+        let (channels, sched_rx) = ClusterChannels::new(n, 1, None, live);
+        let lane = Arc::clone(&channels.lanes[0]);
+        let router = router(&TransportConfig::InProc, channels, &stats);
         let exec = Executor {
             id: 0,
             store: Arc::clone(&stores[0]),
@@ -892,16 +865,6 @@ mod tests {
             exec,
             stores,
             sched_rx,
-            servers,
-        }
-    }
-
-    impl Drop for Rig {
-        fn drop(&mut self) {
-            for (id, server) in self.servers.drain(..) {
-                self.exec.endpoint.send_data(id, DataMsg::Shutdown);
-                let _ = server.join();
-            }
         }
     }
 
@@ -1013,39 +976,74 @@ mod tests {
         );
     }
 
-    /// A request that reached the inbox behind the data server's `Shutdown`
-    /// stayed there when the thread exited, its reply slot open: the
-    /// requester waited forever, and a cluster dropped after it never
-    /// finished joining.
-    #[test]
-    fn a_request_queued_behind_the_data_servers_shutdown_hangs_up() {
-        let (channels, _sched_rx, inboxes) = ClusterChannels::new(2, 0, None);
-        let stats = Arc::new(SchedulerStats::new());
-        let router = inproc_router(2, channels, &stats);
-        let requester = router.endpoint(Addr::Control);
-        requester.send_data(1, DataMsg::Shutdown);
-        let reply = requester.request(1, |reply| DataMsg::Get {
-            key: Key::new("k"),
-            reply,
-        });
-        let mut runtime = WorkerRuntime::spawn(WorkerSpec {
-            id: 1,
-            store: StoreConfig::default(),
-            inbox: inboxes.into_iter().nth(1).expect("worker 1's inbox"),
-            router: &router,
+    /// Worker `id` of `n`, spawned on `router`, with no heartbeat.
+    fn spawn(router: &Arc<Router>, id: WorkerId, stats: &Arc<SchedulerStats>) -> WorkerRuntime {
+        WorkerRuntime::spawn(WorkerSpec {
+            id,
+            router,
             registry: &OpRegistry::with_std_ops(),
-            stats: &stats,
+            stats,
             heartbeat: None,
             tracer: &TraceRecorder::disabled(),
             telemetry: None,
         })
-        .expect("worker threads");
-        runtime.stop_data();
+        .expect("worker threads")
+    }
+
+    /// A read once a worker's store is retired hangs up. When a data-server
+    /// thread answered reads, a request that reached its inbox behind the
+    /// `Shutdown` stayed there when the thread exited, its reply slot open:
+    /// the requester waited forever, and a cluster dropped after it never
+    /// finished joining.
+    #[test]
+    fn a_request_queued_behind_the_data_servers_shutdown_hangs_up() {
+        let stats = Arc::new(SchedulerStats::new());
+        let tracer = TraceRecorder::disabled();
+        let store = |id| Some(new_store(id, StoreConfig::default(), &stats, &tracer));
+        let (channels, _sched_rx) = ClusterChannels::new(2, 0, None, store);
+        let router = router(&TransportConfig::InProc, channels, &stats);
+        let requester = router.endpoint(Addr::Control);
+        spawn(&router, 1, &stats).stop_data();
+        let reply = requester.request(1, |reply| DataMsg::Get {
+            key: Key::new("k"),
+            reply,
+        });
         let (tx, rx) = crossbeam::channel::bounded(1);
         std::thread::spawn(move || tx.send(reply.recv()));
         match rx.recv_timeout(Duration::from_secs(10)) {
             Ok(Outcome::HungUp) => {}
             other => panic!("the queued Get was not hung up: {other:?}"),
+        }
+    }
+
+    /// A `dtask-node` starts its plane before its worker's runtime: a `Put`
+    /// delivered in between is acked and stored, and the runtime serves the
+    /// same store.
+    #[test]
+    fn a_put_delivered_before_the_runtime_is_spawned_is_acked_and_stored() {
+        for transport in [TransportConfig::InProc, TransportConfig::Tcp] {
+            let stats = Arc::new(SchedulerStats::new());
+            let tracer = TraceRecorder::disabled();
+            let store = |id| Some(new_store(id, StoreConfig::default(), &stats, &tracer));
+            let (channels, _sched_rx) = ClusterChannels::new(1, 1, None, store);
+            let router = router(&transport, channels, &stats);
+            let client = router.endpoint(Addr::Client(0));
+            let (key, value) = (Key::new("blk"), Datum::F64(7.0));
+            let put = client.request(0, |ack| DataMsg::Put { key, value, ack });
+            assert!(
+                matches!(put.recv(), Outcome::Value(DataReply::PutAck)),
+                "{transport:?}: the early Put was not acked"
+            );
+            let runtime = spawn(&router, 0, &stats);
+            let get = client.request(0, |reply| DataMsg::Get {
+                key: Key::new("blk"),
+                reply,
+            });
+            match get.recv() {
+                Outcome::Value(DataReply::Value(Ok(v))) => assert_eq!(v.as_f64(), Some(7.0)),
+                other => panic!("{transport:?}: the early Put was not stored: {other:?}"),
+            }
+            drop(runtime);
         }
     }
 
@@ -1234,8 +1232,8 @@ mod tests {
     /// polls, the scheduler's steal between them, then the victim's kill.
     /// The stolen task finishes on the thief. The kill's `Shutdown` queues
     /// behind the work the victim kept, as a message on a FIFO inbox did:
-    /// its slot retires only after running it (live, into a store whose
-    /// data server is already gone, so the scheduler recomputes it).
+    /// its slot retires only after running it (live, into a store already
+    /// retired from the data plane, so the scheduler recomputes it).
     #[test]
     fn a_task_stolen_from_a_worker_that_is_then_killed_finishes_on_the_thief() {
         let (mut victim, mut thief) = (Core::new(0, 1), Core::new(1, 1));

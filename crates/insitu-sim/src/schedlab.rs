@@ -466,6 +466,7 @@ mod tests {
                         "{name}: placed once"
                     );
                     assert_eq!(o.tasks, n, "{name}: computed once, none erred");
+                    assert_eq!(o.stats.tasks_erred(), 0, "{name}: no erred report");
                     assert_eq!(counts(&o), counts(&default), "{name}");
                     assert!(o.stats.count(MsgClass::AddReplica) as usize <= n, "{name}");
                     let again = run_seeded(&w, (4, 2), &p, Some(seed));

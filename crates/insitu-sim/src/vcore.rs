@@ -6,7 +6,7 @@
 //! [`simside`](crate::simside) uses only that half. [`VirtualCluster`] adds
 //! the workers; [`schedlab`](crate::schedlab) is one configuration of it.
 //! Each worker is a [`Core`] and an [`ObjectStore`] that answers data
-//! requests through [`ObjectStore::answer`], as the live data server does.
+//! requests through [`ObjectStore::answer`], as the live transport does.
 //! A slot's gather is a [`Gather`] of real `DataMsg::Get`s, each answered at
 //! once by its holder's store, so data moves between the stores as in the
 //! live cluster (as stand-ins, [`stand_in`], not bytes). [`Costs`] says what
@@ -18,7 +18,7 @@
 use dtask::msg::{Assignment, ClientId, ClientMsg, DataMsg, ExecMsg, SchedMsg, WorkerId};
 use dtask::scheduler::{LivenessConfig, Scheduler, Sink};
 use dtask::transport::{Addr, Gather, Outcome, Payload};
-use dtask::worker::{Core, Effect, Event};
+use dtask::worker::{slot_reads, Core, Effect, Event};
 use dtask::{DataReply, ReplyTo, StoreConfig, TraceHandle};
 use dtask::{Datum, Key, ObjectStore, PolicyConfig, SchedulerStats, TaskSpec};
 use netsim::{transfer_ns, Engine, SimTime};
@@ -319,13 +319,7 @@ impl<T: FnMut(&TaskSpec) -> (u64, u64)> Workers<T> {
     /// finish is reported.
     fn start(&mut self, w: WorkerId, assignment: &Assignment) {
         let (spec, stores) = (&assignment.spec, &self.stores);
-        let inputs = stores[w].get_many(&spec.deps);
-        let missing = spec.deps.iter().zip(&inputs).filter(|(_, v)| v.is_none());
-        let wants = missing.map(|(key, _)| {
-            let listed = assignment.dep_locations.iter().find(|(k, _)| k == key);
-            let holders = listed.map(|(_, h)| h.iter().copied().filter(|&h| h != w).collect());
-            (key.clone(), holders.unwrap_or_default())
-        });
+        let (_, wants) = slot_reads(&stores[w], w, &spec.deps, &assignment.dep_locations);
         let ask = |key: &Key, holder: WorkerId| {
             let reply = ReplyTo {
                 addr: Addr::WorkerExec(w),
@@ -347,7 +341,7 @@ impl<T: FnMut(&TaskSpec) -> (u64, u64)> Workers<T> {
             }
             outcome
         };
-        let gathered = Gather::run(wants.collect(), |key| stores[w].get(key), ask, got);
+        let gathered = Gather::run(wants, |key| stores[w].get(key), ask, got);
         if !fetched.is_empty() {
             self.eng
                 .schedule(gather_ns, Ev::Worker(w, Event::Gathered(fetched)));
