@@ -306,12 +306,8 @@ impl Cluster {
         // One router fronts every inter-actor channel; actors only ever see
         // `Endpoint`s derived from it. A hub runs no local worker, so it
         // builds no store: every worker-bound message routes over the plane.
-        let store = |id| {
-            let config = config.store.clone();
-            deploy
-                .is_none()
-                .then(|| new_store(id, config, &stats, &tracer))
-        };
+        let local = deploy.is_none();
+        let store = |id| local.then(|| new_store(id, config.store.clone(), &stats, &tracer));
         let (channels, sched_rx) =
             ClusterChannels::new(config.n_workers, slots, config.policy.steal_poll, store);
         let hub_plane = deploy.as_ref().map(|deploy| {

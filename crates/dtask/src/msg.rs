@@ -387,8 +387,8 @@ pub enum DataMsg {
         /// Where to route the value (or the miss error).
         reply: ReplyTo,
     },
-    /// A no-op: it stopped the data-server thread that once answered these
-    /// messages, and stays so that its frame still decodes.
+    /// A no-op, kept so that its frame (pinned in the wire golden) still
+    /// decodes.
     Shutdown,
 }
 

@@ -976,7 +976,7 @@ mod tests {
         );
     }
 
-    /// Worker `id` of `n`, spawned on `router`, with no heartbeat.
+    /// Worker `id`'s runtime on `router`, with no heartbeat.
     fn spawn(router: &Arc<Router>, id: WorkerId, stats: &Arc<SchedulerStats>) -> WorkerRuntime {
         WorkerRuntime::spawn(WorkerSpec {
             id,
@@ -990,11 +990,8 @@ mod tests {
         .expect("worker threads")
     }
 
-    /// A read once a worker's store is retired hangs up. When a data-server
-    /// thread answered reads, a request that reached its inbox behind the
-    /// `Shutdown` stayed there when the thread exited, its reply slot open:
-    /// the requester waited forever, and a cluster dropped after it never
-    /// finished joining.
+    /// A read once a worker's store is retired hangs up: its requester must
+    /// not wait forever, nor keep a cluster dropped after it from joining.
     #[test]
     fn a_request_queued_behind_the_data_servers_shutdown_hangs_up() {
         let stats = Arc::new(SchedulerStats::new());
