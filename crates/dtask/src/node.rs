@@ -20,6 +20,7 @@ use crate::net::NodeHandshake;
 use crate::spec::OpRegistry;
 use crate::stats::SchedulerStats;
 use crate::store::StoreConfig;
+use crate::telemetry::TelemetryHub;
 use crate::trace::{TraceHandle, TraceRecorder};
 use crate::transport::{ClusterChannels, FaultPlan, Router};
 use crate::worker::{new_store, WorkerRuntime, WorkerSpec};
@@ -115,6 +116,8 @@ pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, 
         |fabric| handshake.start(fabric, goodbye_tx).map(Some),
     )?;
 
+    // The executors feed a straggler detector no thread reads: this process
+    // serves no exporter, and its stats stay here.
     let mut runtime = WorkerRuntime::spawn(WorkerSpec {
         id: w,
         router: &router,
@@ -122,7 +125,7 @@ pub fn run_node(config: NodeConfig, registry: OpRegistry) -> Result<NodeReport, 
         stats: &stats,
         heartbeat: millis(welcome.heartbeat_ms),
         tracer: &tracer,
-        telemetry: None,
+        telemetry: &Arc::new(TelemetryHub::new(Arc::clone(&stats))),
     })
     .map_err(|e| format!("worker thread spawn failed: {e}"))?;
 

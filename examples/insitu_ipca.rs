@@ -9,8 +9,8 @@
 //! Run: `cargo run --example insitu_ipca`
 //!
 //! The run exports its task-lifecycle trace and prints the critical-path
-//! phase attribution. The same pipeline on every transport, store, policy
-//! and the telemetry plane is `tests/end_to_end.rs::deisa3_matches_reference`.
+//! phase attribution. The same pipeline on every transport, store and
+//! policy is `tests/end_to_end.rs::deisa3_matches_reference`.
 
 use deisa_repro::darray;
 use deisa_repro::deisa::plugin::DeisaPlugin;

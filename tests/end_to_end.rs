@@ -8,7 +8,7 @@ use deisa_repro::deisa::plugin::DeisaPlugin;
 use deisa_repro::deisa::{Adaptor, DeisaVersion, Selection, VirtualArray};
 use deisa_repro::dml::{self, InSituIncrementalPCA, IncrementalPca, SvdSolver};
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, Key, PolicyConfig, StoreConfig, TelemetryConfig, TransportConfig,
+    Cluster, ClusterConfig, Datum, Key, PolicyConfig, StoreConfig, TransportConfig,
 };
 use deisa_repro::h5lite::{H5Reader, H5Writer, SharedWriter};
 use deisa_repro::heat2d::{run_rank, HeatConfig, PostHocPlugin};
@@ -203,7 +203,8 @@ fn deisa1_model() -> IncrementalPca {
 
 /// The paper's pipeline matches the serial reference on every transport,
 /// with payloads behind proxy handles in stores too small to hold them,
-/// under every placement policy and with the telemetry plane sampling.
+/// and under every placement policy, each with the telemetry plane that
+/// every cluster runs.
 /// Each task computes the same thing wherever it runs, so every run's model
 /// is bit-identical to the default run's.
 #[test]
@@ -255,17 +256,6 @@ fn deisa3_matches_reference() {
             "mineft",
             ClusterConfig {
                 policy: PolicyConfig::min_eft(),
-                ..ClusterConfig::default()
-            },
-        ),
-        (
-            "telemetry",
-            ClusterConfig {
-                telemetry: TelemetryConfig {
-                    sample_every: std::time::Duration::from_millis(5),
-                    serve_http: false,
-                    ..TelemetryConfig::enabled()
-                },
                 ..ClusterConfig::default()
             },
         ),
