@@ -31,7 +31,7 @@
 //! exactly `(nbytes, who_has)` per dependency — enough for cost models,
 //! nothing to mutate.
 
-use crate::key::{Key, SessionId};
+use crate::key::Key;
 use crate::msg::WorkerId;
 use crate::spec::TaskSpec;
 use std::cmp::Reverse;
@@ -139,10 +139,6 @@ pub struct PolicyConfig {
     /// Idle-poll interval before a worker asks to steal; `None` = no
     /// stealing (the default, and byte-identical to the pre-policy runtime).
     pub steal_poll: Option<Duration>,
-    /// Wrap the placement policy in [`FairSharePolicy`]: per-session ready
-    /// queues drained round-robin, so no tenant starves the others. Off by
-    /// default (one implicit session — behavior identical).
-    pub fair_share: bool,
 }
 
 impl Default for PolicyConfig {
@@ -157,7 +153,6 @@ impl PolicyConfig {
         PolicyConfig {
             kind: PolicyKind::Locality,
             steal_poll: None,
-            fair_share: false,
         }
     }
 
@@ -174,7 +169,6 @@ impl PolicyConfig {
         PolicyConfig {
             kind: PolicyKind::RandomStealing,
             steal_poll: Some(Duration::from_millis(1)),
-            ..PolicyConfig::locality()
         }
     }
 
@@ -186,12 +180,6 @@ impl PolicyConfig {
         }
     }
 
-    /// This config with the fair-share tenancy wrapper enabled.
-    pub fn with_fair_share(mut self) -> Self {
-        self.fair_share = true;
-        self
-    }
-
     /// Is worker-side stealing on?
     pub fn steal_enabled(&self) -> bool {
         self.steal_poll.is_some()
@@ -199,9 +187,6 @@ impl PolicyConfig {
 
     /// Instantiate the policy object for the scheduler thread.
     pub fn build(&self) -> Box<dyn SchedulingPolicy> {
-        if self.fair_share {
-            return Box::new(FairSharePolicy::new(self.clone()));
-        }
         match self.kind {
             PolicyKind::Locality => Box::new(LocalityPolicy::new()),
             PolicyKind::BLevel => Box::new(BLevelPolicy::new()),
@@ -594,101 +579,6 @@ impl SchedulingPolicy for MinEftPolicy {
     }
 }
 
-/// Fair-share tenancy wrapper: one instance of the configured base policy
-/// per session, drained round-robin so a tenant flooding the
-/// scheduler with ready tasks cannot starve the others. Placement decisions
-/// and graph-priority derivation route to the owning session's base policy,
-/// so fair-share composes with locality, b-level, stealing, and min-EFT
-/// unchanged. With a single session this degrades to exactly the base
-/// policy's order (the round-robin ring has one member).
-pub struct FairSharePolicy {
-    /// Base config each per-session queue is built from (`fair_share`
-    /// cleared, so `build()` never recurses).
-    base: PolicyConfig,
-    /// Session ring, in first-seen order.
-    sessions: Vec<SessionId>,
-    /// Per-session base-policy queues.
-    queues: HashMap<SessionId, Box<dyn SchedulingPolicy>>,
-    /// Ring position of the session drained next.
-    cursor: usize,
-}
-
-impl FairSharePolicy {
-    /// Wrap `config`'s base policy (its `fair_share` flag is ignored).
-    pub fn new(mut base: PolicyConfig) -> Self {
-        base.fair_share = false;
-        FairSharePolicy {
-            base,
-            sessions: Vec::new(),
-            queues: HashMap::new(),
-            cursor: 0,
-        }
-    }
-
-    /// The base-policy queue of `session`, created on first use.
-    fn queue_mut(&mut self, session: SessionId) -> &mut Box<dyn SchedulingPolicy> {
-        if !self.queues.contains_key(&session) {
-            self.queues.insert(session, self.base.build());
-            self.sessions.push(session);
-        }
-        self.queues.get_mut(&session).unwrap()
-    }
-}
-
-impl SchedulingPolicy for FairSharePolicy {
-    fn name(&self) -> &'static str {
-        "fair-share"
-    }
-
-    fn push(&mut self, key: Key) {
-        let session = key.session();
-        self.queue_mut(session).push(key);
-    }
-
-    fn pop(&mut self) -> Option<Key> {
-        // At most one full lap: every session gets inspected once before we
-        // conclude all queues are dry.
-        let n = self.sessions.len();
-        for _ in 0..n {
-            let session = self.sessions[self.cursor];
-            self.cursor = (self.cursor + 1) % n;
-            if let Some(key) = self.queues.get_mut(&session).unwrap().pop() {
-                return Some(key);
-            }
-        }
-        None
-    }
-
-    fn len(&self) -> usize {
-        self.queues.values().map(|q| q.len()).sum()
-    }
-
-    fn graph_submitted(&mut self, specs: &[Arc<TaskSpec>]) {
-        // Partition by session: priority derivation (b-levels) must only see
-        // each tenant's own graph.
-        let mut by_session: HashMap<SessionId, Vec<Arc<TaskSpec>>> = HashMap::new();
-        for spec in specs {
-            by_session
-                .entry(spec.key.session())
-                .or_default()
-                .push(Arc::clone(spec));
-        }
-        for (session, group) in by_session {
-            self.queue_mut(session).graph_submitted(&group);
-        }
-    }
-
-    fn decide_worker(
-        &mut self,
-        spec: &TaskSpec,
-        workers: &[WorkerState],
-        deps: &DepLookup<'_>,
-    ) -> Option<WorkerId> {
-        self.queue_mut(spec.key.session())
-            .decide_worker(spec, workers, deps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -835,104 +725,6 @@ mod tests {
             }
         };
         assert_eq!(p.decide_worker(&s, &ws, &lookup_small), Some(1));
-    }
-
-    #[test]
-    fn fair_share_round_robins_across_sessions() {
-        let mut p = FairSharePolicy::new(PolicyConfig::locality());
-        for i in 0..3 {
-            p.push(Key::scoped(1, format!("a{i}")));
-            p.push(Key::scoped(2, format!("b{i}")));
-        }
-        assert_eq!(p.len(), 6);
-        let order: Vec<String> = std::iter::from_fn(|| p.pop())
-            .map(|k| format!("s{}:{}", k.session(), k.as_str()))
-            .collect();
-        // Strict alternation, FIFO within each session.
-        assert_eq!(
-            order,
-            ["s1:a0", "s2:b0", "s1:a1", "s2:b1", "s1:a2", "s2:b2"]
-        );
-        assert!(p.pop().is_none());
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn fair_share_skips_dry_sessions() {
-        let mut p = FairSharePolicy::new(PolicyConfig::locality().with_fair_share());
-        for i in 0..4 {
-            p.push(Key::scoped(1, format!("a{i}")));
-        }
-        for i in 0..2 {
-            p.push(Key::scoped(2, format!("b{i}")));
-        }
-        let order: Vec<String> = std::iter::from_fn(|| p.pop())
-            .map(|k| format!("s{}:{}", k.session(), k.as_str()))
-            .collect();
-        // Once session 2 is dry, session 1 keeps draining unimpeded.
-        assert_eq!(
-            order,
-            ["s1:a0", "s2:b0", "s1:a1", "s2:b1", "s1:a2", "s1:a3"]
-        );
-    }
-
-    #[test]
-    fn fair_share_single_session_degrades_to_base_order() {
-        let mut fair = FairSharePolicy::new(PolicyConfig::locality());
-        let mut base = LocalityPolicy::new();
-        for i in 0..5 {
-            fair.push(Key::new(format!("t{i}")));
-            base.push(Key::new(format!("t{i}")));
-        }
-        loop {
-            let (f, b) = (fair.pop(), base.pop());
-            assert_eq!(f, b);
-            if f.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn fair_share_composes_with_blevel_per_session() {
-        let mut p = FairSharePolicy::new(PolicyConfig::b_level());
-        let scoped = |s: SessionId, k: &str, deps: &[&str]| {
-            Arc::new(TaskSpec::new(
-                Key::scoped(s, k),
-                "identity",
-                Datum::Null,
-                deps.iter().map(|d| Key::scoped(s, *d)).collect(),
-            ))
-        };
-        // Session 1: deep chain; its b-level queue must pop deep before leaf.
-        p.graph_submitted(&[
-            scoped(1, "deep", &[]),
-            scoped(1, "mid", &["deep"]),
-            scoped(1, "sink", &["mid"]),
-            scoped(1, "leaf", &[]),
-        ]);
-        p.push(Key::scoped(1, "leaf"));
-        p.push(Key::scoped(1, "deep"));
-        assert_eq!(p.pop().unwrap().as_str(), "deep");
-        assert_eq!(p.pop().unwrap().as_str(), "leaf");
-    }
-
-    #[test]
-    fn fair_share_placement_routes_to_owning_session() {
-        let mut p = FairSharePolicy::new(PolicyConfig::locality());
-        let ws = workers(3);
-        let s = Arc::new(TaskSpec::new(
-            Key::scoped(4, "t"),
-            "identity",
-            Datum::Null,
-            vec![Key::scoped(4, "d")],
-        ));
-        let lookup = |k: &Key, f: &mut dyn FnMut(u64, &[WorkerId])| {
-            if k.as_str() == "d" {
-                f(2048, &[1]);
-            }
-        };
-        assert_eq!(p.decide_worker(&s, &ws, &lookup), Some(1));
     }
 
     #[test]

@@ -167,12 +167,10 @@ struct QueueEntry {
 
 /// Per-tenant scheduler state. Only sessions other than
 /// [`DEFAULT_SESSION`] get an entry — the single-tenant path never
-/// touches this map.
+/// touches this map. A session's task keys are not listed here: every
+/// scoped [`Key`] names its session, and teardown selects by that.
 #[derive(Default)]
 struct SessionState {
-    /// Every task key this session has submitted, registered, or
-    /// scattered; teardown releases exactly this set.
-    task_keys: HashSet<Key>,
     /// Submitted task keys not yet Memory/Erred — the admission-control
     /// denominator. A set, not a counter, so duplicate completion
     /// reports cannot drift it.
@@ -474,7 +472,6 @@ impl<S: Sink> Scheduler<S> {
                     }
                     let st = self.sessions.entry(session).or_default();
                     for spec in &specs {
-                        st.task_keys.insert(spec.key.clone());
                         st.inflight.insert(spec.key.clone());
                     }
                     let depth = st.inflight.len() as u64;
@@ -499,12 +496,6 @@ impl<S: Sink> Scheduler<S> {
             }
             SchedMsg::RegisterExternal { client: _, keys } => {
                 self.stats.record(MsgClass::RegisterExternal, 0);
-                if session != DEFAULT_SESSION {
-                    let st = self.sessions.entry(session).or_default();
-                    for key in &keys {
-                        st.task_keys.insert(key.clone());
-                    }
-                }
                 for key in keys {
                     self.tasks
                         .entry(key)
@@ -516,12 +507,6 @@ impl<S: Sink> Scheduler<S> {
                 entries,
                 external,
             } => {
-                if session != DEFAULT_SESSION {
-                    let st = self.sessions.entry(session).or_default();
-                    for (key, _, _) in &entries {
-                        st.task_keys.insert(key.clone());
-                    }
-                }
                 let nbytes: u64 = entries.iter().map(|(_, _, b)| *b).sum();
                 let class = if external {
                     MsgClass::UpdateDataExternal
@@ -724,7 +709,6 @@ impl<S: Sink> Scheduler<S> {
         for key in keys {
             if key.session() != DEFAULT_SESSION {
                 if let Some(st) = self.sessions.get_mut(&key.session()) {
-                    st.task_keys.remove(&key);
                     st.inflight.remove(&key);
                 }
             }
@@ -796,8 +780,11 @@ impl<S: Sink> Scheduler<S> {
             session, DEFAULT_SESSION,
             "the implicit session never tears down"
         );
-        let st = self.sessions.remove(&session).unwrap_or_default();
-        self.release_keys(st.task_keys.into_iter().collect());
+        self.sessions.remove(&session);
+        // Every entry tagged with the session goes, the External
+        // placeholders `submit_graph` made for unknown deps included.
+        let keys = self.tasks.keys().filter(|k| k.session() == session);
+        self.release_keys(keys.cloned().collect());
         let variables = self.variables.extract_if(|(s, _), _| *s == session);
         let queues = self.queues.extract_if(|(s, _), _| *s == session);
         let orphaned: Vec<Datum> = variables

@@ -13,16 +13,6 @@ pub struct CartComm<'a> {
     periodic: Vec<bool>,
 }
 
-/// Split `size` into a near-square 2-D grid `(px, py)` with `px * py == size`,
-/// like `MPI_Dims_create` for two dimensions.
-pub fn dims_create_2d(size: usize) -> (usize, usize) {
-    let mut px = (size as f64).sqrt() as usize;
-    while px > 1 && !size.is_multiple_of(px) {
-        px -= 1;
-    }
-    (px.max(1), size / px.max(1))
-}
-
 impl<'a> CartComm<'a> {
     /// Build a Cartesian topology; `dims` must multiply to the world size.
     pub fn new(comm: &'a Comm, dims: &[usize], periodic: &[bool]) -> Result<Self, String> {
@@ -104,15 +94,6 @@ mod tests {
     use super::*;
     use crate::comm::Tag;
     use crate::world::World;
-
-    #[test]
-    fn dims_create_prefers_square() {
-        assert_eq!(dims_create_2d(16), (4, 4));
-        assert_eq!(dims_create_2d(12), (3, 4));
-        assert_eq!(dims_create_2d(7), (1, 7));
-        assert_eq!(dims_create_2d(1), (1, 1));
-        assert_eq!(dims_create_2d(2), (1, 2));
-    }
 
     #[test]
     fn coords_roundtrip() {

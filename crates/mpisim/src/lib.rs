@@ -1,29 +1,24 @@
 //! `mpisim` — a threaded SPMD runtime with an MPI-flavoured API.
 //!
 //! The paper couples an **MPI+X** Heat2D miniapp to Dask. We have no MPI, so
-//! this crate provides the substrate: a [`World`] launches `n` ranks as
-//! threads, each holding a [`Comm`] supporting tagged point-to-point
-//! [`Comm::send`]/[`Comm::recv`], the collectives the miniapp needs
-//! ([`Comm::barrier`], [`Comm::allreduce_f64`], [`Comm::bcast`],
-//! [`Comm::gather`]) and a Cartesian topology helper ([`cart::CartComm`])
-//! for 2-D domain decomposition with ghost exchange.
+//! this crate provides the substrate the miniapp uses: a [`World`] launches
+//! `n` ranks as threads, each holding a [`Comm`] with tagged point-to-point
+//! [`Comm::send`]/[`Comm::recv`], and a Cartesian topology helper
+//! ([`cart::CartComm`]) for 2-D domain decomposition with ghost exchange.
+//! The miniapp needs no collective.
 //!
 //! Messages are typed (`Box<dyn Any>` under the hood) and matched on
 //! `(source, tag)` with out-of-order buffering, like MPI's unexpected-message
-//! queue. Collectives are implemented *on top of* point-to-point using
-//! log-P algorithms (dissemination barrier, binomial-tree bcast/reduce,
-//! recursive-doubling allreduce), so message counts resemble a real MPI.
+//! queue.
 
 #![forbid(unsafe_code)]
 
 pub mod cart;
-pub mod collectives;
-pub mod collectives2;
 pub mod comm;
 pub mod world;
 
 pub use cart::CartComm;
-pub use comm::{Comm, RecvError, SendError, Tag, ANY_SOURCE};
+pub use comm::{Comm, RecvError, SendError, Tag};
 pub use world::{World, WorldError};
 
 #[cfg(test)]

@@ -150,7 +150,6 @@ fn skewed_config() -> ClusterConfig {
         policy: PolicyConfig {
             kind: PolicyKind::Locality,
             steal_poll: Some(Duration::from_millis(2)),
-            ..PolicyConfig::default()
         },
         ..ClusterConfig::default()
     }

@@ -144,7 +144,6 @@ fn skewed_cluster() -> Cluster {
         policy: PolicyConfig {
             kind: PolicyKind::Locality,
             steal_poll: Some(Duration::from_millis(2)),
-            ..PolicyConfig::default()
         },
         ..ClusterConfig::default()
     })
@@ -212,7 +211,6 @@ fn stolen_task_from_killed_worker_completes() {
         policy: PolicyConfig {
             kind: PolicyKind::Locality,
             steal_poll: Some(Duration::from_millis(2)),
-            ..PolicyConfig::default()
         },
         fault: FaultConfig {
             heartbeat_timeout: Some(Duration::from_millis(150)),

@@ -31,7 +31,8 @@ use deisa_repro::dtask::{
     SubmitError, TaskSpec, TenancyConfig, TransportConfig,
 };
 use deisa_repro::linalg::NDArray;
-use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::mpsc::{channel, sync_channel, Receiver};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn tenant_cluster(n_workers: usize, tenancy: TenancyConfig) -> Cluster {
@@ -145,18 +146,22 @@ fn admission_cap_rejects_surfaces_and_recovers() {
 
 fn admission_rejects_and_recovers_on(transport: TransportConfig) {
     let cluster = tenant_cluster_on(transport, 1, TenancyConfig::with_cap(2));
-    cluster.registry().register("slow_const", |param, _| {
-        std::thread::sleep(Duration::from_millis(30));
+    // Each call waits for one message on the gate, which the test sends
+    // only after the rejection (or drops, on a panic, to free every call).
+    let (open_gate, gate) = channel::<()>();
+    let gate = Arc::new(Mutex::new(gate));
+    cluster.registry().register("gated_const", move |param, _| {
+        let _ = gate.lock().unwrap_or_else(|e| e.into_inner()).recv();
         Ok(param.clone())
     });
     let client = tenant(&cluster, 1);
 
-    // Two slow tasks fill the cap exactly and hold it: one executor slot
+    // Two gated tasks fill the cap exactly and hold it: one executor slot
     // serializes them, so both stay in flight while the next graph arrives.
     client
         .try_submit(vec![
-            TaskSpec::new("s0", "slow_const", Datum::F64(1.0), vec![]),
-            TaskSpec::new("s1", "slow_const", Datum::F64(2.0), vec![]),
+            TaskSpec::new("s0", "gated_const", Datum::F64(1.0), vec![]),
+            TaskSpec::new("s1", "gated_const", Datum::F64(2.0), vec![]),
         ])
         .expect("a graph at the cap is admitted");
 
@@ -177,6 +182,11 @@ fn admission_rejects_and_recovers_on(transport: TransportConfig) {
     assert_eq!(cluster.stats().admission_rejections(), 1);
 
     // Recovery: drain the in-flight work, then the same graph is admitted.
+    for _ in 0..2 {
+        open_gate
+            .send(())
+            .expect("the gated tasks wait on the gate");
+    }
     assert_eq!(client.future("s0").result().unwrap().as_f64(), Some(1.0));
     assert_eq!(client.future("s1").result().unwrap().as_f64(), Some(2.0));
     client
@@ -251,6 +261,33 @@ fn session_teardown_releases_only_that_tenants_state() {
     // Tenant 2 is undisturbed: its variable and results are still there.
     assert_eq!(c2.var_get("v").unwrap().as_f64(), Some(6.0));
     assert_eq!(c2.future("total").result().unwrap().as_f64(), Some(22.0));
+}
+
+#[test]
+fn teardown_releases_the_placeholders_a_session_made_for_unknown_deps() {
+    let cluster = tenant_cluster(1, TenancyConfig::default());
+    let leaving = tenant(&cluster, 7);
+    // Nobody computes `never`: the submit makes an External placeholder
+    // for it, tagged with session 7, and `t` waits on it.
+    leaving.submit(vec![TaskSpec::new(
+        "t",
+        "identity",
+        Datum::Null,
+        vec!["never".into()],
+    )]);
+    drop(leaving);
+
+    // The last client left, so teardown released both keys. A new client
+    // of session 7 finds neither; a surviving placeholder would park its
+    // request until the timeout.
+    let back = tenant(&cluster, 7);
+    for key in ["t", "never"] {
+        let err = back
+            .future(key)
+            .result_timeout(Duration::from_secs(2))
+            .unwrap_err();
+        assert_eq!(err.message, "unknown key", "{key}");
+    }
 }
 
 const STEPS: usize = 5;
