@@ -603,3 +603,217 @@ fn submission_cost_does_not_grow_with_fan_out() {
         last / first
     );
 }
+
+#[test]
+fn a_released_and_resubmitted_key_is_assigned_once() {
+    // The first submission's queue entry outlives the release: it must not
+    // place the second submission's task a second time.
+    let mut r = plain(1);
+    r.step(vec![
+        submit(vec![spec("a", &[])]),
+        release("a"),
+        submit(vec![spec("a", &[])]),
+    ]);
+    assert_eq!(r.assigned(), [(0, "a".to_owned())]);
+    assert_eq!(r.state("a"), Some(TaskState::Processing));
+}
+
+// ---- (vi) the storm: the core's cost per task ----------------------------------
+
+/// External-rooted chains per storm round, and links per chain; one sink
+/// sums the chain tails (the shape of `dtask-bench`'s `task_storm`).
+const STORM_CHAINS: usize = 64;
+const STORM_LINKS: usize = 8;
+/// Completion reports fed back per step.
+const STORM_FINISHES_PER_STEP: usize = 4;
+
+/// Nanoseconds spent inside [`Scheduler::step`] per phase of the storm
+/// rounds, summed over rounds. The driver's own bookkeeping is not timed.
+#[derive(Default)]
+struct StormNs {
+    submit: u128,
+    arrival: u128,
+    finish_place: u128,
+    release: u128,
+}
+
+/// A core over two workers of two slots each, with [`CLIENT`] connected.
+fn storm_rig() -> Rig {
+    let t0 = Instant::now();
+    let stats = Arc::new(SchedulerStats::new());
+    let sched = Scheduler::new(
+        Outbox::default(),
+        2,
+        2,
+        LivenessConfig::default(),
+        PolicyConfig::default(),
+        Arc::clone(&stats),
+        TraceHandle::disabled(),
+        None,
+        t0,
+    );
+    let mut rig = Rig { sched, t0, stats };
+    rig.step(vec![SchedMsg::ClientConnect { client: CLIENT }]);
+    rig
+}
+
+impl Rig {
+    /// Step on `msgs` and add the time the step took to `ns`.
+    fn timed_step(&mut self, msgs: Vec<SchedMsg>, ns: &mut u128) {
+        let start = Instant::now();
+        self.step(msgs);
+        *ns += start.elapsed().as_nanos();
+    }
+
+    /// Every assignment sent since the last call, as `(worker, key)`.
+    fn assigned_keys(&self) -> Vec<(WorkerId, Key)> {
+        let mut out = Vec::new();
+        for (worker, msg) in self.sched.sink().exec.borrow_mut().drain(..) {
+            match msg {
+                ExecMsg::Execute(a) => out.push((worker, a.spec.key.clone())),
+                ExecMsg::ExecuteBatch { tasks } => {
+                    out.extend(tasks.into_iter().map(|a| (worker, a.spec.key.clone())))
+                }
+                ExecMsg::Steal { .. } | ExecMsg::Shutdown => {}
+            }
+        }
+        out
+    }
+}
+
+/// One storm round, as the messages of `task_storm` reach the scheduler:
+/// the client registers the 64 external keys, submits the 513 tasks and
+/// waits on the sink; the blocks arrive one per step; the driver reports
+/// every assignment finished on its worker, four per step; the client
+/// releases every key. Asserts that each task is assigned exactly once, the
+/// sink last, and that the core holds no task once the round is released.
+fn storm_round(r: &mut Rig, round: usize, ns: &mut StormNs) {
+    let ext: Vec<Key> = (0..STORM_CHAINS)
+        .map(|c| Key::new(format!("ext-{round}-{c}")))
+        .collect();
+    let mut specs = Vec::with_capacity(STORM_CHAINS * STORM_LINKS + 1);
+    let mut tails = Vec::with_capacity(STORM_CHAINS);
+    for (c, root) in ext.iter().enumerate() {
+        let mut prev = root.clone();
+        for link in 0..STORM_LINKS {
+            let key = Key::new(format!("bump-{round}-{c}-{link}"));
+            specs.push(TaskSpec::new(key.clone(), "bump", Datum::Null, vec![prev]));
+            prev = key;
+        }
+        tails.push(prev);
+    }
+    let sink = Key::new(format!("sink-{round}"));
+    specs.push(TaskSpec::new(
+        sink.clone(),
+        "sum_scalars",
+        Datum::Null,
+        tails,
+    ));
+    let n_tasks = specs.len();
+    let mut keys: Vec<Key> = specs.iter().map(|s| s.key.clone()).collect();
+    keys.extend(ext.iter().cloned());
+
+    r.timed_step(
+        vec![SchedMsg::RegisterExternal {
+            client: CLIENT,
+            keys: ext.clone(),
+        }],
+        &mut ns.submit,
+    );
+    r.timed_step(vec![submit(specs)], &mut ns.submit);
+    r.timed_step(
+        vec![SchedMsg::WantResult {
+            client: CLIENT,
+            key: sink.clone(),
+        }],
+        &mut ns.submit,
+    );
+    // 37 is coprime with 64: every block arrives once, in an order that
+    // moves from round to round.
+    for i in 0..STORM_CHAINS {
+        let c = (i * 37 + round) % STORM_CHAINS;
+        let arrival = SchedMsg::UpdateData {
+            client: CLIENT,
+            entries: vec![(ext[c].clone(), c % 2, 8)],
+            external: true,
+        };
+        r.timed_step(vec![arrival], &mut ns.arrival);
+    }
+    let mut pending: VecDeque<(WorkerId, Key)> = r.assigned_keys().into();
+    let mut placed: Vec<Key> = pending.iter().map(|(_, k)| k.clone()).collect();
+    while !pending.is_empty() {
+        let take = pending.len().min(STORM_FINISHES_PER_STEP);
+        let reports = pending
+            .drain(..take)
+            .map(|(worker, key)| SchedMsg::TaskFinished {
+                worker,
+                key,
+                nbytes: 8,
+            })
+            .collect();
+        r.timed_step(reports, &mut ns.finish_place);
+        let next = r.assigned_keys();
+        placed.extend(next.iter().map(|(_, k)| k.clone()));
+        pending.extend(next);
+    }
+    assert_eq!(
+        placed.len(),
+        n_tasks,
+        "round {round}: every task placed once"
+    );
+    assert_eq!(placed.last(), Some(&sink), "round {round}: the sink last");
+    let distinct: HashSet<&Key> = placed.iter().collect();
+    assert_eq!(
+        distinct.len(),
+        n_tasks,
+        "round {round}: a task placed twice"
+    );
+    let ready = r.ready();
+    assert_eq!(ready.len(), 1, "round {round}: {ready:?}");
+    assert!(ready[0].1.is_ok(), "round {round}: {ready:?}");
+
+    r.timed_step(vec![SchedMsg::ReleaseKeys { keys }], &mut ns.release);
+    r.sched.sink().data.borrow_mut().clear();
+    assert_eq!(
+        r.sched.tasks.len(),
+        0,
+        "round {round}: tasks left after release"
+    );
+}
+
+/// Run `rounds` storm rounds on one core; the per-phase step time.
+fn storm(rounds: usize) -> StormNs {
+    let mut r = storm_rig();
+    let mut ns = StormNs::default();
+    for round in 0..rounds {
+        storm_round(&mut r, round, &mut ns);
+    }
+    ns
+}
+
+#[test]
+fn storm_rounds_place_every_task_once_and_release_to_empty() {
+    storm(20);
+}
+
+/// The core's cost per task, phase by phase, over 2 000 storm rounds
+/// (release build; reported, not asserted):
+/// `cargo test -q --release -p dtask --lib storm_core_cost -- --ignored --nocapture`
+#[test]
+#[ignore = "timing; run in release with --nocapture"]
+fn storm_core_cost() {
+    const ROUNDS: usize = 2_000;
+    let ns = storm(ROUNDS);
+    let tasks = (ROUNDS * (STORM_CHAINS * STORM_LINKS + 1)) as f64;
+    let per = |phase: u128| phase as f64 / tasks;
+    let total = ns.submit + ns.arrival + ns.finish_place + ns.release;
+    println!(
+        "storm core, {ROUNDS} rounds: {:.0} ns/task (submit {:.0}, external arrival {:.0}, \
+         finish+place {:.0}, release {:.0})",
+        per(total),
+        per(ns.submit),
+        per(ns.arrival),
+        per(ns.finish_place),
+        per(ns.release),
+    );
+}
