@@ -1,7 +1,8 @@
 //! Task keys.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Session (tenant) identifier. `0` is the implicit default session every
@@ -33,15 +34,42 @@ pub struct Key {
     session: SessionId,
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a over the key bytes; stable and cheap for short task names.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
+
+/// The hasher of every map keyed by [`Key`]: a key hashes as the one `u64`
+/// it cached at construction, so a lookup never reads the text and never
+/// runs SipHash over a hash that is already one. The hash is unkeyed, which
+/// is safe only because keys come from the cluster's own clients and nodes.
+#[derive(Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only reached by a type other than `Key`: fold it in with FNV-1a.
+        self.0 = bytes.iter().fold(self.0 ^ FNV_OFFSET, |h, &b| {
+            (h ^ b as u64).wrapping_mul(FNV_PRIME)
+        });
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// A map keyed by [`Key`], hashed through [`KeyHasher`].
+pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
 
 impl Key {
     /// Create a key in the implicit default session.
@@ -234,6 +262,19 @@ mod tests {
         assert_eq!(a.cached_hash(), b.cached_hash());
         assert_eq!(a.session(), 0);
         assert_eq!(Key::scoped(7, "x").session(), 7);
+    }
+
+    #[test]
+    fn a_key_map_hashes_by_the_cached_hash() {
+        let key = Key::scoped(3, "deisa-temp@(1,3,5)");
+        let mut hasher = KeyHasher::default();
+        key.hash(&mut hasher);
+        assert_eq!(hasher.finish(), key.cached_hash());
+        let mut map = KeyMap::default();
+        map.insert(key.clone(), 1);
+        map.insert(Key::new("deisa-temp@(1,3,5)"), 2);
+        assert_eq!(map[&Key::scoped(3, "deisa-temp@(1,3,5)")], 1);
+        assert_eq!(map[&Key::new("deisa-temp@(1,3,5)")], 2);
     }
 
     #[test]

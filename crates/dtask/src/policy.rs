@@ -29,10 +29,11 @@
 //! The scheduler feeds dependency placement to `decide_worker` through a
 //! visitor closure instead of exposing its task table, so policies see
 //! exactly `(nbytes, who_has)` per dependency — enough for cost models,
-//! nothing to mutate.
+//! nothing to mutate. Queues hold the core's [`TaskId`]s, never keys.
 
 use crate::key::Key;
 use crate::msg::WorkerId;
+use crate::scheduler::TaskId;
 use crate::spec::TaskSpec;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -66,10 +67,11 @@ impl WorkerState {
     }
 }
 
-/// Dependency-placement visitor: the scheduler calls the inner callback with
-/// `(nbytes, who_has)` for each dependency key that it tracks. Policies never
-/// see the task table itself.
-pub type DepLookup<'a> = dyn Fn(&Key, &mut dyn FnMut(u64, &[WorkerId])) + 'a;
+/// Dependency-placement visitor: the scheduler calls the callback with
+/// `(nbytes, who_has)` for each dependency of the task being placed that it
+/// still tracks, in the order of `spec.deps` (a repeated dependency is
+/// visited each time it is listed). Policies never see the task table.
+pub type DepLookup<'a> = dyn Fn(&mut dyn FnMut(u64, &[WorkerId])) + 'a;
 
 /// A placement policy: owns the ready queue (ordering) and the per-task
 /// worker decision. One instance lives inside the scheduler thread.
@@ -78,12 +80,12 @@ pub trait SchedulingPolicy: Send {
     fn name(&self) -> &'static str;
 
     /// Enqueue a task that became ready.
-    fn push(&mut self, key: Key);
+    fn push(&mut self, task: TaskId);
 
     /// Dequeue the next task to place, in policy order.
-    fn pop(&mut self) -> Option<Key>;
+    fn pop(&mut self) -> Option<TaskId>;
 
-    /// Queued (possibly stale — the scheduler re-checks state on pop) keys.
+    /// Queued (possibly stale — the scheduler re-checks state on pop) tasks.
     fn len(&self) -> usize;
 
     /// Is the queue empty?
@@ -91,8 +93,9 @@ pub trait SchedulingPolicy: Send {
         self.len() == 0
     }
 
-    /// A new graph was submitted; priority policies derive ranks here.
-    fn graph_submitted(&mut self, _specs: &[Arc<TaskSpec>]) {}
+    /// A new graph was submitted, `ids[i]` being the task of `specs[i]`;
+    /// priority policies derive ranks here.
+    fn graph_submitted(&mut self, _specs: &[Arc<TaskSpec>], _ids: &[TaskId]) {}
 
     /// Choose a worker for `spec`, or `None` when no live worker remains.
     fn decide_worker(
@@ -202,26 +205,25 @@ impl PolicyConfig {
 /// reuses the placement half) stay behavior-identical to the pre-policy
 /// runtime.
 fn locality_decide(
-    spec: &TaskSpec,
     workers: &[WorkerState],
     deps: &DepLookup<'_>,
     rr_cursor: &mut usize,
+    byte_share: &mut Vec<u64>,
 ) -> Option<WorkerId> {
     if workers.len() == 1 {
         return workers[0].alive.then_some(0);
     }
-    let mut byte_share = vec![0u64; workers.len()];
+    byte_share.clear();
+    byte_share.resize(workers.len(), 0);
     let mut any_deps = false;
-    for dep in &spec.deps {
-        deps(dep, &mut |nbytes, who_has| {
-            for &w in who_has {
-                if workers[w].alive {
-                    byte_share[w] += nbytes.max(1);
-                    any_deps = true;
-                }
+    deps(&mut |nbytes, who_has| {
+        for &w in who_has {
+            if workers[w].alive {
+                byte_share[w] += nbytes.max(1);
+                any_deps = true;
             }
-        });
-    }
+        }
+    });
     if any_deps {
         let best = (0..workers.len())
             .filter(|&w| workers[w].alive)
@@ -261,8 +263,10 @@ fn locality_decide(
 
 /// FIFO + data-gravity: the historical scheduler behavior, unchanged.
 pub struct LocalityPolicy {
-    ready: VecDeque<Key>,
+    ready: VecDeque<TaskId>,
     rr_cursor: usize,
+    /// Dependency bytes per worker, reused from one decision to the next.
+    byte_share: Vec<u64>,
 }
 
 impl LocalityPolicy {
@@ -271,6 +275,7 @@ impl LocalityPolicy {
         LocalityPolicy {
             ready: VecDeque::new(),
             rr_cursor: 0,
+            byte_share: Vec::new(),
         }
     }
 }
@@ -286,11 +291,11 @@ impl SchedulingPolicy for LocalityPolicy {
         "locality"
     }
 
-    fn push(&mut self, key: Key) {
-        self.ready.push_back(key);
+    fn push(&mut self, task: TaskId) {
+        self.ready.push_back(task);
     }
 
-    fn pop(&mut self) -> Option<Key> {
+    fn pop(&mut self) -> Option<TaskId> {
         self.ready.pop_front()
     }
 
@@ -300,20 +305,21 @@ impl SchedulingPolicy for LocalityPolicy {
 
     fn decide_worker(
         &mut self,
-        spec: &TaskSpec,
+        _spec: &TaskSpec,
         workers: &[WorkerState],
         deps: &DepLookup<'_>,
     ) -> Option<WorkerId> {
-        locality_decide(spec, workers, deps, &mut self.rr_cursor)
+        locality_decide(workers, deps, &mut self.rr_cursor, &mut self.byte_share)
     }
 }
 
 /// Compute b-levels for a submitted graph: the length (in tasks, unit costs)
 /// of the longest dependency chain from each task to any sink *within the
-/// submitted set*. Sinks get 1; a task's level is `1 + max(level of its
-/// in-graph dependents)`. Keys outside the set (externals, earlier graphs)
-/// contribute nothing — priorities only order tasks against their own graph.
-pub fn b_levels(specs: &[Arc<TaskSpec>]) -> HashMap<Key, u64> {
+/// submitted set*, `levels[i]` for `specs[i]`. Sinks get 1; a task's level is
+/// `1 + max(level of its in-graph dependents)`. Keys outside the set
+/// (externals, earlier graphs) contribute nothing — priorities only order
+/// tasks against their own graph.
+pub fn b_levels(specs: &[Arc<TaskSpec>]) -> Vec<u64> {
     let index: HashMap<&Key, usize> = specs.iter().enumerate().map(|(i, s)| (&s.key, i)).collect();
     // dependents[i] = indices of in-graph tasks that consume task i;
     // deps_idx[i] = deduped in-graph deps of task i (a key listed twice in
@@ -344,34 +350,34 @@ pub fn b_levels(specs: &[Arc<TaskSpec>]) -> HashMap<Key, u64> {
             }
         }
     }
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.key.clone(), level[i]))
-        .collect()
+    level
 }
 
 /// Max-heap entry: highest b-level first, FIFO (lowest sequence) within a
 /// rank so equal-priority tasks keep submission order.
-type RankedKey = (u64, Reverse<u64>, Key);
+type RankedTask = (u64, Reverse<u64>, TaskId);
 
 /// Critical-path priority: ready tasks pop in descending b-level order;
 /// placement reuses the data-gravity rule.
 pub struct BLevelPolicy {
-    ranks: HashMap<Key, u64>,
-    heap: BinaryHeap<RankedKey>,
+    /// The rank of the task in each slot of the scheduler's task slab, with
+    /// the id it was given for; a stale id ranks as unknown.
+    ranks: Vec<Option<(TaskId, u64)>>,
+    heap: BinaryHeap<RankedTask>,
     seq: u64,
     rr_cursor: usize,
+    byte_share: Vec<u64>,
 }
 
 impl BLevelPolicy {
     /// Fresh policy with no ranks.
     pub fn new() -> Self {
         BLevelPolicy {
-            ranks: HashMap::new(),
+            ranks: Vec::new(),
             heap: BinaryHeap::new(),
             seq: 0,
             rr_cursor: 0,
+            byte_share: Vec::new(),
         }
     }
 }
@@ -387,33 +393,41 @@ impl SchedulingPolicy for BLevelPolicy {
         "blevel"
     }
 
-    fn push(&mut self, key: Key) {
-        // Unknown keys (resubmissions after release, externals promoted to
-        // tasks) rank 0: they run after everything with a known chain.
-        let rank = self.ranks.get(&key).copied().unwrap_or(0);
+    fn push(&mut self, task: TaskId) {
+        // Tasks no submitted graph ranked rank 0: they run after everything
+        // with a known chain.
+        let rank = match self.ranks.get(task.slot()) {
+            Some(&Some((id, rank))) if id == task => rank,
+            _ => 0,
+        };
         self.seq += 1;
-        self.heap.push((rank, Reverse(self.seq), key));
+        self.heap.push((rank, Reverse(self.seq), task));
     }
 
-    fn pop(&mut self) -> Option<Key> {
-        self.heap.pop().map(|(_, _, key)| key)
+    fn pop(&mut self) -> Option<TaskId> {
+        self.heap.pop().map(|(_, _, task)| task)
     }
 
     fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn graph_submitted(&mut self, specs: &[Arc<TaskSpec>]) {
-        self.ranks.extend(b_levels(specs));
+    fn graph_submitted(&mut self, specs: &[Arc<TaskSpec>], ids: &[TaskId]) {
+        for (&id, level) in ids.iter().zip(b_levels(specs)) {
+            if self.ranks.len() <= id.slot() {
+                self.ranks.resize(id.slot() + 1, None);
+            }
+            self.ranks[id.slot()] = Some((id, level));
+        }
     }
 
     fn decide_worker(
         &mut self,
-        spec: &TaskSpec,
+        _spec: &TaskSpec,
         workers: &[WorkerState],
         deps: &DepLookup<'_>,
     ) -> Option<WorkerId> {
-        locality_decide(spec, workers, deps, &mut self.rr_cursor)
+        locality_decide(workers, deps, &mut self.rr_cursor, &mut self.byte_share)
     }
 }
 
@@ -443,7 +457,7 @@ impl XorShift64 {
 /// Uniform-random placement over live workers; pairs with worker-side
 /// stealing to repair imbalance (the RSDS-style "simplest thing that works").
 pub struct RandomStealingPolicy {
-    ready: VecDeque<Key>,
+    ready: VecDeque<TaskId>,
     rng: XorShift64,
 }
 
@@ -468,11 +482,11 @@ impl SchedulingPolicy for RandomStealingPolicy {
         "random-stealing"
     }
 
-    fn push(&mut self, key: Key) {
-        self.ready.push_back(key);
+    fn push(&mut self, task: TaskId) {
+        self.ready.push_back(task);
     }
 
-    fn pop(&mut self) -> Option<Key> {
+    fn pop(&mut self) -> Option<TaskId> {
         self.ready.pop_front()
     }
 
@@ -508,7 +522,7 @@ const EFT_BW: u64 = 12_500_000_000;
 /// Earliest-finish-time placement: per live worker, estimated queue drain
 /// plus the transfer cost of every dependency byte the worker does not hold.
 pub struct MinEftPolicy {
-    ready: VecDeque<Key>,
+    ready: VecDeque<TaskId>,
 }
 
 impl MinEftPolicy {
@@ -531,11 +545,11 @@ impl SchedulingPolicy for MinEftPolicy {
         "mineft"
     }
 
-    fn push(&mut self, key: Key) {
-        self.ready.push_back(key);
+    fn push(&mut self, task: TaskId) {
+        self.ready.push_back(task);
     }
 
-    fn pop(&mut self) -> Option<Key> {
+    fn pop(&mut self) -> Option<TaskId> {
         self.ready.pop_front()
     }
 
@@ -551,11 +565,7 @@ impl SchedulingPolicy for MinEftPolicy {
     ) -> Option<WorkerId> {
         // Dependency placement snapshot: (nbytes, holders) per dep.
         let mut placed: Vec<(u64, Vec<WorkerId>)> = Vec::with_capacity(spec.deps.len());
-        for dep in &spec.deps {
-            deps(dep, &mut |nbytes, who_has| {
-                placed.push((nbytes, who_has.to_vec()));
-            });
-        }
+        deps(&mut |nbytes, who_has| placed.push((nbytes, who_has.to_vec())));
         let mut best: Option<(u64, WorkerId)> = None;
         for (w, state) in workers.iter().enumerate() {
             if !state.alive {
@@ -605,7 +615,7 @@ mod tests {
     }
 
     /// No tracked deps: the visitor never fires.
-    fn no_deps(_k: &Key, _f: &mut dyn FnMut(u64, &[WorkerId])) {}
+    fn no_deps(_f: &mut dyn FnMut(u64, &[WorkerId])) {}
 
     #[test]
     fn b_levels_rank_chains_above_leaves() {
@@ -616,20 +626,13 @@ mod tests {
             spec("c", &["b"]),
             spec("leaf", &[]),
         ];
-        let levels = b_levels(&specs);
-        assert_eq!(levels[&Key::new("a")], 3);
-        assert_eq!(levels[&Key::new("b")], 2);
-        assert_eq!(levels[&Key::new("c")], 1);
-        assert_eq!(levels[&Key::new("leaf")], 1);
+        assert_eq!(b_levels(&specs), [3, 2, 1, 1]);
     }
 
     #[test]
     fn b_levels_ignore_out_of_graph_deps_and_duplicates() {
         let specs = vec![spec("x", &["external", "external"]), spec("y", &["x", "x"])];
-        let levels = b_levels(&specs);
-        assert_eq!(levels[&Key::new("x")], 2);
-        assert_eq!(levels[&Key::new("y")], 1);
-        assert!(!levels.contains_key(&Key::new("external")));
+        assert_eq!(b_levels(&specs), [2, 1]);
     }
 
     #[test]
@@ -642,14 +645,22 @@ mod tests {
             spec("leaf1", &[]),
             spec("leaf2", &[]),
         ];
-        p.graph_submitted(&specs);
-        p.push(Key::new("leaf1"));
-        p.push(Key::new("deep1"));
-        p.push(Key::new("leaf2"));
-        assert_eq!(p.pop().unwrap().as_str(), "deep1");
-        assert_eq!(p.pop().unwrap().as_str(), "leaf1");
-        assert_eq!(p.pop().unwrap().as_str(), "leaf2");
+        let ids: Vec<TaskId> = (0..specs.len() as u32).map(|i| TaskId::new(i, 0)).collect();
+        p.graph_submitted(&specs, &ids);
+        p.push(ids[3]);
+        p.push(ids[0]);
+        p.push(ids[4]);
+        let mut pop = || specs[p.pop().unwrap().slot()].key.as_str();
+        assert_eq!(pop(), "deep1");
+        assert_eq!(pop(), "leaf1");
+        assert_eq!(pop(), "leaf2");
         assert!(p.pop().is_none());
+        // A later task in a ranked task's slot is unranked: it pops after
+        // a leaf pushed behind it.
+        p.push(TaskId::new(0, 1));
+        p.push(ids[3]);
+        assert_eq!(p.pop(), Some(ids[3]));
+        assert_eq!(p.pop(), Some(TaskId::new(0, 1)));
     }
 
     #[test]
@@ -679,11 +690,7 @@ mod tests {
         let mut p = LocalityPolicy::new();
         let s = spec("t", &["d"]);
         let ws = workers(3);
-        let lookup = |k: &Key, f: &mut dyn FnMut(u64, &[WorkerId])| {
-            if k.as_str() == "d" {
-                f(1024, &[2]);
-            }
-        };
+        let lookup = |f: &mut dyn FnMut(u64, &[WorkerId])| f(1024, &[2]);
         assert_eq!(p.decide_worker(&s, &ws, &lookup), Some(2));
     }
 
@@ -710,20 +717,12 @@ mod tests {
         // 1 GiB dependency on worker 0: transfer dwarfs any queue term.
         let s = spec("t", &["big"]);
         let mut ws = workers(2);
-        let lookup = |k: &Key, f: &mut dyn FnMut(u64, &[WorkerId])| {
-            if k.as_str() == "big" {
-                f(1 << 30, &[0]);
-            }
-        };
+        let lookup = |f: &mut dyn FnMut(u64, &[WorkerId])| f(1 << 30, &[0]);
         assert_eq!(p.decide_worker(&s, &ws, &lookup), Some(0));
         // Tiny dependency + deep queue on the holder: the idle worker wins
         // even though it must fetch.
         ws[0].processing = 1000;
-        let lookup_small = |k: &Key, f: &mut dyn FnMut(u64, &[WorkerId])| {
-            if k.as_str() == "big" {
-                f(8, &[0]);
-            }
-        };
+        let lookup_small = |f: &mut dyn FnMut(u64, &[WorkerId])| f(8, &[0]);
         assert_eq!(p.decide_worker(&s, &ws, &lookup_small), Some(1));
     }
 

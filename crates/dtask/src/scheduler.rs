@@ -37,7 +37,7 @@
 //!   scheduler service time.
 
 use crate::datum::Datum;
-use crate::key::{Key, SessionId, DEFAULT_SESSION};
+use crate::key::{Key, KeyMap, SessionId, DEFAULT_SESSION};
 use crate::msg::{
     Assignment, ClientId, ClientMsg, DataMsg, ErrorCause, ExecMsg, SchedMsg, TaskError, WorkerId,
 };
@@ -121,11 +121,46 @@ pub enum TaskState {
     Erred,
 }
 
+/// A task inside the core: the slot of the task slab its entry lives in and
+/// the generation the slot was at when the task took it. A slot's generation
+/// moves on when its task is released, so an id kept past its task's release
+/// (in a queue, a backoff list or another task's edges) resolves to nothing,
+/// even once the slot holds a new task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TaskId {
+    slot: u32,
+    gen: u32,
+}
+
+impl TaskId {
+    pub(crate) const fn new(slot: u32, gen: u32) -> Self {
+        TaskId { slot, gen }
+    }
+
+    /// The slab slot this id names (policies index per-task state by it).
+    pub(crate) fn slot(self) -> usize {
+        self.slot as usize
+    }
+}
+
 struct TaskEntry {
+    /// The key the task was submitted, registered or reported under: what
+    /// the core's messages name it by.
+    key: Key,
     spec: Option<Arc<TaskSpec>>,
     state: TaskState,
-    deps: Vec<Key>,
-    dependents: Vec<Key>,
+    /// The task's dependencies in `spec.deps` order, repeats included
+    /// (empty for a task whose spec came after its entry).
+    deps: Vec<TaskId>,
+    /// Tasks wired to wait on this one. Released ones stay listed as stale
+    /// ids until [`TaskTable::unlink`] compacts the list.
+    dependents: Vec<TaskId>,
+    /// How many listed dependents were released since the last compaction
+    /// (an upper bound: a dependency listed twice counts twice).
+    released_dependents: usize,
+    /// The [`TaskTable::next_mark`] of the last pass that visited this task
+    /// as a dependency; a pass skips a dependency it already visited.
+    mark: u64,
     /// Number of dependencies not yet in memory.
     n_waiting: usize,
     who_has: Vec<WorkerId>,
@@ -142,12 +177,15 @@ struct TaskEntry {
 }
 
 impl TaskEntry {
-    fn bare(state: TaskState) -> Self {
+    fn new(key: Key, state: TaskState) -> Self {
         TaskEntry {
+            key,
             spec: None,
             state,
             deps: Vec::new(),
             dependents: Vec::new(),
+            released_dependents: 0,
+            mark: 0,
             n_waiting: 0,
             who_has: Vec::new(),
             nbytes: 0,
@@ -156,6 +194,165 @@ impl TaskEntry {
             assigned_to: None,
             retries: 0,
         }
+    }
+
+    /// Forget the task, keeping the capacity of every list for the slot's
+    /// next task. The key stays until that task overwrites it.
+    fn clear(&mut self) {
+        self.spec = None;
+        self.deps.clear();
+        self.dependents.clear();
+        self.released_dependents = 0;
+        self.n_waiting = 0;
+        self.who_has.clear();
+        self.nbytes = 0;
+        self.error = None;
+        self.waiters.clear();
+        self.assigned_to = None;
+        self.retries = 0;
+    }
+}
+
+struct Slot {
+    gen: u32,
+    live: bool,
+    entry: TaskEntry,
+}
+
+/// The core's tasks: entries in a slab of reusable slots addressed by
+/// [`TaskId`], and the one map from a [`Key`] to its id. A key is hashed
+/// only where a message names it; inside the core every reference is an id.
+#[derive(Default)]
+struct TaskTable {
+    slots: Vec<Slot>,
+    /// Free slots, the most recently released last.
+    free: Vec<u32>,
+    index: KeyMap<TaskId>,
+    /// The last mark handed out by [`TaskTable::next_mark`].
+    mark: u64,
+}
+
+impl TaskTable {
+    /// Number of tasks held.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn id(&self, key: &Key) -> Option<TaskId> {
+        self.index.get(key).copied()
+    }
+
+    fn get(&self, id: TaskId) -> Option<&TaskEntry> {
+        let slot = self.slots.get(id.slot())?;
+        (slot.live && slot.gen == id.gen).then_some(&slot.entry)
+    }
+
+    fn get_mut(&mut self, id: TaskId) -> Option<&mut TaskEntry> {
+        let slot = self.slots.get_mut(id.slot())?;
+        (slot.live && slot.gen == id.gen).then_some(&mut slot.entry)
+    }
+
+    /// The entry of a task the caller knows is held.
+    fn entry(&mut self, id: TaskId) -> &mut TaskEntry {
+        self.get_mut(id).expect("a held task")
+    }
+
+    /// The task of `key`, made in `state` if the key is new.
+    fn intern(&mut self, key: &Key, state: TaskState) -> TaskId {
+        match self.id(key) {
+            Some(id) => id,
+            None => self.insert(key.clone(), state),
+        }
+    }
+
+    /// Make a task for a key the table does not hold, in a free slot if
+    /// there is one.
+    fn insert(&mut self, key: Key, state: TaskState) -> TaskId {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                s.live = true;
+                s.entry.key = key.clone();
+                s.entry.state = state;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 tasks");
+                self.slots.push(Slot {
+                    gen: 0,
+                    live: true,
+                    entry: TaskEntry::new(key.clone(), state),
+                });
+                slot
+            }
+        };
+        let id = TaskId::new(slot, self.slots[slot as usize].gen);
+        self.index.insert(key, id);
+        id
+    }
+
+    /// First half of a release: the key resolves to nothing from now on.
+    /// Its task stays readable until [`TaskTable::free`].
+    fn unindex(&mut self, key: &Key) -> Option<TaskId> {
+        self.index.remove(key)
+    }
+
+    /// Second half of a release: every copy of the id goes stale, and the
+    /// slot is free for the next task.
+    fn free(&mut self, id: TaskId) {
+        let slot = &mut self.slots[id.slot()];
+        slot.entry.clear();
+        slot.live = false;
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(id.slot);
+    }
+
+    /// `released` (about to be removed) no longer waits on `dep`. Its id
+    /// stays in `dep`'s dependents, stale, until released ones make up
+    /// more than half of the list; then the list drops every stale id,
+    /// keeping the order of the rest. Each release pays for one slot of
+    /// one compaction, so releasing n dependents of one block is O(n).
+    fn unlink(&mut self, dep: TaskId, released: TaskId) {
+        let Some(entry) = self.get_mut(dep) else {
+            return;
+        };
+        entry.released_dependents += 1;
+        if 2 * entry.released_dependents <= entry.dependents.len() {
+            return;
+        }
+        let mut dependents = std::mem::take(&mut entry.dependents);
+        dependents.retain(|&d| d != released && self.get(d).is_some());
+        let entry = self.entry(dep);
+        entry.dependents = dependents;
+        entry.released_dependents = 0;
+    }
+
+    /// A fresh mark for a pass over dependency lists (see `TaskEntry::mark`).
+    fn next_mark(&mut self) -> u64 {
+        self.mark += 1;
+        self.mark
+    }
+
+    /// Every held task, in slot order.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (TaskId, &mut TaskEntry)> {
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, s)| s.live)
+            .map(|(i, s)| (TaskId::new(i as u32, s.gen), &mut s.entry))
+    }
+}
+
+/// Tests read entries by key.
+#[cfg(test)]
+impl std::ops::Index<&Key> for TaskTable {
+    type Output = TaskEntry;
+
+    fn index(&self, key: &Key) -> &TaskEntry {
+        self.id(key)
+            .and_then(|id| self.get(id))
+            .expect("a held key")
     }
 }
 
@@ -171,10 +368,10 @@ struct QueueEntry {
 /// scoped [`Key`] names its session, and teardown selects by that.
 #[derive(Default)]
 struct SessionState {
-    /// Submitted task keys not yet Memory/Erred — the admission-control
+    /// Submitted tasks not yet Memory/Erred — the admission-control
     /// denominator. A set, not a counter, so duplicate completion
     /// reports cannot drift it.
-    inflight: HashSet<Key>,
+    inflight: HashSet<TaskId>,
 }
 
 /// The scheduler state the core steps over.
@@ -183,7 +380,7 @@ pub struct Scheduler<S> {
     sink: S,
     /// The time of the step in progress, as told by the driver.
     now: Instant,
-    tasks: HashMap<Key, TaskEntry>,
+    tasks: TaskTable,
     /// Placement policy: owns the ready queue (ordering) and the per-task
     /// worker decision. See [`crate::policy`].
     policy: Box<dyn SchedulingPolicy>,
@@ -231,9 +428,12 @@ pub struct Scheduler<S> {
     client_last_seen: HashMap<ClientId, Instant>,
     /// Tasks parked between a peer loss and their resubmission, with the
     /// instant each becomes due (unordered: the set stays tiny).
-    backoff: Vec<(Instant, Key)>,
+    backoff: Vec<(Instant, TaskId)>,
     /// When the liveness sweep last ran.
     last_sweep: Instant,
+    /// A placement pass's assignments per worker, kept between passes so
+    /// a pass allocates only the batches it sends.
+    assignments: Vec<Vec<Assignment>>,
 }
 
 impl<S: Sink> Scheduler<S> {
@@ -256,7 +456,7 @@ impl<S: Sink> Scheduler<S> {
         Scheduler {
             sink,
             now,
-            tasks: HashMap::new(),
+            tasks: TaskTable::default(),
             steal_enabled: policy.steal_enabled(),
             steal_inflight: vec![false; n_workers],
             policy: policy.build(),
@@ -283,6 +483,7 @@ impl<S: Sink> Scheduler<S> {
             client_last_seen: HashMap::new(),
             backoff: Vec::new(),
             last_sweep: now,
+            assignments: Vec::new(),
         }
     }
 
@@ -470,10 +671,14 @@ impl<S: Sink> Scheduler<S> {
                             return true;
                         }
                     }
+                }
+                // Specs are shared (scheduler entry + execute message), not
+                // copied.
+                let specs: Vec<Arc<TaskSpec>> = specs.into_iter().map(Arc::new).collect();
+                let (ids, created) = self.intern_graph(&specs);
+                if session != DEFAULT_SESSION {
                     let st = self.sessions.entry(session).or_default();
-                    for spec in &specs {
-                        st.inflight.insert(spec.key.clone());
-                    }
+                    st.inflight.extend(ids.iter().copied());
                     let depth = st.inflight.len() as u64;
                     self.stats.with_tenant(session, |t| {
                         t.tasks += specs.len() as u64;
@@ -492,14 +697,12 @@ impl<S: Sink> Scheduler<S> {
                 }
                 self.stats
                     .record_n(MsgClass::TaskSubmitted, specs.len() as u64, 0);
-                self.submit_graph(specs);
+                self.wire_graph(&specs, &ids, &created);
             }
             SchedMsg::RegisterExternal { client: _, keys } => {
                 self.stats.record(MsgClass::RegisterExternal, 0);
-                for key in keys {
-                    self.tasks
-                        .entry(key)
-                        .or_insert_with(|| TaskEntry::bare(TaskState::External));
+                for key in &keys {
+                    self.tasks.intern(key, TaskState::External);
                 }
             }
             SchedMsg::UpdateData {
@@ -569,27 +772,27 @@ impl<S: Sink> Scheduler<S> {
                         self.on_worker_lost(peer);
                     }
                 }
-                if matches!(error.cause, ErrorCause::PeerLost)
-                    && self
-                        .tasks
-                        .get(&stored_key)
-                        .is_some_and(|e| e.state == TaskState::Processing)
-                {
-                    // A gather hit a dead peer mid-fetch: environmental, not
-                    // deterministic — resubmit to a survivor instead of
-                    // failing the downstream cone.
-                    self.retry_or_fail(stored_key);
-                } else {
-                    // `error.key` names the originating task (an interior
-                    // fused stage, possibly); the scheduler entry to fail is
-                    // the spec key it tracks.
-                    self.mark_erred(stored_key, error);
+                if let Some(id) = self.tasks.id(&stored_key) {
+                    if matches!(error.cause, ErrorCause::PeerLost)
+                        && self.tasks.entry(id).state == TaskState::Processing
+                    {
+                        // A gather hit a dead peer mid-fetch: environmental,
+                        // not deterministic — resubmit to a survivor instead
+                        // of failing the downstream cone.
+                        self.retry_or_fail(id);
+                    } else {
+                        // `error.key` names the originating task (an interior
+                        // fused stage, possibly); the scheduler entry to fail
+                        // is the spec key it tracks.
+                        self.mark_erred(id, error);
+                    }
                 }
                 self.pending_schedule = true;
             }
             SchedMsg::WantResult { client, key } => {
                 self.stats.record(MsgClass::WantResult, 0);
-                let location = match self.tasks.get_mut(&key) {
+                let entry = self.tasks.id(&key).map(|id| self.tasks.entry(id));
+                let location = match entry {
                     Some(entry) => match entry.state {
                         TaskState::Memory => Ok(entry.who_has[0]),
                         TaskState::Erred => {
@@ -704,48 +907,51 @@ impl<S: Sink> Scheduler<S> {
     /// dependents, and delete the payloads from every holding worker.
     /// Shared by the explicit `ReleaseKeys` message and session teardown.
     fn release_keys(&mut self, keys: Vec<Key>) {
-        let mut per_worker: HashMap<WorkerId, Vec<Key>> = HashMap::new();
-        let mut orphans: Vec<(Key, TaskError)> = Vec::new();
+        let mut per_worker: Vec<Vec<Key>> = vec![Vec::new(); self.workers.len()];
+        let mut orphans: Vec<(TaskId, TaskError)> = Vec::new();
         for key in keys {
+            let Some(id) = self.tasks.unindex(&key) else {
+                continue;
+            };
             if key.session() != DEFAULT_SESSION {
                 if let Some(st) = self.sessions.get_mut(&key.session()) {
-                    st.inflight.remove(&key);
+                    st.inflight.remove(&id);
                 }
             }
-            if let Some(entry) = self.tasks.remove(&key) {
-                // Unlink the edge from each dependency's dependents
-                // list, so a later resubmission of this key does not
-                // find (and double-wire) a stale edge.
-                for dep in &entry.deps {
-                    if let Some(dep_entry) = self.tasks.get_mut(dep) {
-                        dep_entry.dependents.retain(|k| k != &key);
-                    }
-                }
-                // Dependents still waiting on this key can never run
-                // now: fail them instead of leaving them hung.
-                for dependent in entry.dependents {
-                    if let Some(d) = self.tasks.get(&dependent) {
-                        if d.state == TaskState::Waiting {
-                            orphans.push((
-                                dependent.clone(),
-                                TaskError::new(
-                                    key.clone(),
-                                    format!("dependency {key} was released"),
-                                ),
-                            ));
-                        }
-                    }
-                }
-                for w in entry.who_has {
-                    per_worker.entry(w).or_default().push(key.clone());
+            // Unlink the edge from each dependency's dependents list, so
+            // the dependency's completion no longer visits this task.
+            for i in 0..self.tasks.entry(id).deps.len() {
+                let dep = self.tasks.entry(id).deps[i];
+                self.tasks.unlink(dep, id);
+            }
+            let entry = self.tasks.get(id).expect("a held task");
+            // Dependents still waiting on this key can never run now: fail
+            // them instead of leaving them hung.
+            for &dependent in &entry.dependents {
+                if dependent != id
+                    && self
+                        .tasks
+                        .get(dependent)
+                        .is_some_and(|d| d.state == TaskState::Waiting)
+                {
+                    orphans.push((
+                        dependent,
+                        TaskError::new(key.clone(), format!("dependency {key} was released")),
+                    ));
                 }
             }
+            for &w in &entry.who_has {
+                per_worker[w].push(key.clone());
+            }
+            self.tasks.free(id);
         }
-        for (key, err) in orphans {
-            self.mark_erred(key, err);
+        for (id, err) in orphans {
+            self.mark_erred(id, err);
         }
-        for (w, keys) in per_worker {
-            self.sink.send_data(w, DataMsg::Delete { keys });
+        for (w, keys) in per_worker.into_iter().enumerate() {
+            if !keys.is_empty() {
+                self.sink.send_data(w, DataMsg::Delete { keys });
+            }
         }
     }
 
@@ -782,9 +988,14 @@ impl<S: Sink> Scheduler<S> {
         );
         self.sessions.remove(&session);
         // Every entry tagged with the session goes, the External
-        // placeholders `submit_graph` made for unknown deps included.
-        let keys = self.tasks.keys().filter(|k| k.session() == session);
-        self.release_keys(keys.cloned().collect());
+        // placeholders `wire_graph` made for unknown deps included.
+        let keys = self
+            .tasks
+            .iter_mut()
+            .filter(|(_, e)| e.key.session() == session)
+            .map(|(_, e)| e.key.clone())
+            .collect();
+        self.release_keys(keys);
         let variables = self.variables.extract_if(|(s, _), _| *s == session);
         let queues = self.queues.extract_if(|(s, _), _| *s == session);
         let orphaned: Vec<Datum> = variables
@@ -798,7 +1009,7 @@ impl<S: Sink> Scheduler<S> {
         // Parked retries for released tasks would resurrect nothing
         // (their entries are gone), but dropping them keeps the backoff
         // list from waking the loop for a dead tenant.
-        self.backoff.retain(|(_, key)| key.session() != session);
+        self.backoff.retain(|&(_, id)| self.tasks.get(id).is_some());
         self.stats.with_tenant(session, |t| t.queue_depth = 0);
         // Belt and braces on the data plane: the Delete fan-out above
         // only reaches payloads the scheduler knew about; a sweep per
@@ -811,100 +1022,107 @@ impl<S: Sink> Scheduler<S> {
         }
     }
 
-    /// Insert a graph: wire dependencies, count unfinished deps, queue roots.
-    fn submit_graph(&mut self, specs: Vec<TaskSpec>) {
-        // Specs are shared (scheduler entry + execute message), not copied.
-        let specs: Vec<Arc<TaskSpec>> = specs.into_iter().map(Arc::new).collect();
-        // Priority policies derive per-graph ranks (e.g. b-levels) before any
-        // of these keys can reach the ready queue.
-        self.policy.graph_submitted(&specs);
-        // First pass: create entries for every spec key (so intra-graph deps
-        // resolve regardless of order), remembering which specs created
-        // theirs. A created entry has no edge yet, since a release unlinks
-        // every edge of the key it forgets.
+    /// First half of a graph's insertion: give every spec's key a task (so
+    /// intra-graph deps resolve regardless of order). Returns each spec's
+    /// task and whether this graph created it. A created task has no edge
+    /// yet: a release unlinks every edge of the task it forgets.
+    fn intern_graph(&mut self, specs: &[Arc<TaskSpec>]) -> (Vec<TaskId>, Vec<bool>) {
+        let mut ids = Vec::with_capacity(specs.len());
         let mut created = Vec::with_capacity(specs.len());
-        for spec in &specs {
-            let entry = self.tasks.get_mut(&spec.key);
-            created.push(entry.is_none());
-            match entry {
-                Some(entry) => {
+        for spec in specs {
+            match self.tasks.id(&spec.key) {
+                Some(id) => {
                     // Resubmission of a known key: keep the existing state
                     // (Memory results are reused, like Dask).
+                    let entry = self.tasks.entry(id);
                     if entry.spec.is_none()
                         && entry.state != TaskState::External
                         && entry.state != TaskState::Memory
                     {
                         entry.spec = Some(Arc::clone(spec));
                     }
+                    ids.push(id);
+                    created.push(false);
                 }
                 None => {
-                    let mut e = TaskEntry::bare(TaskState::Waiting);
-                    e.spec = Some(Arc::clone(spec));
-                    e.deps = spec.deps.clone();
-                    self.tasks.insert(spec.key.clone(), e);
+                    let id = self.tasks.insert(spec.key.clone(), TaskState::Waiting);
+                    self.tasks.entry(id).spec = Some(Arc::clone(spec));
+                    ids.push(id);
+                    created.push(true);
                 }
             }
         }
-        // Second pass: wire dependency edges and counts.
-        let mut newly_ready = Vec::new();
-        for (spec, created) in specs.iter().zip(created) {
-            let state = self.tasks[&spec.key].state;
-            if state != TaskState::Waiting {
+        // Priority policies derive per-graph ranks (e.g. b-levels) before any
+        // of these tasks can reach the ready queue.
+        self.policy.graph_submitted(specs, &ids);
+        (ids, created)
+    }
+
+    /// Second half of a graph's insertion: wire dependencies, count
+    /// unfinished deps, queue roots.
+    fn wire_graph(&mut self, specs: &[Arc<TaskSpec>], ids: &[TaskId], created: &[bool]) {
+        let mut deps = Vec::new();
+        for ((spec, &id), &created) in specs.iter().zip(ids).zip(created) {
+            if !created && self.tasks.entry(id).state != TaskState::Waiting {
                 continue; // already memory/external/etc.
+            }
+            deps.clear();
+            for dep in &spec.deps {
+                // Dependency the scheduler has never heard of (e.g. a
+                // released key, or data a bridge will push later): treat
+                // it as an implicit external task awaiting data rather
+                // than failing the submission.
+                deps.push(self.tasks.intern(dep, TaskState::External));
+            }
+            if created {
+                self.tasks.entry(id).deps.extend_from_slice(&deps);
             }
             let mut n_waiting = 0usize;
             let mut missing = None;
             // Duplicate deps (e.g. `f(x, x)`) wire exactly one edge, and the
             // completion cascade decrements `n_waiting` once per edge — so
             // count each distinct dependency once.
-            let mut seen: std::collections::HashSet<&Key> = std::collections::HashSet::new();
-            for dep in &spec.deps {
-                if !seen.insert(dep) {
+            let mark = self.tasks.next_mark();
+            for &dep in &deps {
+                let dep_entry = self.tasks.entry(dep);
+                if dep_entry.mark == mark {
                     continue;
                 }
-                let dep_entry = self.tasks.entry(dep.clone()).or_insert_with(|| {
-                    // Dependency the scheduler has never heard of (e.g. a
-                    // released key, or data a bridge will push later):
-                    // treat it as an implicit external task awaiting data
-                    // rather than failing the submission.
-                    TaskEntry::bare(TaskState::External)
-                });
-                // Only a key that already existed (resubmitted while
+                dep_entry.mark = mark;
+                // Only a task that already existed (resubmitted while
                 // waiting, or listed twice in this graph) can meet its own
                 // edge. The scan is linear in the dependents so far, so
                 // running it for every edge would make n tasks fanning out
                 // of b blocks cost n²/2b comparisons.
-                if created || !dep_entry.dependents.contains(&spec.key) {
-                    dep_entry.dependents.push(spec.key.clone());
+                if created || !dep_entry.dependents.contains(&id) {
+                    dep_entry.dependents.push(id);
                 }
                 match dep_entry.state {
                     TaskState::Memory => {}
                     TaskState::Erred => {
                         // Carry the upstream origin forward and record which
                         // dependency edge delivered it.
+                        let via = dep_entry.key.clone();
                         missing = Some(match dep_entry.error.clone() {
-                            Some(e) => e.propagated_via(dep.clone()),
-                            None => TaskError::new(dep.clone(), "upstream error"),
+                            Some(e) => e.propagated_via(via),
+                            None => TaskError::new(via, "upstream error"),
                         });
                     }
                     _ => n_waiting += 1,
                 }
             }
             if let Some(err) = missing {
-                self.mark_erred(spec.key.clone(), err);
+                self.mark_erred(id, err);
                 continue;
             }
-            let entry = self.tasks.get_mut(&spec.key).expect("created above");
+            let entry = self.tasks.entry(id);
             entry.n_waiting = n_waiting;
             if n_waiting == 0 {
                 entry.state = TaskState::Ready;
                 self.tracer
                     .instant(EventKind::TaskReady, Some(&spec.key), 0);
-                newly_ready.push(spec.key.clone());
+                self.policy.push(id);
             }
-        }
-        for key in newly_ready {
-            self.policy.push(key);
         }
         self.pending_schedule = true;
     }
@@ -914,7 +1132,7 @@ impl<S: Sink> Scheduler<S> {
     /// reported by an in-flight gather and must stay forgotten.
     fn apply_replicas(&mut self, worker: WorkerId, entries: Vec<(Key, u64)>) {
         for (key, nbytes) in entries {
-            if let Some(entry) = self.tasks.get_mut(&key) {
+            if let Some(entry) = self.tasks.id(&key).map(|id| self.tasks.entry(id)) {
                 if entry.state == TaskState::Memory && !entry.who_has.contains(&worker) {
                     entry.who_has.push(worker);
                     if entry.nbytes == 0 {
@@ -932,18 +1150,21 @@ impl<S: Sink> Scheduler<S> {
             // is unreachable. With a surviving live replica this is just a
             // stale announcement — drop it; with none, the key (and its
             // cone) is lost with the peer.
-            let has_live_replica = self.tasks.get(&key).is_some_and(|e| {
+            let id = self.tasks.id(&key);
+            let has_live_replica = id.and_then(|id| self.tasks.get(id)).is_some_and(|e| {
                 e.state == TaskState::Memory && e.who_has.iter().any(|&w| self.worker_alive(w))
             });
             if has_live_replica {
                 return;
             }
             self.stats.inc(Metric::ExternalBlocksLost);
-            self.mark_erred(
-                key.clone(),
-                TaskError::new(key, format!("data landed on dead worker {worker}"))
-                    .with_cause(ErrorCause::PeerLost),
-            );
+            if let Some(id) = id {
+                self.mark_erred(
+                    id,
+                    TaskError::new(key, format!("data landed on dead worker {worker}"))
+                        .with_cause(ErrorCause::PeerLost),
+                );
+            }
             return;
         }
         // The paper's path: treat exactly like a finished task. For a fresh
@@ -968,10 +1189,8 @@ impl<S: Sink> Scheduler<S> {
                 .send_data(worker, DataMsg::Delete { keys: vec![key] });
             return;
         }
-        let entry = self
-            .tasks
-            .entry(key.clone())
-            .or_insert_with(|| TaskEntry::bare(TaskState::External));
+        let id = self.tasks.intern(&key, TaskState::External);
+        let entry = self.tasks.entry(id);
         if entry.state == TaskState::Memory {
             // Duplicate completion report (replica): record and stop — the
             // dependent cascade must run exactly once.
@@ -988,10 +1207,12 @@ impl<S: Sink> Scheduler<S> {
         entry.assigned_to = None;
         entry.retries = 0;
         let waiters = std::mem::take(&mut entry.waiters);
-        let dependents = entry.dependents.clone();
+        // Taken for the cascade and put back after it: the cascade readies
+        // other tasks and never edits this one's dependents.
+        let dependents = std::mem::take(&mut entry.dependents);
         if key.session() != DEFAULT_SESSION {
             let depth = self.sessions.get_mut(&key.session()).map(|st| {
-                st.inflight.remove(&key);
+                st.inflight.remove(&id);
                 st.inflight.len() as u64
             });
             self.stats.with_tenant(key.session(), |t| {
@@ -1009,25 +1230,27 @@ impl<S: Sink> Scheduler<S> {
             );
         }
         // Transition cascade: unblock dependents.
-        for dep_key in dependents {
-            if let Some(dep_entry) = self.tasks.get_mut(&dep_key) {
+        for &dependent in &dependents {
+            if let Some(dep_entry) = self.tasks.get_mut(dependent) {
                 if dep_entry.state == TaskState::Waiting {
                     dep_entry.n_waiting = dep_entry.n_waiting.saturating_sub(1);
                     if dep_entry.n_waiting == 0 {
                         dep_entry.state = TaskState::Ready;
-                        self.tracer.instant(EventKind::TaskReady, Some(&dep_key), 0);
-                        self.policy.push(dep_key);
+                        self.tracer
+                            .instant(EventKind::TaskReady, Some(&dep_entry.key), 0);
+                        self.policy.push(dependent);
                     }
                 }
             }
         }
+        self.tasks.entry(id).dependents = dependents;
     }
 
     /// Mark a task and (transitively) its dependents as erred.
-    fn mark_erred(&mut self, key: Key, error: TaskError) {
-        let mut stack = vec![(key, error, true)];
-        while let Some((key, error, is_root)) = stack.pop() {
-            let Some(entry) = self.tasks.get_mut(&key) else {
+    fn mark_erred(&mut self, id: TaskId, error: TaskError) {
+        let mut stack = vec![(id, error, true)];
+        while let Some((id, error, is_root)) = stack.pop() {
+            let Some(entry) = self.tasks.get_mut(id) else {
                 continue;
             };
             if entry.state == TaskState::Erred {
@@ -1043,10 +1266,18 @@ impl<S: Sink> Scheduler<S> {
             entry.state = TaskState::Erred;
             entry.error = Some(error.clone());
             let waiters = std::mem::take(&mut entry.waiters);
-            let dependents = entry.dependents.clone();
+            let key = entry.key.clone();
+            // Dependents see the same origin, one propagation edge further
+            // downstream (`via` names the direct dependency).
+            stack.extend(
+                entry
+                    .dependents
+                    .iter()
+                    .map(|&d| (d, error.propagated_via(key.clone()), false)),
+            );
             if key.session() != DEFAULT_SESSION {
                 if let Some(st) = self.sessions.get_mut(&key.session()) {
-                    st.inflight.remove(&key);
+                    st.inflight.remove(&id);
                     let depth = st.inflight.len() as u64;
                     self.stats
                         .with_tenant(key.session(), |t| t.queue_depth = depth);
@@ -1060,11 +1291,6 @@ impl<S: Sink> Scheduler<S> {
                         location: Err(error.clone()),
                     },
                 );
-            }
-            for dep in dependents {
-                // Dependents see the same origin, one propagation edge
-                // further downstream (`via` names the direct dependency).
-                stack.push((dep.clone(), error.propagated_via(key.clone()), false));
             }
         }
     }
@@ -1138,8 +1364,8 @@ impl<S: Sink> Scheduler<S> {
             .into_iter()
             .partition(|(at, _)| *at <= now);
         self.backoff = parked;
-        for (_, key) in due {
-            let Some(entry) = self.tasks.get(&key) else {
+        for (_, id) in due {
+            let Some(entry) = self.tasks.get(id) else {
                 continue;
             };
             // Only still-Ready tasks resubmit; anything released or failed
@@ -1149,10 +1375,10 @@ impl<S: Sink> Scheduler<S> {
             }
             self.stats.inc(Metric::TasksResubmitted);
             self.tracer
-                .instant(EventKind::Resubmit, Some(&key), entry.retries as u64);
+                .instant(EventKind::Resubmit, Some(&entry.key), entry.retries as u64);
             // Through the policy queue, not a raw FIFO append: a priority
             // policy must rank resubmissions like any other ready task.
-            self.policy.push(key);
+            self.policy.push(id);
             self.pending_schedule = true;
         }
     }
@@ -1205,31 +1431,31 @@ impl<S: Sink> Scheduler<S> {
             .instant(EventKind::PeerLost, None, worker as u64);
         let mut lost_inflight = Vec::new();
         let mut lost_results = Vec::new();
-        for (key, entry) in self.tasks.iter_mut() {
+        for (id, entry) in self.tasks.iter_mut() {
             entry.who_has.retain(|&w| w != worker);
             match entry.state {
                 TaskState::Processing if entry.assigned_to == Some(worker) => {
-                    lost_inflight.push(key.clone());
+                    lost_inflight.push(id);
                 }
                 TaskState::Memory if entry.who_has.is_empty() => {
-                    lost_results.push(key.clone());
+                    lost_results.push(id);
                 }
                 _ => {}
             }
         }
-        for key in lost_inflight {
-            self.retry_or_fail(key);
+        for id in lost_inflight {
+            self.retry_or_fail(id);
         }
-        for key in lost_results {
-            self.recover_lost_result(key, worker);
+        for id in lost_results {
+            self.recover_lost_result(id, worker);
         }
         self.pending_schedule = true;
     }
 
     /// Resubmit a task whose assignment (or gather) died with a peer, with
     /// exponential backoff; past the retry budget it errs with `PeerLost`.
-    fn retry_or_fail(&mut self, key: Key) {
-        let Some(entry) = self.tasks.get_mut(&key) else {
+    fn retry_or_fail(&mut self, id: TaskId) {
+        let Some(entry) = self.tasks.get_mut(id) else {
             return;
         };
         entry.retries += 1;
@@ -1238,25 +1464,25 @@ impl<S: Sink> Scheduler<S> {
         if retries > self.liveness.max_retries {
             self.stats.inc(Metric::RetriesExhausted);
             let error = TaskError::new(
-                key.clone(),
+                entry.key.clone(),
                 format!(
                     "peer lost; {} resubmission(s) exhausted",
                     self.liveness.max_retries
                 ),
             )
             .with_cause(ErrorCause::PeerLost);
-            self.mark_erred(key, error);
+            self.mark_erred(id, error);
             return;
         }
         // Re-derive readiness: the loss that killed this attempt may also
         // have taken an input out of Memory (recompute in progress), and a
         // resubmission without it would fail hard. Such deps park the task
         // as Waiting instead — the recompute cascade re-readies it.
-        let n_waiting = match self.dep_readiness(&key) {
+        let n_waiting = match self.dep_readiness(id) {
             Ok(n) => n,
-            Err(error) => return self.mark_erred(key, error),
+            Err(error) => return self.mark_erred(id, error),
         };
-        let entry = self.tasks.get_mut(&key).expect("present above");
+        let entry = self.tasks.entry(id);
         if n_waiting > 0 {
             entry.state = TaskState::Waiting;
             entry.n_waiting = n_waiting;
@@ -1267,66 +1493,78 @@ impl<S: Sink> Scheduler<S> {
         // due. `drain_backoff` re-queues it.
         entry.state = TaskState::Ready;
         let delay = self.liveness.retry_backoff * 2u32.saturating_pow(retries.saturating_sub(1));
-        self.backoff.push((self.now + delay, key));
+        self.backoff.push((self.now + delay, id));
     }
 
-    /// How many of `key`'s distinct dependencies are not in Memory yet, or
+    /// How many of a task's distinct dependencies are not in Memory yet, or
     /// why it cannot run at all: an erred dependency propagates its error,
     /// and a released one cannot be recomputed (`PeerLost`).
-    fn dep_readiness(&self, key: &Key) -> Result<usize, TaskError> {
-        let mut seen: HashSet<&Key> = HashSet::new();
-        let mut n_waiting = 0;
-        for dep in &self.tasks[key].deps {
-            if !seen.insert(dep) {
-                continue;
-            }
-            match self.tasks.get(dep) {
-                Some(de) if de.state == TaskState::Memory => {}
-                Some(de) if de.state == TaskState::Erred => {
-                    return Err(match de.error.clone() {
-                        Some(e) => e.propagated_via(dep.clone()),
-                        None => TaskError::new(dep.clone(), "upstream error"),
-                    });
+    fn dep_readiness(&mut self, id: TaskId) -> Result<usize, TaskError> {
+        let mark = self.tasks.next_mark();
+        let entry = self.tasks.entry(id);
+        let spec = Arc::clone(entry.spec.as_ref().expect("a task that runs has a spec"));
+        let deps = std::mem::take(&mut entry.deps);
+        let mut readiness = Ok(0);
+        // `deps[i]` is the task of `spec.deps[i]`.
+        for (&dep, key) in deps.iter().zip(&spec.deps) {
+            match self.tasks.get_mut(dep) {
+                Some(de) if de.mark == mark => {}
+                Some(de) => {
+                    de.mark = mark;
+                    match de.state {
+                        TaskState::Memory => {}
+                        TaskState::Erred => {
+                            readiness = Err(match de.error.clone() {
+                                Some(e) => e.propagated_via(key.clone()),
+                                None => TaskError::new(key.clone(), "upstream error"),
+                            });
+                            break;
+                        }
+                        _ => {
+                            if let Ok(n) = &mut readiness {
+                                *n += 1;
+                            }
+                        }
+                    }
                 }
-                Some(_) => n_waiting += 1,
                 None => {
-                    return Err(TaskError::new(
-                        dep.clone(),
-                        format!("dependency {dep} released; cannot recompute"),
+                    readiness = Err(TaskError::new(
+                        key.clone(),
+                        format!("dependency {key} released; cannot recompute"),
                     )
                     .with_cause(ErrorCause::PeerLost));
+                    break;
                 }
             }
         }
-        Ok(n_waiting)
+        self.tasks.entry(id).deps = deps;
+        readiness
     }
 
     /// A Memory result lost its last replica. Prefer recompute when the
     /// spec is known (who_has refetch is moot — there is nowhere left to
     /// fetch from); external blocks have no recipe and must fail.
-    fn recover_lost_result(&mut self, key: Key, worker: WorkerId) {
-        let entry = self.tasks.get(&key).expect("caller checked presence");
+    fn recover_lost_result(&mut self, id: TaskId, worker: WorkerId) {
+        let entry = self.tasks.entry(id);
         if entry.spec.is_none() {
             // External (or scattered) block: the environment produced it,
             // only the dead worker held it. Unrecoverable by design.
+            let error = TaskError::new(
+                entry.key.clone(),
+                format!("external block lost with worker {worker}; no surviving replica"),
+            )
+            .with_cause(ErrorCause::PeerLost);
             self.stats.inc(Metric::ExternalBlocksLost);
-            self.mark_erred(
-                key.clone(),
-                TaskError::new(
-                    key,
-                    format!("external block lost with worker {worker}; no surviving replica"),
-                )
-                .with_cause(ErrorCause::PeerLost),
-            );
+            self.mark_erred(id, error);
             return;
         }
         self.stats.inc(Metric::Recomputes);
         // Dependents that already consumed this result must wait for the
         // recompute (only those not yet running; in-flight ones that trip
         // on the missing input come back through the retry path).
-        let dependents = self.tasks[&key].dependents.clone();
+        let dependents = entry.dependents.clone();
         for d in dependents {
-            if let Some(de) = self.tasks.get_mut(&d) {
+            if let Some(de) = self.tasks.get_mut(d) {
                 match de.state {
                     TaskState::Waiting => de.n_waiting += 1,
                     TaskState::Ready => {
@@ -1343,18 +1581,19 @@ impl<S: Sink> Scheduler<S> {
         // task's own inputs were also lost, their `recover_lost_result`
         // pass re-demotes us via the dependent loop above — order within
         // the lost set does not matter.
-        let n_waiting = match self.dep_readiness(&key) {
+        let n_waiting = match self.dep_readiness(id) {
             Ok(n) => n,
-            Err(error) => return self.mark_erred(key, error),
+            Err(error) => return self.mark_erred(id, error),
         };
-        let entry = self.tasks.get_mut(&key).expect("checked above");
+        let entry = self.tasks.entry(id);
         entry.n_waiting = n_waiting;
         entry.assigned_to = None;
         entry.error = None;
         if n_waiting == 0 {
             entry.state = TaskState::Ready;
-            self.tracer.instant(EventKind::TaskReady, Some(&key), 0);
-            self.policy.push(key);
+            self.tracer
+                .instant(EventKind::TaskReady, Some(&entry.key), 0);
+            self.policy.push(id);
         } else {
             entry.state = TaskState::Waiting;
         }
@@ -1400,9 +1639,10 @@ impl<S: Sink> Scheduler<S> {
         }
         let thief_alive = self.worker_alive(thief);
         for key in keys {
-            let Some(entry) = self.tasks.get_mut(&key) else {
+            let Some(id) = self.tasks.id(&key) else {
                 continue;
             };
+            let entry = self.tasks.entry(id);
             if entry.state != TaskState::Processing || entry.assigned_to != Some(victim) {
                 continue;
             }
@@ -1411,7 +1651,7 @@ impl<S: Sink> Scheduler<S> {
                 // The thief died between asking and receiving: the forwarded
                 // assignment went into a black hole. Recover like any other
                 // in-flight loss.
-                self.retry_or_fail(key);
+                self.retry_or_fail(id);
                 self.pending_schedule = true;
                 continue;
             }
@@ -1428,14 +1668,14 @@ impl<S: Sink> Scheduler<S> {
     /// slot fans the tail back out to its siblings). Returns the number of
     /// tasks assigned this pass.
     fn schedule(&mut self) -> u64 {
-        let mut per_worker: Vec<Vec<Assignment>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
+        let mut per_worker = std::mem::take(&mut self.assignments);
+        per_worker.resize_with(self.workers.len(), Vec::new);
         let mut n_assigned = 0u64;
         // One timestamp per pass: every assignment in the pass shares it, so
         // queue-delay measurement costs one clock read per pass, not per task.
         let assigned_at = self.now;
-        while let Some(key) = self.policy.pop() {
-            let Some(entry) = self.tasks.get(&key) else {
+        while let Some(id) = self.policy.pop() {
+            let Some(entry) = self.tasks.get(id) else {
                 continue;
             };
             if entry.state != TaskState::Ready {
@@ -1456,9 +1696,11 @@ impl<S: Sink> Scheduler<S> {
                     ref workers,
                     ..
                 } = *self;
-                let lookup = |dep: &Key, f: &mut dyn FnMut(u64, &[WorkerId])| {
-                    if let Some(e) = tasks.get(dep) {
-                        f(e.nbytes, &e.who_has);
+                let lookup = |f: &mut dyn FnMut(u64, &[WorkerId])| {
+                    for &dep in &entry.deps {
+                        if let Some(e) = tasks.get(dep) {
+                            f(e.nbytes, &e.who_has);
+                        }
                     }
                 };
                 policy.decide_worker(&spec, workers, &lookup)
@@ -1467,8 +1709,9 @@ impl<S: Sink> Scheduler<S> {
                 // Every worker is gone: nothing can ever run this.
                 self.stats.inc(Metric::RetriesExhausted);
                 self.mark_erred(
-                    key.clone(),
-                    TaskError::new(key, "no live workers remain").with_cause(ErrorCause::PeerLost),
+                    id,
+                    TaskError::new(spec.key.clone(), "no live workers remain")
+                        .with_cause(ErrorCause::PeerLost),
                 );
                 continue;
             };
@@ -1479,16 +1722,16 @@ impl<S: Sink> Scheduler<S> {
             // With stealing on, *every* dep location ships — a stolen task
             // must locate inputs the original target held locally.
             let steal_enabled = self.steal_enabled;
-            let dep_locations: Vec<(Key, Vec<WorkerId>)> = spec
+            let dep_locations: Vec<(Key, Vec<WorkerId>)> = entry
                 .deps
                 .iter()
-                .filter_map(|d| {
+                .filter_map(|&d| {
                     let e = self.tasks.get(d)?;
                     if !steal_enabled && e.who_has.contains(&worker) {
                         return None;
                     }
                     Some((
-                        d.clone(),
+                        e.key.clone(),
                         e.who_has
                             .iter()
                             .copied()
@@ -1497,13 +1740,13 @@ impl<S: Sink> Scheduler<S> {
                     ))
                 })
                 .collect();
-            let entry = self.tasks.get_mut(&key).expect("checked above");
+            let entry = self.tasks.entry(id);
             entry.state = TaskState::Processing;
             entry.assigned_to = Some(worker);
             self.workers[worker].processing += 1;
             n_assigned += 1;
             self.tracer
-                .instant(EventKind::Assign, Some(&key), worker as u64);
+                .instant(EventKind::Assign, Some(&spec.key), worker as u64);
             let assignment = Assignment {
                 spec,
                 dep_locations,
@@ -1512,7 +1755,7 @@ impl<S: Sink> Scheduler<S> {
             per_worker[worker].push(assignment);
         }
         let mut n_messages = 0u64;
-        for (worker, mut tasks) in per_worker.into_iter().enumerate() {
+        for (worker, tasks) in per_worker.iter_mut().enumerate() {
             match tasks.len() {
                 0 => continue,
                 1 => {
@@ -1520,11 +1763,13 @@ impl<S: Sink> Scheduler<S> {
                     self.sink.send_exec(worker, ExecMsg::Execute(assignment));
                 }
                 _ => {
+                    let tasks = std::mem::take(tasks);
                     self.sink.send_exec(worker, ExecMsg::ExecuteBatch { tasks });
                 }
             }
             n_messages += 1;
         }
+        self.assignments = per_worker;
         self.stats.add(Metric::AssignTasks, n_assigned);
         self.stats.add(Metric::AssignMessages, n_messages);
         n_assigned

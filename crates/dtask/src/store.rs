@@ -27,14 +27,14 @@
 //! count messages — exactly as before.
 
 use crate::datum::Datum;
-use crate::key::Key;
+use crate::key::{Key, KeyMap};
 use crate::msg::DataMsg;
 use crate::stats::{Metric, SchedulerStats};
 use crate::trace::{EventKind, TraceHandle};
 use crate::transport::{DataReply, ReplyTo};
 use linalg::NDArray;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -133,7 +133,7 @@ impl Recency {
 }
 
 struct Inner {
-    entries: HashMap<Key, Entry>,
+    entries: KeyMap<Entry>,
     recency: Recency,
     /// Payload bytes currently held in memory (spilled entries excluded).
     mem_bytes: u64,
@@ -196,7 +196,7 @@ impl ObjectStore {
             trace,
             instance: STORE_INSTANCE.fetch_add(1, Ordering::Relaxed),
             inner: Mutex::new(Inner {
-                entries: HashMap::new(),
+                entries: KeyMap::default(),
                 recency: Recency::default(),
                 mem_bytes: 0,
                 total_bytes: 0,
@@ -545,6 +545,7 @@ fn read_spill(path: &std::path::Path, shape: &[usize]) -> Result<NDArray, h5lite
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn key(s: &str) -> Key {
         Key::new(s)
