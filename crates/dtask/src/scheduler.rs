@@ -940,8 +940,12 @@ impl<S: Sink> Scheduler<S> {
                     ));
                 }
             }
-            for &w in &entry.who_has {
-                per_worker[w].push(key.clone());
+            // The message's key goes to the last holder, a clone to the rest.
+            if let Some((&last, rest)) = entry.who_has.split_last() {
+                for &w in rest {
+                    per_worker[w].push(key.clone());
+                }
+                per_worker[last].push(key);
             }
             self.tasks.free(id);
         }

@@ -5,7 +5,9 @@
 //!
 //! * [`channel`] — MPMC channels (`unbounded`/`bounded`) whose **receivers
 //!   clone**, which is what lets a worker run several executor slots off one
-//!   shared inbox.
+//!   shared inbox. A send or receive signals a condition variable only when
+//!   a thread is counted as waiting on it, so a channel nobody blocks on
+//!   costs no wake-up syscall per message.
 //! * [`thread`] — `scope` with the builder-style named spawn.
 
 #![forbid(unsafe_code)]
@@ -14,7 +16,7 @@ pub mod channel {
     //! MPMC channels with the crossbeam-channel surface used in-tree.
 
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct Inner<T> {
@@ -22,6 +24,19 @@ pub mod channel {
         cap: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked on `not_empty`, counted under the mutex: a
+        /// sender that pushes while this is zero has nobody to wake.
+        waiting_receivers: usize,
+        /// Senders blocked on `not_full` (bounded channels only).
+        waiting_senders: usize,
+    }
+
+    impl<T> Inner<T> {
+        /// Pop the next message; says whether a blocked sender needs waking.
+        fn pop(&mut self) -> Option<(T, bool)> {
+            let value = self.queue.pop_front()?;
+            Some((value, self.waiting_senders > 0))
+        }
     }
 
     struct Shared<T> {
@@ -70,6 +85,8 @@ pub mod channel {
                 cap,
                 senders: 1,
                 receivers: 1,
+                waiting_receivers: 0,
+                waiting_senders: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -99,18 +116,23 @@ pub mod channel {
                 }
                 match inner.cap {
                     Some(cap) if inner.queue.len() >= cap => {
+                        inner.waiting_senders += 1;
                         inner = self
                             .0
                             .not_full
                             .wait(inner)
                             .unwrap_or_else(|e| e.into_inner());
+                        inner.waiting_senders -= 1;
                     }
                     _ => break,
                 }
             }
             inner.queue.push_back(value);
+            let wake = inner.waiting_receivers > 0;
             drop(inner);
-            self.0.not_empty.notify_one();
+            if wake {
+                self.0.not_empty.notify_one();
+            }
             Ok(())
         }
     }
@@ -138,34 +160,42 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
+        /// Hand a popped message out, waking one blocked sender if there is
+        /// one (a slot just freed up).
+        fn deliver(&self, inner: MutexGuard<'_, Inner<T>>, (value, wake): (T, bool)) -> T {
+            drop(inner);
+            if wake {
+                self.0.not_full.notify_one();
+            }
+            value
+        }
+
         /// Receive a message, blocking until one arrives. Errors only when
         /// the channel is empty and every sender has been dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut inner = self.0.inner.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.0.not_full.notify_one();
-                    return Ok(v);
+                if let Some(popped) = inner.pop() {
+                    return Ok(self.deliver(inner, popped));
                 }
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
+                inner.waiting_receivers += 1;
                 inner = self
                     .0
                     .not_empty
                     .wait(inner)
                     .unwrap_or_else(|e| e.into_inner());
+                inner.waiting_receivers -= 1;
             }
         }
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut inner = self.0.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(v) = inner.queue.pop_front() {
-                drop(inner);
-                self.0.not_full.notify_one();
-                return Ok(v);
+            if let Some(popped) = inner.pop() {
+                return Ok(self.deliver(inner, popped));
             }
             if inner.senders == 0 {
                 Err(TryRecvError::Disconnected)
@@ -179,10 +209,8 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut inner = self.0.inner.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.0.not_full.notify_one();
-                    return Ok(v);
+                if let Some(popped) = inner.pop() {
+                    return Ok(self.deliver(inner, popped));
                 }
                 if inner.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
@@ -190,12 +218,14 @@ pub mod channel {
                 let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                     return Err(RecvTimeoutError::Timeout);
                 };
+                inner.waiting_receivers += 1;
                 let (guard, res) = self
                     .0
                     .not_empty
                     .wait_timeout(inner, remaining)
                     .unwrap_or_else(|e| e.into_inner());
                 inner = guard;
+                inner.waiting_receivers -= 1;
                 if res.timed_out() && inner.queue.is_empty() {
                     return Err(RecvTimeoutError::Timeout);
                 }
@@ -237,6 +267,78 @@ pub mod channel {
                 drop(inner);
                 self.0.not_full.notify_all();
             }
+        }
+    }
+
+    /// A blocked thread is woken by the operation it waits for. Each test
+    /// waits for its thread to be counted as blocked, acts, and gives the
+    /// thread a deadline to come back, so a lost wake-up fails the test
+    /// instead of hanging it.
+    #[cfg(test)]
+    mod wake_tests {
+        use super::*;
+        use std::sync::mpsc;
+        use std::thread;
+
+        const DEADLINE: Duration = Duration::from_secs(10);
+
+        /// Return once one receiver (or, with `senders`, one sender) is
+        /// blocked on the channel.
+        fn await_blocked<T>(shared: &Shared<T>, senders: bool) {
+            let start = Instant::now();
+            loop {
+                let inner = shared.inner.lock().unwrap();
+                let blocked = if senders {
+                    inner.waiting_senders
+                } else {
+                    inner.waiting_receivers
+                };
+                if blocked == 1 {
+                    return;
+                }
+                drop(inner);
+                assert!(start.elapsed() < DEADLINE, "the thread never blocked");
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        #[test]
+        fn a_send_wakes_a_receiver_blocked_in_recv() {
+            let (tx, rx) = unbounded();
+            let shared = Arc::clone(&rx.0);
+            let (done_tx, done) = mpsc::channel();
+            thread::spawn(move || done_tx.send(rx.recv()).unwrap());
+            await_blocked(&shared, false);
+            tx.send(7).unwrap();
+            assert_eq!(done.recv_timeout(DEADLINE), Ok(Ok(7)), "lost wake-up");
+        }
+
+        #[test]
+        fn a_send_wakes_a_receiver_blocked_in_recv_timeout() {
+            let (tx, rx) = unbounded();
+            let shared = Arc::clone(&rx.0);
+            let (done_tx, done) = mpsc::channel();
+            thread::spawn(move || {
+                done_tx
+                    .send(rx.recv_timeout(Duration::from_secs(3600)))
+                    .unwrap()
+            });
+            await_blocked(&shared, false);
+            tx.send(7).unwrap();
+            assert_eq!(done.recv_timeout(DEADLINE), Ok(Ok(7)), "lost wake-up");
+        }
+
+        #[test]
+        fn a_receive_wakes_a_sender_blocked_on_a_full_channel() {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            let shared = Arc::clone(&tx.0);
+            let (done_tx, done) = mpsc::channel();
+            thread::spawn(move || done_tx.send(tx.send(2)).unwrap());
+            await_blocked(&shared, true);
+            assert_eq!(rx.try_recv(), Ok(1));
+            assert_eq!(done.recv_timeout(DEADLINE), Ok(Ok(())), "lost wake-up");
+            assert_eq!(rx.recv(), Ok(2));
         }
     }
 }
