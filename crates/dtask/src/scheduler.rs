@@ -219,37 +219,45 @@ struct Slot {
     entry: TaskEntry,
 }
 
+/// Slots per chunk of the task slab. A chunk never moves once allocated, so
+/// growing the slab copies no entry: doubling one flat `Vec` instead stalls
+/// the step that grows it for a copy of every entry, which showed as a
+/// slower tail of rounds on the retained storm.
+const CHUNK: usize = 1024;
+
 /// The core's tasks: entries in a slab of reusable slots addressed by
 /// [`TaskId`], and the one map from a [`Key`] to its id. A key is hashed
 /// only where a message names it; inside the core every reference is an id.
 #[derive(Default)]
 struct TaskTable {
-    slots: Vec<Slot>,
+    /// The slab: slot `i` is `chunks[i / CHUNK][i % CHUNK]`.
+    chunks: Vec<Vec<Slot>>,
     /// Free slots, the most recently released last.
-    free: Vec<u32>,
+    vacant: Vec<u32>,
     index: KeyMap<TaskId>,
     /// The last mark handed out by [`TaskTable::next_mark`].
     mark: u64,
 }
 
 impl TaskTable {
-    /// Number of tasks held.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
     fn id(&self, key: &Key) -> Option<TaskId> {
         self.index.get(key).copied()
     }
 
+    fn slot(&mut self, slot: usize) -> &mut Slot {
+        &mut self.chunks[slot / CHUNK][slot % CHUNK]
+    }
+
     fn get(&self, id: TaskId) -> Option<&TaskEntry> {
-        let slot = self.slots.get(id.slot())?;
+        let slot = self.chunks.get(id.slot() / CHUNK)?.get(id.slot() % CHUNK)?;
         (slot.live && slot.gen == id.gen).then_some(&slot.entry)
     }
 
     fn get_mut(&mut self, id: TaskId) -> Option<&mut TaskEntry> {
-        let slot = self.slots.get_mut(id.slot())?;
+        let slot = self
+            .chunks
+            .get_mut(id.slot() / CHUNK)?
+            .get_mut(id.slot() % CHUNK)?;
         (slot.live && slot.gen == id.gen).then_some(&mut slot.entry)
     }
 
@@ -269,25 +277,29 @@ impl TaskTable {
     /// Make a task for a key the table does not hold, in a free slot if
     /// there is one.
     fn insert(&mut self, key: Key, state: TaskState) -> TaskId {
-        let slot = match self.free.pop() {
+        let id = match self.vacant.pop() {
             Some(slot) => {
-                let s = &mut self.slots[slot as usize];
+                let s = self.slot(slot as usize);
                 s.live = true;
                 s.entry.key = key.clone();
                 s.entry.state = state;
-                slot
+                TaskId::new(slot, s.gen)
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 tasks");
-                self.slots.push(Slot {
+                if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
+                    self.chunks.push(Vec::with_capacity(CHUNK));
+                }
+                let slot =
+                    (self.chunks.len() - 1) * CHUNK + self.chunks[self.chunks.len() - 1].len();
+                let slot = u32::try_from(slot).expect("fewer than 2^32 tasks");
+                self.chunks.last_mut().expect("pushed above").push(Slot {
                     gen: 0,
                     live: true,
                     entry: TaskEntry::new(key.clone(), state),
                 });
-                slot
+                TaskId::new(slot, 0)
             }
         };
-        let id = TaskId::new(slot, self.slots[slot as usize].gen);
         self.index.insert(key, id);
         id
     }
@@ -301,11 +313,11 @@ impl TaskTable {
     /// Second half of a release: every copy of the id goes stale, and the
     /// slot is free for the next task.
     fn free(&mut self, id: TaskId) {
-        let slot = &mut self.slots[id.slot()];
+        let slot = self.slot(id.slot());
         slot.entry.clear();
         slot.live = false;
         slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(id.slot);
+        self.vacant.push(id.slot);
     }
 
     /// `released` (about to be removed) no longer waits on `dep`. Its id
@@ -336,23 +348,12 @@ impl TaskTable {
 
     /// Every held task, in slot order.
     fn iter_mut(&mut self) -> impl Iterator<Item = (TaskId, &mut TaskEntry)> {
-        self.slots
+        self.chunks
             .iter_mut()
+            .flatten()
             .enumerate()
             .filter(|(_, s)| s.live)
             .map(|(i, s)| (TaskId::new(i as u32, s.gen), &mut s.entry))
-    }
-}
-
-/// Tests read entries by key.
-#[cfg(test)]
-impl std::ops::Index<&Key> for TaskTable {
-    type Output = TaskEntry;
-
-    fn index(&self, key: &Key) -> &TaskEntry {
-        self.id(key)
-            .and_then(|id| self.get(id))
-            .expect("a held key")
     }
 }
 

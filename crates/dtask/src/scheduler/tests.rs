@@ -25,6 +25,24 @@ impl Sink for Outbox {
     }
 }
 
+impl TaskTable {
+    /// Number of tasks held.
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+}
+
+/// Tests read entries by key.
+impl std::ops::Index<&Key> for TaskTable {
+    type Output = TaskEntry;
+
+    fn index(&self, key: &Key) -> &TaskEntry {
+        self.id(key)
+            .and_then(|id| self.get(id))
+            .expect("a held key")
+    }
+}
+
 const CLIENT: ClientId = 7;
 const MS: Duration = Duration::from_millis(1);
 
