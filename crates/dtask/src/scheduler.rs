@@ -1504,46 +1504,35 @@ impl<S: Sink> Scheduler<S> {
     /// How many of a task's distinct dependencies are not in Memory yet, or
     /// why it cannot run at all: an erred dependency propagates its error,
     /// and a released one cannot be recomputed (`PeerLost`).
-    fn dep_readiness(&mut self, id: TaskId) -> Result<usize, TaskError> {
-        let mark = self.tasks.next_mark();
-        let entry = self.tasks.entry(id);
-        let spec = Arc::clone(entry.spec.as_ref().expect("a task that runs has a spec"));
-        let deps = std::mem::take(&mut entry.deps);
-        let mut readiness = Ok(0);
+    fn dep_readiness(&self, id: TaskId) -> Result<usize, TaskError> {
+        let entry = self.tasks.get(id).expect("a held task");
+        let spec = entry.spec.as_ref().expect("a task that runs has a spec");
+        let mut seen: HashSet<TaskId> = HashSet::new();
+        let mut n_waiting = 0;
         // `deps[i]` is the task of `spec.deps[i]`.
-        for (&dep, key) in deps.iter().zip(&spec.deps) {
-            match self.tasks.get_mut(dep) {
-                Some(de) if de.mark == mark => {}
-                Some(de) => {
-                    de.mark = mark;
-                    match de.state {
-                        TaskState::Memory => {}
-                        TaskState::Erred => {
-                            readiness = Err(match de.error.clone() {
-                                Some(e) => e.propagated_via(key.clone()),
-                                None => TaskError::new(key.clone(), "upstream error"),
-                            });
-                            break;
-                        }
-                        _ => {
-                            if let Ok(n) = &mut readiness {
-                                *n += 1;
-                            }
-                        }
-                    }
+        for (&dep, key) in entry.deps.iter().zip(&spec.deps) {
+            if !seen.insert(dep) {
+                continue;
+            }
+            match self.tasks.get(dep) {
+                Some(de) if de.state == TaskState::Memory => {}
+                Some(de) if de.state == TaskState::Erred => {
+                    return Err(match de.error.clone() {
+                        Some(e) => e.propagated_via(key.clone()),
+                        None => TaskError::new(key.clone(), "upstream error"),
+                    });
                 }
+                Some(_) => n_waiting += 1,
                 None => {
-                    readiness = Err(TaskError::new(
+                    return Err(TaskError::new(
                         key.clone(),
                         format!("dependency {key} released; cannot recompute"),
                     )
                     .with_cause(ErrorCause::PeerLost));
-                    break;
                 }
             }
         }
-        self.tasks.entry(id).deps = deps;
-        readiness
+        Ok(n_waiting)
     }
 
     /// A Memory result lost its last replica. Prefer recompute when the
