@@ -557,7 +557,7 @@ impl Client {
             _ => None,
         })?;
         let resolved = self.resolve_handles(&value)?;
-        if let Datum::Ref(handle) = &value {
+        if let Datum::Handle(handle) = &value {
             self.endpoint.send_data(
                 handle.holder,
                 DataMsg::Delete {

@@ -399,38 +399,48 @@ impl<T: Wire> Wire for Arc<T> {
 /// One table per enum: `tag => Variant`, `tag => Variant { fields }` or
 /// `tag => Variant(fields)`, each entry ending in a comma (plus
 /// `tag => Variant(Wrap(field))` for a variant told apart by what wraps its
-/// field). Encoding writes the tag byte, then the fields in table order;
-/// decoding is the same table read the other way, and a tag it does not
-/// list is [`WireError::BadTag`] naming `$what`. Tags are append-only.
+/// field, and `tag => Variant(box field)` for a variant that boxes its one
+/// field: the field is coded as what it points to, at the variant's own
+/// nesting level). Encoding writes the tag byte, then the fields in table
+/// order; decoding is the same table read the other way, and a tag it does
+/// not list is [`WireError::BadTag`] naming `$what`. Tags are append-only.
 macro_rules! wire_enum {
     ($T:ident $(<$($G:ident),+>)?, $what:literal { $($table:tt)* }) => {
         wire_enum!(@entry $T [$($($G)+)?] $what [] $($table)*);
     };
-    // Each entry becomes `(tag [fields] shape)`; `shape` is both the pattern
-    // that takes a value apart and the expression that builds it.
+    // Each entry becomes `(tag [fields] (pattern) (build))`: the pattern
+    // takes a value apart, the expression builds it from the fields.
     (@entry $T:ident $G:tt $what:literal [$($done:tt)*]
         $tag:literal => $v:ident { $($f:ident),* }, $($rest:tt)*) => {
-        wire_enum!(@entry $T $G $what [$($done)* ($tag [$($f)*] $T::$v { $($f),* })] $($rest)*);
+        wire_enum!(@entry $T $G $what [$($done)*
+            ($tag [$($f)*] ($T::$v { $($f),* }) ($T::$v { $($f),* }))] $($rest)*);
+    };
+    (@entry $T:ident $G:tt $what:literal [$($done:tt)*]
+        $tag:literal => $v:ident(box $f:ident), $($rest:tt)*) => {
+        wire_enum!(@entry $T $G $what [$($done)*
+            ($tag [$f] ($T::$v($f)) ($T::$v(Box::new($f))))] $($rest)*);
     };
     (@entry $T:ident $G:tt $what:literal [$($done:tt)*]
         $tag:literal => $v:ident($w:ident($f:ident)), $($rest:tt)*) => {
-        wire_enum!(@entry $T $G $what [$($done)* ($tag [$f] $T::$v($w($f)))] $($rest)*);
+        wire_enum!(@entry $T $G $what [$($done)*
+            ($tag [$f] ($T::$v($w($f))) ($T::$v($w($f))))] $($rest)*);
     };
     (@entry $T:ident $G:tt $what:literal [$($done:tt)*]
         $tag:literal => $v:ident($($f:ident),*), $($rest:tt)*) => {
-        wire_enum!(@entry $T $G $what [$($done)* ($tag [$($f)*] $T::$v($($f),*))] $($rest)*);
+        wire_enum!(@entry $T $G $what [$($done)*
+            ($tag [$($f)*] ($T::$v($($f),*)) ($T::$v($($f),*)))] $($rest)*);
     };
     (@entry $T:ident $G:tt $what:literal [$($done:tt)*] $tag:literal => $v:ident, $($rest:tt)*) => {
-        wire_enum!(@entry $T $G $what [$($done)* ($tag [] $T::$v)] $($rest)*);
+        wire_enum!(@entry $T $G $what [$($done)* ($tag [] ($T::$v) ($T::$v))] $($rest)*);
     };
     (@entry $T:ident [$($G:ident)*] $what:literal
-        [$(($tag:literal [$($f:ident)*] $($shape:tt)+))*]) => {
+        [$(($tag:literal [$($f:ident)*] ($($pat:tt)+) ($($build:tt)+)))*]) => {
         impl<$($G: Wire),*> Sealed for $T<$($G),*> {}
         impl<$($G: Wire),*> Wire for $T<$($G),*> {
             const MIN_BYTES: usize = 1;
             fn put(&self, e: &mut Enc) {
                 match self {
-                    $($($shape)+ => {
+                    $($($pat)+ => {
                         e.u8($tag);
                         $($f.put(e);)*
                     })*
@@ -442,7 +452,7 @@ macro_rules! wire_enum {
                 match u8::get(d)? {
                     $($tag => {
                         $(let $f = Wire::get(d)?;)*
-                        Ok($($shape)+)
+                        Ok($($build)+)
                     })*
                     tag => Err(WireError::BadTag { what: $what, tag }),
                 }
@@ -550,7 +560,7 @@ wire_enum!(Datum, "datum" {
     5 => List(items),
     6 => Bytes(b),
     7 => Null,
-    8 => Ref(r),
+    8 => Handle(box r),
 });
 
 wire_enum!(FusedInput, "fused input" {

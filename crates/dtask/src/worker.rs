@@ -773,7 +773,7 @@ pub(crate) fn resolve_refs(
 /// Collect the distinct [`DatumRef`] handles inside `value` (lists recurse).
 fn collect_refs(value: &Datum, out: &mut Vec<DatumRef>) {
     match value {
-        Datum::Ref(r) if !out.iter().any(|h| h.key == r.key) => out.push(r.clone()),
+        Datum::Handle(r) if !out.iter().any(|h| h.key == r.key) => out.push((**r).clone()),
         Datum::List(items) => {
             for item in items {
                 collect_refs(item, out);
@@ -786,7 +786,7 @@ fn collect_refs(value: &Datum, out: &mut Vec<DatumRef>) {
 /// Rebuild `value` with every handle replaced by its resolved payload.
 fn substitute_refs(value: &Datum, resolved: &HashMap<Key, Datum>) -> Datum {
     match value {
-        Datum::Ref(r) => resolved
+        Datum::Handle(r) => resolved
             .get(&r.key)
             .expect("resolve_refs resolved every handle")
             .clone(),
