@@ -59,6 +59,7 @@ pub mod spec;
 pub mod stats;
 pub mod store;
 pub mod telemetry;
+mod threads;
 pub mod trace;
 pub mod transport;
 pub mod wire;

@@ -41,6 +41,7 @@
 //! up", never a hang.
 
 use crate::msg::WorkerId;
+use crate::threads::ThreadRole;
 use crate::transport::{Addr, Fabric, TransportConfig};
 use crate::wire::{self, Kind, NodeMsg, NodeWelcome, WireError, HEADER_BYTES};
 pub use crate::wire::{MAX_FRAME_BYTES, PREAMBLE_BYTES};
@@ -461,7 +462,7 @@ impl PlaneShared {
         let tx = self.spawn_writer(node, out)?;
         links.insert(node, tx.clone());
         let shared = Arc::clone(self);
-        self.spawn(format!("dtask-net-r{node}"), move || {
+        self.spawn(ThreadRole::NetRead(node).name(), move || {
             reader_loop(shared, inp, node, fr)
         })
         .inspect_err(|_| {
@@ -475,7 +476,7 @@ impl PlaneShared {
     fn spawn_writer<W: Write + Pipe>(&self, node: u64, out: W) -> std::io::Result<Sender<Vec<u8>>> {
         let (tx, rx) = unbounded();
         let label = self.link_name(node);
-        self.spawn(format!("dtask-net-w{node}"), move || {
+        self.spawn(ThreadRole::NetWrite(node).name(), move || {
             writer_loop(out, rx, label)
         })?;
         Ok(tx)
@@ -852,11 +853,11 @@ impl Plane {
             shared: PlaneShared::new(Mode::Hub(hub), Some(listener.local_addr()?), fabric),
         };
         let accept_shared = Arc::clone(&plane.shared);
-        plane.shared.spawn("dtask-net-accept".into(), move || {
+        plane.shared.spawn(ThreadRole::NetAccept.name(), move || {
             accept_until_stopped(&listener, &accept_shared.stop, |stream, peer_sock| {
                 let conn_shared = Arc::clone(&accept_shared);
                 let serve = move || hub_conn(conn_shared, stream, peer_sock);
-                if let Err(e) = accept_shared.spawn("dtask-net-conn".into(), serve) {
+                if let Err(e) = accept_shared.spawn(ThreadRole::NetConn.name(), serve) {
                     eprintln!("dtask-net: connection thread spawn failed: {e}");
                 }
             })

@@ -31,6 +31,7 @@ use crate::key::Key;
 use crate::net::{accept_until_stopped, stop_accepting};
 use crate::snapshot::StatsSnapshot;
 use crate::stats::{Counters, Metric, MsgClass, SchedulerStats, WireLane};
+use crate::threads::ThreadRole;
 use crate::trace::TraceRecorder;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -522,7 +523,7 @@ impl Exporter {
     pub(crate) fn serve(&self) -> std::io::Result<SocketAddr> {
         if let Some(accept) = self.accept.lock().take() {
             let thread = std::thread::Builder::new()
-                .name("dtask-telemetry-http".into())
+                .name(ThreadRole::Telemetry.name())
                 .spawn(accept)?;
             *self.thread.lock() = Some(thread);
         }

@@ -37,6 +37,7 @@ use crate::spec::{FusedInput, OpRegistry, TaskSpec, Value};
 use crate::stats::{Hist, Metric, MsgClass, SchedulerStats};
 use crate::store::{ObjectStore, StoreConfig};
 use crate::telemetry::TelemetryHub;
+use crate::threads::ThreadRole;
 use crate::trace::{EventKind, TraceActor, TraceHandle, TraceRecorder};
 use crate::transport::{Addr, Endpoint, Failed, Router, Wants};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
@@ -155,7 +156,7 @@ impl WorkerRuntime {
             };
             rt.slots.push(
                 std::thread::Builder::new()
-                    .name(format!("dtask-worker-{id}-exec-{slot}"))
+                    .name(ThreadRole::Slot { worker: id, slot }.name())
                     .spawn(move || exec.run())?,
             );
         }
@@ -165,7 +166,7 @@ impl WorkerRuntime {
             // detected.
             let endpoint = router.endpoint(Addr::WorkerExec(id));
             rt.pinger = Some(Pinger::spawn(
-                format!("dtask-worker-{id}-ping"),
+                ThreadRole::WorkerPing(id).name(),
                 period,
                 move || endpoint.send_sched(SchedMsg::WorkerHeartbeat { worker: id }),
             )?);
