@@ -150,7 +150,9 @@ pub struct ClusterConfig {
     /// [`TransportConfig::InProc`] — plain channels, zero overhead).
     /// [`TransportConfig::Framed`] runs every message through the versioned
     /// wire format and counts real serialized bytes;
-    /// [`TransportConfig::Tcp`] also sends each one over a loopback socket.
+    /// [`TransportConfig::Tcp`] also sends each one to a worker over a
+    /// loopback socket. On both, client ↔ scheduler messages are encoded and
+    /// decoded but cross no pipe or socket, as on a deployment hub.
     pub transport: TransportConfig,
     /// Fault tolerance and fault injection (default: everything off).
     pub fault: FaultConfig,

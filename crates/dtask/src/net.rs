@@ -14,17 +14,17 @@
 //! only the envelope, so every coded backend reports the same byte totals.
 //!
 //! A **link** is one byte pipe per destination node: one writer thread
-//! drains the link's queue into it, one reader thread reassembles frames out
-//! of it and delivers them. A data request is answered in that reader by its
+//! drains the link's queue into it, one vectored write per drain, and one
+//! reader thread reassembles frames out of it and delivers them. A data request is answered in that reader by its
 //! worker's store, and the reply queued on the requester's link. [`writer_loop`]
 //! and [`reader_loop`] are written once, over `Write` and `Read`; only the
 //! pipe differs:
 //!
 //! * **In process** (`Framed`, `Tcp`): every node lives in this process.
-//!   The plane makes a link the first time it routes to a node — an OS pipe
+//!   Node 0 is delivered in the sending thread, as on a hub. The plane makes
+//!   a link to a worker's node the first time it routes there — an OS pipe
 //!   for `Framed`, a connected `127.0.0.1` TCP pair for `Tcp` — and the
-//!   link's reader delivers into the local fabric. Delivery is FIFO per
-//!   link.
+//!   link's reader delivers into the local fabric. Delivery is FIFO per link.
 //! * **Hub** (inside [`crate::Cluster::listen`]): a link is an accepted
 //!   `dtask-node` connection, after the `Hello`/`Welcome` registration
 //!   handshake. The hub star-routes worker↔worker frames without looking
@@ -48,7 +48,7 @@ pub use crate::wire::{MAX_FRAME_BYTES, PREAMBLE_BYTES};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{ErrorKind, PipeReader, PipeWriter, Read, Write};
+use std::io::{ErrorKind, IoSlice, PipeReader, PipeWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
@@ -60,7 +60,7 @@ pub const FRAME_HEADER_BYTES: usize = PREAMBLE_BYTES + HEADER_BYTES;
 
 // ---- frame codec ------------------------------------------------------------
 
-/// Build one routed frame: preamble + envelope.
+/// Build one routed frame, preamble + envelope, in one buffer (handshakes).
 pub fn frame(to: Addr, envelope: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(PREAMBLE_BYTES + envelope.len());
     out.extend_from_slice(&wire::preamble(to));
@@ -188,22 +188,53 @@ fn tcp_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     Ok((dialed, listener.accept()?.0))
 }
 
-/// Per-link writer: drains the queue into `out`, in queue order. A write
+/// What a link's queue carries: a destination and its envelope, as built.
+type Queued = (Addr, Vec<u8>);
+
+/// The most frames a link's writer takes off its queue for one write.
+const DRAIN_FRAMES: usize = 64;
+
+/// Per-link writer: drains the queue into `out`, in queue order, each `recv`
+/// and what is queued behind it (up to [`DRAIN_FRAMES`]) in one write. A write
 /// error means the far end is gone: log once, then keep draining so no
 /// sender ever blocks on a corpse (the dependency-ordered teardown relies on
 /// this). Once every sender is gone, hang up, which ends the far end's read.
-fn writer_loop<W: Write + Pipe>(mut out: W, rx: Receiver<Vec<u8>>, label: String) {
+fn writer_loop<W: Write + Pipe>(mut out: W, rx: Receiver<Queued>, label: String) {
     let mut dead = false;
-    while let Ok(bytes) = rx.recv() {
-        if dead {
-            continue;
+    let mut batch = Vec::with_capacity(DRAIN_FRAMES);
+    while let Ok(first) = rx.recv() {
+        batch.push(first);
+        batch.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(DRAIN_FRAMES - 1));
+        if !dead {
+            if let Err(e) = write_frames(&mut out, &batch) {
+                eprintln!("dtask-net: write to {label} failed ({e}); peer treated as gone");
+                dead = true;
+            }
         }
-        if let Err(e) = out.write_all(&bytes) {
-            eprintln!("dtask-net: write to {label} failed ({e}); peer treated as gone");
-            dead = true;
-        }
+        batch.clear();
     }
     out.hang_up();
+}
+
+/// Write `frames`, each preamble and envelope a slice of one vectored write,
+/// carrying on after a short or interrupted write.
+fn write_frames(out: &mut impl Write, frames: &[Queued]) -> std::io::Result<()> {
+    let preambles: Vec<_> = frames.iter().map(|(to, _)| wire::preamble(*to)).collect();
+    let mut slices: Vec<IoSlice> = preambles
+        .iter()
+        .zip(frames)
+        .flat_map(|(preamble, (_, envelope))| [IoSlice::new(preamble), IoSlice::new(envelope)])
+        .collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match out.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Per-link reader: reassembles frames out of `inp` (after whatever `fr`
@@ -290,9 +321,9 @@ impl HubState {
 
 /// How a plane reaches its nodes.
 enum Mode {
-    /// Every node is in this process (`Framed`, `Tcp`): links are made on
-    /// first use, over a loopback TCP pair when `tcp` and an OS pipe
-    /// otherwise.
+    /// Every node is in this process (`Framed`, `Tcp`): node 0 is delivered
+    /// in place, and a link to a worker's node is made on first use, over a
+    /// loopback TCP pair when `tcp` and an OS pipe otherwise.
     Local { tcp: bool },
     /// The deployment hub: links are accepted `dtask-node` connections.
     Hub(HubState),
@@ -314,7 +345,7 @@ pub struct PlaneShared {
     stop: AtomicBool,
     /// Live links by destination node id. Dropping a sender retires its
     /// writer.
-    links: Mutex<HashMap<u64, Sender<Vec<u8>>>>,
+    links: Mutex<HashMap<u64, Sender<Queued>>>,
     /// Where the hub's listener is bound.
     listen_addr: Option<SocketAddr>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -390,28 +421,28 @@ impl PlaneShared {
     }
 
     /// Route one encoded envelope toward `to`: into the local fabric when
-    /// `to` lives on this process's node, else onto the link of `to`'s node.
-    /// When that node's process is gone (or has not attached), its worker is
-    /// unreachable and the reply slots aimed at it die here.
-    pub(crate) fn route(self: &Arc<Self>, to: Addr, envelope: &[u8]) {
+    /// `to` lives on this process's node (node 0 in process and on a hub),
+    /// else onto the link of `to`'s node. When that node's process is gone
+    /// (or has not attached), its worker is unreachable and the reply slots
+    /// aimed at it die here.
+    pub(crate) fn route(self: &Arc<Self>, to: Addr, envelope: Vec<u8>) {
         let dest = to_node(to);
         let via = match &self.mode {
-            Mode::Local { .. } => Some(dest),
-            Mode::Hub(_) => (dest != 0).then_some(dest),
+            Mode::Local { .. } | Mode::Hub(_) => (dest != 0).then_some(dest),
             // Everything off this node rides the hub link (star topology;
             // the hub forwards).
             Mode::Node { self_node, .. } => (dest != *self_node).then_some(0),
         };
         let Some(link) = via else {
-            return self.fabric.deliver_encoded(self, to, envelope);
+            return self.fabric.deliver_encoded(self, to, &envelope);
         };
-        if self.send_on(link, frame(to, envelope)) {
+        let Err((to, envelope)) = self.send_on(link, (to, envelope)) else {
             return;
-        }
+        };
         match self.mode {
             // A link this process could not make: deliver in place rather
             // than lose the message.
-            Mode::Local { .. } => self.fabric.deliver_encoded(self, to, envelope),
+            Mode::Local { .. } => self.fabric.deliver_encoded(self, to, &envelope),
             _ => {
                 if let Some(w) = worker_on(dest) {
                     self.fabric.peer_gone(w);
@@ -420,14 +451,17 @@ impl PlaneShared {
         }
     }
 
-    /// Queue `bytes` on the link to node `node`; `false` when there is none.
-    fn send_on(self: &Arc<Self>, node: u64, bytes: Vec<u8>) -> bool {
-        self.link(node).is_some_and(|tx| tx.send(bytes).is_ok())
+    /// Queue `frame` on the link to node `node`, or hand it back if there is none.
+    fn send_on(self: &Arc<Self>, node: u64, frame: Queued) -> Result<(), Queued> {
+        match self.link(node) {
+            Some(tx) => tx.send(frame).map_err(|e| e.0),
+            None => Err(frame),
+        }
     }
 
     /// The link to node `node`: in process, made on first use; on a hub or
     /// a node, the one its handshake opened, while it is up.
-    fn link(self: &Arc<Self>, node: u64) -> Option<Sender<Vec<u8>>> {
+    fn link(self: &Arc<Self>, node: u64) -> Option<Sender<Queued>> {
         let mut links = self.links.lock();
         if let Some(tx) = links.get(&node) {
             return Some(tx.clone());
@@ -453,12 +487,12 @@ impl PlaneShared {
     /// `inp` after whatever `fr` already holds.
     fn open_link<W: Write + Pipe, R: Read + Pipe>(
         self: &Arc<Self>,
-        links: &mut HashMap<u64, Sender<Vec<u8>>>,
+        links: &mut HashMap<u64, Sender<Queued>>,
         node: u64,
         out: W,
         inp: R,
         fr: FrameReader,
-    ) -> std::io::Result<Sender<Vec<u8>>> {
+    ) -> std::io::Result<Sender<Queued>> {
         let tx = self.spawn_writer(node, out)?;
         links.insert(node, tx.clone());
         let shared = Arc::clone(self);
@@ -473,7 +507,7 @@ impl PlaneShared {
 
     /// Start the writer of the link to node `node` on `out`; the returned
     /// sender is its queue.
-    fn spawn_writer<W: Write + Pipe>(&self, node: u64, out: W) -> std::io::Result<Sender<Vec<u8>>> {
+    fn spawn_writer<W: Write + Pipe>(&self, node: u64, out: W) -> std::io::Result<Sender<Queued>> {
         let (tx, rx) = unbounded();
         let label = self.link_name(node);
         self.spawn(ThreadRole::NetWrite(node).name(), move || {
@@ -500,7 +534,8 @@ impl PlaneShared {
 
     /// Hub: queue a control message on node `node`'s link.
     fn tell(self: &Arc<Self>, node: u64, msg: &NodeMsg) -> bool {
-        self.send_on(node, frame(Addr::Control, &wire::encode_node(msg)))
+        self.send_on(node, (Addr::Control, wire::encode_node(msg)))
+            .is_ok()
     }
 
     /// Hub: queue a control message on every node's link. A node that
@@ -534,7 +569,7 @@ impl PlaneShared {
         let dest = to_node(f.to);
         if dest == 0 {
             self.fabric.deliver_encoded(self, f.to, &f.envelope);
-        } else if !self.send_on(dest, frame(f.to, &f.envelope)) {
+        } else if self.send_on(dest, (f.to, f.envelope)).is_err() {
             // Star forwarding moves bytes untouched. Its target's process is
             // gone: the origin's slots aimed at that worker die.
             if let Some(worker) = worker_on(dest) {
@@ -731,7 +766,7 @@ fn hub_conn(shared: Arc<PlaneShared>, mut stream: TcpStream, peer_sock: SocketAd
         mem_budget: hub.params.mem_budget,
         steal_poll_ms: hub.params.steal_poll_ms,
     }));
-    let _ = tx.send(frame(Addr::Control, &env));
+    let _ = tx.send((Addr::Control, env));
     // From here only `links` holds the sender, so clearing it at shutdown
     // retires the writer and ends the read below.
     drop(tx);
@@ -1144,6 +1179,182 @@ mod tests {
         assert_eq!(fr.next_frame().unwrap().unwrap().to, Addr::Scheduler);
         assert_eq!(fr.next_frame().unwrap().unwrap().to, Addr::Client(2));
         assert!(fr.next_frame().unwrap().is_none());
+    }
+
+    /// A link's far end, stepped by hand: each call takes at most `max`
+    /// bytes, call `interrupt_at` fails with `Interrupted`, and once
+    /// `break_at` bytes are taken every call fails with `BrokenPipe`.
+    struct StepWriter {
+        max: usize,
+        interrupt_at: usize,
+        break_at: usize,
+        calls: usize,
+        /// What was taken, the calls that found the pipe broken, and
+        /// whether the writer hung up.
+        seen: Arc<Mutex<(Vec<u8>, usize, bool)>>,
+    }
+
+    impl StepWriter {
+        fn new(max: usize, interrupt_at: usize, break_at: usize) -> Self {
+            let seen = Arc::new(Mutex::new((Vec::new(), 0, false)));
+            StepWriter {
+                max,
+                interrupt_at,
+                break_at,
+                calls: 0,
+                seen,
+            }
+        }
+    }
+
+    impl Write for StepWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls == self.interrupt_at {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let mut seen = self.seen.lock();
+            let (taken, broken, _) = &mut *seen;
+            if taken.len() >= self.break_at {
+                *broken += 1;
+                return Err(ErrorKind::BrokenPipe.into());
+            }
+            let room = self.max.min(self.break_at - taken.len());
+            let start = taken.len();
+            for buf in bufs {
+                let n = buf.len().min(room - (taken.len() - start));
+                taken.extend_from_slice(&buf[..n]);
+                if taken.len() - start == room {
+                    break;
+                }
+            }
+            Ok(taken.len() - start)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Pipe for StepWriter {
+        fn hang_up(&self) {
+            self.seen.lock().2 = true;
+        }
+    }
+
+    /// 150 control frames with three 512 KiB block frames among them, more
+    /// than one drain's worth, queued on a link whose senders are all gone.
+    fn queued_frames() -> (Receiver<Queued>, Vec<Queued>) {
+        let block = linalg::NDArray::from_fn(&[256, 256], |i| (i[0] * 256 + i[1]) as f64);
+        let big = wire::encode(&crate::transport::Payload::Reply {
+            corr: 5,
+            reply: crate::transport::DataReply::Value(Ok(block.into())),
+        });
+        let frames: Vec<Queued> = (0..153)
+            .map(|i| match i % 51 {
+                7 => (Addr::Client(i), big.clone()),
+                _ => (Addr::WorkerExec(i), env_bytes()),
+            })
+            .collect();
+        let (tx, rx) = unbounded();
+        for f in &frames {
+            tx.send(f.clone()).unwrap();
+        }
+        (rx, frames)
+    }
+
+    /// The writer over a pipe that takes 1, 7 or 4096 bytes a call and is
+    /// interrupted once: a frame reader fed from it gets every frame, once,
+    /// in queue order and byte for byte, and the writer hangs up when the
+    /// queue is done. No thread, no sleep: the queue's senders are gone, so
+    /// the writer returns once it is empty.
+    #[test]
+    fn writer_drains_in_order_through_short_and_interrupted_writes() {
+        for k in [1, 7, 4096] {
+            let (rx, sent) = queued_frames();
+            let out = StepWriter::new(k, 3, usize::MAX);
+            let seen = Arc::clone(&out.seen);
+            writer_loop(out, rx, format!("a {k}-byte pipe"));
+            let (bytes, broken, hung_up) = &*seen.lock();
+            assert_eq!((*broken, *hung_up), (0, true), "k = {k}");
+            let mut fr = FrameReader::new();
+            let mut got = Vec::new();
+            for chunk in bytes.chunks(k) {
+                fr.push(chunk);
+                while let Some(f) = fr.next_frame().unwrap() {
+                    got.push((f.to, f.envelope));
+                }
+            }
+            fr.at_eof().unwrap();
+            assert!(got == sent, "k = {k}: frames differ from what was queued");
+        }
+    }
+
+    /// A pipe that breaks mid-stream marks the link dead: the writer tries
+    /// it no more, yet still takes every queued frame off the queue (it
+    /// returns only once the queue is empty), so no sender ever waits on it.
+    #[test]
+    fn a_broken_pipe_marks_the_link_dead_and_the_queue_still_drains() {
+        let (rx, _) = queued_frames();
+        let out = StepWriter::new(4096, 0, 1000);
+        let seen = Arc::clone(&out.seen);
+        writer_loop(out, rx, "a broken pipe".into());
+        let (bytes, broken, hung_up) = &*seen.lock();
+        assert_eq!((bytes.len(), *broken, *hung_up), (1000, 1, true));
+    }
+
+    /// On an in-process plane, node 0 (scheduler, clients, control) is
+    /// delivered in the sending thread, as on a hub: a message to the
+    /// scheduler or a client is in its inbox when the send returns, and the
+    /// plane makes a link only to the worker it was asked to reach.
+    #[test]
+    fn node_zero_is_delivered_in_the_sending_thread() {
+        for config in [TransportConfig::Framed, TransportConfig::Tcp] {
+            let store = |_| Some(Arc::new(ObjectStore::unbounded()));
+            let (channels, sched_rx) = ClusterChannels::new(1, 1, None, store);
+            let stats = Arc::new(SchedulerStats::new());
+            let router = plane_router(channels, &stats, FaultPlan::default(), |fabric| {
+                Plane::for_transport(&config, fabric).ok_or("no plane")
+            });
+            let (client_tx, client_rx) = unbounded();
+            router.register_client(4, client_tx);
+
+            router
+                .endpoint(Addr::Client(4))
+                .send_sched(crate::msg::SchedMsg::Heartbeat { client: 4 });
+            assert!(
+                matches!(
+                    sched_rx.try_recv(),
+                    Ok(crate::msg::SchedMsg::Heartbeat { client: 4 })
+                ),
+                "{config:?}: the scheduler's inbox was empty when the send returned"
+            );
+            router.endpoint(Addr::Scheduler).send_client(
+                4,
+                crate::msg::ClientMsg::QueueItem {
+                    name: "q".into(),
+                    value: crate::Datum::Null,
+                },
+            );
+            assert!(
+                client_rx.try_recv().is_ok(),
+                "{config:?}: the client's inbox was empty when the send returned"
+            );
+            let stats_of_0 = router
+                .endpoint(Addr::Control)
+                .request(0, |reply| DataMsg::Stats { reply });
+            assert!(matches!(
+                stats_of_0.recv(),
+                Outcome::Value(crate::transport::DataReply::Stats { keys: 0, .. })
+            ));
+            let plane = router.plane().expect("a coded plane");
+            let linked: Vec<u64> = plane.links.lock().keys().copied().collect();
+            assert_eq!(linked, [1], "{config:?}: links other than worker 0's");
+        }
     }
 
     /// A router for two workers over the plane `plane` builds, counting in

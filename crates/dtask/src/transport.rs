@@ -9,11 +9,13 @@
 //! the byte-stream plane of [`crate::net`], whose readers decode them back
 //! into the same channels:
 //!
-//! | backend  | carrier | link per destination node | purpose |
-//! |----------|---------|---------------------------|---------|
+//! | backend  | carrier | link per worker node | purpose |
+//! |----------|---------|----------------------|---------|
 //! | `InProc` | channels | none | zero-overhead default |
 //! | `Framed` | byte-stream plane | an OS pipe | real bytes-on-the-wire accounting + serialization-tax measurement |
-//! | `Tcp`    | byte-stream plane | a connected loopback TCP pair | every message crosses a real socket with partial-read reassembly; the plane the multi-process deployment layer runs on |
+//! | `Tcp`    | byte-stream plane | a connected loopback TCP pair | every message to a worker crosses a real socket with partial-read reassembly; the plane the multi-process deployment layer runs on |
+//!
+//! A message to the scheduler or a client is coded in the sender's thread.
 //!
 //! The coded backends record per-lane message/byte counters into
 //! [`crate::stats::SchedulerStats`] (`WireLane`) at dispatch, so both
@@ -55,12 +57,13 @@ pub enum TransportConfig {
     /// crosses an in-process pipe, so byte counters are real serialized
     /// sizes and round-trip fidelity is exercised on every send.
     Framed,
-    /// Every message travels as a routed frame over a real TCP socket (one
-    /// loopback socket pair per destination node, partial-read reassembly —
-    /// see [`crate::net`]). Per-lane accounting counts the same envelope
-    /// bytes as `Framed`, so byte totals are directly comparable; this is
-    /// also the backend worker processes attached via the deployment layer
-    /// speak.
+    /// Every message to a worker travels as a routed frame over a real TCP
+    /// socket (one loopback socket pair per worker, partial-read reassembly
+    /// — see [`crate::net`]). Client ↔ scheduler messages are encoded and
+    /// decoded but cross no socket, as on a deployment hub. Per-lane
+    /// accounting counts the same envelope bytes as `Framed`, so byte totals
+    /// are directly comparable; this is also the backend worker processes
+    /// attached via the deployment layer speak.
     Tcp,
 }
 
@@ -283,7 +286,7 @@ impl Fabric {
         }
         // What gets delivered is the *decoded* frame: every coded message
         // proves round-trip fidelity.
-        plane.route(to, &bytes);
+        plane.route(to, bytes);
     }
 
     /// A message whose encoding is over [`wire::MAX_FRAME_BYTES`] is refused
