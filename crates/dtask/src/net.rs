@@ -15,10 +15,10 @@
 //!
 //! A **link** is one byte pipe per destination node: one writer thread
 //! drains the link's queue into it, one vectored write per drain, and one
-//! reader thread reassembles frames out of it and delivers them. A data request is answered in that reader by its
-//! worker's store, and the reply queued on the requester's link. [`writer_loop`]
-//! and [`reader_loop`] are written once, over `Write` and `Read`; only the
-//! pipe differs:
+//! reader thread reassembles frames out of it and delivers them. A data
+//! request is answered in that reader by its worker's store, and the reply
+//! queued on the requester's link. [`writer_loop`] and [`reader_loop`] are
+//! written once, over `Write` and `Read`; only the pipe differs:
 //!
 //! * **In process** (`Framed`, `Tcp`): every node lives in this process.
 //!   Node 0 is delivered in the sending thread, as on a hub. The plane makes
